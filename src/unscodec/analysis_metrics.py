@@ -33,7 +33,6 @@ class TnsComparisonReport:
     frame_energy_dft_db: np.ndarray
     hop: int
     signal_name: str = ""
-    transient_frames: np.ndarray | None = None
 
     def to_csv(self) -> str:
         buf = io.StringIO()

@@ -36,9 +36,23 @@ class FrameStats:
     section_bits: dict
 
 
-def _flat_lsf_indices(cfg: CodecConfig) -> np.ndarray:
-    flat = lp.LpModel(order=cfg.lpc_order, coeffs=np.zeros(cfg.lpc_order))
-    return lp.quantize_lsf(lp.lpc_to_lsf(flat), cfg.lsf_step).indices
+@dataclass
+class FrameAnalysis:
+    """The encoder's shaping state for one frame, up to the gain search."""
+
+    lsf_indices: np.ndarray
+    env: lp.FrequencyEnvelope
+    fer: pq.FerProfile
+    res: np.ndarray           # FDNS residual
+    filtered: np.ndarray      # residual after the CTNS filter
+    clpc_indices: np.ndarray
+    coeffs: np.ndarray        # CTNS filter rebuilt from the quantized indices
+    decision: ns.CtnsDecision
+    active: bool              # the switch fired and CTNS is enabled
+
+    @property
+    def coded(self) -> np.ndarray:
+        return self.filtered if self.active else self.res
 
 
 def derive_shaping(lsf_indices: np.ndarray, cfg: CodecConfig):
@@ -47,8 +61,7 @@ def derive_shaping(lsf_indices: np.ndarray, cfg: CodecConfig):
     This is the single code path both codec ends use, so their shaping state
     is identical by construction.
     """
-    lsfs = lp.dequantize_lsf(lp.QuantizedLpc(np.asarray(lsf_indices), 0),
-                             cfg.lsf_step, cfg.lsf_min_gap)
+    lsfs = lp.dequantize_lsf(lsf_indices, cfg.lsf_step, cfg.lsf_min_gap)
     model = lp.lsf_to_lpc(lsfs)
     env = lp.frequency_envelope(model, cfg.n_bins)
     fer = pq.compute_fer(env.values_db, cfg.band_layout, cfg.fer_threshold)
@@ -57,8 +70,7 @@ def derive_shaping(lsf_indices: np.ndarray, cfg: CodecConfig):
 
 def derive_clpc(clpc_indices: np.ndarray, cfg: CodecConfig) -> np.ndarray:
     model = lp.dequantize_complex_lpc(
-        lp.QuantizedLpc(np.asarray(clpc_indices), 0),
-        cfg.clpc_mag_step_db, cfg.clpc_mag_floor_db, cfg.clpc_phase_cells,
+        clpc_indices, cfg.clpc_mag_step_db, cfg.clpc_mag_floor_db, cfg.clpc_phase_cells,
         order=cfg.lpc_order)
     return model.coeffs
 
@@ -86,28 +98,40 @@ def make_pack_context(cfg: CodecConfig) -> PackContext:
     )
 
 
-def _analyze_lsf_indices(samples: np.ndarray, cfg: CodecConfig) -> np.ndarray:
+def analyze_frame(samples: np.ndarray, cfg: CodecConfig) -> FrameAnalysis:
+    """Shape one windowed frame: LSF envelope division (FDNS), then the
+    quantized complex LP model along frequency and the CTNS switch."""
     r = lp.autocorr(samples, cfg.lpc_order)
     if r[0] <= 1e-30:
-        return _flat_lsf_indices(cfg)
-    model = lp.levinson(r, cfg.lpc_order)
-    model = lp.bandwidth_expand(model, cfg.fdns_weight)
-    return lp.quantize_lsf(lp.lpc_to_lsf(model), cfg.lsf_step).indices
-
-
-def _analyze_clpc(res: np.ndarray, cfg: CodecConfig):
-    """Quantized complex LP model of the residual's frequency course."""
-    banded = res[:cfg.band_edges[-1]]
-    r = lp.autocorr(banded, cfg.lpc_order)
-    if r[0].real <= 1e-30:
-        model = lp.ComplexLpModel(order=cfg.lpc_order,
-                                  coeffs=np.zeros(cfg.lpc_order, dtype=complex))
+        model = lp.LpModel(order=cfg.lpc_order, coeffs=np.zeros(cfg.lpc_order))
     else:
-        model = lp.levinson(r, cfg.lpc_order)
-        model = lp.bandwidth_expand(model, cfg.ctns_weight)
-    q = lp.quantize_complex_lpc(model, cfg.clpc_mag_step_db, cfg.clpc_mag_floor_db,
-                                cfg.clpc_mag_ceil_db, cfg.clpc_phase_cells)
-    return q.indices
+        model = lp.bandwidth_expand(lp.levinson(r, cfg.lpc_order), cfg.fdns_weight)
+    lsf_idx = lp.quantize_lsf(lp.lpc_to_lsf(model), cfg.lsf_step)
+    env, fer = derive_shaping(lsf_idx, cfg)
+    res = ns.fdns_forward(np.fft.rfft(samples), env.values)
+
+    r = lp.autocorr(res[:cfg.band_edges[-1]], cfg.lpc_order)
+    if r[0].real <= 1e-30:
+        model = lp.LpModel(order=cfg.lpc_order,
+                           coeffs=np.zeros(cfg.lpc_order, dtype=complex))
+    else:
+        model = lp.bandwidth_expand(lp.levinson(r, cfg.lpc_order), cfg.ctns_weight)
+    clpc_idx = lp.quantize_complex_lpc(model, cfg.clpc_mag_step_db, cfg.clpc_mag_floor_db,
+                                       cfg.clpc_mag_ceil_db, cfg.clpc_phase_cells)
+    coeffs = derive_clpc(clpc_idx, cfg)
+    filtered = ns.ctns_filter(res, coeffs, cfg.ctns_start_bin)
+    decision = ns.prediction_gain(res, filtered, cfg.ctns_start_bin,
+                                  cfg.ctns_threshold_db)
+    return FrameAnalysis(lsf_indices=lsf_idx, env=env, fer=fer, res=res,
+                         filtered=filtered, clpc_indices=clpc_idx, coeffs=coeffs,
+                         decision=decision, active=decision.active and cfg.ctns_enabled)
+
+
+def synthesize(coded: np.ndarray, env: lp.FrequencyEnvelope, coeffs: np.ndarray | None,
+               cfg: CodecConfig) -> np.ndarray:
+    """Undo CTNS (when ``coeffs`` is given) and FDNS, then return to time."""
+    res = coded if coeffs is None else ns.ctns_unfilter(coded, coeffs, cfg.ctns_start_bin)
+    return np.fft.irfft(ns.fdns_inverse(res, env.values), n=cfg.frame_len)
 
 
 def _coded_bands(coded: np.ndarray, cfg: CodecConfig) -> list:
@@ -118,22 +142,11 @@ def _coded_bands(coded: np.ndarray, cfg: CodecConfig) -> list:
 
 def encode_frame(samples: np.ndarray, cfg: CodecConfig):
     """Encode one windowed frame; returns (payload, info dict)."""
-    spectrum = np.fft.rfft(samples)
-    lsf_idx = _analyze_lsf_indices(samples, cfg)
-    env, fer = derive_shaping(lsf_idx, cfg)
-    res = ns.fdns_forward(spectrum, env.values)
-
-    clpc_idx = _analyze_clpc(res, cfg)
-    coeffs = derive_clpc(clpc_idx, cfg)
-    filtered = ns.ctns_filter(res, coeffs, cfg.ctns_start_bin)
-    decision = ns.prediction_gain(res, filtered, cfg.ctns_start_bin,
-                                  cfg.ctns_threshold_db)
-    active = decision.active and cfg.ctns_enabled
-    coded = filtered if active else res
-
+    shaped = analyze_frame(samples, cfg)
+    fer = shaped.fer
     sizes = band_sizes(cfg)
     reals = real_positions(cfg)
-    bands = _coded_bands(coded, cfg)
+    bands = _coded_bands(shaped.coded, cfg)
     budget = cfg.budget
     sets = cfg.phase_sets
 
@@ -168,11 +181,11 @@ def encode_frame(samples: np.ndarray, cfg: CodecConfig):
         phase.append(ph)
         sign.append(sg)
 
-    payload = FramePayload(lsf_indices=lsf_idx, ctns_flag=active,
-                           clpc_indices=clpc_idx if active else None,
+    payload = FramePayload(lsf_indices=shaped.lsf_indices, ctns_flag=shaped.active,
+                           clpc_indices=shaped.clpc_indices if shaped.active else None,
                            sf_indices=gains, index1=index1, index2=index2,
                            phase=phase, sign=sign)
-    info = dict(gain_db=decision.gain_db, active=active, band_gains=gains,
+    info = dict(gain_db=shaped.decision.gain_db, active=shaped.active, band_gains=gains,
                 overflow=overflow, est_spectral_bits=est_bits)
     return payload, info
 
@@ -205,13 +218,8 @@ def decode_frame_payload(payload: FramePayload, cfg: CodecConfig) -> np.ndarray:
         coded[offset:offset + sizes[b]] = vals
         offset += sizes[b]
 
-    if payload.ctns_flag:
-        coeffs = derive_clpc(payload.clpc_indices, cfg)
-        res = ns.ctns_unfilter(coded, coeffs, cfg.ctns_start_bin)
-    else:
-        res = coded
-    spectrum = ns.fdns_inverse(res, env.values)
-    return np.fft.irfft(spectrum, n=cfg.frame_len)
+    coeffs = derive_clpc(payload.clpc_indices, cfg) if payload.ctns_flag else None
+    return synthesize(coded, env, coeffs, cfg)
 
 
 def encode_stream(pcm: np.ndarray, cfg: CodecConfig):
@@ -270,40 +278,18 @@ def decode_stream(data: bytes, cfg: CodecConfig | None = None):
 
 
 def shaping_roundtrip(pcm: np.ndarray, cfg: CodecConfig) -> np.ndarray:
-    """Debug bypass: run the full shaping chain with every quantizer replaced
-    by identity and no entropy coding, then reconstruct.
+    """Debug bypass: the codec's own frame analysis and synthesis with the
+    spectral coefficients left unquantized and no entropy coding.
 
-    Isolates the window/DFT/envelope/temporal-filter inverses from
-    quantization; away from the stream edges the output matches the input to
-    numerical precision.
+    The envelope and the CTNS filter are the quantized ones the decoder
+    rebuilds, so this isolates the window/DFT/envelope/temporal-filter
+    inverses from the band quantizer; away from the stream edges the output
+    matches the input to numerical precision.
     """
     pcm = np.asarray(pcm, dtype=float)
     recon = []
     for frame in frame_signal(pcm, cfg.window_spec):
-        spectrum = np.fft.rfft(frame.samples)
-        r = lp.autocorr(frame.samples, cfg.lpc_order)
-        if r[0] <= 1e-30:
-            env = lp.FrequencyEnvelope(values=np.ones(cfg.n_bins),
-                                       values_db=np.zeros(cfg.n_bins))
-        else:
-            model = lp.bandwidth_expand(lp.levinson(r, cfg.lpc_order), cfg.fdns_weight)
-            env = lp.frequency_envelope(model, cfg.n_bins)
-        res = ns.fdns_forward(spectrum, env.values)
-
-        banded = res[:cfg.band_edges[-1]]
-        cr = lp.autocorr(banded, cfg.lpc_order)
-        if cr[0].real <= 1e-30:
-            coeffs = np.zeros(cfg.lpc_order, dtype=complex)
-        else:
-            cmodel = lp.bandwidth_expand(lp.levinson(cr, cfg.lpc_order), cfg.ctns_weight)
-            coeffs = cmodel.coeffs
-        filtered = ns.ctns_filter(res, coeffs, cfg.ctns_start_bin)
-        decision = ns.prediction_gain(res, filtered, cfg.ctns_start_bin,
-                                      cfg.ctns_threshold_db)
-        active = decision.active and cfg.ctns_enabled
-        coded = filtered if active else res
-
-        back = ns.ctns_unfilter(coded, coeffs, cfg.ctns_start_bin) if active else coded
-        spectrum2 = ns.fdns_inverse(back, env.values)
-        recon.append(np.fft.irfft(spectrum2, n=cfg.frame_len))
+        shaped = analyze_frame(frame.samples, cfg)
+        coeffs = shaped.coeffs if shaped.active else None
+        recon.append(synthesize(shaped.coded, shaped.env, coeffs, cfg))
     return overlap_add(recon, cfg.window_spec, length=pcm.size)

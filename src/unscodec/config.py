@@ -4,7 +4,7 @@ key-value config file format with an embedded quantizer table section.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -19,31 +19,30 @@ class ConfigError(ValueError):
 
 @dataclass
 class CodecConfig:
-    sample_rate: int = 12800
-    frame_len: int = 1024
-    overlap_len: int = 256
-    window_edge: float = 0.15
-    band_edges: tuple = DEFAULT_UPPER_EDGES
-    bits_12k: tuple = MODE_BUDGETS["12k"]
-    bits_16k: tuple = MODE_BUDGETS["16k"]
-    lpc_order: int = 16
-    fdns_weight: float = 0.98
-    ctns_weight: float = 0.9
-    ctns_threshold_db: float = -4.5
-    ctns_start_bin: int = 25
+    sample_rate: int = 12800            # core-band rate in Hz
+    frame_len: int = 1024               # analysis frame length
+    overlap_len: int = 256              # taper length of the window
+    window_edge: float = 0.15           # window height at the frame ends
+    band_edges: tuple = DEFAULT_UPPER_EDGES      # sub-band upper bin edges
+    bits_12k: tuple = MODE_BUDGETS["12k"]        # per-band bit targets, 12 kbps
+    bits_16k: tuple = MODE_BUDGETS["16k"]        # per-band bit targets, 16 kbps
+    lpc_order: int = 16                 # prediction order, both analyses
+    fdns_weight: float = 0.98           # bandwidth expansion, spectral model
+    ctns_weight: float = 0.9            # bandwidth expansion, temporal model
+    ctns_threshold_db: float = -4.5     # prediction-gain switch threshold
+    ctns_start_bin: int = 25            # first filtered bin (above 312 Hz)
     ctns_enabled: bool = True
-    fer_threshold: float = 0.125
+    fer_threshold: float = 0.125        # phase-contrast switch threshold
     phase_cells_high: tuple = DEFAULT_PHASE_SETS.high
     phase_cells_low: tuple = DEFAULT_PHASE_SETS.low
-    lsf_step: float = 0.01 * np.pi
+    lsf_step: float = 0.01 * np.pi      # LSF quantizer step in radians
     lsf_min_gap: float = 1e-3
     clpc_mag_step_db: float = 0.5
     clpc_mag_floor_db: float = -60.0
     clpc_mag_ceil_db: float = 20.0
     clpc_phase_cells: int = 64
     mode: str = "12k"
-    debug_bypass: bool = False
-    ecupq: EcupqTable = field(default_factory=lambda: DEFAULT_ECUPQ_TABLE)
+    ecupq: EcupqTable = field(default_factory=lambda: DEFAULT_ECUPQ_TABLE)  # [ecupq] section
 
     def __post_init__(self):
         if self.mode not in ("12k", "16k"):
@@ -72,96 +71,85 @@ class CodecConfig:
     def n_bins(self) -> int:
         return self.frame_len // 2 + 1
 
-    @property
-    def bin_hz(self) -> float:
-        return self.sample_rate / self.frame_len
-
     def with_mode(self, mode: str) -> "CodecConfig":
         return replace(self, mode=mode)
 
 
-_INT_KEYS = ("sample_rate", "frame_len", "overlap_len", "lpc_order",
-             "ctns_start_bin", "clpc_phase_cells")
-_FLOAT_KEYS = ("window_edge", "fdns_weight", "ctns_weight", "ctns_threshold_db", "fer_threshold",
-               "lsf_step", "lsf_min_gap", "clpc_mag_step_db", "clpc_mag_floor_db",
-               "clpc_mag_ceil_db")
-_INT_TUPLE_KEYS = ("band_edges", "bits_12k", "bits_16k",
-                   "phase_cells_high", "phase_cells_low")
-_BOOL_KEYS = ("ctns_enabled", "debug_bypass")
+# The file format follows the dataclasses: one ``key = value`` line per field
+# of CodecConfig, then an ``[ecupq]`` section with the fields of EcupqTable.
+# Each value is parsed by the type of the field's value in the defaults.
+_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+
+
+def _fields(obj) -> dict:
+    """Field name -> value for every plain (non-section) field of a dataclass."""
+    return {f.name: getattr(obj, f.name) for f in fields(obj)
+            if not is_dataclass(getattr(obj, f.name))}
+
+
+def _format(value) -> str:
+    if isinstance(value, bool):
+        return str(value).lower()
+    if isinstance(value, tuple):
+        return ", ".join(map(_format, value))
+    return str(value)
+
+
+def _parser(default):
+    """Text-to-value parser for a key whose default is ``default``."""
+    if isinstance(default, bool):
+        return lambda text: _BOOLS[text.lower()]
+    if isinstance(default, tuple):
+        return lambda text: tuple(type(default[0])(v) for v in text.split(","))
+    return type(default)
 
 
 def save_config(cfg: CodecConfig, path: str):
     """Write a config file; every codec constant appears exactly once."""
     lines = ["# unscodec configuration", ""]
-    lines.append(f"sample_rate = {cfg.sample_rate}           # core-band rate in Hz")
-    lines.append(f"frame_len = {cfg.frame_len}              # analysis frame length")
-    lines.append(f"overlap_len = {cfg.overlap_len}             # taper length of the window")
-    lines.append(f"window_edge = {cfg.window_edge}           # window height at the frame ends")
-    lines.append(f"band_edges = {', '.join(map(str, cfg.band_edges))}   # sub-band upper bin edges")
-    lines.append(f"bits_12k = {', '.join(map(str, cfg.bits_12k))}   # per-band bit targets, 12 kbps")
-    lines.append(f"bits_16k = {', '.join(map(str, cfg.bits_16k))}   # per-band bit targets, 16 kbps")
-    lines.append(f"lpc_order = {cfg.lpc_order}                # prediction order, both analyses")
-    lines.append(f"fdns_weight = {cfg.fdns_weight}           # bandwidth expansion, spectral model")
-    lines.append(f"ctns_weight = {cfg.ctns_weight}            # bandwidth expansion, temporal model")
-    lines.append(f"ctns_threshold_db = {cfg.ctns_threshold_db}     # prediction-gain switch threshold")
-    lines.append(f"ctns_start_bin = {cfg.ctns_start_bin}           # first filtered bin (above 312 Hz)")
-    lines.append(f"ctns_enabled = {str(cfg.ctns_enabled).lower()}")
-    lines.append(f"fer_threshold = {cfg.fer_threshold}         # phase-contrast switch threshold")
-    lines.append(f"phase_cells_high = {', '.join(map(str, cfg.phase_cells_high))}")
-    lines.append(f"phase_cells_low = {', '.join(map(str, cfg.phase_cells_low))}")
-    lines.append(f"lsf_step = {cfg.lsf_step!r}      # LSF quantizer step in radians")
-    lines.append(f"lsf_min_gap = {cfg.lsf_min_gap}")
-    lines.append(f"clpc_mag_step_db = {cfg.clpc_mag_step_db}")
-    lines.append(f"clpc_mag_floor_db = {cfg.clpc_mag_floor_db}")
-    lines.append(f"clpc_mag_ceil_db = {cfg.clpc_mag_ceil_db}")
-    lines.append(f"clpc_phase_cells = {cfg.clpc_phase_cells}")
-    lines.append("")
-    lines.append("[ecupq]")
-    lines.append(f"version = {cfg.ecupq.version}")
-    lines.append(f"design_rate = {cfg.ecupq.design_rate}")
-    lines.append(f"thresholds = {', '.join(repr(float(t)) for t in cfg.ecupq.thresholds)}")
-    lines.append(f"levels = {', '.join(repr(float(l)) for l in cfg.ecupq.levels)}")
+    lines += [f"{k} = {_format(v)}" for k, v in _fields(cfg).items()]
+    lines += ["", "[ecupq]"]
+    lines += [f"{k} = {_format(v)}" for k, v in _fields(cfg.ecupq).items()]
     with open(path, "w") as f:
         f.write("\n".join(lines) + "\n")
 
 
 def load_config(path: str) -> CodecConfig:
-    kv, section = {}, None
+    """Read a config file; an unknown section or key, or a value its field
+    cannot take, raises ConfigError naming the file, line and key."""
+    parsers = {None: {k: _parser(v) for k, v in _fields(CodecConfig()).items()},
+               "ecupq": {k: _parser(v) for k, v in _fields(DEFAULT_ECUPQ_TABLE).items()}}
+    values = {None: {}, "ecupq": {}}
+    section, table_line = None, None
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
+            where = f"{path}:{lineno}"
             line = line.split("#", 1)[0].strip()
             if not line:
                 continue
             if line.startswith("[") and line.endswith("]"):
                 section = line[1:-1].strip()
+                if section not in parsers:
+                    raise ConfigError(f"{where}: unknown section [{section}]")
+                table_line = where
                 continue
             if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected key = value")
+                raise ConfigError(f"{where}: expected key = value")
             key, value = (s.strip() for s in line.split("=", 1))
-            kv[(section, key)] = value
+            if key not in parsers[section]:
+                raise ConfigError(f"{where}: unknown config key {key!r}")
+            try:
+                values[section][key] = parsers[section][key](value)
+            except (KeyError, ValueError):
+                raise ConfigError(f"{where}: {key}: cannot parse {value!r}") from None
 
-    kwargs = {}
-    for (section, key), value in kv.items():
-        if section is None:
-            if key in _INT_KEYS:
-                kwargs[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                kwargs[key] = float(value)
-            elif key in _INT_TUPLE_KEYS:
-                kwargs[key] = tuple(int(v.strip()) for v in value.split(","))
-            elif key in _BOOL_KEYS:
-                kwargs[key] = value.lower() in ("true", "1", "yes")
-            elif key == "mode":
-                kwargs[key] = value
-            else:
-                raise ConfigError(f"unknown config key {key!r}")
-
-    table_kv = {k: v for (s, k), v in kv.items() if s == "ecupq"}
-    if table_kv:
-        kwargs["ecupq"] = EcupqTable(
-            thresholds=tuple(float(v) for v in table_kv["thresholds"].split(",")),
-            levels=tuple(float(v) for v in table_kv["levels"].split(",")),
-            design_rate=float(table_kv.get("design_rate", 2.495)),
-            version=table_kv.get("version", "custom"),
-        )
-    return CodecConfig(**kwargs)
+    kwargs = values[None]
+    if table_line is not None:
+        try:
+            kwargs["ecupq"] = EcupqTable(**{"version": "custom", **values["ecupq"]})
+        except (TypeError, ValueError) as exc:  # a missing key, or a bad table
+            raise ConfigError(f"{table_line}: [ecupq]: {exc}") from None
+    try:
+        return CodecConfig(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None

@@ -224,24 +224,6 @@ class RangeDecoder:
         return symbol
 
 
-def range_encode(symbols, n_alphabet: int) -> bytes:
-    """Encode one symbol sequence with a fresh adaptive model."""
-    w = BitWriter()
-    enc = RangeEncoder(w)
-    model = AdaptiveModel(n_alphabet)
-    for s in symbols:
-        enc.encode(model, int(s))
-    enc.finish()
-    return w.getvalue()
-
-
-def range_decode(data: bytes, n_alphabet: int, count: int) -> list[int]:
-    """Decode ``count`` symbols written by :func:`range_encode`."""
-    dec = RangeDecoder(BitReader(data))
-    model = AdaptiveModel(n_alphabet)
-    return [dec.decode(model) for _ in range(count)]
-
-
 class Index1Coder:
     """Magnitude-index model bank conditioned on the previous symbol's class.
 

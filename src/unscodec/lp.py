@@ -23,18 +23,11 @@ class DegenerateSignalError(ValueError):
 
 @dataclass
 class LpModel:
-    """Prediction-error filter A(z) = 1 + sum a_k z^-k with real coefficients."""
+    """Prediction-error filter A(z) = 1 + sum a_k z^-k.
 
-    order: int
-    coeffs: np.ndarray
-    weight: float = 1.0
-    residual_energy: float = float("nan")
-    clamped: bool = False
-
-
-@dataclass
-class ComplexLpModel:
-    """Same contract as LpModel but with complex coefficients."""
+    Coefficients are real for the spectral-envelope model and complex for the
+    temporal model along frequency.
+    """
 
     order: int
     coeffs: np.ndarray
@@ -49,18 +42,6 @@ class FrequencyEnvelope:
 
     values: np.ndarray
     values_db: np.ndarray
-
-
-@dataclass
-class QuantizedLpc:
-    """Integer indices for a quantized LPC parameter set.
-
-    ``bits_used`` is the raw fixed-width cost of the index fields; the actual
-    entropy-coded cost in a stream is reported separately by the encoder.
-    """
-
-    indices: np.ndarray
-    bits_used: int
 
 
 def autocorr(x, max_lag: int) -> np.ndarray:
@@ -79,9 +60,9 @@ def autocorr(x, max_lag: int) -> np.ndarray:
 def levinson(r, order: int):
     """Levinson-Durbin recursion on a (Hermitian) autocorrelation sequence.
 
-    Returns an LpModel for real input and a ComplexLpModel for complex input.
-    Reflection coefficients with magnitude >= 1 (near-singular steps) are
-    clamped to 0.999 and the model is flagged.
+    The model's coefficients are complex exactly when ``r`` is.  Reflection
+    coefficients with magnitude >= 1 (near-singular steps) are clamped to
+    0.999 and the model is flagged.
     """
     r = np.asarray(r)
     if order >= r.size:
@@ -107,11 +88,8 @@ def levinson(r, order: int):
         a[m] = k
         energy *= (1.0 - abs(k) ** 2)
 
-    coeffs = a[1:]
-    cls = ComplexLpModel if is_complex else LpModel
-    if not is_complex:
-        coeffs = coeffs.real
-    return cls(order=order, coeffs=coeffs, residual_energy=float(energy), clamped=clamped)
+    coeffs = a[1:] if is_complex else a[1:].real
+    return LpModel(order=order, coeffs=coeffs, residual_energy=float(energy), clamped=clamped)
 
 
 def bandwidth_expand(model, gamma: float):
@@ -119,7 +97,7 @@ def bandwidth_expand(model, gamma: float):
     if not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must be in (0, 1]")
     scaled = model.coeffs * gamma ** np.arange(1, model.order + 1)
-    return type(model)(
+    return LpModel(
         order=model.order,
         coeffs=scaled,
         weight=gamma,
@@ -194,21 +172,21 @@ def lsf_to_lpc(lsf: np.ndarray) -> LpModel:
     return LpModel(order=p, coeffs=a[1:p + 1])
 
 
-def quantize_lsf(lsf: np.ndarray, step: float = 0.01 * np.pi) -> QuantizedLpc:
-    """Uniform scalar quantization of each LSF with the given step."""
+def quantize_lsf(lsf: np.ndarray, step: float = 0.01 * np.pi) -> np.ndarray:
+    """Uniform scalar quantization of each LSF with the given step; returns
+    the integer indices."""
     idx = round_half_up(np.asarray(lsf) / step)
-    idx = np.clip(idx, 0, int(round(np.pi / step)))
-    return QuantizedLpc(indices=idx, bits_used=7 * idx.size)
+    return np.clip(idx, 0, int(round(np.pi / step)))
 
 
-def dequantize_lsf(q: QuantizedLpc, step: float = 0.01 * np.pi,
+def dequantize_lsf(indices: np.ndarray, step: float = 0.01 * np.pi,
                    min_gap: float = 1e-3) -> np.ndarray:
     """Reconstruct LSFs from indices, enforcing order and a minimum gap.
 
     The gap repair keeps the decoded model minimum phase even when rounding
     collapses neighboring frequencies.
     """
-    lsf = np.asarray(q.indices, dtype=float) * step
+    lsf = np.asarray(indices, dtype=float) * step
     p = lsf.size
     for i in range(p - 1, -1, -1):
         ub = np.pi - min_gap * (p - i)
@@ -222,9 +200,9 @@ def dequantize_lsf(q: QuantizedLpc, step: float = 0.01 * np.pi,
     return lsf
 
 
-def quantize_complex_lpc(model: ComplexLpModel, mag_step_db: float = 0.5,
+def quantize_complex_lpc(model: LpModel, mag_step_db: float = 0.5,
                          mag_floor_db: float = -60.0, mag_ceil_db: float = 20.0,
-                         phase_cells: int = 64) -> QuantizedLpc:
+                         phase_cells: int = 64) -> np.ndarray:
     """Per-coefficient polar scalar quantization of a complex model.
 
     Magnitudes are quantized on a uniform dB grid anchored at ``mag_floor_db``
@@ -242,20 +220,20 @@ def quantize_complex_lpc(model: ComplexLpModel, mag_step_db: float = 0.5,
         mi = int(np.clip(round_half_up((mag_db - mag_floor_db) / mag_step_db), 0, n_mag))
         pi_ = int(np.floor((wrap_phase(np.angle(c)) + np.pi) * phase_cells / (2.0 * np.pi))) % phase_cells
         out[i] = (mi, pi_)
-    return QuantizedLpc(indices=out, bits_used=model.order * (8 + 6))
+    return out
 
 
-def dequantize_complex_lpc(q: QuantizedLpc, mag_step_db: float = 0.5,
+def dequantize_complex_lpc(indices: np.ndarray, mag_step_db: float = 0.5,
                            mag_floor_db: float = -60.0, phase_cells: int = 64,
-                           order: int | None = None) -> ComplexLpModel:
+                           order: int | None = None) -> LpModel:
     """Rebuild the complex model from cell centers, with a stability guard.
 
     Quantization can push a pole of a marginally stable model onto or over
-    the unit circle; the guard contracts the coefficients until the inverse
-    filter is safe to run.  Encoder and decoder both reconstruct through this
+    the unit circle; the guard contracts such a model so the inverse filter
+    is safe to run.  Encoder and decoder both reconstruct through this
     function, so they always agree on the filter actually applied.
     """
-    idx = np.asarray(q.indices, dtype=int)
+    idx = np.asarray(indices, dtype=int)
     p = order if order is not None else idx.shape[0]
     coeffs = np.zeros(p, dtype=complex)
     for i in range(p):
@@ -268,14 +246,12 @@ def dequantize_complex_lpc(q: QuantizedLpc, mag_step_db: float = 0.5,
     # quantization scatter can push poles of a marginal model toward or over
     # the unit circle, and the decoder-side inverse filter would resonate on
     # quantization noise; contract such models back near the radius the
-    # bandwidth-expanded analysis produces
-    for _ in range(4):
-        radius = _poly_roots_max_radius(coeffs)
-        if radius <= 0.96:
-            break
-        gamma = 0.92 / radius
-        coeffs = coeffs * gamma ** np.arange(1, p + 1)
-    return ComplexLpModel(order=p, coeffs=coeffs)
+    # bandwidth-expanded analysis produces.  Scaling a_k by gamma**k scales
+    # every root by gamma, so one contraction puts the largest at 0.92
+    radius = _poly_roots_max_radius(coeffs)
+    if radius > 0.96:
+        coeffs = coeffs * (0.92 / radius) ** np.arange(1, p + 1)
+    return LpModel(order=p, coeffs=coeffs)
 
 
 def frequency_envelope(model, n_bins: int = 513) -> FrequencyEnvelope:

@@ -61,12 +61,6 @@ class EcupqTable:
         return self.thresholds[-1]
 
 
-@dataclass
-class MagnitudeCode:
-    index1: int
-    index2: int | None = None
-
-
 @dataclass(frozen=True)
 class PhaseCellSets:
     high: tuple = (1, 8, 16, 16, 32, 32, 64, 64)
@@ -136,6 +130,8 @@ def dequantize_magnitudes(idx1: np.ndarray, idx2: np.ndarray, table: EcupqTable)
     boundary so every code requantizes to itself.
     """
     i1 = np.asarray(idx1, dtype=int)
+    if np.shape(idx2) != i1.shape:
+        raise ValueError("index2 must align with index1 (escape codes need it)")
     levels = np.asarray(table.levels)
     out = levels[np.clip(i1, 0, 7)]
     nonlinear = i1 > ESCAPE_INDEX
@@ -149,29 +145,9 @@ def dequantize_magnitudes(idx1: np.ndarray, idx2: np.ndarray, table: EcupqTable)
     return np.asarray(out, dtype=float)
 
 
-def quantize_magnitude(a: float, table: EcupqTable) -> MagnitudeCode:
-    """Scalar hybrid quantization of one non-negative magnitude."""
-    idx1, idx2 = quantize_magnitudes(np.array([a]), table)
-    i1 = int(idx1[0])
-    return MagnitudeCode(index1=i1, index2=int(idx2[0]) if i1 == ESCAPE_INDEX else None)
-
-
-def dequantize_magnitude(code: MagnitudeCode, table: EcupqTable) -> float:
-    if code.index1 == ESCAPE_INDEX and code.index2 is None:
-        raise ValueError("escape code requires index2")
-    idx2 = code.index2 if code.index2 is not None else 0
-    return float(dequantize_magnitudes(np.array([code.index1]), np.array([idx2]), table)[0])
-
-
-def phase_cells(index1: int, band_high_contrast: bool,
-                sets: PhaseCellSets = DEFAULT_PHASE_SETS) -> int:
-    """Number of phase cells for one coefficient; 1 means no phase is sent."""
-    entry = min(int(index1), 7)
-    return (sets.high if band_high_contrast else sets.low)[entry]
-
-
 def phase_cells_array(idx1: np.ndarray, band_high_contrast: bool,
                       sets: PhaseCellSets = DEFAULT_PHASE_SETS) -> np.ndarray:
+    """Phase cells per coefficient; 1 means no phase is sent."""
     table = np.asarray(sets.high if band_high_contrast else sets.low)
     return table[np.minimum(np.asarray(idx1, dtype=int), 7)]
 

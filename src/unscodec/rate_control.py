@@ -53,18 +53,6 @@ class BandLayout:
         return tuple(hi - lo for lo, hi in self.ranges())
 
 
-@dataclass
-class ScaleFactors:
-    """Snapped per-band gains; the dequantized gain is index * 1 dB exactly."""
-
-    indices: np.ndarray
-    step_db: float = 1.0
-
-    @property
-    def gains_db(self) -> np.ndarray:
-        return np.asarray(self.indices, dtype=float) * self.step_db
-
-
 def split_bands(res: np.ndarray, layout: BandLayout) -> list[np.ndarray]:
     """Partition the banded bins into the layout's sub-bands."""
     res = np.asarray(res)

@@ -1,4 +1,4 @@
-"""Framing, tapered windowing, overlap-add, and block transforms (DFT, MDCT).
+"""Framing, tapered windowing, overlap-add, and the MDCT block transform.
 
 The analysis window is a raised-cosine taper with a flat middle.  Only the
 analysis side is windowed; synthesis is plain overlap-add, which reconstructs
@@ -56,15 +56,6 @@ class AnalysisFrame:
     samples: np.ndarray
 
 
-@dataclass
-class Spectrum:
-    """One-sided DFT of a real frame: bins 0..frame_len/2 inclusive."""
-
-    frame_index: int
-    bins: np.ndarray
-    bin_hz: float = 12.5
-
-
 def make_window(spec: WindowSpec) -> np.ndarray:
     """Build the raised-cosine tapered window.
 
@@ -118,19 +109,6 @@ def overlap_add(frames: list[np.ndarray], spec: WindowSpec, length: int | None =
     if length is not None:
         out = out[:length]
     return out
-
-
-def dft(frame: AnalysisFrame, bin_hz: float = 12.5) -> Spectrum:
-    """Unnormalized forward DFT of a real frame, one-sided bins."""
-    x = np.asarray(frame.samples, dtype=float)
-    return Spectrum(frame_index=frame.index, bins=np.fft.rfft(x), bin_hz=bin_hz)
-
-
-def idft(spec: Spectrum) -> AnalysisFrame:
-    """Inverse DFT (1/N normalized) back to the real time frame."""
-    bins = np.asarray(spec.bins)
-    n = 2 * (bins.size - 1)
-    return AnalysisFrame(index=spec.frame_index, samples=np.fft.irfft(bins, n=n))
 
 
 def sine_window(n: int) -> np.ndarray:

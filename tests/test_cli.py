@@ -6,6 +6,7 @@ import pytest
 
 from unscodec import cli, signals
 from unscodec.config import CodecConfig, load_config, save_config
+from unscodec.polar_quant import EcupqTable
 from unscodec.resample import resample_to_core
 from unscodec.wavio import WavFormatError, read_wav, write_wav
 
@@ -116,13 +117,29 @@ def test_resample_common_rates(rate):
     assert snr > 60.0
 
 
+# (file text, key the error must name); each was accepted or failed without
+# naming its file, line and key before the loader was derived from the fields
+BAD_CONFIGS = [
+    ("no_such_parameter = 5\n", "no_such_parameter"),
+    ("[ecupq]\nlevels = 0, 1, 2, 3, 4, 5, 6, 7\n", "thresholds"),
+    ("[foo]\nx = 1\n", "foo"),
+    ("[ecupq]\nno_such_parameter = 1\n", "no_such_parameter"),
+    ("ctns_enabled = maybe\n", "ctns_enabled"),
+    ("lpc_order = abc\n", "lpc_order"),
+]
+
+
 def test_config_rejects_unknown_key(tmp_path):
+    # one test over every case, so the test keeps its name in the suite
     from unscodec.config import ConfigError
     path = str(tmp_path / "bad.cfg")
-    with open(path, "w") as f:
-        f.write("no_such_parameter = 5\n")
-    with pytest.raises(ConfigError):
-        load_config(path)
+    for text, key in BAD_CONFIGS:
+        with open(path, "w") as f:
+            f.write(text)
+        with pytest.raises(ConfigError) as exc:
+            load_config(path)
+        assert f"{path}:" in str(exc.value), text
+        assert key in str(exc.value), text
 
 
 def test_config_rejects_malformed_line(tmp_path):
@@ -136,17 +153,25 @@ def test_config_rejects_malformed_line(tmp_path):
 
 def test_config_file_roundtrip(tmp_path):
     path = str(tmp_path / "c.cfg")
-    cfg = CodecConfig(mode="16k")
-    save_config(cfg, path)
-    out = load_config(path)
-    assert out.band_edges == cfg.band_edges
-    assert out.bits_12k == cfg.bits_12k
-    assert out.bits_16k == cfg.bits_16k
-    assert out.lpc_order == cfg.lpc_order
-    assert abs(out.lsf_step - cfg.lsf_step) < 1e-15
-    assert np.allclose(out.ecupq.thresholds, cfg.ecupq.thresholds)
-    assert np.allclose(out.ecupq.levels, cfg.ecupq.levels)
-    assert out.ecupq.version == cfg.ecupq.version
+    custom_table = EcupqTable(thresholds=(0.1, 0.6, 1.0, 1.4, 1.9, 2.3, 2.9, 5.056),
+                              levels=(0.0, 0.4, 0.8, 1.2, 1.6, 2.1, 2.6, 3.2),
+                              design_rate=2.0, version="hand-made")
+    custom = CodecConfig(lpc_order=12, fdns_weight=0.95, ctns_enabled=False,
+                         lsf_step=0.02, bits_12k=(40, 30, 30, 20, 20, 15, 15, 15),
+                         phase_cells_low=(1, 2, 4, 8, 8, 16, 16, 16), mode="16k",
+                         ecupq=custom_table)
+    for cfg in (CodecConfig(), CodecConfig(mode="16k"), custom):
+        save_config(cfg, path)
+        out = load_config(path)
+        assert out == cfg
+        assert out.band_edges == cfg.band_edges
+        assert out.bits_12k == cfg.bits_12k
+        assert out.bits_16k == cfg.bits_16k
+        assert out.lpc_order == cfg.lpc_order
+        assert abs(out.lsf_step - cfg.lsf_step) < 1e-15
+        assert np.allclose(out.ecupq.thresholds, cfg.ecupq.thresholds)
+        assert np.allclose(out.ecupq.levels, cfg.ecupq.levels)
+        assert out.ecupq.version == cfg.ecupq.version
 
 
 def test_cli_encode_decode_analyze(tmp_path):

@@ -162,8 +162,8 @@ def test_lsf_rejects_unstable_model():
 
 def test_quantize_lsf_example():
     q = lp.quantize_lsf(np.array([0.505 * np.pi]))
-    assert q.indices[0] == 51
-    rec = lp.dequantize_lsf(lp.QuantizedLpc(q.indices, 0))
+    assert q[0] == 51
+    rec = lp.dequantize_lsf(q)
     assert abs(rec[0] - 0.51 * np.pi) < 1e-12
 
 
@@ -174,7 +174,7 @@ def test_lsf_quantization_idempotent():
         q1 = lp.quantize_lsf(lp.lpc_to_lsf(m))
         rec = lp.dequantize_lsf(q1)
         q2 = lp.quantize_lsf(rec)
-        assert np.array_equal(q1.indices, q2.indices)
+        assert np.array_equal(q1, q2)
 
 
 def test_decoded_lsf_model_always_minimum_phase():
@@ -194,28 +194,28 @@ def test_all_zero_lsf_roundtrip():
     rec = lp.lsf_to_lpc(lp.dequantize_lsf(q1))
     assert np.max(np.abs(rec.coeffs)) < 0.1
     q2 = lp.quantize_lsf(lp.lpc_to_lsf(rec))
-    assert np.array_equal(q1.indices, q2.indices)
+    assert np.array_equal(q1, q2)
 
 
 def test_complex_lpc_quantizer_zero_coefficient():
-    m = lp.ComplexLpModel(order=2, coeffs=np.array([0.0 + 0.0j, 0.5]))
+    m = lp.LpModel(order=2, coeffs=np.array([0.0 + 0.0j, 0.5]))
     q = lp.quantize_complex_lpc(m)
-    assert tuple(q.indices[0]) == (-1, 0)
+    assert tuple(q[0]) == (-1, 0)
     rec = lp.dequantize_complex_lpc(q)
     assert rec.coeffs[0] == 0.0
 
 
 def test_complex_lpc_magnitude_index_at_unity():
-    m = lp.ComplexLpModel(order=1, coeffs=np.array([1.0 + 0.0j]))
+    m = lp.LpModel(order=1, coeffs=np.array([1.0 + 0.0j]))
     q = lp.quantize_complex_lpc(m)
-    assert q.indices[0][0] == 120
+    assert q[0][0] == 120
 
 
 def test_complex_lpc_phase_error_bound():
     rng = np.random.default_rng(17)
     mags = rng.uniform(0.01, 2.0, 50)
     phases = rng.uniform(-np.pi, np.pi, 50)
-    m = lp.ComplexLpModel(order=50, coeffs=mags * np.exp(1j * phases))
+    m = lp.LpModel(order=50, coeffs=mags * np.exp(1j * phases))
     rec = lp.dequantize_complex_lpc(lp.quantize_complex_lpc(m), order=50)
     err = np.abs(np.angle(rec.coeffs * np.conj(m.coeffs)))
     assert np.max(err) <= np.pi / 64 + 1e-9
@@ -232,7 +232,7 @@ def test_complex_lpc_quantization_idempotent():
     q1 = lp.quantize_complex_lpc(m)
     rec = lp.dequantize_complex_lpc(q1)
     q2 = lp.quantize_complex_lpc(rec)
-    assert np.array_equal(q1.indices, q2.indices)
+    assert np.array_equal(q1, q2)
 
 
 def test_frequency_envelope_flat_model():
@@ -257,3 +257,20 @@ def test_frequency_envelope_smoother_when_expanded():
             env = lp.frequency_envelope(lp.bandwidth_expand(m, g))
             ratios.append(env.values.max() / env.values.min())
         assert all(b <= a + 1e-9 for a, b in zip(ratios, ratios[1:]))
+
+
+@pytest.mark.parametrize("poles, radius", [
+    ((0.7 * np.exp(1.0j), 0.6 * np.exp(-2.0j)), None),   # stable: left as quantized
+    ((1.1 * np.exp(0.5j), 0.5 * np.exp(-1.0j)), 0.92),   # outside the unit circle
+])
+def test_complex_lpc_stability_guard(poles, radius):
+    # one contraction by gamma scales every root by gamma, so an unstable
+    # model comes back with its largest root exactly at 0.92
+    p1, p2 = poles
+    m = lp.LpModel(order=2, coeffs=np.array([-(p1 + p2), p1 * p2]))
+    rec = lp.dequantize_complex_lpc(lp.quantize_complex_lpc(m))
+    got = np.max(np.abs(np.roots(np.concatenate([[1.0], rec.coeffs]))))
+    if radius is None:
+        assert abs(got - 0.7) < 0.05
+    else:
+        assert abs(got - radius) < 1e-9

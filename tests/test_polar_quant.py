@@ -20,47 +20,57 @@ def test_table_shape_invariants():
         assert edges[j] <= y < edges[j + 1]
 
 
+def quantize_one(a):
+    """(index1, index2) of one magnitude through the vectorized quantizer."""
+    i1, i2 = pq.quantize_magnitudes(np.array([a]), TABLE)
+    return int(i1[0]), int(i2[0])
+
+
+def dequantize_one(i1, i2=0):
+    return float(pq.dequantize_magnitudes(np.array([i1]), np.array([i2]), TABLE)[0])
+
+
 def test_quantize_zero_hits_deadzone():
-    code = pq.quantize_magnitude(0.0, TABLE)
-    assert code.index1 == 0
-    assert code.index2 is None
-    assert pq.dequantize_magnitude(code, TABLE) == 0.0
+    i1, i2 = quantize_one(0.0)
+    assert i1 == 0
+    assert i2 == 0  # index2 carries nothing outside the escape region
+    assert dequantize_one(i1, i2) == 0.0
 
 
 def test_quantize_companded_example():
-    code = pq.quantize_magnitude(10.0, TABLE)
-    assert code.index1 == 12
-    rec = pq.dequantize_magnitude(code, TABLE)
+    i1, i2 = quantize_one(10.0)
+    assert i1 == 12
+    rec = dequantize_one(i1, i2)
     assert abs(rec - 6.0 ** (4.0 / 3.0)) < 1e-12
     assert abs(rec - 10.9027) < 1e-3
 
 
 def test_quantize_outlier_example():
-    code = pq.quantize_magnitude(20.0, TABLE)
-    assert code.index1 == 8
-    assert code.index2 == 20
-    assert pq.dequantize_magnitude(code, TABLE) == 20.0
+    i1, i2 = quantize_one(20.0)
+    assert i1 == 8
+    assert i2 == 20
+    assert dequantize_one(i1, i2) == 20.0
 
 
 def test_region_boundaries():
     just_below = np.nextafter(5.056, 0.0)
-    assert pq.quantize_magnitude(just_below, TABLE).index1 == 7
-    assert pq.quantize_magnitude(5.056, TABLE).index1 == 9  # floor(5.056^0.75+0.5)+6
+    assert quantize_one(just_below)[0] == 7
+    assert quantize_one(5.056)[0] == 9  # floor(5.056^0.75+0.5)+6
     r7t = 8.5 ** (4.0 / 3.0)
-    assert pq.quantize_magnitude(np.nextafter(r7t, 0.0), TABLE).index1 == 14
-    assert pq.quantize_magnitude(r7t, TABLE).index1 == 8
+    assert quantize_one(np.nextafter(r7t, 0.0))[0] == 14
+    assert quantize_one(r7t)[0] == 8
 
 
 def test_dequantize_rejects_escape_without_index2():
     with pytest.raises(ValueError):
-        pq.dequantize_magnitude(pq.MagnitudeCode(index1=8), TABLE)
+        pq.dequantize_magnitudes(np.array([8]), None, TABLE)
 
 
 def test_quantize_rejects_bad_input():
     with pytest.raises(ValueError):
-        pq.quantize_magnitude(-0.5, TABLE)
+        quantize_one(-0.5)
     with pytest.raises(ValueError):
-        pq.quantize_magnitude(float("nan"), TABLE)
+        quantize_one(float("nan"))
 
 
 def test_requantization_fixpoint_all_codes():
@@ -108,13 +118,9 @@ def test_outlier_clamp_sliver():
 
 
 def test_phase_cells_entries():
-    assert pq.phase_cells(0, True) == 1
-    assert pq.phase_cells(0, False) == 1
-    assert pq.phase_cells(7, True) == 64
-    assert pq.phase_cells(7, False) == 32
-    assert pq.phase_cells(12, True) == 64
-    assert pq.phase_cells(12, False) == 32
-    assert pq.phase_cells(8, True) == 64
+    idx1 = np.array([0, 7, 12, 8])
+    assert pq.phase_cells_array(idx1, True).tolist() == [1, 64, 64, 64]
+    assert pq.phase_cells_array(idx1, False).tolist() == [1, 32, 32, 32]
 
 
 def test_phase_cell_sets_relationship():

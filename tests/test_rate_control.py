@@ -3,6 +3,7 @@ import pytest
 
 from unscodec import polar_quant as pq
 from unscodec import rate_control as rc
+from unscodec.util import db_to_lin
 
 
 def make_ctx(high=True, real_mask=None):
@@ -115,9 +116,11 @@ def test_scale_factor_overflow_flag():
 
 
 def test_scale_factors_dequantize_exactly():
-    sf = rc.ScaleFactors(indices=np.array([-3, 0, 7, 60, -60, 1, 2, 3]))
-    assert np.array_equal(sf.gains_db, sf.indices.astype(float))
-    assert sf.step_db == 1.0
+    # a gain index is exactly that many dB: the decoder's divisor for it is
+    # the one the gain search costs the band with
+    indices = np.array([-3, 0, 7, 60, -60, 1, 2, 3])
+    assert np.array_equal(db_to_lin(indices), 10.0 ** (indices.astype(float) / 20.0))
+    assert np.allclose(20.0 * np.log10(db_to_lin(indices)), indices, rtol=0.0, atol=1e-12)
 
 
 def test_real_mask_costs_sign_bit():
