@@ -143,7 +143,7 @@ def _coded_bands(coded: np.ndarray, cfg: CodecConfig) -> list:
 def encode_frame(samples: np.ndarray, cfg: CodecConfig):
     """Encode one windowed frame; returns (payload, info dict)."""
     shaped = analyze_frame(samples, cfg)
-    fer = shaped.fer
+    contrast = shaped.fer.high_contrast
     sizes = band_sizes(cfg)
     reals = real_positions(cfg)
     bands = _coded_bands(shaped.coded, cfg)
@@ -156,9 +156,8 @@ def encode_frame(samples: np.ndarray, cfg: CodecConfig):
     est_bits = 0.0
     for b, band in enumerate(bands):
         mask = np.zeros(sizes[b], dtype=bool)
-        for posn in reals.get(b, ()):
-            mask[posn] = True
-        ctx = rc.BandQuantContext(table=cfg.ecupq, high_contrast=bool(fer.high_contrast[b]),
+        mask[list(reals.get(b, ()))] = True
+        ctx = rc.BandQuantContext(table=cfg.ecupq, high_contrast=bool(contrast[b]),
                                   sets=sets, real_mask=mask)
         g, over = rc.find_scale_factor(band, budget[b], ctx)
         gains[b], overflow[b] = g, over
@@ -168,7 +167,7 @@ def encode_frame(samples: np.ndarray, cfg: CodecConfig):
         mags = np.abs(scaled)
         mags[mask] = np.abs(scaled[mask].real)
         i1, i2 = pq.quantize_magnitudes(mags, cfg.ecupq)
-        cells = pq.phase_cells_array(i1, bool(fer.high_contrast[b]), sets)
+        cells = pq.phase_cells_array(i1, bool(contrast[b]), sets)
         ph = np.full(sizes[b], -1, dtype=int)
         sendable = (~mask) & (cells > 1)
         if np.any(sendable):
@@ -184,7 +183,7 @@ def encode_frame(samples: np.ndarray, cfg: CodecConfig):
     payload = FramePayload(lsf_indices=shaped.lsf_indices, ctns_flag=shaped.active,
                            clpc_indices=shaped.clpc_indices if shaped.active else None,
                            sf_indices=gains, index1=index1, index2=index2,
-                           phase=phase, sign=sign)
+                           phase=phase, sign=sign, contrast=contrast)
     info = dict(gain_db=shaped.decision.gain_db, active=shaped.active, band_gains=gains,
                 overflow=overflow, est_spectral_bits=est_bits)
     return payload, info
@@ -192,7 +191,7 @@ def encode_frame(samples: np.ndarray, cfg: CodecConfig):
 
 def decode_frame_payload(payload: FramePayload, cfg: CodecConfig) -> np.ndarray:
     """Reconstruct one time-domain frame contribution from a payload."""
-    env, fer = derive_shaping(payload.lsf_indices, cfg)
+    env, _ = derive_shaping(payload.lsf_indices, cfg)
     sizes = band_sizes(cfg)
     reals = real_positions(cfg)
     sets = cfg.phase_sets
@@ -202,7 +201,7 @@ def decode_frame_payload(payload: FramePayload, cfg: CodecConfig) -> np.ndarray:
     for b in range(len(sizes)):
         i1 = payload.index1[b]
         mags = pq.dequantize_magnitudes(i1, payload.index2[b], cfg.ecupq)
-        cells = pq.phase_cells_array(i1, bool(fer.high_contrast[b]), sets)
+        cells = pq.phase_cells_array(i1, bool(payload.contrast[b]), sets)
         theta = np.zeros(sizes[b])
         has_phase = payload.phase[b] >= 0
         if np.any(has_phase):

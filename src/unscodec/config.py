@@ -50,6 +50,10 @@ class CodecConfig:
         if self.band_edges[-1] != self.frame_len // 2:
             raise ConfigError("last band edge must equal frame_len / 2")
         WindowSpec(self.frame_len, self.overlap_len, self.window_edge)  # validates geometry
+        for name, size in (("bits_12k", len(self.band_edges)), ("bits_16k", len(self.band_edges)),
+                           ("phase_cells_high", 8), ("phase_cells_low", 8)):
+            if len(getattr(self, name)) != size:
+                raise ConfigError(f"{name} needs {size} entries, not {len(getattr(self, name))}")
 
     @property
     def window_spec(self) -> WindowSpec:

@@ -341,6 +341,7 @@ class FramePayload:
     index2: list
     phase: list
     sign: list
+    contrast: np.ndarray          # per-band high-contrast flags: phase-cell layout
 
 
 @dataclass
@@ -348,8 +349,8 @@ class PackContext:
     """Static layout information shared by pack and unpack.
 
     ``resolve_contrast`` maps decoded LSF indices to the per-band
-    high-contrast flags the phase-cell lookup needs; the codec supplies it so
-    both ends derive phase layouts from the same quantized model.
+    high-contrast flags unpack needs to parse the phases, from the same
+    quantized model as the encoder's flags, which pack reads off the payload.
     """
 
     n_lsf: int
@@ -427,9 +428,8 @@ def pack_frame(payload: FramePayload, ctx: PackContext,
 
     rmark = raw.bit_count
     sign_bits = 0
-    contrast = ctx.resolve_contrast(payload.lsf_indices)
     for b in range(len(ctx.band_sizes)):
-        high = bool(contrast[b])
+        high = bool(payload.contrast[b])
         reals = ctx.real_positions.get(b, ())
         for pos in range(ctx.band_sizes[b]):
             i1 = int(payload.index1[b][pos])
@@ -523,5 +523,5 @@ def unpack_frame(data: bytes, ctx: PackContext, frame_index: int | None = None):
 
     payload = FramePayload(lsf_indices=lsf, ctns_flag=flag, clpc_indices=clpc,
                            sf_indices=sf, index1=index1, index2=index2,
-                           phase=phase, sign=sign)
+                           phase=phase, sign=sign, contrast=contrast)
     return payload, end

@@ -5,6 +5,7 @@ quantizers for both LPC parameter sets.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -254,12 +255,18 @@ def dequantize_complex_lpc(indices: np.ndarray, mag_step_db: float = 0.5,
     return LpModel(order=p, coeffs=coeffs)
 
 
+@functools.lru_cache(maxsize=8)
+def _steering(n_bins: int, order: int) -> np.ndarray:
+    """exp(-j omega k) for the bins of a 2(n_bins-1) DFT and lags 1..order."""
+    omega = 2.0 * np.pi * np.arange(n_bins) / (2 * (n_bins - 1))
+    steering = np.exp(-1j * np.outer(omega, np.arange(1, order + 1)))
+    steering.flags.writeable = False  # one cached array serves every caller
+    return steering
+
+
 def frequency_envelope(model, n_bins: int = 513) -> FrequencyEnvelope:
     """Evaluate 1/|A| on the one-sided bin grid of a 2(n_bins-1) DFT."""
-    frame_len = 2 * (n_bins - 1)
-    omega = 2.0 * np.pi * np.arange(n_bins) / frame_len
-    k = np.arange(1, model.order + 1)
-    a_eval = 1.0 + np.exp(-1j * np.outer(omega, k)) @ np.asarray(model.coeffs)
+    a_eval = 1.0 + _steering(n_bins, model.order) @ np.asarray(model.coeffs)
     mag = np.abs(a_eval)
     values = np.where(mag < 1e-12, 1e12, 1.0 / np.where(mag < 1e-12, 1.0, mag))
     return FrequencyEnvelope(values=values, values_db=20.0 * np.log10(values))

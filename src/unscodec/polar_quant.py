@@ -107,20 +107,19 @@ def quantize_magnitudes(mags: np.ndarray, table: EcupqTable):
     index1 equals the escape value.
     """
     a = np.asarray(mags, dtype=float)
-    if np.any(a < 0) or not np.all(np.isfinite(a)):
+    if (a < 0).any() or not np.isfinite(a).all():
         raise ValueError("magnitudes must be finite and non-negative")
     idx1 = np.searchsorted(table.interior, a, side="right")
-    nonlinear = a >= table.r7
-    if np.any(nonlinear):
-        raw = np.floor(a[nonlinear] ** 0.75 + 0.5)
-        idx1 = idx1.astype(int)
-        idx1[nonlinear] = (raw + NONLINEAR_SHIFT).astype(int)
-    outlier = a >= R7_TILDE
     idx2 = np.zeros(a.shape, dtype=int)
-    if np.any(outlier):
-        idx1[outlier] = ESCAPE_INDEX
-        idx2[outlier] = np.clip(round_half_up(a[outlier]), OUTLIER_MIN, OUTLIER_MAX)
-    return idx1.astype(int), idx2
+    nonlinear = a >= table.r7
+    if nonlinear.any():
+        raw = np.floor(a[nonlinear] ** 0.75 + 0.5)
+        idx1[nonlinear] = (raw + NONLINEAR_SHIFT).astype(int)
+        outlier = a >= R7_TILDE  # a subset of the companded region
+        if outlier.any():
+            idx1[outlier] = ESCAPE_INDEX
+            idx2[outlier] = np.clip(round_half_up(a[outlier]), OUTLIER_MIN, OUTLIER_MAX)
+    return idx1, idx2
 
 
 def dequantize_magnitudes(idx1: np.ndarray, idx2: np.ndarray, table: EcupqTable) -> np.ndarray:

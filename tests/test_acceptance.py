@@ -185,7 +185,7 @@ def coded_band_reference(blob, stats, cfg):
     for s in stats:
         payload, consumed = unpack_frame(blob[pos:], ctx, frame_index=s.index)
         pos += consumed
-        contrast = codec.derive_shaping(payload.lsf_indices, cfg)[1].high_contrast
+        contrast = payload.contrast
         entropy = 0.0
         raw = dict(escape=0, phase=0, sign=0)
         for b, size in enumerate(sizes):
@@ -279,6 +279,41 @@ def test_criterion_8_bitstream_determinism(corpus_runs):
                   f"re-encode byte-exact {a == b}, re-decode exact "
                   f"{np.array_equal(out1, out2)}, golden sha256 "
                   f"{digest[:16]}... {'==' if digest == GOLDEN_SHA256 else '!='} pinned")
+
+
+# SHA-256 of every stream the corpus fixture encodes: the gain search and the
+# coders may get faster, but must not change a byte of the corpus silently
+CORPUS_SHA256 = {
+    ("12k", "harmonic_low"):
+        "44721d01bd30097704cfdf761dfbdaefeb90da2fa068b5b56d7b166dbb8b88cb",
+    ("12k", "harmonic_high"):
+        "35037602c48de1100137b63e4141eea56c29eec0803035f35cf077e066d93d63",
+    ("12k", "speechish"):
+        "b6ec4d8df0a2b6b256b96082027190cce78558c4caa23640508a577f3e5d08aa",
+    ("12k", "castanet"):
+        "ac3e83b84593a8cc545b59b6b2930897b71ea33e2e38d328975487064de73414",
+    ("12k", "organ_chord"):
+        "669f2f6ead923685e065fb4d470693fbdf6e3291190a1da1cc2d6a32daa8fe8c",
+    ("16k", "harmonic_low"):
+        "65d219d872e7ab530f9b17f44fb8a2902e6d7ea45f48fbfc7399584432a26230",
+    ("16k", "harmonic_high"):
+        "5440b754085562b4f82d4044ac4b66135241bcc0ace3fdb6e88d875ee93b5be4",
+    ("16k", "speechish"):
+        "54d80a4be261015d6266be46e555431211fd5dd4e906daf7a23a95336dc28e2e",
+    ("16k", "castanet"):
+        "30c11a66c8d2c6e08a7e1866ad6ef6cae9f7a814ba27e0be6a6a71224a328a67",
+    ("16k", "organ_chord"):
+        "23095ad7415735cfd1e222f8db7ebadd0148468202727b77b03376b8192b6705",
+}
+
+
+def test_corpus_bitstreams_pinned(corpus_runs):
+    digests = {(mode, name): hashlib.sha256(item["blob"]).hexdigest()
+               for mode, items in corpus_runs.items() for name, item in items.items()}
+    changed = sorted(key for key in CORPUS_SHA256 | digests
+                     if digests.get(key) != CORPUS_SHA256.get(key))
+    assert report("corpus bitstreams pinned", not changed,
+                  f"{len(CORPUS_SHA256)} pinned, changed or missing: {changed}")
 
 
 def test_config_defaults_snapshot():

@@ -142,6 +142,23 @@ def test_config_rejects_unknown_key(tmp_path):
         assert key in str(exc.value), text
 
 
+def test_config_rejects_wrong_table_lengths(tmp_path):
+    # a budget per band and a phase-cell count per index1 class 0..7, checked
+    # where the config is made rather than deep inside encode_stream
+    from unscodec.config import ConfigError
+    for key, value in (("bits_12k", (45, 34, 30)), ("bits_16k", (67,) * 9),
+                       ("phase_cells_high", (1, 8, 16)), ("phase_cells_low", (1,) * 9)):
+        with pytest.raises(ConfigError, match=key):
+            CodecConfig(**{key: value})
+    path = str(tmp_path / "short.cfg")
+    with open(path, "w") as f:
+        f.write("bits_12k = 45, 34, 30\n")
+    with pytest.raises(ConfigError, match=f"{path}: bits_12k"):
+        load_config(path)
+    cfg = CodecConfig(band_edges=(100, 512), bits_12k=(30, 40), bits_16k=(40, 50))
+    assert cfg.budget == (30, 40)
+
+
 def test_config_rejects_malformed_line(tmp_path):
     from unscodec.config import ConfigError
     path = str(tmp_path / "bad2.cfg")

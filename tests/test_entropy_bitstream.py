@@ -162,7 +162,7 @@ def random_payload(rng, ctx, flag=True, with_escapes=True):
         sign.append(sg)
     return eb.FramePayload(lsf_indices=lsf, ctns_flag=flag, clpc_indices=clpc,
                            sf_indices=sf, index1=index1, index2=index2,
-                           phase=phase, sign=sign)
+                           phase=phase, sign=sign, contrast=contrast)
 
 
 def assert_payload_equal(a, b):
@@ -181,6 +181,7 @@ def assert_payload_equal(a, b):
         assert np.array_equal(x, y)
     for x, y in zip(a.sign, b.sign):
         assert np.array_equal(x, y)
+    assert np.array_equal(a.contrast, b.contrast)
 
 
 def test_pack_unpack_field_for_field():
@@ -240,6 +241,7 @@ def zero_payload(ctx, flag=False):
         phase=[np.full(s, -1, dtype=int) for s in sizes],
         sign=[np.where(np.arange(s) == p, 0, -1)
               for s, p in zip(sizes, [0, -1, -1, -1, -1, -1, -1, 102])],
+        contrast=[True] * len(sizes),
     )
 
 

@@ -248,6 +248,18 @@ def test_frequency_envelope_one_pole():
     assert abs(env.values[512] - 1.0 / 1.9) < 1e-9
 
 
+def test_frequency_envelope_matches_direct_evaluation():
+    # the cached steering matrix must give exactly the values of evaluating
+    # exp(-j omega k) afresh on every call, as the envelope once did
+    rng = np.random.default_rng(20)
+    for n_bins, order in ((513, 16), (513, 16), (257, 8), (513, 4)):
+        m = random_stable_model(rng, order=order, max_k=0.9)
+        omega = 2.0 * np.pi * np.arange(n_bins) / (2 * (n_bins - 1))
+        direct = 1.0 + np.exp(-1j * np.outer(omega, np.arange(1, order + 1))) @ m.coeffs
+        env = lp.frequency_envelope(m, n_bins)
+        assert np.array_equal(env.values, 1.0 / np.abs(direct))
+
+
 def test_frequency_envelope_smoother_when_expanded():
     rng = np.random.default_rng(19)
     for _ in range(10):

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from unscodec import polar_quant as pq
 from unscodec import rate_control as rc
-from unscodec.util import db_to_lin
+from unscodec.util import db_to_lin, round_half_up
 
 
 def make_ctx(high=True, real_mask=None):
@@ -136,3 +137,161 @@ def test_real_mask_costs_sign_bit():
     i1, _ = pq.quantize_magnitudes(np.abs(band), pq.DEFAULT_ECUPQ_TABLE)
     cells = pq.phase_cells_array(i1, True)
     assert abs((cost_plain - cost_masked) - (np.log2(cells[0]) - 1.0)) < 1e-12
+
+
+# --- the batched gain search against the sequential one it replaces
+
+def sequential_search(band, target_bits, ctx):
+    """Oracle: 24 sequential bisection steps, one cost call each, then the
+    two snap loops; the decision the pinned streams were encoded with."""
+    lo, hi = float(rc.SF_MIN_DB), float(rc.SF_MAX_DB)
+    if rc.band_cost_bits(band, lo, ctx) <= target_bits:
+        return rc.SF_MIN_DB, False
+    if rc.band_cost_bits(band, hi, ctx) > target_bits:
+        return rc.SF_MAX_DB, True
+    for _ in range(24):
+        mid = 0.5 * (lo + hi)
+        if rc.band_cost_bits(band, mid, ctx) <= target_bits:
+            hi = mid
+        else:
+            lo = mid
+    g = int(round_half_up(hi))
+    while g < rc.SF_MAX_DB and rc.band_cost_bits(band, g, ctx) > target_bits:
+        g += 1
+    while g > rc.SF_MIN_DB and rc.band_cost_bits(band, g - 1, ctx) <= target_bits:
+        g -= 1
+    return g, False
+
+
+def bincount_entropy_bits(indices):
+    """The block-of-four cost as first written, with one bincount per call."""
+    idx = np.asarray(indices, dtype=int)
+    bits, nfull = 0.0, idx.size // 4
+    if nfull:
+        blocks = idx[:nfull * 4].reshape(nfull, 4)
+        span = int(blocks.max()) + 1
+        counts = np.bincount((np.arange(nfull)[:, None] * span + blocks).ravel())
+        c = counts[counts > 0].astype(float)
+        bits += float(np.sum(c * np.log2(4.0 / c)))
+    rem = idx[nfull * 4:]
+    if rem.size:
+        c = np.bincount(rem).astype(float)
+        c = c[c > 0]
+        bits += float(np.sum(c * np.log2(rem.size / c)))
+    return bits
+
+
+@st.composite
+def bands(draw):
+    """A band of 1-103 coefficients: silent, tiny, ordinary or huge enough to
+    overflow every gain, sometimes with runs of equal magnitudes (equal index
+    blocks make the block cost jump as the gain moves)."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    n = draw(st.integers(1, 103))
+    scale = draw(st.sampled_from([0.0, 1e-12, 1e-3, 1.0, 30.0, 3e3, 3e5]))
+    band = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * scale
+    if draw(st.booleans()):
+        band = np.repeat(band[::4], 4)[:n]
+    if draw(st.booleans()):
+        band[0] = band[0].real  # a real coefficient, like DC and Nyquist
+    return band
+
+
+def band_ctx(band, high, real):
+    mask = None
+    if real:
+        mask = np.zeros(band.size, dtype=bool)
+        mask[[0, -1]] = True
+    return rc.BandQuantContext(table=pq.DEFAULT_ECUPQ_TABLE, high_contrast=high,
+                               real_mask=mask)
+
+
+@settings(deadline=None)
+@given(band=bands(), target=st.integers(1, 70), high=st.booleans(), real=st.booleans())
+def test_batched_search_matches_sequential_search(band, target, high, real):
+    ctx = band_ctx(band, high, real)
+    assert rc.find_scale_factor(band, target, ctx) == sequential_search(band, target, ctx)
+
+
+@settings(deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), target=st.integers(1, 70),
+       roughness=st.sampled_from([0.0, 2.0, 20.0, 200.0]))
+def test_batched_search_matches_sequential_search_on_non_monotone_costs(seed, target, roughness):
+    # a falling staircase with steps at random gains and random bumps: the
+    # cost rises again with the gain in places, so the snap loops must walk
+    rng = np.random.default_rng(seed)
+    edges = np.sort(rng.uniform(rc.SF_MIN_DB, rc.SF_MAX_DB, 400))
+    steps = np.linspace(90.0, 0.0, 401) + roughness * rng.random(401)
+
+    def staircase_cost(band, gain_db, ctx):
+        cost = steps[np.searchsorted(edges, gain_db)]
+        return float(cost) if np.ndim(gain_db) == 0 else cost
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(rc, "band_cost_bits", staircase_cost)
+        band, ctx = np.zeros(4, dtype=complex), make_ctx()
+        assert rc.find_scale_factor(band, target, ctx) == sequential_search(band, target, ctx)
+
+
+@settings(deadline=None)
+@given(whole=st.integers(-58, 58), frac=st.floats(-0.5, 0.5), seed=st.integers(0, 2 ** 32 - 1))
+def test_batched_search_matches_sequential_search_near_rounding_edges(whole, frac, seed):
+    # the cost fits from a crossing gain near a rounding edge on, except at
+    # the integer gains around it, which fit or miss at random: where the
+    # bisection ends relative to the edge decides where the snap loops start
+    crossing = whole + 0.5 + frac
+    rng = np.random.default_rng(seed)
+    near = np.arange(whole - 3, whole + 5, dtype=float)
+    near_fits = rng.random(near.size) < 0.5
+
+    def bumpy_cost(band, gain_db, ctx):
+        g = np.asarray(gain_db, dtype=float)
+        fits = g >= crossing
+        for x, f in zip(near, near_fits):
+            fits = np.where(g == x, f, fits)
+        cost = np.where(fits, 10.0, 50.0)
+        return float(cost) if cost.ndim == 0 else cost
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(rc, "band_cost_bits", bumpy_cost)
+        band, ctx = np.zeros(4, dtype=complex), make_ctx()
+        assert rc.find_scale_factor(band, 30, ctx) == sequential_search(band, 30, ctx)
+
+
+@settings(deadline=None)
+@given(band=bands(), high=st.booleans(), real=st.booleans(),
+       gains=st.lists(st.floats(rc.SF_MIN_DB, rc.SF_MAX_DB) | st.integers(-60, 60),
+                      min_size=1, max_size=9))
+def test_vectorized_cost_equals_scalar_cost(band, high, real, gains):
+    ctx = band_ctx(band, high, real)
+    costs = rc.band_cost_bits(band, np.array(gains, dtype=float), ctx)
+    assert costs.shape == (len(gains),)
+    assert [float(c) for c in costs] == [rc.band_cost_bits(band, g, ctx) for g in gains]
+
+
+def test_sample_entropy_matches_bincount_formula():
+    # both sum the same exact per-symbol terms, in a different order, so they
+    # agree to rounding; rows of a 2-D array equal their 1-D calls exactly
+    rng = np.random.default_rng(25)
+    for n in range(1, 104):
+        rows = rng.integers(0, rng.integers(1, 15, size=(40, 1)), size=(40, n))
+        batched = rc.sample_entropy_bits(rows)
+        for row, bits in zip(rows, batched):
+            assert abs(rc.sample_entropy_bits(row) - bincount_entropy_bits(row)) < 1e-9
+            assert bits == rc.sample_entropy_bits(row)
+    assert rc.sample_entropy_bits(np.zeros(0, dtype=int)) == 0.0
+
+
+def test_search_needs_few_cost_calls(monkeypatch):
+    rng = np.random.default_rng(26)
+    cost, calls = rc.band_cost_bits, []
+
+    def counted(band, gain_db, ctx):
+        calls.append(gain_db)
+        return cost(band, gain_db, ctx)
+
+    monkeypatch.setattr(rc, "band_cost_bits", counted)
+    for _ in range(50):
+        band = (rng.standard_normal(60) + 1j * rng.standard_normal(60)) * rng.uniform(1, 50)
+        rc.find_scale_factor(band, int(rng.integers(15, 60)), make_ctx())
+    assert len(calls) / 50 <= 6.0
