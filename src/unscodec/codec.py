@@ -159,9 +159,9 @@ def encode_frame(samples: np.ndarray, cfg: CodecConfig):
         mask[list(reals.get(b, ()))] = True
         ctx = rc.BandQuantContext(table=cfg.ecupq, high_contrast=bool(contrast[b]),
                                   sets=sets, real_mask=mask)
-        g, over = rc.find_scale_factor(band, budget[b], ctx)
-        gains[b], overflow[b] = g, over
-        est_bits += rc.band_cost_bits(band, g, ctx)
+        g, overflow[b], bits = rc.find_scale_factor(band, budget[b], ctx)
+        gains[b] = g
+        est_bits += bits
 
         scaled = band / db_to_lin(g)
         mags = np.abs(scaled)

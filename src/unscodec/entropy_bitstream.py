@@ -10,9 +10,11 @@ plain log2(N)-bit fields.
 
 from __future__ import annotations
 
-import math
 import struct
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
+from itertools import accumulate
+from math import log2
 
 import numpy as np
 
@@ -29,10 +31,11 @@ MODEL_INCREMENT = 32
 MODEL_LIMIT = 1 << 15
 
 _STATE_BITS = 32
-_FULL = 1 << _STATE_BITS
-_HALF = _FULL >> 1
+_MASK = (1 << _STATE_BITS) - 1
+_HALF = 1 << (_STATE_BITS - 1)
 _QUARTER = _HALF >> 1
-_MASK = _FULL - 1
+_THREE_QUARTERS = _HALF + _QUARTER
+_LOW = _HALF - 1              # the state bits below the top one
 
 
 class StreamError(Exception):
@@ -46,218 +49,219 @@ class StreamError(Exception):
 
 
 class BitWriter:
+    """MSB-first bit writer over one integer accumulator."""
+
     def __init__(self):
-        self._bytes = bytearray()
         self._acc = 0
-        self._nbits = 0
         self.bit_count = 0
 
     def write_bit(self, b: int):
-        self._acc = (self._acc << 1) | (b & 1)
-        self._nbits += 1
-        self.bit_count += 1
-        if self._nbits == 8:
-            self._bytes.append(self._acc)
-            self._acc = 0
-            self._nbits = 0
+        self.write_bits(b, 1)
 
     def write_bits(self, value: int, n: int):
-        for shift in range(n - 1, -1, -1):
-            self.write_bit((value >> shift) & 1)
+        self._acc = (self._acc << n) | (value & ((1 << n) - 1))
+        self.bit_count += n
 
     def getvalue(self) -> bytes:
-        out = bytearray(self._bytes)
-        if self._nbits:
-            out.append(self._acc << (8 - self._nbits))
-        return bytes(out)
+        pad = -self.bit_count % 8
+        return (self._acc << pad).to_bytes((self.bit_count + pad) // 8, "big")
 
 
 class BitReader:
-    """MSB-first bit reader; reads past the end return zero bits."""
+    """MSB-first bit reader over the data as one integer; reads past the end
+    return zero bits."""
 
     def __init__(self, data: bytes):
-        self._data = data
+        self._value = int.from_bytes(data, "big")
+        self._end = 8 * len(data)
         self._pos = 0
-        self.bit_count = 0
 
     def read_bit(self) -> int:
-        byte_i, bit_i = divmod(self._pos, 8)
-        self._pos += 1
-        self.bit_count += 1
-        if byte_i >= len(self._data):
-            return 0
-        return (self._data[byte_i] >> (7 - bit_i)) & 1
+        return self.read_bits(1)
 
     def read_bits(self, n: int) -> int:
-        v = 0
-        for _ in range(n):
-            v = (v << 1) | self.read_bit()
-        return v
+        shift = self._end - self._pos - n
+        self._pos += n
+        v = self._value >> shift if shift >= 0 else self._value << -shift
+        return v & ((1 << n) - 1)
 
-    @property
-    def exhausted(self) -> bool:
-        return self._pos >= 8 * len(self._data)
+
+def _field_shifts(widths: np.ndarray):
+    """Bit slots of fields laid out one per row, MSB first: the mask of used
+    slots and each slot's place value as a shift."""
+    slot = np.arange(int(widths.max()))
+    return slot < widths[:, None], np.maximum(widths[:, None] - 1 - slot, 0)
+
+
+def _write_fields(writer: BitWriter, values, widths):
+    """Write each value as a field of its width (0 writes nothing), in order."""
+    widths = np.asarray(widths, dtype=np.int64)
+    total = int(widths.sum())
+    if total:
+        used, shifts = _field_shifts(widths)
+        bits = (np.asarray(values, dtype=np.int64)[:, None] >> shifts) & 1
+        packed = np.packbits(bits[used].astype(np.uint8)).tobytes()
+        writer.write_bits(int.from_bytes(packed, "big") >> (-total % 8), total)
+
+
+def _read_fields(reader: BitReader, widths) -> np.ndarray:
+    """Read one field per width (0 reads nothing and gives 0), in order."""
+    widths = np.asarray(widths, dtype=np.int64)
+    total = int(widths.sum())
+    values = np.zeros(widths.size, dtype=int)
+    if total:
+        pad = -total % 8
+        data = (reader.read_bits(total) << pad).to_bytes((total + pad) // 8, "big")
+        used, shifts = _field_shifts(widths)
+        bits = np.zeros(used.shape, dtype=int)
+        bits[used] = np.unpackbits(np.frombuffer(data, dtype=np.uint8))[:total]
+        values = (bits << shifts).sum(axis=1)
+    return values
 
 
 class AdaptiveModel:
-    """Frequency-count model, incremented on every coded symbol and halved
-    when the total reaches the limit.  ``prior`` seeds the initial counts."""
+    """Frequency-count model: the coder adds MODEL_INCREMENT to every coded
+    symbol's count and halves the counts when their total reaches
+    MODEL_LIMIT.  ``prior`` seeds the initial counts."""
 
-    def __init__(self, n_symbols: int, increment: int = MODEL_INCREMENT,
-                 limit: int = MODEL_LIMIT, prior=None):
+    def __init__(self, n_symbols: int, prior=None):
         self.freqs = list(prior) if prior is not None else [1] * n_symbols
         if len(self.freqs) != n_symbols:
             raise ValueError("prior length must match the alphabet")
         self.total = sum(self.freqs)
-        self.increment = increment
-        self.limit = limit
 
-    def cumulative(self, symbol: int):
-        lo = 0
-        for f in self.freqs[:symbol]:
-            lo += f
-        return lo, lo + self.freqs[symbol], self.total
-
-    def find(self, value: int):
-        lo = 0
-        for sym, f in enumerate(self.freqs):
-            if value < lo + f:
-                return sym, lo, lo + f
-            lo += f
-        raise StreamError("range decoder target outside model")
-
-    def update(self, symbol: int):
-        self.freqs[symbol] += self.increment
-        self.total += self.increment
-        if self.total >= self.limit:
-            self.total = 0
-            for i, f in enumerate(self.freqs):
-                self.freqs[i] = (f + 1) >> 1
-                self.total += self.freqs[i]
+    def halve(self):
+        self.freqs[:] = [(f + 1) >> 1 for f in self.freqs]
+        self.total = sum(self.freqs)
 
 
-class RangeEncoder:
-    def __init__(self, writer: BitWriter):
-        self.writer = writer
-        self.low = 0
-        self.high = _MASK
-        self.pending = 0
+# Magnitude index 1 is coded with a bank of three models, chosen by the class
+# of the previous index: zero, small nonzero, or escape / companded.  Sparse
+# spectra make runs of zeros with occasional clusters of small indices, and
+# each regime adapts separately; the priors seed the counts toward the
+# distribution low-rate content actually produces.
+INDEX1_PRIORS = (
+    [40, 2] + [1] * 13,       # after a zero
+    [4, 8] + [2] * 13,        # after a small nonzero
+    [1] * 15,                 # after the escape / companded region
+)
+INDEX1_BANK_OF = (0,) + (1,) * 7 + (2,) * 7   # previous index -> model
+
+
+def index1_models() -> list:
+    return [AdaptiveModel(ALPHABET_INDEX1, prior=p) for p in INDEX1_PRIORS]
+
+
+class RangeEncoder(BitWriter):
+    """Adaptive range encoder writing its own bit string; ``finish`` flushes
+    it and returns the bytes."""
+
+    def __init__(self):
+        super().__init__()
+        self.low, self.high, self.pending = 0, _MASK, 0
         # information content of the symbols coded so far; tracks the actual
         # emitted length to within the final flush
         self.info_bits = 0.0
 
-    def _emit(self, bit: int):
-        self.writer.write_bit(bit)
-        for _ in range(self.pending):
-            self.writer.write_bit(bit ^ 1)
-        self.pending = 0
+    def encode(self, symbols, models, bank_of=None):
+        """Code a symbol sequence.  Each symbol uses ``models[bank_of[prev]]``,
+        where ``prev`` is the symbol before it (0 for the first); without
+        ``bank_of`` every symbol uses ``models[0]``."""
+        banks = [(m, m.freqs) for m in models]
+        bank_of = [0] * len(models[0].freqs) if bank_of is None else bank_of
+        low, high, pending = self.low, self.high, self.pending
+        acc, count, info = self._acc, self.bit_count, self.info_bits
+        prev = 0
+        for s in symbols:
+            m, f = banks[bank_of[prev]]
+            total = m.total
+            lo = sum(f[:s]) if s else 0
+            info += log2(total / f[s])
+            span = high - low + 1
+            high = low + (lo + f[s]) * span // total - 1
+            low += lo * span // total
+            f[s] += MODEL_INCREMENT
+            m.total = total = total + MODEL_INCREMENT
+            if total >= MODEL_LIMIT:
+                m.halve()
+            prev = s
+            if high >= _HALF and (low < _QUARTER or low < _HALF and high >= _THREE_QUARTERS):
+                continue  # the interval still straddles the middle: nothing settles
+            # n1 leading bits that low and high share (E1/E2), then n3
+            # underflow steps (E3, low = 01..., high = 10...); no E1/E2 step
+            # can follow an E3 step, since then low < HALF <= high
+            n1 = _STATE_BITS - (low ^ high).bit_length()
+            n3 = _STATE_BITS - 1 - ((((low & ~high) << n1) & _LOW) ^ _LOW).bit_length()
+            if n1:
+                # the first settled bit, the pending underflow bits as its
+                # inverse, then the other settled bits
+                top = low >> (_STATE_BITS - n1)
+                acc = (acc << (n1 + pending)) | (top + (((1 << pending) - 1) << (n1 - 1)))
+                count += n1 + pending
+                pending = 0
+            pending += n3
+            n = n1 + n3
+            low = (low << n) & _LOW
+            high = (((high << n) | ((1 << n) - 1)) & _LOW) | _HALF
+        self.low, self.high, self.pending = low, high, pending
+        self._acc, self.bit_count, self.info_bits = acc, count, info
 
-    def encode(self, model: AdaptiveModel, symbol: int):
-        sym_lo, sym_hi, total = model.cumulative(symbol)
-        self.info_bits += math.log2(total / (sym_hi - sym_lo))
-        span = self.high - self.low + 1
-        self.high = self.low + sym_hi * span // total - 1
-        self.low = self.low + sym_lo * span // total
-        while True:
-            if self.high < _HALF:
-                self._emit(0)
-            elif self.low >= _HALF:
-                self._emit(1)
-                self.low -= _HALF
-                self.high -= _HALF
-            elif self.low >= _QUARTER and self.high < _HALF + _QUARTER:
-                self.pending += 1
-                self.low -= _QUARTER
-                self.high -= _QUARTER
-            else:
-                break
-            self.low <<= 1
-            self.high = (self.high << 1) | 1
-        model.update(symbol)
-
-    def finish(self):
+    def finish(self) -> bytes:
         self.pending += 1
-        if self.low < _QUARTER:
-            self._emit(0)
-        else:
-            self._emit(1)
-
-    @property
-    def bit_position(self) -> int:
-        # bits committed plus those still pending; close enough for rate stats
-        return self.writer.bit_count + self.pending
+        bit = int(self.low >= _QUARTER)
+        self.write_bits(bit + (1 << self.pending) - 1, self.pending + 1)
+        return self.getvalue()
 
 
-class RangeDecoder:
-    def __init__(self, reader: BitReader):
-        self.reader = reader
-        self.low = 0
-        self.high = _MASK
-        self.code = 0
-        for _ in range(_STATE_BITS):
-            self.code = (self.code << 1) | reader.read_bit()
+class RangeDecoder(BitReader):
+    """Adaptive range decoder over the bytes of one range-coded section."""
 
-    def decode(self, model: AdaptiveModel) -> int:
-        total = model.total
-        span = self.high - self.low + 1
-        value = ((self.code - self.low + 1) * total - 1) // span
-        symbol, sym_lo, sym_hi = model.find(value)
-        self.high = self.low + sym_hi * span // total - 1
-        self.low = self.low + sym_lo * span // total
-        while True:
-            if self.high < _HALF:
-                pass
-            elif self.low >= _HALF:
-                self.low -= _HALF
-                self.high -= _HALF
-                self.code -= _HALF
-            elif self.low >= _QUARTER and self.high < _HALF + _QUARTER:
-                self.low -= _QUARTER
-                self.high -= _QUARTER
-                self.code -= _QUARTER
+    def __init__(self, data: bytes):
+        super().__init__(data)
+        self.low, self.high = 0, _MASK
+        self.code = self.read_bits(_STATE_BITS)
+
+    def decode(self, count: int, models, bank_of=None) -> list:
+        """Decode ``count`` symbols coded by ``RangeEncoder.encode`` with the
+        same models and ``bank_of``."""
+        banks = [(m, m.freqs) for m in models]
+        bank_of = [0] * len(models[0].freqs) if bank_of is None else bank_of
+        low, high, code = self.low, self.high, self.code
+        value, end, pos = self._value, self._end, self._pos
+        out = [0] * count
+        s = 0
+        for i in range(count):
+            m, f = banks[bank_of[s]]
+            total = m.total
+            span = high - low + 1
+            top0 = low + f[0] * span // total - 1
+            if code <= top0:  # symbol 0, found without a division by span
+                s, high = 0, top0
             else:
-                break
-            self.low <<= 1
-            self.high = (self.high << 1) | 1
-            self.code = (self.code << 1) | self.reader.read_bit()
-        model.update(symbol)
-        return symbol
-
-
-class Index1Coder:
-    """Magnitude-index model bank conditioned on the previous symbol's class.
-
-    Sparse spectra make runs of zeros with occasional clusters of small
-    indices; conditioning on whether the previous index was zero, small, or
-    escape-sized lets each regime adapt separately.  Priors seed the counts
-    toward the distribution low-rate content actually produces.
-    """
-
-    _PRIORS = (
-        [40, 2] + [1] * 13,       # after a zero
-        [4, 8] + [2] * 13,        # after a small nonzero
-        [1] * 15,                 # after the escape / companded region
-    )
-
-    def __init__(self):
-        self.models = [AdaptiveModel(ALPHABET_INDEX1, prior=p) for p in self._PRIORS]
-        self.prev = 0
-
-    def _context(self) -> AdaptiveModel:
-        if self.prev == 0:
-            return self.models[0]
-        if self.prev <= 7:
-            return self.models[1]
-        return self.models[2]
-
-    def encode(self, enc: "RangeEncoder", symbol: int):
-        enc.encode(self._context(), symbol)
-        self.prev = symbol
-
-    def decode(self, dec: "RangeDecoder") -> int:
-        symbol = dec.decode(self._context())
-        self.prev = symbol
-        return symbol
+                cum = list(accumulate(f))
+                s = bisect_right(cum, ((code - low + 1) * total - 1) // span)
+                high = low + cum[s] * span // total - 1
+                low += cum[s - 1] * span // total
+                out[i] = s
+            f[s] += MODEL_INCREMENT
+            m.total = total = total + MODEL_INCREMENT
+            if total >= MODEL_LIMIT:
+                m.halve()
+            if high >= _HALF and (low < _QUARTER or low < _HALF and high >= _THREE_QUARTERS):
+                continue
+            # the encoder's renormalization, shifting n bits into the code
+            n1 = _STATE_BITS - (low ^ high).bit_length()
+            n3 = _STATE_BITS - 1 - ((((low & ~high) << n1) & _LOW) ^ _LOW).bit_length()
+            n = n1 + n3
+            shift = end - pos - n
+            bits = (value >> shift if shift >= 0 else value << -shift) & ((1 << n) - 1)
+            pos += n
+            # E1/E2 drop the shared top bits; E3 keeps bit 31 and drops bit 30
+            code = ((code << n1) & _HALF) | (((code << n) | bits) & _LOW)
+            low = (low << n) & _LOW
+            high = (((high << n) | ((1 << n) - 1)) & _LOW) | _HALF
+        self.low, self.high, self.code, self._pos = low, high, code, pos
+        return out
 
 
 def exp_golomb_encode(writer: BitWriter, value: int, k: int = 2):
@@ -273,12 +277,9 @@ def exp_golomb_decode(reader: BitReader, k: int = 2) -> int:
     zeros = 0
     while reader.read_bit() == 0:
         zeros += 1
-        if zeros > 64:
+        if zeros > 60:  # longer prefixes give values beyond a 64-bit index
             raise StreamError("runaway Exp-Golomb prefix")
-    m = 1
-    for _ in range(zeros + k):
-        m = (m << 1) | reader.read_bit()
-    return m - (1 << k)
+    return ((1 << (zeros + k)) | reader.read_bits(zeros + k)) - (1 << k)
 
 
 @dataclass
@@ -351,6 +352,8 @@ class PackContext:
     ``resolve_contrast`` maps decoded LSF indices to the per-band
     high-contrast flags unpack needs to parse the phases, from the same
     quantized model as the encoder's flags, which pack reads off the payload.
+    The per-position tables of the raw phase/sign fields are derived once, at
+    construction.
     """
 
     n_lsf: int
@@ -362,11 +365,33 @@ class PackContext:
     resolve_contrast: "callable"
     sf_offset: int = 120
     escape_index: int = 8
+    band_slices: list = field(init=False, repr=False, compare=False)
+    band_of: np.ndarray = field(init=False, repr=False, compare=False)
+    real_mask: np.ndarray = field(init=False, repr=False, compare=False)
+    phase_bits: np.ndarray = field(init=False, repr=False, compare=False)
 
+    def __post_init__(self):
+        sizes = self.band_sizes
+        self.band_of = np.repeat(np.arange(len(sizes)), sizes)
+        starts = np.cumsum((0,) + tuple(sizes))
+        self.band_slices = [slice(a, b) for a, b in zip(starts[:-1], starts[1:])]
+        self.real_mask = np.zeros(starts[-1], dtype=bool)
+        for b, positions in self.real_positions.items():
+            self.real_mask[starts[b] + np.array(sorted(positions), dtype=int)] = True
+        # [low, high contrast][min(index1, 7)] -> phase field width
+        self.phase_bits = np.array([[int(c).bit_length() - 1 for c in cells]
+                                    for cells in (self.phase_sets_low, self.phase_sets_high)])
 
-def _phase_bits_for(index1: int, high: bool, ctx: PackContext) -> int:
-    cells = (ctx.phase_sets_high if high else ctx.phase_sets_low)[min(index1, 7)]
-    return int(cells).bit_length() - 1
+    def field_widths(self, index1: np.ndarray, contrast) -> np.ndarray:
+        """Raw bits per position: one sign bit at a nonzero real position,
+        elsewhere the phase field of its magnitude and band contrast."""
+        high = np.asarray(contrast, dtype=int)[self.band_of]
+        return np.where(self.real_mask, index1 > 0,
+                        self.phase_bits[high, np.minimum(index1, 7)])
+
+    def split(self, values: np.ndarray) -> list:
+        """Per-band arrays of a whole-frame position array."""
+        return [values[s] for s in self.band_slices]
 
 
 def pack_frame(payload: FramePayload, ctx: PackContext,
@@ -376,78 +401,49 @@ def pack_frame(payload: FramePayload, ctx: PackContext,
     When ``stats_out`` is given it receives per-section bit costs (range-coded
     sections by information content, raw sections by exact field width).
     """
-    arith_writer = BitWriter()
-    enc = RangeEncoder(arith_writer)
-    raw = BitWriter()
+    enc, raw = RangeEncoder(), BitWriter()
+    stats = {}
 
     def note(key, start_info, start_raw):
-        if stats_out is not None:
-            cost = (enc.info_bits - start_info) + (raw.bit_count - start_raw)
-            stats_out[key] = stats_out.get(key, 0.0) + cost
+        stats[key] = (enc.info_bits - start_info) + (raw.bit_count - start_raw)
 
-    mark = enc.info_bits
-    lsf_model = AdaptiveModel(ALPHABET_LSF)
-    prev = 0
-    for i, idx in enumerate(payload.lsf_indices):
-        sym = int(idx) if i == 0 else int(idx) - prev
-        enc.encode(lsf_model, sym)
-        prev = int(idx)
-    note("lsf", mark, raw.bit_count)
+    lsf = np.asarray(payload.lsf_indices, dtype=int)
+    enc.encode(np.diff(lsf, prepend=0).tolist(), [AdaptiveModel(ALPHABET_LSF)])
+    note("lsf", 0.0, 0)
 
-    raw.write_bit(1 if payload.ctns_flag else 0)
-    if stats_out is not None:
-        stats_out["flag"] = 1
+    raw.write_bit(int(bool(payload.ctns_flag)))
+    stats["flag"] = 1
     mark, rmark = enc.info_bits, raw.bit_count
     if payload.ctns_flag:
-        clpc_model = AdaptiveModel(ALPHABET_CLPC_MAG)
-        for mi, pi_ in payload.clpc_indices:
-            enc.encode(clpc_model, int(mi) + 1)
-            if mi >= 0:
-                raw.write_bits(int(pi_), 6)
+        mags, phases = np.asarray(payload.clpc_indices, dtype=int).T
+        enc.encode((mags + 1).tolist(), [AdaptiveModel(ALPHABET_CLPC_MAG)])
+        _write_fields(raw, phases, np.where(mags >= 0, 6, 0))
     note("clpc", mark, rmark)
 
     mark = enc.info_bits
-    sf_model = AdaptiveModel(ALPHABET_SF_DELTA)
-    prev = 0
-    for g in payload.sf_indices:
-        enc.encode(sf_model, int(g) - prev + ctx.sf_offset)
-        prev = int(g)
+    sf = np.asarray(payload.sf_indices, dtype=int)
+    enc.encode((np.diff(sf, prepend=0) + ctx.sf_offset).tolist(),
+               [AdaptiveModel(ALPHABET_SF_DELTA)])
     note("sf", mark, raw.bit_count)
 
     mark, rmark = enc.info_bits, raw.bit_count
-    mag_coder = Index1Coder()
-    for b in range(len(ctx.band_sizes)):
-        for pos in range(ctx.band_sizes[b]):
-            i1 = int(payload.index1[b][pos])
-            mag_coder.encode(enc, i1)
-            if i1 == ctx.escape_index:
-                exp_golomb_encode(raw, int(payload.index2[b][pos]) - 18)
-    if stats_out is not None:
-        stats_out["index1"] = enc.info_bits - mark
-        stats_out["escape"] = raw.bit_count - rmark
+    index1 = np.concatenate(payload.index1).astype(int)
+    enc.encode(index1.tolist(), index1_models(), INDEX1_BANK_OF)
+    for value in np.concatenate(payload.index2)[index1 == ctx.escape_index]:
+        exp_golomb_encode(raw, int(value) - 18)
+    stats["index1"] = enc.info_bits - mark
+    stats["escape"] = raw.bit_count - rmark
 
     rmark = raw.bit_count
-    sign_bits = 0
-    for b in range(len(ctx.band_sizes)):
-        high = bool(payload.contrast[b])
-        reals = ctx.real_positions.get(b, ())
-        for pos in range(ctx.band_sizes[b]):
-            i1 = int(payload.index1[b][pos])
-            if pos in reals:
-                if i1 > 0:
-                    raw.write_bit(int(payload.sign[b][pos]))
-                    sign_bits += 1
-            else:
-                nbits = _phase_bits_for(i1, high, ctx)
-                if nbits:
-                    raw.write_bits(int(payload.phase[b][pos]), nbits)
+    _write_fields(raw, np.where(ctx.real_mask, np.concatenate(payload.sign),
+                               np.concatenate(payload.phase)),
+                 ctx.field_widths(index1, payload.contrast))
+    stats["sign"] = int(np.count_nonzero(ctx.real_mask & (index1 > 0)))
+    stats["phase"] = raw.bit_count - rmark - stats["sign"]
     if stats_out is not None:
-        stats_out["sign"] = sign_bits
-        stats_out["phase"] = raw.bit_count - rmark - sign_bits
+        stats_out.update(stats)
 
-    enc.finish()
-    arith_bytes = arith_writer.getvalue()
-    raw_bytes = raw.getvalue()
+    arith_bytes, raw_bytes = enc.finish(), raw.getvalue()
     return struct.pack("<HH", len(arith_bytes), len(raw_bytes)) + arith_bytes + raw_bytes
 
 
@@ -459,69 +455,41 @@ def unpack_frame(data: bytes, ctx: PackContext, frame_index: int | None = None):
     end = 4 + arith_len + raw_len
     if len(data) < end:
         raise StreamError("truncated frame payload", frame_index)
-    dec = RangeDecoder(BitReader(data[4:4 + arith_len]))
+    dec = RangeDecoder(data[4:4 + arith_len])
     raw = BitReader(data[4 + arith_len:end])
 
-    lsf_model = AdaptiveModel(ALPHABET_LSF)
-    lsf = np.empty(ctx.n_lsf, dtype=int)
-    prev = 0
-    for i in range(ctx.n_lsf):
-        sym = dec.decode(lsf_model)
-        lsf[i] = sym if i == 0 else prev + sym
-        if lsf[i] >= ALPHABET_LSF:
-            raise StreamError("LSF index out of range", frame_index)
-        prev = int(lsf[i])
+    lsf = np.cumsum(dec.decode(ctx.n_lsf, [AdaptiveModel(ALPHABET_LSF)]), dtype=int)
+    if np.any(lsf >= ALPHABET_LSF):
+        raise StreamError("LSF index out of range", frame_index)
 
     flag = bool(raw.read_bit())
     clpc = None
     if flag:
-        clpc_model = AdaptiveModel(ALPHABET_CLPC_MAG)
-        clpc = np.zeros((ctx.clpc_order, 2), dtype=int)
-        for i in range(ctx.clpc_order):
-            mi = dec.decode(clpc_model) - 1
-            pi_ = raw.read_bits(6) if mi >= 0 else 0
-            clpc[i] = (mi, pi_)
+        mags = np.array(dec.decode(ctx.clpc_order, [AdaptiveModel(ALPHABET_CLPC_MAG)]),
+                        dtype=int) - 1
+        clpc = np.stack([mags, _read_fields(raw, np.where(mags >= 0, 6, 0))], axis=1)
 
-    sf_model = AdaptiveModel(ALPHABET_SF_DELTA)
-    sf = np.empty(len(ctx.band_sizes), dtype=int)
-    prev = 0
-    for b in range(len(ctx.band_sizes)):
-        sf[b] = prev + dec.decode(sf_model) - ctx.sf_offset
-        if not -60 <= sf[b] <= 60:
-            raise StreamError("scale factor index out of range", frame_index)
-        prev = int(sf[b])
+    deltas = dec.decode(len(ctx.band_sizes), [AdaptiveModel(ALPHABET_SF_DELTA)])
+    sf = np.cumsum(np.array(deltas, dtype=int) - ctx.sf_offset)
+    if np.any(np.abs(sf) > 60):
+        raise StreamError("scale factor index out of range", frame_index)
 
-    mag_coder = Index1Coder()
-    index1, index2 = [], []
-    for b in range(len(ctx.band_sizes)):
-        i1 = np.zeros(ctx.band_sizes[b], dtype=int)
-        i2 = np.zeros(ctx.band_sizes[b], dtype=int)
-        for pos in range(ctx.band_sizes[b]):
-            i1[pos] = mag_coder.decode(dec)
-            if i1[pos] == ctx.escape_index:
-                i2[pos] = exp_golomb_decode(raw) + 18
-        index1.append(i1)
-        index2.append(i2)
+    index1 = np.array(dec.decode(ctx.real_mask.size, index1_models(), INDEX1_BANK_OF),
+                      dtype=int)
+    index2 = np.zeros(index1.size, dtype=int)
+    escapes = np.flatnonzero(index1 == ctx.escape_index)
+    try:
+        index2[escapes] = [exp_golomb_decode(raw) + 18 for _ in escapes]
+    except StreamError as e:
+        raise StreamError(str(e), frame_index) from None
 
     contrast = ctx.resolve_contrast(lsf)
-    phase, sign = [], []
-    for b in range(len(ctx.band_sizes)):
-        high = bool(contrast[b])
-        reals = ctx.real_positions.get(b, ())
-        ph = np.full(ctx.band_sizes[b], -1, dtype=int)
-        sg = np.full(ctx.band_sizes[b], -1, dtype=int)
-        for pos in range(ctx.band_sizes[b]):
-            i1 = int(index1[b][pos])
-            if pos in reals:
-                sg[pos] = raw.read_bit() if i1 > 0 else 0
-            else:
-                nbits = _phase_bits_for(i1, high, ctx)
-                if nbits:
-                    ph[pos] = raw.read_bits(nbits)
-        phase.append(ph)
-        sign.append(sg)
-
+    widths = ctx.field_widths(index1, contrast)
+    fields = _read_fields(raw, widths)
+    phase = np.where(ctx.real_mask | (widths == 0), -1, fields)
     payload = FramePayload(lsf_indices=lsf, ctns_flag=flag, clpc_indices=clpc,
-                           sf_indices=sf, index1=index1, index2=index2,
-                           phase=phase, sign=sign, contrast=contrast)
+                           sf_indices=sf, index1=ctx.split(index1),
+                           index2=ctx.split(index2), phase=ctx.split(phase),
+                           sign=ctx.split(np.where(ctx.real_mask, fields, -1)),
+                           contrast=contrast)
     return payload, end

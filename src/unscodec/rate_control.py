@@ -134,20 +134,21 @@ def find_scale_factor(band: np.ndarray, target_bits: int, ctx: BandQuantContext)
     """Search the per-band divisor gain against the bit budget.
 
     Bisection over the continuous dB range followed by a snap to the integer
-    grid; returns (gain_db, overflow) where overflow marks a band that busts
-    the budget even at the maximum divisor.  Each cost call prices every
-    midpoint the next SF_BATCH_LEVELS halvings could visit, and halving stops
-    once the rounded upper end is settled: later upper ends stay in (lo, hi]
-    and rounding is monotone.  One call prices the snap's integers near g.
+    grid; returns (gain_db, overflow, bits): overflow marks a band that busts
+    the budget even at the maximum divisor, bits is the band's cost at the
+    returned gain.  Each cost call prices every midpoint the next
+    SF_BATCH_LEVELS halvings could visit, and halving stops once the rounded
+    upper end is settled: later upper ends stay in (lo, hi] and rounding is
+    monotone.  One call prices the snap's integers near g.
     """
     if target_bits <= 0:
         raise ValueError("target_bits must be positive")
     lo, hi = float(SF_MIN_DB), float(SF_MAX_DB)
     known = dict(zip((lo, hi), band_cost_bits(band, np.array([lo, hi]), ctx)))
     if known[lo] <= target_bits:
-        return SF_MIN_DB, False
+        return SF_MIN_DB, False, float(known[lo])
     if known[hi] > target_bits:
-        return SF_MAX_DB, True
+        return SF_MAX_DB, True, float(known[hi])
     left = SF_SEARCH_ITERS
     while left and round_half_up(np.nextafter(lo, np.inf)) != round_half_up(hi):
         levels = min(SF_BATCH_LEVELS, left)
@@ -177,4 +178,4 @@ def find_scale_factor(band: np.ndarray, target_bits: int, ctx: BandQuantContext)
         g += 1
     while g > SF_MIN_DB and fits(g - 1):
         g -= 1
-    return g, False
+    return g, False, float(known[g])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from unscodec import entropy_bitstream as eb
 
@@ -48,19 +49,13 @@ def test_exp_golomb_rejects_negative():
 
 def range_encode(symbols, n_alphabet):
     """One symbol sequence through the range coder with a fresh model."""
-    writer = eb.BitWriter()
-    enc = eb.RangeEncoder(writer)
-    model = eb.AdaptiveModel(n_alphabet)
-    for s in symbols:
-        enc.encode(model, int(s))
-    enc.finish()
-    return writer.getvalue()
+    enc = eb.RangeEncoder()
+    enc.encode([int(s) for s in symbols], [eb.AdaptiveModel(n_alphabet)])
+    return enc.finish()
 
 
 def range_decode(data, n_alphabet, count):
-    dec = eb.RangeDecoder(eb.BitReader(data))
-    model = eb.AdaptiveModel(n_alphabet)
-    return [dec.decode(model) for _ in range(count)]
+    return eb.RangeDecoder(data).decode(count, [eb.AdaptiveModel(n_alphabet)])
 
 
 def test_range_coder_empty():
@@ -93,11 +88,16 @@ def test_range_coder_adapts_to_constant():
 
 
 def test_adaptive_model_halving_keeps_totals_bounded():
-    m = eb.AdaptiveModel(4, increment=1000, limit=1 << 15)
-    for _ in range(200):
-        m.update(2)
-        assert m.total < (1 << 15)
+    m = eb.AdaptiveModel(4)
+    enc = eb.RangeEncoder()
+    totals = []
+    for _ in range(2 * eb.MODEL_LIMIT // eb.MODEL_INCREMENT):
+        enc.encode([2], [m])
+        assert m.total < eb.MODEL_LIMIT
+        assert m.total == sum(m.freqs)
         assert all(f >= 1 for f in m.freqs)
+        totals.append(m.total)
+    assert any(b < a for a, b in zip(totals, totals[1:]))  # the counts were halved
 
 
 def test_stream_header_roundtrip():
@@ -132,7 +132,7 @@ def make_ctx(contrast=None):
     )
 
 
-def random_payload(rng, ctx, flag=True, with_escapes=True):
+def random_payload(rng, ctx, flag=True, with_escapes=True, zero_frac=0.0):
     lsf = np.sort(rng.integers(0, 100, ctx.n_lsf))
     clpc = None
     if flag:
@@ -144,6 +144,8 @@ def random_payload(rng, ctx, flag=True, with_escapes=True):
     contrast = ctx.resolve_contrast(lsf)
     for b, size in enumerate(ctx.band_sizes):
         i1 = rng.integers(0, 15 if with_escapes else 8, size)
+        if zero_frac:
+            i1[rng.random(size) < zero_frac] = 0
         i2 = np.zeros(size, dtype=int)
         i2[i1 == 8] = rng.integers(18, 65536, int(np.sum(i1 == 8)))
         ph = np.full(size, -1, dtype=int)
@@ -193,6 +195,19 @@ def test_pack_unpack_field_for_field():
         out, consumed = eb.unpack_frame(blob, ctx)
         assert consumed == len(blob)
         assert_payload_equal(payload, out)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), flag=st.booleans(), escapes=st.booleans(),
+       zero_frac=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+       contrast=st.lists(st.booleans(), min_size=8, max_size=8))
+def test_drawn_payloads_survive_pack_unpack(seed, flag, escapes, zero_frac, contrast):
+    ctx = make_ctx(contrast)
+    payload = random_payload(np.random.default_rng(seed), ctx, flag=flag,
+                             with_escapes=escapes, zero_frac=zero_frac)
+    blob = eb.pack_frame(payload, ctx)
+    out, consumed = eb.unpack_frame(blob + b"next frame", ctx)
+    assert consumed == len(blob)
+    assert_payload_equal(payload, out)
 
 
 def test_pack_unpack_with_mixed_contrast():

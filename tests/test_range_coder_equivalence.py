@@ -1,0 +1,368 @@
+"""The word-level range coder against the bit-serial coder it replaced.
+
+The ``Ref*`` classes below keep the earlier coder's behaviour: one
+renormalization step per output bit, one model method call per symbol, and a
+reader and writer that move one bit at a time.  Every stream they write must
+come out of the current coder byte for byte, with the same information count,
+and both decoders must read the same symbols from any bytes.
+"""
+
+import math
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import example, given, strategies as st
+
+from unscodec import codec, signals
+from unscodec import entropy_bitstream as eb
+from unscodec.config import CodecConfig
+
+_FULL = 1 << 32
+_HALF = _FULL >> 1
+_QUARTER = _HALF >> 1
+_MASK = _FULL - 1
+
+# the magnitude-index bank as first written: priors and the previous-symbol rule
+REF_INDEX1_PRIORS = ([40, 2] + [1] * 13, [4, 8] + [2] * 13, [1] * 15)
+
+
+def ref_bank(prev):
+    return 0 if prev == 0 else 1 if prev <= 7 else 2
+
+
+class RefBitWriter:
+    def __init__(self):
+        self.bits = []
+
+    def write_bit(self, b):
+        self.bits.append(b & 1)
+
+    def getvalue(self):
+        bits = self.bits + [0] * (-len(self.bits) % 8)
+        return bytes(int("".join(map(str, bits[i:i + 8])), 2) for i in range(0, len(bits), 8))
+
+
+class RefBitReader:
+    def __init__(self, data):
+        self.data, self.pos = data, 0
+
+    def read_bit(self):
+        byte_i, bit_i = divmod(self.pos, 8)
+        self.pos += 1
+        if byte_i >= len(self.data):
+            return 0
+        return (self.data[byte_i] >> (7 - bit_i)) & 1
+
+
+class RefModel:
+    def __init__(self, n_symbols, prior=None):
+        self.freqs = list(prior) if prior is not None else [1] * n_symbols
+        self.total = sum(self.freqs)
+        self.halvings = 0
+
+    def cumulative(self, symbol):
+        lo = 0
+        for f in self.freqs[:symbol]:
+            lo += f
+        return lo, lo + self.freqs[symbol], self.total
+
+    def find(self, value):
+        lo = 0
+        for sym, f in enumerate(self.freqs):
+            if value < lo + f:
+                return sym, lo, lo + f
+            lo += f
+        raise eb.StreamError("range decoder target outside model")
+
+    def update(self, symbol):
+        self.freqs[symbol] += 32
+        self.total += 32
+        if self.total >= 1 << 15:
+            self.halvings += 1
+            self.total = 0
+            for i, f in enumerate(self.freqs):
+                self.freqs[i] = (f + 1) >> 1
+                self.total += self.freqs[i]
+
+
+class RefEncoder:
+    def __init__(self):
+        self.writer = RefBitWriter()
+        self.low, self.high, self.pending = 0, _MASK, 0
+        self.info_bits = 0.0
+        self.max_pending = 0
+
+    def _emit(self, bit):
+        self.writer.write_bit(bit)
+        for _ in range(self.pending):
+            self.writer.write_bit(bit ^ 1)
+        self.pending = 0
+
+    def middle_symbol(self, model):
+        """The symbol whose interval holds the middle of the state range:
+        coding it keeps the interval straddling HALF, so bits stay pending."""
+        span = self.high - self.low + 1
+        return model.find(((_HALF - self.low + 1) * model.total - 1) // span)[0]
+
+    def encode(self, model, symbol):
+        sym_lo, sym_hi, total = model.cumulative(symbol)
+        self.info_bits += math.log2(total / (sym_hi - sym_lo))
+        span = self.high - self.low + 1
+        self.high = self.low + sym_hi * span // total - 1
+        self.low = self.low + sym_lo * span // total
+        while True:
+            if self.high < _HALF:
+                self._emit(0)
+            elif self.low >= _HALF:
+                self._emit(1)
+                self.low -= _HALF
+                self.high -= _HALF
+            elif self.low >= _QUARTER and self.high < _HALF + _QUARTER:
+                self.pending += 1
+                self.max_pending = max(self.max_pending, self.pending)
+                self.low -= _QUARTER
+                self.high -= _QUARTER
+            else:
+                break
+            self.low <<= 1
+            self.high = (self.high << 1) | 1
+        model.update(symbol)
+
+    def finish(self):
+        self.pending += 1
+        self._emit(0 if self.low < _QUARTER else 1)
+        return self.writer.getvalue()
+
+
+class RefDecoder:
+    def __init__(self, data):
+        self.reader = RefBitReader(data)
+        self.low, self.high, self.code = 0, _MASK, 0
+        for _ in range(32):
+            self.code = (self.code << 1) | self.reader.read_bit()
+
+    def decode(self, model):
+        total = model.total
+        span = self.high - self.low + 1
+        value = ((self.code - self.low + 1) * total - 1) // span
+        symbol, sym_lo, sym_hi = model.find(value)
+        self.high = self.low + sym_hi * span // total - 1
+        self.low = self.low + sym_lo * span // total
+        while True:
+            if self.high < _HALF:
+                pass
+            elif self.low >= _HALF:
+                self.low -= _HALF
+                self.high -= _HALF
+                self.code -= _HALF
+            elif self.low >= _QUARTER and self.high < _HALF + _QUARTER:
+                self.low -= _QUARTER
+                self.high -= _QUARTER
+                self.code -= _QUARTER
+            else:
+                break
+            self.low <<= 1
+            self.high = (self.high << 1) | 1
+            self.code = (self.code << 1) | self.reader.read_bit()
+        model.update(symbol)
+        return symbol
+
+
+def ref_models(n_alphabet, banked):
+    if banked:
+        return [RefModel(15, p) for p in REF_INDEX1_PRIORS], ref_bank
+    return [RefModel(n_alphabet)], lambda prev: 0
+
+
+def ref_encode(symbols, n_alphabet, banked=False):
+    """(bytes, encoder, models) of one sequence through the bit-serial coder."""
+    enc = RefEncoder()
+    models, bank = ref_models(n_alphabet, banked)
+    prev = 0
+    for s in symbols:
+        enc.encode(models[bank(prev)], s)
+        prev = s
+    return enc.finish(), enc, models
+
+
+def ref_decode(data, n_alphabet, count, banked=False):
+    dec = RefDecoder(data)
+    models, bank = ref_models(n_alphabet, banked)
+    out = []
+    for _ in range(count):
+        out.append(dec.decode(models[bank(out[-1] if out else 0)]))
+    return out
+
+
+def new_models(n_alphabet, banked):
+    if banked:
+        return eb.index1_models(), eb.INDEX1_BANK_OF
+    return [eb.AdaptiveModel(n_alphabet)], None
+
+
+def new_encode(symbols, n_alphabet, banked=False):
+    enc = eb.RangeEncoder()
+    enc.encode(symbols, *new_models(n_alphabet, banked))
+    return enc.finish(), enc.info_bits
+
+
+def steered(n_alphabet, length, rng, p_middle, skew):
+    """Symbols that mostly hold the coder's interval around its middle
+    (long pending runs), the rest drawn with a dominant symbol 0 (model
+    halving on long sequences)."""
+    enc, model = RefEncoder(), RefModel(n_alphabet)
+    out = []
+    for _ in range(length):
+        if rng.random() < p_middle:
+            s = enc.middle_symbol(model)
+        elif rng.random() < skew:
+            s = 0
+        else:
+            s = int(rng.integers(n_alphabet))
+        enc.encode(model, s)
+        out.append(s)
+    return out
+
+
+@st.composite
+def sequences(draw):
+    """(symbols, alphabet, banked): uniform, skewed, runs or steered to the
+    middle, over alphabets of 2-241 symbols or the banked magnitude alphabet."""
+    banked = draw(st.booleans())
+    n_alphabet = 15 if banked else draw(st.sampled_from([2, 3, 15, 101, 162, 241])
+                                         | st.integers(2, 241))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    length = draw(st.integers(0, 400) | st.integers(1000, 1300))
+    style = draw(st.sampled_from(["uniform", "skewed", "runs", "steered"]))
+    if style == "uniform":
+        symbols = rng.integers(0, n_alphabet, length).tolist()
+    elif style == "skewed":
+        symbols = np.minimum(rng.geometric(draw(st.floats(0.3, 0.99)), length) - 1,
+                             n_alphabet - 1).tolist()
+    elif style == "runs":
+        symbols = np.repeat(rng.integers(0, n_alphabet, length // 50 + 1),
+                            50)[:length].tolist()
+    else:
+        symbols = steered(n_alphabet, length, rng, draw(st.floats(0.5, 1.0)), 0.8)
+    return symbols, n_alphabet, banked
+
+
+@given(sequences())
+def test_encoder_matches_bit_serial_encoder(case):
+    symbols, n_alphabet, banked = case
+    ref_bytes, ref, _ = ref_encode(symbols, n_alphabet, banked)
+    data, info_bits = new_encode(symbols, n_alphabet, banked)
+    assert data == ref_bytes
+    assert info_bits == ref.info_bits
+    assert eb.RangeDecoder(data).decode(len(symbols), *new_models(n_alphabet, banked)) == symbols
+
+
+@given(sequences(), st.lists(st.integers(0, 400), max_size=4))
+def test_encoding_in_pieces_continues_the_same_stream(case, cuts):
+    # pack_frame codes several sections into one encoder, one call each
+    symbols, n_alphabet, _ = case
+    model, enc = eb.AdaptiveModel(n_alphabet), eb.RangeEncoder()
+    edges = [0] + sorted(min(c, len(symbols)) for c in cuts) + [len(symbols)]
+    for a, b in zip(edges, edges[1:]):
+        enc.encode(symbols[a:b], [model])
+    assert enc.finish() == ref_encode(symbols, n_alphabet)[0]
+
+
+def test_long_pending_runs_and_model_halving_match():
+    rng = np.random.default_rng(7)
+    for n_alphabet, p_middle in ((2, 0.97), (15, 0.9), (241, 0.97)):
+        symbols = steered(n_alphabet, 1500, rng, p_middle, 0.95)
+        ref_bytes, ref, models = ref_encode(symbols, n_alphabet)
+        assert ref.max_pending >= 40
+        assert models[0].halvings >= 1
+        data, info_bits = new_encode(symbols, n_alphabet)
+        assert data == ref_bytes
+        assert info_bits == ref.info_bits
+        assert eb.RangeDecoder(data).decode(len(symbols), [eb.AdaptiveModel(n_alphabet)]) == symbols
+
+
+def decode_or_error(decode):
+    try:
+        return decode()
+    except eb.StreamError:
+        return "StreamError"
+
+
+@given(data=st.binary(max_size=64), n_alphabet=st.integers(2, 241),
+       count=st.integers(0, 300), banked=st.booleans())
+def test_decoders_agree_on_arbitrary_bytes(data, n_alphabet, count, banked):
+    n_alphabet = 15 if banked else n_alphabet
+    ref = decode_or_error(lambda: ref_decode(data, n_alphabet, count, banked))
+    new = decode_or_error(
+        lambda: eb.RangeDecoder(data).decode(count, *new_models(n_alphabet, banked)))
+    assert new == ref
+
+
+# --- unpack_frame on bytes that no encoder wrote
+
+CFG = CodecConfig()
+CTX = codec.make_pack_context(CFG)
+
+
+def unpack_or_stream_error(blob):
+    try:
+        _, consumed = eb.unpack_frame(blob, CTX, frame_index=0)
+    except eb.StreamError as e:
+        assert e.frame_index == 0
+        return None
+    return consumed
+
+
+@given(arith=st.binary(max_size=300), raw=st.binary(max_size=200),
+       tail=st.binary(max_size=8), whole=st.binary(max_size=64))
+def test_unpack_drawn_bytes_raises_only_stream_error(arith, raw, tail, whole):
+    blob = struct.pack("<HH", len(arith), len(raw)) + arith + raw
+    consumed = unpack_or_stream_error(blob + tail)
+    assert consumed in (None, len(blob))
+    unpack_or_stream_error(whole)
+
+
+@pytest.fixture(scope="module")
+def corpus_frames():
+    pcm = signals.mixed_corpus(5.0)["castanet"]
+    data, _ = codec.encode_stream(pcm, CFG)
+    frames, pos = [], eb.StreamHeader.size()
+    while pos < len(data):
+        _, consumed = eb.unpack_frame(data[pos:], CTX)
+        frames.append(data[pos:pos + consumed])
+        pos += consumed
+    return frames
+
+
+@given(pick=st.integers(0, 2 ** 16), flips=st.lists(st.integers(0, 2 ** 16), min_size=1,
+                                                    max_size=3))
+@example(pick=0, flips=[192])  # a runaway Exp-Golomb prefix, named with its frame
+def test_unpack_bit_flipped_corpus_frames_raises_only_stream_error(corpus_frames, pick, flips):
+    frame = bytearray(corpus_frames[pick % len(corpus_frames)])
+    for bit in flips:
+        bit %= 8 * len(frame)
+        frame[bit // 8] ^= 0x80 >> (bit % 8)
+    unpack_or_stream_error(bytes(frame))
+
+
+def test_oversized_escape_is_a_stream_error():
+    # one escape index whose Exp-Golomb prefix (61 zeros) gives a value
+    # beyond a 64-bit index: a stream error, not an integer overflow
+    index1 = np.zeros(sum(CTX.band_sizes), dtype=int)
+    index1[5] = CTX.escape_index
+    enc = eb.RangeEncoder()
+    enc.encode([0] * CTX.n_lsf, [eb.AdaptiveModel(eb.ALPHABET_LSF)])
+    enc.encode([CTX.sf_offset] * len(CTX.band_sizes), [eb.AdaptiveModel(eb.ALPHABET_SF_DELTA)])
+    enc.encode(index1.tolist(), eb.index1_models(), eb.INDEX1_BANK_OF)
+    arith = enc.finish()
+    raw = eb.BitWriter()
+    raw.write_bit(0)                     # CTNS flag off
+    raw.write_bits(0, 61)
+    raw.write_bit(1)
+    raw.write_bits(0, 63)                # 2 ** 63 - 4 + 18 as index 2
+    raw.write_bits(0, 600)               # phase fields
+    raw_bytes = raw.getvalue()
+    blob = struct.pack("<HH", len(arith), len(raw_bytes)) + arith + raw_bytes
+    with pytest.raises(eb.StreamError, match="Exp-Golomb"):
+        eb.unpack_frame(blob, CTX)
