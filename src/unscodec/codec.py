@@ -17,8 +17,11 @@ from . import lp, noise_shaping as ns, polar_quant as pq, rate_control as rc
 from .config import CodecConfig
 from .entropy_bitstream import (FramePayload, PackContext, StreamError,
                                 StreamHeader, pack_frame, unpack_frame)
-from .transforms import frame_signal, overlap_add
-from .util import db_to_lin
+from .transforms import frame_count, frame_signal, overlap_add
+
+# the divisor of each integer gain SF_MIN_DB..SF_MAX_DB, by Python's float
+# power as band_cost_bits prices it (numpy's array power rounds a few apart)
+GAIN_DIVISORS = np.array([10.0 ** (g / 20.0) for g in range(rc.SF_MIN_DB, rc.SF_MAX_DB + 1)])
 
 
 @dataclass
@@ -75,23 +78,12 @@ def derive_clpc(clpc_indices: np.ndarray, cfg: CodecConfig) -> np.ndarray:
     return model.coeffs
 
 
-def band_sizes(cfg: CodecConfig) -> tuple:
-    widths = list(cfg.band_layout.widths)
-    widths[-1] += 1  # Nyquist bin rides along in the last band
-    return tuple(widths)
-
-
-def real_positions(cfg: CodecConfig) -> dict:
-    sizes = band_sizes(cfg)
-    return {0: {0}, len(sizes) - 1: {sizes[-1] - 1}}
-
-
 def make_pack_context(cfg: CodecConfig) -> PackContext:
+    widths = cfg.band_layout.widths
     return PackContext(
         n_lsf=cfg.lpc_order,
         clpc_order=cfg.lpc_order,
-        band_sizes=band_sizes(cfg),
-        real_positions=real_positions(cfg),
+        band_sizes=widths[:-1] + (widths[-1] + 1,),  # the Nyquist bin ends the last band
         phase_sets_high=cfg.phase_cells_high,
         phase_sets_low=cfg.phase_cells_low,
         resolve_contrast=lambda lsf: derive_shaping(lsf, cfg)[1].high_contrast,
@@ -134,52 +126,48 @@ def synthesize(coded: np.ndarray, env: lp.FrequencyEnvelope, coeffs: np.ndarray 
     return np.fft.irfft(ns.fdns_inverse(res, env.values), n=cfg.frame_len)
 
 
-def _coded_bands(coded: np.ndarray, cfg: CodecConfig) -> list:
-    bands = rc.split_bands(coded[:cfg.band_edges[-1]], cfg.band_layout)
-    bands[-1] = np.concatenate([bands[-1], coded[-1:]])
-    return bands
+def quantize_spectrum(coded: np.ndarray, gains: np.ndarray, contrast: np.ndarray,
+                      cfg: CodecConfig, ctx: PackContext):
+    """Polar-quantize the coded bins, each band divided by its gain; returns
+    the payload's whole-frame (index1, index2, phase, sign) arrays."""
+    scaled = coded / GAIN_DIVISORS[gains - rc.SF_MIN_DB][ctx.band_of]
+    real = ctx.real_mask
+    index1, index2 = pq.quantize_magnitudes(
+        np.where(real, np.abs(scaled.real), np.abs(scaled)), cfg.ecupq)
+    cells = pq.phase_cells_array(index1, contrast[ctx.band_of], cfg.phase_sets)
+    sendable = ~real & (cells > 1)
+    phase = np.full(index1.size, -1)
+    phase[sendable] = pq.quantize_phase(np.angle(scaled[sendable]), cells[sendable])
+    sign = np.where(real, (scaled.real < 0) & (index1 > 0), -1)
+    return index1, index2, phase, sign
 
 
-def encode_frame(samples: np.ndarray, cfg: CodecConfig):
+def dequantize_spectrum(payload: FramePayload, cfg: CodecConfig, ctx: PackContext):
+    """The coded bins a payload's spectral fields and band gains describe."""
+    mags = pq.dequantize_magnitudes(payload.index1, payload.index2, cfg.ecupq)
+    cells = pq.phase_cells_array(payload.index1, payload.contrast[ctx.band_of], cfg.phase_sets)
+    theta = np.zeros(mags.size)
+    has_phase = payload.phase >= 0
+    theta[has_phase] = pq.dequantize_phase(payload.phase[has_phase], cells[has_phase])
+    vals = np.where(ctx.real_mask, np.where(payload.sign == 1, -mags, mags),
+                    mags * np.exp(1j * theta))
+    return vals * GAIN_DIVISORS[payload.sf_indices - rc.SF_MIN_DB][ctx.band_of]
+
+
+def encode_frame(samples: np.ndarray, cfg: CodecConfig, ctx: PackContext):
     """Encode one windowed frame; returns (payload, info dict)."""
     shaped = analyze_frame(samples, cfg)
     contrast = shaped.fer.high_contrast
-    sizes = band_sizes(cfg)
-    reals = real_positions(cfg)
-    bands = _coded_bands(shaped.coded, cfg)
-    budget = cfg.budget
-    sets = cfg.phase_sets
-
-    gains = np.zeros(len(sizes), dtype=int)
-    overflow = np.zeros(len(sizes), dtype=bool)
-    index1, index2, phase, sign = [], [], [], []
+    gains = np.zeros(len(ctx.band_sizes), dtype=int)
+    overflow = np.zeros(len(ctx.band_sizes), dtype=bool)
     est_bits = 0.0
-    for b, band in enumerate(bands):
-        mask = np.zeros(sizes[b], dtype=bool)
-        mask[list(reals.get(b, ()))] = True
-        ctx = rc.BandQuantContext(table=cfg.ecupq, high_contrast=bool(contrast[b]),
-                                  sets=sets, real_mask=mask)
-        g, overflow[b], bits = rc.find_scale_factor(band, budget[b], ctx)
-        gains[b] = g
+    for b, band in enumerate(ctx.band_slices):
+        bctx = rc.BandQuantContext(table=cfg.ecupq, high_contrast=bool(contrast[b]),
+                                   sets=cfg.phase_sets, real_mask=ctx.real_mask[band])
+        gains[b], overflow[b], bits = rc.find_scale_factor(shaped.coded[band],
+                                                           cfg.budget[b], bctx)
         est_bits += bits
-
-        scaled = band / db_to_lin(g)
-        mags = np.abs(scaled)
-        mags[mask] = np.abs(scaled[mask].real)
-        i1, i2 = pq.quantize_magnitudes(mags, cfg.ecupq)
-        cells = pq.phase_cells_array(i1, bool(contrast[b]), sets)
-        ph = np.full(sizes[b], -1, dtype=int)
-        sendable = (~mask) & (cells > 1)
-        if np.any(sendable):
-            ph[sendable] = pq.quantize_phase(np.angle(scaled[sendable]), cells[sendable])
-        sg = np.full(sizes[b], -1, dtype=int)
-        sg[mask] = (scaled[mask].real < 0).astype(int)
-        sg[mask & (i1 == 0)] = 0
-        index1.append(i1)
-        index2.append(i2)
-        phase.append(ph)
-        sign.append(sg)
-
+    index1, index2, phase, sign = quantize_spectrum(shaped.coded, gains, contrast, cfg, ctx)
     payload = FramePayload(lsf_indices=shaped.lsf_indices, ctns_flag=shaped.active,
                            clpc_indices=shaped.clpc_indices if shaped.active else None,
                            sf_indices=gains, index1=index1, index2=index2,
@@ -189,41 +177,19 @@ def encode_frame(samples: np.ndarray, cfg: CodecConfig):
     return payload, info
 
 
-def decode_frame_payload(payload: FramePayload, cfg: CodecConfig) -> np.ndarray:
+def decode_frame_payload(payload: FramePayload, cfg: CodecConfig,
+                         ctx: PackContext) -> np.ndarray:
     """Reconstruct one time-domain frame contribution from a payload."""
     env, _ = derive_shaping(payload.lsf_indices, cfg)
-    sizes = band_sizes(cfg)
-    reals = real_positions(cfg)
-    sets = cfg.phase_sets
-
-    coded = np.zeros(cfg.n_bins, dtype=complex)
-    offset = 0
-    for b in range(len(sizes)):
-        i1 = payload.index1[b]
-        mags = pq.dequantize_magnitudes(i1, payload.index2[b], cfg.ecupq)
-        cells = pq.phase_cells_array(i1, bool(payload.contrast[b]), sets)
-        theta = np.zeros(sizes[b])
-        has_phase = payload.phase[b] >= 0
-        if np.any(has_phase):
-            theta[has_phase] = pq.dequantize_phase(payload.phase[b][has_phase],
-                                                   cells[has_phase])
-        vals = mags * np.exp(1j * theta)
-        for posn in reals.get(b, ()):
-            s = -1.0 if payload.sign[b][posn] == 1 else 1.0
-            vals[posn] = s * mags[posn]
-        vals = vals * db_to_lin(payload.sf_indices[b])
-        # the Nyquist bin extends the last band contiguously, so plain
-        # sequential placement covers all n_bins coefficients
-        coded[offset:offset + sizes[b]] = vals
-        offset += sizes[b]
-
     coeffs = derive_clpc(payload.clpc_indices, cfg) if payload.ctns_flag else None
-    return synthesize(coded, env, coeffs, cfg)
+    return synthesize(dequantize_spectrum(payload, cfg, ctx), env, coeffs, cfg)
 
 
 def encode_stream(pcm: np.ndarray, cfg: CodecConfig):
     """Encode mono core-band PCM to a bitstream; returns (bytes, stats)."""
     pcm = np.asarray(pcm, dtype=float)
+    if not np.all(np.isfinite(pcm)):
+        raise ValueError("PCM holds non-finite samples")
     header = StreamHeader(sample_rate_hz=cfg.sample_rate, frame_len=cfg.frame_len,
                           overlap_len=cfg.overlap_len, mode=cfg.mode,
                           original_length=pcm.size, lpc_order=cfg.lpc_order,
@@ -232,7 +198,7 @@ def encode_stream(pcm: np.ndarray, cfg: CodecConfig):
     ctx = make_pack_context(cfg)
     stats = []
     for frame in frame_signal(pcm, cfg.window_spec):
-        payload, info = encode_frame(frame.samples, cfg)
+        payload, info = encode_frame(frame.samples, cfg, ctx)
         section = {}
         blob = pack_frame(payload, ctx, stats_out=section)
         out.extend(blob)
@@ -262,16 +228,20 @@ def decode_stream(data: bytes, cfg: CodecConfig | None = None):
     cfg = cfg.with_mode(header.mode)
 
     ctx = make_pack_context(cfg)
+    expected = frame_count(header.original_length, cfg.window_spec)
     pos = StreamHeader.size()
     frames = []
     flags = []
-    index = 0
-    while pos < len(data):
-        payload, consumed = unpack_frame(data[pos:], ctx, frame_index=index)
-        frames.append(decode_frame_payload(payload, cfg))
+    while pos < len(data) and len(frames) < expected:
+        payload, consumed = unpack_frame(data[pos:], ctx, frame_index=len(frames))
+        frames.append(decode_frame_payload(payload, cfg, ctx))
         flags.append(payload.ctns_flag)
         pos += consumed
-        index += 1
+    need = f"the {expected} frames the header's {header.original_length} samples need"
+    if pos < len(data):
+        raise StreamError(f"bytes follow {need}")
+    if len(frames) < expected:
+        raise StreamError(f"stream ends after {len(frames)} of {need}")
     pcm = overlap_add(frames, cfg.window_spec, length=header.original_length)
     return pcm, header, flags
 

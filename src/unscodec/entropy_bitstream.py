@@ -18,12 +18,16 @@ from math import log2
 
 import numpy as np
 
+from .polar_quant import ESCAPE_INDEX, OUTLIER_MAX, OUTLIER_MIN
+from .rate_control import SF_MAX_DB, SF_MIN_DB
+
 STREAM_MAGIC = b"UNS1"
 STREAM_VERSION = 1
 
 # per-context symbol alphabets
 ALPHABET_INDEX1 = 15       # magnitude index 1: 0..14
-ALPHABET_SF_DELTA = 241    # scale-factor deltas: -120..120 offset by +120
+_SF_OFFSET = SF_MAX_DB - SF_MIN_DB
+ALPHABET_SF_DELTA = 2 * _SF_OFFSET + 1   # scale-factor deltas, offset to 0..240
 ALPHABET_LSF = 101         # LSF indices / deltas: 0..100
 ALPHABET_CLPC_MAG = 162    # zero cell + 161 dB-grid cells
 
@@ -328,43 +332,41 @@ class StreamHeader:
 class FramePayload:
     """Everything one frame carries, in decode order.
 
-    Per-band arrays are aligned position-for-position: ``index2`` holds the
-    escape value where index1 escapes (0 elsewhere), ``phase`` holds the phase
-    index (-1 where no phase is sent), ``sign`` holds 0/1 for real-valued
-    coefficients that carry a sign bit (-1 elsewhere).
+    The spectral fields are whole-frame arrays with one entry per coded bin,
+    band after band (the Nyquist bin last): ``index2`` holds the escape value
+    where index1 escapes (0 elsewhere), ``phase`` holds the phase index (-1
+    where no phase is sent), ``sign`` holds 0/1 at the real-valued DC and
+    Nyquist bins (-1 elsewhere).
     """
 
     lsf_indices: np.ndarray
     ctns_flag: bool
     clpc_indices: np.ndarray | None
     sf_indices: np.ndarray
-    index1: list
-    index2: list
-    phase: list
-    sign: list
+    index1: np.ndarray
+    index2: np.ndarray
+    phase: np.ndarray
+    sign: np.ndarray
     contrast: np.ndarray          # per-band high-contrast flags: phase-cell layout
 
 
 @dataclass
 class PackContext:
-    """Static layout information shared by pack and unpack.
+    """The frame layout shared by pack, unpack and the codec's two ends.
 
     ``resolve_contrast`` maps decoded LSF indices to the per-band
     high-contrast flags unpack needs to parse the phases, from the same
     quantized model as the encoder's flags, which pack reads off the payload.
-    The per-position tables of the raw phase/sign fields are derived once, at
-    construction.
+    The first and last coded bins (DC and Nyquist) are real-valued.  The
+    per-bin tables are derived once, at construction.
     """
 
     n_lsf: int
     clpc_order: int
     band_sizes: tuple
-    real_positions: dict          # band -> set of positions coded as magnitude+sign
     phase_sets_high: tuple
     phase_sets_low: tuple
     resolve_contrast: "callable"
-    sf_offset: int = 120
-    escape_index: int = 8
     band_slices: list = field(init=False, repr=False, compare=False)
     band_of: np.ndarray = field(init=False, repr=False, compare=False)
     real_mask: np.ndarray = field(init=False, repr=False, compare=False)
@@ -376,8 +378,7 @@ class PackContext:
         starts = np.cumsum((0,) + tuple(sizes))
         self.band_slices = [slice(a, b) for a, b in zip(starts[:-1], starts[1:])]
         self.real_mask = np.zeros(starts[-1], dtype=bool)
-        for b, positions in self.real_positions.items():
-            self.real_mask[starts[b] + np.array(sorted(positions), dtype=int)] = True
+        self.real_mask[[0, -1]] = True
         # [low, high contrast][min(index1, 7)] -> phase field width
         self.phase_bits = np.array([[int(c).bit_length() - 1 for c in cells]
                                     for cells in (self.phase_sets_low, self.phase_sets_high)])
@@ -388,10 +389,6 @@ class PackContext:
         high = np.asarray(contrast, dtype=int)[self.band_of]
         return np.where(self.real_mask, index1 > 0,
                         self.phase_bits[high, np.minimum(index1, 7)])
-
-    def split(self, values: np.ndarray) -> list:
-        """Per-band arrays of a whole-frame position array."""
-        return [values[s] for s in self.band_slices]
 
 
 def pack_frame(payload: FramePayload, ctx: PackContext,
@@ -422,21 +419,20 @@ def pack_frame(payload: FramePayload, ctx: PackContext,
 
     mark = enc.info_bits
     sf = np.asarray(payload.sf_indices, dtype=int)
-    enc.encode((np.diff(sf, prepend=0) + ctx.sf_offset).tolist(),
+    enc.encode((np.diff(sf, prepend=0) + _SF_OFFSET).tolist(),
                [AdaptiveModel(ALPHABET_SF_DELTA)])
     note("sf", mark, raw.bit_count)
 
     mark, rmark = enc.info_bits, raw.bit_count
-    index1 = np.concatenate(payload.index1).astype(int)
+    index1 = np.asarray(payload.index1, dtype=int)
     enc.encode(index1.tolist(), index1_models(), INDEX1_BANK_OF)
-    for value in np.concatenate(payload.index2)[index1 == ctx.escape_index]:
-        exp_golomb_encode(raw, int(value) - 18)
+    for value in np.asarray(payload.index2)[index1 == ESCAPE_INDEX]:
+        exp_golomb_encode(raw, int(value) - OUTLIER_MIN)
     stats["index1"] = enc.info_bits - mark
     stats["escape"] = raw.bit_count - rmark
 
     rmark = raw.bit_count
-    _write_fields(raw, np.where(ctx.real_mask, np.concatenate(payload.sign),
-                               np.concatenate(payload.phase)),
+    _write_fields(raw, np.where(ctx.real_mask, payload.sign, payload.phase),
                  ctx.field_widths(index1, payload.contrast))
     stats["sign"] = int(np.count_nonzero(ctx.real_mask & (index1 > 0)))
     stats["phase"] = raw.bit_count - rmark - stats["sign"]
@@ -470,26 +466,27 @@ def unpack_frame(data: bytes, ctx: PackContext, frame_index: int | None = None):
         clpc = np.stack([mags, _read_fields(raw, np.where(mags >= 0, 6, 0))], axis=1)
 
     deltas = dec.decode(len(ctx.band_sizes), [AdaptiveModel(ALPHABET_SF_DELTA)])
-    sf = np.cumsum(np.array(deltas, dtype=int) - ctx.sf_offset)
-    if np.any(np.abs(sf) > 60):
+    sf = np.cumsum(np.array(deltas, dtype=int) - _SF_OFFSET)
+    if np.any((sf < SF_MIN_DB) | (sf > SF_MAX_DB)):
         raise StreamError("scale factor index out of range", frame_index)
 
     index1 = np.array(dec.decode(ctx.real_mask.size, index1_models(), INDEX1_BANK_OF),
                       dtype=int)
-    index2 = np.zeros(index1.size, dtype=int)
-    escapes = np.flatnonzero(index1 == ctx.escape_index)
+    escapes = index1 == ESCAPE_INDEX
     try:
-        index2[escapes] = [exp_golomb_decode(raw) + 18 for _ in escapes]
+        values = [exp_golomb_decode(raw) + OUTLIER_MIN for _ in range(np.count_nonzero(escapes))]
     except StreamError as e:
         raise StreamError(str(e), frame_index) from None
+    if max(values, default=0) > OUTLIER_MAX:  # the encoder clips index 2 to it
+        raise StreamError(f"escape index 2 above {OUTLIER_MAX}", frame_index)
+    index2 = np.zeros(index1.size, dtype=int)
+    index2[escapes] = values
 
     contrast = ctx.resolve_contrast(lsf)
     widths = ctx.field_widths(index1, contrast)
     fields = _read_fields(raw, widths)
     phase = np.where(ctx.real_mask | (widths == 0), -1, fields)
     payload = FramePayload(lsf_indices=lsf, ctns_flag=flag, clpc_indices=clpc,
-                           sf_indices=sf, index1=ctx.split(index1),
-                           index2=ctx.split(index2), phase=ctx.split(phase),
-                           sign=ctx.split(np.where(ctx.real_mask, fields, -1)),
-                           contrast=contrast)
+                           sf_indices=sf, index1=index1, index2=index2, phase=phase,
+                           sign=np.where(ctx.real_mask, fields, -1), contrast=contrast)
     return payload, end

@@ -144,11 +144,12 @@ def dequantize_magnitudes(idx1: np.ndarray, idx2: np.ndarray, table: EcupqTable)
     return np.asarray(out, dtype=float)
 
 
-def phase_cells_array(idx1: np.ndarray, band_high_contrast: bool,
+def phase_cells_array(idx1: np.ndarray, high_contrast,
                       sets: PhaseCellSets = DEFAULT_PHASE_SETS) -> np.ndarray:
-    """Phase cells per coefficient; 1 means no phase is sent."""
-    table = np.asarray(sets.high if band_high_contrast else sets.low)
-    return table[np.minimum(np.asarray(idx1, dtype=int), 7)]
+    """Phase cells per coefficient; 1 means no phase is sent.  ``high_contrast``
+    is one flag for every coefficient or one flag per coefficient."""
+    table = np.array([sets.low, sets.high])
+    return table[np.asarray(high_contrast, dtype=int), np.minimum(np.asarray(idx1, dtype=int), 7)]
 
 
 def quantize_phase(theta, n_cells):

@@ -54,14 +54,6 @@ class BandLayout:
         return tuple(hi - lo for lo, hi in self.ranges())
 
 
-def split_bands(res: np.ndarray, layout: BandLayout) -> list[np.ndarray]:
-    """Partition the banded bins into the layout's sub-bands."""
-    res = np.asarray(res)
-    if res.size != layout.upper_edges[-1]:
-        raise ValueError(f"expected {layout.upper_edges[-1]} bins, got {res.size}")
-    return [res[lo:hi] for lo, hi in layout.ranges()]
-
-
 # Cost of a block by its number of equal index pairs: a block of four with
 # 0, 1, 2, 3 or 6 pairs holds the counts 1111, 211, 22, 31 or 4; a trailing
 # block of three with 0, 1 or 3 pairs holds 111, 21 or 3, one of two 11 or 2.

@@ -7,7 +7,6 @@ exactly because the rising and falling tapers of adjacent frames sum to one.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -72,6 +71,13 @@ def make_window(spec: WindowSpec) -> np.ndarray:
     return w
 
 
+def frame_count(n_samples: int, spec: WindowSpec) -> int:
+    """Frames needed to cover ``n_samples`` samples; none for an empty signal."""
+    if n_samples == 0:
+        return 0
+    return max(0, -(-(n_samples - spec.frame_len) // spec.hop)) + 1
+
+
 def frame_signal(pcm: np.ndarray, spec: WindowSpec) -> list[AnalysisFrame]:
     """Split a signal into hop-advanced windowed frames.
 
@@ -79,16 +85,10 @@ def frame_signal(pcm: np.ndarray, spec: WindowSpec) -> list[AnalysisFrame]:
     input yields an empty list.
     """
     pcm = np.asarray(pcm, dtype=float)
-    if pcm.size == 0:
-        return []
     n, hop = spec.frame_len, spec.hop
-    if pcm.size <= n:
-        count = 1
-    else:
-        count = math.ceil((pcm.size - n) / hop) + 1
     w = make_window(spec)
     frames = []
-    for k in range(count):
+    for k in range(frame_count(pcm.size, spec)):
         start = k * hop
         chunk = pcm[start:start + n]
         if chunk.size < n:

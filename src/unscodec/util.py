@@ -19,11 +19,3 @@ def wrap_phase(theta):
     """Wrap angles into [-pi, pi)."""
     theta = np.asarray(theta, dtype=float)
     return theta - 2.0 * np.pi * np.floor((theta + np.pi) / (2.0 * np.pi))
-
-
-def db_to_lin(db):
-    return 10.0 ** (np.asarray(db, dtype=float) / 20.0)
-
-
-def lin_to_db(x):
-    return 20.0 * np.log10(x)

@@ -9,7 +9,6 @@ import time
 from dataclasses import replace
 
 import numpy as np
-import pytest
 
 from unscodec import analysis_metrics as am
 from unscodec import codec, polar_quant as pq, signals
@@ -26,21 +25,6 @@ BUDGET_SUMS = {"12k": 199, "16k": 294}
 def report(name, ok, detail):
     print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     return ok
-
-
-@pytest.fixture(scope="module")
-def corpus_runs():
-    """Encode/decode the 30 s mixed corpus at both rates, once."""
-    items = signals.mixed_corpus(30.0)
-    runs = {}
-    for mode, cfg in (("12k", CFG12), ("16k", CFG16)):
-        per_item = {}
-        for name, pcm in items.items():
-            blob, stats = codec.encode_stream(pcm, cfg)
-            out, _, _ = codec.decode_stream(blob, cfg)
-            per_item[name] = dict(blob=blob, stats=stats, out=out, pcm=pcm)
-        runs[mode] = per_item
-    return runs
 
 
 def test_criterion_1_perfect_reconstruction_chain():
@@ -178,8 +162,6 @@ def coded_band_reference(blob, stats, cfg):
     encoder's section accounting.
     """
     ctx = codec.make_pack_context(cfg)
-    sizes = codec.band_sizes(cfg)
-    reals = codec.real_positions(cfg)
     refs = []
     pos = StreamHeader.size()
     for s in stats:
@@ -188,13 +170,12 @@ def coded_band_reference(blob, stats, cfg):
         contrast = payload.contrast
         entropy = 0.0
         raw = dict(escape=0, phase=0, sign=0)
-        for b, size in enumerate(sizes):
-            i1 = payload.index1[b]
-            real = np.zeros(size, dtype=bool)
-            real[list(reals.get(b, ()))] = True
+        for b, band in enumerate(ctx.band_slices):
+            i1 = payload.index1[band]
+            real = ctx.real_mask[band]
             entropy += band_sample_entropy_bits(i1)
-            raw["escape"] += sum(exp_golomb_length(v - 18)
-                                 for v in payload.index2[b][i1 == ctx.escape_index])
+            raw["escape"] += sum(exp_golomb_length(v - pq.OUTLIER_MIN)
+                                 for v in payload.index2[band][i1 == pq.ESCAPE_INDEX])
             cells = pq.phase_cells_array(i1, bool(contrast[b]), cfg.phase_sets)
             raw["phase"] += int(np.log2(cells[~real]).sum())
             raw["sign"] += int(np.count_nonzero(i1[real] > 0))

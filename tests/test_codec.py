@@ -1,3 +1,4 @@
+import struct
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,14 +13,15 @@ from unscodec.transforms import frame_signal
 
 CFG12 = CodecConfig(mode="12k")
 CFG16 = CodecConfig(mode="16k")
+CTX12 = codec.make_pack_context(CFG12)
 
 
 def test_silence_frame_payload_is_minimal():
-    payload, info = codec.encode_frame(np.zeros(1024), CFG12)
+    payload, info = codec.encode_frame(np.zeros(1024), CFG12, CTX12)
     assert not payload.ctns_flag
     assert payload.clpc_indices is None
-    for band in payload.index1:
-        assert np.all(band == 0)
+    assert payload.index1.shape == (CFG12.n_bins,)
+    assert np.all(payload.index1 == 0)
     assert np.all(payload.sf_indices == -60)
     assert info["gain_db"] == -100.0
 
@@ -40,11 +42,12 @@ def test_sinusoid_concentrates_in_its_band():
     # index and all of the decoded energy.
     pcm = signals.tone(1000.0, 1.0, amp=0.9)
     frames = frame_signal(pcm, CFG12.window_spec)
-    payload, _ = codec.encode_frame(frames[4].samples, CFG12)
-    assert np.max(payload.index1[1]) >= 2
+    payload, _ = codec.encode_frame(frames[4].samples, CFG12, CTX12)
+    bands = [payload.index1[s] for s in CTX12.band_slices]
+    assert np.max(bands[1]) >= 2
     for b in set(range(8)) - {1}:
-        assert np.max(payload.index1[b], initial=0) <= 1
-    rec = codec.decode_frame_payload(payload, CFG12)
+        assert np.max(bands[b], initial=0) <= 1
+    rec = codec.decode_frame_payload(payload, CFG12, CTX12)
     spec = np.abs(np.fft.rfft(rec))
     in_band = np.sum(spec[40:90] ** 2)
     assert in_band / np.sum(spec ** 2) > 0.99
@@ -123,6 +126,39 @@ def test_decode_rejects_truncated_stream():
         codec.decode_stream(blob[:len(blob) - 7], CFG12)
 
 
+def frame_ends(blob):
+    """Byte offset just past each frame, read from the u16 length prefixes."""
+    ends, pos = [], StreamHeader.size()
+    while pos < len(blob):
+        arith_len, raw_len = struct.unpack("<HH", blob[pos:pos + 4])
+        pos += 4 + arith_len + raw_len
+        ends.append(pos)
+    return ends
+
+
+def test_decode_rejects_stream_cut_at_a_frame_boundary():
+    blob, stats = codec.encode_stream(signals.speechish(2.0), CFG12)
+    ends = frame_ends(blob)
+    assert len(ends) == len(stats) == 33
+    with pytest.raises(StreamError, match="stream ends after 3 of the 33 frames"):
+        codec.decode_stream(blob[:ends[2]], CFG12)
+
+
+def test_decode_rejects_frames_beyond_the_header_length():
+    blob, _ = codec.encode_stream(signals.speechish(2.0), CFG12)
+    ends = frame_ends(blob)
+    with pytest.raises(StreamError, match="bytes follow the 33 frames"):
+        codec.decode_stream(blob + blob[ends[0]:ends[3]], CFG12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_encode_rejects_non_finite_pcm(bad):
+    pcm = signals.tone(500.0, 0.2)
+    pcm[100] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        codec.encode_stream(pcm, CFG12)
+
+
 def test_shaping_roundtrip_precision():
     rng = np.random.default_rng(51)
     pcm = np.clip(0.5 * rng.standard_normal(30000), -1, 1)
@@ -135,7 +171,7 @@ def test_shaping_roundtrip_precision():
 def test_encoder_decoder_derive_identical_shaping():
     pcm = signals.speechish(1.0)
     frames = frame_signal(pcm, CFG12.window_spec)
-    payload, _ = codec.encode_frame(frames[3].samples, CFG12)
+    payload, _ = codec.encode_frame(frames[3].samples, CFG12, CTX12)
     env_a, fer_a = codec.derive_shaping(payload.lsf_indices, CFG12)
     env_b, fer_b = codec.derive_shaping(payload.lsf_indices.copy(), CFG12)
     assert np.array_equal(env_a.values, env_b.values)

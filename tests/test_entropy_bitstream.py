@@ -125,7 +125,6 @@ def make_ctx(contrast=None):
         n_lsf=16,
         clpc_order=16,
         band_sizes=sizes,
-        real_positions={0: {0}, 7: {102}},
         phase_sets_high=(1, 8, 16, 16, 32, 32, 64, 64),
         phase_sets_low=(1, 4, 8, 8, 16, 16, 32, 32),
         resolve_contrast=lambda lsf: contrast if contrast is not None else [True] * 8,
@@ -140,28 +139,18 @@ def random_payload(rng, ctx, flag=True, with_escapes=True, zero_frac=0.0):
                          rng.integers(0, 64, ctx.clpc_order)], axis=1)
         clpc[clpc[:, 0] == -1, 1] = 0
     sf = rng.integers(-60, 61, len(ctx.band_sizes))
-    index1, index2, phase, sign = [], [], [], []
+    n = ctx.real_mask.size
+    index1 = rng.integers(0, 15 if with_escapes else 8, n)
+    if zero_frac:
+        index1[rng.random(n) < zero_frac] = 0
+    index2 = np.zeros(n, dtype=int)
+    index2[index1 == 8] = rng.integers(18, 65536, int(np.sum(index1 == 8)))
     contrast = ctx.resolve_contrast(lsf)
-    for b, size in enumerate(ctx.band_sizes):
-        i1 = rng.integers(0, 15 if with_escapes else 8, size)
-        if zero_frac:
-            i1[rng.random(size) < zero_frac] = 0
-        i2 = np.zeros(size, dtype=int)
-        i2[i1 == 8] = rng.integers(18, 65536, int(np.sum(i1 == 8)))
-        ph = np.full(size, -1, dtype=int)
-        sg = np.full(size, -1, dtype=int)
-        sets = ctx.phase_sets_high if contrast[b] else ctx.phase_sets_low
-        for pos in range(size):
-            if pos in ctx.real_positions.get(b, ()):
-                sg[pos] = int(rng.integers(0, 2)) if i1[pos] > 0 else 0
-            else:
-                cells = sets[min(i1[pos], 7)]
-                if cells > 1:
-                    ph[pos] = int(rng.integers(0, cells))
-        index1.append(i1)
-        index2.append(i2)
-        phase.append(ph)
-        sign.append(sg)
+    high = np.asarray(contrast, dtype=int)[ctx.band_of]
+    cells = np.array([ctx.phase_sets_low, ctx.phase_sets_high])[high, np.minimum(index1, 7)]
+    phase = np.where(cells > 1, (rng.random(n) * cells).astype(int), -1)
+    phase[ctx.real_mask] = -1
+    sign = np.where(ctx.real_mask, rng.integers(0, 2, n) * (index1 > 0), -1)
     return eb.FramePayload(lsf_indices=lsf, ctns_flag=flag, clpc_indices=clpc,
                            sf_indices=sf, index1=index1, index2=index2,
                            phase=phase, sign=sign, contrast=contrast)
@@ -174,16 +163,8 @@ def assert_payload_equal(a, b):
         assert np.array_equal(a.clpc_indices, b.clpc_indices)
     else:
         assert b.clpc_indices is None
-    assert np.array_equal(a.sf_indices, b.sf_indices)
-    for x, y in zip(a.index1, b.index1):
-        assert np.array_equal(x, y)
-    for x, y in zip(a.index2, b.index2):
-        assert np.array_equal(x, y)
-    for x, y in zip(a.phase, b.phase):
-        assert np.array_equal(x, y)
-    for x, y in zip(a.sign, b.sign):
-        assert np.array_equal(x, y)
-    assert np.array_equal(a.contrast, b.contrast)
+    for name in ("sf_indices", "index1", "index2", "phase", "sign", "contrast"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 def test_pack_unpack_field_for_field():
@@ -246,36 +227,22 @@ def test_truncated_frame_raises_with_index():
 
 
 def zero_payload(ctx, flag=False):
-    sizes = ctx.band_sizes
+    n = ctx.real_mask.size
     return eb.FramePayload(
         lsf_indices=np.arange(3, 3 + ctx.n_lsf), ctns_flag=flag,
         clpc_indices=np.zeros((ctx.clpc_order, 2), dtype=int) if flag else None,
-        sf_indices=np.zeros(len(sizes), dtype=int),
-        index1=[np.zeros(s, dtype=int) for s in sizes],
-        index2=[np.zeros(s, dtype=int) for s in sizes],
-        phase=[np.full(s, -1, dtype=int) for s in sizes],
-        sign=[np.where(np.arange(s) == p, 0, -1)
-              for s, p in zip(sizes, [0, -1, -1, -1, -1, -1, -1, 102])],
-        contrast=[True] * len(sizes),
+        sf_indices=np.zeros(len(ctx.band_sizes), dtype=int),
+        index1=np.zeros(n, dtype=int), index2=np.zeros(n, dtype=int),
+        phase=np.full(n, -1), sign=np.where(ctx.real_mask, 0, -1),
+        contrast=[True] * len(ctx.band_sizes),
     )
-
-
-def fix_zero_payload_signs(ctx, payload):
-    for b, size in enumerate(ctx.band_sizes):
-        sg = np.full(size, -1, dtype=int)
-        for pos in ctx.real_positions.get(b, ()):
-            sg[pos] = 0
-        payload.sign[b] = sg
-    return payload
 
 
 def test_flag_costs_exactly_one_raw_bit():
     ctx = make_ctx()
     stats_off, stats_on = {}, {}
-    p_off = fix_zero_payload_signs(ctx, zero_payload(ctx, flag=False))
-    p_on = fix_zero_payload_signs(ctx, zero_payload(ctx, flag=True))
-    eb.pack_frame(p_off, ctx, stats_out=stats_off)
-    eb.pack_frame(p_on, ctx, stats_out=stats_on)
+    eb.pack_frame(zero_payload(ctx, flag=False), ctx, stats_out=stats_off)
+    eb.pack_frame(zero_payload(ctx, flag=True), ctx, stats_out=stats_on)
     assert stats_off["flag"] == 1
     assert stats_on["flag"] == 1
     # identical frames apart from the flag and complex-LPC fields
@@ -286,8 +253,7 @@ def test_flag_costs_exactly_one_raw_bit():
 def test_all_zero_magnitudes_emit_zero_phase_bits():
     ctx = make_ctx()
     stats = {}
-    payload = fix_zero_payload_signs(ctx, zero_payload(ctx))
-    eb.pack_frame(payload, ctx, stats_out=stats)
+    eb.pack_frame(zero_payload(ctx), ctx, stats_out=stats)
     assert stats["phase"] == 0
     assert stats["sign"] == 0
     assert stats["escape"] == 0

@@ -1,0 +1,179 @@
+"""The whole-frame quantizer and dequantizer against the per-band loops they
+replaced.
+
+The ``ref_*`` functions keep the earlier code: each band is cut out with its
+own real-position mask, the Nyquist bin rides along with the last band, and a
+band is divided or scaled by its gain through numpy's scalar power.  The
+frame code must give the same arrays, bit for bit, on drawn inputs and on
+every frame of the corpus streams.
+"""
+
+import numpy as np
+from hypothesis import example, given, strategies as st
+
+from unscodec import codec, polar_quant as pq
+from unscodec.config import CodecConfig
+from unscodec.entropy_bitstream import FramePayload, StreamHeader, unpack_frame
+from unscodec.transforms import frame_signal, overlap_add
+
+CFG = CodecConfig()
+CTX = codec.make_pack_context(CFG)
+N_BANDS = len(CFG.band_edges)
+# the five gains whose divisor numpy's array power rounds apart from Python's
+# float power, then both ends of the range and zero
+ODD_GAINS = [-44, -25, -17, 15, 50, -60, 60, 0]
+
+
+def ref_layout(cfg):
+    """Band sizes with the Nyquist bin in the last band, and each band's
+    real-valued positions (DC and Nyquist)."""
+    sizes = list(cfg.band_layout.widths)
+    sizes[-1] += 1
+    return sizes, {0: {0}, len(sizes) - 1: {sizes[-1] - 1}}
+
+
+def ref_db_to_lin(db):
+    return 10.0 ** (np.asarray(db, dtype=float) / 20.0)
+
+
+def ref_phase_cells(i1, high_contrast, sets):
+    return np.asarray(sets.high if high_contrast else sets.low)[np.minimum(i1, 7)]
+
+
+def ref_quantize_bands(coded, gains, contrast, cfg):
+    """The encoder after the gain search, band by band; whole-frame arrays."""
+    sizes, reals = ref_layout(cfg)
+    edges = np.cumsum([0] + sizes)
+    fields = []
+    for b, size in enumerate(sizes):
+        band = coded[edges[b]:edges[b + 1]]
+        mask = np.zeros(size, dtype=bool)
+        mask[list(reals.get(b, ()))] = True
+        scaled = band / ref_db_to_lin(gains[b])
+        mags = np.abs(scaled)
+        mags[mask] = np.abs(scaled[mask].real)
+        i1, i2 = pq.quantize_magnitudes(mags, cfg.ecupq)
+        cells = ref_phase_cells(i1, bool(contrast[b]), cfg.phase_sets)
+        ph = np.full(size, -1, dtype=int)
+        sendable = (~mask) & (cells > 1)
+        if np.any(sendable):
+            ph[sendable] = pq.quantize_phase(np.angle(scaled[sendable]), cells[sendable])
+        sg = np.full(size, -1, dtype=int)
+        sg[mask] = (scaled[mask].real < 0).astype(int)
+        sg[mask & (i1 == 0)] = 0
+        fields.append((i1, i2, ph, sg))
+    return tuple(np.concatenate(f) for f in zip(*fields))
+
+
+def ref_dequantize_bands(payload, cfg):
+    """The decoder's coded bins, band by band."""
+    sizes, reals = ref_layout(cfg)
+    coded = np.zeros(cfg.n_bins, dtype=complex)
+    offset = 0
+    for b, size in enumerate(sizes):
+        seg = slice(offset, offset + size)
+        i1, phase, sign = payload.index1[seg], payload.phase[seg], payload.sign[seg]
+        mags = pq.dequantize_magnitudes(i1, payload.index2[seg], cfg.ecupq)
+        cells = ref_phase_cells(i1, bool(payload.contrast[b]), cfg.phase_sets)
+        theta = np.zeros(size)
+        has_phase = phase >= 0
+        if np.any(has_phase):
+            theta[has_phase] = pq.dequantize_phase(phase[has_phase], cells[has_phase])
+        vals = mags * np.exp(1j * theta)
+        for posn in reals.get(b, ()):
+            s = -1.0 if sign[posn] == 1 else 1.0
+            vals[posn] = s * mags[posn]
+        coded[seg] = vals * ref_db_to_lin(payload.sf_indices[b])
+        offset += size
+    return coded
+
+
+def assert_fields_equal(got, want):
+    for name, a, b in zip(("index1", "index2", "phase", "sign"), got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b), name
+
+
+def drawn_spectrum(rng):
+    """Coded bins spread over eight decades, real at DC and Nyquist, so the
+    gains give zeros, core, companded and escape indices."""
+    n = CFG.n_bins
+    coded = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * 10 ** rng.uniform(-4, 4, n)
+    coded[[0, -1]] = coded[[0, -1]].real
+    return coded
+
+
+def drawn_payload(rng, gains, contrast):
+    n = CFG.n_bins
+    index1 = rng.integers(0, 15, n)
+    index1[rng.random(n) < rng.random()] = 0
+    index2 = np.where(index1 == pq.ESCAPE_INDEX,
+                      rng.integers(pq.OUTLIER_MIN, pq.OUTLIER_MAX + 1, n), 0)
+    cells = np.array([CFG.phase_cells_low, CFG.phase_cells_high])[
+        np.asarray(contrast, dtype=int)[CTX.band_of], np.minimum(index1, 7)]
+    phase = np.where(~CTX.real_mask & (cells > 1), (rng.random(n) * cells).astype(int), -1)
+    sign = np.where(CTX.real_mask, rng.integers(0, 2, n) * (index1 > 0), -1)
+    return FramePayload(lsf_indices=np.arange(3, 3 + CFG.lpc_order), ctns_flag=False,
+                        clpc_indices=None, sf_indices=np.array(gains), index1=index1,
+                        index2=index2, phase=phase, sign=sign, contrast=np.array(contrast))
+
+
+gains_st = st.lists(st.integers(-60, 60), min_size=N_BANDS, max_size=N_BANDS)
+contrast_st = st.lists(st.booleans(), min_size=N_BANDS, max_size=N_BANDS)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), gains=gains_st, contrast=contrast_st)
+@example(seed=0, gains=ODD_GAINS, contrast=[True, False] * 4)
+def test_quantize_spectrum_equals_band_loop(seed, gains, contrast):
+    coded = drawn_spectrum(np.random.default_rng(seed))
+    gains, contrast = np.array(gains), np.array(contrast)
+    assert_fields_equal(codec.quantize_spectrum(coded, gains, contrast, CFG, CTX),
+                        ref_quantize_bands(coded, gains, contrast, CFG))
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), gains=gains_st, contrast=contrast_st)
+@example(seed=0, gains=ODD_GAINS, contrast=[False, True] * 4)
+def test_dequantize_spectrum_equals_band_loop(seed, gains, contrast):
+    payload = drawn_payload(np.random.default_rng(seed), gains, contrast)
+    assert np.array_equal(codec.dequantize_spectrum(payload, CFG, CTX),
+                          ref_dequantize_bands(payload, CFG))
+
+
+def test_every_gain_matches_band_loop():
+    rng = np.random.default_rng(7)
+    contrast = np.array([True, False, False, True, True, False, True, False])
+    for start in range(-60, 61, N_BANDS):
+        gains = np.minimum(np.arange(start, start + N_BANDS), 60)
+        coded = drawn_spectrum(rng)
+        assert_fields_equal(codec.quantize_spectrum(coded, gains, contrast, CFG, CTX),
+                            ref_quantize_bands(coded, gains, contrast, CFG))
+        payload = drawn_payload(rng, gains, contrast)
+        assert np.array_equal(codec.dequantize_spectrum(payload, CFG, CTX),
+                              ref_dequantize_bands(payload, CFG))
+
+
+def test_corpus_frames_equal_band_loop(corpus_runs):
+    # every frame's quantization and dequantization, and the decoded PCM
+    for mode, items in corpus_runs.items():
+        cfg = CFG.with_mode(mode)
+        for name, item in items.items():
+            frames = frame_signal(item["pcm"], cfg.window_spec)
+            pos, recon = StreamHeader.size(), []
+            for frame, stats in zip(frames, item["stats"]):
+                shaped = codec.analyze_frame(frame.samples, cfg)
+                want = ref_quantize_bands(shaped.coded, stats.band_gains,
+                                          shaped.fer.high_contrast, cfg)
+                assert_fields_equal(codec.quantize_spectrum(
+                    shaped.coded, stats.band_gains, shaped.fer.high_contrast, cfg, CTX), want)
+                payload, consumed = unpack_frame(item["blob"][pos:], CTX)
+                pos += consumed
+                assert_fields_equal((payload.index1, payload.index2, payload.phase,
+                                     payload.sign), want)
+                coded = ref_dequantize_bands(payload, cfg)
+                assert np.array_equal(codec.dequantize_spectrum(payload, cfg, CTX), coded)
+                coeffs = (codec.derive_clpc(payload.clpc_indices, cfg)
+                          if payload.ctns_flag else None)
+                env, _ = codec.derive_shaping(payload.lsf_indices, cfg)
+                recon.append(codec.synthesize(coded, env, coeffs, cfg))
+            assert pos == len(item["blob"]), (mode, name)
+            ref_pcm = overlap_add(recon, cfg.window_spec, length=item["pcm"].size)
+            assert np.array_equal(item["out"], ref_pcm), (mode, name)

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from unscodec import codec, signals
+from unscodec import codec, polar_quant as pq, signals
 from unscodec import entropy_bitstream as eb
 from unscodec.config import CodecConfig
 
@@ -346,23 +346,42 @@ def test_unpack_bit_flipped_corpus_frames_raises_only_stream_error(corpus_frames
     unpack_or_stream_error(bytes(frame))
 
 
-def test_oversized_escape_is_a_stream_error():
-    # one escape index whose Exp-Golomb prefix (61 zeros) gives a value
-    # beyond a 64-bit index: a stream error, not an integer overflow
-    index1 = np.zeros(sum(CTX.band_sizes), dtype=int)
-    index1[5] = CTX.escape_index
+def one_escape_frame(write_escape):
+    """A silent frame whose one escape, at bin 5, has the raw value that
+    ``write_escape`` writes."""
+    index1 = np.zeros(CTX.real_mask.size, dtype=int)
+    index1[5] = pq.ESCAPE_INDEX
     enc = eb.RangeEncoder()
     enc.encode([0] * CTX.n_lsf, [eb.AdaptiveModel(eb.ALPHABET_LSF)])
-    enc.encode([CTX.sf_offset] * len(CTX.band_sizes), [eb.AdaptiveModel(eb.ALPHABET_SF_DELTA)])
+    enc.encode([eb.ALPHABET_SF_DELTA // 2] * len(CTX.band_sizes),  # zero deltas
+               [eb.AdaptiveModel(eb.ALPHABET_SF_DELTA)])
     enc.encode(index1.tolist(), eb.index1_models(), eb.INDEX1_BANK_OF)
     arith = enc.finish()
     raw = eb.BitWriter()
     raw.write_bit(0)                     # CTNS flag off
-    raw.write_bits(0, 61)
-    raw.write_bit(1)
-    raw.write_bits(0, 63)                # 2 ** 63 - 4 + 18 as index 2
+    write_escape(raw)
     raw.write_bits(0, 600)               # phase fields
     raw_bytes = raw.getvalue()
-    blob = struct.pack("<HH", len(arith), len(raw_bytes)) + arith + raw_bytes
+    return struct.pack("<HH", len(arith), len(raw_bytes)) + arith + raw_bytes
+
+
+def test_oversized_escape_is_a_stream_error():
+    # one escape index whose Exp-Golomb prefix (61 zeros) gives a value
+    # beyond a 64-bit index: a stream error, not an integer overflow
+    def runaway(raw):
+        raw.write_bits(0, 61)
+        raw.write_bit(1)
+        raw.write_bits(0, 63)            # 2 ** 63 - 4 + 18 as index 2
     with pytest.raises(eb.StreamError, match="Exp-Golomb"):
-        eb.unpack_frame(blob, CTX)
+        eb.unpack_frame(one_escape_frame(runaway), CTX)
+
+
+@pytest.mark.parametrize("index2", [pq.OUTLIER_MAX + 1, 2 ** 40, 2 ** 63 + 13])
+def test_escape_above_outlier_max_is_a_stream_error(index2):
+    # the encoder clips index 2 to OUTLIER_MAX, so anything above it is corrupt
+    def escape(value):
+        return lambda raw: eb.exp_golomb_encode(raw, value - pq.OUTLIER_MIN)
+    with pytest.raises(eb.StreamError, match=f"frame 7: escape index 2 above {pq.OUTLIER_MAX}"):
+        eb.unpack_frame(one_escape_frame(escape(index2)), CTX, frame_index=7)
+    payload, _ = eb.unpack_frame(one_escape_frame(escape(pq.OUTLIER_MAX)), CTX)
+    assert payload.index2[5] == pq.OUTLIER_MAX

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from unscodec import polar_quant as pq
+from unscodec import codec, polar_quant as pq
 from unscodec import rate_control as rc
-from unscodec.util import db_to_lin, round_half_up
+from unscodec.config import CodecConfig
+from unscodec.util import round_half_up
 
 
 def make_ctx(high=True, real_mask=None):
@@ -19,17 +20,13 @@ def test_band_layout_widths():
 
 
 def test_split_bands_edges():
-    layout = rc.BandLayout()
-    x = np.arange(512, dtype=complex)
-    bands = rc.split_bands(x, layout)
+    ctx = codec.make_pack_context(CodecConfig())
+    x = np.arange(513, dtype=complex)
+    bands = [x[s] for s in ctx.band_slices]
     assert bands[0][0] == 0 and bands[0][-1] == 39
-    assert bands[7][0] == 410 and bands[7][-1] == 511
+    assert bands[7][0] == 410 and bands[7][-1] == 512  # the Nyquist bin ends the last band
     assert np.array_equal(np.concatenate(bands), x)
-
-
-def test_split_bands_rejects_wrong_size():
-    with pytest.raises(ValueError):
-        rc.split_bands(np.zeros(513, dtype=complex), rc.BandLayout())
+    assert np.flatnonzero(ctx.real_mask).tolist() == [0, 512]
 
 
 def test_budget_tables():
@@ -120,9 +117,9 @@ def test_scale_factor_overflow_flag():
 def test_scale_factors_dequantize_exactly():
     # a gain index is exactly that many dB: the decoder's divisor for it is
     # the one the gain search costs the band with
-    indices = np.array([-3, 0, 7, 60, -60, 1, 2, 3])
-    assert np.array_equal(db_to_lin(indices), 10.0 ** (indices.astype(float) / 20.0))
-    assert np.allclose(20.0 * np.log10(db_to_lin(indices)), indices, rtol=0.0, atol=1e-12)
+    indices = np.arange(rc.SF_MIN_DB, rc.SF_MAX_DB + 1)
+    assert codec.GAIN_DIVISORS.tolist() == [10.0 ** (g / 20.0) for g in indices.tolist()]
+    assert np.allclose(20.0 * np.log10(codec.GAIN_DIVISORS), indices, rtol=0.0, atol=1e-12)
 
 
 def test_real_mask_costs_sign_bit():
