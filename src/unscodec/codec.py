@@ -9,7 +9,7 @@ is computed in the encoder from the same quantized values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -17,11 +17,12 @@ from . import lp, noise_shaping as ns, polar_quant as pq, rate_control as rc
 from .config import CodecConfig
 from .entropy_bitstream import (FramePayload, PackContext, StreamError,
                                 StreamHeader, pack_frame, unpack_frame)
-from .transforms import frame_count, frame_signal, overlap_add
+from .transforms import AnalysisFrame, frame_count, frame_signal, overlap_add
 
 # the divisor of each integer gain SF_MIN_DB..SF_MAX_DB, by Python's float
 # power as band_cost_bits prices it (numpy's array power rounds a few apart)
 GAIN_DIVISORS = np.array([10.0 ** (g / 20.0) for g in range(rc.SF_MIN_DB, rc.SF_MAX_DB + 1)])
+CHUNK_FRAMES = 64  # frames whose gains are searched together; bounds the search's memory
 
 
 @dataclass
@@ -154,27 +155,35 @@ def dequantize_spectrum(payload: FramePayload, cfg: CodecConfig, ctx: PackContex
     return vals * GAIN_DIVISORS[payload.sf_indices - rc.SF_MIN_DB][ctx.band_of]
 
 
-def encode_frame(samples: np.ndarray, cfg: CodecConfig, ctx: PackContext):
-    """Encode one windowed frame; returns (payload, info dict)."""
-    shaped = analyze_frame(samples, cfg)
-    contrast = shaped.fer.high_contrast
-    gains = np.zeros(len(ctx.band_sizes), dtype=int)
-    overflow = np.zeros(len(ctx.band_sizes), dtype=bool)
-    est_bits = 0.0
+def encode_frames(frames: list[AnalysisFrame], cfg: CodecConfig, ctx: PackContext):
+    """Encode windowed frames as one chunk; yields one (payload, info dict)
+    per frame.  Each band is bracketed over every frame of the chunk at once,
+    then each frame's gains are snapped and its spectrum quantized."""
+    shaped = [analyze_frame(frame.samples, cfg) for frame in frames]
+    coded = np.array([s.coded for s in shaped])
+    contrast = np.array([s.fer.high_contrast for s in shaped])
+    gains = np.zeros(contrast.shape, dtype=int)
+    overflow = np.zeros(contrast.shape, dtype=bool)
+    est_bits = np.zeros(len(frames))  # summed in band order, as the stats report it
     for b, band in enumerate(ctx.band_slices):
-        bctx = rc.BandQuantContext(table=cfg.ecupq, high_contrast=bool(contrast[b]),
+        bctx = rc.BandQuantContext(table=cfg.ecupq, high_contrast=contrast[:, b],
                                    sets=cfg.phase_sets, real_mask=ctx.real_mask[band])
-        gains[b], overflow[b], bits = rc.find_scale_factor(shaped.coded[band],
-                                                           cfg.budget[b], bctx)
-        est_bits += bits
-    index1, index2, phase, sign = quantize_spectrum(shaped.coded, gains, contrast, cfg, ctx)
-    payload = FramePayload(lsf_indices=shaped.lsf_indices, ctns_flag=shaped.active,
-                           clpc_indices=shaped.clpc_indices if shaped.active else None,
-                           sf_indices=gains, index1=index1, index2=index2,
-                           phase=phase, sign=sign, contrast=contrast)
-    info = dict(gain_db=shaped.decision.gain_db, active=shaped.active, band_gains=gains,
-                overflow=overflow, est_spectral_bits=est_bits)
-    return payload, info
+        uppers = rc.bracket_scale_factors(coded[:, band], cfg.budget[b], bctx)
+        for f, upper in enumerate(uppers):
+            fctx = replace(bctx, high_contrast=bool(contrast[f, b]))
+            gains[f, b], overflow[f, b], bits = rc.find_scale_factor(
+                coded[f, band], cfg.budget[b], fctx, upper)
+            est_bits[f] += bits
+    for f, frame in enumerate(shaped):
+        index1, index2, phase, sign = quantize_spectrum(frame.coded, gains[f], contrast[f],
+                                                        cfg, ctx)
+        payload = FramePayload(lsf_indices=frame.lsf_indices, ctns_flag=frame.active,
+                               clpc_indices=frame.clpc_indices if frame.active else None,
+                               sf_indices=gains[f], index1=index1, index2=index2,
+                               phase=phase, sign=sign, contrast=contrast[f])
+        yield payload, dict(gain_db=frame.decision.gain_db, active=frame.active,
+                            band_gains=gains[f], overflow=overflow[f],
+                            est_spectral_bits=float(est_bits[f]))
 
 
 def decode_frame_payload(payload: FramePayload, cfg: CodecConfig,
@@ -185,11 +194,17 @@ def decode_frame_payload(payload: FramePayload, cfg: CodecConfig,
     return synthesize(dequantize_spectrum(payload, cfg, ctx), env, coeffs, cfg)
 
 
-def encode_stream(pcm: np.ndarray, cfg: CodecConfig):
-    """Encode mono core-band PCM to a bitstream; returns (bytes, stats)."""
+def finite_pcm(pcm: np.ndarray) -> np.ndarray:
+    """The PCM as a float array; ``ValueError`` when a sample is NaN or infinite."""
     pcm = np.asarray(pcm, dtype=float)
     if not np.all(np.isfinite(pcm)):
         raise ValueError("PCM holds non-finite samples")
+    return pcm
+
+
+def encode_stream(pcm: np.ndarray, cfg: CodecConfig):
+    """Encode mono core-band PCM to a bitstream; returns (bytes, stats)."""
+    pcm = finite_pcm(pcm)
     header = StreamHeader(sample_rate_hz=cfg.sample_rate, frame_len=cfg.frame_len,
                           overlap_len=cfg.overlap_len, mode=cfg.mode,
                           original_length=pcm.size, lpc_order=cfg.lpc_order,
@@ -197,8 +212,10 @@ def encode_stream(pcm: np.ndarray, cfg: CodecConfig):
     out = bytearray(header.pack())
     ctx = make_pack_context(cfg)
     stats = []
-    for frame in frame_signal(pcm, cfg.window_spec):
-        payload, info = encode_frame(frame.samples, cfg, ctx)
+    frames = frame_signal(pcm, cfg.window_spec)
+    encoded = (pair for i in range(0, len(frames), CHUNK_FRAMES)
+               for pair in encode_frames(frames[i:i + CHUNK_FRAMES], cfg, ctx))
+    for frame, (payload, info) in zip(frames, encoded):
         section = {}
         blob = pack_frame(payload, ctx, stats_out=section)
         out.extend(blob)
@@ -255,7 +272,7 @@ def shaping_roundtrip(pcm: np.ndarray, cfg: CodecConfig) -> np.ndarray:
     inverses from the band quantizer; away from the stream edges the output
     matches the input to numerical precision.
     """
-    pcm = np.asarray(pcm, dtype=float)
+    pcm = finite_pcm(pcm)
     recon = []
     for frame in frame_signal(pcm, cfg.window_spec):
         shaped = analyze_frame(frame.samples, cfg)

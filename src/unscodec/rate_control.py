@@ -12,7 +12,7 @@ coder actually spends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -108,13 +108,20 @@ class BandQuantContext:
 
 
 def band_cost_bits(band: np.ndarray, gain_db, ctx: BandQuantContext):
-    """Estimated bits to code the band after division by the gain; a 1-D
-    array of gains gives one cost per gain, each equal to its scalar call's."""
-    gains = np.atleast_1d(np.asarray(gain_db, dtype=float)).tolist()
-    # Python's float power for every gain, so an array's costs equal the scalar calls'
-    mags = np.abs(np.asarray(band)) / np.array([10.0 ** (g / 20.0) for g in gains])[:, None]
-    idx1, _ = polar_quant.quantize_magnitudes(mags, ctx.table)
-    phase_bits = np.log2(polar_quant.phase_cells_array(idx1, ctx.high_contrast, ctx.sets))
+    """Estimated bits to code the band after division by the gain.
+
+    A 1-D band and a 1-D array of gains give one cost per gain; a stack of
+    bands of shape (rows, w) and gains of shape (rows, G) give costs of shape
+    (rows, G), with ``ctx.high_contrast`` one flag for every row or one per
+    row.  Each entry equals its row's scalar call exactly: the divisors come
+    from Python's float power and no sum runs across rows or gains.
+    """
+    gains = np.atleast_1d(np.asarray(gain_db, dtype=float))
+    div = np.array([10.0 ** (g / 20.0) for g in gains.ravel().tolist()]).reshape(gains.shape)
+    idx1 = polar_quant.quantize_magnitudes(np.abs(band)[..., None, :] / div[..., None],
+                                           ctx.table)[0]
+    contrast = np.reshape(ctx.high_contrast, np.shape(ctx.high_contrast) + (1, 1))
+    phase_bits = np.log2(polar_quant.phase_cells_array(idx1, contrast, ctx.sets))
     if ctx.real_mask is not None:
         # real-valued coefficients cost one sign bit instead of a phase
         phase_bits[..., ctx.real_mask] = idx1[..., ctx.real_mask] > 0
@@ -122,52 +129,72 @@ def band_cost_bits(band: np.ndarray, gain_db, ctx: BandQuantContext):
     return float(bits[0]) if np.ndim(gain_db) == 0 else bits
 
 
-def find_scale_factor(band: np.ndarray, target_bits: int, ctx: BandQuantContext):
-    """Search the per-band divisor gain against the bit budget.
+def bracket_scale_factors(bands: np.ndarray, target_bits, ctx: BandQuantContext) -> np.ndarray:
+    """Bisect the gain of every row of a (rows, w) stack of bands at once;
+    returns each row's bracket upper end for :func:`find_scale_factor`.
 
-    Bisection over the continuous dB range followed by a snap to the integer
-    grid; returns (gain_db, overflow, bits): overflow marks a band that busts
-    the budget even at the maximum divisor, bits is the band's cost at the
-    returned gain.  Each cost call prices every midpoint the next
-    SF_BATCH_LEVELS halvings could visit, and halving stops once the rounded
-    upper end is settled: later upper ends stay in (lo, hi] and rounding is
-    monotone.  One call prices the snap's integers near g.
+    A row whose finest gain fits ends at SF_MIN_DB, and one that busts its
+    budget (one per row, or one for all) even at the coarsest gain ends at
+    SF_MAX_DB.  Every other row is halved over the continuous dB range: each
+    cost call prices, for every open row, the midpoints the next
+    SF_BATCH_LEVELS halvings could visit, and a row leaves once its rounded
+    upper end is settled (later upper ends stay in (lo, hi] and rounding is
+    monotone).  Rows are independent, so each row's upper end is the one a
+    search of that row alone reaches.
     """
-    if target_bits <= 0:
-        raise ValueError("target_bits must be positive")
-    lo, hi = float(SF_MIN_DB), float(SF_MAX_DB)
-    known = dict(zip((lo, hi), band_cost_bits(band, np.array([lo, hi]), ctx)))
-    if known[lo] <= target_bits:
-        return SF_MIN_DB, False, float(known[lo])
-    if known[hi] > target_bits:
-        return SF_MAX_DB, True, float(known[hi])
-    left = SF_SEARCH_ITERS
-    while left and round_half_up(np.nextafter(lo, np.inf)) != round_half_up(hi):
+    rows = len(bands)
+    targets = np.broadcast_to(target_bits, (rows,))
+    contrast = np.broadcast_to(ctx.high_contrast, (rows,))
+    lo, hi = np.full(rows, float(SF_MIN_DB)), np.full(rows, float(SF_MAX_DB))
+    ends = band_cost_bits(bands, np.tile([float(SF_MIN_DB), float(SF_MAX_DB)], (rows, 1)), ctx)
+    hi[ends[:, 0] <= targets] = SF_MIN_DB
+    open_ = (ends[:, 0] > targets) & (ends[:, 1] <= targets)
+    for left in range(SF_SEARCH_ITERS, 0, -SF_BATCH_LEVELS):
+        open_ &= round_half_up(np.nextafter(lo, np.inf)) != round_half_up(hi)
+        live = np.flatnonzero(open_)
+        if not live.size:
+            break
         levels = min(SF_BATCH_LEVELS, left)
-        spans, mids = [(lo, hi)], []  # node i splits spans[i]; children 2i+1, 2i+2
+        spans, mids = [(lo[live], hi[live])], []  # node i splits spans[i]; children 2i+1, 2i+2
         for a, b in (spans[i] for i in range(2 ** levels - 1)):
             mids.append(0.5 * (a + b))
             spans += [(a, mids[-1]), (mids[-1], b)]
-        costs = band_cost_bits(band, np.array(mids), ctx)
-        known.update(zip(mids, costs))
-        node = 0
+        mids = np.stack(mids, axis=1)
+        costs = band_cost_bits(bands[live], mids,
+                               replace(ctx, high_contrast=contrast[live]))
+        at, node = np.arange(live.size), np.zeros(live.size, dtype=int)
         for _ in range(levels):
-            if costs[node] <= target_bits:
-                hi, node = mids[node], 2 * node + 1
-            else:
-                lo, node = mids[node], 2 * node + 2
-        left -= levels
-    g = int(round_half_up(hi))
-    window = [x for x in range(g - 2, g + 3) if SF_MIN_DB <= x <= SF_MAX_DB and x not in known]
-    known.update(zip(window, band_cost_bits(band, np.array(window, dtype=float), ctx)))
+            fit = costs[at, node] <= targets[live]
+            hi[live[fit]] = mids[at, node][fit]
+            lo[live[~fit]] = mids[at, node][~fit]
+            node = 2 * node + np.where(fit, 1, 2)
+    return hi
 
-    def fits(gain):
+
+def find_scale_factor(band: np.ndarray, target_bits: int, ctx: BandQuantContext,
+                      upper: float):
+    """Snap one band's bracket upper end (from :func:`bracket_scale_factors`)
+    to the integer grid; returns (gain_db, overflow, bits).
+
+    Overflow marks a band that busts the budget even at the maximum divisor;
+    its upper end is SF_MAX_DB, so the cost there is priced with the snap's
+    integers near g.  bits is the band's cost at the returned gain.
+    """
+    if target_bits <= 0:
+        raise ValueError("target_bits must be positive")
+    g = int(round_half_up(upper))
+    window = [x for x in range(g - 2, g + 3) if SF_MIN_DB <= x <= SF_MAX_DB]
+    known = dict(zip(window, band_cost_bits(band, np.array(window, dtype=float), ctx).tolist()))
+    if SF_MAX_DB in known and known[SF_MAX_DB] > target_bits:
+        return SF_MAX_DB, True, known[SF_MAX_DB]
+
+    def cost(gain):
         if gain not in known:
             known[gain] = band_cost_bits(band, gain, ctx)
-        return known[gain] <= target_bits
+        return known[gain]
 
-    while g < SF_MAX_DB and not fits(g):
+    while g < SF_MAX_DB and cost(g) > target_bits:
         g += 1
-    while g > SF_MIN_DB and fits(g - 1):
+    while g > SF_MIN_DB and cost(g - 1) <= target_bits:
         g -= 1
-    return g, False, float(known[g])
+    return g, False, cost(g)

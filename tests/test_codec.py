@@ -17,7 +17,8 @@ CTX12 = codec.make_pack_context(CFG12)
 
 
 def test_silence_frame_payload_is_minimal():
-    payload, info = codec.encode_frame(np.zeros(1024), CFG12, CTX12)
+    (payload, info), = codec.encode_frames(frame_signal(np.zeros(1024), CFG12.window_spec)[:1],
+                                           CFG12, CTX12)
     assert not payload.ctns_flag
     assert payload.clpc_indices is None
     assert payload.index1.shape == (CFG12.n_bins,)
@@ -42,7 +43,7 @@ def test_sinusoid_concentrates_in_its_band():
     # index and all of the decoded energy.
     pcm = signals.tone(1000.0, 1.0, amp=0.9)
     frames = frame_signal(pcm, CFG12.window_spec)
-    payload, _ = codec.encode_frame(frames[4].samples, CFG12, CTX12)
+    (payload, _), = codec.encode_frames(frames[4:5], CFG12, CTX12)
     bands = [payload.index1[s] for s in CTX12.band_slices]
     assert np.max(bands[1]) >= 2
     for b in set(range(8)) - {1}:
@@ -151,12 +152,16 @@ def test_decode_rejects_frames_beyond_the_header_length():
         codec.decode_stream(blob + blob[ends[0]:ends[3]], CFG12)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_encode_rejects_non_finite_pcm(bad):
+@pytest.mark.parametrize("entry, bad", [
+    *(pytest.param(codec.encode_stream, bad, id=str(bad)) for bad in (np.nan, np.inf, -np.inf)),
+    *(pytest.param(codec.shaping_roundtrip, bad, id=f"shaping_roundtrip-{bad}")
+      for bad in (np.nan, np.inf, -np.inf)),
+])
+def test_encode_rejects_non_finite_pcm(entry, bad):
     pcm = signals.tone(500.0, 0.2)
     pcm[100] = bad
     with pytest.raises(ValueError, match="non-finite"):
-        codec.encode_stream(pcm, CFG12)
+        entry(pcm, CFG12)
 
 
 def test_shaping_roundtrip_precision():
@@ -171,7 +176,7 @@ def test_shaping_roundtrip_precision():
 def test_encoder_decoder_derive_identical_shaping():
     pcm = signals.speechish(1.0)
     frames = frame_signal(pcm, CFG12.window_spec)
-    payload, _ = codec.encode_frame(frames[3].samples, CFG12, CTX12)
+    (payload, _), = codec.encode_frames(frames[3:4], CFG12, CTX12)
     env_a, fer_a = codec.derive_shaping(payload.lsf_indices, CFG12)
     env_b, fer_b = codec.derive_shaping(payload.lsf_indices.copy(), CFG12)
     assert np.array_equal(env_a.values, env_b.values)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -11,6 +13,25 @@ from unscodec.util import round_half_up
 def make_ctx(high=True, real_mask=None):
     return rc.BandQuantContext(table=pq.DEFAULT_ECUPQ_TABLE, high_contrast=high,
                                real_mask=real_mask)
+
+
+def search_band(band, target_bits, ctx):
+    """One band's (gain, overflow, bits): bracketed as a stack of one row, then snapped."""
+    upper = rc.bracket_scale_factors(band[None, :], target_bits, ctx)[0]
+    return rc.find_scale_factor(band, target_bits, ctx, upper)
+
+
+def search_stack(stack, targets, ctx):
+    """Every row's (gain, overflow, bits): one stacked bracket, then one snap per row."""
+    uppers = rc.bracket_scale_factors(stack, targets, ctx)
+    return [rc.find_scale_factor(band, target, row_ctx(ctx, r), upper)
+            for r, (band, target, upper) in enumerate(zip(stack, targets, uppers))]
+
+
+def row_ctx(ctx, r):
+    """Row r's context: its own contrast flag when the stack has one per row."""
+    high = ctx.high_contrast
+    return replace(ctx, high_contrast=bool(high[r]) if np.ndim(high) else high)
 
 
 def test_band_layout_widths():
@@ -55,7 +76,7 @@ def test_estimate_adds_exact_phase_bits():
 
 
 def test_scale_factor_all_zero_band():
-    g, over, _ = rc.find_scale_factor(np.zeros(50, dtype=complex), 30, make_ctx())
+    g, over, _ = search_band(np.zeros(50, dtype=complex), 30, make_ctx())
     assert g == rc.SF_MIN_DB
     assert not over
 
@@ -66,7 +87,7 @@ def test_scale_factor_matches_grid_sweep_oracle():
     for _ in range(12):
         band = (rng.standard_normal(50) + 1j * rng.standard_normal(50)) * rng.uniform(0.5, 30)
         target = int(rng.integers(15, 60))
-        g, over, bits = rc.find_scale_factor(band, target, ctx)
+        g, over, bits = search_band(band, target, ctx)
         assert not over
         assert bits == rc.band_cost_bits(band, g, ctx)
         # oracle: exhaustive integer-dB sweep for the smallest feasible gain
@@ -82,8 +103,8 @@ def test_scale_factor_shift_equivariance():
     rng = np.random.default_rng(21)
     ctx = make_ctx()
     band = (rng.standard_normal(60) + 1j * rng.standard_normal(60)) * 4.0
-    g1 = rc.find_scale_factor(band, 30, ctx)[0]
-    g2 = rc.find_scale_factor(2.0 * band, 30, ctx)[0]
+    g1 = search_band(band, 30, ctx)[0]
+    g2 = search_band(2.0 * band, 30, ctx)[0]
     assert abs((g2 - g1) - 6.0) <= 1.0
 
 
@@ -91,8 +112,8 @@ def test_scale_factor_fixpoint():
     rng = np.random.default_rng(22)
     ctx = make_ctx()
     band = (rng.standard_normal(60) + 1j * rng.standard_normal(60)) * 8.0
-    g = rc.find_scale_factor(band, 25, ctx)[0]
-    g2 = rc.find_scale_factor(band / 10.0 ** (g / 20.0), 25, ctx)[0]
+    g = search_band(band, 25, ctx)[0]
+    g2 = search_band(band / 10.0 ** (g / 20.0), 25, ctx)[0]
     assert abs(g2) <= 1
 
 
@@ -101,7 +122,7 @@ def test_scale_factor_monotone_in_budget():
     ctx = make_ctx()
     for _ in range(6):
         band = (rng.standard_normal(70) + 1j * rng.standard_normal(70)) * rng.uniform(1, 20)
-        gains = [rc.find_scale_factor(band, t, ctx)[0] for t in (12, 20, 32, 48, 64)]
+        gains = [search_band(band, t, ctx)[0] for t in (12, 20, 32, 48, 64)]
         assert all(b <= a for a, b in zip(gains, gains[1:]))
 
 
@@ -109,7 +130,7 @@ def test_scale_factor_overflow_flag():
     # budget of 1 bit cannot absorb a hot band even at max attenuation
     rng = np.random.default_rng(24)
     band = (rng.standard_normal(80) + 1j * rng.standard_normal(80)) * 1e6
-    g, over, _ = rc.find_scale_factor(band, 1, make_ctx())
+    g, over, _ = search_band(band, 1, make_ctx())
     assert over
     assert g == rc.SF_MAX_DB
 
@@ -180,93 +201,144 @@ def bincount_entropy_bits(indices):
 
 
 @st.composite
-def bands(draw):
-    """A band of 1-103 coefficients: silent, tiny, ordinary or huge enough to
-    overflow every gain, sometimes with runs of equal magnitudes (equal index
-    blocks make the block cost jump as the gain moves)."""
+def stacks(draw):
+    """1-9 bands of one width, 1-103 coefficients: each row silent, tiny,
+    ordinary or huge enough to overflow every gain, sometimes with runs of
+    equal magnitudes (equal index blocks make the block cost jump as the gain
+    moves)."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    n = draw(st.integers(1, 103))
-    scale = draw(st.sampled_from([0.0, 1e-12, 1e-3, 1.0, 30.0, 3e3, 3e5]))
-    band = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * scale
+    n, rows = draw(st.integers(1, 103)), draw(st.integers(1, 9))
+    scales = draw(st.lists(st.sampled_from([0.0, 1e-12, 1e-3, 1.0, 30.0, 3e3, 3e5]),
+                           min_size=rows, max_size=rows))
+    stack = (rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n)))
+    stack *= np.array(scales)[:, None]
     if draw(st.booleans()):
-        band = np.repeat(band[::4], 4)[:n]
+        stack = np.repeat(stack[:, ::4], 4, axis=1)[:, :n]
     if draw(st.booleans()):
-        band[0] = band[0].real  # a real coefficient, like DC and Nyquist
-    return band
+        stack[:, 0] = stack[:, 0].real  # a real coefficient, like DC and Nyquist
+    return stack
 
 
-def band_ctx(band, high, real):
+def stack_ctx(stack, highs, real):
     mask = None
     if real:
-        mask = np.zeros(band.size, dtype=bool)
+        mask = np.zeros(stack.shape[1], dtype=bool)
         mask[[0, -1]] = True
-    return rc.BandQuantContext(table=pq.DEFAULT_ECUPQ_TABLE, high_contrast=high,
+    return rc.BandQuantContext(table=pq.DEFAULT_ECUPQ_TABLE, high_contrast=np.array(highs),
                                real_mask=mask)
 
 
-@given(band=bands(), target=st.integers(1, 70), high=st.booleans(), real=st.booleans())
-def test_batched_search_matches_sequential_search(band, target, high, real):
-    ctx = band_ctx(band, high, real)
-    g, over, bits = rc.find_scale_factor(band, target, ctx)
-    assert (g, over) == sequential_search(band, target, ctx)
-    assert bits == rc.band_cost_bits(band, g, ctx)
+def row_stack(rows):
+    """Bands that carry their row number, for costs drawn per row."""
+    return np.repeat(np.arange(rows, dtype=complex)[:, None], 4, axis=1)
 
 
-@given(seed=st.integers(0, 2 ** 32 - 1), target=st.integers(1, 70),
-       roughness=st.sampled_from([0.0, 2.0, 20.0, 200.0]))
-def test_batched_search_matches_sequential_search_on_non_monotone_costs(seed, target, roughness):
-    # a falling staircase with steps at random gains and random bumps: the
-    # cost rises again with the gain in places, so the snap loops must walk
-    rng = np.random.default_rng(seed)
-    edges = np.sort(rng.uniform(rc.SF_MIN_DB, rc.SF_MAX_DB, 400))
-    steps = np.linspace(90.0, 0.0, 401) + roughness * rng.random(401)
+def row_of(band):
+    """The row number a band of ``row_stack`` carries; one per row of a stack."""
+    return np.asarray(band)[..., 0].real.astype(int)
+
+
+@given(data=st.data(), stack=stacks(), real=st.booleans())
+def test_batched_search_matches_sequential_search(data, stack, real):
+    rows = len(stack)
+    targets = data.draw(st.lists(st.integers(1, 70), min_size=rows, max_size=rows))
+    highs = data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+    ctx = stack_ctx(stack, highs, real)
+    for r, (g, over, bits) in enumerate(search_stack(stack, targets, ctx)):
+        band, rctx = stack[r], row_ctx(ctx, r)
+        assert (g, over) == sequential_search(band, targets[r], rctx)
+        assert bits == rc.band_cost_bits(band, g, rctx)
+
+
+@given(seeds=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=9),
+       data=st.data(), roughness=st.sampled_from([0.0, 2.0, 20.0, 200.0]))
+def test_batched_search_matches_sequential_search_on_non_monotone_costs(seeds, data, roughness):
+    # a falling staircase per row with steps at random gains and random
+    # bumps: the cost rises again with the gain in places, so the snap loops
+    # must walk; low budgets overflow and high ones fit at the finest gain
+    rows = len(seeds)
+    targets = data.draw(st.lists(st.integers(1, 70), min_size=rows, max_size=rows))
+    edges = np.array([np.sort(np.random.default_rng(s).uniform(rc.SF_MIN_DB, rc.SF_MAX_DB, 400))
+                      for s in seeds])
+    steps = np.linspace(90.0, 0.0, 401) + roughness * np.array(
+        [np.random.default_rng(s + 1).random(401) for s in seeds])
 
     def staircase_cost(band, gain_db, ctx):
-        cost = steps[np.searchsorted(edges, gain_db)]
-        return float(cost) if np.ndim(gain_db) == 0 else cost
+        r, g = row_of(band), np.atleast_1d(np.asarray(gain_db, dtype=float))
+        # searchsorted per row: the number of the row's edges below each gain
+        cost = np.take_along_axis(steps[r], (edges[r][..., None, :] < g[..., None]).sum(-1),
+                                  axis=-1)
+        return float(cost[0]) if np.ndim(gain_db) == 0 else cost
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(rc, "band_cost_bits", staircase_cost)
-        band, ctx = np.zeros(4, dtype=complex), make_ctx()
-        g, over, bits = rc.find_scale_factor(band, target, ctx)
-        assert (g, over) == sequential_search(band, target, ctx)
-        assert bits == staircase_cost(band, g, ctx)
+        stack, ctx = row_stack(rows), make_ctx()
+        for r, (g, over, bits) in enumerate(search_stack(stack, targets, ctx)):
+            assert (g, over) == sequential_search(stack[r], targets[r], ctx)
+            assert bits == staircase_cost(stack[r], g, ctx)
 
 
-@given(whole=st.integers(-58, 58), frac=st.floats(-0.5, 0.5), seed=st.integers(0, 2 ** 32 - 1))
-def test_batched_search_matches_sequential_search_near_rounding_edges(whole, frac, seed):
-    # the cost fits from a crossing gain near a rounding edge on, except at
-    # the integer gains around it, which fit or miss at random: where the
-    # bisection ends relative to the edge decides where the snap loops start
-    crossing = whole + 0.5 + frac
-    rng = np.random.default_rng(seed)
-    near = np.arange(whole - 3, whole + 5, dtype=float)
-    near_fits = rng.random(near.size) < 0.5
+@given(wholes=st.lists(st.integers(-58, 58), min_size=1, max_size=9), data=st.data())
+def test_batched_search_matches_sequential_search_near_rounding_edges(wholes, data):
+    # each row's cost fits from a crossing gain near a rounding edge on,
+    # except at the integer gains around it, which fit or miss at random:
+    # where the bisection ends relative to the edge decides where the snap
+    # loops start
+    rows = len(wholes)
+    fracs = data.draw(st.lists(st.floats(-0.5, 0.5), min_size=rows, max_size=rows))
+    targets = data.draw(st.lists(st.sampled_from([5, 30, 70]), min_size=rows, max_size=rows))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    crossing = np.array(wholes) + 0.5 + np.array(fracs)
+    near = np.array(wholes)[:, None] + np.arange(-3.0, 5.0)
+    near_fits = rng.random(near.shape) < 0.5
 
     def bumpy_cost(band, gain_db, ctx):
-        g = np.asarray(gain_db, dtype=float)
-        fits = g >= crossing
-        for x, f in zip(near, near_fits):
-            fits = np.where(g == x, f, fits)
+        r, g = row_of(band), np.atleast_1d(np.asarray(gain_db, dtype=float))
+        hit = g[..., None] == near[r][..., None, :]
+        fits = np.where(hit.any(-1), (hit & near_fits[r][..., None, :]).any(-1),
+                        g >= crossing[r][..., None])
         cost = np.where(fits, 10.0, 50.0)
-        return float(cost) if cost.ndim == 0 else cost
+        return float(cost[0]) if np.ndim(gain_db) == 0 else cost
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(rc, "band_cost_bits", bumpy_cost)
-        band, ctx = np.zeros(4, dtype=complex), make_ctx()
-        g, over, bits = rc.find_scale_factor(band, 30, ctx)
-        assert (g, over) == sequential_search(band, 30, ctx)
-        assert bits == bumpy_cost(band, g, ctx)
+        stack, ctx = row_stack(rows), make_ctx()
+        for r, (g, over, bits) in enumerate(search_stack(stack, targets, ctx)):
+            assert (g, over) == sequential_search(stack[r], targets[r], ctx)
+            assert bits == bumpy_cost(stack[r], g, ctx)
 
 
-@given(band=bands(), high=st.booleans(), real=st.booleans(),
+def test_snap_walks_up_to_the_coarsest_gain(monkeypatch):
+    # every gain from 10 dB up fits except the integers below 60, so the
+    # bisection ends near 10 and the snap walks up to 60, the one integer
+    # its window did not price
+    def cost(band, gain_db, ctx):
+        g = np.asarray(gain_db, dtype=float)
+        bits = np.where((g >= 10.0) & ((g != np.round(g)) | (g == 60.0)), 10.0, 50.0)
+        return float(bits) if bits.ndim == 0 else bits
+
+    monkeypatch.setattr(rc, "band_cost_bits", cost)
+    band = np.zeros(4, dtype=complex)
+    assert search_band(band, 30, make_ctx()) == (rc.SF_MAX_DB, False, 10.0)
+    assert sequential_search(band, 30, make_ctx()) == (rc.SF_MAX_DB, False)
+
+
+@given(stack=stacks(), data=st.data(), real=st.booleans(),
        gains=st.lists(st.floats(rc.SF_MIN_DB, rc.SF_MAX_DB) | st.integers(-60, 60),
                       min_size=1, max_size=9))
-def test_vectorized_cost_equals_scalar_cost(band, high, real, gains):
-    ctx = band_ctx(band, high, real)
-    costs = rc.band_cost_bits(band, np.array(gains, dtype=float), ctx)
-    assert costs.shape == (len(gains),)
-    assert [float(c) for c in costs] == [rc.band_cost_bits(band, g, ctx) for g in gains]
+def test_vectorized_cost_equals_scalar_cost(stack, data, real, gains):
+    rows = len(stack)
+    highs = data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+    ctx = stack_ctx(stack, highs, real)
+    # each row prices the drawn gains in its own order
+    grid = np.array([np.roll(gains, r) for r in range(rows)], dtype=float)
+    costs = rc.band_cost_bits(stack, grid, ctx)
+    assert costs.shape == grid.shape
+    for r in range(rows):
+        rctx = row_ctx(ctx, r)
+        scalar = [rc.band_cost_bits(stack[r], g, rctx) for g in grid[r].tolist()]
+        assert costs[r].tolist() == scalar
+        assert rc.band_cost_bits(stack[r], grid[r], rctx).tolist() == scalar
 
 
 def test_sample_entropy_matches_bincount_formula():
@@ -284,6 +356,9 @@ def test_sample_entropy_matches_bincount_formula():
 
 def test_search_needs_few_cost_calls(monkeypatch):
     rng = np.random.default_rng(26)
+    scales = rng.uniform(1, 50, size=(50, 1))
+    stack = (rng.standard_normal((50, 60)) + 1j * rng.standard_normal((50, 60))) * scales
+    targets = rng.integers(15, 60, size=50)
     cost, calls = rc.band_cost_bits, []
 
     def counted(band, gain_db, ctx):
@@ -291,7 +366,9 @@ def test_search_needs_few_cost_calls(monkeypatch):
         return cost(band, gain_db, ctx)
 
     monkeypatch.setattr(rc, "band_cost_bits", counted)
-    for _ in range(50):
-        band = (rng.standard_normal(60) + 1j * rng.standard_normal(60)) * rng.uniform(1, 50)
-        rc.find_scale_factor(band, int(rng.integers(15, 60)), make_ctx())
-    assert len(calls) / 50 <= 6.0
+    uppers = rc.bracket_scale_factors(stack, targets, make_ctx())
+    assert len(calls) <= 1 + -(-rc.SF_SEARCH_ITERS // rc.SF_BATCH_LEVELS)
+    calls.clear()
+    for band, target, upper in zip(stack, targets, uppers):
+        rc.find_scale_factor(band, int(target), make_ctx(), upper)
+    assert len(calls) / 50 <= 1.5
