@@ -42,21 +42,21 @@ class FrameStats:
 
 @dataclass
 class FrameAnalysis:
-    """The encoder's shaping state for one frame, up to the gain search."""
+    """The encoder's shaping state for a stack of frames (one row each) up to the gain search."""
 
-    lsf_indices: np.ndarray
+    lsf_indices: np.ndarray   # (frames, order)
     env: lp.FrequencyEnvelope
     fer: pq.FerProfile
-    res: np.ndarray           # FDNS residual
+    res: np.ndarray           # FDNS residual, (frames, bins)
     filtered: np.ndarray      # residual after the CTNS filter
-    clpc_indices: np.ndarray
+    clpc_indices: np.ndarray  # (frames, order, 2)
     coeffs: np.ndarray        # CTNS filter rebuilt from the quantized indices
     decision: ns.CtnsDecision
-    active: bool              # the switch fired and CTNS is enabled
+    active: np.ndarray        # the switch fired and CTNS is enabled
 
     @property
     def coded(self) -> np.ndarray:
-        return self.filtered if self.active else self.res
+        return np.where(self.active[:, None], self.filtered, self.res)
 
 
 def derive_shaping(lsf_indices: np.ndarray, cfg: CodecConfig):
@@ -91,40 +91,39 @@ def make_pack_context(cfg: CodecConfig) -> PackContext:
     )
 
 
-def analyze_frame(samples: np.ndarray, cfg: CodecConfig) -> FrameAnalysis:
-    """Shape one windowed frame: LSF envelope division (FDNS), then the
-    quantized complex LP model along frequency and the CTNS switch."""
-    r = lp.autocorr(samples, cfg.lpc_order)
-    if r[0] <= 1e-30:
-        model = lp.LpModel(order=cfg.lpc_order, coeffs=np.zeros(cfg.lpc_order))
-    else:
-        model = lp.bandwidth_expand(lp.levinson(r, cfg.lpc_order), cfg.fdns_weight)
-    lsf_idx = lp.quantize_lsf(lp.lpc_to_lsf(model), cfg.lsf_step)
+def analyze_frames(samples: np.ndarray, cfg: CodecConfig) -> FrameAnalysis:
+    """Shape a stack of windowed frames (frames, frame_len): LSF envelope
+    division (FDNS), then the quantized complex LP model along frequency and
+    the CTNS switch.  Each row is what the frame alone would give."""
+    p = cfg.lpc_order
+    r = lp.autocorr(samples, p)
+    live = r[:, 0] > 1e-30
+    coeffs = np.zeros((len(samples), p))
+    coeffs[live] = lp.bandwidth_expand(lp.levinson(r[live], p), cfg.fdns_weight).coeffs
+    lsf_idx = lp.quantize_lsf(lp.lpc_to_lsf(lp.LpModel(order=p, coeffs=coeffs)), cfg.lsf_step)
     env, fer = derive_shaping(lsf_idx, cfg)
     res = ns.fdns_forward(np.fft.rfft(samples), env.values)
 
-    r = lp.autocorr(res[:cfg.band_edges[-1]], cfg.lpc_order)
-    if r[0].real <= 1e-30:
-        model = lp.LpModel(order=cfg.lpc_order,
-                           coeffs=np.zeros(cfg.lpc_order, dtype=complex))
-    else:
-        model = lp.bandwidth_expand(lp.levinson(r, cfg.lpc_order), cfg.ctns_weight)
-    clpc_idx = lp.quantize_complex_lpc(model, cfg.clpc_mag_step_db, cfg.clpc_mag_floor_db,
-                                       cfg.clpc_mag_ceil_db, cfg.clpc_phase_cells)
+    r = lp.autocorr(res[:, :cfg.band_edges[-1]], p)
+    live = r[:, 0].real > 1e-30
+    coeffs = np.zeros((len(samples), p), dtype=complex)
+    coeffs[live] = lp.bandwidth_expand(lp.levinson(r[live], p), cfg.ctns_weight).coeffs
+    clpc_idx = lp.quantize_complex_lpc(lp.LpModel(order=p, coeffs=coeffs), cfg.clpc_mag_step_db,
+                                       cfg.clpc_mag_floor_db, cfg.clpc_mag_ceil_db,
+                                       cfg.clpc_phase_cells)
     coeffs = derive_clpc(clpc_idx, cfg)
     filtered = ns.ctns_filter(res, coeffs, cfg.ctns_start_bin)
-    decision = ns.prediction_gain(res, filtered, cfg.ctns_start_bin,
-                                  cfg.ctns_threshold_db)
+    decision = ns.prediction_gain(res, filtered, cfg.ctns_start_bin, cfg.ctns_threshold_db)
     return FrameAnalysis(lsf_indices=lsf_idx, env=env, fer=fer, res=res,
                          filtered=filtered, clpc_indices=clpc_idx, coeffs=coeffs,
-                         decision=decision, active=decision.active and cfg.ctns_enabled)
+                         decision=decision, active=decision.active & cfg.ctns_enabled)
 
 
-def synthesize(coded: np.ndarray, env: lp.FrequencyEnvelope, coeffs: np.ndarray | None,
+def synthesize(coded: np.ndarray, env_values: np.ndarray, coeffs: np.ndarray | None,
                cfg: CodecConfig) -> np.ndarray:
     """Undo CTNS (when ``coeffs`` is given) and FDNS, then return to time."""
     res = coded if coeffs is None else ns.ctns_unfilter(coded, coeffs, cfg.ctns_start_bin)
-    return np.fft.irfft(ns.fdns_inverse(res, env.values), n=cfg.frame_len)
+    return np.fft.irfft(ns.fdns_inverse(res, env_values), n=cfg.frame_len)
 
 
 def quantize_spectrum(coded: np.ndarray, gains: np.ndarray, contrast: np.ndarray,
@@ -157,11 +156,12 @@ def dequantize_spectrum(payload: FramePayload, cfg: CodecConfig, ctx: PackContex
 
 def encode_frames(frames: list[AnalysisFrame], cfg: CodecConfig, ctx: PackContext):
     """Encode windowed frames as one chunk; yields one (payload, info dict)
-    per frame.  Each band is bracketed over every frame of the chunk at once,
-    then each frame's gains are snapped and its spectrum quantized."""
-    shaped = [analyze_frame(frame.samples, cfg) for frame in frames]
-    coded = np.array([s.coded for s in shaped])
-    contrast = np.array([s.fer.high_contrast for s in shaped])
+    per frame.  The chunk is analyzed as one stack and each band bracketed over
+    all its frames at once, then each frame's gains are snapped and quantized."""
+    shaped = analyze_frames(np.array([frame.samples for frame in frames]), cfg)
+    coded, active, gain_db = shaped.coded, shaped.active, shaped.decision.gain_db
+    lsf, clpc, contrast = shaped.lsf_indices, shaped.clpc_indices, shaped.fer.high_contrast
+    del shaped  # the residuals and envelopes are not needed past the analysis
     gains = np.zeros(contrast.shape, dtype=int)
     overflow = np.zeros(contrast.shape, dtype=bool)
     est_bits = np.zeros(len(frames))  # summed in band order, as the stats report it
@@ -174,14 +174,13 @@ def encode_frames(frames: list[AnalysisFrame], cfg: CodecConfig, ctx: PackContex
             gains[f, b], overflow[f, b], bits = rc.find_scale_factor(
                 coded[f, band], cfg.budget[b], fctx, upper)
             est_bits[f] += bits
-    for f, frame in enumerate(shaped):
-        index1, index2, phase, sign = quantize_spectrum(frame.coded, gains[f], contrast[f],
-                                                        cfg, ctx)
-        payload = FramePayload(lsf_indices=frame.lsf_indices, ctns_flag=frame.active,
-                               clpc_indices=frame.clpc_indices if frame.active else None,
+    for f in range(len(frames)):
+        index1, index2, phase, sign = quantize_spectrum(coded[f], gains[f], contrast[f], cfg, ctx)
+        payload = FramePayload(lsf_indices=lsf[f], ctns_flag=bool(active[f]),
+                               clpc_indices=clpc[f] if active[f] else None,
                                sf_indices=gains[f], index1=index1, index2=index2,
                                phase=phase, sign=sign, contrast=contrast[f])
-        yield payload, dict(gain_db=frame.decision.gain_db, active=frame.active,
+        yield payload, dict(gain_db=float(gain_db[f]), active=bool(active[f]),
                             band_gains=gains[f], overflow=overflow[f],
                             est_spectral_bits=float(est_bits[f]))
 
@@ -191,7 +190,7 @@ def decode_frame_payload(payload: FramePayload, cfg: CodecConfig,
     """Reconstruct one time-domain frame contribution from a payload."""
     env, _ = derive_shaping(payload.lsf_indices, cfg)
     coeffs = derive_clpc(payload.clpc_indices, cfg) if payload.ctns_flag else None
-    return synthesize(dequantize_spectrum(payload, cfg, ctx), env, coeffs, cfg)
+    return synthesize(dequantize_spectrum(payload, cfg, ctx), env.values, coeffs, cfg)
 
 
 def finite_pcm(pcm: np.ndarray) -> np.ndarray:
@@ -273,9 +272,10 @@ def shaping_roundtrip(pcm: np.ndarray, cfg: CodecConfig) -> np.ndarray:
     matches the input to numerical precision.
     """
     pcm = finite_pcm(pcm)
+    frames = frame_signal(pcm, cfg.window_spec)
     recon = []
-    for frame in frame_signal(pcm, cfg.window_spec):
-        shaped = analyze_frame(frame.samples, cfg)
-        coeffs = shaped.coeffs if shaped.active else None
-        recon.append(synthesize(shaped.coded, shaped.env, coeffs, cfg))
+    for i in range(0, len(frames), CHUNK_FRAMES):  # chunks bound the memory, as in encoding
+        s = analyze_frames(np.array([f.samples for f in frames[i:i + CHUNK_FRAMES]]), cfg)
+        recon += [synthesize(coded, values, coeffs if active else None, cfg) for coded, values,
+                  coeffs, active in zip(s.coded, s.env.values, s.coeffs, s.active)]
     return overlap_add(recon, cfg.window_spec, length=pcm.size)

@@ -4,6 +4,7 @@ key-value config file format with an embedded quantizer table section.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
@@ -11,6 +12,8 @@ import numpy as np
 from .polar_quant import DEFAULT_ECUPQ_TABLE, DEFAULT_PHASE_SETS, EcupqTable, PhaseCellSets
 from .rate_control import BandLayout, DEFAULT_UPPER_EDGES, MODE_BUDGETS
 from .transforms import WindowSpec
+
+_band_layout = functools.lru_cache(maxsize=8)(BandLayout)  # frozen, so one serves every config
 
 
 class ConfigError(ValueError):
@@ -61,7 +64,7 @@ class CodecConfig:
 
     @property
     def band_layout(self) -> BandLayout:
-        return BandLayout(self.band_edges)
+        return _band_layout(tuple(self.band_edges))  # built and checked once per edge tuple
 
     @property
     def phase_sets(self) -> PhaseCellSets:

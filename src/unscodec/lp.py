@@ -1,6 +1,9 @@
 """Linear prediction: autocorrelation, Levinson-Durbin (real and complex),
 bandwidth expansion, LSF conversion, envelope evaluation, and the scalar
 quantizers for both LPC parameter sets.
+
+Each function also takes a stack of inputs along the last axis, one per row,
+and gives every row exactly, bit for bit, what a call on that row gives.
 """
 
 from __future__ import annotations
@@ -24,7 +27,8 @@ class DegenerateSignalError(ValueError):
 
 @dataclass
 class LpModel:
-    """Prediction-error filter A(z) = 1 + sum a_k z^-k.
+    """Prediction-error filter A(z) = 1 + sum a_k z^-k, or a stack of them
+    (coefficients (..., order), one energy and flag per row).
 
     Coefficients are real for the spectral-envelope model and complex for the
     temporal model along frequency.
@@ -32,7 +36,6 @@ class LpModel:
 
     order: int
     coeffs: np.ndarray
-    weight: float = 1.0
     residual_energy: float = float("nan")
     clamped: bool = False
 
@@ -46,15 +49,15 @@ class FrequencyEnvelope:
 
 
 def autocorr(x, max_lag: int) -> np.ndarray:
-    """Autocorrelation r[k] = sum_t x[t] conj(x[t-k]) for k = 0..max_lag."""
+    """Autocorrelation r[k] = sum_t x[t] conj(x[t-k]) for k = 0..max_lag;
+    one ``np.dot`` per lag and row, as a stacked product sums in another order."""
     x = np.asarray(x)
-    if max_lag >= x.size:
-        raise ValueError(f"max_lag {max_lag} must be below signal length {x.size}")
-    is_complex = np.iscomplexobj(x)
-    r = np.empty(max_lag + 1, dtype=complex if is_complex else float)
-    for k in range(max_lag + 1):
-        v = np.dot(x[k:], np.conj(x[:x.size - k]))
-        r[k] = v if is_complex else v.real
+    n = x.shape[-1]
+    if max_lag >= n:
+        raise ValueError(f"max_lag {max_lag} must be below signal length {n}")
+    r = np.empty(x.shape[:-1] + (max_lag + 1,), dtype=complex if np.iscomplexobj(x) else float)
+    for row in np.ndindex(x.shape[:-1]):
+        r[row] = [np.dot(x[row][k:], np.conj(x[row][:n - k])) for k in range(max_lag + 1)]
     return r
 
 
@@ -63,34 +66,40 @@ def levinson(r, order: int):
 
     The model's coefficients are complex exactly when ``r`` is.  Reflection
     coefficients with magnitude >= 1 (near-singular steps) are clamped to
-    0.999 and the model is flagged.
+    0.999 and the model is flagged.  The inner product is one ``np.dot`` per row,
+    and |k|, |k|**2 are a scalar's (hypot, libm pow; numpy's array forms round apart).
     """
     r = np.asarray(r)
-    if order >= r.size:
+    if order >= r.shape[-1]:
         raise ValueError("order must be below len(r)")
-    is_complex = np.iscomplexobj(r)
-    r0 = r[0].real if is_complex else float(r[0])
-    if r0 <= 0.0:
+    rows = r.reshape(-1, r.shape[-1])
+    if np.any(rows[:, 0].real <= 0.0):
         raise DegenerateSignalError("autocorrelation at lag 0 must be positive")
 
-    dtype = complex if is_complex else float
-    a = np.zeros(order + 1, dtype=dtype)
-    a[0] = 1.0
-    energy = r0 * (1.0 + NOISE_FLOOR)
-    clamped = False
+    dtype = complex if np.iscomplexobj(r) else float
+    a = np.zeros((len(rows), order + 1), dtype=dtype)
+    a[:, 0] = 1.0
+    energy = rows[:, 0].real * (1.0 + NOISE_FLOOR)
+    clamped = np.zeros(len(rows), dtype=bool)
     for m in range(1, order + 1):
-        acc = r[m] + np.dot(a[1:m], r[1:m][::-1])
+        acc = rows[:, m] + np.array([np.dot(ai[1:m], ri[1:m][::-1])
+                                     for ai, ri in zip(a, rows)], dtype=dtype)
         k = -acc / energy
-        if abs(k) >= 1.0:
-            k = REFLECTION_CLAMP * k / abs(k)
-            clamped = True
-        prev = a[1:m].copy()
-        a[1:m] = prev + k * np.conj(prev[::-1])
-        a[m] = k
-        energy *= (1.0 - abs(k) ** 2)
+        mag = np.hypot(k.real, k.imag)
+        over = mag >= 1.0
+        k[over] = REFLECTION_CLAMP * k[over] / mag[over]
+        mag[over] = np.hypot(k[over].real, k[over].imag)
+        clamped |= over
+        prev = a[:, 1:m].copy()
+        a[:, 1:m] = prev + k[:, None] * np.conj(prev[:, ::-1])
+        a[:, m] = k
+        energy = energy * (1.0 - np.array([x ** 2 for x in mag.tolist()]))
 
-    coeffs = a[1:] if is_complex else a[1:].real
-    return LpModel(order=order, coeffs=coeffs, residual_energy=float(energy), clamped=clamped)
+    shape = r.shape[:-1]
+    if not shape:  # one sequence: plain numbers, as ever
+        return LpModel(order, a[0, 1:], float(energy[0]), bool(clamped[0]))
+    return LpModel(order, a[:, 1:].reshape(shape + (order,)), energy.reshape(shape),
+                   clamped.reshape(shape))
 
 
 def bandwidth_expand(model, gamma: float):
@@ -101,17 +110,31 @@ def bandwidth_expand(model, gamma: float):
     return LpModel(
         order=model.order,
         coeffs=scaled,
-        weight=gamma,
         residual_energy=model.residual_energy,
         clamped=model.clamped,
     )
 
 
-def _poly_roots_max_radius(coeffs) -> float:
-    if np.allclose(coeffs, 0.0):
-        return 0.0
-    roots = np.roots(np.concatenate([[1.0], np.asarray(coeffs)]))
-    return float(np.max(np.abs(roots))) if roots.size else 0.0
+def _roots(polys: np.ndarray) -> np.ndarray:
+    """``np.roots`` of each row of (rows, n) polynomials with nonzero leading coefficients,
+    as (rows, n - 1) complex roots: trailing zero coefficients are stripped and their roots
+    returned as 0, then each remaining degree is one batched ``eigvals`` of companions."""
+    rows, n = polys.shape
+    degree = n - 1 - np.argmax(polys[:, ::-1] != 0, axis=1)
+    roots = np.zeros((rows, n - 1), dtype=complex)
+    for d in set(degree[degree > 0].tolist()):  # np.unique would import numpy.ma
+        sel = np.flatnonzero(degree == d)
+        companion = np.zeros((sel.size, d, d), dtype=polys.dtype)
+        companion[:, 1:, :-1] = np.eye(d - 1)
+        companion[:, 0, :] = -polys[sel, 1:d + 1] / polys[sel, :1]
+        roots[sel, :d] = np.linalg.eigvals(companion)
+    return roots
+
+
+def _max_root_radius(rows: np.ndarray) -> np.ndarray:
+    """Largest root magnitude of 1 + sum c_k z^-k per row; 0 where all c_k are near 0."""
+    radius = np.abs(_roots(np.concatenate([np.ones((len(rows), 1)), rows], axis=1)))
+    return np.where(np.isclose(rows, 0.0).all(axis=1), 0.0, radius.max(axis=1, initial=0.0))
 
 
 def lpc_to_lsf(model: LpModel) -> np.ndarray:
@@ -124,53 +147,47 @@ def lpc_to_lsf(model: LpModel) -> np.ndarray:
     p = model.order
     if p % 2 != 0:
         raise ValueError("LSF conversion requires an even order")
-    if _poly_roots_max_radius(model.coeffs) >= 1.0:
+    coeffs = np.asarray(model.coeffs, dtype=float)
+    rows = coeffs.reshape(-1, p)
+    if np.any(_max_root_radius(rows) >= 1.0):
         raise ValueError("model is not minimum phase")
-    a = np.concatenate([[1.0], np.asarray(model.coeffs, dtype=float)])
-    ext = np.concatenate([a, [0.0]])
-    psum = ext + ext[::-1]
-    qsum = ext - ext[::-1]
-
-    def deflate(poly, sign):
-        # divide by (1 + sign * z^-1) via synthetic division
-        out = np.empty(poly.size - 1)
-        acc = 0.0
-        for i in range(poly.size - 1):
-            acc = poly[i] - sign * acc
-            out[i] = acc
-        return out
-
-    pd = deflate(psum, 1.0)
-    qd = deflate(qsum, -1.0)
+    ext = np.concatenate([np.ones((len(rows), 1)), rows, np.zeros((len(rows), 1))], axis=1)
     angles = []
-    for poly in (pd, qd):
-        roots = np.roots(poly)
-        ang = np.angle(roots)
-        angles.append(np.sort(ang[(ang > 1e-9) & (ang < np.pi - 1e-9)]))
-    lsf = np.sort(np.concatenate(angles))
-    if lsf.size != p:
-        raise ValueError(f"expected {p} line spectral frequencies, found {lsf.size}")
-    return lsf
+    for poly, sign in ((ext + ext[:, ::-1], 1.0), (ext - ext[:, ::-1], -1.0)):
+        # divide by (1 + sign * z^-1) via synthetic division
+        deflated = np.empty((len(rows), p + 1))
+        acc = 0.0
+        for i in range(p + 1):
+            acc = deflated[:, i] = poly[:, i] - sign * acc
+        angles.append(np.angle(_roots(deflated)))
+    ang = np.concatenate(angles, axis=1)
+    inside = (ang > 1e-9) & (ang < np.pi - 1e-9)
+    found = np.count_nonzero(inside, axis=1)
+    if np.any(found != p):
+        raise ValueError(f"expected {p} line spectral frequencies, found {found[found != p][0]}")
+    lsf = np.sort(np.where(inside, ang, np.inf), axis=1)[:, :p]
+    return lsf.reshape(coeffs.shape)
 
 
 def lsf_to_lpc(lsf: np.ndarray) -> LpModel:
     """Rebuild the prediction-error filter from strictly increasing LSFs."""
     lsf = np.asarray(lsf, dtype=float)
-    p = lsf.size
+    p = lsf.shape[-1]
     if p % 2 != 0:
         raise ValueError("LSF vector length must be even")
-
-    def expand(angles, edge_sign):
-        poly = np.array([1.0, edge_sign])
-        for w in angles:
-            poly = np.convolve(poly, [1.0, -2.0 * np.cos(w), 1.0])
-        return poly
-
-    # sorted LSFs alternate between P-roots (even positions) and Q-roots
-    psum = expand(lsf[0::2], 1.0)
-    qsum = expand(lsf[1::2], -1.0)
-    a = 0.5 * (psum + qsum)
-    return LpModel(order=p, coeffs=a[1:p + 1])
+    # sorted LSFs alternate between P-roots (even positions) and Q-roots; P and
+    # Q grow together by 1 - 2cos(w) z^-1 + z^-2 per root, each output summed
+    # as np.convolve sums it: poly[m-2] + c*poly[m-1] + poly[m]
+    c = -2.0 * np.cos(np.stack([lsf[..., 0::2], lsf[..., 1::2]], axis=-2))
+    poly = np.zeros(lsf.shape[:-1] + (2, p + 4))
+    poly[..., 2] = 1.0
+    poly[..., 3] = (1.0, -1.0)
+    for j in range(p // 2):
+        n = 2 * j + 4  # the poly's length after this root
+        poly[..., 2:n + 2] = (poly[..., :n] + c[..., j, None] * poly[..., 1:n + 1]
+                              + poly[..., 2:n + 2])
+    a = 0.5 * (poly[..., 0, 2:] + poly[..., 1, 2:])
+    return LpModel(order=p, coeffs=a[..., 1:p + 1])
 
 
 def quantize_lsf(lsf: np.ndarray, step: float = 0.01 * np.pi) -> np.ndarray:
@@ -187,17 +204,15 @@ def dequantize_lsf(indices: np.ndarray, step: float = 0.01 * np.pi,
     The gap repair keeps the decoded model minimum phase even when rounding
     collapses neighboring frequencies.
     """
-    lsf = np.asarray(indices, dtype=float) * step
-    p = lsf.size
-    for i in range(p - 1, -1, -1):
-        ub = np.pi - min_gap * (p - i)
-        if lsf[i] > ub:
-            lsf[i] = ub
-    prev = 0.0
-    for i in range(p):
-        if lsf[i] < prev + min_gap:
-            lsf[i] = prev + min_gap
-        prev = lsf[i]
+    p = np.shape(indices)[-1]
+    lsf = np.minimum(np.asarray(indices, dtype=float) * step,
+                     np.pi - min_gap * np.arange(p, 0, -1))
+    floor = np.concatenate([np.zeros(lsf.shape[:-1] + (1,)), lsf[..., :-1]], axis=-1) + min_gap
+    if np.any(lsf < floor):  # a gap to repair: raise each LSF above its repaired neighbor
+        prev = 0.0
+        for i in range(p):
+            lsf[..., i] = np.maximum(lsf[..., i], prev + min_gap)
+            prev = lsf[..., i]
     return lsf
 
 
@@ -208,20 +223,28 @@ def quantize_complex_lpc(model: LpModel, mag_step_db: float = 0.5,
 
     Magnitudes are quantized on a uniform dB grid anchored at ``mag_floor_db``
     (index -1 is the zero cell for anything below the floor); phases are
-    quantized uniformly.  Indices come back as an (order, 2) array.
+    quantized uniformly.  Indices come back as an (..., order, 2) array.
     """
     n_mag = int(round((mag_ceil_db - mag_floor_db) / mag_step_db))
-    out = np.zeros((model.order, 2), dtype=int)
-    for i, c in enumerate(np.asarray(model.coeffs, dtype=complex)):
-        mag = abs(c)
-        if mag <= 0.0 or 20.0 * np.log10(mag) < mag_floor_db:
-            out[i] = (-1, 0)
-            continue
-        mag_db = 20.0 * np.log10(mag)
-        mi = int(np.clip(round_half_up((mag_db - mag_floor_db) / mag_step_db), 0, n_mag))
-        pi_ = int(np.floor((wrap_phase(np.angle(c)) + np.pi) * phase_cells / (2.0 * np.pi))) % phase_cells
-        out[i] = (mi, pi_)
-    return out
+    coeffs = np.asarray(model.coeffs, dtype=complex)
+    mag = np.hypot(coeffs.real, coeffs.imag)  # a scalar's abs(); the array abs rounds apart
+    mag_db = 20.0 * np.log10(np.where(mag > 0.0, mag, 1.0))
+    zero = (mag <= 0.0) | (mag_db < mag_floor_db)
+    mi = np.clip(round_half_up((mag_db - mag_floor_db) / mag_step_db), 0, n_mag)
+    pi_ = np.floor((wrap_phase(np.angle(coeffs)) + np.pi) * phase_cells
+                   / (2.0 * np.pi)).astype(int) % phase_cells
+    return np.stack([np.where(zero, -1, mi), np.where(zero, 0, pi_)], axis=-1)
+
+
+@functools.lru_cache(maxsize=8)
+def _clpc_cells(mag_step_db: float, mag_floor_db: float, phase_cells: int, size: int):
+    """Magnitudes and phasors of CLPC cells 0..size-1 by the scalar formula (arrays differ)."""
+    cells = np.arange(size)
+    mags = np.array([10.0 ** ((mag_floor_db + mi * mag_step_db) / 20.0) for mi in cells])
+    phasors = np.array([np.exp(1j * (-np.pi + (pi_ + 0.5) * 2.0 * np.pi / phase_cells))
+                        for pi_ in cells])
+    mags.flags.writeable = phasors.flags.writeable = False
+    return mags, phasors
 
 
 def dequantize_complex_lpc(indices: np.ndarray, mag_step_db: float = 0.5,
@@ -235,23 +258,21 @@ def dequantize_complex_lpc(indices: np.ndarray, mag_step_db: float = 0.5,
     function, so they always agree on the filter actually applied.
     """
     idx = np.asarray(indices, dtype=int)
-    p = order if order is not None else idx.shape[0]
-    coeffs = np.zeros(p, dtype=complex)
-    for i in range(p):
-        mi, pi_ = idx[i]
-        if mi < 0:
-            continue
-        mag = 10.0 ** ((mag_floor_db + mi * mag_step_db) / 20.0)
-        theta = -np.pi + (pi_ + 0.5) * 2.0 * np.pi / phase_cells
-        coeffs[i] = mag * np.exp(1j * theta)
+    p = order if order is not None else idx.shape[-2]
+    mi, pi_ = idx[..., :p, 0], idx[..., :p, 1]
+    zero = mi < 0
+    mags, phasors = _clpc_cells(mag_step_db, mag_floor_db, phase_cells,
+                                256 * (int(idx.max(initial=0)) // 256 + 1))
+    coeffs = np.where(zero, 0.0, mags[np.where(zero, 0, mi)] * phasors[np.where(zero, 0, pi_)])
     # quantization scatter can push poles of a marginal model toward or over
     # the unit circle, and the decoder-side inverse filter would resonate on
     # quantization noise; contract such models back near the radius the
     # bandwidth-expanded analysis produces.  Scaling a_k by gamma**k scales
     # every root by gamma, so one contraction puts the largest at 0.92
-    radius = _poly_roots_max_radius(coeffs)
-    if radius > 0.96:
-        coeffs = coeffs * (0.92 / radius) ** np.arange(1, p + 1)
+    rows = coeffs.reshape(-1, p)
+    radius = _max_root_radius(rows)
+    wild = radius > 0.96
+    rows[wild] = rows[wild] * (0.92 / radius[wild, None]) ** np.arange(1, p + 1)
     return LpModel(order=p, coeffs=coeffs)
 
 
@@ -265,8 +286,11 @@ def _steering(n_bins: int, order: int) -> np.ndarray:
 
 
 def frequency_envelope(model, n_bins: int = 513) -> FrequencyEnvelope:
-    """Evaluate 1/|A| on the one-sided bin grid of a 2(n_bins-1) DFT."""
-    a_eval = 1.0 + _steering(n_bins, model.order) @ np.asarray(model.coeffs)
+    """Evaluate 1/|A| on the one-sided bin grid of a 2(n_bins-1) DFT, as one
+    matrix-vector product per row."""
+    coeffs = np.ascontiguousarray(model.coeffs, dtype=complex)  # strided or real: slow matmul
+    a_eval = (_steering(n_bins, model.order) @ coeffs[..., None])[..., 0]
+    a_eval += 1.0
     mag = np.abs(a_eval)
-    values = np.where(mag < 1e-12, 1e12, 1.0 / np.where(mag < 1e-12, 1.0, mag))
+    values = np.divide(1.0, mag, out=np.full(mag.shape, 1e12), where=~(mag < 1e-12))
     return FrequencyEnvelope(values=values, values_db=20.0 * np.log10(values))

@@ -3,7 +3,7 @@
 FDNS divides the spectrum by the reconstructed frequency envelope (the decoder
 multiplies back); CTNS runs a complex prediction-error filter along the
 frequency axis above a start bin, with the decision to engage it driven by the
-measured prediction gain.
+measured prediction gain.  The encoder side also takes stacks, one row each.
 """
 
 from __future__ import annotations
@@ -50,11 +50,11 @@ def prediction_error_filter(x: np.ndarray, coeffs: np.ndarray, start: int, stop:
     x = np.asarray(x)
     a = np.asarray(coeffs)
     e = x.copy()
-    for k in range(1, a.size + 1):
+    for k in range(1, a.shape[-1] + 1):
         lo = max(start, k)
         if lo > stop:
             continue
-        e[lo:stop + 1] = e[lo:stop + 1] + a[k - 1] * x[lo - k:stop + 1 - k]
+        e[..., lo:stop + 1] += a[..., k - 1, None] * x[..., lo - k:stop + 1 - k]
     return e
 
 
@@ -77,7 +77,7 @@ def ctns_filter(res: np.ndarray, coeffs: np.ndarray, start_bin: int = DEFAULT_ST
     Operates on a one-sided spectrum; the last bin (Nyquist) always passes
     through untouched and bins below ``start_bin`` serve only as history.
     """
-    return prediction_error_filter(res, coeffs, start_bin, len(res) - 2)
+    return prediction_error_filter(res, coeffs, start_bin, np.shape(res)[-1] - 2)
 
 
 def ctns_unfilter(filtered: np.ndarray, coeffs: np.ndarray, start_bin: int = DEFAULT_START_BIN) -> np.ndarray:
@@ -93,14 +93,17 @@ def prediction_gain(x_fd: np.ndarray, x_ct: np.ndarray, start_bin: int = DEFAULT
     the filter engages when G exceeds the threshold.  Degenerate frames
     (silent band, or nothing predicted) clamp to the floor and stay inactive.
     """
-    if len(x_fd) != len(x_ct):
+    x_fd, x_ct = np.asarray(x_fd), np.asarray(x_ct)
+    if x_fd.shape[-1] != x_ct.shape[-1]:
         raise ValueError("residual sequences must have equal length")
-    stop = len(x_fd) - 1
-    fd = np.asarray(x_fd)[start_bin:stop]
-    ct = np.asarray(x_ct)[start_bin:stop]
-    den = float(np.sum(np.abs(fd) ** 2))
-    num = float(np.sum(np.abs(fd - ct) ** 2))
-    if den <= 0.0 or num <= 0.0:
-        return CtnsDecision(gain_db=GAIN_FLOOR_DB, active=False, threshold_db=threshold_db)
-    gain = float(np.clip(10.0 * np.log10(num / den), GAIN_FLOOR_DB, GAIN_CEIL_DB))
-    return CtnsDecision(gain_db=gain, active=gain > threshold_db, threshold_db=threshold_db)
+    fd, ct = x_fd[..., start_bin:-1], x_ct[..., start_bin:-1]
+    den = np.sum(np.abs(fd) ** 2, axis=-1)
+    num = np.sum(np.abs(fd - ct) ** 2, axis=-1)
+    live = ~((den <= 0.0) | (num <= 0.0))
+    ratio = np.where(live, num, 1.0) / np.where(live, den, 1.0)
+    gain = np.where(live, np.clip(10.0 * np.log10(ratio), GAIN_FLOOR_DB, GAIN_CEIL_DB),
+                    GAIN_FLOOR_DB)
+    active = live & (gain > threshold_db)
+    if gain.ndim == 0:
+        gain, active = float(gain), bool(active)
+    return CtnsDecision(gain_db=gain, active=active, threshold_db=threshold_db)

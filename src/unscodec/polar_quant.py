@@ -83,20 +83,18 @@ class FerProfile:
 
 
 def compute_fer(values_db: np.ndarray, layout, threshold: float = FER_THRESHOLD) -> FerProfile:
-    """Band-max envelope ratios from the dB envelope.
+    """Band-max envelope ratios from the dB envelope (each row of a stack).
 
     The dB values are shifted by their minimum over the banded bins so every
     band maximum is non-negative; a flat envelope degenerates to equal shares.
     """
     vdb = np.asarray(values_db, dtype=float)
-    banded = vdb[:layout.upper_edges[-1]]
-    shifted = banded - banded.min()
-    maxima = np.array([shifted[lo:hi].max() for lo, hi in layout.ranges()])
-    total = maxima.sum()
-    if total <= 0.0:
-        fer = np.full(layout.n_bands, 1.0 / layout.n_bands)
-    else:
-        fer = maxima / total
+    banded = vdb[..., :layout.upper_edges[-1]]
+    shifted = banded - banded.min(axis=-1, keepdims=True)
+    maxima = np.maximum.reduceat(shifted, [lo for lo, _ in layout.ranges()], axis=-1)
+    total = maxima.sum(axis=-1, keepdims=True)
+    fer = np.divide(maxima, total, out=np.full(maxima.shape, 1.0 / layout.n_bands),
+                    where=~(total <= 0.0))
     return FerProfile(fer=fer, threshold=threshold)
 
 

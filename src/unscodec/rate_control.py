@@ -65,8 +65,8 @@ _PAIRS = {size: np.triu_indices(size, 1) for size in (2, 3, 4)}
 
 
 def _equal_pairs(blocks: np.ndarray) -> np.ndarray:
-    i, j = _PAIRS[blocks.shape[-1]]
-    return np.count_nonzero(blocks[..., i] == blocks[..., j], axis=-1)
+    # one comparison of two columns per pair: no copy of the blocks
+    return sum(blocks[..., i] == blocks[..., j] for i, j in zip(*_PAIRS[blocks.shape[-1]]))
 
 
 def sample_entropy_bits(indices: np.ndarray):

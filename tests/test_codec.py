@@ -173,6 +173,15 @@ def test_shaping_roundtrip_precision():
     assert rel < 1e-9
 
 
+def test_shaping_roundtrip_spans_analysis_chunks():
+    # more frames than one analysis chunk holds
+    pcm = signals.speechish(6.0)
+    assert len(frame_signal(pcm, CFG12.window_spec)) > codec.CHUNK_FRAMES
+    rec = codec.shaping_roundtrip(pcm, CFG12)
+    seg = slice(1024, -1024)
+    assert np.sqrt(np.sum((pcm[seg] - rec[seg]) ** 2) / np.sum(pcm[seg] ** 2)) < 1e-9
+
+
 def test_encoder_decoder_derive_identical_shaping():
     pcm = signals.speechish(1.0)
     frames = frame_signal(pcm, CFG12.window_spec)
@@ -242,14 +251,14 @@ def test_active_frames_remove_filtered_energy():
     # whenever the switch engages on transient material, the filtered
     # residual holds no more energy than the unfiltered one above the start bin
     pcm, _ = signals.click_train(1.5)
+    frames = frame_signal(pcm, CFG12.window_spec)
+    shaped = codec.analyze_frames(np.array([frame.samples for frame in frames]), CFG12)
     checked = 0
-    for frame in frame_signal(pcm, CFG12.window_spec):
-        shaped = codec.analyze_frame(frame.samples, CFG12)
-        if shaped.decision.active:
-            seg = slice(CFG12.ctns_start_bin, 512)
-            assert (np.sum(np.abs(shaped.filtered[seg]) ** 2)
-                    <= np.sum(np.abs(shaped.res[seg]) ** 2))
-            checked += 1
+    for f in np.flatnonzero(shaped.decision.active):
+        seg = slice(CFG12.ctns_start_bin, 512)
+        assert (np.sum(np.abs(shaped.filtered[f, seg]) ** 2)
+                <= np.sum(np.abs(shaped.res[f, seg]) ** 2))
+        checked += 1
     assert checked > 0
 
 

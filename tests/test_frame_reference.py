@@ -157,13 +157,13 @@ def test_corpus_frames_equal_band_loop(corpus_runs):
         cfg = CFG.with_mode(mode)
         for name, item in items.items():
             frames = frame_signal(item["pcm"], cfg.window_spec)
+            shaped = codec.analyze_frames(np.array([frame.samples for frame in frames]), cfg)
             pos, recon = StreamHeader.size(), []
-            for frame, stats in zip(frames, item["stats"]):
-                shaped = codec.analyze_frame(frame.samples, cfg)
-                want = ref_quantize_bands(shaped.coded, stats.band_gains,
-                                          shaped.fer.high_contrast, cfg)
+            for analyzed, contrast, stats in zip(shaped.coded, shaped.fer.high_contrast,
+                                                 item["stats"]):
+                want = ref_quantize_bands(analyzed, stats.band_gains, contrast, cfg)
                 assert_fields_equal(codec.quantize_spectrum(
-                    shaped.coded, stats.band_gains, shaped.fer.high_contrast, cfg, CTX), want)
+                    analyzed, stats.band_gains, contrast, cfg, CTX), want)
                 payload, consumed = unpack_frame(item["blob"][pos:], CTX)
                 pos += consumed
                 assert_fields_equal((payload.index1, payload.index2, payload.phase,
@@ -173,7 +173,7 @@ def test_corpus_frames_equal_band_loop(corpus_runs):
                 coeffs = (codec.derive_clpc(payload.clpc_indices, cfg)
                           if payload.ctns_flag else None)
                 env, _ = codec.derive_shaping(payload.lsf_indices, cfg)
-                recon.append(codec.synthesize(coded, env, coeffs, cfg))
+                recon.append(codec.synthesize(coded, env.values, coeffs, cfg))
             assert pos == len(item["blob"]), (mode, name)
             ref_pcm = overlap_add(recon, cfg.window_spec, length=item["pcm"].size)
             assert np.array_equal(item["out"], ref_pcm), (mode, name)

@@ -40,6 +40,17 @@ def test_band_layout_widths():
     assert layout.n_bands == 8
 
 
+def test_config_band_layout_follows_its_edges():
+    # configs share one layout per tuple of edges, and a config whose edges
+    # are reassigned gets the layout of its new edges
+    cfg = CodecConfig()
+    assert cfg.band_layout is CodecConfig().band_layout
+    cfg.band_edges = (64, 128, 256, 512)
+    assert cfg.band_layout.widths == (64, 64, 128, 256)
+    cfg.band_edges = [100, 512]
+    assert cfg.band_layout.upper_edges == (100, 512)
+
+
 def test_split_bands_edges():
     ctx = codec.make_pack_context(CodecConfig())
     x = np.arange(513, dtype=complex)
