@@ -68,7 +68,7 @@ def derive_shaping(lsf_indices: np.ndarray, cfg: CodecConfig):
     lsfs = lp.dequantize_lsf(lsf_indices, cfg.lsf_step, cfg.lsf_min_gap)
     model = lp.lsf_to_lpc(lsfs)
     env = lp.frequency_envelope(model, cfg.n_bins)
-    fer = pq.compute_fer(env.values_db, cfg.band_layout, cfg.fer_threshold)
+    fer = pq.compute_fer(env.values_db, cfg.band_edges, cfg.fer_threshold)
     return env, fer
 
 
@@ -80,13 +80,16 @@ def derive_clpc(clpc_indices: np.ndarray, cfg: CodecConfig) -> np.ndarray:
 
 
 def make_pack_context(cfg: CodecConfig) -> PackContext:
-    widths = cfg.band_layout.widths
+    """A config's frame layout and wire alphabets: the one place both are derived."""
+    sizes = np.diff([0, *cfg.band_edges[:-1], cfg.n_bins])  # the Nyquist bin ends the last band
     return PackContext(
-        n_lsf=cfg.lpc_order,
-        clpc_order=cfg.lpc_order,
-        band_sizes=widths[:-1] + (widths[-1] + 1,),  # the Nyquist bin ends the last band
-        phase_sets_high=cfg.phase_cells_high,
-        phase_sets_low=cfg.phase_cells_low,
+        lpc_order=cfg.lpc_order,
+        band_sizes=tuple(sizes.tolist()),
+        phase_cells=np.array([cfg.phase_cells_low, cfg.phase_cells_high]),
+        lsf_alphabet=lp.lsf_index_max(cfg.lsf_step) + 1,
+        clpc_mag_alphabet=lp.clpc_mag_index_max(
+            cfg.clpc_mag_step_db, cfg.clpc_mag_floor_db, cfg.clpc_mag_ceil_db) + 2,
+        clpc_phase_bits=cfg.clpc_phase_cells.bit_length() - 1,
         resolve_contrast=lambda lsf: derive_shaping(lsf, cfg)[1].high_contrast,
     )
 
@@ -134,8 +137,8 @@ def quantize_spectrum(coded: np.ndarray, gains: np.ndarray, contrast: np.ndarray
     real = ctx.real_mask
     index1, index2 = pq.quantize_magnitudes(
         np.where(real, np.abs(scaled.real), np.abs(scaled)), cfg.ecupq)
-    cells = pq.phase_cells_array(index1, contrast[ctx.band_of], cfg.phase_sets)
-    sendable = ~real & (cells > 1)
+    cells = pq.phase_cells_array(index1, contrast[ctx.band_of], ctx.phase_cells)
+    sendable = ~real & (ctx.field_widths(index1, contrast) > 0)
     phase = np.full(index1.size, -1)
     phase[sendable] = pq.quantize_phase(np.angle(scaled[sendable]), cells[sendable])
     sign = np.where(real, (scaled.real < 0) & (index1 > 0), -1)
@@ -145,7 +148,7 @@ def quantize_spectrum(coded: np.ndarray, gains: np.ndarray, contrast: np.ndarray
 def dequantize_spectrum(payload: FramePayload, cfg: CodecConfig, ctx: PackContext):
     """The coded bins a payload's spectral fields and band gains describe."""
     mags = pq.dequantize_magnitudes(payload.index1, payload.index2, cfg.ecupq)
-    cells = pq.phase_cells_array(payload.index1, payload.contrast[ctx.band_of], cfg.phase_sets)
+    cells = pq.phase_cells_array(payload.index1, payload.contrast[ctx.band_of], ctx.phase_cells)
     theta = np.zeros(mags.size)
     has_phase = payload.phase >= 0
     theta[has_phase] = pq.dequantize_phase(payload.phase[has_phase], cells[has_phase])
@@ -167,7 +170,7 @@ def encode_frames(frames: list[AnalysisFrame], cfg: CodecConfig, ctx: PackContex
     est_bits = np.zeros(len(frames))  # summed in band order, as the stats report it
     for b, band in enumerate(ctx.band_slices):
         bctx = rc.BandQuantContext(table=cfg.ecupq, high_contrast=contrast[:, b],
-                                   sets=cfg.phase_sets, real_mask=ctx.real_mask[band])
+                                   phase_bits=ctx.phase_bits, real_mask=ctx.real_mask[band])
         uppers = rc.bracket_scale_factors(coded[:, band], cfg.budget[b], bctx)
         for f, upper in enumerate(uppers):
             fctx = replace(bctx, high_contrast=bool(contrast[f, b]))

@@ -4,16 +4,13 @@ key-value config file format with an embedded quantizer table section.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
-from .polar_quant import DEFAULT_ECUPQ_TABLE, DEFAULT_PHASE_SETS, EcupqTable, PhaseCellSets
-from .rate_control import BandLayout, DEFAULT_UPPER_EDGES, MODE_BUDGETS
+from .polar_quant import DEFAULT_ECUPQ_TABLE, EcupqTable
+from .rate_control import DEFAULT_UPPER_EDGES, MODE_BUDGETS
 from .transforms import WindowSpec
-
-_band_layout = functools.lru_cache(maxsize=8)(BandLayout)  # frozen, so one serves every config
 
 
 class ConfigError(ValueError):
@@ -36,8 +33,8 @@ class CodecConfig:
     ctns_start_bin: int = 25            # first filtered bin (above 312 Hz)
     ctns_enabled: bool = True
     fer_threshold: float = 0.125        # phase-contrast switch threshold
-    phase_cells_high: tuple = DEFAULT_PHASE_SETS.high
-    phase_cells_low: tuple = DEFAULT_PHASE_SETS.low
+    phase_cells_high: tuple = (1, 8, 16, 16, 32, 32, 64, 64)  # by min(index1, 7)
+    phase_cells_low: tuple = (1, 4, 8, 8, 16, 16, 32, 32)
     lsf_step: float = 0.01 * np.pi      # LSF quantizer step in radians
     lsf_min_gap: float = 1e-3
     clpc_mag_step_db: float = 0.5
@@ -50,25 +47,26 @@ class CodecConfig:
     def __post_init__(self):
         if self.mode not in ("12k", "16k"):
             raise ConfigError(f"mode must be 12k or 16k, not {self.mode!r}")
+        if self.band_edges[0] <= 0 or np.any(np.diff(self.band_edges) <= 0):
+            raise ConfigError("band edges must be strictly increasing and positive")
         if self.band_edges[-1] != self.frame_len // 2:
             raise ConfigError("last band edge must equal frame_len / 2")
         WindowSpec(self.frame_len, self.overlap_len, self.window_edge)  # validates geometry
+        if self.lpc_order % 2:
+            raise ConfigError(f"lpc_order must be even (LSFs come in pairs), not {self.lpc_order}")
         for name, size in (("bits_12k", len(self.band_edges)), ("bits_16k", len(self.band_edges)),
                            ("phase_cells_high", 8), ("phase_cells_low", 8)):
             if len(getattr(self, name)) != size:
                 raise ConfigError(f"{name} needs {size} entries, not {len(getattr(self, name))}")
+        if any(bits <= 0 for bits in (*self.bits_12k, *self.bits_16k)):
+            raise ConfigError("every band bit budget must be positive")
+        for cells in (*self.phase_cells_high, *self.phase_cells_low, self.clpc_phase_cells):
+            if cells < 1 or cells & (cells - 1):  # a phase field is log2(cells) bits
+                raise ConfigError(f"phase-cell counts must be powers of two, not {cells}")
 
     @property
     def window_spec(self) -> WindowSpec:
         return WindowSpec(self.frame_len, self.overlap_len, self.window_edge)
-
-    @property
-    def band_layout(self) -> BandLayout:
-        return _band_layout(tuple(self.band_edges))  # built and checked once per edge tuple
-
-    @property
-    def phase_sets(self) -> PhaseCellSets:
-        return PhaseCellSets(high=self.phase_cells_high, low=self.phase_cells_low)
 
     @property
     def budget(self) -> tuple:

@@ -18,18 +18,16 @@ from math import log2
 
 import numpy as np
 
-from .polar_quant import ESCAPE_INDEX, OUTLIER_MAX, OUTLIER_MIN
+from .polar_quant import ESCAPE_INDEX, OUTLIER_MAX, OUTLIER_MIN, raw_bits
 from .rate_control import SF_MAX_DB, SF_MIN_DB
 
 STREAM_MAGIC = b"UNS1"
 STREAM_VERSION = 1
 
-# per-context symbol alphabets
+# fixed symbol alphabets; the LSF and CLPC ones follow the config (PackContext)
 ALPHABET_INDEX1 = 15       # magnitude index 1: 0..14
 _SF_OFFSET = SF_MAX_DB - SF_MIN_DB
 ALPHABET_SF_DELTA = 2 * _SF_OFFSET + 1   # scale-factor deltas, offset to 0..240
-ALPHABET_LSF = 101         # LSF indices / deltas: 0..100
-ALPHABET_CLPC_MAG = 162    # zero cell + 161 dB-grid cells
 
 MODEL_INCREMENT = 32
 MODEL_LIMIT = 1 << 15
@@ -352,20 +350,22 @@ class FramePayload:
 
 @dataclass
 class PackContext:
-    """The frame layout shared by pack, unpack and the codec's two ends.
+    """The frame layout and wire alphabets shared by pack, unpack and the
+    codec's two ends (``codec.make_pack_context`` derives them from a config).
 
     ``resolve_contrast`` maps decoded LSF indices to the per-band
     high-contrast flags unpack needs to parse the phases, from the same
     quantized model as the encoder's flags, which pack reads off the payload.
     The first and last coded bins (DC and Nyquist) are real-valued.  The
-    per-bin tables are derived once, at construction.
+    per-bin tables and phase-field widths are derived once, at construction.
     """
 
-    n_lsf: int
-    clpc_order: int
+    lpc_order: int             # LSF indices and CLPC coefficients per frame
     band_sizes: tuple
-    phase_sets_high: tuple
-    phase_sets_low: tuple
+    phase_cells: np.ndarray    # [low, high contrast][min(index1, 7)] -> cells, powers of two
+    lsf_alphabet: int          # LSF indices and their deltas
+    clpc_mag_alphabet: int     # the zero cell, then the dB grid
+    clpc_phase_bits: int
     resolve_contrast: "callable"
     band_slices: list = field(init=False, repr=False, compare=False)
     band_of: np.ndarray = field(init=False, repr=False, compare=False)
@@ -379,16 +379,12 @@ class PackContext:
         self.band_slices = [slice(a, b) for a, b in zip(starts[:-1], starts[1:])]
         self.real_mask = np.zeros(starts[-1], dtype=bool)
         self.real_mask[[0, -1]] = True
-        # [low, high contrast][min(index1, 7)] -> phase field width
-        self.phase_bits = np.array([[int(c).bit_length() - 1 for c in cells]
-                                    for cells in (self.phase_sets_low, self.phase_sets_high)])
+        self.phase_bits = np.frexp(self.phase_cells)[1] - 1  # log2 of each cell count
 
     def field_widths(self, index1: np.ndarray, contrast) -> np.ndarray:
-        """Raw bits per position: one sign bit at a nonzero real position,
-        elsewhere the phase field of its magnitude and band contrast."""
-        high = np.asarray(contrast, dtype=int)[self.band_of]
-        return np.where(self.real_mask, index1 > 0,
-                        self.phase_bits[high, np.minimum(index1, 7)])
+        """Raw bits per position, each band's by its contrast flag."""
+        return raw_bits(index1, np.asarray(contrast, dtype=int)[self.band_of],
+                        self.phase_bits, self.real_mask)
 
 
 def pack_frame(payload: FramePayload, ctx: PackContext,
@@ -405,7 +401,7 @@ def pack_frame(payload: FramePayload, ctx: PackContext,
         stats[key] = (enc.info_bits - start_info) + (raw.bit_count - start_raw)
 
     lsf = np.asarray(payload.lsf_indices, dtype=int)
-    enc.encode(np.diff(lsf, prepend=0).tolist(), [AdaptiveModel(ALPHABET_LSF)])
+    enc.encode(np.diff(lsf, prepend=0).tolist(), [AdaptiveModel(ctx.lsf_alphabet)])
     note("lsf", 0.0, 0)
 
     raw.write_bit(int(bool(payload.ctns_flag)))
@@ -413,8 +409,8 @@ def pack_frame(payload: FramePayload, ctx: PackContext,
     mark, rmark = enc.info_bits, raw.bit_count
     if payload.ctns_flag:
         mags, phases = np.asarray(payload.clpc_indices, dtype=int).T
-        enc.encode((mags + 1).tolist(), [AdaptiveModel(ALPHABET_CLPC_MAG)])
-        _write_fields(raw, phases, np.where(mags >= 0, 6, 0))
+        enc.encode((mags + 1).tolist(), [AdaptiveModel(ctx.clpc_mag_alphabet)])
+        _write_fields(raw, phases, np.where(mags >= 0, ctx.clpc_phase_bits, 0))
     note("clpc", mark, rmark)
 
     mark = enc.info_bits
@@ -431,11 +427,10 @@ def pack_frame(payload: FramePayload, ctx: PackContext,
     stats["index1"] = enc.info_bits - mark
     stats["escape"] = raw.bit_count - rmark
 
-    rmark = raw.bit_count
-    _write_fields(raw, np.where(ctx.real_mask, payload.sign, payload.phase),
-                 ctx.field_widths(index1, payload.contrast))
-    stats["sign"] = int(np.count_nonzero(ctx.real_mask & (index1 > 0)))
-    stats["phase"] = raw.bit_count - rmark - stats["sign"]
+    widths = ctx.field_widths(index1, payload.contrast)
+    _write_fields(raw, np.where(ctx.real_mask, payload.sign, payload.phase), widths)
+    stats["sign"] = int(widths[ctx.real_mask].sum())
+    stats["phase"] = int(widths.sum()) - stats["sign"]
     if stats_out is not None:
         stats_out.update(stats)
 
@@ -454,16 +449,17 @@ def unpack_frame(data: bytes, ctx: PackContext, frame_index: int | None = None):
     dec = RangeDecoder(data[4:4 + arith_len])
     raw = BitReader(data[4 + arith_len:end])
 
-    lsf = np.cumsum(dec.decode(ctx.n_lsf, [AdaptiveModel(ALPHABET_LSF)]), dtype=int)
-    if np.any(lsf >= ALPHABET_LSF):
+    lsf = np.cumsum(dec.decode(ctx.lpc_order, [AdaptiveModel(ctx.lsf_alphabet)]), dtype=int)
+    if np.any(lsf >= ctx.lsf_alphabet):
         raise StreamError("LSF index out of range", frame_index)
 
     flag = bool(raw.read_bit())
     clpc = None
     if flag:
-        mags = np.array(dec.decode(ctx.clpc_order, [AdaptiveModel(ALPHABET_CLPC_MAG)]),
+        mags = np.array(dec.decode(ctx.lpc_order, [AdaptiveModel(ctx.clpc_mag_alphabet)]),
                         dtype=int) - 1
-        clpc = np.stack([mags, _read_fields(raw, np.where(mags >= 0, 6, 0))], axis=1)
+        clpc = np.stack([mags, _read_fields(raw, np.where(mags >= 0, ctx.clpc_phase_bits, 0))],
+                        axis=1)
 
     deltas = dec.decode(len(ctx.band_sizes), [AdaptiveModel(ALPHABET_SF_DELTA)])
     sf = np.cumsum(np.array(deltas, dtype=int) - _SF_OFFSET)

@@ -190,11 +190,16 @@ def lsf_to_lpc(lsf: np.ndarray) -> LpModel:
     return LpModel(order=p, coeffs=a[..., 1:p + 1])
 
 
+def lsf_index_max(step: float) -> int:
+    """The largest LSF index, the one pi quantizes to: indices run 0..this."""
+    return int(round(np.pi / step))
+
+
 def quantize_lsf(lsf: np.ndarray, step: float = 0.01 * np.pi) -> np.ndarray:
     """Uniform scalar quantization of each LSF with the given step; returns
     the integer indices."""
     idx = round_half_up(np.asarray(lsf) / step)
-    return np.clip(idx, 0, int(round(np.pi / step)))
+    return np.clip(idx, 0, lsf_index_max(step))
 
 
 def dequantize_lsf(indices: np.ndarray, step: float = 0.01 * np.pi,
@@ -216,6 +221,11 @@ def dequantize_lsf(indices: np.ndarray, step: float = 0.01 * np.pi,
     return lsf
 
 
+def clpc_mag_index_max(mag_step_db: float, mag_floor_db: float, mag_ceil_db: float) -> int:
+    """The largest CLPC magnitude index, the ceiling's dB-grid cell (-1 is the zero cell)."""
+    return int(round((mag_ceil_db - mag_floor_db) / mag_step_db))
+
+
 def quantize_complex_lpc(model: LpModel, mag_step_db: float = 0.5,
                          mag_floor_db: float = -60.0, mag_ceil_db: float = 20.0,
                          phase_cells: int = 64) -> np.ndarray:
@@ -225,12 +235,12 @@ def quantize_complex_lpc(model: LpModel, mag_step_db: float = 0.5,
     (index -1 is the zero cell for anything below the floor); phases are
     quantized uniformly.  Indices come back as an (..., order, 2) array.
     """
-    n_mag = int(round((mag_ceil_db - mag_floor_db) / mag_step_db))
     coeffs = np.asarray(model.coeffs, dtype=complex)
     mag = np.hypot(coeffs.real, coeffs.imag)  # a scalar's abs(); the array abs rounds apart
     mag_db = 20.0 * np.log10(np.where(mag > 0.0, mag, 1.0))
     zero = (mag <= 0.0) | (mag_db < mag_floor_db)
-    mi = np.clip(round_half_up((mag_db - mag_floor_db) / mag_step_db), 0, n_mag)
+    mi = np.clip(round_half_up((mag_db - mag_floor_db) / mag_step_db), 0,
+                 clpc_mag_index_max(mag_step_db, mag_floor_db, mag_ceil_db))
     pi_ = np.floor((wrap_phase(np.angle(coeffs)) + np.pi) * phase_cells
                    / (2.0 * np.pi)).astype(int) % phase_cells
     return np.stack([np.where(zero, -1, mi), np.where(zero, 0, pi_)], axis=-1)

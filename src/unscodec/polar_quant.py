@@ -23,7 +23,6 @@ OUTLIER_MIN = 18
 OUTLIER_MAX = (1 << 16) - 1
 ESCAPE_INDEX = 8
 NONLINEAR_SHIFT = 6
-FER_THRESHOLD = 0.125
 
 
 class ConvergenceError(RuntimeError):
@@ -61,39 +60,30 @@ class EcupqTable:
         return self.thresholds[-1]
 
 
-@dataclass(frozen=True)
-class PhaseCellSets:
-    high: tuple = (1, 8, 16, 16, 32, 32, 64, 64)
-    low: tuple = (1, 4, 8, 8, 16, 16, 32, 32)
-
-
-DEFAULT_PHASE_SETS = PhaseCellSets()
-
-
 @dataclass
 class FerProfile:
     """Per-band share of the (shifted) dB envelope maxima."""
 
     fer: np.ndarray
-    threshold: float = FER_THRESHOLD
+    threshold: float
 
     @property
     def high_contrast(self) -> np.ndarray:
         return self.fer > self.threshold
 
 
-def compute_fer(values_db: np.ndarray, layout, threshold: float = FER_THRESHOLD) -> FerProfile:
-    """Band-max envelope ratios from the dB envelope (each row of a stack).
+def compute_fer(values_db: np.ndarray, band_edges, threshold: float) -> FerProfile:
+    """Band-max envelope ratios of the bands ending at ``band_edges`` (each row of a stack).
 
     The dB values are shifted by their minimum over the banded bins so every
     band maximum is non-negative; a flat envelope degenerates to equal shares.
     """
     vdb = np.asarray(values_db, dtype=float)
-    banded = vdb[..., :layout.upper_edges[-1]]
+    banded = vdb[..., :band_edges[-1]]
     shifted = banded - banded.min(axis=-1, keepdims=True)
-    maxima = np.maximum.reduceat(shifted, [lo for lo, _ in layout.ranges()], axis=-1)
+    maxima = np.maximum.reduceat(shifted, [0, *band_edges[:-1]], axis=-1)
     total = maxima.sum(axis=-1, keepdims=True)
-    fer = np.divide(maxima, total, out=np.full(maxima.shape, 1.0 / layout.n_bands),
+    fer = np.divide(maxima, total, out=np.full(maxima.shape, 1.0 / len(band_edges)),
                     where=~(total <= 0.0))
     return FerProfile(fer=fer, threshold=threshold)
 
@@ -142,12 +132,20 @@ def dequantize_magnitudes(idx1: np.ndarray, idx2: np.ndarray, table: EcupqTable)
     return np.asarray(out, dtype=float)
 
 
-def phase_cells_array(idx1: np.ndarray, high_contrast,
-                      sets: PhaseCellSets = DEFAULT_PHASE_SETS) -> np.ndarray:
-    """Phase cells per coefficient; 1 means no phase is sent.  ``high_contrast``
-    is one flag for every coefficient or one flag per coefficient."""
-    table = np.array([sets.low, sets.high])
-    return table[np.asarray(high_contrast, dtype=int), np.minimum(np.asarray(idx1, dtype=int), 7)]
+def phase_cells_array(idx1: np.ndarray, high_contrast, cells: np.ndarray) -> np.ndarray:
+    """Phase cells per coefficient from a [low, high contrast][min(index1, 7)]
+    table; 1 means no phase is sent.  ``high_contrast`` is one flag for every
+    coefficient or one flag per coefficient."""
+    return cells[np.asarray(high_contrast, dtype=int), np.minimum(np.asarray(idx1, dtype=int), 7)]
+
+
+def raw_bits(idx1: np.ndarray, high_contrast, phase_bits: np.ndarray, real_mask):
+    """Raw bits per coefficient, the rule every raw field is priced by: a real-valued
+    one (``real_mask``) sends a sign bit when its index is nonzero, any other the
+    phase field of the [low, high contrast][min(index1, 7)] width table."""
+    i1 = np.asarray(idx1, dtype=int)
+    return np.where(real_mask, i1 > 0,
+                    phase_bits[np.asarray(high_contrast, dtype=int), np.minimum(i1, 7)])
 
 
 def quantize_phase(theta, n_cells):
@@ -187,16 +185,25 @@ def _m2(a, b):
     return (a * a + 2.0) * math.exp(-a * a / 2.0) - (b * b + 2.0) * math.exp(-b * b / 2.0)
 
 
-def _lloyd_pass(bounds, lam, r7):
-    """One centroid + penalized-threshold update; returns (bounds, levels, p, H, mse)."""
-    edges = np.concatenate([[0.0], bounds, [r7]])
-    m0 = np.array([_m0(edges[j], edges[j + 1]) for j in range(8)])
-    m1 = np.array([_m1(edges[j], edges[j + 1]) for j in range(8)])
-    m2 = np.array([_m2(edges[j], edges[j + 1]) for j in range(8)])
-    levels = np.where(m0 > 1e-300, m1 / np.maximum(m0, 1e-300), 0.5 * (edges[:-1] + edges[1:]))
-    levels[0] = 0.0
+def _cell_stats(edges, levels=None):
+    """Cell probabilities, entropy and MSE of the 8 cells between ``edges``
+    on the design density; the levels default to the cell centroids, with the
+    deadzone level at zero.  Returns (levels, p, entropy, mse)."""
+    m0, m1, m2 = (np.array([m(edges[j], edges[j + 1]) for j in range(8)]) for m in (_m0, _m1, _m2))
+    if levels is None:
+        levels = np.where(m0 > 1e-300, m1 / np.maximum(m0, 1e-300),
+                          0.5 * (edges[:-1] + edges[1:]))
+        levels[0] = 0.0
     mass = m0.sum()
     p = m0 / mass
+    entropy = float(-(p * np.log2(np.maximum(p, 1e-300))).sum())
+    mse = float(((m2 - 2.0 * levels * m1 + levels ** 2 * m0) / mass).sum())
+    return levels, p, entropy, mse
+
+
+def _lloyd_pass(bounds, lam, r7):
+    """One centroid + penalized-threshold update; returns (bounds, levels, p, H, mse)."""
+    levels, p, entropy, mse = _cell_stats(np.concatenate([[0.0], bounds, [r7]]))
     # floor the penalty probabilities so a temporarily starved cell is not
     # squeezed out of existence by its own code length
     codelen = -np.log2(np.maximum(p, 1e-3))
@@ -213,8 +220,6 @@ def _lloyd_pass(bounds, lam, r7):
     for j in range(1, 7):
         if new_bounds[j] <= new_bounds[j - 1]:
             new_bounds[j] = min(new_bounds[j - 1] + eps, r7 - (7 - j) * eps)
-    entropy = float(-(p * np.log2(np.maximum(p, 1e-300))).sum())
-    mse = float(((m2 - 2.0 * levels * m1 + levels ** 2 * m0) / mass).sum())
     return new_bounds, levels, p, entropy, mse
 
 
@@ -269,15 +274,7 @@ def design_ecupq_table(rate_target: float = ECUPQ_RATE, r7_fixed: float = ECUPQ_
 def table_entropy_and_mse(table: EcupqTable):
     """Cell entropy and in-region MSE of a table on the design density."""
     edges = np.concatenate([[0.0], np.asarray(table.thresholds)])
-    levels = np.asarray(table.levels)
-    m0 = np.array([_m0(edges[j], edges[j + 1]) for j in range(8)])
-    m1 = np.array([_m1(edges[j], edges[j + 1]) for j in range(8)])
-    m2 = np.array([_m2(edges[j], edges[j + 1]) for j in range(8)])
-    mass = m0.sum()
-    p = m0 / mass
-    entropy = float(-(p * np.log2(np.maximum(p, 1e-300))).sum())
-    mse = float(((m2 - 2.0 * levels * m1 + levels ** 2 * m0) / mass).sum())
-    return entropy, mse
+    return _cell_stats(edges, np.asarray(table.levels))[2:]
 
 
 def uniform_quantizer_mse(r7: float = ECUPQ_R7, n_cells: int = 8) -> float:

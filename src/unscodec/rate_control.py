@@ -1,4 +1,4 @@
-"""Sub-band partitioning, bit estimation, and per-band scale-factor search.
+"""Band bit budgets, bit estimation, and per-band scale-factor search.
 
 Each band's gain is a divisor expressed in integer dB; the search picks the
 smallest (finest) gain whose estimated coding cost still fits the band's bit
@@ -28,30 +28,6 @@ SF_MIN_DB = -60
 SF_MAX_DB = 60
 SF_SEARCH_ITERS = 24   # bisection depth cap
 SF_BATCH_LEVELS = 3    # bisection levels costed per call
-
-
-@dataclass(frozen=True)
-class BandLayout:
-    upper_edges: tuple = DEFAULT_UPPER_EDGES
-
-    def __post_init__(self):
-        edges = np.asarray(self.upper_edges)
-        if np.any(np.diff(edges) <= 0) or edges[0] <= 0:
-            raise ValueError("band edges must be strictly increasing and positive")
-
-    @property
-    def n_bands(self) -> int:
-        return len(self.upper_edges)
-
-    def ranges(self):
-        lo = 0
-        for hi in self.upper_edges:
-            yield lo, hi
-            lo = hi
-
-    @property
-    def widths(self) -> tuple:
-        return tuple(hi - lo for lo, hi in self.ranges())
 
 
 # Cost of a block by its number of equal index pairs: a block of four with
@@ -88,27 +64,19 @@ def sample_entropy_bits(indices: np.ndarray):
     return float(bits) if idx.ndim == 1 else bits
 
 
-def estimate_bits(index1_seq: np.ndarray, phase_bits: float) -> float:
-    """Gain-search cost: block-entropy magnitude proxy plus exact phase bits.
-
-    Only comparisons against band budgets are meaningful; the magnitude term
-    sits about 2.4x below the bits the range coder spends on the same indices.
-    """
-    return sample_entropy_bits(index1_seq) + phase_bits
-
-
 @dataclass
 class BandQuantContext:
     """Everything the bit estimator needs to cost one band at a given gain."""
 
     table: polar_quant.EcupqTable
     high_contrast: bool
-    sets: polar_quant.PhaseCellSets = polar_quant.DEFAULT_PHASE_SETS
-    real_mask: np.ndarray | None = None  # coefficients carried as magnitude+sign
+    phase_bits: np.ndarray          # the pack context's phase-field width table
+    real_mask: np.ndarray | bool = False  # coefficients carried as magnitude+sign
 
 
 def band_cost_bits(band: np.ndarray, gain_db, ctx: BandQuantContext):
-    """Estimated bits to code the band after division by the gain.
+    """Estimated bits to code the band after division by the gain: the
+    block-entropy magnitude proxy plus the exact raw (phase and sign) bits.
 
     A 1-D band and a 1-D array of gains give one cost per gain; a stack of
     bands of shape (rows, w) and gains of shape (rows, G) give costs of shape
@@ -121,11 +89,8 @@ def band_cost_bits(band: np.ndarray, gain_db, ctx: BandQuantContext):
     idx1 = polar_quant.quantize_magnitudes(np.abs(band)[..., None, :] / div[..., None],
                                            ctx.table)[0]
     contrast = np.reshape(ctx.high_contrast, np.shape(ctx.high_contrast) + (1, 1))
-    phase_bits = np.log2(polar_quant.phase_cells_array(idx1, contrast, ctx.sets))
-    if ctx.real_mask is not None:
-        # real-valued coefficients cost one sign bit instead of a phase
-        phase_bits[..., ctx.real_mask] = idx1[..., ctx.real_mask] > 0
-    bits = estimate_bits(idx1, phase_bits.sum(axis=-1))
+    raw = polar_quant.raw_bits(idx1, contrast, ctx.phase_bits, ctx.real_mask)
+    bits = sample_entropy_bits(idx1) + raw.sum(axis=-1)
     return float(bits[0]) if np.ndim(gain_db) == 0 else bits
 
 

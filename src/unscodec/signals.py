@@ -11,10 +11,6 @@ import numpy as np
 RATE = 12800
 
 
-def silence(seconds: float, rate: int = RATE) -> np.ndarray:
-    return np.zeros(int(seconds * rate))
-
-
 def tone(freq_hz: float, seconds: float, amp: float = 0.5, rate: int = RATE) -> np.ndarray:
     t = np.arange(int(seconds * rate)) / rate
     return amp * np.sin(2.0 * np.pi * freq_hz * t)

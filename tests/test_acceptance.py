@@ -176,7 +176,7 @@ def coded_band_reference(blob, stats, cfg):
             entropy += band_sample_entropy_bits(i1)
             raw["escape"] += sum(exp_golomb_length(v - pq.OUTLIER_MIN)
                                  for v in payload.index2[band][i1 == pq.ESCAPE_INDEX])
-            cells = pq.phase_cells_array(i1, bool(contrast[b]), cfg.phase_sets)
+            cells = pq.phase_cells_array(i1, bool(contrast[b]), ctx.phase_cells)
             raw["phase"] += int(np.log2(cells[~real]).sum())
             raw["sign"] += int(np.count_nonzero(i1[real] > 0))
         for key, bits in raw.items():

@@ -113,13 +113,13 @@ def ref_envelope(coeffs, n_bins):
     return values, 20.0 * np.log10(values)
 
 
-def ref_fer(values_db, layout):
-    banded = values_db[:layout.upper_edges[-1]]
+def ref_fer(values_db, band_edges):
+    banded = values_db[:band_edges[-1]]
     shifted = banded - banded.min()
-    maxima = np.array([shifted[lo:hi].max() for lo, hi in layout.ranges()])
+    maxima = np.array([shifted[lo:hi].max() for lo, hi in zip((0,) + band_edges[:-1], band_edges)])
     total = maxima.sum()
     if total <= 0.0:
-        return np.full(layout.n_bands, 1.0 / layout.n_bands)
+        return np.full(len(band_edges), 1.0 / len(band_edges))
     return maxima / total
 
 
@@ -194,7 +194,7 @@ def ref_analyze_frame(samples, cfg, flags=None):
     lsf_idx = lp.quantize_lsf(ref_lpc_to_lsf(coeffs), cfg.lsf_step)
     model = ref_lsf_to_lpc(ref_dequantize_lsf(lsf_idx, cfg.lsf_step, cfg.lsf_min_gap))
     values, values_db = ref_envelope(model, cfg.n_bins)
-    fer = ref_fer(values_db, cfg.band_layout)
+    fer = ref_fer(values_db, cfg.band_edges)
     res = ns.fdns_forward(np.fft.rfft(samples), values)
 
     r = ref_autocorr(res[:cfg.band_edges[-1]], p)
@@ -380,7 +380,7 @@ def test_stacked_shaping_rows_equal_reference(rows):
         values, values_db = ref_envelope(ref_lsf_to_lpc(lsf), CFG.n_bins)
         assert_same_bits(env.values[row], values, "envelope")
         assert_same_bits(env.values_db[row], values_db, "envelope dB")
-        assert_same_bits(fer.fer[row], ref_fer(values_db, CFG.band_layout), "fer")
+        assert_same_bits(fer.fer[row], ref_fer(values_db, CFG.band_edges), "fer")
 
 
 clpc_magnitudes = st.one_of(st.just(0.0), st.floats(1e-5, 1e-2), st.floats(1e-2, 3.0))

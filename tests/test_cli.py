@@ -159,6 +159,91 @@ def test_config_rejects_wrong_table_lengths(tmp_path):
     assert cfg.budget == (30, 40)
 
 
+def test_config_rejects_bad_values_at_construction(tmp_path):
+    # each was accepted and then corrupted the stream, or failed only at
+    # encode or decode time, before the config checked it
+    from unscodec.config import ConfigError
+    cells = (1, 8, 16, 16, 32, 32, 64, 64)
+    for kwargs in (dict(phase_cells_high=(1, 12) + cells[2:]),
+                   dict(phase_cells_low=(0,) + cells[1:]),
+                   dict(clpc_phase_cells=48),
+                   dict(band_edges=(90, 40, 512), bits_12k=(9,) * 3, bits_16k=(9,) * 3),
+                   dict(band_edges=(40, 40, 512), bits_12k=(9,) * 3, bits_16k=(9,) * 3),
+                   dict(band_edges=(0, 90, 512), bits_12k=(9,) * 3, bits_16k=(9,) * 3),
+                   dict(bits_12k=(45, 34, 30, 23, 19, 16, 16, 0)),
+                   dict(bits_16k=(67, 50, 45, -34, 29, 23, 23, 23)),
+                   dict(lpc_order=15)):
+        with pytest.raises(ConfigError):
+            CodecConfig(**kwargs)
+    path = str(tmp_path / "cells.cfg")
+    with open(path, "w") as f:
+        f.write("clpc_phase_cells = 48\n")
+    with pytest.raises(ConfigError, match=f"{path}: .*powers of two"):
+        load_config(path)
+
+
+# save_config(CodecConfig()) as written before the frame layout and the wire
+# alphabets were derived from the config in one place
+SAVED_DEFAULT = """\
+# unscodec configuration
+
+sample_rate = 12800
+frame_len = 1024
+overlap_len = 256
+window_edge = 0.15
+band_edges = 40, 90, 140, 200, 260, 330, 410, 512
+bits_12k = 45, 34, 30, 23, 19, 16, 16, 16
+bits_16k = 67, 50, 45, 34, 29, 23, 23, 23
+lpc_order = 16
+fdns_weight = 0.98
+ctns_weight = 0.9
+ctns_threshold_db = -4.5
+ctns_start_bin = 25
+ctns_enabled = true
+fer_threshold = 0.125
+phase_cells_high = 1, 8, 16, 16, 32, 32, 64, 64
+phase_cells_low = 1, 4, 8, 8, 16, 16, 32, 32
+lsf_step = 0.031415926535897934
+lsf_min_gap = 0.001
+clpc_mag_step_db = 0.5
+clpc_mag_floor_db = -60.0
+clpc_mag_ceil_db = 20.0
+clpc_phase_cells = 64
+mode = 12k
+
+[ecupq]
+thresholds = 0.10002145347689399, 0.5923245576004721, 1.0158351089207314, \
+1.4368262547623647, 1.8717702824906262, 2.3459899013972203, 2.932406802980782, 5.056
+levels = 0.0, 0.39826938550745106, 0.8108674703325153, 1.220461352915259, \
+1.638045806040988, 2.078908076238058, 2.5771120398735383, 3.2425708120290717
+design_rate = 2.495
+version = rayleigh-2.495-v1
+"""
+
+
+def test_config_schema_is_pinned(tmp_path):
+    # the file format is the dataclass fields: its keys, in order, with the
+    # [ecupq] section last; a file saved by the earlier code loads unchanged
+    path = str(tmp_path / "default.cfg")
+    save_config(CodecConfig(), path)
+    with open(path) as f:
+        text = f.read()
+    keys = [line.split("=")[0].strip() if "=" in line else line
+            for line in text.splitlines() if line and not line.startswith("#")]
+    assert keys == [
+        "sample_rate", "frame_len", "overlap_len", "window_edge", "band_edges", "bits_12k",
+        "bits_16k", "lpc_order", "fdns_weight", "ctns_weight", "ctns_threshold_db",
+        "ctns_start_bin", "ctns_enabled", "fer_threshold", "phase_cells_high",
+        "phase_cells_low", "lsf_step", "lsf_min_gap", "clpc_mag_step_db", "clpc_mag_floor_db",
+        "clpc_mag_ceil_db", "clpc_phase_cells", "mode",
+        "[ecupq]", "thresholds", "levels", "design_rate", "version"]
+    assert text == SAVED_DEFAULT
+    saved = str(tmp_path / "saved.cfg")
+    with open(saved, "w") as f:
+        f.write(SAVED_DEFAULT)
+    assert load_config(saved) == CodecConfig()
+
+
 def test_config_rejects_malformed_line(tmp_path):
     from unscodec.config import ConfigError
     path = str(tmp_path / "bad2.cfg")

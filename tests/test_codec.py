@@ -8,7 +8,7 @@ import pytest
 from unscodec import codec, signals
 from unscodec.config import CodecConfig
 from unscodec.entropy_bitstream import StreamError, StreamHeader
-from unscodec.transforms import frame_signal
+from unscodec.transforms import frame_signal, overlap_add
 
 
 CFG12 = CodecConfig(mode="12k")
@@ -293,3 +293,28 @@ def test_traced_layer_names_exist_and_are_called(monkeypatch):
     assert tracer.missing == []
     assert tracer.unmeasured_layers() == []
     assert {span[3] for span in tracer.spans} == {attr for _, attr, _ in tracer.wraps}
+
+
+def test_config_derived_alphabets_round_trip():
+    # the LSF and CLPC alphabets and every phase field follow the config: a
+    # finer LSF step and CLPC grid, 128 CLPC phase cells and 128 phase cells
+    # at the top magnitude class all decode to the encoder's own frames
+    cfg = CodecConfig(lsf_step=0.005 * np.pi, clpc_mag_step_db=0.25, clpc_phase_cells=128,
+                      phase_cells_high=(1, 8, 16, 16, 32, 32, 64, 128), mode="16k")
+    pcm = signals.click_train(1.0)[0] + 0.3 * signals.harmonic_tone(220.0, 1.0)
+    blob, _ = codec.encode_stream(pcm, cfg)
+    out, _, flags = codec.decode_stream(blob, cfg)
+    ctx = codec.make_pack_context(cfg)
+    frames = frame_signal(pcm, cfg.window_spec)
+    payloads = [payload for i in range(0, len(frames), codec.CHUNK_FRAMES)
+                for payload, _ in codec.encode_frames(frames[i:i + codec.CHUNK_FRAMES], cfg, ctx)]
+    ref = overlap_add([codec.decode_frame_payload(p, cfg, ctx) for p in payloads],
+                      cfg.window_spec, length=pcm.size)
+    assert np.array_equal(out, ref)
+    assert flags == [p.ctns_flag for p in payloads]
+    # values past the default config's alphabets and field widths occur
+    clpc = np.concatenate([p.clpc_indices for p in payloads if p.ctns_flag])
+    assert max(int(p.lsf_indices.max()) for p in payloads) > 100
+    assert clpc[:, 0].max() > 160 and clpc[:, 1].max() >= 64
+    assert max(int(p.phase.max()) for p in payloads) >= 64
+

@@ -1,8 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from unscodec import entropy_bitstream as eb
+from unscodec import codec, entropy_bitstream as eb
+from unscodec.config import CodecConfig
 
 
 def test_bit_writer_reader_roundtrip():
@@ -120,23 +123,21 @@ def test_stream_header_rejects_short_input():
 
 
 def make_ctx(contrast=None):
+    # the default config's context with a 514-bin layout of its own
     sizes = (41, 50, 50, 60, 60, 70, 80, 103)
-    return eb.PackContext(
-        n_lsf=16,
-        clpc_order=16,
+    return replace(
+        codec.make_pack_context(CodecConfig()),
         band_sizes=sizes,
-        phase_sets_high=(1, 8, 16, 16, 32, 32, 64, 64),
-        phase_sets_low=(1, 4, 8, 8, 16, 16, 32, 32),
         resolve_contrast=lambda lsf: contrast if contrast is not None else [True] * 8,
     )
 
 
 def random_payload(rng, ctx, flag=True, with_escapes=True, zero_frac=0.0):
-    lsf = np.sort(rng.integers(0, 100, ctx.n_lsf))
+    lsf = np.sort(rng.integers(0, 100, ctx.lpc_order))
     clpc = None
     if flag:
-        clpc = np.stack([rng.integers(-1, 161, ctx.clpc_order),
-                         rng.integers(0, 64, ctx.clpc_order)], axis=1)
+        clpc = np.stack([rng.integers(-1, 161, ctx.lpc_order),
+                         rng.integers(0, 64, ctx.lpc_order)], axis=1)
         clpc[clpc[:, 0] == -1, 1] = 0
     sf = rng.integers(-60, 61, len(ctx.band_sizes))
     n = ctx.real_mask.size
@@ -147,7 +148,7 @@ def random_payload(rng, ctx, flag=True, with_escapes=True, zero_frac=0.0):
     index2[index1 == 8] = rng.integers(18, 65536, int(np.sum(index1 == 8)))
     contrast = ctx.resolve_contrast(lsf)
     high = np.asarray(contrast, dtype=int)[ctx.band_of]
-    cells = np.array([ctx.phase_sets_low, ctx.phase_sets_high])[high, np.minimum(index1, 7)]
+    cells = ctx.phase_cells[high, np.minimum(index1, 7)]
     phase = np.where(cells > 1, (rng.random(n) * cells).astype(int), -1)
     phase[ctx.real_mask] = -1
     sign = np.where(ctx.real_mask, rng.integers(0, 2, n) * (index1 > 0), -1)
@@ -229,8 +230,8 @@ def test_truncated_frame_raises_with_index():
 def zero_payload(ctx, flag=False):
     n = ctx.real_mask.size
     return eb.FramePayload(
-        lsf_indices=np.arange(3, 3 + ctx.n_lsf), ctns_flag=flag,
-        clpc_indices=np.zeros((ctx.clpc_order, 2), dtype=int) if flag else None,
+        lsf_indices=np.arange(3, 3 + ctx.lpc_order), ctns_flag=flag,
+        clpc_indices=np.zeros((ctx.lpc_order, 2), dtype=int) if flag else None,
         sf_indices=np.zeros(len(ctx.band_sizes), dtype=int),
         index1=np.zeros(n, dtype=int), index2=np.zeros(n, dtype=int),
         phase=np.full(n, -1), sign=np.where(ctx.real_mask, 0, -1),

@@ -27,7 +27,7 @@ ODD_GAINS = [-44, -25, -17, 15, 50, -60, 60, 0]
 def ref_layout(cfg):
     """Band sizes with the Nyquist bin in the last band, and each band's
     real-valued positions (DC and Nyquist)."""
-    sizes = list(cfg.band_layout.widths)
+    sizes = list(np.diff((0,) + cfg.band_edges))
     sizes[-1] += 1
     return sizes, {0: {0}, len(sizes) - 1: {sizes[-1] - 1}}
 
@@ -36,8 +36,9 @@ def ref_db_to_lin(db):
     return 10.0 ** (np.asarray(db, dtype=float) / 20.0)
 
 
-def ref_phase_cells(i1, high_contrast, sets):
-    return np.asarray(sets.high if high_contrast else sets.low)[np.minimum(i1, 7)]
+def ref_phase_cells(i1, high_contrast, cfg):
+    cells = cfg.phase_cells_high if high_contrast else cfg.phase_cells_low
+    return np.asarray(cells)[np.minimum(i1, 7)]
 
 
 def ref_quantize_bands(coded, gains, contrast, cfg):
@@ -53,7 +54,7 @@ def ref_quantize_bands(coded, gains, contrast, cfg):
         mags = np.abs(scaled)
         mags[mask] = np.abs(scaled[mask].real)
         i1, i2 = pq.quantize_magnitudes(mags, cfg.ecupq)
-        cells = ref_phase_cells(i1, bool(contrast[b]), cfg.phase_sets)
+        cells = ref_phase_cells(i1, bool(contrast[b]), cfg)
         ph = np.full(size, -1, dtype=int)
         sendable = (~mask) & (cells > 1)
         if np.any(sendable):
@@ -74,7 +75,7 @@ def ref_dequantize_bands(payload, cfg):
         seg = slice(offset, offset + size)
         i1, phase, sign = payload.index1[seg], payload.phase[seg], payload.sign[seg]
         mags = pq.dequantize_magnitudes(i1, payload.index2[seg], cfg.ecupq)
-        cells = ref_phase_cells(i1, bool(payload.contrast[b]), cfg.phase_sets)
+        cells = ref_phase_cells(i1, bool(payload.contrast[b]), cfg)
         theta = np.zeros(size)
         has_phase = phase >= 0
         if np.any(has_phase):

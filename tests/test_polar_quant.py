@@ -1,10 +1,18 @@
 import numpy as np
 import pytest
 
-from unscodec import polar_quant as pq
-from unscodec.rate_control import BandLayout
+from unscodec import codec, polar_quant as pq
+from unscodec.config import CodecConfig
 
 TABLE = pq.DEFAULT_ECUPQ_TABLE
+CFG = CodecConfig()
+CELLS = codec.make_pack_context(CFG).phase_cells
+EDGES = CFG.band_edges
+BAND_RANGES = list(zip((0,) + EDGES[:-1], EDGES))
+
+
+def fer_of(values_db):
+    return pq.compute_fer(values_db, EDGES, CFG.fer_threshold)
 
 
 def test_table_shape_invariants():
@@ -119,17 +127,18 @@ def test_outlier_clamp_sliver():
 
 def test_phase_cells_entries():
     idx1 = np.array([0, 7, 12, 8])
-    assert pq.phase_cells_array(idx1, True).tolist() == [1, 64, 64, 64]
-    assert pq.phase_cells_array(idx1, False).tolist() == [1, 32, 32, 32]
+    assert pq.phase_cells_array(idx1, True, CELLS).tolist() == [1, 64, 64, 64]
+    assert pq.phase_cells_array(idx1, False, CELLS).tolist() == [1, 32, 32, 32]
 
 
 def test_phase_cell_sets_relationship():
-    sets = pq.DEFAULT_PHASE_SETS
-    assert sets.high == (1, 8, 16, 16, 32, 32, 64, 64)
-    assert sets.low == (1, 4, 8, 8, 16, 16, 32, 32)
-    for h, l in zip(sets.high[1:], sets.low[1:]):
+    high, low = CFG.phase_cells_high, CFG.phase_cells_low
+    assert high == (1, 8, 16, 16, 32, 32, 64, 64)
+    assert low == (1, 4, 8, 8, 16, 16, 32, 32)
+    assert CELLS.tolist() == [list(low), list(high)]
+    for h, l in zip(high[1:], low[1:]):
         assert l * 2 == h
-    for v in sets.high + sets.low:
+    for v in high + low:
         assert v & (v - 1) == 0  # powers of two
 
 
@@ -162,7 +171,7 @@ def test_phase_rejects_bad_cell_count():
 
 
 def test_fer_flat_envelope():
-    prof = pq.compute_fer(np.zeros(513), BandLayout())
+    prof = fer_of(np.zeros(513))
     assert np.allclose(prof.fer, 0.125)
     assert not np.any(prof.high_contrast)
 
@@ -170,7 +179,7 @@ def test_fer_flat_envelope():
 def test_fer_single_dominant_band():
     vdb = np.zeros(513)
     vdb[10] = 70.0
-    prof = pq.compute_fer(vdb, BandLayout())
+    prof = fer_of(vdb)
     assert abs(prof.fer[0] - 1.0) < 1e-12
     assert np.allclose(prof.fer[1:], 0.0)
     assert list(prof.high_contrast) == [True] + [False] * 7
@@ -180,24 +189,23 @@ def test_fer_sums_to_one_random():
     rng = np.random.default_rng(32)
     for _ in range(20):
         vdb = rng.standard_normal(513) * 12.0
-        prof = pq.compute_fer(vdb, BandLayout())
+        prof = fer_of(vdb)
         assert abs(prof.fer.sum() - 1.0) < 1e-9
         assert np.all(prof.fer >= 0.0)
 
 
 def test_fer_permutation_equivariance():
     rng = np.random.default_rng(33)
-    layout = BandLayout()
     base = rng.uniform(1.0, 40.0, 8)
     vdb = np.zeros(513)
-    for b, (lo, hi) in enumerate(layout.ranges()):
+    for b, (lo, hi) in enumerate(BAND_RANGES):
         vdb[lo:hi] = base[b]
-    ref = pq.compute_fer(vdb, layout).fer
+    ref = fer_of(vdb).fer
     perm = np.array([3, 1, 0, 2, 7, 6, 5, 4])
     vdb2 = np.zeros(513)
-    for b, (lo, hi) in enumerate(layout.ranges()):
+    for b, (lo, hi) in enumerate(BAND_RANGES):
         vdb2[lo:hi] = base[perm[b]]
-    out = pq.compute_fer(vdb2, layout).fer
+    out = fer_of(vdb2).fer
     assert np.allclose(out, ref[perm], atol=1e-12)
 
 

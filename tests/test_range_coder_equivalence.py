@@ -352,7 +352,7 @@ def one_escape_frame(write_escape):
     index1 = np.zeros(CTX.real_mask.size, dtype=int)
     index1[5] = pq.ESCAPE_INDEX
     enc = eb.RangeEncoder()
-    enc.encode([0] * CTX.n_lsf, [eb.AdaptiveModel(eb.ALPHABET_LSF)])
+    enc.encode([0] * CTX.lpc_order, [eb.AdaptiveModel(CTX.lsf_alphabet)])
     enc.encode([eb.ALPHABET_SF_DELTA // 2] * len(CTX.band_sizes),  # zero deltas
                [eb.AdaptiveModel(eb.ALPHABET_SF_DELTA)])
     enc.encode(index1.tolist(), eb.index1_models(), eb.INDEX1_BANK_OF)

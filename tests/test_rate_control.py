@@ -9,10 +9,12 @@ from unscodec import rate_control as rc
 from unscodec.config import CodecConfig
 from unscodec.util import round_half_up
 
+CTX = codec.make_pack_context(CodecConfig())
 
-def make_ctx(high=True, real_mask=None):
+
+def make_ctx(high=True, real_mask=False):
     return rc.BandQuantContext(table=pq.DEFAULT_ECUPQ_TABLE, high_contrast=high,
-                               real_mask=real_mask)
+                               phase_bits=CTX.phase_bits, real_mask=real_mask)
 
 
 def search_band(band, target_bits, ctx):
@@ -34,21 +36,39 @@ def row_ctx(ctx, r):
     return replace(ctx, high_contrast=bool(high[r]) if np.ndim(high) else high)
 
 
+def band_widths(ctx):
+    """Band widths of a pack context without the Nyquist bin the last band carries."""
+    sizes = [s.stop - s.start for s in ctx.band_slices]
+    return tuple(sizes[:-1] + [sizes[-1] - 1])
+
+
 def test_band_layout_widths():
-    layout = rc.BandLayout()
-    assert layout.widths == (40, 50, 50, 60, 60, 70, 80, 102)
-    assert layout.n_bands == 8
+    layout = codec.make_pack_context(CodecConfig())
+    assert band_widths(layout) == (40, 50, 50, 60, 60, 70, 80, 102)
+    assert len(layout.band_slices) == 8
+
+
+def fer_bands(cfg):
+    """The bins each FER band spans, found by raising one bin at a time."""
+    ends = []
+    for k in range(cfg.frame_len // 2):
+        values_db = np.zeros(cfg.n_bins)
+        values_db[k] = 1.0
+        ends.append(int(np.argmax(pq.compute_fer(values_db, cfg.band_edges, cfg.fer_threshold).fer)))
+    return tuple(np.bincount(ends).tolist())
 
 
 def test_config_band_layout_follows_its_edges():
-    # configs share one layout per tuple of edges, and a config whose edges
-    # are reassigned gets the layout of its new edges
+    # equal configs give equal layouts, and a config whose edges are
+    # reassigned gets the FER bands and pack-context slices of its new edges
     cfg = CodecConfig()
-    assert cfg.band_layout is CodecConfig().band_layout
+    assert codec.make_pack_context(cfg).band_sizes == CTX.band_sizes
     cfg.band_edges = (64, 128, 256, 512)
-    assert cfg.band_layout.widths == (64, 64, 128, 256)
+    assert band_widths(codec.make_pack_context(cfg)) == (64, 64, 128, 256)
+    assert fer_bands(cfg) == (64, 64, 128, 256)
     cfg.band_edges = [100, 512]
-    assert cfg.band_layout.upper_edges == (100, 512)
+    assert band_widths(codec.make_pack_context(cfg)) == (100, 412)
+    assert fer_bands(cfg) == (100, 412)
 
 
 def test_split_bands_edges():
@@ -83,7 +103,11 @@ def test_entropy_short_trailing_block():
 
 
 def test_estimate_adds_exact_phase_bits():
-    assert rc.estimate_bits(np.array([3, 3, 3, 3]), 8.0) == 8.0
+    # four equal indices cost 0 magnitude bits: the cost is the exact raw bits
+    band = np.full(4, 3.0, dtype=complex)
+    i1 = pq.quantize_magnitudes(np.abs(band), pq.DEFAULT_ECUPQ_TABLE)[0]
+    phase_bits = np.log2(pq.phase_cells_array(i1, True, CTX.phase_cells)).sum()
+    assert rc.band_cost_bits(band, 0, make_ctx()) == phase_bits == 4 * 6.0
 
 
 def test_scale_factor_all_zero_band():
@@ -159,13 +183,13 @@ def test_real_mask_costs_sign_bit():
     mask = np.zeros(4, dtype=bool)
     mask[0] = True
     ctx_masked = rc.BandQuantContext(table=pq.DEFAULT_ECUPQ_TABLE, high_contrast=True,
-                                     real_mask=mask)
+                                     phase_bits=CTX.phase_bits, real_mask=mask)
     band = np.array([3.0, 3.0, 3.0, 3.0], dtype=complex)
     # same magnitudes: masked variant replaces one phase cost with one sign bit
     cost_plain = rc.band_cost_bits(band, 0, ctx_plain)
     cost_masked = rc.band_cost_bits(band, 0, ctx_masked)
     i1, _ = pq.quantize_magnitudes(np.abs(band), pq.DEFAULT_ECUPQ_TABLE)
-    cells = pq.phase_cells_array(i1, True)
+    cells = pq.phase_cells_array(i1, True, CTX.phase_cells)
     assert abs((cost_plain - cost_masked) - (np.log2(cells[0]) - 1.0)) < 1e-12
 
 
@@ -231,12 +255,12 @@ def stacks(draw):
 
 
 def stack_ctx(stack, highs, real):
-    mask = None
+    mask = False
     if real:
         mask = np.zeros(stack.shape[1], dtype=bool)
         mask[[0, -1]] = True
     return rc.BandQuantContext(table=pq.DEFAULT_ECUPQ_TABLE, high_contrast=np.array(highs),
-                               real_mask=mask)
+                               phase_bits=CTX.phase_bits, real_mask=mask)
 
 
 def row_stack(rows):
