@@ -147,11 +147,12 @@ def frame_diagnostics(stats) -> str:
     w = csv.writer(buf)
     header = ["frame", "gain_db", "ctns_flag", "total_bits",
               "est_spectral_bits", "real_spectral_bits"]
-    header += [f"band_gain_{b}" for b in range(len(stats[0].band_gains))] if stats else []
+    bands = range(len(stats[0].band_gains)) if stats else ()
+    header += [f"band_gain_{b}" for b in bands] + [f"overflow_{b}" for b in bands]
     w.writerow(header)
     for s in stats:
         row = [s.index, f"{s.gain_db:.3f}", int(s.ctns_active), s.total_bits,
                f"{s.est_spectral_bits:.2f}", f"{s.real_spectral_bits:.2f}"]
-        row += [int(g) for g in s.band_gains]
+        row += [int(g) for g in s.band_gains] + [int(o) for o in s.overflow]
         w.writerow(row)
     return buf.getvalue()

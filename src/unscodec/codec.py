@@ -132,14 +132,15 @@ def synthesize(coded: np.ndarray, env_values: np.ndarray, coeffs: np.ndarray | N
 def quantize_spectrum(coded: np.ndarray, gains: np.ndarray, contrast: np.ndarray,
                       cfg: CodecConfig, ctx: PackContext):
     """Polar-quantize the coded bins, each band divided by its gain; returns
-    the payload's whole-frame (index1, index2, phase, sign) arrays."""
-    scaled = coded / GAIN_DIVISORS[gains - rc.SF_MIN_DB][ctx.band_of]
+    the payload's whole-frame (index1, index2, phase, sign) arrays; a (frames,
+    bins) stack with (frames, bands) gains and flags gives each frame's as a row."""
+    scaled = coded / GAIN_DIVISORS[gains - rc.SF_MIN_DB][..., ctx.band_of]
     real = ctx.real_mask
     index1, index2 = pq.quantize_magnitudes(
         np.where(real, np.abs(scaled.real), np.abs(scaled)), cfg.ecupq)
-    cells = pq.phase_cells_array(index1, contrast[ctx.band_of], ctx.phase_cells)
+    cells = pq.phase_cells_array(index1, contrast[..., ctx.band_of], ctx.phase_cells)
     sendable = ~real & (ctx.field_widths(index1, contrast) > 0)
-    phase = np.full(index1.size, -1)
+    phase = np.full(index1.shape, -1)
     phase[sendable] = pq.quantize_phase(np.angle(scaled[sendable]), cells[sendable])
     sign = np.where(real, (scaled.real < 0) & (index1 > 0), -1)
     return index1, index2, phase, sign
@@ -159,8 +160,9 @@ def dequantize_spectrum(payload: FramePayload, cfg: CodecConfig, ctx: PackContex
 
 def encode_frames(frames: list[AnalysisFrame], cfg: CodecConfig, ctx: PackContext):
     """Encode windowed frames as one chunk; yields one (payload, info dict)
-    per frame.  The chunk is analyzed as one stack and each band bracketed over
-    all its frames at once, then each frame's gains are snapped and quantized."""
+    per frame.  The chunk is analyzed as one stack; each band is bracketed and
+    its snap windows priced over all its frames at once, then each frame's
+    gain is snapped, and the chunk is quantized as one stack."""
     shaped = analyze_frames(np.array([frame.samples for frame in frames]), cfg)
     coded, active, gain_db = shaped.coded, shaped.active, shaped.decision.gain_db
     lsf, clpc, contrast = shaped.lsf_indices, shaped.clpc_indices, shaped.fer.high_contrast
@@ -172,17 +174,20 @@ def encode_frames(frames: list[AnalysisFrame], cfg: CodecConfig, ctx: PackContex
         bctx = rc.BandQuantContext(table=cfg.ecupq, high_contrast=contrast[:, b],
                                    phase_bits=ctx.phase_bits, real_mask=ctx.real_mask[band])
         uppers = rc.bracket_scale_factors(coded[:, band], cfg.budget[b], bctx)
-        for f, upper in enumerate(uppers):
-            fctx = replace(bctx, high_contrast=bool(contrast[f, b]))
+        window_costs = rc.band_cost_bits(coded[:, band], rc.snap_window(uppers), bctx)
+        # a frame's own context prices the rare gain its snap walks to outside the window
+        row_ctx = {flag: replace(bctx, high_contrast=flag) for flag in (False, True)}
+        for f, (upper, costs, high) in enumerate(zip(uppers, window_costs.tolist(),
+                                                     contrast[:, b].tolist())):
             gains[f, b], overflow[f, b], bits = rc.find_scale_factor(
-                coded[f, band], cfg.budget[b], fctx, upper)
+                coded[f, band], cfg.budget[b], row_ctx[high], upper, costs)
             est_bits[f] += bits
+    index1, index2, phase, sign = quantize_spectrum(coded, gains, contrast, cfg, ctx)
     for f in range(len(frames)):
-        index1, index2, phase, sign = quantize_spectrum(coded[f], gains[f], contrast[f], cfg, ctx)
         payload = FramePayload(lsf_indices=lsf[f], ctns_flag=bool(active[f]),
                                clpc_indices=clpc[f] if active[f] else None,
-                               sf_indices=gains[f], index1=index1, index2=index2,
-                               phase=phase, sign=sign, contrast=contrast[f])
+                               sf_indices=gains[f], index1=index1[f], index2=index2[f],
+                               phase=phase[f], sign=sign[f], contrast=contrast[f])
         yield payload, dict(gain_db=float(gain_db[f]), active=bool(active[f]),
                             band_gains=gains[f], overflow=overflow[f],
                             est_spectral_bits=float(est_bits[f]))

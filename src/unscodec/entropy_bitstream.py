@@ -382,8 +382,9 @@ class PackContext:
         self.phase_bits = np.frexp(self.phase_cells)[1] - 1  # log2 of each cell count
 
     def field_widths(self, index1: np.ndarray, contrast) -> np.ndarray:
-        """Raw bits per position, each band's by its contrast flag."""
-        return raw_bits(index1, np.asarray(contrast, dtype=int)[self.band_of],
+        """Raw bits per position, each band's by its contrast flag; a stack of
+        frames (rows of index1) takes one row of flags per frame."""
+        return raw_bits(index1, np.asarray(contrast, dtype=int)[..., self.band_of],
                         self.phase_bits, self.real_mask)
 
 

@@ -136,20 +136,27 @@ def bracket_scale_factors(bands: np.ndarray, target_bits, ctx: BandQuantContext)
     return hi
 
 
+def snap_window(upper) -> np.ndarray:
+    """The integer gains g-2 ... g+2 around the rounding g of each bracket upper
+    end, clipped to [SF_MIN_DB, SF_MAX_DB]: one row of five per upper end."""
+    window = round_half_up(upper)[..., None] + np.arange(-2, 3)
+    return np.minimum(np.maximum(window, SF_MIN_DB), SF_MAX_DB)  # np.clip's call costs more
+
+
 def find_scale_factor(band: np.ndarray, target_bits: int, ctx: BandQuantContext,
-                      upper: float):
+                      upper: float, window_costs):
     """Snap one band's bracket upper end (from :func:`bracket_scale_factors`)
     to the integer grid; returns (gain_db, overflow, bits).
 
-    Overflow marks a band that busts the budget even at the maximum divisor;
-    its upper end is SF_MAX_DB, so the cost there is priced with the snap's
-    integers near g.  bits is the band's cost at the returned gain.
+    ``window_costs`` are the band's costs at its :func:`snap_window` gains; a
+    gain outside them is priced on demand with ``ctx``.  Overflow marks a band
+    that busts the budget even at the maximum divisor (its upper end is
+    SF_MAX_DB); bits is the band's cost at the returned gain.
     """
     if target_bits <= 0:
         raise ValueError("target_bits must be positive")
-    g = int(round_half_up(upper))
-    window = [x for x in range(g - 2, g + 3) if SF_MIN_DB <= x <= SF_MAX_DB]
-    known = dict(zip(window, band_cost_bits(band, np.array(window, dtype=float), ctx).tolist()))
+    window = snap_window(upper).tolist()
+    known = dict(zip(window, window_costs))
     if SF_MAX_DB in known and known[SF_MAX_DB] > target_bits:
         return SF_MAX_DB, True, known[SF_MAX_DB]
 
@@ -158,6 +165,7 @@ def find_scale_factor(band: np.ndarray, target_bits: int, ctx: BandQuantContext,
             known[gain] = band_cost_bits(band, gain, ctx)
         return known[gain]
 
+    g = window[2]  # the rounded upper end itself
     while g < SF_MAX_DB and cost(g) > target_bits:
         g += 1
     while g > SF_MIN_DB and cost(g - 1) <= target_bits:

@@ -1,3 +1,6 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -115,6 +118,22 @@ def test_frame_diagnostics_matches_decoded_flags():
         assert int(fields[2]) == int(flag)
         # flag consistency with the threshold
         assert (float(fields[1]) > cfg.ctns_threshold_db) == bool(int(fields[2]))
+
+
+def test_frame_diagnostics_reports_overflow():
+    # a 1-bit budget that the low band of a click train at 100x full scale
+    # cannot meet even at the coarsest gain: the snap flags the band, and
+    # the CSV carries the flag next to the band's gain
+    cfg = CodecConfig(mode="12k", bits_12k=(1,) + CodecConfig().bits_12k[1:])
+    pcm, _ = signals.click_train(1.0)
+    _, stats = codec.encode_stream(100.0 * pcm, cfg)
+    rows = list(csv.DictReader(io.StringIO(am.frame_diagnostics(stats))))
+    bands = range(len(cfg.band_edges))
+    for row, s in zip(rows, stats):
+        assert [int(row[f"overflow_{b}"]) for b in bands] == s.overflow.astype(int).tolist()
+        assert [int(row[f"band_gain_{b}"]) for b in bands] == s.band_gains.tolist()
+    flagged = [row for row in rows if row["overflow_0"] == "1"]
+    assert flagged and all(row["band_gain_0"] == "60" for row in flagged)
 
 
 def test_silence_stream_all_flags_off():

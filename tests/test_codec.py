@@ -4,8 +4,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
-from unscodec import codec, signals
+from unscodec import codec, polar_quant as pq, signals
 from unscodec.config import CodecConfig
 from unscodec.entropy_bitstream import StreamError, StreamHeader
 from unscodec.transforms import frame_signal, overlap_add
@@ -293,6 +294,36 @@ def test_traced_layer_names_exist_and_are_called(monkeypatch):
     assert tracer.missing == []
     assert tracer.unmeasured_layers() == []
     assert {span[3] for span in tracer.spans} == {attr for _, attr, _ in tracer.wraps}
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       silent=st.lists(st.booleans(), min_size=1, max_size=6))
+@example(seed=0, silent=[False, True, False])
+def test_chunk_quantization_equals_per_frame_calls(seed, silent):
+    # a chunk is quantized in one call; each row must be its frame's own
+    # call, with silent rows, escapes clipped to OUTLIER_MAX, negative DC
+    # and Nyquist bins and both contrast flags in the stack
+    rng = np.random.default_rng(seed)
+    frames, n, bands = len(silent), CFG12.n_bins, len(CFG12.band_edges)
+    coded = ((rng.standard_normal((frames, n)) + 1j * rng.standard_normal((frames, n)))
+             * 10 ** rng.uniform(-4, 6, (frames, n)))
+    coded[:, [0, -1]] = -10 ** rng.uniform(3, 6, (frames, 2))  # nonzero at any gain
+    coded[np.arange(frames), rng.integers(1, n - 1, frames)] = 1e9  # 1e6 at the coarsest gain
+    coded[silent] = 0.0
+    gains = rng.integers(-60, 61, (frames, bands))
+    contrast = rng.random((frames, bands)) < 0.5
+    contrast[0, :2] = True, False
+    chunk = codec.quantize_spectrum(coded, gains, contrast, CFG12, CTX12)
+    for f in range(frames):
+        alone = codec.quantize_spectrum(coded[f], gains[f], contrast[f], CFG12, CTX12)
+        for got, want in zip(chunk, alone):
+            assert got[f].dtype == want.dtype and np.array_equal(got[f], want)
+    index1, index2, _, sign = chunk
+    loud = ~np.array(silent)
+    assert not index1[~loud].any()
+    assert (index1[loud] == pq.ESCAPE_INDEX).any(axis=1).all()
+    assert (index2[loud] == pq.OUTLIER_MAX).any(axis=1).all()
+    assert (sign[loud][:, [0, -1]] == 1).all()
 
 
 def test_config_derived_alphabets_round_trip():

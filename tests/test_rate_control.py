@@ -18,16 +18,19 @@ def make_ctx(high=True, real_mask=False):
 
 
 def search_band(band, target_bits, ctx):
-    """One band's (gain, overflow, bits): bracketed as a stack of one row, then snapped."""
-    upper = rc.bracket_scale_factors(band[None, :], target_bits, ctx)[0]
-    return rc.find_scale_factor(band, target_bits, ctx, upper)
+    """One band's (gain, overflow, bits), searched as a stack of one row."""
+    return search_stack(band[None, :], [target_bits], ctx)[0]
 
 
 def search_stack(stack, targets, ctx):
-    """Every row's (gain, overflow, bits): one stacked bracket, then one snap per row."""
+    """Every row's (gain, overflow, bits) as the encoder finds them: one
+    stacked bracket, one stacked call pricing every row's snap window, then
+    one snap per row."""
     uppers = rc.bracket_scale_factors(stack, targets, ctx)
-    return [rc.find_scale_factor(band, target, row_ctx(ctx, r), upper)
-            for r, (band, target, upper) in enumerate(zip(stack, targets, uppers))]
+    window_costs = rc.band_cost_bits(stack, rc.snap_window(uppers), ctx)
+    return [rc.find_scale_factor(band, target, row_ctx(ctx, r), upper, costs)
+            for r, (band, target, upper, costs)
+            in enumerate(zip(stack, targets, uppers, window_costs))]
 
 
 def row_ctx(ctx, r):
@@ -403,7 +406,36 @@ def test_search_needs_few_cost_calls(monkeypatch):
     monkeypatch.setattr(rc, "band_cost_bits", counted)
     uppers = rc.bracket_scale_factors(stack, targets, make_ctx())
     assert len(calls) <= 1 + -(-rc.SF_SEARCH_ITERS // rc.SF_BATCH_LEVELS)
+    windows = rc.snap_window(uppers)
+    window_costs = rc.band_cost_bits(stack, windows, make_ctx())
     calls.clear()
-    for band, target, upper in zip(stack, targets, uppers):
-        rc.find_scale_factor(band, int(target), make_ctx(), upper)
-    assert len(calls) / 50 <= 1.5
+    for band, target, upper, costs, window in zip(stack, targets, uppers, window_costs, windows):
+        g, _, _ = rc.find_scale_factor(band, int(target), make_ctx(), upper, costs)
+        # the snap read g and g - 1 (none below the finest gain): both in the window
+        assert window[0] <= max(g - 1, rc.SF_MIN_DB) and g <= window[-1]
+    assert calls == []
+
+
+@given(stack=stacks(), data=st.data(), real=st.booleans())
+def test_stacked_snap_windows_equal_each_rows_call(stack, data, real):
+    # a silent row fits at the finest gain and a loud one at a budget of 1
+    # busts even the coarsest, so their windows are clipped at either end
+    n = stack.shape[1]
+    stack = np.vstack([stack, np.zeros(n), np.full(n, 3e5 + 3e5j)])
+    rows = len(stack)
+    targets = data.draw(st.lists(st.integers(1, 70), min_size=rows, max_size=rows))
+    targets[-1] = 1
+    highs = data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+    ctx = stack_ctx(stack, highs, real and n > 1)  # a lone real bin costs at most 1 bit
+    uppers = rc.bracket_scale_factors(stack, targets, ctx)
+    assert uppers[-2] == rc.SF_MIN_DB and uppers[-1] == rc.SF_MAX_DB
+    windows = rc.snap_window(uppers)
+    costs = rc.band_cost_bits(stack, windows, ctx)
+    assert costs.shape == windows.shape == (rows, 5)
+    for r in range(rows):
+        g = int(round_half_up(uppers[r]))
+        gains = [x for x in range(g - 2, g + 3) if rc.SF_MIN_DB <= x <= rc.SF_MAX_DB]
+        assert sorted(set(windows[r].tolist())) == gains
+        scalar = dict(zip(gains, rc.band_cost_bits(stack[r], np.array(gains, dtype=float),
+                                                   row_ctx(ctx, r)).tolist()))
+        assert costs[r].tolist() == [scalar[x] for x in windows[r].tolist()]
