@@ -9,7 +9,7 @@ is computed in the encoder from the same quantized values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,7 @@ from . import lp, noise_shaping as ns, polar_quant as pq, rate_control as rc
 from .config import CodecConfig
 from .entropy_bitstream import (FramePayload, PackContext, StreamError,
                                 StreamHeader, pack_frame, unpack_frame)
-from .transforms import AnalysisFrame, frame_count, frame_signal, overlap_add
+from .transforms import frame_count, frame_signal, overlap_add
 
 # the divisor of each integer gain SF_MIN_DB..SF_MAX_DB, by Python's float
 # power as band_cost_bits prices it (numpy's array power rounds a few apart)
@@ -35,9 +35,14 @@ class FrameStats:
     band_gains: np.ndarray
     overflow: np.ndarray
     est_spectral_bits: float
-    real_spectral_bits: float
     total_bits: int
     section_bits: dict
+
+    @property
+    def real_spectral_bits(self) -> float:
+        """The coded bits of the spectral sections: index 1, escape, phase and sign."""
+        bits = self.section_bits
+        return bits["index1"] + bits["escape"] + bits["phase"] + bits["sign"]
 
 
 @dataclass
@@ -158,39 +163,34 @@ def dequantize_spectrum(payload: FramePayload, cfg: CodecConfig, ctx: PackContex
     return vals * GAIN_DIVISORS[payload.sf_indices - rc.SF_MIN_DB][ctx.band_of]
 
 
-def encode_frames(frames: list[AnalysisFrame], cfg: CodecConfig, ctx: PackContext):
-    """Encode windowed frames as one chunk; yields one (payload, info dict)
-    per frame.  The chunk is analyzed as one stack; each band is bracketed and
-    its snap windows priced over all its frames at once, then each frame's
-    gain is snapped, and the chunk is quantized as one stack."""
-    shaped = analyze_frames(np.array([frame.samples for frame in frames]), cfg)
+def encode_frames(frames: np.ndarray, cfg: CodecConfig, ctx: PackContext, first: int):
+    """Encode a chunk of windowed frames, the rows of a (frames, frame_len)
+    stack whose first is stream frame ``first``; yields one (payload, bytes,
+    stats) per frame.  The chunk is analyzed as one stack, each band's gains
+    are searched in one call over all its frames, and the chunk is quantized
+    as one stack."""
+    shaped = analyze_frames(frames, cfg)
     coded, active, gain_db = shaped.coded, shaped.active, shaped.decision.gain_db
     lsf, clpc, contrast = shaped.lsf_indices, shaped.clpc_indices, shaped.fer.high_contrast
     del shaped  # the residuals and envelopes are not needed past the analysis
-    gains = np.zeros(contrast.shape, dtype=int)
-    overflow = np.zeros(contrast.shape, dtype=bool)
-    est_bits = np.zeros(len(frames))  # summed in band order, as the stats report it
-    for b, band in enumerate(ctx.band_slices):
-        bctx = rc.BandQuantContext(table=cfg.ecupq, high_contrast=contrast[:, b],
-                                   phase_bits=ctx.phase_bits, real_mask=ctx.real_mask[band])
-        uppers = rc.bracket_scale_factors(coded[:, band], cfg.budget[b], bctx)
-        window_costs = rc.band_cost_bits(coded[:, band], rc.snap_window(uppers), bctx)
-        # a frame's own context prices the rare gain its snap walks to outside the window
-        row_ctx = {flag: replace(bctx, high_contrast=flag) for flag in (False, True)}
-        for f, (upper, costs, high) in enumerate(zip(uppers, window_costs.tolist(),
-                                                     contrast[:, b].tolist())):
-            gains[f, b], overflow[f, b], bits = rc.find_scale_factor(
-                coded[f, band], cfg.budget[b], row_ctx[high], upper, costs)
-            est_bits[f] += bits
+    gains, overflow, bits = zip(*(  # one array per band each
+        rc.search_scale_factors(coded[:, band], cfg.budget[b], contrast[:, b], rc.BandQuantContext(
+            table=cfg.ecupq, phase_bits=ctx.phase_bits, real_mask=ctx.real_mask[band]))
+        for b, band in enumerate(ctx.band_slices)))
+    gains, overflow = np.stack(gains, axis=1), np.stack(overflow, axis=1)
+    est_bits = sum(bits)  # summed in band order, as the stats report it
     index1, index2, phase, sign = quantize_spectrum(coded, gains, contrast, cfg, ctx)
     for f in range(len(frames)):
         payload = FramePayload(lsf_indices=lsf[f], ctns_flag=bool(active[f]),
                                clpc_indices=clpc[f] if active[f] else None,
                                sf_indices=gains[f], index1=index1[f], index2=index2[f],
                                phase=phase[f], sign=sign[f], contrast=contrast[f])
-        yield payload, dict(gain_db=float(gain_db[f]), active=bool(active[f]),
-                            band_gains=gains[f], overflow=overflow[f],
-                            est_spectral_bits=float(est_bits[f]))
+        section = {}
+        blob = pack_frame(payload, ctx, stats_out=section)
+        yield payload, blob, FrameStats(
+            index=first + f, gain_db=float(gain_db[f]), ctns_active=bool(active[f]),
+            band_gains=gains[f], overflow=overflow[f], est_spectral_bits=float(est_bits[f]),
+            total_bits=8 * len(blob), section_bits=section)
 
 
 def decode_frame_payload(payload: FramePayload, cfg: CodecConfig,
@@ -216,25 +216,14 @@ def encode_stream(pcm: np.ndarray, cfg: CodecConfig):
                           overlap_len=cfg.overlap_len, mode=cfg.mode,
                           original_length=pcm.size, lpc_order=cfg.lpc_order,
                           table_version=cfg.ecupq.version)
-    out = bytearray(header.pack())
     ctx = make_pack_context(cfg)
-    stats = []
     frames = frame_signal(pcm, cfg.window_spec)
-    encoded = (pair for i in range(0, len(frames), CHUNK_FRAMES)
-               for pair in encode_frames(frames[i:i + CHUNK_FRAMES], cfg, ctx))
-    for frame, (payload, info) in zip(frames, encoded):
-        section = {}
-        blob = pack_frame(payload, ctx, stats_out=section)
-        out.extend(blob)
-        real_spectral = (section.get("index1", 0.0) + section.get("escape", 0)
-                         + section.get("phase", 0) + section.get("sign", 0))
-        stats.append(FrameStats(
-            index=frame.index, gain_db=info["gain_db"], ctns_active=info["active"],
-            band_gains=info["band_gains"], overflow=info["overflow"],
-            est_spectral_bits=info["est_spectral_bits"],
-            real_spectral_bits=real_spectral, total_bits=8 * len(blob),
-            section_bits=section))
-    return bytes(out), stats
+    blobs, stats = [header.pack()], []
+    for i in range(0, len(frames), CHUNK_FRAMES):
+        for _, blob, frame_stats in encode_frames(frames[i:i + CHUNK_FRAMES], cfg, ctx, i):
+            blobs.append(blob)
+            stats.append(frame_stats)
+    return b"".join(blobs), stats
 
 
 def decode_stream(data: bytes, cfg: CodecConfig | None = None):
@@ -242,8 +231,8 @@ def decode_stream(data: bytes, cfg: CodecConfig | None = None):
     header = StreamHeader.unpack(data)
     if cfg is None:
         cfg = CodecConfig()
-    if (header.frame_len != cfg.frame_len or header.overlap_len != cfg.overlap_len
-            or header.lpc_order != cfg.lpc_order):
+    if (header.sample_rate_hz != cfg.sample_rate or header.frame_len != cfg.frame_len
+            or header.overlap_len != cfg.overlap_len or header.lpc_order != cfg.lpc_order):
         raise StreamError("stream header does not match configuration")
     if header.table_version != cfg.ecupq.version:
         raise StreamError(
@@ -283,7 +272,7 @@ def shaping_roundtrip(pcm: np.ndarray, cfg: CodecConfig) -> np.ndarray:
     frames = frame_signal(pcm, cfg.window_spec)
     recon = []
     for i in range(0, len(frames), CHUNK_FRAMES):  # chunks bound the memory, as in encoding
-        s = analyze_frames(np.array([f.samples for f in frames[i:i + CHUNK_FRAMES]]), cfg)
+        s = analyze_frames(frames[i:i + CHUNK_FRAMES], cfg)
         recon += [synthesize(coded, values, coeffs if active else None, cfg) for coded, values,
                   coeffs, active in zip(s.coded, s.env.values, s.coeffs, s.active)]
     return overlap_add(recon, cfg.window_spec, length=pcm.size)

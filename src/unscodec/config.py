@@ -10,6 +10,7 @@ import numpy as np
 
 from .polar_quant import DEFAULT_ECUPQ_TABLE, EcupqTable
 from .rate_control import DEFAULT_UPPER_EDGES, MODE_BUDGETS
+from .resample import CORE_RATE
 from .transforms import WindowSpec
 
 
@@ -19,7 +20,7 @@ class ConfigError(ValueError):
 
 @dataclass
 class CodecConfig:
-    sample_rate: int = 12800            # core-band rate in Hz
+    sample_rate: int = CORE_RATE        # core-band rate in Hz; input is resampled to it
     frame_len: int = 1024               # analysis frame length
     overlap_len: int = 256              # taper length of the window
     window_edge: float = 0.15           # window height at the frame ends
@@ -47,6 +48,9 @@ class CodecConfig:
     def __post_init__(self):
         if self.mode not in ("12k", "16k"):
             raise ConfigError(f"mode must be 12k or 16k, not {self.mode!r}")
+        if self.sample_rate != CORE_RATE:
+            raise ConfigError(f"sample_rate must be the {CORE_RATE} Hz core rate, "
+                              f"not {self.sample_rate}")
         if self.band_edges[0] <= 0 or np.any(np.diff(self.band_edges) <= 0):
             raise ConfigError("band edges must be strictly increasing and positive")
         if self.band_edges[-1] != self.frame_len // 2:

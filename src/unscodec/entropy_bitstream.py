@@ -302,7 +302,7 @@ class StreamHeader:
         return struct.pack(
             self._FMT, STREAM_MAGIC, self.version, self.sample_rate_hz,
             self.frame_len, self.overlap_len, mode_code, self.original_length,
-            self.lpc_order, self.table_version.encode("ascii")[:24].ljust(24, b"\0"),
+            self.lpc_order, self.table_version.encode("ascii"),
         )
 
     @classmethod

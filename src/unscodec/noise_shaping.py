@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_START_BIN = 25
-DEFAULT_THRESHOLD_DB = -4.5
 GAIN_FLOOR_DB = -100.0
 GAIN_CEIL_DB = 20.0
 
@@ -22,7 +20,6 @@ GAIN_CEIL_DB = 20.0
 class CtnsDecision:
     gain_db: float
     active: bool
-    threshold_db: float = DEFAULT_THRESHOLD_DB
 
 
 def fdns_forward(bins: np.ndarray, env_values: np.ndarray) -> np.ndarray:
@@ -71,7 +68,7 @@ def inverse_prediction_filter(e: np.ndarray, coeffs: np.ndarray, start: int, sto
     return x
 
 
-def ctns_filter(res: np.ndarray, coeffs: np.ndarray, start_bin: int = DEFAULT_START_BIN) -> np.ndarray:
+def ctns_filter(res: np.ndarray, coeffs: np.ndarray, start_bin: int) -> np.ndarray:
     """Complex prediction-error filtering along frequency.
 
     Operates on a one-sided spectrum; the last bin (Nyquist) always passes
@@ -80,13 +77,13 @@ def ctns_filter(res: np.ndarray, coeffs: np.ndarray, start_bin: int = DEFAULT_ST
     return prediction_error_filter(res, coeffs, start_bin, np.shape(res)[-1] - 2)
 
 
-def ctns_unfilter(filtered: np.ndarray, coeffs: np.ndarray, start_bin: int = DEFAULT_START_BIN) -> np.ndarray:
+def ctns_unfilter(filtered: np.ndarray, coeffs: np.ndarray, start_bin: int) -> np.ndarray:
     """Inverse CTNS filtering (decoder side)."""
     return inverse_prediction_filter(filtered, coeffs, start_bin, len(filtered) - 2)
 
 
-def prediction_gain(x_fd: np.ndarray, x_ct: np.ndarray, start_bin: int = DEFAULT_START_BIN,
-                    threshold_db: float = DEFAULT_THRESHOLD_DB) -> CtnsDecision:
+def prediction_gain(x_fd: np.ndarray, x_ct: np.ndarray, start_bin: int,
+                    threshold_db: float) -> CtnsDecision:
     """Energy ratio of the predicted component against the unfiltered residual.
 
     G = 10 log10( sum |x_fd - x_ct|^2 / sum |x_fd|^2 ) over the filtered bins;
@@ -106,4 +103,4 @@ def prediction_gain(x_fd: np.ndarray, x_ct: np.ndarray, start_bin: int = DEFAULT
     active = live & (gain > threshold_db)
     if gain.ndim == 0:
         gain, active = float(gain), bool(active)
-    return CtnsDecision(gain_db=gain, active=active, threshold_db=threshold_db)
+    return CtnsDecision(gain_db=gain, active=active)

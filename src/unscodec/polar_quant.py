@@ -50,6 +50,8 @@ class EcupqTable:
             raise ValueError("deadzone level must be zero")
         if np.any(np.diff(self.thresholds) <= 0):
             raise ValueError("thresholds must be strictly increasing")
+        if not self.version.isascii() or len(self.version) > 24:  # the stream header's field
+            raise ValueError(f"version must be at most 24 ASCII characters, not {self.version!r}")
 
     @property
     def interior(self) -> np.ndarray:

@@ -12,7 +12,7 @@ coder actually spends.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,52 +66,53 @@ def sample_entropy_bits(indices: np.ndarray):
 
 @dataclass
 class BandQuantContext:
-    """Everything the bit estimator needs to cost one band at a given gain."""
+    """What the bit estimator needs, besides the contrast flags, to cost a band."""
 
     table: polar_quant.EcupqTable
-    high_contrast: bool
     phase_bits: np.ndarray          # the pack context's phase-field width table
     real_mask: np.ndarray | bool = False  # coefficients carried as magnitude+sign
 
 
-def band_cost_bits(band: np.ndarray, gain_db, ctx: BandQuantContext):
+def band_cost_bits(band: np.ndarray, gain_db, high_contrast, ctx: BandQuantContext):
     """Estimated bits to code the band after division by the gain: the
     block-entropy magnitude proxy plus the exact raw (phase and sign) bits.
 
     A 1-D band and a 1-D array of gains give one cost per gain; a stack of
     bands of shape (rows, w) and gains of shape (rows, G) give costs of shape
-    (rows, G), with ``ctx.high_contrast`` one flag for every row or one per
-    row.  Each entry equals its row's scalar call exactly: the divisors come
-    from Python's float power and no sum runs across rows or gains.
+    (rows, G), with ``high_contrast`` one flag for every row or one per row.
+    Each entry equals its row's scalar call exactly: the divisors come from
+    Python's float power and no sum runs across rows or gains.
     """
     gains = np.atleast_1d(np.asarray(gain_db, dtype=float))
     div = np.array([10.0 ** (g / 20.0) for g in gains.ravel().tolist()]).reshape(gains.shape)
     idx1 = polar_quant.quantize_magnitudes(np.abs(band)[..., None, :] / div[..., None],
                                            ctx.table)[0]
-    contrast = np.reshape(ctx.high_contrast, np.shape(ctx.high_contrast) + (1, 1))
+    contrast = np.reshape(high_contrast, np.shape(high_contrast) + (1, 1))
     raw = polar_quant.raw_bits(idx1, contrast, ctx.phase_bits, ctx.real_mask)
     bits = sample_entropy_bits(idx1) + raw.sum(axis=-1)
     return float(bits[0]) if np.ndim(gain_db) == 0 else bits
 
 
-def bracket_scale_factors(bands: np.ndarray, target_bits, ctx: BandQuantContext) -> np.ndarray:
+def bracket_scale_factors(bands: np.ndarray, target_bits, high_contrast,
+                          ctx: BandQuantContext) -> np.ndarray:
     """Bisect the gain of every row of a (rows, w) stack of bands at once;
     returns each row's bracket upper end for :func:`find_scale_factor`.
 
-    A row whose finest gain fits ends at SF_MIN_DB, and one that busts its
-    budget (one per row, or one for all) even at the coarsest gain ends at
-    SF_MAX_DB.  Every other row is halved over the continuous dB range: each
-    cost call prices, for every open row, the midpoints the next
-    SF_BATCH_LEVELS halvings could visit, and a row leaves once its rounded
-    upper end is settled (later upper ends stay in (lo, hi] and rounding is
-    monotone).  Rows are independent, so each row's upper end is the one a
+    The budgets and contrast flags are one per row, or one for all.  A row
+    whose finest gain fits ends at SF_MIN_DB, and one that busts its budget
+    even at the coarsest gain ends at SF_MAX_DB.  Every other row is halved
+    over the continuous dB range: each cost call prices, for every open row,
+    the midpoints the next SF_BATCH_LEVELS halvings could visit, and a row
+    leaves once its rounded upper end is settled (later upper ends stay in
+    (lo, hi] and rounding is monotone).  Rows are independent, so each row's upper end is the one a
     search of that row alone reaches.
     """
     rows = len(bands)
     targets = np.broadcast_to(target_bits, (rows,))
-    contrast = np.broadcast_to(ctx.high_contrast, (rows,))
+    contrast = np.broadcast_to(high_contrast, (rows,))
     lo, hi = np.full(rows, float(SF_MIN_DB)), np.full(rows, float(SF_MAX_DB))
-    ends = band_cost_bits(bands, np.tile([float(SF_MIN_DB), float(SF_MAX_DB)], (rows, 1)), ctx)
+    ends = band_cost_bits(bands, np.tile([float(SF_MIN_DB), float(SF_MAX_DB)], (rows, 1)),
+                          contrast, ctx)
     hi[ends[:, 0] <= targets] = SF_MIN_DB
     open_ = (ends[:, 0] > targets) & (ends[:, 1] <= targets)
     for left in range(SF_SEARCH_ITERS, 0, -SF_BATCH_LEVELS):
@@ -125,8 +126,7 @@ def bracket_scale_factors(bands: np.ndarray, target_bits, ctx: BandQuantContext)
             mids.append(0.5 * (a + b))
             spans += [(a, mids[-1]), (mids[-1], b)]
         mids = np.stack(mids, axis=1)
-        costs = band_cost_bits(bands[live], mids,
-                               replace(ctx, high_contrast=contrast[live]))
+        costs = band_cost_bits(bands[live], mids, contrast[live], ctx)
         at, node = np.arange(live.size), np.zeros(live.size, dtype=int)
         for _ in range(levels):
             fit = costs[at, node] <= targets[live]
@@ -143,15 +143,15 @@ def snap_window(upper) -> np.ndarray:
     return np.minimum(np.maximum(window, SF_MIN_DB), SF_MAX_DB)  # np.clip's call costs more
 
 
-def find_scale_factor(band: np.ndarray, target_bits: int, ctx: BandQuantContext,
-                      upper: float, window_costs):
+def find_scale_factor(band: np.ndarray, target_bits: int, high_contrast: bool,
+                      ctx: BandQuantContext, upper: float, window_costs):
     """Snap one band's bracket upper end (from :func:`bracket_scale_factors`)
     to the integer grid; returns (gain_db, overflow, bits).
 
     ``window_costs`` are the band's costs at its :func:`snap_window` gains; a
-    gain outside them is priced on demand with ``ctx``.  Overflow marks a band
-    that busts the budget even at the maximum divisor (its upper end is
-    SF_MAX_DB); bits is the band's cost at the returned gain.
+    gain outside them is priced on demand.  Overflow marks a band that busts
+    the budget even at the maximum divisor (its upper end is SF_MAX_DB); bits
+    is the band's cost at the returned gain.
     """
     if target_bits <= 0:
         raise ValueError("target_bits must be positive")
@@ -162,7 +162,7 @@ def find_scale_factor(band: np.ndarray, target_bits: int, ctx: BandQuantContext,
 
     def cost(gain):
         if gain not in known:
-            known[gain] = band_cost_bits(band, gain, ctx)
+            known[gain] = band_cost_bits(band, gain, high_contrast, ctx)
         return known[gain]
 
     g = window[2]  # the rounded upper end itself
@@ -171,3 +171,20 @@ def find_scale_factor(band: np.ndarray, target_bits: int, ctx: BandQuantContext,
     while g > SF_MIN_DB and cost(g - 1) <= target_bits:
         g -= 1
     return g, False, cost(g)
+
+
+def search_scale_factors(bands: np.ndarray, target_bits, high_contrast, ctx: BandQuantContext):
+    """The gain search of every row of a (rows, w) stack of bands, with a
+    budget and contrast flag per row or one for all: one stacked bracket, one
+    stacked call pricing every row's snap window, then each row's snap.
+    Returns the rows' (gain_db, overflow, bits) as three arrays."""
+    rows = len(bands)
+    targets = np.broadcast_to(target_bits, (rows,))
+    contrast = np.broadcast_to(high_contrast, (rows,))
+    uppers = bracket_scale_factors(bands, targets, contrast, ctx)
+    window_costs = band_cost_bits(bands, snap_window(uppers), contrast, ctx)
+    found = [find_scale_factor(band, target, high, ctx, upper, costs) for band, target, high,
+             upper, costs in zip(bands, targets.tolist(), contrast.tolist(), uppers,
+                                 window_costs.tolist())]
+    gains, overflow, bits = np.array(found, dtype=float).reshape(rows, 3).T
+    return gains.astype(int), overflow.astype(bool), bits

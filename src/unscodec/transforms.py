@@ -10,12 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-DEFAULT_FRAME_LEN = 1024
-DEFAULT_OVERLAP_LEN = 256
-
-
-DEFAULT_EDGE = 0.15
+from numpy.lib.stride_tricks import sliding_window_view
 
 
 @dataclass(frozen=True)
@@ -28,9 +23,9 @@ class WindowSpec:
     prediction gain of every frame.
     """
 
-    frame_len: int = DEFAULT_FRAME_LEN
-    overlap_len: int = DEFAULT_OVERLAP_LEN
-    edge: float = DEFAULT_EDGE
+    frame_len: int
+    overlap_len: int
+    edge: float
 
     def __post_init__(self):
         if self.frame_len <= 0 or self.overlap_len <= 0:
@@ -45,14 +40,6 @@ class WindowSpec:
     @property
     def hop(self) -> int:
         return self.frame_len - self.overlap_len
-
-
-@dataclass
-class AnalysisFrame:
-    """One windowed block of time-domain audio."""
-
-    index: int
-    samples: np.ndarray
 
 
 def make_window(spec: WindowSpec) -> np.ndarray:
@@ -78,37 +65,34 @@ def frame_count(n_samples: int, spec: WindowSpec) -> int:
     return max(0, -(-(n_samples - spec.frame_len) // spec.hop)) + 1
 
 
-def frame_signal(pcm: np.ndarray, spec: WindowSpec) -> list[AnalysisFrame]:
-    """Split a signal into hop-advanced windowed frames.
+def frame_signal(pcm: np.ndarray, spec: WindowSpec) -> np.ndarray:
+    """The signal's hop-advanced windowed frames, one row each of a
+    (frames, frame_len) stack.
 
     The final frame is zero-padded so the whole signal is covered; an empty
-    input yields an empty list.
+    input yields no rows.  Each row is its samples times the window,
+    elementwise.
     """
     pcm = np.asarray(pcm, dtype=float)
-    n, hop = spec.frame_len, spec.hop
-    w = make_window(spec)
-    frames = []
-    for k in range(frame_count(pcm.size, spec)):
-        start = k * hop
-        chunk = pcm[start:start + n]
-        if chunk.size < n:
-            chunk = np.concatenate([chunk, np.zeros(n - chunk.size)])
-        frames.append(AnalysisFrame(index=k, samples=chunk * w))
-    return frames
+    n, count = spec.frame_len, frame_count(pcm.size, spec)
+    padded = np.zeros(max(count - 1, 0) * spec.hop + n)
+    padded[:pcm.size] = pcm
+    return sliding_window_view(padded, n)[::spec.hop][:count] * make_window(spec)
 
 
-def overlap_add(frames: list[np.ndarray], spec: WindowSpec, length: int | None = None) -> np.ndarray:
-    """Plain overlap-add of time-domain frame contributions at the frame hop."""
-    if not frames:
-        return np.zeros(0)
-    n, hop = spec.frame_len, spec.hop
-    total = (len(frames) - 1) * hop + n
-    out = np.zeros(total)
-    for k, fr in enumerate(frames):
-        out[k * hop:k * hop + n] += fr
-    if length is not None:
-        out = out[:length]
-    return out
+def overlap_add(frames: np.ndarray, spec: WindowSpec, length: int | None = None) -> np.ndarray:
+    """Plain overlap-add of the rows of a (frames, frame_len) stack at the frame hop.
+
+    Each sample adds at most two rows, the earlier row's tail before the later
+    row's head, as a loop over the rows would.
+    """
+    frames = np.reshape(frames, (-1, spec.frame_len))
+    hop, count = spec.hop, len(frames)
+    out = np.zeros((count + 1, hop))  # row k holds samples k * hop ... (k + 1) * hop - 1
+    out[1:, :spec.overlap_len] += frames[:, hop:]
+    out[:-1] += frames[:, :hop]
+    total = count * hop + spec.overlap_len if count else 0
+    return out.ravel()[:total][:length]
 
 
 def sine_window(n: int) -> np.ndarray:

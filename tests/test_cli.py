@@ -1,10 +1,12 @@
 import os
+import re
 import struct
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from unscodec import cli, signals
+from unscodec import cli, codec, signals
 from unscodec.config import CodecConfig, load_config, save_config
 from unscodec.polar_quant import EcupqTable
 from unscodec.resample import resample_to_core
@@ -172,7 +174,8 @@ def test_config_rejects_bad_values_at_construction(tmp_path):
                    dict(band_edges=(0, 90, 512), bits_12k=(9,) * 3, bits_16k=(9,) * 3),
                    dict(bits_12k=(45, 34, 30, 23, 19, 16, 16, 0)),
                    dict(bits_16k=(67, 50, 45, -34, 29, 23, 23, 23)),
-                   dict(lpc_order=15)):
+                   dict(lpc_order=15),
+                   dict(sample_rate=16000)):  # input is always resampled to 12.8 kHz
         with pytest.raises(ConfigError):
             CodecConfig(**kwargs)
     path = str(tmp_path / "cells.cfg")
@@ -242,6 +245,24 @@ def test_config_schema_is_pinned(tmp_path):
     with open(saved, "w") as f:
         f.write(SAVED_DEFAULT)
     assert load_config(saved) == CodecConfig()
+
+
+def test_table_version_must_fit_the_stream_header(tmp_path):
+    # the header holds 24 ASCII bytes: a longer tag was cut short, so its own
+    # decoder refused the stream, and a non-ASCII one failed to encode
+    from unscodec.config import ConfigError
+    table = CodecConfig().ecupq
+    for version in ("rayleigh-2.495-retrained-2026", "rayleigh-2.495-\u00e9"):
+        with pytest.raises(ValueError, match="24 ASCII"):
+            replace(table, version=version)
+    cfg = CodecConfig(ecupq=replace(table, version="rayleigh-2.495-retrained"))
+    blob, _ = codec.encode_stream(signals.tone(500.0, 0.2), cfg)
+    assert codec.decode_stream(blob, cfg)[1].table_version == cfg.ecupq.version
+    path = str(tmp_path / "long.cfg")
+    with open(path, "w") as f:
+        f.write(SAVED_DEFAULT.replace("rayleigh-2.495-v1", "rayleigh-2.495-retrained-2026"))
+    with pytest.raises(ConfigError, match=re.escape(f"{path}:27: [ecupq]: version")):
+        load_config(path)
 
 
 def test_config_rejects_malformed_line(tmp_path):

@@ -18,14 +18,14 @@ CTX12 = codec.make_pack_context(CFG12)
 
 
 def test_silence_frame_payload_is_minimal():
-    (payload, info), = codec.encode_frames(frame_signal(np.zeros(1024), CFG12.window_spec)[:1],
-                                           CFG12, CTX12)
+    (payload, _, stats), = codec.encode_frames(
+        frame_signal(np.zeros(1024), CFG12.window_spec)[:1], CFG12, CTX12, 0)
     assert not payload.ctns_flag
     assert payload.clpc_indices is None
     assert payload.index1.shape == (CFG12.n_bins,)
     assert np.all(payload.index1 == 0)
     assert np.all(payload.sf_indices == -60)
-    assert info["gain_db"] == -100.0
+    assert stats.gain_db == -100.0
 
 
 def test_silence_roundtrip_is_silence():
@@ -44,7 +44,7 @@ def test_sinusoid_concentrates_in_its_band():
     # index and all of the decoded energy.
     pcm = signals.tone(1000.0, 1.0, amp=0.9)
     frames = frame_signal(pcm, CFG12.window_spec)
-    (payload, _), = codec.encode_frames(frames[4:5], CFG12, CTX12)
+    (payload, _, _), = codec.encode_frames(frames[4:5], CFG12, CTX12, 4)
     bands = [payload.index1[s] for s in CTX12.band_slices]
     assert np.max(bands[1]) >= 2
     for b in set(range(8)) - {1}:
@@ -119,6 +119,10 @@ def test_decode_rejects_mismatched_table_version():
     bad = replace(CFG12, ecupq=replace(CFG12.ecupq, version="other-table"))
     with pytest.raises(StreamError):
         codec.decode_stream(blob, bad)
+    # a header that claims another sample rate is refused like any other mismatch
+    header = replace(StreamHeader.unpack(blob), sample_rate_hz=16000)
+    with pytest.raises(StreamError, match="does not match"):
+        codec.decode_stream(header.pack() + blob[StreamHeader.size():], CFG12)
 
 
 def test_decode_rejects_truncated_stream():
@@ -136,6 +140,18 @@ def frame_ends(blob):
         pos += 4 + arith_len + raw_len
         ends.append(pos)
     return ends
+
+
+def test_records_follow_their_frames_across_chunks(corpus_runs):
+    # each corpus item is encoded in more than one chunk, so a record given
+    # the wrong first-frame offset or another frame's bytes shows here
+    for items in corpus_runs.values():
+        for item in items.values():
+            stats = item["stats"]
+            assert len(stats) > codec.CHUNK_FRAMES
+            assert [s.index for s in stats] == list(range(len(stats)))
+            frame_bytes = np.diff([StreamHeader.size()] + frame_ends(item["blob"]))
+            assert [s.total_bits for s in stats] == (8 * frame_bytes).tolist()
 
 
 def test_decode_rejects_stream_cut_at_a_frame_boundary():
@@ -186,7 +202,7 @@ def test_shaping_roundtrip_spans_analysis_chunks():
 def test_encoder_decoder_derive_identical_shaping():
     pcm = signals.speechish(1.0)
     frames = frame_signal(pcm, CFG12.window_spec)
-    (payload, _), = codec.encode_frames(frames[3:4], CFG12, CTX12)
+    (payload, _, _), = codec.encode_frames(frames[3:4], CFG12, CTX12, 3)
     env_a, fer_a = codec.derive_shaping(payload.lsf_indices, CFG12)
     env_b, fer_b = codec.derive_shaping(payload.lsf_indices.copy(), CFG12)
     assert np.array_equal(env_a.values, env_b.values)
@@ -252,8 +268,7 @@ def test_active_frames_remove_filtered_energy():
     # whenever the switch engages on transient material, the filtered
     # residual holds no more energy than the unfiltered one above the start bin
     pcm, _ = signals.click_train(1.5)
-    frames = frame_signal(pcm, CFG12.window_spec)
-    shaped = codec.analyze_frames(np.array([frame.samples for frame in frames]), CFG12)
+    shaped = codec.analyze_frames(frame_signal(pcm, CFG12.window_spec), CFG12)
     checked = 0
     for f in np.flatnonzero(shaped.decision.active):
         seg = slice(CFG12.ctns_start_bin, 512)
@@ -338,7 +353,8 @@ def test_config_derived_alphabets_round_trip():
     ctx = codec.make_pack_context(cfg)
     frames = frame_signal(pcm, cfg.window_spec)
     payloads = [payload for i in range(0, len(frames), codec.CHUNK_FRAMES)
-                for payload, _ in codec.encode_frames(frames[i:i + codec.CHUNK_FRAMES], cfg, ctx)]
+                for payload, _, _ in codec.encode_frames(frames[i:i + codec.CHUNK_FRAMES], cfg,
+                                                         ctx, i)]
     ref = overlap_add([codec.decode_frame_payload(p, cfg, ctx) for p in payloads],
                       cfg.window_spec, length=pcm.size)
     assert np.array_equal(out, ref)

@@ -157,8 +157,7 @@ def test_corpus_frames_equal_band_loop(corpus_runs):
     for mode, items in corpus_runs.items():
         cfg = CFG.with_mode(mode)
         for name, item in items.items():
-            frames = frame_signal(item["pcm"], cfg.window_spec)
-            shaped = codec.analyze_frames(np.array([frame.samples for frame in frames]), cfg)
+            shaped = codec.analyze_frames(frame_signal(item["pcm"], cfg.window_spec), cfg)
             pos, recon = StreamHeader.size(), []
             for analyzed, contrast, stats in zip(shaped.coded, shaped.fer.high_contrast,
                                                  item["stats"]):

@@ -3,6 +3,9 @@ import pytest
 
 from unscodec import lp
 from unscodec import noise_shaping as ns
+from unscodec.config import CodecConfig
+
+START, THRESHOLD = CodecConfig().ctns_start_bin, CodecConfig().ctns_threshold_db
 
 
 def random_spectrum(rng, n=513):
@@ -36,7 +39,7 @@ def test_fdns_roundtrip():
 def test_ctns_zero_model_is_identity():
     rng = np.random.default_rng(2)
     x = random_spectrum(rng)
-    out = ns.ctns_filter(x, np.zeros(16, dtype=complex))
+    out = ns.ctns_filter(x, np.zeros(16, dtype=complex), START)
     assert np.array_equal(out, x)
 
 
@@ -55,22 +58,22 @@ def test_ctns_filter_unfilter_roundtrip():
     x = random_spectrum(rng)
     # stable random model via shrunk reflection construction
     coeffs = 0.3 * (rng.standard_normal(16) + 1j * rng.standard_normal(16)) / np.arange(1, 17)
-    e = ns.ctns_filter(x, coeffs)
-    back = ns.ctns_unfilter(e, coeffs)
+    e = ns.ctns_filter(x, coeffs, START)
+    back = ns.ctns_unfilter(e, coeffs, START)
     assert np.max(np.abs(back - x)) < 1e-9
 
 
 def test_ctns_nyquist_passthrough():
     rng = np.random.default_rng(4)
     x = random_spectrum(rng)
-    e = ns.ctns_filter(x, np.array([0.5 + 0.0j]))
+    e = ns.ctns_filter(x, np.array([0.5 + 0.0j]), START)
     assert e[512] == x[512]
 
 
 def test_prediction_gain_identical_inputs():
     rng = np.random.default_rng(5)
     x = random_spectrum(rng)
-    d = ns.prediction_gain(x, x.copy())
+    d = ns.prediction_gain(x, x.copy(), START, THRESHOLD)
     assert d.gain_db == -100.0
     assert not d.active
 
@@ -78,7 +81,7 @@ def test_prediction_gain_identical_inputs():
 def test_prediction_gain_fully_predicted():
     rng = np.random.default_rng(6)
     x = random_spectrum(rng)
-    d = ns.prediction_gain(x, np.zeros_like(x))
+    d = ns.prediction_gain(x, np.zeros_like(x), START, THRESHOLD)
     assert abs(d.gain_db) < 1e-9
     assert d.active
 
@@ -90,7 +93,7 @@ def test_prediction_gain_ten_percent():
     noise = random_spectrum(rng)
     seg = slice(25, 512)
     scale = np.sqrt(0.1 * np.sum(np.abs(x[seg]) ** 2) / np.sum(np.abs(noise[seg]) ** 2))
-    d = ns.prediction_gain(x, x - scale * noise)
+    d = ns.prediction_gain(x, x - scale * noise, START, THRESHOLD)
     assert abs(d.gain_db + 10.0) < 1e-9
     assert not d.active
 
@@ -98,7 +101,7 @@ def test_prediction_gain_ten_percent():
 def test_prediction_gain_silent_band():
     x = np.zeros(513, dtype=complex)
     x[:10] = 1.0  # energy only below the filtered region
-    d = ns.prediction_gain(x, x)
+    d = ns.prediction_gain(x, x, START, THRESHOLD)
     assert d.gain_db == -100.0
     assert not d.active
 
@@ -113,7 +116,7 @@ def test_prediction_gain_threshold_sides():
         target = 10.0 ** (db / 10.0)
         scale = np.sqrt(target * np.sum(np.abs(x[seg]) ** 2)
                         / np.sum(np.abs(noise[seg]) ** 2))
-        return ns.prediction_gain(x, x - scale * noise)
+        return ns.prediction_gain(x, x - scale * noise, START, THRESHOLD)
 
     assert not with_ratio_db(-4.6).active
     assert with_ratio_db(-4.4).active
@@ -126,8 +129,8 @@ def test_filtered_energy_reduced_when_predictable():
     x = (0.97 * np.exp(0.1j)) ** f * 5.0 + 0.05 * random_spectrum(rng)
     r = lp.autocorr(x[:512], 16)
     m = lp.bandwidth_expand(lp.levinson(r, 16), 0.9)
-    e = ns.ctns_filter(x, m.coeffs)
-    d = ns.prediction_gain(x, e)
+    e = ns.ctns_filter(x, m.coeffs, START)
+    d = ns.prediction_gain(x, e, START, THRESHOLD)
     assert d.active
     seg = slice(25, 512)
     assert np.sum(np.abs(e[seg]) ** 2) < np.sum(np.abs(x[seg]) ** 2)

@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -12,31 +10,20 @@ from unscodec.util import round_half_up
 CTX = codec.make_pack_context(CodecConfig())
 
 
-def make_ctx(high=True, real_mask=False):
-    return rc.BandQuantContext(table=pq.DEFAULT_ECUPQ_TABLE, high_contrast=high,
-                               phase_bits=CTX.phase_bits, real_mask=real_mask)
+def make_ctx(real_mask=False):
+    return rc.BandQuantContext(table=pq.DEFAULT_ECUPQ_TABLE, phase_bits=CTX.phase_bits,
+                               real_mask=real_mask)
 
 
-def search_band(band, target_bits, ctx):
+def search_band(band, target_bits, ctx, high=True):
     """One band's (gain, overflow, bits), searched as a stack of one row."""
-    return search_stack(band[None, :], [target_bits], ctx)[0]
+    gains, overflow, bits = rc.search_scale_factors(band[None, :], target_bits, high, ctx)
+    return gains[0], overflow[0], bits[0]
 
 
-def search_stack(stack, targets, ctx):
-    """Every row's (gain, overflow, bits) as the encoder finds them: one
-    stacked bracket, one stacked call pricing every row's snap window, then
-    one snap per row."""
-    uppers = rc.bracket_scale_factors(stack, targets, ctx)
-    window_costs = rc.band_cost_bits(stack, rc.snap_window(uppers), ctx)
-    return [rc.find_scale_factor(band, target, row_ctx(ctx, r), upper, costs)
-            for r, (band, target, upper, costs)
-            in enumerate(zip(stack, targets, uppers, window_costs))]
-
-
-def row_ctx(ctx, r):
-    """Row r's context: its own contrast flag when the stack has one per row."""
-    high = ctx.high_contrast
-    return replace(ctx, high_contrast=bool(high[r]) if np.ndim(high) else high)
+def search_rows(stack, targets, highs, ctx):
+    """Every row's (gain, overflow, bits) from one search of the stack."""
+    return zip(*rc.search_scale_factors(stack, targets, highs, ctx))
 
 
 def band_widths(ctx):
@@ -110,7 +97,7 @@ def test_estimate_adds_exact_phase_bits():
     band = np.full(4, 3.0, dtype=complex)
     i1 = pq.quantize_magnitudes(np.abs(band), pq.DEFAULT_ECUPQ_TABLE)[0]
     phase_bits = np.log2(pq.phase_cells_array(i1, True, CTX.phase_cells)).sum()
-    assert rc.band_cost_bits(band, 0, make_ctx()) == phase_bits == 4 * 6.0
+    assert rc.band_cost_bits(band, 0, True, make_ctx()) == phase_bits == 4 * 6.0
 
 
 def test_scale_factor_all_zero_band():
@@ -127,14 +114,14 @@ def test_scale_factor_matches_grid_sweep_oracle():
         target = int(rng.integers(15, 60))
         g, over, bits = search_band(band, target, ctx)
         assert not over
-        assert bits == rc.band_cost_bits(band, g, ctx)
+        assert bits == rc.band_cost_bits(band, g, True, ctx)
         # oracle: exhaustive integer-dB sweep for the smallest feasible gain
         feasible = [gg for gg in range(rc.SF_MIN_DB, rc.SF_MAX_DB + 1)
-                    if rc.band_cost_bits(band, gg, ctx) <= target]
+                    if rc.band_cost_bits(band, gg, True, ctx) <= target]
         assert g == min(feasible)
-        assert rc.band_cost_bits(band, g, ctx) <= target
+        assert rc.band_cost_bits(band, g, True, ctx) <= target
         if g > rc.SF_MIN_DB:
-            assert rc.band_cost_bits(band, g - 1, ctx) > target
+            assert rc.band_cost_bits(band, g - 1, True, ctx) > target
 
 
 def test_scale_factor_shift_equivariance():
@@ -185,12 +172,11 @@ def test_real_mask_costs_sign_bit():
     ctx_plain = make_ctx()
     mask = np.zeros(4, dtype=bool)
     mask[0] = True
-    ctx_masked = rc.BandQuantContext(table=pq.DEFAULT_ECUPQ_TABLE, high_contrast=True,
-                                     phase_bits=CTX.phase_bits, real_mask=mask)
+    ctx_masked = make_ctx(real_mask=mask)
     band = np.array([3.0, 3.0, 3.0, 3.0], dtype=complex)
     # same magnitudes: masked variant replaces one phase cost with one sign bit
-    cost_plain = rc.band_cost_bits(band, 0, ctx_plain)
-    cost_masked = rc.band_cost_bits(band, 0, ctx_masked)
+    cost_plain = rc.band_cost_bits(band, 0, True, ctx_plain)
+    cost_masked = rc.band_cost_bits(band, 0, True, ctx_masked)
     i1, _ = pq.quantize_magnitudes(np.abs(band), pq.DEFAULT_ECUPQ_TABLE)
     cells = pq.phase_cells_array(i1, True, CTX.phase_cells)
     assert abs((cost_plain - cost_masked) - (np.log2(cells[0]) - 1.0)) < 1e-12
@@ -198,24 +184,27 @@ def test_real_mask_costs_sign_bit():
 
 # --- the batched gain search against the sequential one it replaces
 
-def sequential_search(band, target_bits, ctx):
+def sequential_search(band, target_bits, high, ctx):
     """Oracle: 24 sequential bisection steps, one cost call each, then the
     two snap loops; the decision the pinned streams were encoded with."""
+    def cost(gain):
+        return rc.band_cost_bits(band, gain, high, ctx)
+
     lo, hi = float(rc.SF_MIN_DB), float(rc.SF_MAX_DB)
-    if rc.band_cost_bits(band, lo, ctx) <= target_bits:
+    if cost(lo) <= target_bits:
         return rc.SF_MIN_DB, False
-    if rc.band_cost_bits(band, hi, ctx) > target_bits:
+    if cost(hi) > target_bits:
         return rc.SF_MAX_DB, True
     for _ in range(24):
         mid = 0.5 * (lo + hi)
-        if rc.band_cost_bits(band, mid, ctx) <= target_bits:
+        if cost(mid) <= target_bits:
             hi = mid
         else:
             lo = mid
     g = int(round_half_up(hi))
-    while g < rc.SF_MAX_DB and rc.band_cost_bits(band, g, ctx) > target_bits:
+    while g < rc.SF_MAX_DB and cost(g) > target_bits:
         g += 1
-    while g > rc.SF_MIN_DB and rc.band_cost_bits(band, g - 1, ctx) <= target_bits:
+    while g > rc.SF_MIN_DB and cost(g - 1) <= target_bits:
         g -= 1
     return g, False
 
@@ -257,13 +246,12 @@ def stacks(draw):
     return stack
 
 
-def stack_ctx(stack, highs, real):
+def stack_ctx(stack, real):
     mask = False
     if real:
         mask = np.zeros(stack.shape[1], dtype=bool)
         mask[[0, -1]] = True
-    return rc.BandQuantContext(table=pq.DEFAULT_ECUPQ_TABLE, high_contrast=np.array(highs),
-                               phase_bits=CTX.phase_bits, real_mask=mask)
+    return make_ctx(real_mask=mask)
 
 
 def row_stack(rows):
@@ -281,11 +269,10 @@ def test_batched_search_matches_sequential_search(data, stack, real):
     rows = len(stack)
     targets = data.draw(st.lists(st.integers(1, 70), min_size=rows, max_size=rows))
     highs = data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
-    ctx = stack_ctx(stack, highs, real)
-    for r, (g, over, bits) in enumerate(search_stack(stack, targets, ctx)):
-        band, rctx = stack[r], row_ctx(ctx, r)
-        assert (g, over) == sequential_search(band, targets[r], rctx)
-        assert bits == rc.band_cost_bits(band, g, rctx)
+    ctx = stack_ctx(stack, real)
+    for r, (g, over, bits) in enumerate(search_rows(stack, targets, highs, ctx)):
+        assert (g, over) == sequential_search(stack[r], targets[r], highs[r], ctx)
+        assert bits == rc.band_cost_bits(stack[r], g, highs[r], ctx)
 
 
 @given(seeds=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=9),
@@ -301,7 +288,7 @@ def test_batched_search_matches_sequential_search_on_non_monotone_costs(seeds, d
     steps = np.linspace(90.0, 0.0, 401) + roughness * np.array(
         [np.random.default_rng(s + 1).random(401) for s in seeds])
 
-    def staircase_cost(band, gain_db, ctx):
+    def staircase_cost(band, gain_db, high_contrast, ctx):
         r, g = row_of(band), np.atleast_1d(np.asarray(gain_db, dtype=float))
         # searchsorted per row: the number of the row's edges below each gain
         cost = np.take_along_axis(steps[r], (edges[r][..., None, :] < g[..., None]).sum(-1),
@@ -311,9 +298,9 @@ def test_batched_search_matches_sequential_search_on_non_monotone_costs(seeds, d
     with pytest.MonkeyPatch.context() as m:
         m.setattr(rc, "band_cost_bits", staircase_cost)
         stack, ctx = row_stack(rows), make_ctx()
-        for r, (g, over, bits) in enumerate(search_stack(stack, targets, ctx)):
-            assert (g, over) == sequential_search(stack[r], targets[r], ctx)
-            assert bits == staircase_cost(stack[r], g, ctx)
+        for r, (g, over, bits) in enumerate(search_rows(stack, targets, True, ctx)):
+            assert (g, over) == sequential_search(stack[r], targets[r], True, ctx)
+            assert bits == staircase_cost(stack[r], g, True, ctx)
 
 
 @given(wholes=st.lists(st.integers(-58, 58), min_size=1, max_size=9), data=st.data())
@@ -330,7 +317,7 @@ def test_batched_search_matches_sequential_search_near_rounding_edges(wholes, da
     near = np.array(wholes)[:, None] + np.arange(-3.0, 5.0)
     near_fits = rng.random(near.shape) < 0.5
 
-    def bumpy_cost(band, gain_db, ctx):
+    def bumpy_cost(band, gain_db, high_contrast, ctx):
         r, g = row_of(band), np.atleast_1d(np.asarray(gain_db, dtype=float))
         hit = g[..., None] == near[r][..., None, :]
         fits = np.where(hit.any(-1), (hit & near_fits[r][..., None, :]).any(-1),
@@ -341,16 +328,16 @@ def test_batched_search_matches_sequential_search_near_rounding_edges(wholes, da
     with pytest.MonkeyPatch.context() as m:
         m.setattr(rc, "band_cost_bits", bumpy_cost)
         stack, ctx = row_stack(rows), make_ctx()
-        for r, (g, over, bits) in enumerate(search_stack(stack, targets, ctx)):
-            assert (g, over) == sequential_search(stack[r], targets[r], ctx)
-            assert bits == bumpy_cost(stack[r], g, ctx)
+        for r, (g, over, bits) in enumerate(search_rows(stack, targets, True, ctx)):
+            assert (g, over) == sequential_search(stack[r], targets[r], True, ctx)
+            assert bits == bumpy_cost(stack[r], g, True, ctx)
 
 
 def test_snap_walks_up_to_the_coarsest_gain(monkeypatch):
     # every gain from 10 dB up fits except the integers below 60, so the
     # bisection ends near 10 and the snap walks up to 60, the one integer
     # its window did not price
-    def cost(band, gain_db, ctx):
+    def cost(band, gain_db, high_contrast, ctx):
         g = np.asarray(gain_db, dtype=float)
         bits = np.where((g >= 10.0) & ((g != np.round(g)) | (g == 60.0)), 10.0, 50.0)
         return float(bits) if bits.ndim == 0 else bits
@@ -358,7 +345,7 @@ def test_snap_walks_up_to_the_coarsest_gain(monkeypatch):
     monkeypatch.setattr(rc, "band_cost_bits", cost)
     band = np.zeros(4, dtype=complex)
     assert search_band(band, 30, make_ctx()) == (rc.SF_MAX_DB, False, 10.0)
-    assert sequential_search(band, 30, make_ctx()) == (rc.SF_MAX_DB, False)
+    assert sequential_search(band, 30, True, make_ctx()) == (rc.SF_MAX_DB, False)
 
 
 @given(stack=stacks(), data=st.data(), real=st.booleans(),
@@ -367,16 +354,15 @@ def test_snap_walks_up_to_the_coarsest_gain(monkeypatch):
 def test_vectorized_cost_equals_scalar_cost(stack, data, real, gains):
     rows = len(stack)
     highs = data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
-    ctx = stack_ctx(stack, highs, real)
+    ctx = stack_ctx(stack, real)
     # each row prices the drawn gains in its own order
     grid = np.array([np.roll(gains, r) for r in range(rows)], dtype=float)
-    costs = rc.band_cost_bits(stack, grid, ctx)
+    costs = rc.band_cost_bits(stack, grid, np.array(highs), ctx)
     assert costs.shape == grid.shape
     for r in range(rows):
-        rctx = row_ctx(ctx, r)
-        scalar = [rc.band_cost_bits(stack[r], g, rctx) for g in grid[r].tolist()]
+        scalar = [rc.band_cost_bits(stack[r], g, highs[r], ctx) for g in grid[r].tolist()]
         assert costs[r].tolist() == scalar
-        assert rc.band_cost_bits(stack[r], grid[r], rctx).tolist() == scalar
+        assert rc.band_cost_bits(stack[r], grid[r], highs[r], ctx).tolist() == scalar
 
 
 def test_sample_entropy_matches_bincount_formula():
@@ -399,21 +385,17 @@ def test_search_needs_few_cost_calls(monkeypatch):
     targets = rng.integers(15, 60, size=50)
     cost, calls = rc.band_cost_bits, []
 
-    def counted(band, gain_db, ctx):
+    def counted(band, gain_db, high_contrast, ctx):
         calls.append(gain_db)
-        return cost(band, gain_db, ctx)
+        return cost(band, gain_db, high_contrast, ctx)
 
     monkeypatch.setattr(rc, "band_cost_bits", counted)
-    uppers = rc.bracket_scale_factors(stack, targets, make_ctx())
-    assert len(calls) <= 1 + -(-rc.SF_SEARCH_ITERS // rc.SF_BATCH_LEVELS)
-    windows = rc.snap_window(uppers)
-    window_costs = rc.band_cost_bits(stack, windows, make_ctx())
-    calls.clear()
-    for band, target, upper, costs, window in zip(stack, targets, uppers, window_costs, windows):
-        g, _, _ = rc.find_scale_factor(band, int(target), make_ctx(), upper, costs)
-        # the snap read g and g - 1 (none below the finest gain): both in the window
-        assert window[0] <= max(g - 1, rc.SF_MIN_DB) and g <= window[-1]
-    assert calls == []
+    rc.search_scale_factors(stack, targets, True, make_ctx())
+    # the bracket's calls, then one for every row's snap window; the snap
+    # read only gains its window priced, so it made no call of its own
+    assert len(calls) <= 2 + -(-rc.SF_SEARCH_ITERS // rc.SF_BATCH_LEVELS)
+    assert np.shape(calls[-1]) == (len(stack), 5)
+    assert all(np.ndim(gains) == 2 for gains in calls)  # none priced one gain on demand
 
 
 @given(stack=stacks(), data=st.data(), real=st.booleans())
@@ -426,16 +408,16 @@ def test_stacked_snap_windows_equal_each_rows_call(stack, data, real):
     targets = data.draw(st.lists(st.integers(1, 70), min_size=rows, max_size=rows))
     targets[-1] = 1
     highs = data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
-    ctx = stack_ctx(stack, highs, real and n > 1)  # a lone real bin costs at most 1 bit
-    uppers = rc.bracket_scale_factors(stack, targets, ctx)
+    ctx = stack_ctx(stack, real and n > 1)  # a lone real bin costs at most 1 bit
+    uppers = rc.bracket_scale_factors(stack, targets, highs, ctx)
     assert uppers[-2] == rc.SF_MIN_DB and uppers[-1] == rc.SF_MAX_DB
     windows = rc.snap_window(uppers)
-    costs = rc.band_cost_bits(stack, windows, ctx)
+    costs = rc.band_cost_bits(stack, windows, np.array(highs), ctx)
     assert costs.shape == windows.shape == (rows, 5)
     for r in range(rows):
         g = int(round_half_up(uppers[r]))
         gains = [x for x in range(g - 2, g + 3) if rc.SF_MIN_DB <= x <= rc.SF_MAX_DB]
         assert sorted(set(windows[r].tolist())) == gains
         scalar = dict(zip(gains, rc.band_cost_bits(stack[r], np.array(gains, dtype=float),
-                                                   row_ctx(ctx, r)).tolist()))
+                                                   highs[r], ctx).tolist()))
         assert costs[r].tolist() == [scalar[x] for x in windows[r].tolist()]

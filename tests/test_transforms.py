@@ -1,29 +1,33 @@
 import numpy as np
 import pytest
 
-from unscodec.transforms import (WindowSpec, frame_signal, imdct, make_window, mdct,
+from unscodec.config import CodecConfig
+from unscodec.transforms import (WindowSpec, frame_count, frame_signal, imdct, make_window, mdct,
                                  overlap_add, sine_window)
+
+SPEC = CodecConfig().window_spec
+SPECS = (SPEC, WindowSpec(512, 128, SPEC.edge), WindowSpec(1024, 256, edge=0.0),
+         WindowSpec(256, 128, edge=0.3))
 
 
 def test_window_spec_rejects_oversized_overlap():
     with pytest.raises(ValueError):
-        WindowSpec(frame_len=1024, overlap_len=513)
+        WindowSpec(frame_len=1024, overlap_len=513, edge=SPEC.edge)
 
 
 def test_window_center_is_one():
-    w = make_window(WindowSpec())
+    w = make_window(SPEC)
     assert w[512] == 1.0
     assert np.all(w[256:768] == 1.0)
 
 
 def test_window_taper_midpoint_near_half():
-    w = make_window(WindowSpec())
+    w = make_window(SPEC)
     assert abs(w[128] - 0.5) < 5e-3
 
 
 def test_window_complementarity():
-    for spec in (WindowSpec(), WindowSpec(512, 128), WindowSpec(1024, 256, edge=0.0),
-                 WindowSpec(256, 128, edge=0.3)):
+    for spec in SPECS:
         w = make_window(spec)
         hop = spec.hop
         ov = spec.overlap_len
@@ -32,39 +36,70 @@ def test_window_complementarity():
 
 
 def test_window_has_no_zero_sides():
-    w = make_window(WindowSpec())
+    w = make_window(SPEC)
     assert w[0] > 0.0
     assert w[-1] > 0.0
 
 
 def test_frame_counts_and_starts():
-    spec = WindowSpec()
+    spec = SPEC
     frames = frame_signal(np.ones(2048), spec)
-    assert len(frames) == 3
-    assert [f.index for f in frames] == [0, 1, 2]
+    assert frames.shape == (3, spec.frame_len)
     # last frame covers 1536..2559, zero padded beyond 2048
     w = make_window(spec)
-    assert np.allclose(frames[2].samples[512:], 0.0)
-    assert np.allclose(frames[2].samples[:512], w[:512])
+    assert np.allclose(frames[2][512:], 0.0)
+    assert np.allclose(frames[2][:512], w[:512])
 
 
 def test_constant_input_frames_equal_window():
-    spec = WindowSpec()
+    spec = SPEC
     frames = frame_signal(np.ones(4096), spec)
     w = make_window(spec)
-    assert np.allclose(frames[1].samples, w)
+    assert np.allclose(frames[1], w)
 
 
 def test_empty_input_gives_no_frames():
-    assert frame_signal(np.zeros(0), WindowSpec()) == []
+    assert frame_signal(np.zeros(0), SPEC).shape == (0, SPEC.frame_len)
+
+
+def loop_frames(pcm, spec):
+    """The frames as the per-frame loop the stacked framing replaced cut them."""
+    n, w, frames = spec.frame_len, make_window(spec), []
+    for k in range(frame_count(pcm.size, spec)):
+        chunk = pcm[k * spec.hop:k * spec.hop + n]
+        if chunk.size < n:
+            chunk = np.concatenate([chunk, np.zeros(n - chunk.size)])
+        frames.append(chunk * w)
+    return frames
+
+
+def loop_overlap_add(frames, spec, length):
+    """Overlap-add as the per-frame loop the stacked one replaced summed it."""
+    out = np.zeros((len(frames) - 1) * spec.hop + spec.frame_len if frames else 0)
+    for k, frame in enumerate(frames):
+        out[k * spec.hop:k * spec.hop + spec.frame_len] += frame
+    return out[:length]
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=lambda s: f"{s.frame_len}-{s.overlap_len}-{s.edge}")
+def test_stacked_framing_equals_the_frame_loop_bit_for_bit(spec):
+    rng = np.random.default_rng(6)
+    for n in (0, 1, spec.hop - 1, spec.frame_len, spec.frame_len + 1, 3 * spec.hop + 5):
+        pcm = rng.standard_normal(n)
+        pcm[::7] = -0.0  # signed zeros must come out as the loop leaves them
+        frames, want = frame_signal(pcm, spec), loop_frames(pcm, spec)
+        assert frames.shape == (len(want), spec.frame_len)
+        assert [row.tobytes() for row in frames] == [row.tobytes() for row in want]
+        rec = overlap_add(frames, spec, length=n)
+        assert rec.tobytes() == loop_overlap_add(want, spec, n).tobytes()
 
 
 def test_frame_ola_roundtrip_white_noise():
     rng = np.random.default_rng(0)
     x = rng.standard_normal(10000)
-    spec = WindowSpec()
+    spec = SPEC
     frames = frame_signal(x, spec)
-    rec = overlap_add([f.samples for f in frames], spec, length=x.size)
+    rec = overlap_add(frames, spec, length=x.size)
     seg = slice(spec.frame_len // 2, -(spec.frame_len // 2))
     rel = np.sqrt(np.sum((x[seg] - rec[seg]) ** 2) / np.sum(x[seg] ** 2))
     assert rel < 1e-10
