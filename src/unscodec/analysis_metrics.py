@@ -123,8 +123,7 @@ def _freq_lp_filter(coeffs: np.ndarray, order: int, start: int, stop: int) -> np
     r = lp.autocorr(coeffs, order)
     if (r[0].real if np.iscomplexobj(r) else r[0]) <= 1e-30:
         return np.asarray(coeffs).copy()
-    model = lp.levinson(r, order)
-    return ns.prediction_error_filter(coeffs, model.coeffs, start, stop)
+    return ns.prediction_error_filter(coeffs, lp.levinson(r, order), start, stop)
 
 
 def transient_region_means(report: TnsComparisonReport, attacks, rate: int,

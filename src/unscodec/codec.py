@@ -50,13 +50,13 @@ class FrameAnalysis:
     """The encoder's shaping state for a stack of frames (one row each) up to the gain search."""
 
     lsf_indices: np.ndarray   # (frames, order)
-    env: lp.FrequencyEnvelope
-    fer: pq.FerProfile
+    env: np.ndarray           # envelope 1/|A| on the bin grid, (frames, bins)
+    contrast: np.ndarray      # per-band high-contrast flags, (frames, bands)
     res: np.ndarray           # FDNS residual, (frames, bins)
     filtered: np.ndarray      # residual after the CTNS filter
     clpc_indices: np.ndarray  # (frames, order, 2)
     coeffs: np.ndarray        # CTNS filter rebuilt from the quantized indices
-    decision: ns.CtnsDecision
+    gain_db: np.ndarray       # CTNS prediction gain, (frames,)
     active: np.ndarray        # the switch fired and CTNS is enabled
 
     @property
@@ -65,23 +65,19 @@ class FrameAnalysis:
 
 
 def derive_shaping(lsf_indices: np.ndarray, cfg: CodecConfig):
-    """Envelope and band-contrast profile from quantized LSF indices.
+    """Envelope values and per-band high-contrast flags from quantized LSF indices.
 
     This is the single code path both codec ends use, so their shaping state
     is identical by construction.
     """
     lsfs = lp.dequantize_lsf(lsf_indices, cfg.lsf_step, cfg.lsf_min_gap)
-    model = lp.lsf_to_lpc(lsfs)
-    env = lp.frequency_envelope(model, cfg.n_bins)
-    fer = pq.compute_fer(env.values_db, cfg.band_edges, cfg.fer_threshold)
-    return env, fer
+    env = lp.frequency_envelope(lp.lsf_to_lpc(lsfs), cfg.n_bins)
+    return env, pq.compute_fer(20.0 * np.log10(env), cfg.band_edges) > cfg.fer_threshold
 
 
 def derive_clpc(clpc_indices: np.ndarray, cfg: CodecConfig) -> np.ndarray:
-    model = lp.dequantize_complex_lpc(
-        clpc_indices, cfg.clpc_mag_step_db, cfg.clpc_mag_floor_db, cfg.clpc_phase_cells,
-        order=cfg.lpc_order)
-    return model.coeffs
+    return lp.dequantize_complex_lpc(clpc_indices, cfg.clpc_mag_step_db, cfg.clpc_mag_floor_db,
+                                     cfg.clpc_phase_cells, order=cfg.lpc_order)
 
 
 def make_pack_context(cfg: CodecConfig) -> PackContext:
@@ -95,7 +91,7 @@ def make_pack_context(cfg: CodecConfig) -> PackContext:
         clpc_mag_alphabet=lp.clpc_mag_index_max(
             cfg.clpc_mag_step_db, cfg.clpc_mag_floor_db, cfg.clpc_mag_ceil_db) + 2,
         clpc_phase_bits=cfg.clpc_phase_cells.bit_length() - 1,
-        resolve_contrast=lambda lsf: derive_shaping(lsf, cfg)[1].high_contrast,
+        resolve_contrast=lambda lsf: derive_shaping(lsf, cfg)[1],
     )
 
 
@@ -107,24 +103,23 @@ def analyze_frames(samples: np.ndarray, cfg: CodecConfig) -> FrameAnalysis:
     r = lp.autocorr(samples, p)
     live = r[:, 0] > 1e-30
     coeffs = np.zeros((len(samples), p))
-    coeffs[live] = lp.bandwidth_expand(lp.levinson(r[live], p), cfg.fdns_weight).coeffs
-    lsf_idx = lp.quantize_lsf(lp.lpc_to_lsf(lp.LpModel(order=p, coeffs=coeffs)), cfg.lsf_step)
-    env, fer = derive_shaping(lsf_idx, cfg)
-    res = ns.fdns_forward(np.fft.rfft(samples), env.values)
+    coeffs[live] = lp.bandwidth_expand(lp.levinson(r[live], p), cfg.fdns_weight)
+    lsf_idx = lp.quantize_lsf(lp.lpc_to_lsf(coeffs), cfg.lsf_step)
+    env, contrast = derive_shaping(lsf_idx, cfg)
+    res = ns.fdns_forward(np.fft.rfft(samples), env)
 
     r = lp.autocorr(res[:, :cfg.band_edges[-1]], p)
     live = r[:, 0].real > 1e-30
     coeffs = np.zeros((len(samples), p), dtype=complex)
-    coeffs[live] = lp.bandwidth_expand(lp.levinson(r[live], p), cfg.ctns_weight).coeffs
-    clpc_idx = lp.quantize_complex_lpc(lp.LpModel(order=p, coeffs=coeffs), cfg.clpc_mag_step_db,
-                                       cfg.clpc_mag_floor_db, cfg.clpc_mag_ceil_db,
-                                       cfg.clpc_phase_cells)
+    coeffs[live] = lp.bandwidth_expand(lp.levinson(r[live], p), cfg.ctns_weight)
+    clpc_idx = lp.quantize_complex_lpc(coeffs, cfg.clpc_mag_step_db, cfg.clpc_mag_floor_db,
+                                       cfg.clpc_mag_ceil_db, cfg.clpc_phase_cells)
     coeffs = derive_clpc(clpc_idx, cfg)
     filtered = ns.ctns_filter(res, coeffs, cfg.ctns_start_bin)
-    decision = ns.prediction_gain(res, filtered, cfg.ctns_start_bin, cfg.ctns_threshold_db)
-    return FrameAnalysis(lsf_indices=lsf_idx, env=env, fer=fer, res=res,
+    gain_db, switch = ns.prediction_gain(res, filtered, cfg.ctns_start_bin, cfg.ctns_threshold_db)
+    return FrameAnalysis(lsf_indices=lsf_idx, env=env, contrast=contrast, res=res,
                          filtered=filtered, clpc_indices=clpc_idx, coeffs=coeffs,
-                         decision=decision, active=decision.active & cfg.ctns_enabled)
+                         gain_db=gain_db, active=switch & cfg.ctns_enabled)
 
 
 def synthesize(coded: np.ndarray, env_values: np.ndarray, coeffs: np.ndarray | None,
@@ -170,8 +165,8 @@ def encode_frames(frames: np.ndarray, cfg: CodecConfig, ctx: PackContext, first:
     are searched in one call over all its frames, and the chunk is quantized
     as one stack."""
     shaped = analyze_frames(frames, cfg)
-    coded, active, gain_db = shaped.coded, shaped.active, shaped.decision.gain_db
-    lsf, clpc, contrast = shaped.lsf_indices, shaped.clpc_indices, shaped.fer.high_contrast
+    coded, active, gain_db = shaped.coded, shaped.active, shaped.gain_db
+    lsf, clpc, contrast = shaped.lsf_indices, shaped.clpc_indices, shaped.contrast
     del shaped  # the residuals and envelopes are not needed past the analysis
     gains, overflow, bits = zip(*(  # one array per band each
         rc.search_scale_factors(coded[:, band], cfg.budget[b], contrast[:, b], rc.BandQuantContext(
@@ -198,7 +193,7 @@ def decode_frame_payload(payload: FramePayload, cfg: CodecConfig,
     """Reconstruct one time-domain frame contribution from a payload."""
     env, _ = derive_shaping(payload.lsf_indices, cfg)
     coeffs = derive_clpc(payload.clpc_indices, cfg) if payload.ctns_flag else None
-    return synthesize(dequantize_spectrum(payload, cfg, ctx), env.values, coeffs, cfg)
+    return synthesize(dequantize_spectrum(payload, cfg, ctx), env, coeffs, cfg)
 
 
 def finite_pcm(pcm: np.ndarray) -> np.ndarray:
@@ -273,6 +268,6 @@ def shaping_roundtrip(pcm: np.ndarray, cfg: CodecConfig) -> np.ndarray:
     recon = []
     for i in range(0, len(frames), CHUNK_FRAMES):  # chunks bound the memory, as in encoding
         s = analyze_frames(frames[i:i + CHUNK_FRAMES], cfg)
-        recon += [synthesize(coded, values, coeffs if active else None, cfg) for coded, values,
-                  coeffs, active in zip(s.coded, s.env.values, s.coeffs, s.active)]
+        recon += [synthesize(coded, env, coeffs if active else None, cfg) for coded, env,
+                  coeffs, active in zip(s.coded, s.env, s.coeffs, s.active)]
     return overlap_add(recon, cfg.window_spec, length=pcm.size)

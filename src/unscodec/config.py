@@ -56,8 +56,15 @@ class CodecConfig:
         if self.band_edges[-1] != self.frame_len // 2:
             raise ConfigError("last band edge must equal frame_len / 2")
         WindowSpec(self.frame_len, self.overlap_len, self.window_edge)  # validates geometry
-        if self.lpc_order % 2:
-            raise ConfigError(f"lpc_order must be even (LSFs come in pairs), not {self.lpc_order}")
+        if self.lpc_order % 2 or not 2 <= self.lpc_order <= 255:  # the header field is a u8
+            raise ConfigError(f"lpc_order must be even (LSFs come in pairs) and in 2..255, "
+                              f"not {self.lpc_order}")
+        for name, top in (("lsf_step", np.inf), ("clpc_mag_step_db", np.inf),
+                          ("fdns_weight", 1.0), ("ctns_weight", 1.0)):
+            if not 0.0 < getattr(self, name) <= top:  # a quantizer step, or an expansion gamma
+                raise ConfigError(f"{name} must be in (0, {top}], not {getattr(self, name)}")
+        if self.ctns_start_bin < 0:
+            raise ConfigError(f"ctns_start_bin must not be negative, not {self.ctns_start_bin}")
         for name, size in (("bits_12k", len(self.band_edges)), ("bits_16k", len(self.band_edges)),
                            ("phase_cells_high", 8), ("phase_cells_low", 8)):
             if len(getattr(self, name)) != size:

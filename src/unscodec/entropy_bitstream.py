@@ -321,9 +321,12 @@ class StreamHeader:
             raise StreamError(f"unsupported stream version {version}")
         if mode_code not in (12, 16):
             raise StreamError(f"unknown mode code {mode_code}")
+        tver = tver.rstrip(b"\0")
+        if not tver.isascii():
+            raise StreamError(f"quantizer table tag {tver!r} is not ASCII")
         return cls(sample_rate_hz=rate, frame_len=flen, overlap_len=ov,
                    mode=f"{mode_code}k", original_length=orig, lpc_order=order,
-                   table_version=tver.rstrip(b"\0").decode("ascii"), version=version)
+                   table_version=tver.decode("ascii"), version=version)
 
 
 @dataclass

@@ -9,7 +9,6 @@ and gives every row exactly, bit for bit, what a call on that row gives.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,29 +24,6 @@ class DegenerateSignalError(ValueError):
     """Raised when the lag-0 autocorrelation is not strictly positive."""
 
 
-@dataclass
-class LpModel:
-    """Prediction-error filter A(z) = 1 + sum a_k z^-k, or a stack of them
-    (coefficients (..., order), one energy and flag per row).
-
-    Coefficients are real for the spectral-envelope model and complex for the
-    temporal model along frequency.
-    """
-
-    order: int
-    coeffs: np.ndarray
-    residual_energy: float = float("nan")
-    clamped: bool = False
-
-
-@dataclass
-class FrequencyEnvelope:
-    """Magnitude envelope 1/|A| sampled on the one-sided bin grid."""
-
-    values: np.ndarray
-    values_db: np.ndarray
-
-
 def autocorr(x, max_lag: int) -> np.ndarray:
     """Autocorrelation r[k] = sum_t x[t] conj(x[t-k]) for k = 0..max_lag;
     one ``np.dot`` per lag and row, as a stacked product sums in another order."""
@@ -61,13 +37,15 @@ def autocorr(x, max_lag: int) -> np.ndarray:
     return r
 
 
-def levinson(r, order: int):
+def levinson(r, order: int) -> np.ndarray:
     """Levinson-Durbin recursion on a (Hermitian) autocorrelation sequence.
 
-    The model's coefficients are complex exactly when ``r`` is.  Reflection
-    coefficients with magnitude >= 1 (near-singular steps) are clamped to
-    0.999 and the model is flagged.  The inner product is one ``np.dot`` per row,
-    and |k|, |k|**2 are a scalar's (hypot, libm pow; numpy's array forms round apart).
+    Returns the coefficients a_1..a_order of the prediction-error filter
+    A(z) = 1 + sum a_k z^-k, shaped (..., order), complex exactly when ``r`` is.
+    Reflection coefficients with magnitude >= 1 (near-singular steps) are
+    scaled back to magnitude REFLECTION_CLAMP.  The inner product is one
+    ``np.dot`` per row, and |k|, |k|**2 are a scalar's (hypot, libm pow;
+    numpy's array forms round apart).
     """
     r = np.asarray(r)
     if order >= r.shape[-1]:
@@ -80,7 +58,6 @@ def levinson(r, order: int):
     a = np.zeros((len(rows), order + 1), dtype=dtype)
     a[:, 0] = 1.0
     energy = rows[:, 0].real * (1.0 + NOISE_FLOOR)
-    clamped = np.zeros(len(rows), dtype=bool)
     for m in range(1, order + 1):
         acc = rows[:, m] + np.array([np.dot(ai[1:m], ri[1:m][::-1])
                                      for ai, ri in zip(a, rows)], dtype=dtype)
@@ -89,30 +66,18 @@ def levinson(r, order: int):
         over = mag >= 1.0
         k[over] = REFLECTION_CLAMP * k[over] / mag[over]
         mag[over] = np.hypot(k[over].real, k[over].imag)
-        clamped |= over
         prev = a[:, 1:m].copy()
         a[:, 1:m] = prev + k[:, None] * np.conj(prev[:, ::-1])
         a[:, m] = k
         energy = energy * (1.0 - np.array([x ** 2 for x in mag.tolist()]))
-
-    shape = r.shape[:-1]
-    if not shape:  # one sequence: plain numbers, as ever
-        return LpModel(order, a[0, 1:], float(energy[0]), bool(clamped[0]))
-    return LpModel(order, a[:, 1:].reshape(shape + (order,)), energy.reshape(shape),
-                   clamped.reshape(shape))
+    return a[:, 1:].reshape(r.shape[:-1] + (order,))
 
 
-def bandwidth_expand(model, gamma: float):
+def bandwidth_expand(coeffs: np.ndarray, gamma: float) -> np.ndarray:
     """Scale coefficient k by gamma**k, shrinking every pole radius by gamma."""
     if not 0.0 < gamma <= 1.0:
         raise ValueError("gamma must be in (0, 1]")
-    scaled = model.coeffs * gamma ** np.arange(1, model.order + 1)
-    return LpModel(
-        order=model.order,
-        coeffs=scaled,
-        residual_energy=model.residual_energy,
-        clamped=model.clamped,
-    )
+    return coeffs * gamma ** np.arange(1, np.shape(coeffs)[-1] + 1)
 
 
 def _roots(polys: np.ndarray) -> np.ndarray:
@@ -137,17 +102,17 @@ def _max_root_radius(rows: np.ndarray) -> np.ndarray:
     return np.where(np.isclose(rows, 0.0).all(axis=1), 0.0, radius.max(axis=1, initial=0.0))
 
 
-def lpc_to_lsf(model: LpModel) -> np.ndarray:
+def lpc_to_lsf(coeffs: np.ndarray) -> np.ndarray:
     """Convert an even-order minimum-phase model to line spectral frequencies.
 
     The symmetric/antisymmetric polynomials P and Q are deflated by their
     trivial roots at z = -1 and z = +1; the remaining unit-circle root angles,
     merged and sorted, are the LSFs (strictly increasing in (0, pi)).
     """
-    p = model.order
+    coeffs = np.asarray(coeffs, dtype=float)
+    p = coeffs.shape[-1]
     if p % 2 != 0:
         raise ValueError("LSF conversion requires an even order")
-    coeffs = np.asarray(model.coeffs, dtype=float)
     rows = coeffs.reshape(-1, p)
     if np.any(_max_root_radius(rows) >= 1.0):
         raise ValueError("model is not minimum phase")
@@ -169,7 +134,7 @@ def lpc_to_lsf(model: LpModel) -> np.ndarray:
     return lsf.reshape(coeffs.shape)
 
 
-def lsf_to_lpc(lsf: np.ndarray) -> LpModel:
+def lsf_to_lpc(lsf: np.ndarray) -> np.ndarray:
     """Rebuild the prediction-error filter from strictly increasing LSFs."""
     lsf = np.asarray(lsf, dtype=float)
     p = lsf.shape[-1]
@@ -187,7 +152,7 @@ def lsf_to_lpc(lsf: np.ndarray) -> LpModel:
         poly[..., 2:n + 2] = (poly[..., :n] + c[..., j, None] * poly[..., 1:n + 1]
                               + poly[..., 2:n + 2])
     a = 0.5 * (poly[..., 0, 2:] + poly[..., 1, 2:])
-    return LpModel(order=p, coeffs=a[..., 1:p + 1])
+    return a[..., 1:p + 1]
 
 
 def lsf_index_max(step: float) -> int:
@@ -226,7 +191,7 @@ def clpc_mag_index_max(mag_step_db: float, mag_floor_db: float, mag_ceil_db: flo
     return int(round((mag_ceil_db - mag_floor_db) / mag_step_db))
 
 
-def quantize_complex_lpc(model: LpModel, mag_step_db: float = 0.5,
+def quantize_complex_lpc(coeffs: np.ndarray, mag_step_db: float = 0.5,
                          mag_floor_db: float = -60.0, mag_ceil_db: float = 20.0,
                          phase_cells: int = 64) -> np.ndarray:
     """Per-coefficient polar scalar quantization of a complex model.
@@ -235,7 +200,7 @@ def quantize_complex_lpc(model: LpModel, mag_step_db: float = 0.5,
     (index -1 is the zero cell for anything below the floor); phases are
     quantized uniformly.  Indices come back as an (..., order, 2) array.
     """
-    coeffs = np.asarray(model.coeffs, dtype=complex)
+    coeffs = np.asarray(coeffs, dtype=complex)
     mag = np.hypot(coeffs.real, coeffs.imag)  # a scalar's abs(); the array abs rounds apart
     mag_db = 20.0 * np.log10(np.where(mag > 0.0, mag, 1.0))
     zero = (mag <= 0.0) | (mag_db < mag_floor_db)
@@ -259,7 +224,7 @@ def _clpc_cells(mag_step_db: float, mag_floor_db: float, phase_cells: int, size:
 
 def dequantize_complex_lpc(indices: np.ndarray, mag_step_db: float = 0.5,
                            mag_floor_db: float = -60.0, phase_cells: int = 64,
-                           order: int | None = None) -> LpModel:
+                           order: int | None = None) -> np.ndarray:
     """Rebuild the complex model from cell centers, with a stability guard.
 
     Quantization can push a pole of a marginally stable model onto or over
@@ -283,7 +248,7 @@ def dequantize_complex_lpc(indices: np.ndarray, mag_step_db: float = 0.5,
     radius = _max_root_radius(rows)
     wild = radius > 0.96
     rows[wild] = rows[wild] * (0.92 / radius[wild, None]) ** np.arange(1, p + 1)
-    return LpModel(order=p, coeffs=coeffs)
+    return coeffs
 
 
 @functools.lru_cache(maxsize=8)
@@ -295,12 +260,11 @@ def _steering(n_bins: int, order: int) -> np.ndarray:
     return steering
 
 
-def frequency_envelope(model, n_bins: int = 513) -> FrequencyEnvelope:
+def frequency_envelope(coeffs: np.ndarray, n_bins: int = 513) -> np.ndarray:
     """Evaluate 1/|A| on the one-sided bin grid of a 2(n_bins-1) DFT, as one
-    matrix-vector product per row."""
-    coeffs = np.ascontiguousarray(model.coeffs, dtype=complex)  # strided or real: slow matmul
-    a_eval = (_steering(n_bins, model.order) @ coeffs[..., None])[..., 0]
+    matrix-vector product per row; capped at 1e12 where |A| is near zero."""
+    coeffs = np.ascontiguousarray(coeffs, dtype=complex)  # strided or real: slow matmul
+    a_eval = (_steering(n_bins, coeffs.shape[-1]) @ coeffs[..., None])[..., 0]
     a_eval += 1.0
     mag = np.abs(a_eval)
-    values = np.divide(1.0, mag, out=np.full(mag.shape, 1e12), where=~(mag < 1e-12))
-    return FrequencyEnvelope(values=values, values_db=20.0 * np.log10(values))
+    return np.divide(1.0, mag, out=np.full(mag.shape, 1e12), where=~(mag < 1e-12))

@@ -8,18 +8,10 @@ measured prediction gain.  The encoder side also takes stacks, one row each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 GAIN_FLOOR_DB = -100.0
 GAIN_CEIL_DB = 20.0
-
-
-@dataclass
-class CtnsDecision:
-    gain_db: float
-    active: bool
 
 
 def fdns_forward(bins: np.ndarray, env_values: np.ndarray) -> np.ndarray:
@@ -83,8 +75,9 @@ def ctns_unfilter(filtered: np.ndarray, coeffs: np.ndarray, start_bin: int) -> n
 
 
 def prediction_gain(x_fd: np.ndarray, x_ct: np.ndarray, start_bin: int,
-                    threshold_db: float) -> CtnsDecision:
-    """Energy ratio of the predicted component against the unfiltered residual.
+                    threshold_db: float):
+    """Energy ratio of the predicted component against the unfiltered residual,
+    as (gain_db, active).
 
     G = 10 log10( sum |x_fd - x_ct|^2 / sum |x_fd|^2 ) over the filtered bins;
     the filter engages when G exceeds the threshold.  Degenerate frames
@@ -103,4 +96,4 @@ def prediction_gain(x_fd: np.ndarray, x_ct: np.ndarray, start_bin: int,
     active = live & (gain > threshold_db)
     if gain.ndim == 0:
         gain, active = float(gain), bool(active)
-    return CtnsDecision(gain_db=gain, active=active)
+    return gain, active

@@ -62,32 +62,19 @@ class EcupqTable:
         return self.thresholds[-1]
 
 
-@dataclass
-class FerProfile:
-    """Per-band share of the (shifted) dB envelope maxima."""
-
-    fer: np.ndarray
-    threshold: float
-
-    @property
-    def high_contrast(self) -> np.ndarray:
-        return self.fer > self.threshold
-
-
-def compute_fer(values_db: np.ndarray, band_edges, threshold: float) -> FerProfile:
-    """Band-max envelope ratios of the bands ending at ``band_edges`` (each row of a stack).
+def compute_fer(env_db: np.ndarray, band_edges) -> np.ndarray:
+    """Per-band share of the dB envelope maxima, for the bands ending at
+    ``band_edges`` (each row of a stack).
 
     The dB values are shifted by their minimum over the banded bins so every
     band maximum is non-negative; a flat envelope degenerates to equal shares.
     """
-    vdb = np.asarray(values_db, dtype=float)
-    banded = vdb[..., :band_edges[-1]]
+    banded = np.asarray(env_db, dtype=float)[..., :band_edges[-1]]
     shifted = banded - banded.min(axis=-1, keepdims=True)
     maxima = np.maximum.reduceat(shifted, [0, *band_edges[:-1]], axis=-1)
     total = maxima.sum(axis=-1, keepdims=True)
-    fer = np.divide(maxima, total, out=np.full(maxima.shape, 1.0 / len(band_edges)),
-                    where=~(total <= 0.0))
-    return FerProfile(fer=fer, threshold=threshold)
+    return np.divide(maxima, total, out=np.full(maxima.shape, 1.0 / len(band_edges)),
+                     where=~(total <= 0.0))
 
 
 def quantize_magnitudes(mags: np.ndarray, table: EcupqTable):

@@ -47,12 +47,15 @@ def read_wav(path: str):
     tag, channels, rate, _, _, bits = fmt
     if channels not in (1, 2):
         raise WavFormatError(f"unsupported channel count {channels}")
-    if tag == 1 and bits == 16:
-        samples = np.frombuffer(payload, dtype="<i2").astype(np.float64) / 32768.0
-    elif tag == 3 and bits == 32:
-        samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
-    else:
+    if (tag, bits) not in ((1, 16), (3, 32)):
         raise WavFormatError(f"unsupported codec tag {tag} at {bits} bits")
+    if len(payload) % (channels * bits // 8):
+        raise WavFormatError(f"data chunk of {len(payload)} bytes is not a whole number of "
+                             f"{channels}-channel {bits}-bit sample frames")
+    if tag == 1:
+        samples = np.frombuffer(payload, dtype="<i2").astype(np.float64) / 32768.0
+    else:
+        samples = np.frombuffer(payload, dtype="<f4").astype(np.float64)
     if channels == 2:
         samples = samples.reshape(-1, 2).mean(axis=1)
     return samples, rate

@@ -10,7 +10,7 @@ stack must permute the outputs.
 import numpy as np
 from hypothesis import example, given, strategies as st
 
-from unscodec import codec, lp, noise_shaping as ns
+from unscodec import codec, lp, noise_shaping as ns, polar_quant as pq
 from unscodec.config import CodecConfig
 from unscodec.util import round_half_up, wrap_phase
 
@@ -31,24 +31,24 @@ def ref_autocorr(x, max_lag):
 
 
 def ref_levinson(r, order):
-    """(coeffs, residual energy, clamped)"""
+    """(coeffs, the orders m whose reflection coefficient was clamped)"""
     is_complex = np.iscomplexobj(r)
     r0 = r[0].real if is_complex else float(r[0])
     a = np.zeros(order + 1, dtype=complex if is_complex else float)
     a[0] = 1.0
     energy = r0 * (1.0 + lp.NOISE_FLOOR)
-    clamped = False
+    clamped = []
     for m in range(1, order + 1):
         acc = r[m] + np.dot(a[1:m], r[1:m][::-1])
         k = -acc / energy
         if abs(k) >= 1.0:
             k = lp.REFLECTION_CLAMP * k / abs(k)
-            clamped = True
+            clamped.append(m)
         prev = a[1:m].copy()
         a[1:m] = prev + k * np.conj(prev[::-1])
         a[m] = k
         energy *= (1.0 - abs(k) ** 2)
-    return (a[1:] if is_complex else a[1:].real), float(energy), clamped
+    return (a[1:] if is_complex else a[1:].real), clamped
 
 
 def ref_max_radius(coeffs):
@@ -187,21 +187,21 @@ def ref_analyze_frame(samples, cfg, flags=None):
         flags.add("silent")
         coeffs = np.zeros(p)
     else:
-        coeffs, _, clamped = ref_levinson(r, p)
+        coeffs, clamped = ref_levinson(r, p)
         coeffs = coeffs * cfg.fdns_weight ** np.arange(1, p + 1)
         if clamped:
             flags.add("clamped")
     lsf_idx = lp.quantize_lsf(ref_lpc_to_lsf(coeffs), cfg.lsf_step)
     model = ref_lsf_to_lpc(ref_dequantize_lsf(lsf_idx, cfg.lsf_step, cfg.lsf_min_gap))
     values, values_db = ref_envelope(model, cfg.n_bins)
-    fer = ref_fer(values_db, cfg.band_edges)
+    contrast = ref_fer(values_db, cfg.band_edges) > cfg.fer_threshold
     res = ns.fdns_forward(np.fft.rfft(samples), values)
 
     r = ref_autocorr(res[:cfg.band_edges[-1]], p)
     if r[0].real <= 1e-30:
         coeffs = np.zeros(p, dtype=complex)
     else:
-        coeffs, _, clamped = ref_levinson(r, p)
+        coeffs, clamped = ref_levinson(r, p)
         coeffs = coeffs * cfg.ctns_weight ** np.arange(1, p + 1)
         if clamped:
             flags.add("clamped")
@@ -211,17 +211,17 @@ def ref_analyze_frame(samples, cfg, flags=None):
                                  cfg.clpc_phase_cells, p, flags)
     filtered = ref_ctns_filter(res, coeffs, cfg.ctns_start_bin)
     gain, switch = ref_prediction_gain(res, filtered, cfg.ctns_start_bin, cfg.ctns_threshold_db)
-    return dict(lsf_indices=lsf_idx, env_values=values, env_values_db=values_db, fer=fer,
-                res=res, filtered=filtered, clpc_indices=clpc_idx, coeffs=coeffs,
-                gain_db=gain, active=switch and cfg.ctns_enabled)
+    return dict(lsf_indices=lsf_idx, env=values, contrast=contrast, res=res, filtered=filtered,
+                clpc_indices=clpc_idx, coeffs=coeffs, gain_db=gain,
+                active=switch and cfg.ctns_enabled)
 
 
 def stacked_fields(shaped, row):
-    return dict(lsf_indices=shaped.lsf_indices[row], env_values=shaped.env.values[row],
-                env_values_db=shaped.env.values_db[row], fer=shaped.fer.fer[row],
-                res=shaped.res[row], filtered=shaped.filtered[row],
-                clpc_indices=shaped.clpc_indices[row], coeffs=shaped.coeffs[row],
-                gain_db=shaped.decision.gain_db[row], active=shaped.active[row])
+    return dict(lsf_indices=shaped.lsf_indices[row], env=shaped.env[row],
+                contrast=shaped.contrast[row], res=shaped.res[row],
+                filtered=shaped.filtered[row], clpc_indices=shaped.clpc_indices[row],
+                coeffs=shaped.coeffs[row], gain_db=shaped.gain_db[row],
+                active=shaped.active[row])
 
 
 def assert_same_bits(got, want, what):
@@ -289,14 +289,12 @@ def test_stacked_analysis_rows_equal_per_frame_reference(specs, order_seed, ctns
         assert_same_bits(r[row], ref_autocorr(frame, p), "autocorr")
         assert_same_bits(r_res[row], ref_autocorr(res[row], p), "complex autocorr")
     for seqs in (r[r[:, 0] > 1e-30], r_res[r_res[:, 0].real > 1e-30]):
-        model = lp.levinson(seqs, p)
+        stacked = lp.levinson(seqs, p)
         for row, seq in enumerate(seqs):
-            coeffs, energy, clamped = ref_levinson(seq, p)
-            assert_same_bits(model.coeffs[row], coeffs, "levinson")
-            assert model.residual_energy[row] == energy and model.clamped[row] == clamped
+            assert_same_bits(stacked[row], ref_levinson(seq, p)[0], "levinson")
     expanded = lp.bandwidth_expand(lp.levinson(r[r[:, 0] > 1e-30], p), cfg.fdns_weight)
     lsf = lp.lpc_to_lsf(expanded)
-    for row, coeffs in enumerate(expanded.coeffs):
+    for row, coeffs in enumerate(expanded):
         assert_same_bits(lsf[row], ref_lpc_to_lsf(coeffs), "lpc_to_lsf")
 
     # permuting the rows permutes every output
@@ -350,21 +348,27 @@ def sequences(draw):
 @example(seqs=np.array(CLAMPING) + 0.5j * np.eye(1, ORDER + 1, 2))
 @given(seqs=sequences())
 def test_stacked_levinson_rows_equal_reference(seqs):
-    model = lp.levinson(seqs, ORDER)
+    stacked = lp.levinson(seqs, ORDER)
+    # the last coefficient of the order-m model is the m-th reflection coefficient
+    reflections = np.abs(np.stack([lp.levinson(seqs, m)[:, -1] for m in range(1, ORDER + 1)],
+                                  axis=1))
     for row, seq in enumerate(seqs):
-        coeffs, energy, clamped = ref_levinson(seq, ORDER)
-        assert_same_bits(model.coeffs[row], coeffs, "coeffs")
-        assert model.residual_energy[row] == energy or np.isnan(energy)
-        assert model.clamped[row] == clamped
-        single = lp.levinson(seq, ORDER)
-        assert_same_bits(single.coeffs, coeffs, "1-D coeffs")
-        assert single.clamped == clamped
+        coeffs, clamped = ref_levinson(seq, ORDER)
+        assert_same_bits(stacked[row], coeffs, "coeffs")
+        assert_same_bits(lp.levinson(seq, ORDER), coeffs, "1-D coeffs")
+        for m, k in enumerate(reflections[row], 1):
+            if m in clamped:
+                assert abs(k - lp.REFLECTION_CLAMP) < 1e-15, m
+            else:
+                assert k < 1.0, m
 
 
 def test_clamping_sequences_clamp():
     for seq in (np.array(CLAMPING[0]), np.array(CLAMPING[0]) + 0.5j * np.eye(1, ORDER + 1, 2)[0]):
-        assert ref_levinson(seq, ORDER)[2]
-        assert lp.levinson(seq, ORDER).clamped
+        clamped = ref_levinson(seq, ORDER)[1]
+        assert clamped
+        for m in clamped:
+            assert abs(abs(lp.levinson(seq, m)[-1]) - lp.REFLECTION_CLAMP) < 1e-15
 
 
 lsf_rows = st.lists(st.integers(0, 100), min_size=ORDER, max_size=ORDER).map(sorted)
@@ -374,13 +378,14 @@ lsf_rows = st.lists(st.integers(0, 100), min_size=ORDER, max_size=ORDER).map(sor
 def test_stacked_shaping_rows_equal_reference(rows):
     # dequantize_lsf, lsf_to_lpc, frequency_envelope and compute_fer, through
     # derive_shaping, on drawn index rows (collisions and both ends included)
-    env, fer = codec.derive_shaping(np.array(rows), CFG)
+    env, contrast = codec.derive_shaping(np.array(rows), CFG)
+    fer = pq.compute_fer(20.0 * np.log10(env), CFG.band_edges)
     for row, idx in enumerate(rows):
         lsf = ref_dequantize_lsf(idx, CFG.lsf_step, CFG.lsf_min_gap)
         values, values_db = ref_envelope(ref_lsf_to_lpc(lsf), CFG.n_bins)
-        assert_same_bits(env.values[row], values, "envelope")
-        assert_same_bits(env.values_db[row], values_db, "envelope dB")
-        assert_same_bits(fer.fer[row], ref_fer(values_db, CFG.band_edges), "fer")
+        assert_same_bits(env[row], values, "envelope")
+        assert_same_bits(fer[row], ref_fer(values_db, CFG.band_edges), "fer")
+        assert_same_bits(contrast[row], fer[row] > CFG.fer_threshold, "contrast")
 
 
 clpc_magnitudes = st.one_of(st.just(0.0), st.floats(1e-5, 1e-2), st.floats(1e-2, 3.0))
@@ -405,13 +410,12 @@ FLOOR_EDGE = complex(0.00011002744787700769, 0.000993928549098813)
 @given(complex_models())
 def test_stacked_clpc_rows_equal_reference(coeffs):
     args = (CFG.clpc_mag_step_db, CFG.clpc_mag_floor_db)
-    idx = lp.quantize_complex_lpc(lp.LpModel(order=ORDER, coeffs=coeffs), *args,
-                                  CFG.clpc_mag_ceil_db, CFG.clpc_phase_cells)
-    model = lp.dequantize_complex_lpc(idx, *args, CFG.clpc_phase_cells, order=ORDER)
+    idx = lp.quantize_complex_lpc(coeffs, *args, CFG.clpc_mag_ceil_db, CFG.clpc_phase_cells)
+    rebuilt = lp.dequantize_complex_lpc(idx, *args, CFG.clpc_phase_cells, order=ORDER)
     for row, c in enumerate(coeffs):
         want = ref_quantize_clpc(c, *args, CFG.clpc_mag_ceil_db, CFG.clpc_phase_cells)
         assert_same_bits(idx[row], want, "indices")
-        assert_same_bits(model.coeffs[row],
+        assert_same_bits(rebuilt[row],
                          ref_dequantize_clpc(want, *args, CFG.clpc_phase_cells, ORDER), "coeffs")
 
 
@@ -421,9 +425,9 @@ def test_every_clpc_cell_center_equals_scalar_formula():
     mi, pi_ = np.meshgrid(np.arange(n_mag + 1), np.arange(CFG.clpc_phase_cells), indexing="ij")
     idx = np.stack([mi.ravel(), pi_.ravel()], axis=-1).reshape(-1, ORDER, 2)
     args = (CFG.clpc_mag_step_db, CFG.clpc_mag_floor_db, CFG.clpc_phase_cells)
-    model = lp.dequantize_complex_lpc(idx, *args, order=ORDER)
+    rebuilt = lp.dequantize_complex_lpc(idx, *args, order=ORDER)
     for row, cells in enumerate(idx):
-        assert_same_bits(model.coeffs[row], ref_dequantize_clpc(cells, *args, ORDER), row)
+        assert_same_bits(rebuilt[row], ref_dequantize_clpc(cells, *args, ORDER), row)
 
 
 def test_stacked_ctns_rows_equal_reference():
@@ -432,11 +436,11 @@ def test_stacked_ctns_rows_equal_reference():
     coeffs = 0.3 * (rng.standard_normal((5, ORDER)) + 1j * rng.standard_normal((5, ORDER)))
     coeffs[1] = 0.0  # nothing predicted: the floor
     filtered = ns.ctns_filter(res, coeffs, CFG.ctns_start_bin)
-    decision = ns.prediction_gain(res, filtered, CFG.ctns_start_bin, CFG.ctns_threshold_db)
+    gain_db, active = ns.prediction_gain(res, filtered, CFG.ctns_start_bin, CFG.ctns_threshold_db)
     for row in range(len(res)):
         want = ref_ctns_filter(res[row], coeffs[row], CFG.ctns_start_bin)
         assert_same_bits(filtered[row], want, "filtered")
-        gain, active = ref_prediction_gain(res[row], want, CFG.ctns_start_bin,
+        gain, switch = ref_prediction_gain(res[row], want, CFG.ctns_start_bin,
                                            CFG.ctns_threshold_db)
-        assert decision.gain_db[row] == gain and decision.active[row] == active
-    assert decision.gain_db[1] == ns.GAIN_FLOOR_DB
+        assert gain_db[row] == gain and active[row] == switch
+    assert gain_db[1] == ns.GAIN_FLOOR_DB

@@ -68,6 +68,19 @@ def test_wav_truncated_header_names_missing_chunk(tmp_path):
         read_wav(path)
 
 
+@pytest.mark.parametrize("channels, payload", [(1, b"\0" * 3), (2, b"\0" * 6)])
+def test_wav_ragged_data_chunk_raises_format_error(tmp_path, channels, payload):
+    # 16-bit data that does not end on a whole sample frame
+    path = str(tmp_path / "r.wav")
+    fmt = struct.pack("<HHIIHH", 1, channels, 8000, 16000 * channels, 2 * channels, 16)
+    chunks = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+    chunks += b"data" + struct.pack("<I", len(payload)) + payload
+    with open(path, "wb") as f:
+        f.write(b"RIFF" + struct.pack("<I", len(chunks)) + chunks)
+    with pytest.raises(WavFormatError, match="whole number"):
+        read_wav(path)
+
+
 def test_wav_rejects_unsupported_codec(tmp_path):
     path = str(tmp_path / "u.wav")
     fmt = struct.pack("<HHIIHH", 7, 1, 8000, 8000, 1, 8)  # mu-law tag
@@ -174,7 +187,12 @@ def test_config_rejects_bad_values_at_construction(tmp_path):
                    dict(band_edges=(0, 90, 512), bits_12k=(9,) * 3, bits_16k=(9,) * 3),
                    dict(bits_12k=(45, 34, 30, 23, 19, 16, 16, 0)),
                    dict(bits_16k=(67, 50, 45, -34, 29, 23, 23, 23)),
-                   dict(lpc_order=15),
+                   dict(lpc_order=15), dict(lpc_order=0), dict(lpc_order=-2),
+                   dict(lpc_order=256),  # the header field is one byte
+                   dict(lsf_step=0.0), dict(clpc_mag_step_db=0.0), dict(clpc_mag_step_db=-0.5),
+                   dict(ctns_start_bin=-5),
+                   dict(fdns_weight=1.5), dict(fdns_weight=0.0), dict(ctns_weight=0.0),
+                   dict(ctns_weight=float("nan")),
                    dict(sample_rate=16000)):  # input is always resampled to 12.8 kHz
         with pytest.raises(ConfigError):
             CodecConfig(**kwargs)

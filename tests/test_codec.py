@@ -125,6 +125,28 @@ def test_decode_rejects_mismatched_table_version():
         codec.decode_stream(header.pack() + blob[StreamHeader.size():], CFG12)
 
 
+@pytest.fixture(scope="module")
+def tone_stream():
+    return codec.encode_stream(signals.tone(500.0, 0.2), CFG12)[0]
+
+
+TAG_AT = StreamHeader.size() - 24  # the quantizer table tag is the header's last field
+
+
+@given(replaced=st.dictionaries(st.integers(5, StreamHeader.size() - 1), st.integers(0, 255)))
+@example(replaced={TAG_AT: 0xFF})
+@example(replaced={TAG_AT + 23: 0x80})
+def test_drawn_header_fields_raise_only_stream_error(tone_stream, replaced):
+    # the magic and version stay valid; any header byte after them is drawn
+    data = bytearray(tone_stream)
+    for pos, byte in replaced.items():
+        data[pos] = byte
+    try:
+        codec.decode_stream(bytes(data), CFG12)
+    except StreamError:
+        pass
+
+
 def test_decode_rejects_truncated_stream():
     pcm = signals.tone(500.0, 0.5)
     blob, _ = codec.encode_stream(pcm, CFG12)
@@ -203,10 +225,11 @@ def test_encoder_decoder_derive_identical_shaping():
     pcm = signals.speechish(1.0)
     frames = frame_signal(pcm, CFG12.window_spec)
     (payload, _, _), = codec.encode_frames(frames[3:4], CFG12, CTX12, 3)
-    env_a, fer_a = codec.derive_shaping(payload.lsf_indices, CFG12)
-    env_b, fer_b = codec.derive_shaping(payload.lsf_indices.copy(), CFG12)
-    assert np.array_equal(env_a.values, env_b.values)
-    assert np.array_equal(fer_a.fer, fer_b.fer)
+    env_a, contrast_a = codec.derive_shaping(payload.lsf_indices, CFG12)
+    env_b, contrast_b = codec.derive_shaping(payload.lsf_indices.copy(), CFG12)
+    assert np.array_equal(env_a, env_b)
+    assert np.array_equal(contrast_a, contrast_b)
+    assert np.array_equal(contrast_a, payload.contrast)
     if payload.ctns_flag:
         ca = codec.derive_clpc(payload.clpc_indices, CFG12)
         cb = codec.derive_clpc(payload.clpc_indices.copy(), CFG12)
@@ -270,7 +293,7 @@ def test_active_frames_remove_filtered_energy():
     pcm, _ = signals.click_train(1.5)
     shaped = codec.analyze_frames(frame_signal(pcm, CFG12.window_spec), CFG12)
     checked = 0
-    for f in np.flatnonzero(shaped.decision.active):
+    for f in np.flatnonzero(shaped.active):
         seg = slice(CFG12.ctns_start_bin, 512)
         assert (np.sum(np.abs(shaped.filtered[f, seg]) ** 2)
                 <= np.sum(np.abs(shaped.res[f, seg]) ** 2))

@@ -12,7 +12,7 @@ BAND_RANGES = list(zip((0,) + EDGES[:-1], EDGES))
 
 
 def fer_of(values_db):
-    return pq.compute_fer(values_db, EDGES, CFG.fer_threshold)
+    return pq.compute_fer(values_db, EDGES)
 
 
 def test_table_shape_invariants():
@@ -171,27 +171,27 @@ def test_phase_rejects_bad_cell_count():
 
 
 def test_fer_flat_envelope():
-    prof = fer_of(np.zeros(513))
-    assert np.allclose(prof.fer, 0.125)
-    assert not np.any(prof.high_contrast)
+    fer = fer_of(np.zeros(513))
+    assert np.allclose(fer, 0.125)
+    assert not np.any(fer > CFG.fer_threshold)
 
 
 def test_fer_single_dominant_band():
     vdb = np.zeros(513)
     vdb[10] = 70.0
-    prof = fer_of(vdb)
-    assert abs(prof.fer[0] - 1.0) < 1e-12
-    assert np.allclose(prof.fer[1:], 0.0)
-    assert list(prof.high_contrast) == [True] + [False] * 7
+    fer = fer_of(vdb)
+    assert abs(fer[0] - 1.0) < 1e-12
+    assert np.allclose(fer[1:], 0.0)
+    assert list(fer > CFG.fer_threshold) == [True] + [False] * 7
 
 
 def test_fer_sums_to_one_random():
     rng = np.random.default_rng(32)
     for _ in range(20):
         vdb = rng.standard_normal(513) * 12.0
-        prof = fer_of(vdb)
-        assert abs(prof.fer.sum() - 1.0) < 1e-9
-        assert np.all(prof.fer >= 0.0)
+        fer = fer_of(vdb)
+        assert abs(fer.sum() - 1.0) < 1e-9
+        assert np.all(fer >= 0.0)
 
 
 def test_fer_permutation_equivariance():
@@ -200,12 +200,12 @@ def test_fer_permutation_equivariance():
     vdb = np.zeros(513)
     for b, (lo, hi) in enumerate(BAND_RANGES):
         vdb[lo:hi] = base[b]
-    ref = fer_of(vdb).fer
+    ref = fer_of(vdb)
     perm = np.array([3, 1, 0, 2, 7, 6, 5, 4])
     vdb2 = np.zeros(513)
     for b, (lo, hi) in enumerate(BAND_RANGES):
         vdb2[lo:hi] = base[perm[b]]
-    out = fer_of(vdb2).fer
+    out = fer_of(vdb2)
     assert np.allclose(out, ref[perm], atol=1e-12)
 
 

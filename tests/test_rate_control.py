@@ -42,9 +42,9 @@ def fer_bands(cfg):
     """The bins each FER band spans, found by raising one bin at a time."""
     ends = []
     for k in range(cfg.frame_len // 2):
-        values_db = np.zeros(cfg.n_bins)
-        values_db[k] = 1.0
-        ends.append(int(np.argmax(pq.compute_fer(values_db, cfg.band_edges, cfg.fer_threshold).fer)))
+        env_db = np.zeros(cfg.n_bins)
+        env_db[k] = 1.0
+        ends.append(int(np.argmax(pq.compute_fer(env_db, cfg.band_edges))))
     return tuple(np.bincount(ends).tolist())
 
 
