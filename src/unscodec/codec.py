@@ -9,7 +9,7 @@ is computed in the encoder from the same quantized values.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -77,7 +77,7 @@ def derive_shaping(lsf_indices: np.ndarray, cfg: CodecConfig):
 
 def derive_clpc(clpc_indices: np.ndarray, cfg: CodecConfig) -> np.ndarray:
     return lp.dequantize_complex_lpc(clpc_indices, cfg.clpc_mag_step_db, cfg.clpc_mag_floor_db,
-                                     cfg.clpc_phase_cells, order=cfg.lpc_order)
+                                     cfg.clpc_phase_cells)
 
 
 def make_pack_context(cfg: CodecConfig) -> PackContext:
@@ -204,16 +204,20 @@ def finite_pcm(pcm: np.ndarray) -> np.ndarray:
     return pcm
 
 
+def stream_header(cfg: CodecConfig, original_length: int) -> StreamHeader:
+    """The header of a stream of ``original_length`` samples coded with ``cfg``."""
+    return StreamHeader(sample_rate_hz=cfg.sample_rate, frame_len=cfg.frame_len,
+                        overlap_len=cfg.overlap_len, mode=cfg.mode,
+                        original_length=original_length, lpc_order=cfg.lpc_order,
+                        table_version=cfg.ecupq.version)
+
+
 def encode_stream(pcm: np.ndarray, cfg: CodecConfig):
     """Encode mono core-band PCM to a bitstream; returns (bytes, stats)."""
     pcm = finite_pcm(pcm)
-    header = StreamHeader(sample_rate_hz=cfg.sample_rate, frame_len=cfg.frame_len,
-                          overlap_len=cfg.overlap_len, mode=cfg.mode,
-                          original_length=pcm.size, lpc_order=cfg.lpc_order,
-                          table_version=cfg.ecupq.version)
     ctx = make_pack_context(cfg)
     frames = frame_signal(pcm, cfg.window_spec)
-    blobs, stats = [header.pack()], []
+    blobs, stats = [stream_header(cfg, pcm.size).pack()], []
     for i in range(0, len(frames), CHUNK_FRAMES):
         for _, blob, frame_stats in encode_frames(frames[i:i + CHUNK_FRAMES], cfg, ctx, i):
             blobs.append(blob)
@@ -224,16 +228,12 @@ def encode_stream(pcm: np.ndarray, cfg: CodecConfig):
 def decode_stream(data: bytes, cfg: CodecConfig | None = None):
     """Decode a bitstream; returns (pcm, header, per-frame CTNS flags)."""
     header = StreamHeader.unpack(data)
-    if cfg is None:
-        cfg = CodecConfig()
-    if (header.sample_rate_hz != cfg.sample_rate or header.frame_len != cfg.frame_len
-            or header.overlap_len != cfg.overlap_len or header.lpc_order != cfg.lpc_order):
-        raise StreamError("stream header does not match configuration")
-    if header.table_version != cfg.ecupq.version:
-        raise StreamError(
-            f"stream uses quantizer table {header.table_version!r}, "
-            f"configuration has {cfg.ecupq.version!r}")
-    cfg = cfg.with_mode(header.mode)
+    cfg = (CodecConfig() if cfg is None else cfg).with_mode(header.mode)
+    want = stream_header(cfg, header.original_length)
+    differ = [f"{f.name} {getattr(header, f.name)!r} (configuration: {getattr(want, f.name)!r})"
+              for f in fields(StreamHeader) if getattr(header, f.name) != getattr(want, f.name)]
+    if differ:
+        raise StreamError("stream header does not match configuration: " + ", ".join(differ))
 
     ctx = make_pack_context(cfg)
     expected = frame_count(header.original_length, cfg.window_spec)

@@ -55,7 +55,10 @@ class CodecConfig:
             raise ConfigError("band edges must be strictly increasing and positive")
         if self.band_edges[-1] != self.frame_len // 2:
             raise ConfigError("last band edge must equal frame_len / 2")
-        WindowSpec(self.frame_len, self.overlap_len, self.window_edge)  # validates geometry
+        try:
+            WindowSpec(self.frame_len, self.overlap_len, self.window_edge)  # validates geometry
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from None
         if self.lpc_order % 2 or not 2 <= self.lpc_order <= 255:  # the header field is a u8
             raise ConfigError(f"lpc_order must be even (LSFs come in pairs) and in 2..255, "
                               f"not {self.lpc_order}")
@@ -63,6 +66,9 @@ class CodecConfig:
                           ("fdns_weight", 1.0), ("ctns_weight", 1.0)):
             if not 0.0 < getattr(self, name) <= top:  # a quantizer step, or an expansion gamma
                 raise ConfigError(f"{name} must be in (0, {top}], not {getattr(self, name)}")
+        if not self.clpc_mag_floor_db < self.clpc_mag_ceil_db:  # else CTNS never engages
+            raise ConfigError(f"clpc_mag_floor_db {self.clpc_mag_floor_db} must be below "
+                              f"clpc_mag_ceil_db {self.clpc_mag_ceil_db}")
         if self.ctns_start_bin < 0:
             raise ConfigError(f"ctns_start_bin must not be negative, not {self.ctns_start_bin}")
         for name, size in (("bits_12k", len(self.band_edges)), ("bits_16k", len(self.band_edges)),

@@ -24,11 +24,12 @@ from .rate_control import SF_MAX_DB, SF_MIN_DB
 STREAM_MAGIC = b"UNS1"
 STREAM_VERSION = 1
 
-# fixed symbol alphabets; the LSF and CLPC ones follow the config (PackContext)
-ALPHABET_INDEX1 = 15       # magnitude index 1: 0..14
+# the scale-factor delta alphabet; the LSF and CLPC ones follow the config (PackContext)
 _SF_OFFSET = SF_MAX_DB - SF_MIN_DB
 ALPHABET_SF_DELTA = 2 * _SF_OFFSET + 1   # scale-factor deltas, offset to 0..240
 
+# a coded symbol's count grows by MODEL_INCREMENT; a bank's counts are halved
+# when their total reaches MODEL_LIMIT
 MODEL_INCREMENT = 32
 MODEL_LIMIT = 1 << 15
 
@@ -95,8 +96,9 @@ def _field_shifts(widths: np.ndarray):
     return slot < widths[:, None], np.maximum(widths[:, None] - 1 - slot, 0)
 
 
-def _write_fields(writer: BitWriter, values, widths):
-    """Write each value as a field of its width (0 writes nothing), in order."""
+def _write_fields(writer: BitWriter, values, widths) -> int:
+    """Write each value as a field of its width (0 writes nothing), in order;
+    returns the bits written."""
     widths = np.asarray(widths, dtype=np.int64)
     total = int(widths.sum())
     if total:
@@ -104,6 +106,7 @@ def _write_fields(writer: BitWriter, values, widths):
         bits = (np.asarray(values, dtype=np.int64)[:, None] >> shifts) & 1
         packed = np.packbits(bits[used].astype(np.uint8)).tobytes()
         writer.write_bits(int.from_bytes(packed, "big") >> (-total % 8), total)
+    return total
 
 
 def _read_fields(reader: BitReader, widths) -> np.ndarray:
@@ -121,37 +124,23 @@ def _read_fields(reader: BitReader, widths) -> np.ndarray:
     return values
 
 
-class AdaptiveModel:
-    """Frequency-count model: the coder adds MODEL_INCREMENT to every coded
-    symbol's count and halves the counts when their total reaches
-    MODEL_LIMIT.  ``prior`` seeds the initial counts."""
-
-    def __init__(self, n_symbols: int, prior=None):
-        self.freqs = list(prior) if prior is not None else [1] * n_symbols
-        if len(self.freqs) != n_symbols:
-            raise ValueError("prior length must match the alphabet")
-        self.total = sum(self.freqs)
-
-    def halve(self):
-        self.freqs[:] = [(f + 1) >> 1 for f in self.freqs]
-        self.total = sum(self.freqs)
+def flat_model(n_symbols: int) -> tuple:
+    """The (priors, bank_of) of a one-bank section whose counts all start at 1."""
+    return ((1,) * n_symbols,), (0,) * n_symbols
 
 
-# Magnitude index 1 is coded with a bank of three models, chosen by the class
-# of the previous index: zero, small nonzero, or escape / companded.  Sparse
-# spectra make runs of zeros with occasional clusters of small indices, and
-# each regime adapts separately; the priors seed the counts toward the
+SF_DELTA_MODEL = flat_model(ALPHABET_SF_DELTA)
+# Magnitude index 1 is coded with a bank of three count lists, chosen by the
+# class of the previous index: zero, small nonzero, or escape / companded.
+# Sparse spectra make runs of zeros with occasional clusters of small indices,
+# and each regime adapts separately; the priors seed the counts toward the
 # distribution low-rate content actually produces.
-INDEX1_PRIORS = (
-    [40, 2] + [1] * 13,       # after a zero
-    [4, 8] + [2] * 13,        # after a small nonzero
-    [1] * 15,                 # after the escape / companded region
+INDEX1_MODEL = (
+    ((40, 2) + (1,) * 13,     # after a zero
+     (4, 8) + (2,) * 13,      # after a small nonzero
+     (1,) * 15),              # after the escape / companded region
+    (0,) + (1,) * 7 + (2,) * 7,   # previous index -> bank
 )
-INDEX1_BANK_OF = (0,) + (1,) * 7 + (2,) * 7   # previous index -> model
-
-
-def index1_models() -> list:
-    return [AdaptiveModel(ALPHABET_INDEX1, prior=p) for p in INDEX1_PRIORS]
 
 
 class RangeEncoder(BitWriter):
@@ -165,27 +154,30 @@ class RangeEncoder(BitWriter):
         # emitted length to within the final flush
         self.info_bits = 0.0
 
-    def encode(self, symbols, models, bank_of=None):
-        """Code a symbol sequence.  Each symbol uses ``models[bank_of[prev]]``,
-        where ``prev`` is the symbol before it (0 for the first); without
-        ``bank_of`` every symbol uses ``models[0]``."""
-        banks = [(m, m.freqs) for m in models]
-        bank_of = [0] * len(models[0].freqs) if bank_of is None else bank_of
+    def encode(self, symbols, priors, bank_of) -> float:
+        """Code a symbol sequence and return its information content in bits.
+
+        Each symbol is coded with bank ``bank_of[prev]`` of counts seeded
+        from ``priors`` (one count list per bank) for this call only, where
+        ``prev`` is the symbol before it (0 for the first)."""
+        banks = [list(p) for p in priors]
+        totals = [sum(p) for p in priors]
         low, high, pending = self.low, self.high, self.pending
         acc, count, info = self._acc, self.bit_count, self.info_bits
         prev = 0
         for s in symbols:
-            m, f = banks[bank_of[prev]]
-            total = m.total
+            b = bank_of[prev]
+            f, total = banks[b], totals[b]
             lo = sum(f[:s]) if s else 0
             info += log2(total / f[s])
             span = high - low + 1
             high = low + (lo + f[s]) * span // total - 1
             low += lo * span // total
             f[s] += MODEL_INCREMENT
-            m.total = total = total + MODEL_INCREMENT
+            totals[b] = total = total + MODEL_INCREMENT
             if total >= MODEL_LIMIT:
-                m.halve()
+                f[:] = [(x + 1) >> 1 for x in f]
+                totals[b] = sum(f)
             prev = s
             if high >= _HALF and (low < _QUARTER or low < _HALF and high >= _THREE_QUARTERS):
                 continue  # the interval still straddles the middle: nothing settles
@@ -206,7 +198,9 @@ class RangeEncoder(BitWriter):
             low = (low << n) & _LOW
             high = (((high << n) | ((1 << n) - 1)) & _LOW) | _HALF
         self.low, self.high, self.pending = low, high, pending
-        self._acc, self.bit_count, self.info_bits = acc, count, info
+        self._acc, self.bit_count = acc, count
+        before, self.info_bits = self.info_bits, info
+        return info - before
 
     def finish(self) -> bytes:
         self.pending += 1
@@ -223,18 +217,18 @@ class RangeDecoder(BitReader):
         self.low, self.high = 0, _MASK
         self.code = self.read_bits(_STATE_BITS)
 
-    def decode(self, count: int, models, bank_of=None) -> list:
+    def decode(self, count: int, priors, bank_of) -> list:
         """Decode ``count`` symbols coded by ``RangeEncoder.encode`` with the
-        same models and ``bank_of``."""
-        banks = [(m, m.freqs) for m in models]
-        bank_of = [0] * len(models[0].freqs) if bank_of is None else bank_of
+        same ``priors`` and ``bank_of``."""
+        banks = [list(p) for p in priors]
+        totals = [sum(p) for p in priors]
         low, high, code = self.low, self.high, self.code
         value, end, pos = self._value, self._end, self._pos
         out = [0] * count
         s = 0
         for i in range(count):
-            m, f = banks[bank_of[s]]
-            total = m.total
+            b = bank_of[s]
+            f, total = banks[b], totals[b]
             span = high - low + 1
             top0 = low + f[0] * span // total - 1
             if code <= top0:  # symbol 0, found without a division by span
@@ -246,9 +240,10 @@ class RangeDecoder(BitReader):
                 low += cum[s - 1] * span // total
                 out[i] = s
             f[s] += MODEL_INCREMENT
-            m.total = total = total + MODEL_INCREMENT
+            totals[b] = total = total + MODEL_INCREMENT
             if total >= MODEL_LIMIT:
-                m.halve()
+                f[:] = [(x + 1) >> 1 for x in f]
+                totals[b] = sum(f)
             if high >= _HALF and (low < _QUARTER or low < _HALF and high >= _THREE_QUARTERS):
                 continue
             # the encoder's renormalization, shifting n bits into the code
@@ -266,15 +261,6 @@ class RangeDecoder(BitReader):
         return out
 
 
-def exp_golomb_encode(writer: BitWriter, value: int, k: int = 2):
-    if value < 0:
-        raise ValueError("Exp-Golomb encodes non-negative values")
-    m = value + (1 << k)
-    n = m.bit_length()
-    writer.write_bits(0, n - k - 1)
-    writer.write_bits(m, n)
-
-
 def exp_golomb_decode(reader: BitReader, k: int = 2) -> int:
     zeros = 0
     while reader.read_bit() == 0:
@@ -286,13 +272,15 @@ def exp_golomb_decode(reader: BitReader, k: int = 2) -> int:
 
 @dataclass
 class StreamHeader:
-    sample_rate_hz: int = 12800
-    frame_len: int = 1024
-    overlap_len: int = 256
-    mode: str = "12k"
-    original_length: int = 0
-    lpc_order: int = 16
-    table_version: str = "rayleigh-2.495-v1"
+    """The stream's fixed header; ``codec.stream_header`` derives it from a config."""
+
+    sample_rate_hz: int
+    frame_len: int
+    overlap_len: int
+    mode: str
+    original_length: int
+    lpc_order: int
+    table_version: str
     version: int = STREAM_VERSION
 
     _FMT = "<4sBIHHBQB24s"
@@ -360,7 +348,8 @@ class PackContext:
     high-contrast flags unpack needs to parse the phases, from the same
     quantized model as the encoder's flags, which pack reads off the payload.
     The first and last coded bins (DC and Nyquist) are real-valued.  The
-    per-bin tables and phase-field widths are derived once, at construction.
+    per-bin tables, phase-field widths and the LSF and CLPC-magnitude
+    (priors, bank_of) models are derived once, at construction.
     """
 
     lpc_order: int             # LSF indices and CLPC coefficients per frame
@@ -370,6 +359,8 @@ class PackContext:
     clpc_mag_alphabet: int     # the zero cell, then the dB grid
     clpc_phase_bits: int
     resolve_contrast: "callable"
+    lsf_model: tuple = field(init=False, repr=False, compare=False)
+    clpc_mag_model: tuple = field(init=False, repr=False, compare=False)
     band_slices: list = field(init=False, repr=False, compare=False)
     band_of: np.ndarray = field(init=False, repr=False, compare=False)
     real_mask: np.ndarray = field(init=False, repr=False, compare=False)
@@ -383,6 +374,8 @@ class PackContext:
         self.real_mask = np.zeros(starts[-1], dtype=bool)
         self.real_mask[[0, -1]] = True
         self.phase_bits = np.frexp(self.phase_cells)[1] - 1  # log2 of each cell count
+        self.lsf_model = flat_model(self.lsf_alphabet)
+        self.clpc_mag_model = flat_model(self.clpc_mag_alphabet)
 
     def field_widths(self, index1: np.ndarray, contrast) -> np.ndarray:
         """Raw bits per position, each band's by its contrast flag; a stack of
@@ -399,42 +392,32 @@ def pack_frame(payload: FramePayload, ctx: PackContext,
     sections by information content, raw sections by exact field width).
     """
     enc, raw = RangeEncoder(), BitWriter()
-    stats = {}
-
-    def note(key, start_info, start_raw):
-        stats[key] = (enc.info_bits - start_info) + (raw.bit_count - start_raw)
-
     lsf = np.asarray(payload.lsf_indices, dtype=int)
-    enc.encode(np.diff(lsf, prepend=0).tolist(), [AdaptiveModel(ctx.lsf_alphabet)])
-    note("lsf", 0.0, 0)
+    stats = {"lsf": enc.encode(np.diff(lsf, prepend=0).tolist(), *ctx.lsf_model), "flag": 1}
 
     raw.write_bit(int(bool(payload.ctns_flag)))
-    stats["flag"] = 1
-    mark, rmark = enc.info_bits, raw.bit_count
+    stats["clpc"] = 0.0
     if payload.ctns_flag:
         mags, phases = np.asarray(payload.clpc_indices, dtype=int).T
-        enc.encode((mags + 1).tolist(), [AdaptiveModel(ctx.clpc_mag_alphabet)])
-        _write_fields(raw, phases, np.where(mags >= 0, ctx.clpc_phase_bits, 0))
-    note("clpc", mark, rmark)
+        stats["clpc"] = (enc.encode((mags + 1).tolist(), *ctx.clpc_mag_model)
+                         + _write_fields(raw, phases, np.where(mags >= 0, ctx.clpc_phase_bits, 0)))
 
-    mark = enc.info_bits
     sf = np.asarray(payload.sf_indices, dtype=int)
-    enc.encode((np.diff(sf, prepend=0) + _SF_OFFSET).tolist(),
-               [AdaptiveModel(ALPHABET_SF_DELTA)])
-    note("sf", mark, raw.bit_count)
+    stats["sf"] = enc.encode((np.diff(sf, prepend=0) + _SF_OFFSET).tolist(), *SF_DELTA_MODEL)
 
-    mark, rmark = enc.info_bits, raw.bit_count
     index1 = np.asarray(payload.index1, dtype=int)
-    enc.encode(index1.tolist(), index1_models(), INDEX1_BANK_OF)
-    for value in np.asarray(payload.index2)[index1 == ESCAPE_INDEX]:
-        exp_golomb_encode(raw, int(value) - OUTLIER_MIN)
-    stats["index1"] = enc.info_bits - mark
-    stats["escape"] = raw.bit_count - rmark
+    stats["index1"] = enc.encode(index1.tolist(), *INDEX1_MODEL)
+    # each escape's Exp-Golomb (k = 2) codeword: m = index2 - OUTLIER_MIN + 4
+    # after bit_length(m) - 3 zeros, one field of 2 bit_length(m) - 3 bits
+    m = np.asarray(payload.index2)[index1 == ESCAPE_INDEX] - (OUTLIER_MIN - 4)
+    if np.any(m < 4):
+        raise ValueError(f"escape index 2 below {OUTLIER_MIN}")
+    stats["escape"] = _write_fields(raw, m, 2 * np.frexp(m)[1] - 3)
 
     widths = ctx.field_widths(index1, payload.contrast)
-    _write_fields(raw, np.where(ctx.real_mask, payload.sign, payload.phase), widths)
     stats["sign"] = int(widths[ctx.real_mask].sum())
-    stats["phase"] = int(widths.sum()) - stats["sign"]
+    stats["phase"] = _write_fields(
+        raw, np.where(ctx.real_mask, payload.sign, payload.phase), widths) - stats["sign"]
     if stats_out is not None:
         stats_out.update(stats)
 
@@ -453,25 +436,23 @@ def unpack_frame(data: bytes, ctx: PackContext, frame_index: int | None = None):
     dec = RangeDecoder(data[4:4 + arith_len])
     raw = BitReader(data[4 + arith_len:end])
 
-    lsf = np.cumsum(dec.decode(ctx.lpc_order, [AdaptiveModel(ctx.lsf_alphabet)]), dtype=int)
+    lsf = np.cumsum(dec.decode(ctx.lpc_order, *ctx.lsf_model), dtype=int)
     if np.any(lsf >= ctx.lsf_alphabet):
         raise StreamError("LSF index out of range", frame_index)
 
     flag = bool(raw.read_bit())
     clpc = None
     if flag:
-        mags = np.array(dec.decode(ctx.lpc_order, [AdaptiveModel(ctx.clpc_mag_alphabet)]),
-                        dtype=int) - 1
+        mags = np.array(dec.decode(ctx.lpc_order, *ctx.clpc_mag_model), dtype=int) - 1
         clpc = np.stack([mags, _read_fields(raw, np.where(mags >= 0, ctx.clpc_phase_bits, 0))],
                         axis=1)
 
-    deltas = dec.decode(len(ctx.band_sizes), [AdaptiveModel(ALPHABET_SF_DELTA)])
+    deltas = dec.decode(len(ctx.band_sizes), *SF_DELTA_MODEL)
     sf = np.cumsum(np.array(deltas, dtype=int) - _SF_OFFSET)
     if np.any((sf < SF_MIN_DB) | (sf > SF_MAX_DB)):
         raise StreamError("scale factor index out of range", frame_index)
 
-    index1 = np.array(dec.decode(ctx.real_mask.size, index1_models(), INDEX1_BANK_OF),
-                      dtype=int)
+    index1 = np.array(dec.decode(ctx.real_mask.size, *INDEX1_MODEL), dtype=int)
     escapes = index1 == ESCAPE_INDEX
     try:
         values = [exp_golomb_decode(raw) + OUTLIER_MIN for _ in range(np.count_nonzero(escapes))]

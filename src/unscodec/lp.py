@@ -160,15 +160,14 @@ def lsf_index_max(step: float) -> int:
     return int(round(np.pi / step))
 
 
-def quantize_lsf(lsf: np.ndarray, step: float = 0.01 * np.pi) -> np.ndarray:
+def quantize_lsf(lsf: np.ndarray, step: float) -> np.ndarray:
     """Uniform scalar quantization of each LSF with the given step; returns
     the integer indices."""
     idx = round_half_up(np.asarray(lsf) / step)
     return np.clip(idx, 0, lsf_index_max(step))
 
 
-def dequantize_lsf(indices: np.ndarray, step: float = 0.01 * np.pi,
-                   min_gap: float = 1e-3) -> np.ndarray:
+def dequantize_lsf(indices: np.ndarray, step: float, min_gap: float) -> np.ndarray:
     """Reconstruct LSFs from indices, enforcing order and a minimum gap.
 
     The gap repair keeps the decoded model minimum phase even when rounding
@@ -191,9 +190,8 @@ def clpc_mag_index_max(mag_step_db: float, mag_floor_db: float, mag_ceil_db: flo
     return int(round((mag_ceil_db - mag_floor_db) / mag_step_db))
 
 
-def quantize_complex_lpc(coeffs: np.ndarray, mag_step_db: float = 0.5,
-                         mag_floor_db: float = -60.0, mag_ceil_db: float = 20.0,
-                         phase_cells: int = 64) -> np.ndarray:
+def quantize_complex_lpc(coeffs: np.ndarray, mag_step_db: float, mag_floor_db: float,
+                         mag_ceil_db: float, phase_cells: int) -> np.ndarray:
     """Per-coefficient polar scalar quantization of a complex model.
 
     Magnitudes are quantized on a uniform dB grid anchored at ``mag_floor_db``
@@ -222,9 +220,8 @@ def _clpc_cells(mag_step_db: float, mag_floor_db: float, phase_cells: int, size:
     return mags, phasors
 
 
-def dequantize_complex_lpc(indices: np.ndarray, mag_step_db: float = 0.5,
-                           mag_floor_db: float = -60.0, phase_cells: int = 64,
-                           order: int | None = None) -> np.ndarray:
+def dequantize_complex_lpc(indices: np.ndarray, mag_step_db: float, mag_floor_db: float,
+                           phase_cells: int) -> np.ndarray:
     """Rebuild the complex model from cell centers, with a stability guard.
 
     Quantization can push a pole of a marginally stable model onto or over
@@ -233,8 +230,8 @@ def dequantize_complex_lpc(indices: np.ndarray, mag_step_db: float = 0.5,
     function, so they always agree on the filter actually applied.
     """
     idx = np.asarray(indices, dtype=int)
-    p = order if order is not None else idx.shape[-2]
-    mi, pi_ = idx[..., :p, 0], idx[..., :p, 1]
+    p = idx.shape[-2]
+    mi, pi_ = idx[..., 0], idx[..., 1]
     zero = mi < 0
     mags, phasors = _clpc_cells(mag_step_db, mag_floor_db, phase_cells,
                                 256 * (int(idx.max(initial=0)) // 256 + 1))
@@ -260,7 +257,7 @@ def _steering(n_bins: int, order: int) -> np.ndarray:
     return steering
 
 
-def frequency_envelope(coeffs: np.ndarray, n_bins: int = 513) -> np.ndarray:
+def frequency_envelope(coeffs: np.ndarray, n_bins: int) -> np.ndarray:
     """Evaluate 1/|A| on the one-sided bin grid of a 2(n_bins-1) DFT, as one
     matrix-vector product per row; capped at 1e12 where |A| is near zero."""
     coeffs = np.ascontiguousarray(coeffs, dtype=complex)  # strided or real: slow matmul

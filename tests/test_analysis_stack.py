@@ -411,7 +411,7 @@ FLOOR_EDGE = complex(0.00011002744787700769, 0.000993928549098813)
 def test_stacked_clpc_rows_equal_reference(coeffs):
     args = (CFG.clpc_mag_step_db, CFG.clpc_mag_floor_db)
     idx = lp.quantize_complex_lpc(coeffs, *args, CFG.clpc_mag_ceil_db, CFG.clpc_phase_cells)
-    rebuilt = lp.dequantize_complex_lpc(idx, *args, CFG.clpc_phase_cells, order=ORDER)
+    rebuilt = lp.dequantize_complex_lpc(idx, *args, CFG.clpc_phase_cells)
     for row, c in enumerate(coeffs):
         want = ref_quantize_clpc(c, *args, CFG.clpc_mag_ceil_db, CFG.clpc_phase_cells)
         assert_same_bits(idx[row], want, "indices")
@@ -425,7 +425,7 @@ def test_every_clpc_cell_center_equals_scalar_formula():
     mi, pi_ = np.meshgrid(np.arange(n_mag + 1), np.arange(CFG.clpc_phase_cells), indexing="ij")
     idx = np.stack([mi.ravel(), pi_.ravel()], axis=-1).reshape(-1, ORDER, 2)
     args = (CFG.clpc_mag_step_db, CFG.clpc_mag_floor_db, CFG.clpc_phase_cells)
-    rebuilt = lp.dequantize_complex_lpc(idx, *args, order=ORDER)
+    rebuilt = lp.dequantize_complex_lpc(idx, *args)
     for row, cells in enumerate(idx):
         assert_same_bits(rebuilt[row], ref_dequantize_clpc(cells, *args, ORDER), row)
 

@@ -193,7 +193,9 @@ def test_config_rejects_bad_values_at_construction(tmp_path):
                    dict(ctns_start_bin=-5),
                    dict(fdns_weight=1.5), dict(fdns_weight=0.0), dict(ctns_weight=0.0),
                    dict(ctns_weight=float("nan")),
-                   dict(sample_rate=16000)):  # input is always resampled to 12.8 kHz
+                   dict(sample_rate=16000),  # input is always resampled to 12.8 kHz
+                   dict(clpc_mag_floor_db=30.0), dict(clpc_mag_ceil_db=-70.0),
+                   dict(window_edge=2.0), dict(overlap_len=600)):
         with pytest.raises(ConfigError):
             CodecConfig(**kwargs)
     path = str(tmp_path / "cells.cfg")

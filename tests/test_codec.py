@@ -37,6 +37,16 @@ def test_silence_roundtrip_is_silence():
     assert not any(flags)
 
 
+def test_silent_2048_sample_frames_round_trip():
+    # 1,025 zero magnitude indices a frame: the index-1 coder halves its counts
+    cfg = CodecConfig(frame_len=2048, band_edges=tuple(2 * e for e in CFG12.band_edges))
+    pcm = np.zeros(2048 + 2 * cfg.window_spec.hop)
+    blob, stats = codec.encode_stream(pcm, cfg)
+    out, _, flags = codec.decode_stream(blob, cfg)
+    assert len(stats) == len(flags) == 3
+    assert np.array_equal(out, pcm)
+
+
 def test_sinusoid_concentrates_in_its_band():
     # 1 kHz = bin 80, inside the band spanning bins 40..89.  The window's
     # nonzero edges leave a faint sidelobe floor that other bands may code at
@@ -117,11 +127,11 @@ def test_decode_rejects_mismatched_table_version():
     pcm = signals.tone(500.0, 0.3)
     blob, _ = codec.encode_stream(pcm, CFG12)
     bad = replace(CFG12, ecupq=replace(CFG12.ecupq, version="other-table"))
-    with pytest.raises(StreamError):
+    with pytest.raises(StreamError, match="table_version 'rayleigh.*'other-table'"):
         codec.decode_stream(blob, bad)
     # a header that claims another sample rate is refused like any other mismatch
     header = replace(StreamHeader.unpack(blob), sample_rate_hz=16000)
-    with pytest.raises(StreamError, match="does not match"):
+    with pytest.raises(StreamError, match="does not match.*sample_rate_hz 16000"):
         codec.decode_stream(header.pack() + blob[StreamHeader.size():], CFG12)
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from unscodec import codec, entropy_bitstream as eb
+from unscodec import codec, entropy_bitstream as eb, polar_quant as pq
 from unscodec.config import CodecConfig
 
 
@@ -26,10 +26,18 @@ def test_bit_reader_past_end_returns_zero():
     assert r.read_bits(5) == 0
 
 
+def exp_golomb_encode(writer, value, k=2):
+    """Reference Exp-Golomb writer: value + 2**k after bit_length - k - 1 zero bits."""
+    m = value + (1 << k)
+    n = m.bit_length()
+    writer.write_bits(0, n - k - 1)
+    writer.write_bits(m, n)
+
+
 def test_exp_golomb_roundtrip_exhaustive_small():
     w = eb.BitWriter()
     for v in range(200):
-        eb.exp_golomb_encode(w, v)
+        exp_golomb_encode(w, v)
     r = eb.BitReader(w.getvalue())
     for v in range(200):
         assert eb.exp_golomb_decode(r) == v
@@ -39,26 +47,30 @@ def test_exp_golomb_large_values():
     w = eb.BitWriter()
     values = [65517, 12345, 0, 99999]
     for v in values:
-        eb.exp_golomb_encode(w, v)
+        exp_golomb_encode(w, v)
     r = eb.BitReader(w.getvalue())
     for v in values:
         assert eb.exp_golomb_decode(r) == v
 
 
 def test_exp_golomb_rejects_negative():
-    with pytest.raises(ValueError):
-        eb.exp_golomb_encode(eb.BitWriter(), -1)
+    # an escape below OUTLIER_MIN would be a negative Exp-Golomb value
+    ctx = make_ctx()
+    payload = random_payload(np.random.default_rng(46), ctx)
+    payload.index2[np.flatnonzero(payload.index1 == pq.ESCAPE_INDEX)[0]] = pq.OUTLIER_MIN - 1
+    with pytest.raises(ValueError, match="below"):
+        eb.pack_frame(payload, ctx)
 
 
 def range_encode(symbols, n_alphabet):
-    """One symbol sequence through the range coder with a fresh model."""
+    """One symbol sequence through the range coder with fresh flat counts."""
     enc = eb.RangeEncoder()
-    enc.encode([int(s) for s in symbols], [eb.AdaptiveModel(n_alphabet)])
+    enc.encode([int(s) for s in symbols], *eb.flat_model(n_alphabet))
     return enc.finish()
 
 
 def range_decode(data, n_alphabet, count):
-    return eb.RangeDecoder(data).decode(count, [eb.AdaptiveModel(n_alphabet)])
+    return eb.RangeDecoder(data).decode(count, *eb.flat_model(n_alphabet))
 
 
 def test_range_coder_empty():
@@ -90,28 +102,15 @@ def test_range_coder_adapts_to_constant():
     assert bits / 1000.0 < 0.1
 
 
-def test_adaptive_model_halving_keeps_totals_bounded():
-    m = eb.AdaptiveModel(4)
-    enc = eb.RangeEncoder()
-    totals = []
-    for _ in range(2 * eb.MODEL_LIMIT // eb.MODEL_INCREMENT):
-        enc.encode([2], [m])
-        assert m.total < eb.MODEL_LIMIT
-        assert m.total == sum(m.freqs)
-        assert all(f >= 1 for f in m.freqs)
-        totals.append(m.total)
-    assert any(b < a for a, b in zip(totals, totals[1:]))  # the counts were halved
-
-
 def test_stream_header_roundtrip():
-    h = eb.StreamHeader(mode="16k", original_length=123456)
+    h = codec.stream_header(CodecConfig(mode="16k"), 123456)
     data = h.pack()
     out = eb.StreamHeader.unpack(data + b"trailing")
     assert out == h
 
 
 def test_stream_header_rejects_bad_magic():
-    data = bytearray(eb.StreamHeader().pack())
+    data = bytearray(codec.stream_header(CodecConfig(), 0).pack())
     data[0] = ord("X")
     with pytest.raises(eb.StreamError):
         eb.StreamHeader.unpack(bytes(data))

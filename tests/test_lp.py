@@ -2,6 +2,14 @@ import numpy as np
 import pytest
 
 from unscodec import lp
+from unscodec.config import CodecConfig
+
+CFG = CodecConfig()
+LSF = (CFG.lsf_step,)
+LSF_REC = (CFG.lsf_step, CFG.lsf_min_gap)
+CLPC_Q = (CFG.clpc_mag_step_db, CFG.clpc_mag_floor_db, CFG.clpc_mag_ceil_db,
+          CFG.clpc_phase_cells)
+CLPC_REC = (CFG.clpc_mag_step_db, CFG.clpc_mag_floor_db, CFG.clpc_phase_cells)
 
 
 def hermitian_toeplitz_solve(r, order):
@@ -154,9 +162,9 @@ def test_lsf_rejects_unstable_model():
 
 
 def test_quantize_lsf_example():
-    q = lp.quantize_lsf(np.array([0.505 * np.pi]))
+    q = lp.quantize_lsf(np.array([0.505 * np.pi]), *LSF)
     assert q[0] == 51
-    rec = lp.dequantize_lsf(q)
+    rec = lp.dequantize_lsf(q, *LSF_REC)
     assert abs(rec[0] - 0.51 * np.pi) < 1e-12
 
 
@@ -164,9 +172,9 @@ def test_lsf_quantization_idempotent():
     rng = np.random.default_rng(15)
     for _ in range(20):
         m = random_stable_model(rng)
-        q1 = lp.quantize_lsf(lp.lpc_to_lsf(m))
-        rec = lp.dequantize_lsf(q1)
-        q2 = lp.quantize_lsf(rec)
+        q1 = lp.quantize_lsf(lp.lpc_to_lsf(m), *LSF)
+        rec = lp.dequantize_lsf(q1, *LSF_REC)
+        q2 = lp.quantize_lsf(rec, *LSF)
         assert np.array_equal(q1, q2)
 
 
@@ -174,7 +182,7 @@ def test_decoded_lsf_model_always_minimum_phase():
     rng = np.random.default_rng(16)
     for _ in range(30):
         m = random_stable_model(rng, max_k=0.97)
-        rec = lp.lsf_to_lpc(lp.dequantize_lsf(lp.quantize_lsf(lp.lpc_to_lsf(m))))
+        rec = lp.lsf_to_lpc(lp.dequantize_lsf(lp.quantize_lsf(lp.lpc_to_lsf(m), *LSF), *LSF_REC))
         radius = np.max(np.abs(np.roots(np.concatenate([[1.0], rec]))))
         assert radius < 1.0
 
@@ -182,21 +190,21 @@ def test_decoded_lsf_model_always_minimum_phase():
 def test_all_zero_lsf_roundtrip():
     # the flat model's frequencies are not on the quantizer grid, so the
     # reconstruction is near-flat and the index fixpoint is exact
-    q1 = lp.quantize_lsf(lp.lpc_to_lsf(np.zeros(16)))
-    rec = lp.lsf_to_lpc(lp.dequantize_lsf(q1))
+    q1 = lp.quantize_lsf(lp.lpc_to_lsf(np.zeros(16)), *LSF)
+    rec = lp.lsf_to_lpc(lp.dequantize_lsf(q1, *LSF_REC))
     assert np.max(np.abs(rec)) < 0.1
-    q2 = lp.quantize_lsf(lp.lpc_to_lsf(rec))
+    q2 = lp.quantize_lsf(lp.lpc_to_lsf(rec), *LSF)
     assert np.array_equal(q1, q2)
 
 
 def test_complex_lpc_quantizer_zero_coefficient():
-    q = lp.quantize_complex_lpc(np.array([0.0 + 0.0j, 0.5]))
+    q = lp.quantize_complex_lpc(np.array([0.0 + 0.0j, 0.5]), *CLPC_Q)
     assert tuple(q[0]) == (-1, 0)
-    assert lp.dequantize_complex_lpc(q)[0] == 0.0
+    assert lp.dequantize_complex_lpc(q, *CLPC_REC)[0] == 0.0
 
 
 def test_complex_lpc_magnitude_index_at_unity():
-    assert lp.quantize_complex_lpc(np.array([1.0 + 0.0j]))[0][0] == 120
+    assert lp.quantize_complex_lpc(np.array([1.0 + 0.0j]), *CLPC_Q)[0][0] == 120
 
 
 def test_complex_lpc_phase_error_bound():
@@ -204,7 +212,7 @@ def test_complex_lpc_phase_error_bound():
     mags = rng.uniform(0.01, 2.0, 50)
     phases = rng.uniform(-np.pi, np.pi, 50)
     a = mags * np.exp(1j * phases)
-    rec = lp.dequantize_complex_lpc(lp.quantize_complex_lpc(a), order=50)
+    rec = lp.dequantize_complex_lpc(lp.quantize_complex_lpc(a, *CLPC_Q), *CLPC_REC)
     err = np.abs(np.angle(rec * np.conj(a)))
     assert np.max(err) <= np.pi / 64 + 1e-9
 
@@ -217,20 +225,20 @@ def test_complex_lpc_quantization_idempotent():
     for t in range(2, x.size):
         x[t] = (p1 + p2) * x[t - 1] - p1 * p2 * x[t - 2] + drive[t]
     m = lp.bandwidth_expand(lp.levinson(lp.autocorr(x, 16), 16), 0.9)
-    q1 = lp.quantize_complex_lpc(m)
-    rec = lp.dequantize_complex_lpc(q1)
-    q2 = lp.quantize_complex_lpc(rec)
+    q1 = lp.quantize_complex_lpc(m, *CLPC_Q)
+    rec = lp.dequantize_complex_lpc(q1, *CLPC_REC)
+    q2 = lp.quantize_complex_lpc(rec, *CLPC_Q)
     assert np.array_equal(q1, q2)
 
 
 def test_frequency_envelope_flat_model():
-    env = lp.frequency_envelope(np.zeros(16))
+    env = lp.frequency_envelope(np.zeros(16), CFG.n_bins)
     assert env.shape == (513,)
     assert np.allclose(env, 1.0)
 
 
 def test_frequency_envelope_one_pole():
-    env = lp.frequency_envelope(np.array([-0.9]))
+    env = lp.frequency_envelope(np.array([-0.9]), CFG.n_bins)
     assert abs(env[0] - 10.0) < 1e-9
     assert abs(env[512] - 1.0 / 1.9) < 1e-9
 
@@ -252,7 +260,7 @@ def test_frequency_envelope_smoother_when_expanded():
         m = random_stable_model(rng, order=8, max_k=0.9)
         ratios = []
         for g in (1.0, 0.95, 0.9, 0.8):
-            env = lp.frequency_envelope(lp.bandwidth_expand(m, g))
+            env = lp.frequency_envelope(lp.bandwidth_expand(m, g), CFG.n_bins)
             ratios.append(env.max() / env.min())
         assert all(b <= a + 1e-9 for a, b in zip(ratios, ratios[1:]))
 
@@ -265,7 +273,8 @@ def test_complex_lpc_stability_guard(poles, radius):
     # one contraction by gamma scales every root by gamma, so an unstable
     # model comes back with its largest root exactly at 0.92
     p1, p2 = poles
-    rec = lp.dequantize_complex_lpc(lp.quantize_complex_lpc(np.array([-(p1 + p2), p1 * p2])))
+    rec = lp.dequantize_complex_lpc(
+        lp.quantize_complex_lpc(np.array([-(p1 + p2), p1 * p2]), *CLPC_Q), *CLPC_REC)
     got = np.max(np.abs(np.roots(np.concatenate([[1.0], rec]))))
     if radius is None:
         assert abs(got - 0.7) < 0.05

@@ -175,14 +175,20 @@ def ref_models(n_alphabet, banked):
     return [RefModel(n_alphabet)], lambda prev: 0
 
 
-def ref_encode(symbols, n_alphabet, banked=False):
-    """(bytes, encoder, models) of one sequence through the bit-serial coder."""
-    enc = RefEncoder()
+def ref_code(enc, symbols, n_alphabet, banked=False):
+    """Code one sequence into the bit-serial ``enc`` with fresh models; returns the models."""
     models, bank = ref_models(n_alphabet, banked)
     prev = 0
     for s in symbols:
         enc.encode(models[bank(prev)], s)
         prev = s
+    return models
+
+
+def ref_encode(symbols, n_alphabet, banked=False):
+    """(bytes, encoder, models) of one sequence through the bit-serial coder."""
+    enc = RefEncoder()
+    models = ref_code(enc, symbols, n_alphabet, banked)
     return enc.finish(), enc, models
 
 
@@ -196,15 +202,15 @@ def ref_decode(data, n_alphabet, count, banked=False):
 
 
 def new_models(n_alphabet, banked):
-    if banked:
-        return eb.index1_models(), eb.INDEX1_BANK_OF
-    return [eb.AdaptiveModel(n_alphabet)], None
+    return eb.INDEX1_MODEL if banked else eb.flat_model(n_alphabet)
 
 
 def new_encode(symbols, n_alphabet, banked=False):
+    """(bytes, information bits) of one sequence through the range coder."""
     enc = eb.RangeEncoder()
-    enc.encode(symbols, *new_models(n_alphabet, banked))
-    return enc.finish(), enc.info_bits
+    info_bits = enc.encode(symbols, *new_models(n_alphabet, banked))
+    assert info_bits == enc.info_bits
+    return enc.finish(), info_bits
 
 
 def steered(n_alphabet, length, rng, p_middle, skew):
@@ -260,13 +266,20 @@ def test_encoder_matches_bit_serial_encoder(case):
 
 @given(sequences(), st.lists(st.integers(0, 400), max_size=4))
 def test_encoding_in_pieces_continues_the_same_stream(case, cuts):
-    # pack_frame codes several sections into one encoder, one call each
-    symbols, n_alphabet, _ = case
-    model, enc = eb.AdaptiveModel(n_alphabet), eb.RangeEncoder()
+    # pack_frame codes several sections into one encoder, one call each, and
+    # each call starts from fresh counts; so does unpack_frame's decoder
+    symbols, n_alphabet, banked = case
     edges = [0] + sorted(min(c, len(symbols)) for c in cuts) + [len(symbols)]
-    for a, b in zip(edges, edges[1:]):
-        enc.encode(symbols[a:b], [model])
-    assert enc.finish() == ref_encode(symbols, n_alphabet)[0]
+    pieces = [symbols[a:b] for a, b in zip(edges, edges[1:])]
+    enc, ref = eb.RangeEncoder(), RefEncoder()
+    for piece in pieces:
+        before = ref.info_bits
+        ref_code(ref, piece, n_alphabet, banked)
+        assert enc.encode(piece, *new_models(n_alphabet, banked)) == ref.info_bits - before
+    data = enc.finish()
+    assert data == ref.finish()
+    dec = eb.RangeDecoder(data)
+    assert [dec.decode(len(p), *new_models(n_alphabet, banked)) for p in pieces] == pieces
 
 
 def test_long_pending_runs_and_model_halving_match():
@@ -279,7 +292,19 @@ def test_long_pending_runs_and_model_halving_match():
         data, info_bits = new_encode(symbols, n_alphabet)
         assert data == ref_bytes
         assert info_bits == ref.info_bits
-        assert eb.RangeDecoder(data).decode(len(symbols), [eb.AdaptiveModel(n_alphabet)]) == symbols
+        assert eb.RangeDecoder(data).decode(len(symbols), *eb.flat_model(n_alphabet)) == symbols
+
+
+def test_index1_bank_halving_matches():
+    # a silent 2048-sample frame's 1,025 zero indices: bank 0's counts reach
+    # MODEL_LIMIT at symbol 1,023 (55 + 1,023 * 32 >= 32,768) and are halved
+    symbols = [0] * 1025
+    ref_bytes, ref, models = ref_encode(symbols, 15, banked=True)
+    assert [m.halvings for m in models] == [1, 0, 0]
+    data, info_bits = new_encode(symbols, 15, banked=True)
+    assert data == ref_bytes
+    assert info_bits == ref.info_bits
+    assert eb.RangeDecoder(data).decode(len(symbols), *eb.INDEX1_MODEL) == symbols
 
 
 def decode_or_error(decode):
@@ -346,16 +371,23 @@ def test_unpack_bit_flipped_corpus_frames_raises_only_stream_error(corpus_frames
     unpack_or_stream_error(bytes(frame))
 
 
+def exp_golomb_encode(writer, value, k=2):
+    m = value + (1 << k)
+    n = m.bit_length()
+    writer.write_bits(0, n - k - 1)
+    writer.write_bits(m, n)
+
+
 def one_escape_frame(write_escape):
     """A silent frame whose one escape, at bin 5, has the raw value that
     ``write_escape`` writes."""
     index1 = np.zeros(CTX.real_mask.size, dtype=int)
     index1[5] = pq.ESCAPE_INDEX
     enc = eb.RangeEncoder()
-    enc.encode([0] * CTX.lpc_order, [eb.AdaptiveModel(CTX.lsf_alphabet)])
+    enc.encode([0] * CTX.lpc_order, *CTX.lsf_model)
     enc.encode([eb.ALPHABET_SF_DELTA // 2] * len(CTX.band_sizes),  # zero deltas
-               [eb.AdaptiveModel(eb.ALPHABET_SF_DELTA)])
-    enc.encode(index1.tolist(), eb.index1_models(), eb.INDEX1_BANK_OF)
+               *eb.SF_DELTA_MODEL)
+    enc.encode(index1.tolist(), *eb.INDEX1_MODEL)
     arith = enc.finish()
     raw = eb.BitWriter()
     raw.write_bit(0)                     # CTNS flag off
@@ -380,7 +412,7 @@ def test_oversized_escape_is_a_stream_error():
 def test_escape_above_outlier_max_is_a_stream_error(index2):
     # the encoder clips index 2 to OUTLIER_MAX, so anything above it is corrupt
     def escape(value):
-        return lambda raw: eb.exp_golomb_encode(raw, value - pq.OUTLIER_MIN)
+        return lambda raw: exp_golomb_encode(raw, value - pq.OUTLIER_MIN)
     with pytest.raises(eb.StreamError, match=f"frame 7: escape index 2 above {pq.OUTLIER_MAX}"):
         eb.unpack_frame(one_escape_frame(escape(index2)), CTX, frame_index=7)
     payload, _ = eb.unpack_frame(one_escape_frame(escape(pq.OUTLIER_MAX)), CTX)
