@@ -9,22 +9,23 @@ import io
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from . import lp, noise_shaping as ns
 from .config import CodecConfig
-from .transforms import imdct, mdct, sine_window
+from .transforms import WindowSpec, imdct, mdct, overlap_add, sine_window
 
 SEG_LEN = 256
 SNR_FLOOR_DB = -10.0
 SNR_CEIL_DB = 35.0
 ENERGY_FLOOR_DB = -120.0
+TRANSIENT_SPAN_S = 0.12  # how long after an attack its frames count as transient
 
 
 @dataclass
 class SegSnrReport:
     per_segment_db: np.ndarray
     mean_db: float
-    segment_len: int = SEG_LEN
 
 
 @dataclass
@@ -43,17 +44,16 @@ class TnsComparisonReport:
         return buf.getvalue()
 
 
-def seg_snr(reference: np.ndarray, decoded: np.ndarray,
-            segment_len: int = SEG_LEN) -> SegSnrReport:
-    """Clamped per-segment SNR; silent reference segments are skipped."""
+def seg_snr(reference: np.ndarray, decoded: np.ndarray) -> SegSnrReport:
+    """Clamped SNR per SEG_LEN-sample segment; silent reference segments are skipped."""
     reference = np.asarray(reference, dtype=float)
     decoded = np.asarray(decoded, dtype=float)
     if reference.size != decoded.size:
         raise ValueError("reference and decoded lengths must match")
     values = []
-    for s in range(0, reference.size - segment_len + 1, segment_len):
-        ref = reference[s:s + segment_len]
-        err = ref - decoded[s:s + segment_len]
+    for s in range(0, reference.size - SEG_LEN + 1, SEG_LEN):
+        ref = reference[s:s + SEG_LEN]
+        err = ref - decoded[s:s + SEG_LEN]
         ref_e = float(np.sum(ref ** 2))
         if ref_e < 1e-12:
             continue
@@ -62,16 +62,14 @@ def seg_snr(reference: np.ndarray, decoded: np.ndarray,
         values.append(float(np.clip(snr, SNR_FLOOR_DB, SNR_CEIL_DB)))
     arr = np.asarray(values)
     mean = float(arr.mean()) if arr.size else SNR_CEIL_DB
-    return SegSnrReport(per_segment_db=arr, mean_db=mean, segment_len=segment_len)
+    return SegSnrReport(per_segment_db=arr, mean_db=mean)
 
 
 def _frame_energies_db(x: np.ndarray, hop: int) -> np.ndarray:
-    n = max(1, x.size // hop)
-    out = np.empty(n)
-    for i in range(n):
-        e = float(np.sum(x[i * hop:(i + 1) * hop] ** 2))
-        out[i] = 10.0 * np.log10(e) if e > 1e-12 else ENERGY_FLOOR_DB
-    return out
+    """Energy in dB of each whole hop of ``x``, floored for silent hops."""
+    e = np.sum(x[:x.size // hop * hop].reshape(-1, hop) ** 2, axis=1)
+    loud = e > 1e-12
+    return np.where(loud, 10.0 * np.log10(np.where(loud, e, 1.0)), ENERGY_FLOOR_DB)
 
 
 def tns_domain_experiment(signal: np.ndarray, cfg: CodecConfig | None = None,
@@ -94,45 +92,38 @@ def tns_domain_experiment(signal: np.ndarray, cfg: CodecConfig | None = None,
     if signal.size < 2 * n:
         raise ValueError("signal must span at least two frames")
     win = sine_window(n)
-    n_frames = (signal.size - n) // hop + 1
+    frames = sliding_window_view(signal, n)[::hop] * win
 
-    res_mdct = np.zeros(signal.size)
-    res_dft = np.zeros(signal.size)
-    for k in range(n_frames):
-        chunk = signal[k * hop:k * hop + n]
+    coeffs = mdct(frames)
+    res_mdct = imdct(_freq_lp_filter(coeffs, order, start_bin, coeffs.shape[-1] - 1), win)
+    bins = np.fft.rfft(frames)
+    res_dft = np.fft.irfft(_freq_lp_filter(bins, order, start_bin, bins.shape[-1] - 2), n=n) * win
 
-        coeffs = mdct(chunk, win)
-        filt = _freq_lp_filter(coeffs, order, start_bin, stop=coeffs.size - 1)
-        res_mdct[k * hop:k * hop + n] += imdct(filt, win)
-
-        bins = np.fft.rfft(chunk * win)
-        filt_b = _freq_lp_filter(bins, order, start_bin, stop=bins.size - 2)
-        res_dft[k * hop:k * hop + n] += np.fft.irfft(filt_b, n=n) * win
-
-    e_mdct = _frame_energies_db(res_mdct, hop)
-    e_dft = _frame_energies_db(res_dft, hop)
+    # the frames' overlap-add ends at the signal's last whole hop: one energy per hop
+    spec = WindowSpec(n, n // 2, 0.0)
+    e_mdct = _frame_energies_db(overlap_add(res_mdct, spec), hop)
+    e_dft = _frame_energies_db(overlap_add(res_dft, spec), hop)
     return TnsComparisonReport(frame_energy_mdct_db=e_mdct, frame_energy_dft_db=e_dft,
                                hop=hop, signal_name=signal_name)
 
 
 def _freq_lp_filter(coeffs: np.ndarray, order: int, start: int, stop: int) -> np.ndarray:
-    """Prediction-error filtering along the frequency axis with the signal's
-    own LP model; order zero passes the input through."""
-    if order == 0:
-        return np.asarray(coeffs).copy()
+    """Prediction-error filtering along the frequency axis of each row with the
+    row's own LP model; silent rows and order zero pass the input through."""
     r = lp.autocorr(coeffs, order)
-    if (r[0].real if np.iscomplexobj(r) else r[0]) <= 1e-30:
-        return np.asarray(coeffs).copy()
-    return ns.prediction_error_filter(coeffs, lp.levinson(r, order), start, stop)
+    live = r[:, 0].real > 1e-30
+    a = np.zeros((len(coeffs), order), dtype=r.dtype)
+    a[live] = lp.levinson(r[live], order)
+    return ns.prediction_error_filter(coeffs, a, start, stop)
 
 
-def transient_region_means(report: TnsComparisonReport, attacks, rate: int,
-                           span_s: float = 0.12):
-    """Mean per-frame residual energies over frames that overlap an attack."""
+def transient_region_means(report: TnsComparisonReport, attacks, rate: int):
+    """Mean per-frame residual energies over frames that overlap an attack
+    or the TRANSIENT_SPAN_S seconds after it."""
     frames = set()
     for a in attacks:
         lo = a // report.hop
-        hi = int((a + span_s * rate) // report.hop)
+        hi = int((a + TRANSIENT_SPAN_S * rate) // report.hop)
         frames.update(range(lo, hi + 1))
     idx = sorted(f for f in frames if f < report.frame_energy_mdct_db.size)
     sel = np.asarray(idx, dtype=int)

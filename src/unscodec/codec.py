@@ -139,7 +139,7 @@ def quantize_spectrum(coded: np.ndarray, gains: np.ndarray, contrast: np.ndarray
     index1, index2 = pq.quantize_magnitudes(
         np.where(real, np.abs(scaled.real), np.abs(scaled)), cfg.ecupq)
     cells = pq.phase_cells_array(index1, contrast[..., ctx.band_of], ctx.phase_cells)
-    sendable = ~real & (ctx.field_widths(index1, contrast) > 0)
+    sendable = ~real & (cells > 1)  # a phase field is log2(cells) bits
     phase = np.full(index1.shape, -1)
     phase[sendable] = pq.quantize_phase(np.angle(scaled[sendable]), cells[sendable])
     sign = np.where(real, (scaled.real < 0) & (index1 > 0), -1)
@@ -241,7 +241,10 @@ def decode_stream(data: bytes, cfg: CodecConfig | None = None):
     frames = []
     flags = []
     while pos < len(data) and len(frames) < expected:
-        payload, consumed = unpack_frame(data[pos:], ctx, frame_index=len(frames))
+        try:
+            payload, consumed = unpack_frame(data[pos:], ctx)
+        except StreamError as e:
+            raise StreamError(str(e), len(frames)) from None
         frames.append(decode_frame_payload(payload, cfg, ctx))
         flags.append(payload.ctns_flag)
         pos += consumed

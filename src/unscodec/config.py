@@ -69,8 +69,12 @@ class CodecConfig:
         if not self.clpc_mag_floor_db < self.clpc_mag_ceil_db:  # else CTNS never engages
             raise ConfigError(f"clpc_mag_floor_db {self.clpc_mag_floor_db} must be below "
                               f"clpc_mag_ceil_db {self.clpc_mag_ceil_db}")
-        if self.ctns_start_bin < 0:
-            raise ConfigError(f"ctns_start_bin must not be negative, not {self.ctns_start_bin}")
+        if not 0 <= self.ctns_start_bin < self.frame_len // 2:  # else CTNS filters no bin
+            raise ConfigError(f"ctns_start_bin must be in 0..{self.frame_len // 2 - 1}, "
+                              f"not {self.ctns_start_bin}")
+        for name in ("ctns_threshold_db", "fer_threshold", "lsf_min_gap"):
+            if np.isnan(getattr(self, name)):  # every comparison with NaN is false
+                raise ConfigError(f"{name} must be a number, not nan")
         for name, size in (("bits_12k", len(self.band_edges)), ("bits_16k", len(self.band_edges)),
                            ("phase_cells_high", 8), ("phase_cells_low", 8)):
             if len(getattr(self, name)) != size:

@@ -261,13 +261,14 @@ class RangeDecoder(BitReader):
         return out
 
 
-def exp_golomb_decode(reader: BitReader, k: int = 2) -> int:
+def exp_golomb_decode(reader: BitReader) -> int:
+    """Read one Exp-Golomb (k = 2) codeword, as pack writes each escape."""
     zeros = 0
     while reader.read_bit() == 0:
         zeros += 1
         if zeros > 60:  # longer prefixes give values beyond a 64-bit index
             raise StreamError("runaway Exp-Golomb prefix")
-    return ((1 << (zeros + k)) | reader.read_bits(zeros + k)) - (1 << k)
+    return ((1 << (zeros + 2)) | reader.read_bits(zeros + 2)) - 4
 
 
 @dataclass
@@ -425,20 +426,21 @@ def pack_frame(payload: FramePayload, ctx: PackContext,
     return struct.pack("<HH", len(arith_bytes), len(raw_bytes)) + arith_bytes + raw_bytes
 
 
-def unpack_frame(data: bytes, ctx: PackContext, frame_index: int | None = None):
-    """Parse one frame; returns (payload, bytes_consumed)."""
+def unpack_frame(data: bytes, ctx: PackContext):
+    """Parse one frame; returns (payload, bytes_consumed).  A malformed frame
+    raises ``StreamError``, which ``codec.decode_stream`` tags with the frame's number."""
     if len(data) < 4:
-        raise StreamError("truncated frame prefix", frame_index)
+        raise StreamError("truncated frame prefix")
     arith_len, raw_len = struct.unpack("<HH", data[:4])
     end = 4 + arith_len + raw_len
     if len(data) < end:
-        raise StreamError("truncated frame payload", frame_index)
+        raise StreamError("truncated frame payload")
     dec = RangeDecoder(data[4:4 + arith_len])
     raw = BitReader(data[4 + arith_len:end])
 
     lsf = np.cumsum(dec.decode(ctx.lpc_order, *ctx.lsf_model), dtype=int)
     if np.any(lsf >= ctx.lsf_alphabet):
-        raise StreamError("LSF index out of range", frame_index)
+        raise StreamError("LSF index out of range")
 
     flag = bool(raw.read_bit())
     clpc = None
@@ -450,16 +452,13 @@ def unpack_frame(data: bytes, ctx: PackContext, frame_index: int | None = None):
     deltas = dec.decode(len(ctx.band_sizes), *SF_DELTA_MODEL)
     sf = np.cumsum(np.array(deltas, dtype=int) - _SF_OFFSET)
     if np.any((sf < SF_MIN_DB) | (sf > SF_MAX_DB)):
-        raise StreamError("scale factor index out of range", frame_index)
+        raise StreamError("scale factor index out of range")
 
     index1 = np.array(dec.decode(ctx.real_mask.size, *INDEX1_MODEL), dtype=int)
     escapes = index1 == ESCAPE_INDEX
-    try:
-        values = [exp_golomb_decode(raw) + OUTLIER_MIN for _ in range(np.count_nonzero(escapes))]
-    except StreamError as e:
-        raise StreamError(str(e), frame_index) from None
+    values = [exp_golomb_decode(raw) + OUTLIER_MIN for _ in range(np.count_nonzero(escapes))]
     if max(values, default=0) > OUTLIER_MAX:  # the encoder clips index 2 to it
-        raise StreamError(f"escape index 2 above {OUTLIER_MAX}", frame_index)
+        raise StreamError(f"escape index 2 above {OUTLIER_MAX}")
     index2 = np.zeros(index1.size, dtype=int)
     index2[escapes] = values
 

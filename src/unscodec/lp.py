@@ -12,7 +12,8 @@ import functools
 
 import numpy as np
 
-from .util import round_half_up, wrap_phase
+from .polar_quant import dequantize_phase, quantize_phase
+from .util import round_half_up
 
 # Relative white-noise floor mixed into r[0] before the recursion; keeps
 # near-silent frames from producing singular steps.
@@ -195,8 +196,8 @@ def quantize_complex_lpc(coeffs: np.ndarray, mag_step_db: float, mag_floor_db: f
     """Per-coefficient polar scalar quantization of a complex model.
 
     Magnitudes are quantized on a uniform dB grid anchored at ``mag_floor_db``
-    (index -1 is the zero cell for anything below the floor); phases are
-    quantized uniformly.  Indices come back as an (..., order, 2) array.
+    (index -1 is the zero cell for anything below the floor); phases go
+    through ``quantize_phase``.  Indices come back as an (..., order, 2) array.
     """
     coeffs = np.asarray(coeffs, dtype=complex)
     mag = np.hypot(coeffs.real, coeffs.imag)  # a scalar's abs(); the array abs rounds apart
@@ -204,18 +205,16 @@ def quantize_complex_lpc(coeffs: np.ndarray, mag_step_db: float, mag_floor_db: f
     zero = (mag <= 0.0) | (mag_db < mag_floor_db)
     mi = np.clip(round_half_up((mag_db - mag_floor_db) / mag_step_db), 0,
                  clpc_mag_index_max(mag_step_db, mag_floor_db, mag_ceil_db))
-    pi_ = np.floor((wrap_phase(np.angle(coeffs)) + np.pi) * phase_cells
-                   / (2.0 * np.pi)).astype(int) % phase_cells
+    pi_ = quantize_phase(np.angle(coeffs), phase_cells)
     return np.stack([np.where(zero, -1, mi), np.where(zero, 0, pi_)], axis=-1)
 
 
 @functools.lru_cache(maxsize=8)
 def _clpc_cells(mag_step_db: float, mag_floor_db: float, phase_cells: int, size: int):
-    """Magnitudes and phasors of CLPC cells 0..size-1 by the scalar formula (arrays differ)."""
+    """Magnitudes and phasors of CLPC cells 0..size-1 by scalar power and exp (arrays differ)."""
     cells = np.arange(size)
     mags = np.array([10.0 ** ((mag_floor_db + mi * mag_step_db) / 20.0) for mi in cells])
-    phasors = np.array([np.exp(1j * (-np.pi + (pi_ + 0.5) * 2.0 * np.pi / phase_cells))
-                        for pi_ in cells])
+    phasors = np.array([np.exp(1j * t) for t in dequantize_phase(cells, phase_cells)])
     mags.flags.writeable = phasors.flags.writeable = False
     return mags, phasors
 

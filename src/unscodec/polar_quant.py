@@ -23,14 +23,13 @@ OUTLIER_MIN = 18
 OUTLIER_MAX = (1 << 16) - 1
 ESCAPE_INDEX = 8
 NONLINEAR_SHIFT = 6
+DESIGN_BAND = 0.05        # the designed entropy's tolerance around its target, bits
+DESIGN_MAX_OUTER = 500    # multiplier bisection steps
+LLOYD_ITERS = 300         # Lloyd passes per multiplier
 
 
 class ConvergenceError(RuntimeError):
-    """Table design failed to converge; carries the last iterate."""
-
-    def __init__(self, msg, last_table=None):
-        super().__init__(msg)
-        self.last_table = last_table
+    """Table design did not reach its target entropy."""
 
 
 @dataclass(frozen=True)
@@ -143,8 +142,7 @@ def quantize_phase(theta, n_cells):
     if np.any(n < 1):
         raise ValueError("cell count must be at least 1")
     wrapped = wrap_phase(theta)
-    idx = np.floor((wrapped + np.pi) * n / (2.0 * np.pi)).astype(int) % np.maximum(n, 1)
-    return idx if np.ndim(n_cells) or np.ndim(theta) else int(idx)
+    return np.floor((wrapped + np.pi) * n / (2.0 * np.pi)).astype(int) % np.maximum(n, 1)
 
 
 def dequantize_phase(index, n_cells):
@@ -153,8 +151,7 @@ def dequantize_phase(index, n_cells):
     if np.any(n < 1):
         raise ValueError("cell count must be at least 1")
     rec = -np.pi + (np.asarray(index, dtype=float) + 0.5) * 2.0 * np.pi / n
-    rec = np.where(n == 1, 0.0, rec)
-    return rec if np.ndim(n_cells) or np.ndim(index) else float(rec)
+    return np.where(n == 1, 0.0, rec)
 
 
 # --- entropy-constrained table design on the unit-variance-component
@@ -212,9 +209,9 @@ def _lloyd_pass(bounds, lam, r7):
     return new_bounds, levels, p, entropy, mse
 
 
-def _lloyd_converge(lam, bounds, r7, iters=300):
+def _lloyd_converge(lam, bounds, r7):
     levels, entropy, mse = None, None, None
-    for _ in range(iters):
+    for _ in range(LLOYD_ITERS):
         new_bounds, levels, _, entropy, mse = _lloyd_pass(bounds, lam, r7)
         if np.max(np.abs(new_bounds - bounds)) < 1e-12:
             bounds = new_bounds
@@ -223,41 +220,36 @@ def _lloyd_converge(lam, bounds, r7, iters=300):
     return bounds, levels, entropy, mse
 
 
-def design_ecupq_table(rate_target: float = ECUPQ_RATE, r7_fixed: float = ECUPQ_R7,
-                       band: float = 0.05, max_outer: int = 500) -> EcupqTable:
+def design_ecupq_table(rate_target: float = ECUPQ_RATE) -> EcupqTable:
     """Design the 8-cell core by entropy-constrained Lloyd iteration.
 
     The Lagrange multiplier on code length is bisected until the cell entropy
-    lands inside [rate_target - band, rate_target + band]; the top boundary is
-    pinned and the deadzone level is held at zero throughout.
+    lands inside rate_target +/- DESIGN_BAND; the top boundary is pinned at
+    ECUPQ_R7 and the deadzone level is held at zero throughout.
     """
-    init = np.linspace(r7_fixed / 8.0, r7_fixed * 7.0 / 8.0, 7)
-    upper = rate_target + band
+    init = np.linspace(ECUPQ_R7 / 8.0, ECUPQ_R7 * 7.0 / 8.0, 7)
+    upper = rate_target + DESIGN_BAND
     # bisect for the smallest multiplier whose entropy enters the target band;
     # approaching from below keeps the deadzone as wide as the rate allows
     lam_lo, lam_hi = 0.0, 0.5
-    last = None
     entropy = float("nan")
-    for _ in range(max_outer):
+    for _ in range(DESIGN_MAX_OUTER):
         lam = 0.5 * (lam_lo + lam_hi)
-        bounds, levels, entropy, _ = _lloyd_converge(lam, init.copy(), r7_fixed)
-        last = (bounds, levels)
+        bounds, levels, entropy, _ = _lloyd_converge(lam, init.copy(), ECUPQ_R7)
         if entropy > upper:
             lam_lo = lam
         else:
             lam_hi = lam
         if lam_hi - lam_lo < 1e-12 and entropy <= upper:
-            if abs(entropy - rate_target) <= band:
+            if abs(entropy - rate_target) <= DESIGN_BAND:
                 return EcupqTable(
-                    thresholds=tuple(float(v) for v in np.concatenate([bounds, [r7_fixed]])),
+                    thresholds=tuple(float(v) for v in np.concatenate([bounds, [ECUPQ_R7]])),
                     levels=tuple(float(v) for v in levels),
                     design_rate=rate_target,
                     version=f"rayleigh-{rate_target:g}-v1",
                 )
             break
-    raise ConvergenceError(
-        f"entropy {entropy:.4f} did not reach {rate_target} +/- {band}", last_table=last
-    )
+    raise ConvergenceError(f"entropy {entropy:.4f} did not reach {rate_target} +/- {DESIGN_BAND}")
 
 
 def table_entropy_and_mse(table: EcupqTable):
@@ -266,16 +258,10 @@ def table_entropy_and_mse(table: EcupqTable):
     return _cell_stats(edges, np.asarray(table.levels))[2:]
 
 
-def uniform_quantizer_mse(r7: float = ECUPQ_R7, n_cells: int = 8) -> float:
-    """MSE of the midpoint-reconstruction uniform quantizer on [0, r7]."""
-    edges = np.linspace(0.0, r7, n_cells + 1)
-    mids = 0.5 * (edges[:-1] + edges[1:])
-    mass = _m0(0.0, r7)
-    total = 0.0
-    for j in range(n_cells):
-        a, b = edges[j], edges[j + 1]
-        total += _m2(a, b) - 2.0 * mids[j] * _m1(a, b) + mids[j] ** 2 * _m0(a, b)
-    return total / mass
+def uniform_quantizer_mse() -> float:
+    """MSE of the midpoint-reconstruction uniform 8-cell quantizer on [0, ECUPQ_R7]."""
+    edges = np.linspace(0.0, ECUPQ_R7, 9)
+    return _cell_stats(edges, 0.5 * (edges[:-1] + edges[1:]))[3]
 
 
 # Frozen output of design_ecupq_table() at the default settings; regenerate

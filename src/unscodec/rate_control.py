@@ -61,7 +61,7 @@ def sample_entropy_bits(indices: np.ndarray):
     bits = _BLOCK_BITS[_equal_pairs(blocks)].sum(axis=-1)
     if n % 4 > 1:
         bits = bits + _TAIL_BITS[n % 4][_equal_pairs(idx[..., nfull * 4:])]
-    return float(bits) if idx.ndim == 1 else bits
+    return bits
 
 
 @dataclass

@@ -11,7 +11,7 @@ TAPS_PER_PHASE = 64
 KAISER_BETA = 8.0
 
 
-def resample_to_core(pcm: np.ndarray, in_rate: int, out_rate: int = CORE_RATE) -> np.ndarray:
+def resample_to_core(pcm: np.ndarray, in_rate: int) -> np.ndarray:
     """Rational-ratio resampling with a Kaiser-windowed sinc prototype.
 
     The prototype has odd length so its group delay is an integer number of
@@ -21,11 +21,11 @@ def resample_to_core(pcm: np.ndarray, in_rate: int, out_rate: int = CORE_RATE) -
     if not 8000 <= in_rate <= 48000:
         raise ValueError(f"unsupported input rate {in_rate}")
     pcm = np.asarray(pcm, dtype=float)
-    if in_rate == out_rate or pcm.size == 0:
+    if in_rate == CORE_RATE or pcm.size == 0:
         return pcm.copy()
 
-    g = math.gcd(in_rate, out_rate)
-    up, down = out_rate // g, in_rate // g
+    g = math.gcd(in_rate, CORE_RATE)
+    up, down = CORE_RATE // g, in_rate // g
     n_taps = TAPS_PER_PHASE * up + 1
     center = (n_taps - 1) // 2  # = 32 * up
     cutoff = min(1.0 / up, 1.0 / down)  # fraction of the upsampled Nyquist

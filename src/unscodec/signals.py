@@ -1,38 +1,37 @@
 """Deterministic synthetic test signals.
 
 Everything the metrics, experiments, and acceptance tests need is generated
-here from fixed seeds, so no recorded material ships with the repo.
+here from fixed seeds at the core rate, so no recorded material ships with the repo.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-RATE = 12800
+from .resample import CORE_RATE
 
 
-def tone(freq_hz: float, seconds: float, amp: float = 0.5, rate: int = RATE) -> np.ndarray:
-    t = np.arange(int(seconds * rate)) / rate
+def tone(freq_hz: float, seconds: float, amp: float = 0.5) -> np.ndarray:
+    t = np.arange(int(seconds * CORE_RATE)) / CORE_RATE
     return amp * np.sin(2.0 * np.pi * freq_hz * t)
 
 
 def harmonic_tone(f0_hz: float, seconds: float, n_partials: int = 8,
-                  amp: float = 0.6, vibrato_hz: float = 5.0, rate: int = RATE) -> np.ndarray:
+                  amp: float = 0.6, vibrato_hz: float = 5.0) -> np.ndarray:
     """Sustained harmonic note with mild vibrato; music-like sustained content."""
-    n = int(seconds * rate)
-    t = np.arange(n) / rate
+    n = int(seconds * CORE_RATE)
+    t = np.arange(n) / CORE_RATE
     phase = 2.0 * np.pi * f0_hz * (t + 0.002 * np.sin(2.0 * np.pi * vibrato_hz * t) / vibrato_hz)
     x = np.zeros(n)
     for k in range(1, n_partials + 1):
-        if k * f0_hz >= rate / 2:
+        if k * f0_hz >= CORE_RATE / 2:
             break
         x += np.sin(k * phase + 0.7 * k) / k
     return amp * x / np.abs(x).max()
 
 
 def click_train(seconds: float, period_s: float = 0.25, burst_len: int = 1200,
-                amp: float = 0.9, seed: int = 11, rate: int = RATE,
-                start_s: float = 0.1):
+                amp: float = 0.9, seed: int = 11, start_s: float = 0.1):
     """Castanet-style percussive bursts.
 
     Each burst mixes noise with two randomly placed resonant rings under a
@@ -41,12 +40,12 @@ def click_train(seconds: float, period_s: float = 0.25, burst_len: int = 1200,
     (signal, attack_sample_indices).
     """
     rng = np.random.default_rng(seed)
-    n = int(seconds * rate)
+    n = int(seconds * CORE_RATE)
     x = np.zeros(n)
     attacks = []
-    s = int(start_s * rate)
+    s = int(start_s * CORE_RATE)
     while s + burst_len < n:
-        t = np.arange(burst_len) / rate
+        t = np.arange(burst_len) / CORE_RATE
         env = np.exp(-t / 0.002) + 0.5 * np.exp(-t / 0.015) + 0.25 * np.exp(-t / 0.08)
         f1 = rng.uniform(1200.0, 2800.0)
         f2 = rng.uniform(3200.0, 5600.0)
@@ -54,19 +53,19 @@ def click_train(seconds: float, period_s: float = 0.25, burst_len: int = 1200,
                 + 0.4 * np.sin(2.0 * np.pi * f2 * t + rng.uniform(0, 6)))
         x[s:s + burst_len] += env * (0.6 * rng.standard_normal(burst_len) + ring)
         attacks.append(s)
-        s += int(period_s * rate)
+        s += int(period_s * CORE_RATE)
     peak = np.abs(x).max()
     if peak > 0:
         x *= amp / peak
     return x, attacks
 
 
-def speechish(seconds: float, amp: float = 0.55, seed: int = 5, rate: int = RATE) -> np.ndarray:
+def speechish(seconds: float, amp: float = 0.55, seed: int = 5) -> np.ndarray:
     """Amplitude-modulated low-passed noise plus a wandering buzz; rough vocal
     texture with syllabic energy bursts."""
     rng = np.random.default_rng(seed)
-    n = int(seconds * rate)
-    t = np.arange(n) / rate
+    n = int(seconds * CORE_RATE)
+    t = np.arange(n) / CORE_RATE
     noise = rng.standard_normal(n)
     # crude one-pole lowpass, voicy tilt
     lp = np.empty(n)
@@ -81,7 +80,7 @@ def speechish(seconds: float, amp: float = 0.55, seed: int = 5, rate: int = RATE
 
 
 def attack_then_sustain(seconds: float = 2.0, attack_s: float = 0.8, amp: float = 0.9,
-                        seed: int = 23, rate: int = RATE):
+                        seed: int = 23):
     """A quiet sustained tone interrupted by one sharp, fast-decaying attack.
 
     The attack dies within a few milliseconds, so the surrounding signal is
@@ -89,19 +88,20 @@ def attack_then_sustain(seconds: float = 2.0, attack_s: float = 0.8, amp: float 
     directly visible next to it.  Returns (signal, attack_sample_index).
     """
     rng = np.random.default_rng(seed)
-    n = int(seconds * rate)
-    attack = int(attack_s * rate)
-    t = np.arange(n) / rate
+    n = int(seconds * CORE_RATE)
+    attack = int(attack_s * CORE_RATE)
+    t = np.arange(n) / CORE_RATE
     x = 0.04 * np.sin(2.0 * np.pi * 523.0 * t)
-    burst = int(0.01 * rate)
-    x[attack:attack + burst] += np.exp(-np.arange(burst) / (0.0025 * rate)) * rng.standard_normal(burst)
+    burst = int(0.01 * CORE_RATE)
+    decay = np.exp(-np.arange(burst) / (0.0025 * CORE_RATE))
+    x[attack:attack + burst] += decay * rng.standard_normal(burst)
     return amp * x / np.abs(x).max(), attack
 
 
-def organ_chord(seconds: float, amp: float = 0.6, rate: int = RATE) -> np.ndarray:
+def organ_chord(seconds: float, amp: float = 0.6) -> np.ndarray:
     """Three-voice sustained chord with slow tremolo and a soft breath floor."""
-    n = int(seconds * rate)
-    t = np.arange(n) / rate
+    n = int(seconds * CORE_RATE)
+    t = np.arange(n) / CORE_RATE
     x = np.zeros(n)
     for f0, w in ((196.0, 1.0), (247.0, 0.8), (311.0, 0.65)):
         trem = 1.0 + 0.12 * np.sin(2.0 * np.pi * (4.5 + f0 / 200.0) * t)
@@ -112,7 +112,7 @@ def organ_chord(seconds: float, amp: float = 0.6, rate: int = RATE) -> np.ndarra
     return amp * x / np.abs(x).max()
 
 
-def mixed_corpus(seconds_total: float = 30.0, rate: int = RATE):
+def mixed_corpus(seconds_total: float = 30.0):
     """Named corpus items totalling roughly ``seconds_total`` seconds."""
     per = seconds_total / 5.0
     items = {

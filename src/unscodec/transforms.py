@@ -7,6 +7,7 @@ exactly because the rising and falling tapers of adjacent frames sum to one.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,35 +101,30 @@ def sine_window(n: int) -> np.ndarray:
     return np.sin(np.pi * (np.arange(n) + 0.5) / n)
 
 
-_MDCT_BASIS: dict[int, np.ndarray] = {}
-
-
+@functools.lru_cache(maxsize=8)
 def _mdct_basis(half: int) -> np.ndarray:
-    basis = _MDCT_BASIS.get(half)
-    if basis is None:
-        n = np.arange(2 * half)[:, None]
-        k = np.arange(half)[None, :]
-        basis = np.cos(np.pi / half * (n + 0.5 + half / 2.0) * (k + 0.5))
-        _MDCT_BASIS[half] = basis
+    n = np.arange(2 * half)[:, None]
+    k = np.arange(half)[None, :]
+    basis = np.cos(np.pi / half * (n + 0.5 + half / 2.0) * (k + 0.5))
+    basis.flags.writeable = False  # one cached array serves every caller
     return basis
 
 
 def mdct(x: np.ndarray, window: np.ndarray | None = None) -> np.ndarray:
-    """MDCT of one 2N-sample block to N real coefficients."""
+    """MDCT of a 2N-sample block to N real coefficients, along the last axis."""
     x = np.asarray(x, dtype=float)
-    if x.size % 2 != 0:
+    if x.shape[-1] % 2 != 0:
         raise ValueError("MDCT input length must be even")
     if window is not None:
         x = x * window
-    half = x.size // 2
-    return x @ _mdct_basis(half)
+    return x @ _mdct_basis(x.shape[-1] // 2)
 
 
 def imdct(coeffs: np.ndarray, window: np.ndarray | None = None) -> np.ndarray:
-    """Inverse MDCT back to one 2N-sample block (aliased until overlap-added)."""
+    """Inverse MDCT to a 2N-sample block, aliased until overlap-added, along the last axis."""
     coeffs = np.asarray(coeffs, dtype=float)
-    half = coeffs.size
-    y = (2.0 / half) * (_mdct_basis(half) @ coeffs)
+    half = coeffs.shape[-1]
+    y = (2.0 / half) * (coeffs @ _mdct_basis(half).T)
     if window is not None:
         y = y * window
     return y

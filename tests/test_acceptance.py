@@ -165,7 +165,7 @@ def coded_band_reference(blob, stats, cfg):
     refs = []
     pos = StreamHeader.size()
     for s in stats:
-        payload, consumed = unpack_frame(blob[pos:], ctx, frame_index=s.index)
+        payload, consumed = unpack_frame(blob[pos:], ctx)
         pos += consumed
         contrast = payload.contrast
         entropy = 0.0

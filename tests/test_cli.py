@@ -10,6 +10,7 @@ from unscodec import cli, codec, signals
 from unscodec.config import CodecConfig, load_config, save_config
 from unscodec.polar_quant import EcupqTable
 from unscodec.resample import resample_to_core
+from unscodec.transforms import frame_count
 from unscodec.wavio import WavFormatError, read_wav, write_wav
 
 
@@ -81,6 +82,28 @@ def test_wav_ragged_data_chunk_raises_format_error(tmp_path, channels, payload):
         read_wav(path)
 
 
+def riff(chunks, form=b"WAVE"):
+    """A RIFF file of the given (id, body) chunks."""
+    body = form + b"".join(cid + struct.pack("<I", len(data)) + data for cid, data in chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+@pytest.mark.parametrize("data, message", [
+    (b"RIFF\0\0", "missing RIFF chunk"),
+    (riff([], form=b"AVI "), "not a RIFF/WAVE file"),
+    (riff([(b"fmt ", b"\1\0\1\0")]), "fmt chunk too short"),
+    (riff([(b"fmt ", struct.pack("<HHIIHH", 1, 1, 8000, 16000, 2, 16))]), "missing data chunk"),
+    (riff([(b"fmt ", struct.pack("<HHIIHH", 1, 3, 8000, 48000, 6, 16)), (b"data", b"\0" * 6)]),
+     "unsupported channel count 3"),
+], ids=["short", "not-wave", "short-fmt", "no-data", "3-channel"])
+def test_wav_rejects_malformed_files(tmp_path, data, message):
+    path = str(tmp_path / "m.wav")
+    with open(path, "wb") as f:
+        f.write(data)
+    with pytest.raises(WavFormatError, match=message):
+        read_wav(path)
+
+
 def test_wav_rejects_unsupported_codec(tmp_path):
     path = str(tmp_path / "u.wav")
     fmt = struct.pack("<HHIIHH", 7, 1, 8000, 8000, 1, 8)  # mu-law tag
@@ -141,6 +164,11 @@ BAD_CONFIGS = [
     ("[ecupq]\nno_such_parameter = 1\n", "no_such_parameter"),
     ("ctns_enabled = maybe\n", "ctns_enabled"),
     ("lpc_order = abc\n", "lpc_order"),
+    ("[ecupq]\nthresholds = 0.1, 0.6, 5.056\nlevels = 0, 1, 2, 3, 4, 5, 6, 7\n", "8 thresholds"),
+    ("[ecupq]\nthresholds = 0.1, 0.6, 1, 1.4, 1.9, 2.3, 2.9, 5.056\n"
+     "levels = 0.2, 1, 2, 3, 4, 5, 6, 7\n", "deadzone level"),
+    ("[ecupq]\nthresholds = 0.1, 0.6, 0.5, 1.4, 1.9, 2.3, 2.9, 5.056\n"
+     "levels = 0, 1, 2, 3, 4, 5, 6, 7\n", "strictly increasing"),
 ]
 
 
@@ -195,7 +223,15 @@ def test_config_rejects_bad_values_at_construction(tmp_path):
                    dict(ctns_weight=float("nan")),
                    dict(sample_rate=16000),  # input is always resampled to 12.8 kHz
                    dict(clpc_mag_floor_db=30.0), dict(clpc_mag_ceil_db=-70.0),
-                   dict(window_edge=2.0), dict(overlap_len=600)):
+                   dict(window_edge=2.0), dict(overlap_len=600),
+                   dict(mode="8k"),
+                   dict(band_edges=(40, 90, 500), bits_12k=(9,) * 3, bits_16k=(9,) * 3),
+                   # CTNS filters bins ctns_start_bin .. frame_len / 2 - 1 only
+                   dict(ctns_start_bin=512), dict(ctns_start_bin=600), dict(ctns_start_bin=5000),
+                   # NaN fails every threshold test: CTNS never engages, every
+                   # band is low-contrast, or the LSFs turn NaN at encode
+                   dict(ctns_threshold_db=float("nan")), dict(fer_threshold=float("nan")),
+                   dict(lsf_min_gap=float("nan"))):
         with pytest.raises(ConfigError):
             CodecConfig(**kwargs)
     path = str(tmp_path / "cells.cfg")
@@ -335,6 +371,29 @@ def test_cli_encode_decode_analyze(tmp_path):
     assert os.path.exists(tmp_path / "segsnr.csv")
 
 
+def test_cli_encode_report_has_one_row_per_frame(tmp_path):
+    wav_in = str(tmp_path / "in.wav")
+    stream = str(tmp_path / "a.uns")
+    write_wav(wav_in, signals.speechish(1.0), 12800)
+    assert cli.main(["encode", wav_in, stream, "--mode", "12k",
+                     "--report-dir", str(tmp_path / "rep")]) == 0
+    with open(tmp_path / "rep" / "frame_diagnostics.csv") as f:
+        rows = f.read().strip().splitlines()
+    assert rows[0].startswith("frame,gain_db,ctns_flag")
+    frames = frame_count(12800, CodecConfig().window_spec)  # 17 frames at 768-sample hops
+    assert [int(r.split(",")[0]) for r in rows[1:]] == list(range(frames))
+
+
+def test_cli_analyze_resamples_a_16k_decoded_file(tmp_path, capsys):
+    # the same tone written at 12.8 and at 16 kHz: only resampling lines them up
+    ref, dec = str(tmp_path / "ref.wav"), str(tmp_path / "dec16.wav")
+    write_wav(ref, 0.5 * np.sin(2 * np.pi * 440.0 * np.arange(12800) / 12800), 12800)
+    write_wav(dec, 0.5 * np.sin(2 * np.pi * 440.0 * np.arange(16000) / 16000), 16000)
+    assert cli.main(["analyze", ref, dec]) == 0
+    mean = float(re.search(r"segSNR mean: (\S+) dB over 50 segments", capsys.readouterr().out)[1])
+    assert mean > 25.0
+
+
 def test_cli_analyze_identical_files_hits_clamp(tmp_path, capsys):
     wav = str(tmp_path / "ref.wav")
     write_wav(wav, signals.harmonic_tone(220.0, 0.5), 12800)
@@ -399,6 +458,17 @@ def test_cli_tns_compare_synthetic(tmp_path):
     report_dir = str(tmp_path / "rep")
     assert cli.main(["tns-compare", "--report-dir", report_dir]) == 0
     assert os.path.exists(os.path.join(report_dir, "tns_compare.csv"))
+
+
+def test_cli_tns_compare_wav_input(tmp_path, capsys):
+    wav_in = str(tmp_path / "clicks.wav")
+    write_wav(wav_in, signals.click_train(1.2)[0], 12800)
+    report_dir = str(tmp_path / "rep")
+    assert cli.main(["tns-compare", wav_in, "--report-dir", report_dir]) == 0
+    with open(os.path.join(report_dir, "tns_compare.csv")) as f:
+        rows = f.read().strip().splitlines()
+    assert len(rows) == 1 + 15360 // 512  # one row per half-frame hop
+    assert "transient-region" not in capsys.readouterr().out  # no attack list for a file
 
 
 def test_cli_design_ecupq(tmp_path):

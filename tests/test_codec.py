@@ -8,7 +8,7 @@ from hypothesis import example, given, strategies as st
 
 from unscodec import codec, polar_quant as pq, signals
 from unscodec.config import CodecConfig
-from unscodec.entropy_bitstream import StreamError, StreamHeader
+from unscodec.entropy_bitstream import StreamError, StreamHeader, pack_frame, unpack_frame
 from unscodec.transforms import frame_signal, overlap_add
 
 
@@ -199,6 +199,35 @@ def test_decode_rejects_frames_beyond_the_header_length():
     ends = frame_ends(blob)
     with pytest.raises(StreamError, match="bytes follow the 33 frames"):
         codec.decode_stream(blob + blob[ends[0]:ends[3]], CFG12)
+
+
+def broken_frame(payload, kind):
+    """The frame bytes of ``payload`` with one fault of the given kind."""
+    if kind == "escape":  # the encoder clips index 2 to OUTLIER_MAX
+        payload.index1[5], payload.index2[5] = pq.ESCAPE_INDEX, pq.OUTLIER_MAX + 1
+    if kind == "lsf":  # LSF deltas in range that add up beyond the largest index
+        payload.lsf_indices = CTX12.lsf_alphabet // 2 * np.arange(1, CFG12.lpc_order + 1)
+    return pack_frame(payload, CTX12)
+
+
+@pytest.mark.parametrize("kind, message", [
+    ("truncated", "truncated frame payload"),
+    ("escape", f"escape index 2 above {pq.OUTLIER_MAX}"),
+    ("lsf", "LSF index out of range"),
+], ids=["truncated", "escape", "lsf"])
+def test_decode_names_the_failing_frame(kind, message):
+    # unpack_frame reports what is wrong; decode_stream adds which frame it is
+    blob, _ = codec.encode_stream(signals.speechish(1.0), CFG12)
+    ends = frame_ends(blob)
+    start, end = ends[2], ends[3]
+    if kind == "truncated":
+        broken = blob[:start + 10]
+    else:
+        payload, _ = unpack_frame(blob[start:end], CTX12)
+        broken = blob[:start] + broken_frame(payload, kind) + blob[end:]
+    with pytest.raises(StreamError, match=f"^frame 3: {message}$") as exc:
+        codec.decode_stream(broken, CFG12)
+    assert exc.value.frame_index == 3
 
 
 @pytest.mark.parametrize("entry, bad", [

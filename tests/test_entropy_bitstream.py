@@ -116,6 +116,13 @@ def test_stream_header_rejects_bad_magic():
         eb.StreamHeader.unpack(bytes(data))
 
 
+def test_stream_header_rejects_unsupported_version():
+    data = bytearray(codec.stream_header(CodecConfig(), 0).pack())
+    data[4] = eb.STREAM_VERSION + 1
+    with pytest.raises(eb.StreamError, match=f"unsupported stream version {eb.STREAM_VERSION + 1}"):
+        eb.StreamHeader.unpack(bytes(data))
+
+
 def test_stream_header_rejects_short_input():
     with pytest.raises(eb.StreamError):
         eb.StreamHeader.unpack(b"UNS1")
@@ -213,17 +220,14 @@ def test_frames_concatenate_without_lookahead():
     assert pos == len(blob)
 
 
-def test_truncated_frame_raises_with_index():
+def test_truncated_frame_raises_stream_error():
+    # a frame knows no frame number: decode_stream names it (test_codec.py)
     rng = np.random.default_rng(45)
     ctx = make_ctx()
     blob = eb.pack_frame(random_payload(rng, ctx), ctx)
-    with pytest.raises(eb.StreamError):
-        eb.unpack_frame(blob[:10], ctx, frame_index=3)
-    try:
-        eb.unpack_frame(blob[:10], ctx, frame_index=3)
-    except eb.StreamError as e:
-        assert e.frame_index == 3
-        assert "frame 3" in str(e)
+    with pytest.raises(eb.StreamError, match="^truncated frame payload$") as exc:
+        eb.unpack_frame(blob[:10], ctx)
+    assert exc.value.frame_index is None
 
 
 def zero_payload(ctx, flag=False):

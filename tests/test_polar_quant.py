@@ -215,6 +215,12 @@ def test_design_regenerates_frozen_table():
     assert np.allclose(table.levels, TABLE.levels, atol=1e-9)
 
 
+def test_design_refuses_an_unreachable_rate():
+    # 8 cells carry at most 3 bits, so no multiplier reaches 3.5
+    with pytest.raises(pq.ConvergenceError, match="did not reach 3.5"):
+        pq.design_ecupq_table(3.5)
+
+
 def test_design_entropy_band_and_mse():
     entropy, mse = pq.table_entropy_and_mse(TABLE)
     assert abs(entropy - 2.495) <= 0.05

@@ -332,9 +332,9 @@ CTX = codec.make_pack_context(CFG)
 
 def unpack_or_stream_error(blob):
     try:
-        _, consumed = eb.unpack_frame(blob, CTX, frame_index=0)
+        _, consumed = eb.unpack_frame(blob, CTX)
     except eb.StreamError as e:
-        assert e.frame_index == 0
+        assert e.frame_index is None  # only decode_stream knows the frame's number
         return None
     return consumed
 
@@ -362,7 +362,7 @@ def corpus_frames():
 
 @given(pick=st.integers(0, 2 ** 16), flips=st.lists(st.integers(0, 2 ** 16), min_size=1,
                                                     max_size=3))
-@example(pick=0, flips=[192])  # a runaway Exp-Golomb prefix, named with its frame
+@example(pick=0, flips=[192])  # a runaway Exp-Golomb prefix
 def test_unpack_bit_flipped_corpus_frames_raises_only_stream_error(corpus_frames, pick, flips):
     frame = bytearray(corpus_frames[pick % len(corpus_frames)])
     for bit in flips:
@@ -413,7 +413,7 @@ def test_escape_above_outlier_max_is_a_stream_error(index2):
     # the encoder clips index 2 to OUTLIER_MAX, so anything above it is corrupt
     def escape(value):
         return lambda raw: exp_golomb_encode(raw, value - pq.OUTLIER_MIN)
-    with pytest.raises(eb.StreamError, match=f"frame 7: escape index 2 above {pq.OUTLIER_MAX}"):
-        eb.unpack_frame(one_escape_frame(escape(index2)), CTX, frame_index=7)
+    with pytest.raises(eb.StreamError, match=f"^escape index 2 above {pq.OUTLIER_MAX}$"):
+        eb.unpack_frame(one_escape_frame(escape(index2)), CTX)
     payload, _ = eb.unpack_frame(one_escape_frame(escape(pq.OUTLIER_MAX)), CTX)
     assert payload.index2[5] == pq.OUTLIER_MAX
