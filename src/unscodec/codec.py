@@ -10,6 +10,7 @@ is computed in the encoder from the same quantized values.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from itertools import islice
 
 import numpy as np
 
@@ -123,9 +124,13 @@ def analyze_frames(samples: np.ndarray, cfg: CodecConfig) -> FrameAnalysis:
 
 
 def synthesize(coded: np.ndarray, env_values: np.ndarray, coeffs: np.ndarray | None,
-               cfg: CodecConfig) -> np.ndarray:
-    """Undo CTNS (when ``coeffs`` is given) and FDNS, then return to time."""
-    res = coded if coeffs is None else ns.ctns_unfilter(coded, coeffs, cfg.ctns_start_bin)
+               cfg: CodecConfig, active=...) -> np.ndarray:
+    """Undo CTNS (when ``coeffs`` is given) and FDNS, then return to time.  A
+    (frames, bins) stack gives each frame's as a row; CTNS is then undone on
+    the rows ``active`` selects, with one row of ``coeffs`` each."""
+    res = coded.copy()
+    if coeffs is not None and len(coeffs):  # a stack with no active row has nothing to undo
+        res[active] = ns.ctns_unfilter(coded[active], coeffs, cfg.ctns_start_bin)
     return np.fft.irfft(ns.fdns_inverse(res, env_values), n=cfg.frame_len)
 
 
@@ -147,15 +152,17 @@ def quantize_spectrum(coded: np.ndarray, gains: np.ndarray, contrast: np.ndarray
 
 
 def dequantize_spectrum(payload: FramePayload, cfg: CodecConfig, ctx: PackContext):
-    """The coded bins a payload's spectral fields and band gains describe."""
+    """The coded bins a payload's spectral fields and band gains describe; a
+    payload whose fields stack frames as rows gives each frame's as a row."""
     mags = pq.dequantize_magnitudes(payload.index1, payload.index2, cfg.ecupq)
-    cells = pq.phase_cells_array(payload.index1, payload.contrast[ctx.band_of], ctx.phase_cells)
-    theta = np.zeros(mags.size)
+    cells = pq.phase_cells_array(payload.index1, payload.contrast[..., ctx.band_of],
+                                 ctx.phase_cells)
+    theta = np.zeros(mags.shape)
     has_phase = payload.phase >= 0
     theta[has_phase] = pq.dequantize_phase(payload.phase[has_phase], cells[has_phase])
     vals = np.where(ctx.real_mask, np.where(payload.sign == 1, -mags, mags),
                     mags * np.exp(1j * theta))
-    return vals * GAIN_DIVISORS[payload.sf_indices - rc.SF_MIN_DB][ctx.band_of]
+    return vals * GAIN_DIVISORS[payload.sf_indices - rc.SF_MIN_DB][..., ctx.band_of]
 
 
 def encode_frames(frames: np.ndarray, cfg: CodecConfig, ctx: PackContext, first: int):
@@ -188,12 +195,16 @@ def encode_frames(frames: np.ndarray, cfg: CodecConfig, ctx: PackContext, first:
             total_bits=8 * len(blob), section_bits=section)
 
 
-def decode_frame_payload(payload: FramePayload, cfg: CodecConfig,
-                         ctx: PackContext) -> np.ndarray:
-    """Reconstruct one time-domain frame contribution from a payload."""
-    env, _ = derive_shaping(payload.lsf_indices, cfg)
-    coeffs = derive_clpc(payload.clpc_indices, cfg) if payload.ctns_flag else None
-    return synthesize(dequantize_spectrum(payload, cfg, ctx), env, coeffs, cfg)
+def decode_frame_payload(payloads: list, cfg: CodecConfig, ctx: PackContext) -> np.ndarray:
+    """The time-domain frames of a chunk of parsed payloads, one row each: the
+    envelope frame by frame, as unpack derives the contrast flags, then one
+    stacked dequantization, CTNS inverse on the active rows and synthesis."""
+    env = np.array([derive_shaping(p.lsf_indices, cfg)[0] for p in payloads])
+    stack = FramePayload(**{f.name: np.array([getattr(p, f.name) for p in payloads])
+                            for f in fields(FramePayload) if f.name != "clpc_indices"},
+                         clpc_indices=np.array([p.clpc_indices for p in payloads if p.ctns_flag]))
+    coeffs = derive_clpc(stack.clpc_indices, cfg) if stack.ctns_flag.any() else None
+    return synthesize(dequantize_spectrum(stack, cfg, ctx), env, coeffs, cfg, stack.ctns_flag)
 
 
 def finite_pcm(pcm: np.ndarray) -> np.ndarray:
@@ -237,23 +248,27 @@ def decode_stream(data: bytes, cfg: CodecConfig | None = None):
 
     ctx = make_pack_context(cfg)
     expected = frame_count(header.original_length, cfg.window_spec)
-    pos = StreamHeader.size()
-    frames = []
-    flags = []
-    while pos < len(data) and len(frames) < expected:
-        try:
-            payload, consumed = unpack_frame(data[pos:], ctx)
-        except StreamError as e:
-            raise StreamError(str(e), len(frames)) from None
-        frames.append(decode_frame_payload(payload, cfg, ctx))
-        flags.append(payload.ctns_flag)
-        pos += consumed
     need = f"the {expected} frames the header's {header.original_length} samples need"
-    if pos < len(data):
-        raise StreamError(f"bytes follow {need}")
-    if len(frames) < expected:
-        raise StreamError(f"stream ends after {len(frames)} of {need}")
-    pcm = overlap_add(frames, cfg.window_spec, length=header.original_length)
+
+    def parsed():  # the stream's payloads, frame by frame
+        pos = StreamHeader.size()
+        for frame in range(expected):
+            if pos >= len(data):
+                raise StreamError(f"stream ends after {frame} of {need}")
+            try:
+                payload, consumed = unpack_frame(data[pos:], ctx)
+            except StreamError as e:
+                raise StreamError(str(e), frame) from None
+            yield payload
+            pos += consumed
+        if pos < len(data):
+            raise StreamError(f"bytes follow {need}")
+
+    payloads, flags, frames = parsed(), [], [np.empty((0, cfg.frame_len))]  # 0 frames: 0 rows
+    while chunk := list(islice(payloads, CHUNK_FRAMES)):  # one chunk of payloads at a time
+        frames.append(decode_frame_payload(chunk, cfg, ctx))
+        flags += [p.ctns_flag for p in chunk]
+    pcm = overlap_add(np.concatenate(frames), cfg.window_spec, length=header.original_length)
     return pcm, header, flags
 
 
@@ -268,9 +283,7 @@ def shaping_roundtrip(pcm: np.ndarray, cfg: CodecConfig) -> np.ndarray:
     """
     pcm = finite_pcm(pcm)
     frames = frame_signal(pcm, cfg.window_spec)
-    recon = []
     for i in range(0, len(frames), CHUNK_FRAMES):  # chunks bound the memory, as in encoding
-        s = analyze_frames(frames[i:i + CHUNK_FRAMES], cfg)
-        recon += [synthesize(coded, env, coeffs if active else None, cfg) for coded, env,
-                  coeffs, active in zip(s.coded, s.env, s.coeffs, s.active)]
-    return overlap_add(recon, cfg.window_spec, length=pcm.size)
+        s = analyze_frames(frames[i:i + CHUNK_FRAMES], cfg)  # then its rows take their synthesis
+        frames[i:i + CHUNK_FRAMES] = synthesize(s.coded, s.env, s.coeffs[s.active], cfg, s.active)
+    return overlap_add(frames, cfg.window_spec, length=pcm.size)

@@ -63,18 +63,20 @@ class CodecConfig:
             raise ConfigError(f"lpc_order must be even (LSFs come in pairs) and in 2..255, "
                               f"not {self.lpc_order}")
         for name, top in (("lsf_step", np.inf), ("clpc_mag_step_db", np.inf),
-                          ("fdns_weight", 1.0), ("ctns_weight", 1.0)):
-            if not 0.0 < getattr(self, name) <= top:  # a quantizer step, or an expansion gamma
+                          ("fdns_weight", 1.0), ("ctns_weight", 1.0),
+                          ("lsf_min_gap", np.pi / (self.lpc_order + 1))):  # order + 1 gaps below pi
+            if not 0.0 < getattr(self, name) <= top:  # a quantizer step, a gamma or a gap; not NaN
                 raise ConfigError(f"{name} must be in (0, {top}], not {getattr(self, name)}")
+        if not 0.0 <= self.fer_threshold < 1.0:  # a band's FER share lies in [0, 1]
+            raise ConfigError(f"fer_threshold must be in [0, 1), not {self.fer_threshold}")
         if not self.clpc_mag_floor_db < self.clpc_mag_ceil_db:  # else CTNS never engages
             raise ConfigError(f"clpc_mag_floor_db {self.clpc_mag_floor_db} must be below "
                               f"clpc_mag_ceil_db {self.clpc_mag_ceil_db}")
         if not 0 <= self.ctns_start_bin < self.frame_len // 2:  # else CTNS filters no bin
             raise ConfigError(f"ctns_start_bin must be in 0..{self.frame_len // 2 - 1}, "
                               f"not {self.ctns_start_bin}")
-        for name in ("ctns_threshold_db", "fer_threshold", "lsf_min_gap"):
-            if np.isnan(getattr(self, name)):  # every comparison with NaN is false
-                raise ConfigError(f"{name} must be a number, not nan")
+        if np.isnan(self.ctns_threshold_db):  # every comparison with NaN is false
+            raise ConfigError("ctns_threshold_db must be a number, not nan")
         for name, size in (("bits_12k", len(self.band_edges)), ("bits_16k", len(self.band_edges)),
                            ("phase_cells_high", 8), ("phase_cells_low", 8)):
             if len(getattr(self, name)) != size:

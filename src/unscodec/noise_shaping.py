@@ -3,7 +3,7 @@
 FDNS divides the spectrum by the reconstructed frequency envelope (the decoder
 multiplies back); CTNS runs a complex prediction-error filter along the
 frequency axis above a start bin, with the decision to engage it driven by the
-measured prediction gain.  The encoder side also takes stacks, one row each.
+measured prediction gain.  Both sides take stacks, one row each.
 """
 
 from __future__ import annotations
@@ -48,16 +48,20 @@ def prediction_error_filter(x: np.ndarray, coeffs: np.ndarray, start: int, stop:
 
 
 def inverse_prediction_filter(e: np.ndarray, coeffs: np.ndarray, start: int, stop: int) -> np.ndarray:
-    """Recursive inverse of :func:`prediction_error_filter` over [start, stop]."""
-    e = np.asarray(e)
-    a = np.asarray(coeffs)
-    x = e.copy()
-    p = a.size
+    """Recursive inverse of :func:`prediction_error_filter` over [start, stop].
+
+    A stack recurses once over the bins, updating every row per step.  Each
+    row's sum is one BLAS dot of its taps against its reversed history, as
+    ``np.dot`` rounds one row's, so the rows are kept reversed to make that
+    history a contiguous slice.
+    """
+    a = np.asarray(coeffs)[..., None, :]
+    y = np.asarray(e)[..., ::-1].copy()  # bin f at y[..., n - 1 - f]
+    n, p = y.shape[-1], a.shape[-1]
     for f in range(start, stop + 1):
         lo = max(0, f - p)
-        hist = x[lo:f][::-1]
-        x[f] = e[f] - np.dot(a[:f - lo], hist)
-    return x
+        y[..., n - 1 - f] -= np.matmul(a[..., :f - lo], y[..., n - f:n - lo, None])[..., 0, 0]
+    return y[..., ::-1].copy()
 
 
 def ctns_filter(res: np.ndarray, coeffs: np.ndarray, start_bin: int) -> np.ndarray:
@@ -71,7 +75,7 @@ def ctns_filter(res: np.ndarray, coeffs: np.ndarray, start_bin: int) -> np.ndarr
 
 def ctns_unfilter(filtered: np.ndarray, coeffs: np.ndarray, start_bin: int) -> np.ndarray:
     """Inverse CTNS filtering (decoder side)."""
-    return inverse_prediction_filter(filtered, coeffs, start_bin, len(filtered) - 2)
+    return inverse_prediction_filter(filtered, coeffs, start_bin, np.shape(filtered)[-1] - 2)
 
 
 def prediction_gain(x_fd: np.ndarray, x_ct: np.ndarray, start_bin: int,

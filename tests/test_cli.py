@@ -231,9 +231,19 @@ def test_config_rejects_bad_values_at_construction(tmp_path):
                    # NaN fails every threshold test: CTNS never engages, every
                    # band is low-contrast, or the LSFs turn NaN at encode
                    dict(ctns_threshold_db=float("nan")), dict(fer_threshold=float("nan")),
-                   dict(lsf_min_gap=float("nan"))):
+                   dict(lsf_min_gap=float("nan")),
+                   # order + 1 gaps must fit below pi, or the gap repair pushes
+                   # the LSFs past it and the decoded model is not minimum phase
+                   dict(lsf_min_gap=0.5), dict(lsf_min_gap=0.0), dict(lsf_min_gap=-0.1),
+                   dict(lsf_min_gap=np.pi / 3 + 1e-9, lpc_order=2),
+                   # a band's FER share lies in [0, 1]: outside it every band has
+                   # one contrast and the phase resolution silently changes
+                   dict(fer_threshold=1.5), dict(fer_threshold=1.0),
+                   dict(fer_threshold=-1.0)):
         with pytest.raises(ConfigError):
             CodecConfig(**kwargs)
+    CodecConfig(lsf_min_gap=np.pi / 3, lpc_order=2)  # the largest gap that fits
+    CodecConfig(fer_threshold=0.0)
     path = str(tmp_path / "cells.cfg")
     with open(path, "w") as f:
         f.write("clpc_phase_cells = 48\n")

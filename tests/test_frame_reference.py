@@ -1,17 +1,19 @@
 """The whole-frame quantizer and dequantizer against the per-band loops they
-replaced.
+replaced, and the stacked decoder against the frame-by-frame one.
 
 The ``ref_*`` functions keep the earlier code: each band is cut out with its
 own real-position mask, the Nyquist bin rides along with the last band, and a
-band is divided or scaled by its gain through numpy's scalar power.  The
-frame code must give the same arrays, bit for bit, on drawn inputs and on
-every frame of the corpus streams.
+band is divided or scaled by its gain through numpy's scalar power; the CTNS
+inverse runs on one frame, one ``np.dot`` per bin, and a frame is decoded on
+its own.  The frame and chunk code must give the same arrays, bit for bit, on
+drawn inputs and on every frame of the corpus streams.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, strategies as st
 
-from unscodec import codec, polar_quant as pq
+from unscodec import codec, noise_shaping as ns, polar_quant as pq, signals
 from unscodec.config import CodecConfig
 from unscodec.entropy_bitstream import FramePayload, StreamHeader, unpack_frame
 from unscodec.transforms import frame_signal, overlap_add
@@ -87,6 +89,40 @@ def ref_dequantize_bands(payload, cfg):
         coded[seg] = vals * ref_db_to_lin(payload.sf_indices[b])
         offset += size
     return coded
+
+
+def ref_ctns_unfilter(e, coeffs, start):
+    """The CTNS inverse of one frame: each bin from the start bin up to below
+    Nyquist, minus the taps against its reversed history."""
+    x = e.copy()
+    for f in range(start, e.size - 1):
+        lo = max(0, f - coeffs.size)
+        x[f] = e[f] - np.dot(coeffs[:f - lo], x[lo:f][::-1])
+    return x
+
+
+def ref_decode_frame(payload, cfg):
+    """One frame's time-domain contribution, decoded on its own: the band
+    loop's bins, the CTNS inverse when the frame's flag is set, the envelope
+    and the inverse DFT."""
+    env, _ = codec.derive_shaping(payload.lsf_indices, cfg)
+    coded = ref_dequantize_bands(payload, cfg)
+    if payload.ctns_flag:
+        coded = ref_ctns_unfilter(coded, codec.derive_clpc(payload.clpc_indices, cfg),
+                                  cfg.ctns_start_bin)
+    return np.fft.irfft(coded * env, n=cfg.frame_len)
+
+
+def ref_decode_stream(blob, cfg):
+    """A stream's PCM, every frame decoded on its own, then overlap-added."""
+    ctx = codec.make_pack_context(cfg)
+    header = StreamHeader.unpack(blob)
+    pos, frames = StreamHeader.size(), []
+    while pos < len(blob):
+        payload, consumed = unpack_frame(blob[pos:], ctx)
+        frames.append(ref_decode_frame(payload, cfg))
+        pos += consumed
+    return overlap_add(frames, cfg.window_spec, length=header.original_length)
 
 
 def assert_fields_equal(got, want):
@@ -176,3 +212,46 @@ def test_corpus_frames_equal_band_loop(corpus_runs):
             assert pos == len(item["blob"]), (mode, name)
             ref_pcm = overlap_add(recon, cfg.window_spec, length=item["pcm"].size)
             assert np.array_equal(item["out"], ref_pcm), (mode, name)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 5), start=st.sampled_from([0, 1, 25]),
+       order=st.sampled_from([2, 16]), zero=st.lists(st.booleans(), min_size=5, max_size=5))
+@example(seed=0, rows=5, start=0, order=16, zero=[False, True, False, True, True])
+def test_stacked_ctns_unfilter_equals_frame_recursion(seed, rows, start, order, zero):
+    # one recursion over the bins updates every row; each row must round as
+    # its own frame's recursion does, rows of all-zero taps included
+    rng = np.random.default_rng(seed)
+    spectra = np.array([drawn_spectrum(rng) for _ in range(rows)])
+    coeffs = 0.3 * (rng.standard_normal((rows, order))
+                    + 1j * rng.standard_normal((rows, order))) / np.arange(1, order + 1)
+    coeffs[zero[:rows]] = 0.0
+    stacked = ns.ctns_unfilter(spectra, coeffs, start)
+    for row, e, a in zip(stacked, spectra, coeffs):
+        assert row.tobytes() == ref_ctns_unfilter(e, a, start).tobytes()
+    alone = ns.ctns_unfilter(spectra[0], coeffs[0], start)
+    assert alone.tobytes() == ref_ctns_unfilter(spectra[0], coeffs[0], start).tobytes()
+
+
+def test_chunked_decode_equals_frame_by_frame_decode():
+    # no frame of the first chunk is CTNS-active, the second chunk's clicks
+    # are, and the last chunk is partial
+    chunk, hop = codec.CHUNK_FRAMES, CFG.window_spec.hop
+    n = chunk * hop + CFG.frame_len
+    pcm = np.concatenate([0.3 * signals.harmonic_tone(220.0, n / CFG.sample_rate)[:n],
+                          signals.click_train(chunk * hop / CFG.sample_rate)[0],
+                          signals.tone(440.0, 1.0)])
+    blob, _ = codec.encode_stream(pcm, CFG)
+    out, _, flags = codec.decode_stream(blob, CFG)
+    assert len(flags) > 2 * chunk and len(flags) % chunk
+    assert not any(flags[:chunk]) and any(flags[chunk:2 * chunk])
+    assert out.tobytes() == ref_decode_stream(blob, CFG).tobytes()
+
+
+@pytest.mark.parametrize("samples", [0, 1, 500, CFG.frame_len])
+def test_short_streams_equal_frame_by_frame_decode(samples):
+    pcm = signals.click_train(1.0, start_s=0.0)[0][:samples]
+    blob, stats = codec.encode_stream(pcm, CFG)
+    out, _, flags = codec.decode_stream(blob, CFG)
+    assert len(flags) == len(stats) == (samples > 0)
+    assert out.dtype == float and out.size == samples
+    assert out.tobytes() == ref_decode_stream(blob, CFG).tobytes()
