@@ -10,7 +10,6 @@ is computed in the encoder from the same quantized values.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from itertools import islice
 
 import numpy as np
 
@@ -23,7 +22,7 @@ from .transforms import frame_count, frame_signal, overlap_add
 # the divisor of each integer gain SF_MIN_DB..SF_MAX_DB, by Python's float
 # power as band_cost_bits prices it (numpy's array power rounds a few apart)
 GAIN_DIVISORS = np.array([10.0 ** (g / 20.0) for g in range(rc.SF_MIN_DB, rc.SF_MAX_DB + 1)])
-CHUNK_FRAMES = 64  # frames whose gains are searched together; bounds the search's memory
+CHUNK_FRAMES = 64  # frames coded or decoded together; one chunk bounds either end's memory
 
 
 @dataclass
@@ -152,8 +151,8 @@ def quantize_spectrum(coded: np.ndarray, gains: np.ndarray, contrast: np.ndarray
 
 
 def dequantize_spectrum(payload: FramePayload, cfg: CodecConfig, ctx: PackContext):
-    """The coded bins a payload's spectral fields and band gains describe; a
-    payload whose fields stack frames as rows gives each frame's as a row."""
+    """The coded bins a chunk record's spectral fields and band gains
+    describe, one row per frame."""
     mags = pq.dequantize_magnitudes(payload.index1, payload.index2, cfg.ecupq)
     cells = pq.phase_cells_array(payload.index1, payload.contrast[..., ctx.band_of],
                                  ctx.phase_cells)
@@ -166,11 +165,9 @@ def dequantize_spectrum(payload: FramePayload, cfg: CodecConfig, ctx: PackContex
 
 
 def encode_frames(frames: np.ndarray, cfg: CodecConfig, ctx: PackContext, first: int):
-    """Encode a chunk of windowed frames, the rows of a (frames, frame_len)
-    stack whose first is stream frame ``first``; yields one (payload, bytes,
-    stats) per frame.  The chunk is analyzed as one stack, each band's gains
-    are searched in one call over all its frames, and the chunk is quantized
-    as one stack."""
+    """Encode a chunk of windowed frames, the rows of a (frames, frame_len) stack whose first
+    is stream frame ``first``; returns the chunk's record and each frame's bytes and stats.
+    The chunk is analyzed, each band's gains searched and the chunk quantized as stacks."""
     shaped = analyze_frames(frames, cfg)
     coded, active, gain_db = shaped.coded, shaped.active, shaped.gain_db
     lsf, clpc, contrast = shaped.lsf_indices, shaped.clpc_indices, shaped.contrast
@@ -181,30 +178,36 @@ def encode_frames(frames: np.ndarray, cfg: CodecConfig, ctx: PackContext, first:
         for b, band in enumerate(ctx.band_slices)))
     gains, overflow = np.stack(gains, axis=1), np.stack(overflow, axis=1)
     est_bits = sum(bits)  # summed in band order, as the stats report it
-    index1, index2, phase, sign = quantize_spectrum(coded, gains, contrast, cfg, ctx)
-    for f in range(len(frames)):
-        payload = FramePayload(lsf_indices=lsf[f], ctns_flag=bool(active[f]),
-                               clpc_indices=clpc[f] if active[f] else None,
-                               sf_indices=gains[f], index1=index1[f], index2=index2[f],
-                               phase=phase[f], sign=sign[f], contrast=contrast[f])
-        section = {}
-        blob = pack_frame(payload, ctx, stats_out=section)
-        yield payload, blob, FrameStats(
-            index=first + f, gain_db=float(gain_db[f]), ctns_active=bool(active[f]),
-            band_gains=gains[f], overflow=overflow[f], est_spectral_bits=float(est_bits[f]),
-            total_bits=8 * len(blob), section_bits=section)
+    payload = FramePayload(lsf, active, clpc, gains,  # then index1, index2, phase, sign
+                           *quantize_spectrum(coded, gains, contrast, cfg, ctx), contrast)
+    sections = [{} for _ in frames]
+    blobs = [pack_frame(payload, f, ctx, stats_out=sections[f]) for f in range(len(frames))]
+    return payload, blobs, [FrameStats(
+        index=first + f, gain_db=float(gain_db[f]), ctns_active=bool(active[f]),
+        band_gains=gains[f], overflow=overflow[f], est_spectral_bits=float(est_bits[f]),
+        total_bits=8 * len(blobs[f]), section_bits=sections[f]) for f in range(len(frames))]
 
 
-def decode_frame_payload(payloads: list, cfg: CodecConfig, ctx: PackContext) -> np.ndarray:
-    """The time-domain frames of a chunk of parsed payloads, one row each: the
-    envelope frame by frame, as unpack derives the contrast flags, then one
-    stacked dequantization, CTNS inverse on the active rows and synthesis."""
-    env = np.array([derive_shaping(p.lsf_indices, cfg)[0] for p in payloads])
-    stack = FramePayload(**{f.name: np.array([getattr(p, f.name) for p in payloads])
-                            for f in fields(FramePayload) if f.name != "clpc_indices"},
-                         clpc_indices=np.array([p.clpc_indices for p in payloads if p.ctns_flag]))
-    coeffs = derive_clpc(stack.clpc_indices, cfg) if stack.ctns_flag.any() else None
-    return synthesize(dequantize_spectrum(stack, cfg, ctx), env, coeffs, cfg, stack.ctns_flag)
+def decode_frame_payload(chunk: FramePayload, cfg: CodecConfig, ctx: PackContext) -> np.ndarray:
+    """A chunk record's time-domain frames, one row each: each frame's envelope, as unpack derives
+    the contrast flags, then one stacked dequantization, CTNS inverse and synthesis."""
+    env = np.array([derive_shaping(lsf, cfg)[0] for lsf in chunk.lsf_indices])
+    active = chunk.ctns_flag
+    coeffs = derive_clpc(chunk.clpc_indices[active], cfg) if active.any() else None
+    return synthesize(dequantize_spectrum(chunk, cfg, ctx), env, coeffs, cfg, active)
+
+
+def chunks(pcm: np.ndarray, spec):
+    """(first frame, windowed frames) of each chunk, framed from its own slice of ``pcm``."""
+    span = CHUNK_FRAMES * spec.hop + spec.overlap_len  # the samples a chunk's frames cover
+    for first in range(0, frame_count(pcm.size, spec), CHUNK_FRAMES):
+        yield first, frame_signal(pcm[first * spec.hop:][:span], spec)
+
+
+def add_chunk(out: np.ndarray, first: int, frames: np.ndarray, spec):
+    """Overlap-add the time-domain frames of a chunk from stream frame ``first`` into ``out``."""
+    seg = overlap_add(frames, spec, length=out.size - first * spec.hop)
+    out[first * spec.hop:][:seg.size] += seg
 
 
 def finite_pcm(pcm: np.ndarray) -> np.ndarray:
@@ -227,12 +230,11 @@ def encode_stream(pcm: np.ndarray, cfg: CodecConfig):
     """Encode mono core-band PCM to a bitstream; returns (bytes, stats)."""
     pcm = finite_pcm(pcm)
     ctx = make_pack_context(cfg)
-    frames = frame_signal(pcm, cfg.window_spec)
     blobs, stats = [stream_header(cfg, pcm.size).pack()], []
-    for i in range(0, len(frames), CHUNK_FRAMES):
-        for _, blob, frame_stats in encode_frames(frames[i:i + CHUNK_FRAMES], cfg, ctx, i):
-            blobs.append(blob)
-            stats.append(frame_stats)
+    for first, frames in chunks(pcm, cfg.window_spec):
+        _, chunk_blobs, chunk_stats = encode_frames(frames, cfg, ctx, first)
+        blobs += chunk_blobs
+        stats += chunk_stats
     return b"".join(blobs), stats
 
 
@@ -246,29 +248,25 @@ def decode_stream(data: bytes, cfg: CodecConfig | None = None):
     if differ:
         raise StreamError("stream header does not match configuration: " + ", ".join(differ))
 
-    ctx = make_pack_context(cfg)
-    expected = frame_count(header.original_length, cfg.window_spec)
+    ctx, spec = make_pack_context(cfg), cfg.window_spec
+    expected = frame_count(header.original_length, spec)
     need = f"the {expected} frames the header's {header.original_length} samples need"
-
-    def parsed():  # the stream's payloads, frame by frame
-        pos = StreamHeader.size()
-        for frame in range(expected):
+    pos, flags = StreamHeader.size(), []
+    bound = spec.hop * ((len(data) - pos) // 4) + spec.overlap_len  # a frame takes 4 bytes or more
+    pcm = np.zeros(min(header.original_length, bound))  # the bytes present bound the output
+    for first in range(0, expected, CHUNK_FRAMES):
+        chunk = FramePayload.zeros(min(CHUNK_FRAMES, expected - first), ctx)
+        for row, frame in enumerate(range(first, first + len(chunk.ctns_flag))):
             if pos >= len(data):
                 raise StreamError(f"stream ends after {frame} of {need}")
             try:
-                payload, consumed = unpack_frame(data[pos:], ctx)
+                pos = unpack_frame(data, pos, ctx, chunk, row)
             except StreamError as e:
                 raise StreamError(str(e), frame) from None
-            yield payload
-            pos += consumed
-        if pos < len(data):
-            raise StreamError(f"bytes follow {need}")
-
-    payloads, flags, frames = parsed(), [], [np.empty((0, cfg.frame_len))]  # 0 frames: 0 rows
-    while chunk := list(islice(payloads, CHUNK_FRAMES)):  # one chunk of payloads at a time
-        frames.append(decode_frame_payload(chunk, cfg, ctx))
-        flags += [p.ctns_flag for p in chunk]
-    pcm = overlap_add(np.concatenate(frames), cfg.window_spec, length=header.original_length)
+        add_chunk(pcm, first, decode_frame_payload(chunk, cfg, ctx), spec)
+        flags += chunk.ctns_flag.tolist()
+    if pos < len(data):
+        raise StreamError(f"bytes follow {need}")
     return pcm, header, flags
 
 
@@ -281,9 +279,9 @@ def shaping_roundtrip(pcm: np.ndarray, cfg: CodecConfig) -> np.ndarray:
     inverses from the band quantizer; away from the stream edges the output
     matches the input to numerical precision.
     """
-    pcm = finite_pcm(pcm)
-    frames = frame_signal(pcm, cfg.window_spec)
-    for i in range(0, len(frames), CHUNK_FRAMES):  # chunks bound the memory, as in encoding
-        s = analyze_frames(frames[i:i + CHUNK_FRAMES], cfg)  # then its rows take their synthesis
-        frames[i:i + CHUNK_FRAMES] = synthesize(s.coded, s.env, s.coeffs[s.active], cfg, s.active)
-    return overlap_add(frames, cfg.window_spec, length=pcm.size)
+    pcm, spec = finite_pcm(pcm), cfg.window_spec
+    out = np.zeros(pcm.size)
+    for first, frames in chunks(pcm, spec):  # chunks bound the memory, as in encoding
+        s = analyze_frames(frames, cfg)  # then its rows take their synthesis
+        add_chunk(out, first, synthesize(s.coded, s.env, s.coeffs[s.active], cfg, s.active), spec)
+    return out

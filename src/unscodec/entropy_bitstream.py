@@ -320,24 +320,32 @@ class StreamHeader:
 
 @dataclass
 class FramePayload:
-    """Everything one frame carries, in decode order.
+    """Everything a chunk of frames carries, one row per frame, in decode order.
 
-    The spectral fields are whole-frame arrays with one entry per coded bin,
-    band after band (the Nyquist bin last): ``index2`` holds the escape value
-    where index1 escapes (0 elsewhere), ``phase`` holds the phase index (-1
-    where no phase is sent), ``sign`` holds 0/1 at the real-valued DC and
-    Nyquist bins (-1 elsewhere).
+    The spectral fields have one entry per coded bin, band after band (the
+    Nyquist bin last): ``index2`` holds the escape value where index1 escapes
+    (0 elsewhere), ``phase`` the phase index (-1 where no phase is sent),
+    ``sign`` 0/1 at the real-valued DC and Nyquist bins (-1 elsewhere).
     """
 
-    lsf_indices: np.ndarray
-    ctns_flag: bool
-    clpc_indices: np.ndarray | None
-    sf_indices: np.ndarray
-    index1: np.ndarray
+    lsf_indices: np.ndarray       # (frames, order)
+    ctns_flag: np.ndarray         # (frames,) bool
+    clpc_indices: np.ndarray      # (frames, order, 2); a row is sent only where the flag is set
+    sf_indices: np.ndarray        # (frames, bands)
+    index1: np.ndarray            # (frames, bins), as are index2, phase and sign
     index2: np.ndarray
     phase: np.ndarray
     sign: np.ndarray
-    contrast: np.ndarray          # per-band high-contrast flags: phase-cell layout
+    contrast: np.ndarray          # (frames, bands) high-contrast flags: phase-cell layout
+
+    @classmethod
+    def zeros(cls, frames: int, ctx: "PackContext") -> "FramePayload":
+        """A record of ``frames`` zero rows in ``ctx``'s layout, for unpack to fill."""
+        order, bands, bins = (ctx.lpc_order,), (len(ctx.band_sizes),), (ctx.real_mask.size,)
+        row = dict(lsf_indices=order, ctns_flag=(), clpc_indices=order + (2,), sf_indices=bands,
+                   index1=bins, index2=bins, phase=bins, sign=bins, contrast=bands)
+        return cls(**{name: np.zeros((frames, *shape), bool if name in ("ctns_flag", "contrast")
+                                     else int) for name, shape in row.items()})
 
 
 @dataclass
@@ -385,65 +393,59 @@ class PackContext:
                         self.phase_bits, self.real_mask)
 
 
-def pack_frame(payload: FramePayload, ctx: PackContext,
-               stats_out: dict | None = None) -> bytes:
-    """Serialize one frame to the two-section wire format.
+def pack_frame(payload: FramePayload, row: int, ctx: PackContext, stats_out: dict) -> bytes:
+    """Serialize row ``row`` of a chunk record, one frame, to the two-section wire format;
+    ``stats_out`` receives per-section bit costs (range-coded sections by information
+    content, raw sections by exact field width)."""
+    enc, raw, stats = RangeEncoder(), BitWriter(), stats_out
+    lsf = np.asarray(payload.lsf_indices[row], dtype=int)
+    stats.update(lsf=enc.encode(np.diff(lsf, prepend=0).tolist(), *ctx.lsf_model), flag=1)
 
-    When ``stats_out`` is given it receives per-section bit costs (range-coded
-    sections by information content, raw sections by exact field width).
-    """
-    enc, raw = RangeEncoder(), BitWriter()
-    lsf = np.asarray(payload.lsf_indices, dtype=int)
-    stats = {"lsf": enc.encode(np.diff(lsf, prepend=0).tolist(), *ctx.lsf_model), "flag": 1}
-
-    raw.write_bit(int(bool(payload.ctns_flag)))
+    raw.write_bit(int(payload.ctns_flag[row]))
     stats["clpc"] = 0.0
-    if payload.ctns_flag:
-        mags, phases = np.asarray(payload.clpc_indices, dtype=int).T
+    if payload.ctns_flag[row]:
+        mags, phases = np.asarray(payload.clpc_indices[row], dtype=int).T
         stats["clpc"] = (enc.encode((mags + 1).tolist(), *ctx.clpc_mag_model)
                          + _write_fields(raw, phases, np.where(mags >= 0, ctx.clpc_phase_bits, 0)))
 
-    sf = np.asarray(payload.sf_indices, dtype=int)
+    sf = np.asarray(payload.sf_indices[row], dtype=int)
     stats["sf"] = enc.encode((np.diff(sf, prepend=0) + _SF_OFFSET).tolist(), *SF_DELTA_MODEL)
 
-    index1 = np.asarray(payload.index1, dtype=int)
+    index1 = np.asarray(payload.index1[row], dtype=int)
     stats["index1"] = enc.encode(index1.tolist(), *INDEX1_MODEL)
     # each escape's Exp-Golomb (k = 2) codeword: m = index2 - OUTLIER_MIN + 4
     # after bit_length(m) - 3 zeros, one field of 2 bit_length(m) - 3 bits
-    m = np.asarray(payload.index2)[index1 == ESCAPE_INDEX] - (OUTLIER_MIN - 4)
+    m = np.asarray(payload.index2[row])[index1 == ESCAPE_INDEX] - (OUTLIER_MIN - 4)
     if np.any(m < 4):
         raise ValueError(f"escape index 2 below {OUTLIER_MIN}")
     stats["escape"] = _write_fields(raw, m, 2 * np.frexp(m)[1] - 3)
 
-    widths = ctx.field_widths(index1, payload.contrast)
+    widths = ctx.field_widths(index1, payload.contrast[row])
     stats["sign"] = int(widths[ctx.real_mask].sum())
-    stats["phase"] = _write_fields(
-        raw, np.where(ctx.real_mask, payload.sign, payload.phase), widths) - stats["sign"]
-    if stats_out is not None:
-        stats_out.update(stats)
+    fields = np.where(ctx.real_mask, payload.sign[row], payload.phase[row])
+    stats["phase"] = _write_fields(raw, fields, widths) - stats["sign"]
 
     arith_bytes, raw_bytes = enc.finish(), raw.getvalue()
     return struct.pack("<HH", len(arith_bytes), len(raw_bytes)) + arith_bytes + raw_bytes
 
 
-def unpack_frame(data: bytes, ctx: PackContext):
-    """Parse one frame; returns (payload, bytes_consumed).  A malformed frame
-    raises ``StreamError``, which ``codec.decode_stream`` tags with the frame's number."""
-    if len(data) < 4:
+def unpack_frame(data: bytes, pos: int, ctx: PackContext, chunk: FramePayload, row: int) -> int:
+    """Parse the frame at byte offset ``pos`` into row ``row`` of ``chunk``; returns the
+    offset past it.  A malformed frame raises ``StreamError`` (which ``codec.decode_stream``
+    tags with the frame's number) before anything is written to the row."""
+    if len(data) - pos < 4:
         raise StreamError("truncated frame prefix")
-    arith_len, raw_len = struct.unpack("<HH", data[:4])
-    end = 4 + arith_len + raw_len
+    arith_len, raw_len = struct.unpack_from("<HH", data, pos)
+    split, end = pos + 4 + arith_len, pos + 4 + arith_len + raw_len
     if len(data) < end:
         raise StreamError("truncated frame payload")
-    dec = RangeDecoder(data[4:4 + arith_len])
-    raw = BitReader(data[4 + arith_len:end])
+    dec, raw = RangeDecoder(data[pos + 4:split]), BitReader(data[split:end])
 
     lsf = np.cumsum(dec.decode(ctx.lpc_order, *ctx.lsf_model), dtype=int)
     if np.any(lsf >= ctx.lsf_alphabet):
         raise StreamError("LSF index out of range")
 
-    flag = bool(raw.read_bit())
-    clpc = None
+    flag, clpc = bool(raw.read_bit()), 0  # a row without the flag holds no CLPC indices
     if flag:
         mags = np.array(dec.decode(ctx.lpc_order, *ctx.clpc_mag_model), dtype=int) - 1
         clpc = np.stack([mags, _read_fields(raw, np.where(mags >= 0, ctx.clpc_phase_bits, 0))],
@@ -459,14 +461,13 @@ def unpack_frame(data: bytes, ctx: PackContext):
     values = [exp_golomb_decode(raw) + OUTLIER_MIN for _ in range(np.count_nonzero(escapes))]
     if max(values, default=0) > OUTLIER_MAX:  # the encoder clips index 2 to it
         raise StreamError(f"escape index 2 above {OUTLIER_MAX}")
-    index2 = np.zeros(index1.size, dtype=int)
-    index2[escapes] = values
 
     contrast = ctx.resolve_contrast(lsf)
     widths = ctx.field_widths(index1, contrast)
     fields = _read_fields(raw, widths)
-    phase = np.where(ctx.real_mask | (widths == 0), -1, fields)
-    payload = FramePayload(lsf_indices=lsf, ctns_flag=flag, clpc_indices=clpc,
-                           sf_indices=sf, index1=index1, index2=index2, phase=phase,
-                           sign=np.where(ctx.real_mask, fields, -1), contrast=contrast)
-    return payload, end
+    chunk.lsf_indices[row], chunk.ctns_flag[row], chunk.clpc_indices[row] = lsf, flag, clpc
+    chunk.sf_indices[row], chunk.index1[row], chunk.index2[row] = sf, index1, 0
+    chunk.index2[row, escapes] = values
+    chunk.phase[row] = np.where(ctx.real_mask | (widths == 0), -1, fields)
+    chunk.sign[row], chunk.contrast[row] = np.where(ctx.real_mask, fields, -1), contrast
+    return end

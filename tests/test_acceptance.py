@@ -13,8 +13,10 @@ import numpy as np
 from unscodec import analysis_metrics as am
 from unscodec import codec, polar_quant as pq, signals
 from unscodec.config import CodecConfig
-from unscodec.entropy_bitstream import StreamHeader, unpack_frame
+from unscodec.entropy_bitstream import StreamHeader
 from unscodec.transforms import frame_signal, overlap_add
+
+from test_entropy_bitstream import unpack_one
 
 CFG12 = CodecConfig(mode="12k")
 CFG16 = CodecConfig(mode="16k")
@@ -165,17 +167,16 @@ def coded_band_reference(blob, stats, cfg):
     refs = []
     pos = StreamHeader.size()
     for s in stats:
-        payload, consumed = unpack_frame(blob[pos:], ctx)
-        pos += consumed
-        contrast = payload.contrast
+        payload, pos = unpack_one(blob, pos, ctx)
+        contrast = payload.contrast[0]
         entropy = 0.0
         raw = dict(escape=0, phase=0, sign=0)
         for b, band in enumerate(ctx.band_slices):
-            i1 = payload.index1[band]
+            i1 = payload.index1[0, band]
             real = ctx.real_mask[band]
             entropy += band_sample_entropy_bits(i1)
             raw["escape"] += sum(exp_golomb_length(v - pq.OUTLIER_MIN)
-                                 for v in payload.index2[band][i1 == pq.ESCAPE_INDEX])
+                                 for v in payload.index2[0, band][i1 == pq.ESCAPE_INDEX])
             cells = pq.phase_cells_array(i1, bool(contrast[b]), ctx.phase_cells)
             raw["phase"] += int(np.log2(cells[~real]).sum())
             raw["sign"] += int(np.count_nonzero(i1[real] > 0))

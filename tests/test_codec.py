@@ -8,9 +8,10 @@ from hypothesis import example, given, strategies as st
 
 from unscodec import codec, polar_quant as pq, signals
 from unscodec.config import CodecConfig
-from unscodec.entropy_bitstream import StreamError, StreamHeader, pack_frame, unpack_frame
-from unscodec.transforms import frame_signal, overlap_add
+from unscodec.entropy_bitstream import StreamError, StreamHeader, pack_frame
+from unscodec.transforms import frame_count, frame_signal, overlap_add
 
+from test_entropy_bitstream import unpack_one
 from test_frame_reference import ref_decode_frame
 
 
@@ -20,11 +21,11 @@ CTX12 = codec.make_pack_context(CFG12)
 
 
 def test_silence_frame_payload_is_minimal():
-    (payload, _, stats), = codec.encode_frames(
+    payload, _, (stats,) = codec.encode_frames(
         frame_signal(np.zeros(1024), CFG12.window_spec)[:1], CFG12, CTX12, 0)
-    assert not payload.ctns_flag
-    assert payload.clpc_indices is None
-    assert payload.index1.shape == (CFG12.n_bins,)
+    assert not payload.ctns_flag[0]
+    assert stats.section_bits["clpc"] == 0  # no CLPC row is sent
+    assert payload.index1.shape == (1, CFG12.n_bins)
     assert np.all(payload.index1 == 0)
     assert np.all(payload.sf_indices == -60)
     assert stats.gain_db == -100.0
@@ -56,12 +57,12 @@ def test_sinusoid_concentrates_in_its_band():
     # index and all of the decoded energy.
     pcm = signals.tone(1000.0, 1.0, amp=0.9)
     frames = frame_signal(pcm, CFG12.window_spec)
-    (payload, _, _), = codec.encode_frames(frames[4:5], CFG12, CTX12, 4)
-    bands = [payload.index1[s] for s in CTX12.band_slices]
+    payload, _, _ = codec.encode_frames(frames[4:5], CFG12, CTX12, 4)
+    bands = [payload.index1[0, s] for s in CTX12.band_slices]
     assert np.max(bands[1]) >= 2
     for b in set(range(8)) - {1}:
         assert np.max(bands[b], initial=0) <= 1
-    rec = ref_decode_frame(payload, CFG12)
+    rec = ref_decode_frame(payload, 0, CFG12)
     spec = np.abs(np.fft.rfft(rec))
     in_band = np.sum(spec[40:90] ** 2)
     assert in_band / np.sum(spec ** 2) > 0.99
@@ -143,11 +144,15 @@ def tone_stream():
 
 
 TAG_AT = StreamHeader.size() - 24  # the quantizer table tag is the header's last field
+# original_length, a u64 after the magic, version, rate, frame and overlap lengths and mode
+LENGTH_AT = struct.calcsize("<4sBIHHB")
+LONGEST = struct.pack("<Q", 2 ** 63 - 1)
 
 
 @given(replaced=st.dictionaries(st.integers(5, StreamHeader.size() - 1), st.integers(0, 255)))
 @example(replaced={TAG_AT: 0xFF})
 @example(replaced={TAG_AT + 23: 0x80})
+@example(replaced=dict(enumerate(LONGEST, LENGTH_AT)))
 def test_drawn_header_fields_raise_only_stream_error(tone_stream, replaced):
     # the magic and version stay valid; any header byte after them is drawn
     data = bytearray(tone_stream)
@@ -157,6 +162,13 @@ def test_drawn_header_fields_raise_only_stream_error(tone_stream, replaced):
         codec.decode_stream(bytes(data), CFG12)
     except StreamError:
         pass
+
+
+def test_header_length_beyond_the_frames_present_is_a_stream_error(tone_stream):
+    # the output is bounded by the bytes present, not by the length the header claims
+    data = tone_stream[:LENGTH_AT] + LONGEST + tone_stream[LENGTH_AT + 8:]
+    with pytest.raises(StreamError, match=r"^stream ends after 3 of the \d+ frames"):
+        codec.decode_stream(data, CFG12)
 
 
 def test_decode_rejects_truncated_stream():
@@ -206,10 +218,10 @@ def test_decode_rejects_frames_beyond_the_header_length():
 def broken_frame(payload, kind):
     """The frame bytes of ``payload`` with one fault of the given kind."""
     if kind == "escape":  # the encoder clips index 2 to OUTLIER_MAX
-        payload.index1[5], payload.index2[5] = pq.ESCAPE_INDEX, pq.OUTLIER_MAX + 1
+        payload.index1[0, 5], payload.index2[0, 5] = pq.ESCAPE_INDEX, pq.OUTLIER_MAX + 1
     if kind == "lsf":  # LSF deltas in range that add up beyond the largest index
-        payload.lsf_indices = CTX12.lsf_alphabet // 2 * np.arange(1, CFG12.lpc_order + 1)
-    return pack_frame(payload, CTX12)
+        payload.lsf_indices[0] = CTX12.lsf_alphabet // 2 * np.arange(1, CFG12.lpc_order + 1)
+    return pack_frame(payload, 0, CTX12, {})
 
 
 @pytest.mark.parametrize("kind, message", [
@@ -225,11 +237,34 @@ def test_decode_names_the_failing_frame(kind, message):
     if kind == "truncated":
         broken = blob[:start + 10]
     else:
-        payload, _ = unpack_frame(blob[start:end], CTX12)
+        payload, _ = unpack_one(blob, start, CTX12)
         broken = blob[:start] + broken_frame(payload, kind) + blob[end:]
     with pytest.raises(StreamError, match=f"^frame 3: {message}$") as exc:
         codec.decode_stream(broken, CFG12)
     assert exc.value.frame_index == 3
+
+
+def test_no_layer_is_handed_more_than_one_chunk(monkeypatch):
+    # encoding, decoding and the debug bypass each hold one chunk at a time:
+    # no layer below them receives more than CHUNK_FRAMES frames, or more
+    # samples than one chunk's frames cover
+    spec, chunk = CFG12.window_spec, codec.CHUNK_FRAMES
+    pcm = signals.speechish((2 * chunk + 5) * spec.hop / CFG12.sample_rate)
+    assert frame_count(pcm.size, spec) > 2 * chunk
+    sizes = {"frame_signal": len, "analyze_frames": len, "overlap_add": len,
+             "decode_frame_payload": lambda record: len(record.lsf_indices)}
+    seen = {name: [] for name in sizes}
+    for name, size in sizes.items():
+        def spy(arg, *args, _orig=getattr(codec, name), _name=name, _size=size, **kwargs):
+            seen[_name].append(_size(arg))
+            return _orig(arg, *args, **kwargs)
+        monkeypatch.setattr(codec, name, spy)
+    blob, _ = codec.encode_stream(pcm, CFG12)
+    codec.decode_stream(blob, CFG12)
+    codec.shaping_roundtrip(pcm, CFG12)
+    assert all(seen.values())
+    assert max(seen.pop("frame_signal")) <= (chunk - 1) * spec.hop + spec.frame_len
+    assert max(max(n) for n in seen.values()) <= chunk
 
 
 @pytest.mark.parametrize("entry, bad", [
@@ -265,15 +300,15 @@ def test_shaping_roundtrip_spans_analysis_chunks():
 def test_encoder_decoder_derive_identical_shaping():
     pcm = signals.speechish(1.0)
     frames = frame_signal(pcm, CFG12.window_spec)
-    (payload, _, _), = codec.encode_frames(frames[3:4], CFG12, CTX12, 3)
-    env_a, contrast_a = codec.derive_shaping(payload.lsf_indices, CFG12)
-    env_b, contrast_b = codec.derive_shaping(payload.lsf_indices.copy(), CFG12)
+    payload, _, _ = codec.encode_frames(frames[3:4], CFG12, CTX12, 3)
+    env_a, contrast_a = codec.derive_shaping(payload.lsf_indices[0], CFG12)
+    env_b, contrast_b = codec.derive_shaping(payload.lsf_indices[0].copy(), CFG12)
     assert np.array_equal(env_a, env_b)
     assert np.array_equal(contrast_a, contrast_b)
-    assert np.array_equal(contrast_a, payload.contrast)
-    if payload.ctns_flag:
-        ca = codec.derive_clpc(payload.clpc_indices, CFG12)
-        cb = codec.derive_clpc(payload.clpc_indices.copy(), CFG12)
+    assert np.array_equal(contrast_a, payload.contrast[0])
+    if payload.ctns_flag[0]:
+        ca = codec.derive_clpc(payload.clpc_indices[0], CFG12)
+        cb = codec.derive_clpc(payload.clpc_indices[0].copy(), CFG12)
         assert np.array_equal(ca, cb)
 
 
@@ -416,16 +451,16 @@ def test_config_derived_alphabets_round_trip():
     out, _, flags = codec.decode_stream(blob, cfg)
     ctx = codec.make_pack_context(cfg)
     frames = frame_signal(pcm, cfg.window_spec)
-    payloads = [payload for i in range(0, len(frames), codec.CHUNK_FRAMES)
-                for payload, _, _ in codec.encode_frames(frames[i:i + codec.CHUNK_FRAMES], cfg,
-                                                         ctx, i)]
-    ref = overlap_add([ref_decode_frame(p, cfg) for p in payloads],
+    records = [codec.encode_frames(frames[i:i + codec.CHUNK_FRAMES], cfg, ctx, i)[0]
+               for i in range(0, len(frames), codec.CHUNK_FRAMES)]
+    rows = [(r, f) for r in records for f in range(len(r.ctns_flag))]
+    ref = overlap_add([ref_decode_frame(r, f, cfg) for r, f in rows],
                       cfg.window_spec, length=pcm.size)
     assert np.array_equal(out, ref)
-    assert flags == [p.ctns_flag for p in payloads]
+    assert flags == [bool(r.ctns_flag[f]) for r, f in rows]
     # values past the default config's alphabets and field widths occur
-    clpc = np.concatenate([p.clpc_indices for p in payloads if p.ctns_flag])
-    assert max(int(p.lsf_indices.max()) for p in payloads) > 100
-    assert clpc[:, 0].max() > 160 and clpc[:, 1].max() >= 64
-    assert max(int(p.phase.max()) for p in payloads) >= 64
+    clpc = np.concatenate([r.clpc_indices[r.ctns_flag] for r in records])
+    assert max(int(r.lsf_indices.max()) for r in records) > 100
+    assert clpc[..., 0].max() > 160 and clpc[..., 1].max() >= 64
+    assert max(int(r.phase.max()) for r in records) >= 64
 

@@ -57,9 +57,9 @@ def test_exp_golomb_rejects_negative():
     # an escape below OUTLIER_MIN would be a negative Exp-Golomb value
     ctx = make_ctx()
     payload = random_payload(np.random.default_rng(46), ctx)
-    payload.index2[np.flatnonzero(payload.index1 == pq.ESCAPE_INDEX)[0]] = pq.OUTLIER_MIN - 1
+    payload.index2[0, np.flatnonzero(payload.index1[0] == pq.ESCAPE_INDEX)[0]] = pq.OUTLIER_MIN - 1
     with pytest.raises(ValueError, match="below"):
-        eb.pack_frame(payload, ctx)
+        eb.pack_frame(payload, 0, ctx, {})
 
 
 def range_encode(symbols, n_alphabet):
@@ -138,9 +138,21 @@ def make_ctx(contrast=None):
     )
 
 
+def one_row(**fields):
+    """A 1-row chunk record of one frame's fields."""
+    return eb.FramePayload(**{name: np.asarray(value)[None] for name, value in fields.items()})
+
+
+def unpack_one(data, pos, ctx):
+    """Parse the frame at byte offset ``pos`` into a 1-row record; returns
+    (record, offset past the frame)."""
+    record = eb.FramePayload.zeros(1, ctx)
+    return record, eb.unpack_frame(data, pos, ctx, record, 0)
+
+
 def random_payload(rng, ctx, flag=True, with_escapes=True, zero_frac=0.0):
     lsf = np.sort(rng.integers(0, 100, ctx.lpc_order))
-    clpc = None
+    clpc = np.zeros((ctx.lpc_order, 2), dtype=int)
     if flag:
         clpc = np.stack([rng.integers(-1, 161, ctx.lpc_order),
                          rng.integers(0, 64, ctx.lpc_order)], axis=1)
@@ -158,18 +170,14 @@ def random_payload(rng, ctx, flag=True, with_escapes=True, zero_frac=0.0):
     phase = np.where(cells > 1, (rng.random(n) * cells).astype(int), -1)
     phase[ctx.real_mask] = -1
     sign = np.where(ctx.real_mask, rng.integers(0, 2, n) * (index1 > 0), -1)
-    return eb.FramePayload(lsf_indices=lsf, ctns_flag=flag, clpc_indices=clpc,
-                           sf_indices=sf, index1=index1, index2=index2,
-                           phase=phase, sign=sign, contrast=contrast)
+    return one_row(lsf_indices=lsf, ctns_flag=flag, clpc_indices=clpc, sf_indices=sf,
+                   index1=index1, index2=index2, phase=phase, sign=sign, contrast=contrast)
 
 
 def assert_payload_equal(a, b):
     assert np.array_equal(a.lsf_indices, b.lsf_indices)
-    assert a.ctns_flag == b.ctns_flag
-    if a.ctns_flag:
-        assert np.array_equal(a.clpc_indices, b.clpc_indices)
-    else:
-        assert b.clpc_indices is None
+    assert np.array_equal(a.ctns_flag, b.ctns_flag)
+    assert np.array_equal(a.clpc_indices[a.ctns_flag], b.clpc_indices[b.ctns_flag])
     for name in ("sf_indices", "index1", "index2", "phase", "sign", "contrast"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
@@ -179,8 +187,8 @@ def test_pack_unpack_field_for_field():
     ctx = make_ctx()
     for flag in (True, False):
         payload = random_payload(rng, ctx, flag=flag)
-        blob = eb.pack_frame(payload, ctx)
-        out, consumed = eb.unpack_frame(blob, ctx)
+        blob = eb.pack_frame(payload, 0, ctx, {})
+        out, consumed = unpack_one(blob, 0, ctx)
         assert consumed == len(blob)
         assert_payload_equal(payload, out)
 
@@ -192,8 +200,8 @@ def test_drawn_payloads_survive_pack_unpack(seed, flag, escapes, zero_frac, cont
     ctx = make_ctx(contrast)
     payload = random_payload(np.random.default_rng(seed), ctx, flag=flag,
                              with_escapes=escapes, zero_frac=zero_frac)
-    blob = eb.pack_frame(payload, ctx)
-    out, consumed = eb.unpack_frame(blob + b"next frame", ctx)
+    blob = eb.pack_frame(payload, 0, ctx, {})
+    out, consumed = unpack_one(blob + b"next frame", 0, ctx)
     assert consumed == len(blob)
     assert_payload_equal(payload, out)
 
@@ -203,7 +211,7 @@ def test_pack_unpack_with_mixed_contrast():
     contrast = [True, False, True, False, False, True, False, True]
     ctx = make_ctx(contrast)
     payload = random_payload(rng, ctx)
-    out, _ = eb.unpack_frame(eb.pack_frame(payload, ctx), ctx)
+    out, _ = unpack_one(eb.pack_frame(payload, 0, ctx, {}), 0, ctx)
     assert_payload_equal(payload, out)
 
 
@@ -211,12 +219,11 @@ def test_frames_concatenate_without_lookahead():
     rng = np.random.default_rng(44)
     ctx = make_ctx()
     payloads = [random_payload(rng, ctx, flag=bool(i % 2)) for i in range(5)]
-    blob = b"".join(eb.pack_frame(p, ctx) for p in payloads)
+    blob = b"".join(eb.pack_frame(p, 0, ctx, {}) for p in payloads)
     pos = 0
     for p in payloads:
-        out, consumed = eb.unpack_frame(blob[pos:], ctx)
+        out, pos = unpack_one(blob, pos, ctx)
         assert_payload_equal(p, out)
-        pos += consumed
     assert pos == len(blob)
 
 
@@ -224,17 +231,17 @@ def test_truncated_frame_raises_stream_error():
     # a frame knows no frame number: decode_stream names it (test_codec.py)
     rng = np.random.default_rng(45)
     ctx = make_ctx()
-    blob = eb.pack_frame(random_payload(rng, ctx), ctx)
+    blob = eb.pack_frame(random_payload(rng, ctx), 0, ctx, {})
     with pytest.raises(eb.StreamError, match="^truncated frame payload$") as exc:
-        eb.unpack_frame(blob[:10], ctx)
+        unpack_one(blob[:10], 0, ctx)
     assert exc.value.frame_index is None
 
 
 def zero_payload(ctx, flag=False):
     n = ctx.real_mask.size
-    return eb.FramePayload(
+    return one_row(
         lsf_indices=np.arange(3, 3 + ctx.lpc_order), ctns_flag=flag,
-        clpc_indices=np.zeros((ctx.lpc_order, 2), dtype=int) if flag else None,
+        clpc_indices=np.zeros((ctx.lpc_order, 2), dtype=int),
         sf_indices=np.zeros(len(ctx.band_sizes), dtype=int),
         index1=np.zeros(n, dtype=int), index2=np.zeros(n, dtype=int),
         phase=np.full(n, -1), sign=np.where(ctx.real_mask, 0, -1),
@@ -245,8 +252,8 @@ def zero_payload(ctx, flag=False):
 def test_flag_costs_exactly_one_raw_bit():
     ctx = make_ctx()
     stats_off, stats_on = {}, {}
-    eb.pack_frame(zero_payload(ctx, flag=False), ctx, stats_out=stats_off)
-    eb.pack_frame(zero_payload(ctx, flag=True), ctx, stats_out=stats_on)
+    eb.pack_frame(zero_payload(ctx, flag=False), 0, ctx, stats_out=stats_off)
+    eb.pack_frame(zero_payload(ctx, flag=True), 0, ctx, stats_out=stats_on)
     assert stats_off["flag"] == 1
     assert stats_on["flag"] == 1
     # identical frames apart from the flag and complex-LPC fields
@@ -257,7 +264,7 @@ def test_flag_costs_exactly_one_raw_bit():
 def test_all_zero_magnitudes_emit_zero_phase_bits():
     ctx = make_ctx()
     stats = {}
-    eb.pack_frame(zero_payload(ctx), ctx, stats_out=stats)
+    eb.pack_frame(zero_payload(ctx), 0, ctx, stats_out=stats)
     assert stats["phase"] == 0
     assert stats["sign"] == 0
     assert stats["escape"] == 0

@@ -15,8 +15,10 @@ from hypothesis import example, given, strategies as st
 
 from unscodec import codec, noise_shaping as ns, polar_quant as pq, signals
 from unscodec.config import CodecConfig
-from unscodec.entropy_bitstream import FramePayload, StreamHeader, unpack_frame
+from unscodec.entropy_bitstream import StreamHeader
 from unscodec.transforms import frame_signal, overlap_add
+
+from test_entropy_bitstream import one_row, unpack_one
 
 CFG = CodecConfig()
 CTX = codec.make_pack_context(CFG)
@@ -68,16 +70,16 @@ def ref_quantize_bands(coded, gains, contrast, cfg):
     return tuple(np.concatenate(f) for f in zip(*fields))
 
 
-def ref_dequantize_bands(payload, cfg):
-    """The decoder's coded bins, band by band."""
+def ref_dequantize_bands(payload, row, cfg):
+    """The decoder's coded bins of row ``row`` of a chunk record, band by band."""
     sizes, reals = ref_layout(cfg)
     coded = np.zeros(cfg.n_bins, dtype=complex)
     offset = 0
     for b, size in enumerate(sizes):
         seg = slice(offset, offset + size)
-        i1, phase, sign = payload.index1[seg], payload.phase[seg], payload.sign[seg]
-        mags = pq.dequantize_magnitudes(i1, payload.index2[seg], cfg.ecupq)
-        cells = ref_phase_cells(i1, bool(payload.contrast[b]), cfg)
+        i1, phase, sign = payload.index1[row, seg], payload.phase[row, seg], payload.sign[row, seg]
+        mags = pq.dequantize_magnitudes(i1, payload.index2[row, seg], cfg.ecupq)
+        cells = ref_phase_cells(i1, bool(payload.contrast[row, b]), cfg)
         theta = np.zeros(size)
         has_phase = phase >= 0
         if np.any(has_phase):
@@ -86,7 +88,7 @@ def ref_dequantize_bands(payload, cfg):
         for posn in reals.get(b, ()):
             s = -1.0 if sign[posn] == 1 else 1.0
             vals[posn] = s * mags[posn]
-        coded[seg] = vals * ref_db_to_lin(payload.sf_indices[b])
+        coded[seg] = vals * ref_db_to_lin(payload.sf_indices[row, b])
         offset += size
     return coded
 
@@ -101,14 +103,14 @@ def ref_ctns_unfilter(e, coeffs, start):
     return x
 
 
-def ref_decode_frame(payload, cfg):
-    """One frame's time-domain contribution, decoded on its own: the band
-    loop's bins, the CTNS inverse when the frame's flag is set, the envelope
-    and the inverse DFT."""
-    env, _ = codec.derive_shaping(payload.lsf_indices, cfg)
-    coded = ref_dequantize_bands(payload, cfg)
-    if payload.ctns_flag:
-        coded = ref_ctns_unfilter(coded, codec.derive_clpc(payload.clpc_indices, cfg),
+def ref_decode_frame(payload, row, cfg):
+    """The time-domain contribution of row ``row`` of a chunk record, decoded
+    on its own: the band loop's bins, the CTNS inverse when the frame's flag
+    is set, the envelope and the inverse DFT."""
+    env, _ = codec.derive_shaping(payload.lsf_indices[row], cfg)
+    coded = ref_dequantize_bands(payload, row, cfg)
+    if payload.ctns_flag[row]:
+        coded = ref_ctns_unfilter(coded, codec.derive_clpc(payload.clpc_indices[row], cfg),
                                   cfg.ctns_start_bin)
     return np.fft.irfft(coded * env, n=cfg.frame_len)
 
@@ -119,9 +121,8 @@ def ref_decode_stream(blob, cfg):
     header = StreamHeader.unpack(blob)
     pos, frames = StreamHeader.size(), []
     while pos < len(blob):
-        payload, consumed = unpack_frame(blob[pos:], ctx)
-        frames.append(ref_decode_frame(payload, cfg))
-        pos += consumed
+        payload, pos = unpack_one(blob, pos, ctx)
+        frames.append(ref_decode_frame(payload, 0, cfg))
     return overlap_add(frames, cfg.window_spec, length=header.original_length)
 
 
@@ -149,9 +150,9 @@ def drawn_payload(rng, gains, contrast):
         np.asarray(contrast, dtype=int)[CTX.band_of], np.minimum(index1, 7)]
     phase = np.where(~CTX.real_mask & (cells > 1), (rng.random(n) * cells).astype(int), -1)
     sign = np.where(CTX.real_mask, rng.integers(0, 2, n) * (index1 > 0), -1)
-    return FramePayload(lsf_indices=np.arange(3, 3 + CFG.lpc_order), ctns_flag=False,
-                        clpc_indices=None, sf_indices=np.array(gains), index1=index1,
-                        index2=index2, phase=phase, sign=sign, contrast=np.array(contrast))
+    return one_row(lsf_indices=np.arange(3, 3 + CFG.lpc_order), ctns_flag=False,
+                   clpc_indices=np.zeros((CFG.lpc_order, 2), dtype=int), sf_indices=gains,
+                   index1=index1, index2=index2, phase=phase, sign=sign, contrast=contrast)
 
 
 gains_st = st.lists(st.integers(-60, 60), min_size=N_BANDS, max_size=N_BANDS)
@@ -171,8 +172,8 @@ def test_quantize_spectrum_equals_band_loop(seed, gains, contrast):
 @example(seed=0, gains=ODD_GAINS, contrast=[False, True] * 4)
 def test_dequantize_spectrum_equals_band_loop(seed, gains, contrast):
     payload = drawn_payload(np.random.default_rng(seed), gains, contrast)
-    assert np.array_equal(codec.dequantize_spectrum(payload, CFG, CTX),
-                          ref_dequantize_bands(payload, CFG))
+    assert np.array_equal(codec.dequantize_spectrum(payload, CFG, CTX)[0],
+                          ref_dequantize_bands(payload, 0, CFG))
 
 
 def test_every_gain_matches_band_loop():
@@ -184,8 +185,8 @@ def test_every_gain_matches_band_loop():
         assert_fields_equal(codec.quantize_spectrum(coded, gains, contrast, CFG, CTX),
                             ref_quantize_bands(coded, gains, contrast, CFG))
         payload = drawn_payload(rng, gains, contrast)
-        assert np.array_equal(codec.dequantize_spectrum(payload, CFG, CTX),
-                              ref_dequantize_bands(payload, CFG))
+        assert np.array_equal(codec.dequantize_spectrum(payload, CFG, CTX)[0],
+                              ref_dequantize_bands(payload, 0, CFG))
 
 
 def test_corpus_frames_equal_band_loop(corpus_runs):
@@ -199,15 +200,14 @@ def test_corpus_frames_equal_band_loop(corpus_runs):
                 want = ref_quantize_bands(analyzed, stats.band_gains, contrast, cfg)
                 assert_fields_equal(codec.quantize_spectrum(
                     analyzed, stats.band_gains, contrast, cfg, CTX), want)
-                payload, consumed = unpack_frame(item["blob"][pos:], CTX)
-                pos += consumed
-                assert_fields_equal((payload.index1, payload.index2, payload.phase,
-                                     payload.sign), want)
-                coded = ref_dequantize_bands(payload, cfg)
-                assert np.array_equal(codec.dequantize_spectrum(payload, cfg, CTX), coded)
-                coeffs = (codec.derive_clpc(payload.clpc_indices, cfg)
-                          if payload.ctns_flag else None)
-                env, _ = codec.derive_shaping(payload.lsf_indices, cfg)
+                payload, pos = unpack_one(item["blob"], pos, CTX)
+                assert_fields_equal((payload.index1[0], payload.index2[0], payload.phase[0],
+                                     payload.sign[0]), want)
+                coded = ref_dequantize_bands(payload, 0, cfg)
+                assert np.array_equal(codec.dequantize_spectrum(payload, cfg, CTX)[0], coded)
+                coeffs = (codec.derive_clpc(payload.clpc_indices[0], cfg)
+                          if payload.ctns_flag[0] else None)
+                env, _ = codec.derive_shaping(payload.lsf_indices[0], cfg)
                 recon.append(codec.synthesize(coded, env, coeffs, cfg))
             assert pos == len(item["blob"]), (mode, name)
             ref_pcm = overlap_add(recon, cfg.window_spec, length=item["pcm"].size)
@@ -247,11 +247,29 @@ def test_chunked_decode_equals_frame_by_frame_decode():
     assert out.tobytes() == ref_decode_stream(blob, CFG).tobytes()
 
 
-@pytest.mark.parametrize("samples", [0, 1, 500, CFG.frame_len])
-def test_short_streams_equal_frame_by_frame_decode(samples):
-    pcm = signals.click_train(1.0, start_s=0.0)[0][:samples]
+def frames_length(frames):
+    """The samples that exactly ``frames`` frames cover."""
+    return (frames - 1) * CFG.window_spec.hop + CFG.frame_len
+
+
+@pytest.mark.parametrize("samples, frames", [
+    pytest.param(samples, frames, id=str(samples)) for samples, frames in (
+        (0, 0), (1, 1), (500, 1), (CFG.frame_len, 1),
+        *((frames_length(n), n) for n in (codec.CHUNK_FRAMES, codec.CHUNK_FRAMES + 1,
+                                          2 * codec.CHUNK_FRAMES)))])
+def test_short_streams_equal_frame_by_frame_decode(samples, frames):
+    # streams within one frame, and streams ending at or just past a chunk edge
+    seconds = max(1, -(-samples // CFG.sample_rate))
+    pcm = signals.click_train(seconds, start_s=0.0)[0][:samples]
     blob, stats = codec.encode_stream(pcm, CFG)
     out, _, flags = codec.decode_stream(blob, CFG)
-    assert len(flags) == len(stats) == (samples > 0)
+    assert len(flags) == len(stats) == frames
     assert out.dtype == float and out.size == samples
     assert out.tobytes() == ref_decode_stream(blob, CFG).tobytes()
+    # the encoder frames each chunk from its own slice of the PCM; its bytes
+    # are those of the chunks of the whole stream's frame stack
+    rows, chunk = frame_signal(pcm, CFG.window_spec), codec.CHUNK_FRAMES
+    ref = [codec.stream_header(CFG, samples).pack()]
+    for i in range(0, len(rows), chunk):
+        ref += codec.encode_frames(rows[i:i + chunk], CFG, CTX, i)[1]
+    assert blob == b"".join(ref)

@@ -9,6 +9,7 @@ and both decoders must read the same symbols from any bytes.
 
 import math
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from hypothesis import example, given, strategies as st
 from unscodec import codec, polar_quant as pq, signals
 from unscodec import entropy_bitstream as eb
 from unscodec.config import CodecConfig
+
+from test_entropy_bitstream import unpack_one
 
 _FULL = 1 << 32
 _HALF = _FULL >> 1
@@ -332,7 +335,7 @@ CTX = codec.make_pack_context(CFG)
 
 def unpack_or_stream_error(blob):
     try:
-        _, consumed = eb.unpack_frame(blob, CTX)
+        _, consumed = unpack_one(blob, 0, CTX)
     except eb.StreamError as e:
         assert e.frame_index is None  # only decode_stream knows the frame's number
         return None
@@ -354,9 +357,9 @@ def corpus_frames():
     data, _ = codec.encode_stream(pcm, CFG)
     frames, pos = [], eb.StreamHeader.size()
     while pos < len(data):
-        _, consumed = eb.unpack_frame(data[pos:], CTX)
-        frames.append(data[pos:pos + consumed])
-        pos += consumed
+        _, end = unpack_one(data, pos, CTX)
+        frames.append(data[pos:end])
+        pos = end
     return frames
 
 
@@ -405,7 +408,7 @@ def test_oversized_escape_is_a_stream_error():
         raw.write_bit(1)
         raw.write_bits(0, 63)            # 2 ** 63 - 4 + 18 as index 2
     with pytest.raises(eb.StreamError, match="Exp-Golomb"):
-        eb.unpack_frame(one_escape_frame(runaway), CTX)
+        unpack_one(one_escape_frame(runaway), 0, CTX)
 
 
 @pytest.mark.parametrize("index2", [pq.OUTLIER_MAX + 1, 2 ** 40, 2 ** 63 + 13])
@@ -413,7 +416,10 @@ def test_escape_above_outlier_max_is_a_stream_error(index2):
     # the encoder clips index 2 to OUTLIER_MAX, so anything above it is corrupt
     def escape(value):
         return lambda raw: exp_golomb_encode(raw, value - pq.OUTLIER_MIN)
+    # the check runs before unpack writes any field of the row
+    chunk = eb.FramePayload.zeros(1, CTX)
     with pytest.raises(eb.StreamError, match=f"^escape index 2 above {pq.OUTLIER_MAX}$"):
-        eb.unpack_frame(one_escape_frame(escape(index2)), CTX)
-    payload, _ = eb.unpack_frame(one_escape_frame(escape(pq.OUTLIER_MAX)), CTX)
-    assert payload.index2[5] == pq.OUTLIER_MAX
+        eb.unpack_frame(one_escape_frame(escape(index2)), 0, CTX, chunk, 0)
+    assert not any(getattr(chunk, f.name).any() for f in fields(eb.FramePayload))
+    payload, _ = unpack_one(one_escape_frame(escape(pq.OUTLIER_MAX)), 0, CTX)
+    assert payload.index2[0, 5] == pq.OUTLIER_MAX
