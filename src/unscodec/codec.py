@@ -9,6 +9,7 @@ is computed in the encoder from the same quantized values.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -252,19 +253,22 @@ def decode_stream(data: bytes, cfg: CodecConfig | None = None):
     expected = frame_count(header.original_length, spec)
     need = f"the {expected} frames the header's {header.original_length} samples need"
     pos, flags = StreamHeader.size(), []
-    bound = spec.hop * ((len(data) - pos) // 4) + spec.overlap_len  # a frame takes 4 bytes or more
-    pcm = np.zeros(min(header.original_length, bound))  # the bytes present bound the output
-    for first in range(0, expected, CHUNK_FRAMES):
-        chunk = FramePayload.zeros(min(CHUNK_FRAMES, expected - first), ctx)
+    present, end = 0, pos  # the frames that start in the data, walked by their length prefixes
+    while present < expected and end < len(data):
+        end += 4 + sum(struct.unpack("<HH", data[end:end + 4].ljust(4, b"\0")))
+        present += 1
+    pcm = np.zeros(min(header.original_length, spec.hop * present + spec.overlap_len))
+    for first in range(0, present, CHUNK_FRAMES):  # the output and chunks hold the frames present
+        chunk = FramePayload.zeros(min(CHUNK_FRAMES, present - first), ctx)
         for row, frame in enumerate(range(first, first + len(chunk.ctns_flag))):
-            if pos >= len(data):
-                raise StreamError(f"stream ends after {frame} of {need}")
             try:
                 pos = unpack_frame(data, pos, ctx, chunk, row)
             except StreamError as e:
                 raise StreamError(str(e), frame) from None
         add_chunk(pcm, first, decode_frame_payload(chunk, cfg, ctx), spec)
         flags += chunk.ctns_flag.tolist()
+    if present < expected:
+        raise StreamError(f"stream ends after {present} of {need}")
     if pos < len(data):
         raise StreamError(f"bytes follow {need}")
     return pcm, header, flags

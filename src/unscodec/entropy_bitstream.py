@@ -465,6 +465,11 @@ def unpack_frame(data: bytes, pos: int, ctx: PackContext, chunk: FramePayload, r
     contrast = ctx.resolve_contrast(lsf)
     widths = ctx.field_widths(index1, contrast)
     fields = _read_fields(raw, widths)
+    # each section is consumed exactly: the range decoder reads 32 bits ahead, finish writes 2
+    if not 8 * arith_len - 7 <= dec._pos - 30 <= 8 * arith_len:
+        raise StreamError("range section length does not match its symbols")
+    if not 8 * raw_len - 8 < raw._pos <= 8 * raw_len:
+        raise StreamError("raw section length does not match its fields")
     chunk.lsf_indices[row], chunk.ctns_flag[row], chunk.clpc_indices[row] = lsf, flag, clpc
     chunk.sf_indices[row], chunk.index1[row], chunk.index2[row] = sf, index1, 0
     chunk.index2[row, escapes] = values

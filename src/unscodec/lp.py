@@ -26,16 +26,16 @@ class DegenerateSignalError(ValueError):
 
 
 def autocorr(x, max_lag: int) -> np.ndarray:
-    """Autocorrelation r[k] = sum_t x[t] conj(x[t-k]) for k = 0..max_lag;
-    one ``np.dot`` per lag and row, as a stacked product sums in another order."""
+    """Autocorrelation r[k] = sum_t x[t] conj(x[t-k]) for k = 0..max_lag, per row; each lag
+    is one ``np.matmul`` of 1 x m by m x 1 products, the BLAS dot ``np.dot`` takes for a row."""
     x = np.asarray(x)
     n = x.shape[-1]
     if max_lag >= n:
         raise ValueError(f"max_lag {max_lag} must be below signal length {n}")
-    r = np.empty(x.shape[:-1] + (max_lag + 1,), dtype=complex if np.iscomplexobj(x) else float)
-    for row in np.ndindex(x.shape[:-1]):
-        r[row] = [np.dot(x[row][k:], np.conj(x[row][:n - k])) for k in range(max_lag + 1)]
-    return r
+    rows = x.reshape(-1, n)
+    r = [np.matmul(rows[:, None, k:], np.conj(rows[:, :n - k, None]))[:, 0, 0]
+         for k in range(max_lag + 1)]
+    return np.stack(r, axis=-1).reshape(x.shape[:-1] + (max_lag + 1,))
 
 
 def levinson(r, order: int) -> np.ndarray:

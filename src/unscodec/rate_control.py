@@ -27,7 +27,6 @@ MODE_BUDGETS = {
 SF_MIN_DB = -60
 SF_MAX_DB = 60
 SF_SEARCH_ITERS = 24   # bisection depth cap
-SF_BATCH_LEVELS = 3    # bisection levels costed per call
 
 
 # Cost of a block by its number of equal index pairs: a block of four with
@@ -96,16 +95,16 @@ def band_cost_bits(band: np.ndarray, gain_db, high_contrast, ctx: BandQuantConte
 def bracket_scale_factors(bands: np.ndarray, target_bits, high_contrast,
                           ctx: BandQuantContext) -> np.ndarray:
     """Bisect the gain of every row of a (rows, w) stack of bands at once;
-    returns each row's bracket upper end for :func:`find_scale_factor`.
+    returns each row's bracket upper end for :func:`snap_window`.
 
     The budgets and contrast flags are one per row, or one for all.  A row
     whose finest gain fits ends at SF_MIN_DB, and one that busts its budget
     even at the coarsest gain ends at SF_MAX_DB.  Every other row is halved
-    over the continuous dB range: each cost call prices, for every open row,
-    the midpoints the next SF_BATCH_LEVELS halvings could visit, and a row
-    leaves once its rounded upper end is settled (later upper ends stay in
-    (lo, hi] and rounding is monotone).  Rows are independent, so each row's upper end is the one a
-    search of that row alone reaches.
+    over the continuous dB range, SF_SEARCH_ITERS times at most, each cost
+    call pricing one midpoint per open row; a row leaves once its rounded
+    upper end is settled (later upper ends stay in (lo, hi] and rounding is
+    monotone).  Rows are independent, so each row ends where a search of that
+    row alone would.
     """
     rows = len(bands)
     targets = np.broadcast_to(target_bits, (rows,))
@@ -115,24 +114,15 @@ def bracket_scale_factors(bands: np.ndarray, target_bits, high_contrast,
                           contrast, ctx)
     hi[ends[:, 0] <= targets] = SF_MIN_DB
     open_ = (ends[:, 0] > targets) & (ends[:, 1] <= targets)
-    for left in range(SF_SEARCH_ITERS, 0, -SF_BATCH_LEVELS):
+    for _ in range(SF_SEARCH_ITERS):
         open_ &= round_half_up(np.nextafter(lo, np.inf)) != round_half_up(hi)
         live = np.flatnonzero(open_)
         if not live.size:
             break
-        levels = min(SF_BATCH_LEVELS, left)
-        spans, mids = [(lo[live], hi[live])], []  # node i splits spans[i]; children 2i+1, 2i+2
-        for a, b in (spans[i] for i in range(2 ** levels - 1)):
-            mids.append(0.5 * (a + b))
-            spans += [(a, mids[-1]), (mids[-1], b)]
-        mids = np.stack(mids, axis=1)
-        costs = band_cost_bits(bands[live], mids, contrast[live], ctx)
-        at, node = np.arange(live.size), np.zeros(live.size, dtype=int)
-        for _ in range(levels):
-            fit = costs[at, node] <= targets[live]
-            hi[live[fit]] = mids[at, node][fit]
-            lo[live[~fit]] = mids[at, node][~fit]
-            node = 2 * node + np.where(fit, 1, 2)
+        mid = 0.5 * (lo[live] + hi[live])
+        fit = band_cost_bits(bands[live], mid[:, None], contrast[live], ctx)[:, 0] <= targets[live]
+        hi[live[fit]] = mid[fit]
+        lo[live[~fit]] = mid[~fit]
     return hi
 
 
@@ -144,18 +134,16 @@ def snap_window(upper) -> np.ndarray:
 
 
 def find_scale_factor(band: np.ndarray, target_bits: int, high_contrast: bool,
-                      ctx: BandQuantContext, upper: float, window_costs):
-    """Snap one band's bracket upper end (from :func:`bracket_scale_factors`)
-    to the integer grid; returns (gain_db, overflow, bits).
+                      ctx: BandQuantContext, window, window_costs):
+    """Snap one band to the integer grid; returns (gain_db, overflow, bits).
 
-    ``window_costs`` are the band's costs at its :func:`snap_window` gains; a
-    gain outside them is priced on demand.  Overflow marks a band that busts
-    the budget even at the maximum divisor (its upper end is SF_MAX_DB); bits
-    is the band's cost at the returned gain.
+    ``window`` is the band's :func:`snap_window` row and ``window_costs`` its
+    costs there; a gain outside it is priced on demand.  Overflow marks a band
+    that busts the budget even at the maximum divisor (its upper end is
+    SF_MAX_DB); bits is the band's cost at the returned gain.
     """
     if target_bits <= 0:
         raise ValueError("target_bits must be positive")
-    window = snap_window(upper).tolist()
     known = dict(zip(window, window_costs))
     if SF_MAX_DB in known and known[SF_MAX_DB] > target_bits:
         return SF_MAX_DB, True, known[SF_MAX_DB]
@@ -181,10 +169,10 @@ def search_scale_factors(bands: np.ndarray, target_bits, high_contrast, ctx: Ban
     rows = len(bands)
     targets = np.broadcast_to(target_bits, (rows,))
     contrast = np.broadcast_to(high_contrast, (rows,))
-    uppers = bracket_scale_factors(bands, targets, contrast, ctx)
-    window_costs = band_cost_bits(bands, snap_window(uppers), contrast, ctx)
-    found = [find_scale_factor(band, target, high, ctx, upper, costs) for band, target, high,
-             upper, costs in zip(bands, targets.tolist(), contrast.tolist(), uppers,
-                                 window_costs.tolist())]
+    windows = snap_window(bracket_scale_factors(bands, targets, contrast, ctx))
+    window_costs = band_cost_bits(bands, windows, contrast, ctx)
+    found = [find_scale_factor(band, target, high, ctx, window, costs) for band, target, high,
+             window, costs in zip(bands, targets.tolist(), contrast.tolist(), windows.tolist(),
+                                  window_costs.tolist())]
     gains, overflow, bits = np.array(found, dtype=float).reshape(rows, 3).T
     return gains.astype(int), overflow.astype(bool), bits

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -169,6 +170,26 @@ def test_header_length_beyond_the_frames_present_is_a_stream_error(tone_stream):
     data = tone_stream[:LENGTH_AT] + LONGEST + tone_stream[LENGTH_AT + 8:]
     with pytest.raises(StreamError, match=r"^stream ends after 3 of the \d+ frames"):
         codec.decode_stream(data, CFG12)
+
+
+def decode_peak_bytes(data):
+    """tracemalloc's peak while ``decode_stream`` refuses ``data``."""
+    tracemalloc.start()
+    try:
+        with pytest.raises(StreamError):
+            codec.decode_stream(data, CFG12)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_output_is_sized_by_the_frames_present():
+    # a header that claims the longest length reserves no more output, and
+    # no larger chunk, than the frames its stream holds: the same cut stream
+    # under its true header peaks as high
+    cut = codec.encode_stream(signals.speechish(1.0), CFG12)[0][:-1]
+    longest = cut[:LENGTH_AT] + LONGEST + cut[LENGTH_AT + 8:]
+    assert decode_peak_bytes(longest) <= 1.1 * decode_peak_bytes(cut)
 
 
 def test_decode_rejects_truncated_stream():
@@ -392,6 +413,28 @@ def test_corrupted_stream_fails_loudly_or_decodes_finite():
         except StreamError:
             continue
         assert np.all(np.isfinite(out))
+
+
+@pytest.mark.parametrize("cfg, seed", [(CFG12, 0), (CFG16, 1)], ids=["12k", "16k"])
+def test_bit_flips_are_refused_or_decode_near_full_scale(cfg, seed):
+    # each frame must consume exactly the two sections its prefix declares,
+    # which refuses most flips; a flip that still parses decodes to the
+    # stream's length, finite and at most 10x full scale
+    pcm = signals.harmonic_tone(220.0, 1.0)
+    blob, _ = codec.encode_stream(pcm, cfg)
+    rng = np.random.default_rng(seed)
+    bits = np.arange(8 * StreamHeader.size(), 8 * len(blob))
+    for _ in range(100):
+        data = bytearray(blob)
+        for bit in rng.choice(bits, int(rng.integers(1, 4)), replace=False).tolist():
+            data[bit // 8] ^= 0x80 >> bit % 8
+        try:
+            out, _, _ = codec.decode_stream(bytes(data), cfg)
+        except StreamError:
+            continue
+        assert out.size == pcm.size
+        assert np.all(np.isfinite(out))
+        assert np.max(np.abs(out)) <= 10.0
 
 
 def test_traced_layer_names_exist_and_are_called(monkeypatch):

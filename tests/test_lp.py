@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, strategies as st
 
 from unscodec import lp
 from unscodec.config import CodecConfig
+
+from test_analysis_stack import ref_autocorr
 
 CFG = CodecConfig()
 LSF = (CFG.lsf_step,)
@@ -43,6 +46,27 @@ def test_autocorr_of_delta():
 def test_autocorr_rejects_long_lag():
     with pytest.raises(ValueError):
         lp.autocorr(np.ones(4), 4)
+
+
+@given(seed=st.integers(0, 2 ** 32 - 1), rows=st.sampled_from([None, 1, 2, 7, 70]),
+       n=st.integers(1, 300), lag=st.integers(0, 16), complex_=st.booleans(),
+       scale=st.sampled_from([1e-150, 1e-6, 1.0, 1e6, 1e150]), cut=st.integers(0, 3))
+@example(seed=0, rows=None, n=17, lag=16, complex_=False, scale=1.0, cut=0)  # 1-D, lag n - 1
+@example(seed=1, rows=1, n=17, lag=16, complex_=True, scale=1.0, cut=0)     # one complex row
+def test_stacked_autocorr_equals_per_row_dot(seed, rows, n, lag, complex_, scale, cut):
+    # the stacked products round as each row's own np.dot per lag: every bit
+    # equal, also on rows cut from wider ones, as the codec's residuals are
+    lag = min(lag, n - 1)
+    rng = np.random.default_rng(seed)
+    shape = (n + cut,) if rows is None else (rows, n + cut)
+    x = rng.standard_normal(shape) * scale
+    if complex_:
+        x = x + 1j * rng.standard_normal(shape) * scale
+    x = x[..., :n]
+    got = lp.autocorr(x, lag)
+    want = np.array([ref_autocorr(row, lag) for row in x.reshape(-1, n)]).reshape(got.shape)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 def test_autocorr_ar1_ratio():

@@ -395,7 +395,8 @@ def one_escape_frame(write_escape):
     raw = eb.BitWriter()
     raw.write_bit(0)                     # CTNS flag off
     write_escape(raw)
-    raw.write_bits(0, 600)               # phase fields
+    contrast = CTX.resolve_contrast(np.zeros(CTX.lpc_order, dtype=int))
+    raw.write_bits(0, int(CTX.field_widths(index1, contrast).sum()))  # the phase fields
     raw_bytes = raw.getvalue()
     return struct.pack("<HH", len(arith), len(raw_bytes)) + arith + raw_bytes
 

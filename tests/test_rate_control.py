@@ -391,11 +391,14 @@ def test_search_needs_few_cost_calls(monkeypatch):
 
     monkeypatch.setattr(rc, "band_cost_bits", counted)
     rc.search_scale_factors(stack, targets, True, make_ctx())
-    # the bracket's calls, then one for every row's snap window; the snap
-    # read only gains its window priced, so it made no call of its own
-    assert len(calls) <= 2 + -(-rc.SF_SEARCH_ITERS // rc.SF_BATCH_LEVELS)
+    # the bracket's ends call, one midpoint per open row per halving, then
+    # one call for every row's snap window; the snap read only gains its
+    # window priced, so it made no call of its own
+    assert len(calls) <= 2 + rc.SF_SEARCH_ITERS
+    assert all(np.shape(gains)[1:] == (1,) for gains in calls[1:-1])
     assert np.shape(calls[-1]) == (len(stack), 5)
     assert all(np.ndim(gains) == 2 for gains in calls)  # none priced one gain on demand
+    assert sum(np.size(gains) for gains in calls) / len(stack) <= 20
 
 
 @given(stack=stacks(), data=st.data(), real=st.booleans())
