@@ -110,11 +110,7 @@ def tns_domain_experiment(signal: np.ndarray, cfg: CodecConfig | None = None,
 def _freq_lp_filter(coeffs: np.ndarray, order: int, start: int, stop: int) -> np.ndarray:
     """Prediction-error filtering along the frequency axis of each row with the
     row's own LP model; silent rows and order zero pass the input through."""
-    r = lp.autocorr(coeffs, order)
-    live = r[:, 0].real > 1e-30
-    a = np.zeros((len(coeffs), order), dtype=r.dtype)
-    a[live] = lp.levinson(r[live], order)
-    return ns.prediction_error_filter(coeffs, a, start, stop)
+    return ns.prediction_error_filter(coeffs, lp.fit(coeffs, order), start, stop)
 
 
 def transient_region_means(report: TnsComparisonReport, attacks, rate: int):

@@ -9,15 +9,14 @@ is computed in the encoder from the same quantized values.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from . import lp, noise_shaping as ns, polar_quant as pq, rate_control as rc
 from .config import CodecConfig
-from .entropy_bitstream import (FramePayload, PackContext, StreamError,
-                                StreamHeader, pack_frame, unpack_frame)
+from .entropy_bitstream import (FramePayload, PackContext, StreamError, StreamHeader,
+                                frame_starts, pack_frame, unpack_frame)
 from .transforms import frame_count, frame_signal, overlap_add
 
 # the divisor of each integer gain SF_MIN_DB..SF_MAX_DB, by Python's float
@@ -100,19 +99,12 @@ def analyze_frames(samples: np.ndarray, cfg: CodecConfig) -> FrameAnalysis:
     """Shape a stack of windowed frames (frames, frame_len): LSF envelope
     division (FDNS), then the quantized complex LP model along frequency and
     the CTNS switch.  Each row is what the frame alone would give."""
-    p = cfg.lpc_order
-    r = lp.autocorr(samples, p)
-    live = r[:, 0] > 1e-30
-    coeffs = np.zeros((len(samples), p))
-    coeffs[live] = lp.bandwidth_expand(lp.levinson(r[live], p), cfg.fdns_weight)
+    coeffs = lp.fit(samples, cfg.lpc_order, cfg.fdns_weight)
     lsf_idx = lp.quantize_lsf(lp.lpc_to_lsf(coeffs), cfg.lsf_step)
     env, contrast = derive_shaping(lsf_idx, cfg)
     res = ns.fdns_forward(np.fft.rfft(samples), env)
 
-    r = lp.autocorr(res[:, :cfg.band_edges[-1]], p)
-    live = r[:, 0].real > 1e-30
-    coeffs = np.zeros((len(samples), p), dtype=complex)
-    coeffs[live] = lp.bandwidth_expand(lp.levinson(r[live], p), cfg.ctns_weight)
+    coeffs = lp.fit(res[:, :cfg.band_edges[-1]], cfg.lpc_order, cfg.ctns_weight)
     clpc_idx = lp.quantize_complex_lpc(coeffs, cfg.clpc_mag_step_db, cfg.clpc_mag_floor_db,
                                        cfg.clpc_mag_ceil_db, cfg.clpc_phase_cells)
     coeffs = derive_clpc(clpc_idx, cfg)
@@ -250,27 +242,18 @@ def decode_stream(data: bytes, cfg: CodecConfig | None = None):
         raise StreamError("stream header does not match configuration: " + ", ".join(differ))
 
     ctx, spec = make_pack_context(cfg), cfg.window_spec
-    expected = frame_count(header.original_length, spec)
-    need = f"the {expected} frames the header's {header.original_length} samples need"
-    pos, flags = StreamHeader.size(), []
-    present, end = 0, pos  # the frames that start in the data, walked by their length prefixes
-    while present < expected and end < len(data):
-        end += 4 + sum(struct.unpack("<HH", data[end:end + 4].ljust(4, b"\0")))
-        present += 1
-    pcm = np.zeros(min(header.original_length, spec.hop * present + spec.overlap_len))
-    for first in range(0, present, CHUNK_FRAMES):  # the output and chunks hold the frames present
-        chunk = FramePayload.zeros(min(CHUNK_FRAMES, present - first), ctx)
+    # a cut, short or overlong stream is refused before the output is allocated
+    starts = frame_starts(data, frame_count(header.original_length, spec), header.original_length)
+    pcm, flags = np.zeros(header.original_length), []
+    for first in range(0, len(starts), CHUNK_FRAMES):
+        chunk = FramePayload.zeros(min(CHUNK_FRAMES, len(starts) - first), ctx)
         for row, frame in enumerate(range(first, first + len(chunk.ctns_flag))):
             try:
-                pos = unpack_frame(data, pos, ctx, chunk, row)
+                unpack_frame(data, starts[frame], ctx, chunk, row)
             except StreamError as e:
                 raise StreamError(str(e), frame) from None
         add_chunk(pcm, first, decode_frame_payload(chunk, cfg, ctx), spec)
         flags += chunk.ctns_flag.tolist()
-    if present < expected:
-        raise StreamError(f"stream ends after {present} of {need}")
-    if pos < len(data):
-        raise StreamError(f"bytes follow {need}")
     return pcm, header, flags
 
 

@@ -51,77 +51,27 @@ class StreamError(Exception):
         self.frame_index = frame_index
 
 
-class BitWriter:
-    """MSB-first bit writer over one integer accumulator."""
-
-    def __init__(self):
-        self._acc = 0
-        self.bit_count = 0
-
-    def write_bit(self, b: int):
-        self.write_bits(b, 1)
-
-    def write_bits(self, value: int, n: int):
-        self._acc = (self._acc << n) | (value & ((1 << n) - 1))
-        self.bit_count += n
-
-    def getvalue(self) -> bytes:
-        pad = -self.bit_count % 8
-        return (self._acc << pad).to_bytes((self.bit_count + pad) // 8, "big")
+def _raw_bytes(values, widths) -> bytes:
+    """The bytes of one field per value, of its width (0 writes nothing), MSB first and
+    in order; zero bits pad the last byte."""
+    widths = np.asarray(widths, dtype=np.int64)
+    field = np.repeat(np.arange(widths.size), widths)  # the field of each bit
+    shifts = np.cumsum(widths)[field] - 1 - np.arange(field.size)
+    bits = (np.asarray(values, dtype=np.int64)[field] >> shifts) & 1
+    return np.packbits(bits.astype(np.uint8)).tobytes()
 
 
-class BitReader:
-    """MSB-first bit reader over the data as one integer; reads past the end
-    return zero bits."""
-
-    def __init__(self, data: bytes):
-        self._value = int.from_bytes(data, "big")
-        self._end = 8 * len(data)
-        self._pos = 0
-
-    def read_bit(self) -> int:
-        return self.read_bits(1)
-
-    def read_bits(self, n: int) -> int:
-        shift = self._end - self._pos - n
-        self._pos += n
-        v = self._value >> shift if shift >= 0 else self._value << -shift
-        return v & ((1 << n) - 1)
-
-
-def _field_shifts(widths: np.ndarray):
-    """Bit slots of fields laid out one per row, MSB first: the mask of used
-    slots and each slot's place value as a shift."""
-    slot = np.arange(int(widths.max()))
-    return slot < widths[:, None], np.maximum(widths[:, None] - 1 - slot, 0)
-
-
-def _write_fields(writer: BitWriter, values, widths) -> int:
-    """Write each value as a field of its width (0 writes nothing), in order;
-    returns the bits written."""
+def _read_fields(bits: np.ndarray, pos: int, widths):
+    """One field per width (0 reads nothing and gives 0), MSB first, read from the bit
+    array ``bits`` at bit offset ``pos``; bits past its end read as zero.  Returns
+    (values, offset past the fields)."""
     widths = np.asarray(widths, dtype=np.int64)
     total = int(widths.sum())
-    if total:
-        used, shifts = _field_shifts(widths)
-        bits = (np.asarray(values, dtype=np.int64)[:, None] >> shifts) & 1
-        packed = np.packbits(bits[used].astype(np.uint8)).tobytes()
-        writer.write_bits(int.from_bytes(packed, "big") >> (-total % 8), total)
-    return total
-
-
-def _read_fields(reader: BitReader, widths) -> np.ndarray:
-    """Read one field per width (0 reads nothing and gives 0), in order."""
-    widths = np.asarray(widths, dtype=np.int64)
-    total = int(widths.sum())
-    values = np.zeros(widths.size, dtype=int)
-    if total:
-        pad = -total % 8
-        data = (reader.read_bits(total) << pad).to_bytes((total + pad) // 8, "big")
-        used, shifts = _field_shifts(widths)
-        bits = np.zeros(used.shape, dtype=int)
-        bits[used] = np.unpackbits(np.frombuffer(data, dtype=np.uint8))[:total]
-        values = (bits << shifts).sum(axis=1)
-    return values
+    shifts = widths[:, None] - 1 - np.arange(int(widths.max(initial=0)))
+    grid = np.zeros(shifts.shape, dtype=np.int64)
+    read = bits[pos:pos + total]
+    grid[shifts >= 0] = np.concatenate([read, np.zeros(total - read.size, dtype=read.dtype)])
+    return (grid << np.maximum(shifts, 0)).sum(axis=1), pos + total
 
 
 def flat_model(n_symbols: int) -> tuple:
@@ -143,12 +93,12 @@ INDEX1_MODEL = (
 )
 
 
-class RangeEncoder(BitWriter):
-    """Adaptive range encoder writing its own bit string; ``finish`` flushes
-    it and returns the bytes."""
+class RangeEncoder:
+    """Adaptive range encoder writing its bits, MSB first, into one integer
+    accumulator; ``finish`` flushes it and returns the bytes."""
 
     def __init__(self):
-        super().__init__()
+        self._acc, self.bit_count = 0, 0
         self.low, self.high, self.pending = 0, _MASK, 0
         # information content of the symbols coded so far; tracks the actual
         # emitted length to within the final flush
@@ -203,19 +153,22 @@ class RangeEncoder(BitWriter):
         return info - before
 
     def finish(self) -> bytes:
-        self.pending += 1
-        bit = int(self.low >= _QUARTER)
-        self.write_bits(bit + (1 << self.pending) - 1, self.pending + 1)
-        return self.getvalue()
+        # the final bit, then pending + 1 underflow bits as its inverse
+        n = self.pending + 2
+        count = self.bit_count + n
+        acc = (self._acc << n) | (int(self.low >= _QUARTER) + (1 << (n - 1)) - 1)
+        return (acc << (-count % 8)).to_bytes(-(-count // 8), "big")
 
 
-class RangeDecoder(BitReader):
-    """Adaptive range decoder over the bytes of one range-coded section."""
+class RangeDecoder:
+    """Adaptive range decoder over the bytes of one range-coded section, read
+    MSB first as one integer; reads past the end give zero bits."""
 
     def __init__(self, data: bytes):
-        super().__init__(data)
+        self._value, self._end, self._pos = int.from_bytes(data, "big"), 8 * len(data), _STATE_BITS
+        shift = self._end - _STATE_BITS
+        self.code = (self._value >> shift if shift >= 0 else self._value << -shift) & _MASK
         self.low, self.high = 0, _MASK
-        self.code = self.read_bits(_STATE_BITS)
 
     def decode(self, count: int, priors, bank_of) -> list:
         """Decode ``count`` symbols coded by ``RangeEncoder.encode`` with the
@@ -261,14 +214,15 @@ class RangeDecoder(BitReader):
         return out
 
 
-def exp_golomb_decode(reader: BitReader) -> int:
-    """Read one Exp-Golomb (k = 2) codeword, as pack writes each escape."""
-    zeros = 0
-    while reader.read_bit() == 0:
-        zeros += 1
-        if zeros > 60:  # longer prefixes give values beyond a 64-bit index
-            raise StreamError("runaway Exp-Golomb prefix")
-    return ((1 << (zeros + 2)) | reader.read_bits(zeros + 2)) - 4
+def exp_golomb_decode(bits: np.ndarray, pos: int):
+    """Read one Exp-Golomb (k = 2) codeword, as pack writes each escape, from the bit
+    array ``bits`` at bit offset ``pos``; returns (value, offset past it)."""
+    ones = np.flatnonzero(bits[pos:pos + 61])
+    if not ones.size:  # longer prefixes give values beyond a 64-bit index
+        raise StreamError("runaway Exp-Golomb prefix")
+    zeros = int(ones[0])
+    (tail,), pos = _read_fields(bits, pos + zeros + 1, [zeros + 2])
+    return (1 << (zeros + 2)) + int(tail) - 4, pos
 
 
 @dataclass
@@ -397,16 +351,17 @@ def pack_frame(payload: FramePayload, row: int, ctx: PackContext, stats_out: dic
     """Serialize row ``row`` of a chunk record, one frame, to the two-section wire format;
     ``stats_out`` receives per-section bit costs (range-coded sections by information
     content, raw sections by exact field width)."""
-    enc, raw, stats = RangeEncoder(), BitWriter(), stats_out
+    enc, stats = RangeEncoder(), stats_out
     lsf = np.asarray(payload.lsf_indices[row], dtype=int)
     stats.update(lsf=enc.encode(np.diff(lsf, prepend=0).tolist(), *ctx.lsf_model), flag=1)
 
-    raw.write_bit(int(payload.ctns_flag[row]))
+    fields = [([int(payload.ctns_flag[row])], [1])]  # the raw section as (values, widths)
     stats["clpc"] = 0.0
     if payload.ctns_flag[row]:
         mags, phases = np.asarray(payload.clpc_indices[row], dtype=int).T
-        stats["clpc"] = (enc.encode((mags + 1).tolist(), *ctx.clpc_mag_model)
-                         + _write_fields(raw, phases, np.where(mags >= 0, ctx.clpc_phase_bits, 0)))
+        widths = np.where(mags >= 0, ctx.clpc_phase_bits, 0)
+        stats["clpc"] = enc.encode((mags + 1).tolist(), *ctx.clpc_mag_model) + int(widths.sum())
+        fields.append((phases, widths))
 
     sf = np.asarray(payload.sf_indices[row], dtype=int)
     stats["sf"] = enc.encode((np.diff(sf, prepend=0) + _SF_OFFSET).tolist(), *SF_DELTA_MODEL)
@@ -418,15 +373,38 @@ def pack_frame(payload: FramePayload, row: int, ctx: PackContext, stats_out: dic
     m = np.asarray(payload.index2[row])[index1 == ESCAPE_INDEX] - (OUTLIER_MIN - 4)
     if np.any(m < 4):
         raise ValueError(f"escape index 2 below {OUTLIER_MIN}")
-    stats["escape"] = _write_fields(raw, m, 2 * np.frexp(m)[1] - 3)
+    widths = 2 * np.frexp(m)[1] - 3
+    stats["escape"] = int(widths.sum())
+    fields.append((m, widths))
 
     widths = ctx.field_widths(index1, payload.contrast[row])
     stats["sign"] = int(widths[ctx.real_mask].sum())
-    fields = np.where(ctx.real_mask, payload.sign[row], payload.phase[row])
-    stats["phase"] = _write_fields(raw, fields, widths) - stats["sign"]
+    stats["phase"] = int(widths.sum()) - stats["sign"]
+    fields.append((np.where(ctx.real_mask, payload.sign[row], payload.phase[row]), widths))
 
-    arith_bytes, raw_bytes = enc.finish(), raw.getvalue()
+    arith_bytes, raw_bytes = enc.finish(), _raw_bytes(*map(np.concatenate, zip(*fields)))
     return struct.pack("<HH", len(arith_bytes), len(raw_bytes)) + arith_bytes + raw_bytes
+
+
+def frame_starts(data: bytes, count: int, length: int) -> list:
+    """The byte offset of each of the ``count`` frames after the header, walked by their
+    u16 length prefixes alone.  A prefix or payload cut short raises ``StreamError`` with
+    the frame's number, as do data that hold fewer or more frames than ``count``, the
+    frames the header's ``length`` samples need."""
+    need = f"the {count} frames the header's {length} samples need"
+    starts, pos = [], StreamHeader.size()
+    while len(starts) < count and pos < len(data):
+        if len(data) - pos < 4:
+            raise StreamError("truncated frame prefix", len(starts))
+        starts.append(pos)
+        pos += 4 + sum(struct.unpack_from("<HH", data, pos))
+        if pos > len(data):
+            raise StreamError("truncated frame payload", len(starts) - 1)
+    if len(starts) < count:
+        raise StreamError(f"stream ends after {len(starts)} of {need}")
+    if pos < len(data):
+        raise StreamError(f"bytes follow {need}")
+    return starts
 
 
 def unpack_frame(data: bytes, pos: int, ctx: PackContext, chunk: FramePayload, row: int) -> int:
@@ -439,17 +417,19 @@ def unpack_frame(data: bytes, pos: int, ctx: PackContext, chunk: FramePayload, r
     split, end = pos + 4 + arith_len, pos + 4 + arith_len + raw_len
     if len(data) < end:
         raise StreamError("truncated frame payload")
-    dec, raw = RangeDecoder(data[pos + 4:split]), BitReader(data[split:end])
+    dec = RangeDecoder(data[pos + 4:split])
+    bits = np.unpackbits(np.frombuffer(data, np.uint8, raw_len, split))  # the raw section
 
     lsf = np.cumsum(dec.decode(ctx.lpc_order, *ctx.lsf_model), dtype=int)
     if np.any(lsf >= ctx.lsf_alphabet):
         raise StreamError("LSF index out of range")
 
-    flag, clpc = bool(raw.read_bit()), 0  # a row without the flag holds no CLPC indices
+    (flag,), at = _read_fields(bits, 0, [1])
+    flag, clpc = bool(flag), 0  # a row without the flag holds no CLPC indices
     if flag:
         mags = np.array(dec.decode(ctx.lpc_order, *ctx.clpc_mag_model), dtype=int) - 1
-        clpc = np.stack([mags, _read_fields(raw, np.where(mags >= 0, ctx.clpc_phase_bits, 0))],
-                        axis=1)
+        phases, at = _read_fields(bits, at, np.where(mags >= 0, ctx.clpc_phase_bits, 0))
+        clpc = np.stack([mags, phases], axis=1)
 
     deltas = dec.decode(len(ctx.band_sizes), *SF_DELTA_MODEL)
     sf = np.cumsum(np.array(deltas, dtype=int) - _SF_OFFSET)
@@ -458,17 +438,20 @@ def unpack_frame(data: bytes, pos: int, ctx: PackContext, chunk: FramePayload, r
 
     index1 = np.array(dec.decode(ctx.real_mask.size, *INDEX1_MODEL), dtype=int)
     escapes = index1 == ESCAPE_INDEX
-    values = [exp_golomb_decode(raw) + OUTLIER_MIN for _ in range(np.count_nonzero(escapes))]
+    values = []
+    for _ in range(np.count_nonzero(escapes)):
+        value, at = exp_golomb_decode(bits, at)
+        values.append(value + OUTLIER_MIN)
     if max(values, default=0) > OUTLIER_MAX:  # the encoder clips index 2 to it
         raise StreamError(f"escape index 2 above {OUTLIER_MAX}")
 
     contrast = ctx.resolve_contrast(lsf)
     widths = ctx.field_widths(index1, contrast)
-    fields = _read_fields(raw, widths)
+    fields, at = _read_fields(bits, at, widths)
     # each section is consumed exactly: the range decoder reads 32 bits ahead, finish writes 2
     if not 8 * arith_len - 7 <= dec._pos - 30 <= 8 * arith_len:
         raise StreamError("range section length does not match its symbols")
-    if not 8 * raw_len - 8 < raw._pos <= 8 * raw_len:
+    if not 8 * raw_len - 8 < at <= 8 * raw_len:
         raise StreamError("raw section length does not match its fields")
     chunk.lsf_indices[row], chunk.ctns_flag[row], chunk.clpc_indices[row] = lsf, flag, clpc
     chunk.sf_indices[row], chunk.index1[row], chunk.index2[row] = sf, index1, 0

@@ -81,6 +81,16 @@ def bandwidth_expand(coeffs: np.ndarray, gamma: float) -> np.ndarray:
     return coeffs * gamma ** np.arange(1, np.shape(coeffs)[-1] + 1)
 
 
+def fit(x, order: int, gamma: float = 1.0) -> np.ndarray:
+    """The LP model of each row of a (rows, n) stack, bandwidth-expanded by ``gamma``:
+    (rows, order) coefficients, all zero for a silent row."""
+    r = autocorr(x, order)
+    live = r[:, 0].real > 1e-30
+    coeffs = np.zeros((len(r), order), dtype=r.dtype)
+    coeffs[live] = bandwidth_expand(levinson(r[live], order), gamma)
+    return coeffs
+
+
 def _roots(polys: np.ndarray) -> np.ndarray:
     """``np.roots`` of each row of (rows, n) polynomials with nonzero leading coefficients,
     as (rows, n - 1) complex roots: trailing zero coefficients are stripped and their roots

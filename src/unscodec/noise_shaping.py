@@ -97,7 +97,4 @@ def prediction_gain(x_fd: np.ndarray, x_ct: np.ndarray, start_bin: int,
     ratio = np.where(live, num, 1.0) / np.where(live, den, 1.0)
     gain = np.where(live, np.clip(10.0 * np.log10(ratio), GAIN_FLOOR_DB, GAIN_CEIL_DB),
                     GAIN_FLOOR_DB)
-    active = live & (gain > threshold_db)
-    if gain.ndim == 0:
-        gain, active = float(gain), bool(active)
-    return gain, active
+    return gain, live & (gain > threshold_db)

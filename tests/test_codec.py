@@ -236,6 +236,23 @@ def test_decode_rejects_frames_beyond_the_header_length():
         codec.decode_stream(blob + blob[ends[0]:ends[3]], CFG12)
 
 
+@pytest.mark.parametrize("fault, message", [
+    ("cut", r"^frame 32: truncated frame payload$"),
+    ("short", r"^stream ends after 3 of the 33 frames"),
+    ("overlong", r"^bytes follow the 33 frames"),
+], ids=["cut", "short", "overlong"])
+def test_framing_faults_are_refused_before_any_frame_is_parsed(monkeypatch, fault, message):
+    # the length-prefix walk finds a cut, short or overlong stream on its own
+    blob, _ = codec.encode_stream(signals.speechish(2.0), CFG12)
+    ends = frame_ends(blob)
+    data = {"cut": blob[:-1], "short": blob[:ends[2]], "overlong": blob + blob[ends[0]:ends[3]]}
+    parsed = []
+    monkeypatch.setattr(codec, "unpack_frame", lambda *args: parsed.append(args))
+    with pytest.raises(StreamError, match=message):
+        codec.decode_stream(data[fault], CFG12)
+    assert parsed == []
+
+
 def broken_frame(payload, kind):
     """The frame bytes of ``payload`` with one fault of the given kind."""
     if kind == "escape":  # the encoder clips index 2 to OUTLIER_MAX

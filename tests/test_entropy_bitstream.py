@@ -8,51 +8,6 @@ from unscodec import codec, entropy_bitstream as eb, polar_quant as pq
 from unscodec.config import CodecConfig
 
 
-def test_bit_writer_reader_roundtrip():
-    w = eb.BitWriter()
-    w.write_bits(0b1011, 4)
-    w.write_bit(1)
-    w.write_bits(0xABCD, 16)
-    data = w.getvalue()
-    r = eb.BitReader(data)
-    assert r.read_bits(4) == 0b1011
-    assert r.read_bit() == 1
-    assert r.read_bits(16) == 0xABCD
-
-
-def test_bit_reader_past_end_returns_zero():
-    r = eb.BitReader(b"\xff")
-    assert r.read_bits(8) == 0xFF
-    assert r.read_bits(5) == 0
-
-
-def exp_golomb_encode(writer, value, k=2):
-    """Reference Exp-Golomb writer: value + 2**k after bit_length - k - 1 zero bits."""
-    m = value + (1 << k)
-    n = m.bit_length()
-    writer.write_bits(0, n - k - 1)
-    writer.write_bits(m, n)
-
-
-def test_exp_golomb_roundtrip_exhaustive_small():
-    w = eb.BitWriter()
-    for v in range(200):
-        exp_golomb_encode(w, v)
-    r = eb.BitReader(w.getvalue())
-    for v in range(200):
-        assert eb.exp_golomb_decode(r) == v
-
-
-def test_exp_golomb_large_values():
-    w = eb.BitWriter()
-    values = [65517, 12345, 0, 99999]
-    for v in values:
-        exp_golomb_encode(w, v)
-    r = eb.BitReader(w.getvalue())
-    for v in values:
-        assert eb.exp_golomb_decode(r) == v
-
-
 def test_exp_golomb_rejects_negative():
     # an escape below OUTLIER_MIN would be a negative Exp-Golomb value
     ctx = make_ctx()

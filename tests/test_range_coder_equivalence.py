@@ -1,10 +1,13 @@
-"""The word-level range coder against the bit-serial coder it replaced.
+"""The word-level range coder and raw field layer against the bit-serial
+coder they replaced.
 
 The ``Ref*`` classes below keep the earlier coder's behaviour: one
 renormalization step per output bit, one model method call per symbol, and a
 reader and writer that move one bit at a time.  Every stream they write must
 come out of the current coder byte for byte, with the same information count,
-and both decoders must read the same symbols from any bytes.
+and both decoders must read the same symbols from any bytes.  The raw
+section's fields and Exp-Golomb escapes are held to the same reader and
+writer.
 """
 
 import math
@@ -41,6 +44,10 @@ class RefBitWriter:
     def write_bit(self, b):
         self.bits.append(b & 1)
 
+    def write_bits(self, value, n):
+        for i in reversed(range(n)):
+            self.write_bit(value >> i)
+
     def getvalue(self):
         bits = self.bits + [0] * (-len(self.bits) % 8)
         return bytes(int("".join(map(str, bits[i:i + 8])), 2) for i in range(0, len(bits), 8))
@@ -56,6 +63,12 @@ class RefBitReader:
         if byte_i >= len(self.data):
             return 0
         return (self.data[byte_i] >> (7 - bit_i)) & 1
+
+    def read_bits(self, n):
+        value = 0
+        for _ in range(n):
+            value = (value << 1) | self.read_bit()
+        return value
 
 
 class RefModel:
@@ -327,6 +340,80 @@ def test_decoders_agree_on_arbitrary_bytes(data, n_alphabet, count, banked):
     assert new == ref
 
 
+# --- the raw section's fields, one bit at a time
+
+def exp_golomb_encode(writer, value, k=2):
+    """Exp-Golomb writer: value + 2**k after bit_length - k - 1 zero bits."""
+    m = value + (1 << k)
+    n = m.bit_length()
+    writer.write_bits(0, n - k - 1)
+    writer.write_bits(m, n)
+
+
+def ref_exp_golomb_decode(reader):
+    """Bit-serial Exp-Golomb (k = 2) reader, as unpack first read each escape."""
+    zeros = 0
+    while reader.read_bit() == 0:
+        zeros += 1
+        if zeros > 60:
+            raise eb.StreamError("runaway Exp-Golomb prefix")
+    return ((1 << (zeros + 2)) | reader.read_bits(zeros + 2)) - 4
+
+
+FIELDS = st.lists(st.tuples(st.integers(-1, 2 ** 62 - 1), st.integers(0, 62)), max_size=40)
+
+
+@given(FIELDS)
+@example([(1, 1), (5, 0), (2 ** 62 - 1, 62), (-1, 0), (-1, 3)])
+def test_raw_bytes_match_bit_serial_writer(fields):
+    ref = RefBitWriter()
+    for value, width in fields:
+        ref.write_bits(value, width)
+    values, widths = zip(*fields) if fields else ((), ())
+    assert eb._raw_bytes(values, widths) == ref.getvalue()
+
+
+def bit_array(data):
+    return np.unpackbits(np.frombuffer(data, dtype=np.uint8))
+
+
+@given(data=st.binary(max_size=16), pos=st.integers(0, 160),
+       widths=st.lists(st.integers(0, 62), max_size=12))
+@example(data=b"\xff", pos=0, widths=[8, 5])  # past the end reads zero
+@example(data=b"\xff" * 8, pos=1, widths=[0, 62, 0])
+def test_read_fields_agree_with_bit_serial_reader(data, pos, widths):
+    ref = RefBitReader(data)
+    ref.pos = pos
+    expected = [ref.read_bits(w) for w in widths]
+    values, end = eb._read_fields(bit_array(data), pos, widths)
+    assert values.tolist() == expected
+    assert end == ref.pos
+
+
+@given(data=st.binary(max_size=24), pos=st.integers(0, 200))
+@example(data=bytes(8) + b"\x80", pos=0)           # 64 zeros: a runaway prefix
+@example(data=bytes(7) + b"\x04\xff", pos=0)       # 61 zeros: the shortest runaway
+@example(data=bytes(7) + b"\x08" + b"\xff" * 8, pos=0)  # 60 zeros: the longest codeword
+@example(data=b"\x01", pos=0)                      # a codeword running past the end
+def test_exp_golomb_decode_agrees_with_bit_serial_reader(data, pos):
+    ref = RefBitReader(data)
+    ref.pos = pos
+    expected = decode_or_error(lambda: (ref_exp_golomb_decode(ref), ref.pos))
+    assert decode_or_error(lambda: eb.exp_golomb_decode(bit_array(data), pos)) == expected
+
+
+@given(st.lists(st.integers(0, 199) | st.integers(0, 2 ** 63 - 5), max_size=30))
+def test_exp_golomb_codewords_roundtrip(values):
+    writer = RefBitWriter()
+    for v in values:
+        exp_golomb_encode(writer, v)
+    bits, pos = bit_array(writer.getvalue()), 0
+    for v in values:
+        value, pos = eb.exp_golomb_decode(bits, pos)
+        assert value == v
+    assert pos == len(writer.bits)
+
+
 # --- unpack_frame on bytes that no encoder wrote
 
 CFG = CodecConfig()
@@ -374,13 +461,6 @@ def test_unpack_bit_flipped_corpus_frames_raises_only_stream_error(corpus_frames
     unpack_or_stream_error(bytes(frame))
 
 
-def exp_golomb_encode(writer, value, k=2):
-    m = value + (1 << k)
-    n = m.bit_length()
-    writer.write_bits(0, n - k - 1)
-    writer.write_bits(m, n)
-
-
 def one_escape_frame(write_escape):
     """A silent frame whose one escape, at bin 5, has the raw value that
     ``write_escape`` writes."""
@@ -392,7 +472,7 @@ def one_escape_frame(write_escape):
                *eb.SF_DELTA_MODEL)
     enc.encode(index1.tolist(), *eb.INDEX1_MODEL)
     arith = enc.finish()
-    raw = eb.BitWriter()
+    raw = RefBitWriter()
     raw.write_bit(0)                     # CTNS flag off
     write_escape(raw)
     contrast = CTX.resolve_contrast(np.zeros(CTX.lpc_order, dtype=int))
