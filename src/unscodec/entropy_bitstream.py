@@ -2,16 +2,16 @@
 
 Each frame is wire-coded as two sections behind a pair of u16 byte lengths:
 an adaptively range-coded section (LSF indices, complex-LPC magnitudes, scale
-factor deltas, magnitude indices) and a raw section (the CTNS flag, phase
-fields, sign bits, and Exp-Golomb escape values).  The split keeps the range
-decoder's look-ahead from bleeding into the next frame while phases stay
+factor deltas, magnitude indices) and a raw section (the CTNS flag, complex-LPC
+phases, Exp-Golomb escape values, then phases and signs).  The split keeps the
+range decoder's look-ahead from bleeding into the next frame while phases stay
 plain log2(N)-bit fields.
 """
 
 from __future__ import annotations
 
 import struct
-from bisect import bisect_right
+from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from itertools import accumulate
 from math import log2
@@ -34,11 +34,13 @@ MODEL_INCREMENT = 32
 MODEL_LIMIT = 1 << 15
 
 _STATE_BITS = 32
-_MASK = (1 << _STATE_BITS) - 1
+_FULL = 1 << _STATE_BITS
 _HALF = 1 << (_STATE_BITS - 1)
 _QUARTER = _HALF >> 1
 _THREE_QUARTERS = _HALF + _QUARTER
 _LOW = _HALF - 1              # the state bits below the top one
+# by low's top two bits: the interval straddles the middle while low + range exceeds it
+_STRADDLE = (_HALF, _THREE_QUARTERS, _FULL, _FULL)
 
 
 class StreamError(Exception):
@@ -75,8 +77,8 @@ def _read_fields(bits: np.ndarray, pos: int, widths):
 
 
 def flat_model(n_symbols: int) -> tuple:
-    """The (priors, bank_of) of a one-bank section whose counts all start at 1."""
-    return ((1,) * n_symbols,), (0,) * n_symbols
+    """The (cums, bank_of) of a one-bank section whose counts all start at 1."""
+    return (tuple(range(n_symbols + 1)),), (0,) * n_symbols
 
 
 SF_DELTA_MODEL = flat_model(ALPHABET_SF_DELTA)
@@ -86,54 +88,77 @@ SF_DELTA_MODEL = flat_model(ALPHABET_SF_DELTA)
 # and each regime adapts separately; the priors seed the counts toward the
 # distribution low-rate content actually produces.
 INDEX1_MODEL = (
-    ((40, 2) + (1,) * 13,     # after a zero
-     (4, 8) + (2,) * 13,      # after a small nonzero
-     (1,) * 15),              # after the escape / companded region
+    tuple(tuple(accumulate(p, initial=0)) for p in (
+        (40, 2) + (1,) * 13,     # after a zero
+        (4, 8) + (2,) * 13,      # after a small nonzero
+        (1,) * 15)),             # after the escape / companded region
     (0,) + (1,) * 7 + (2,) * 7,   # previous index -> bank
 )
 
 
+def _bank(base, f0=None, grow=None) -> tuple:
+    """A bank as its counts are set: seeded from the cumulative counts ``base`` or, given the
+    count ``f0`` of symbol 0 and each count's growth ``grow`` since ``base``, halved.  Returns
+    (base, f0, total, the nonzero symbols coded since in ascending order, their growths)."""
+    if grow is not None:
+        counts = [f0] + [base[s + 1] - base[s] + grow[s] for s in range(1, len(grow))]
+        base = list(accumulate([(c + 1) >> 1 for c in counts], initial=0))
+    return base, base[1], base[-1], [], [0] * (len(base) - 1)
+
+
 class RangeEncoder:
-    """Adaptive range encoder writing its bits, MSB first, into one integer
-    accumulator; ``finish`` flushes it and returns the bytes."""
+    """Adaptive range encoder over the interval's ``low`` end and ``range`` (high - low + 1),
+    writing its bits, MSB first, into one integer; ``finish`` returns the bytes."""
 
     def __init__(self):
         self._acc, self.bit_count = 0, 0
-        self.low, self.high, self.pending = 0, _MASK, 0
+        self.low, self.range, self.pending = 0, _FULL, 0
         # information content of the symbols coded so far; tracks the actual
         # emitted length to within the final flush
         self.info_bits = 0.0
 
-    def encode(self, symbols, priors, bank_of) -> float:
+    def encode(self, symbols, cums, bank_of) -> float:
         """Code a symbol sequence and return its information content in bits.
 
-        Each symbol is coded with bank ``bank_of[prev]`` of counts seeded
-        from ``priors`` (one count list per bank) for this call only, where
-        ``prev`` is the symbol before it (0 for the first)."""
-        banks = [list(p) for p in priors]
-        totals = [sum(p) for p in priors]
-        low, high, pending = self.low, self.high, self.pending
+        Each symbol is coded with bank ``bank_of[prev]`` (``prev`` is the symbol before
+        it, 0 for the first).  A bank's cumulative count below s is its base, ``cums[bank][s]``
+        until the bank halves, plus the growth of the distinct symbols below s coded since."""
+        bases, f0s, totals, seens, grows = map(list, zip(*map(_bank, cums)))
+        low, r, pending = self.low, self.range, self.pending
         acc, count, info = self._acc, self.bit_count, self.info_bits
-        prev = 0
+        t = _STRADDLE[low >> 30] - low  # no bit settles while r > t
+        b = bank_of[0]
         for s in symbols:
-            b = bank_of[prev]
-            f, total = banks[b], totals[b]
-            lo = sum(f[:s]) if s else 0
-            info += log2(total / f[s])
-            span = high - low + 1
-            high = low + (lo + f[s]) * span // total - 1
-            low += lo * span // total
-            f[s] += MODEL_INCREMENT
+            total = totals[b]
+            if s:
+                base, grow = bases[b], grows[b]
+                lo = base[s] + f0s[b] - base[1]
+                for u in seens[b]:
+                    if u >= s:
+                        break
+                    lo += grow[u]
+                g = grow[s]
+                if not g:
+                    insort(seens[b], s)
+                grow[s] = g + MODEL_INCREMENT
+                f = base[s + 1] - base[s] + g
+                a = lo * r // total
+                low, r = low + a, (lo + f) * r // total - a
+                t = _STRADDLE[low >> 30] - low
+            else:  # low, and so t, stay
+                f = f0s[b]
+                r, f0s[b] = r * f // total, f + MODEL_INCREMENT
+            info += log2(total / f)
             totals[b] = total = total + MODEL_INCREMENT
             if total >= MODEL_LIMIT:
-                f[:] = [(x + 1) >> 1 for x in f]
-                totals[b] = sum(f)
-            prev = s
-            if high >= _HALF and (low < _QUARTER or low < _HALF and high >= _THREE_QUARTERS):
+                bases[b], f0s[b], totals[b], seens[b], grows[b] = _bank(bases[b], f0s[b], grows[b])
+            b = bank_of[s]
+            if r > t:
                 continue  # the interval still straddles the middle: nothing settles
             # n1 leading bits that low and high share (E1/E2), then n3
             # underflow steps (E3, low = 01..., high = 10...); no E1/E2 step
             # can follow an E3 step, since then low < HALF <= high
+            high = low + r - 1
             n1 = _STATE_BITS - (low ^ high).bit_length()
             n3 = _STATE_BITS - 1 - ((((low & ~high) << n1) & _LOW) ^ _LOW).bit_length()
             if n1:
@@ -145,9 +170,9 @@ class RangeEncoder:
                 pending = 0
             pending += n3
             n = n1 + n3
-            low = (low << n) & _LOW
-            high = (((high << n) | ((1 << n) - 1)) & _LOW) | _HALF
-        self.low, self.high, self.pending = low, high, pending
+            low, r = (low << n) & _LOW, r << n  # each step doubles the range
+            t = _STRADDLE[low >> 30] - low
+        self.low, self.range, self.pending = low, r, pending
         self._acc, self.bit_count = acc, count
         before, self.info_bits = self.info_bits, info
         return info - before
@@ -162,55 +187,70 @@ class RangeEncoder:
 
 class RangeDecoder:
     """Adaptive range decoder over the bytes of one range-coded section, read
-    MSB first as one integer; reads past the end give zero bits."""
+    MSB first as one integer; reads past the end give zero bits.  It carries
+    the encoder's ``low`` and ``range`` and the code's ``offset`` above low."""
 
     def __init__(self, data: bytes):
         self._value, self._end, self._pos = int.from_bytes(data, "big"), 8 * len(data), _STATE_BITS
-        shift = self._end - _STATE_BITS
-        self.code = (self._value >> shift if shift >= 0 else self._value << -shift) & _MASK
-        self.low, self.high = 0, _MASK
+        self.offset = (self._value << _STATE_BITS >> self._end) & (_FULL - 1)
+        self.low, self.range = 0, _FULL
 
-    def decode(self, count: int, priors, bank_of) -> list:
-        """Decode ``count`` symbols coded by ``RangeEncoder.encode`` with the
-        same ``priors`` and ``bank_of``."""
-        banks = [list(p) for p in priors]
-        totals = [sum(p) for p in priors]
-        low, high, code = self.low, self.high, self.code
+    @property
+    def consumed_bits(self) -> int:
+        """Bits the symbols decoded so far took in the encoder's output, its final 2 included."""
+        return self._pos - _STATE_BITS + 2
+
+    def decode(self, count: int, cums, bank_of) -> list:
+        """Decode ``count`` symbols coded by ``RangeEncoder.encode`` with the same ``cums``
+        and ``bank_of``.  Symbol 0 is the test ``offset < range * f0 // total``; another is
+        found by walking the bank's coded symbols and bisecting its base between two."""
+        bases, f0s, totals, seens, grows = map(list, zip(*map(_bank, cums)))
+        low, r, d = self.low, self.range, self.offset
         value, end, pos = self._value, self._end, self._pos
+        t = _STRADDLE[low >> 30] - low
         out = [0] * count
         s = 0
         for i in range(count):
             b = bank_of[s]
-            f, total = banks[b], totals[b]
-            span = high - low + 1
-            top0 = low + f[0] * span // total - 1
-            if code <= top0:  # symbol 0, found without a division by span
-                s, high = 0, top0
+            total, f = totals[b], f0s[b]
+            x = r * f // total
+            if d < x:  # symbol 0
+                s, r, f0s[b] = 0, x, f + MODEL_INCREMENT
             else:
-                cum = list(accumulate(f))
-                s = bisect_right(cum, ((code - low + 1) * total - 1) // span)
-                high = low + cum[s] * span // total - 1
-                low += cum[s - 1] * span // total
+                base, grow = bases[b], grows[b]
+                v = ((d + 1) * total - 1) // r
+                lo, start = f - base[1], 1  # the growth of the symbols below start
+                for u in seens[b]:
+                    if v < base[u + 1] + lo + grow[u]:
+                        s = bisect_right(base, v - lo, start, u + 1) - 1
+                        break
+                    lo, start = lo + grow[u], u + 1
+                else:
+                    s = bisect_right(base, v - lo, start, len(grow)) - 1
+                lo += base[s]
+                g = grow[s]
+                if not g:
+                    insort(seens[b], s)
+                grow[s] = g + MODEL_INCREMENT
+                a = lo * r // total
+                low, d, r = low + a, d - a, (lo + base[s + 1] - base[s] + g) * r // total - a
+                t = _STRADDLE[low >> 30] - low
                 out[i] = s
-            f[s] += MODEL_INCREMENT
             totals[b] = total = total + MODEL_INCREMENT
             if total >= MODEL_LIMIT:
-                f[:] = [(x + 1) >> 1 for x in f]
-                totals[b] = sum(f)
-            if high >= _HALF and (low < _QUARTER or low < _HALF and high >= _THREE_QUARTERS):
+                bases[b], f0s[b], totals[b], seens[b], grows[b] = _bank(bases[b], f0s[b], grows[b])
+            if r > t:
                 continue
-            # the encoder's renormalization, shifting n bits into the code
+            # the encoder's renormalization, shifting n bits into the offset
+            high = low + r - 1
             n1 = _STATE_BITS - (low ^ high).bit_length()
             n3 = _STATE_BITS - 1 - ((((low & ~high) << n1) & _LOW) ^ _LOW).bit_length()
             n = n1 + n3
-            shift = end - pos - n
-            bits = (value >> shift if shift >= 0 else value << -shift) & ((1 << n) - 1)
             pos += n
-            # E1/E2 drop the shared top bits; E3 keeps bit 31 and drops bit 30
-            code = ((code << n1) & _HALF) | (((code << n) | bits) & _LOW)
-            low = (low << n) & _LOW
-            high = (((high << n) | ((1 << n) - 1)) & _LOW) | _HALF
-        self.low, self.high, self.code, self._pos = low, high, code, pos
+            d = (d << n) | ((value << pos >> end) & ((1 << n) - 1))  # bits past the end read 0
+            low, r = (low << n) & _LOW, r << n
+            t = _STRADDLE[low >> 30] - low
+        self.low, self.range, self.offset, self._pos = low, r, d, pos
         return out
 
 
@@ -312,7 +352,7 @@ class PackContext:
     quantized model as the encoder's flags, which pack reads off the payload.
     The first and last coded bins (DC and Nyquist) are real-valued.  The
     per-bin tables, phase-field widths and the LSF and CLPC-magnitude
-    (priors, bank_of) models are derived once, at construction.
+    (cums, bank_of) models are derived once, at construction.
     """
 
     lpc_order: int             # LSF indices and CLPC coefficients per frame
@@ -448,8 +488,8 @@ def unpack_frame(data: bytes, pos: int, ctx: PackContext, chunk: FramePayload, r
     contrast = ctx.resolve_contrast(lsf)
     widths = ctx.field_widths(index1, contrast)
     fields, at = _read_fields(bits, at, widths)
-    # each section is consumed exactly: the range decoder reads 32 bits ahead, finish writes 2
-    if not 8 * arith_len - 7 <= dec._pos - 30 <= 8 * arith_len:
+    # each section is consumed exactly, to within its last byte's padding
+    if not 8 * arith_len - 7 <= dec.consumed_bits <= 8 * arith_len:
         raise StreamError("range section length does not match its symbols")
     if not 8 * raw_len - 8 < at <= 8 * raw_len:
         raise StreamError("raw section length does not match its fields")

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 import tracemalloc
 from dataclasses import replace
@@ -49,6 +50,25 @@ def test_silent_2048_sample_frames_round_trip():
     out, _, flags = codec.decode_stream(blob, cfg)
     assert len(stats) == len(flags) == 3
     assert np.array_equal(out, pcm)
+
+
+def test_2048_sample_frames_code_indices_after_a_halving():
+    # a faint Nyquist tone: every frame's index 1 is zero up to bin 1,022 and
+    # nonzero above it, so bank 0 halves at bin 1,022 (55 + 1,023 * 32 >= 32,768)
+    # and codes what follows from its halved counts
+    cfg = CodecConfig(frame_len=2048, band_edges=tuple(2 * e for e in CFG12.band_edges))
+    pcm = 1e-5 * np.cos(np.pi * np.arange(4 * 2048))
+    blob, stats = codec.encode_stream(pcm, cfg)
+    assert hashlib.sha256(blob).hexdigest() == (
+        "d23d092b00d1a4ea804cc4a55b176e5aa6b73cba3bf98090ca4b36c8798ca434")
+    ctx, pos = codec.make_pack_context(cfg), StreamHeader.size()
+    for _ in stats:
+        payload, pos = unpack_one(blob, pos, ctx)
+        assert np.flatnonzero(payload.index1[0]).min(initial=1023) >= 1023
+        assert payload.index1[0, 1023:].any()
+    out, _, _ = codec.decode_stream(blob, cfg)
+    assert out.size == pcm.size
+    assert np.dot(out, pcm) > 0.9 * np.linalg.norm(out) * np.linalg.norm(pcm)
 
 
 def test_sinusoid_concentrates_in_its_band():

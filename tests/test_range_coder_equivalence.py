@@ -323,6 +323,55 @@ def test_index1_bank_halving_matches():
     assert eb.RangeDecoder(data).decode(len(symbols), *eb.INDEX1_MODEL) == symbols
 
 
+def twice_halved(n_alphabet, banked, rng):
+    """One section in which bank 0 halves twice.  Each halving starts a phase
+    that draws from a wider range, below and above the last phase's where the
+    alphabet has room; 40 symbols follow the second halving.  When banked,
+    70% of the symbols are zeros, so that most are coded in bank 0."""
+    models, bank = ref_models(n_alphabet, banked)
+    top = n_alphabet - 1
+    ranges = [(max(top // 2 - 1, 1), min(top // 2 + 3, top)), (top // 4, 3 * top // 4 + 1),
+              (0, top)]
+    symbols = []
+
+    def draw(lo, hi):
+        s = 0 if banked and rng.random() < 0.7 else int(rng.integers(lo, hi + 1))
+        models[bank(symbols[-1] if symbols else 0)].update(s)
+        symbols.append(s)
+
+    for halvings, (lo, hi) in enumerate(ranges[:2]):
+        while models[0].halvings == halvings:
+            draw(lo, hi)
+    for _ in range(40):
+        draw(*ranges[2])
+    assert models[0].halvings == 2
+    return symbols
+
+
+@pytest.mark.parametrize("n_alphabet, banked", [(2, False), (241, False), (15, True)])
+def test_a_bank_halving_twice_in_one_section_matches(n_alphabet, banked):
+    # each halving sets the bank's base counts anew and forgets the symbols
+    # coded before it; the symbols coded after it, on either side of those,
+    # must still come out as the bit-serial coder's, which keeps plain counts
+    rng = np.random.default_rng(n_alphabet)
+    pieces = [twice_halved(n_alphabet, banked, rng), rng.integers(0, n_alphabet, 37).tolist()]
+    enc, ref = eb.RangeEncoder(), RefEncoder()
+    for piece in pieces:
+        before = ref.info_bits
+        ref_code(ref, piece, n_alphabet, banked)
+        assert enc.encode(piece, *new_models(n_alphabet, banked)) == ref.info_bits - before
+        assert (enc.low, enc.low + enc.range - 1, enc.pending) == (ref.low, ref.high, ref.pending)
+    data = enc.finish()
+    assert data == ref.finish()
+    dec, ref_dec = eb.RangeDecoder(data), RefDecoder(data)
+    for piece in pieces:
+        assert dec.decode(len(piece), *new_models(n_alphabet, banked)) == piece
+        models, bank = ref_models(n_alphabet, banked)
+        assert [ref_dec.decode(models[bank(prev)]) for prev in [0] + piece[:-1]] == piece
+        assert ((dec.low, dec.low + dec.range - 1, dec.low + dec.offset, dec.consumed_bits)
+                == (ref_dec.low, ref_dec.high, ref_dec.code, ref_dec.reader.pos - 30))
+
+
 def decode_or_error(decode):
     try:
         return decode()
