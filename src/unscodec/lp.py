@@ -27,14 +27,15 @@ class DegenerateSignalError(ValueError):
 
 def autocorr(x, max_lag: int) -> np.ndarray:
     """Autocorrelation r[k] = sum_t x[t] conj(x[t-k]) for k = 0..max_lag, per row; each lag
-    is one ``np.matmul`` of 1 x m by m x 1 products, the BLAS dot ``np.dot`` takes for a row."""
+    is one ``np.matmul`` of 1 x m by m x 1 products, the BLAS dot ``np.dot`` takes for a row,
+    against the rows conjugated once per call."""
     x = np.asarray(x)
     n = x.shape[-1]
     if max_lag >= n:
         raise ValueError(f"max_lag {max_lag} must be below signal length {n}")
     rows = x.reshape(-1, n)
-    r = [np.matmul(rows[:, None, k:], np.conj(rows[:, :n - k, None]))[:, 0, 0]
-         for k in range(max_lag + 1)]
+    conj = np.conj(rows)
+    r = [np.matmul(rows[:, None, k:], conj[:, :n - k, None])[:, 0, 0] for k in range(max_lag + 1)]
     return np.stack(r, axis=-1).reshape(x.shape[:-1] + (max_lag + 1,))
 
 
@@ -44,9 +45,10 @@ def levinson(r, order: int) -> np.ndarray:
     Returns the coefficients a_1..a_order of the prediction-error filter
     A(z) = 1 + sum a_k z^-k, shaped (..., order), complex exactly when ``r`` is.
     Reflection coefficients with magnitude >= 1 (near-singular steps) are
-    scaled back to magnitude REFLECTION_CLAMP.  The inner product is one
-    ``np.dot`` per row, and |k|, |k|**2 are a scalar's (hypot, libm pow;
-    numpy's array forms round apart).
+    scaled back to magnitude REFLECTION_CLAMP.  Each order's inner product is
+    one stacked ``np.matmul`` against a contiguous copy of the reversed lags,
+    the BLAS dot ``np.dot`` takes for a row, and |k|, |k|**2 are a scalar's
+    (hypot, libm pow; numpy's array forms round apart).
     """
     r = np.asarray(r)
     if order >= r.shape[-1]:
@@ -60,8 +62,8 @@ def levinson(r, order: int) -> np.ndarray:
     a[:, 0] = 1.0
     energy = rows[:, 0].real * (1.0 + NOISE_FLOOR)
     for m in range(1, order + 1):
-        acc = rows[:, m] + np.array([np.dot(ai[1:m], ri[1:m][::-1])
-                                     for ai, ri in zip(a, rows)], dtype=dtype)
+        history = np.ascontiguousarray(rows[:, m - 1:0:-1])
+        acc = rows[:, m] + np.matmul(a[:, None, 1:m], history[:, :, None])[:, 0, 0]
         k = -acc / energy
         mag = np.hypot(k.real, k.imag)
         over = mag >= 1.0
@@ -108,9 +110,26 @@ def _roots(polys: np.ndarray) -> np.ndarray:
 
 
 def _max_root_radius(rows: np.ndarray) -> np.ndarray:
-    """Largest root magnitude of 1 + sum c_k z^-k per row; 0 where all c_k are near 0."""
+    """Largest root magnitude of 1 + sum c_k z^-k per row."""
     radius = np.abs(_roots(np.concatenate([np.ones((len(rows), 1)), rows], axis=1)))
-    return np.where(np.isclose(rows, 0.0).all(axis=1), 0.0, radius.max(axis=1, initial=0.0))
+    return radius.max(axis=1, initial=0.0)
+
+
+def _undecided(rows: np.ndarray, rho: float) -> np.ndarray:
+    """Indices of the rows of 1 + sum c_k z^-k that the step-down (Schur-Cohn) recursion does not
+    clear: a cleared row's model, scaled to radius rho * (1 - 1e-6), has every reflection
+    coefficient |k_m| < 1, so every root inside (Markel and Gray, 1976); NaN or inf clears none."""
+    p = rows.shape[1]
+    cleared = np.ones(len(rows), dtype=bool)
+    with np.errstate(all="ignore"):
+        a = rows / (rho * (1.0 - 1e-6)) ** np.arange(1, p + 1)
+        for m in range(p, 0, -1):
+            k = a[:, m - 1:m]
+            mag2 = np.abs(k) ** 2
+            cleared &= mag2[:, 0] < 1.0
+            prev = a[:, :m - 1]
+            a = (prev - k * np.conj(prev[:, ::-1])) / (1.0 - mag2)
+    return np.flatnonzero(~cleared)
 
 
 def lpc_to_lsf(coeffs: np.ndarray) -> np.ndarray:
@@ -125,7 +144,7 @@ def lpc_to_lsf(coeffs: np.ndarray) -> np.ndarray:
     if p % 2 != 0:
         raise ValueError("LSF conversion requires an even order")
     rows = coeffs.reshape(-1, p)
-    if np.any(_max_root_radius(rows) >= 1.0):
+    if np.any(_max_root_radius(rows[_undecided(rows, 1.0)]) >= 1.0):
         raise ValueError("model is not minimum phase")
     ext = np.concatenate([np.ones((len(rows), 1)), rows, np.zeros((len(rows), 1))], axis=1)
     angles = []
@@ -251,9 +270,10 @@ def dequantize_complex_lpc(indices: np.ndarray, mag_step_db: float, mag_floor_db
     # bandwidth-expanded analysis produces.  Scaling a_k by gamma**k scales
     # every root by gamma, so one contraction puts the largest at 0.92
     rows = coeffs.reshape(-1, p)
-    radius = _max_root_radius(rows)
+    sel = _undecided(rows, 0.96)
+    radius = _max_root_radius(rows[sel])
     wild = radius > 0.96
-    rows[wild] = rows[wild] * (0.92 / radius[wild, None]) ** np.arange(1, p + 1)
+    rows[sel[wild]] = rows[sel[wild]] * (0.92 / radius[wild, None]) ** np.arange(1, p + 1)
     return coeffs
 
 

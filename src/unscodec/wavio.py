@@ -32,7 +32,7 @@ def read_wav(path: str):
         (size,) = struct.unpack("<I", data[pos + 4:pos + 8])
         body = data[pos + 8:pos + 8 + size]
         if cid == b"fmt ":
-            if size < 16:
+            if len(body) < 16:  # declared short, or cut short by the end of the file
                 raise WavFormatError("fmt chunk too short")
             fmt = struct.unpack("<HHIIHH", body[:16])
         elif cid == b"data":

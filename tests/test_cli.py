@@ -92,10 +92,12 @@ def riff(chunks, form=b"WAVE"):
     (b"RIFF\0\0", "missing RIFF chunk"),
     (riff([], form=b"AVI "), "not a RIFF/WAVE file"),
     (riff([(b"fmt ", b"\1\0\1\0")]), "fmt chunk too short"),
+    (riff([(b"fmt ", struct.pack("<HHIIHH", 1, 1, 8000, 16000, 2, 16))])[:28],
+     "fmt chunk too short"),  # declares 16 bytes, holds 8
     (riff([(b"fmt ", struct.pack("<HHIIHH", 1, 1, 8000, 16000, 2, 16))]), "missing data chunk"),
     (riff([(b"fmt ", struct.pack("<HHIIHH", 1, 3, 8000, 48000, 6, 16)), (b"data", b"\0" * 6)]),
      "unsupported channel count 3"),
-], ids=["short", "not-wave", "short-fmt", "no-data", "3-channel"])
+], ids=["short", "not-wave", "short-fmt", "cut-fmt", "no-data", "3-channel"])
 def test_wav_rejects_malformed_files(tmp_path, data, message):
     path = str(tmp_path / "m.wav")
     with open(path, "wb") as f:

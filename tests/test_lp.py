@@ -5,9 +5,10 @@ from hypothesis import example, given, strategies as st
 from unscodec import lp
 from unscodec.config import CodecConfig
 
-from test_analysis_stack import ref_autocorr
+from test_analysis_stack import ref_autocorr, ref_dequantize_clpc
 
 CFG = CodecConfig()
+ORDER = CFG.lpc_order
 LSF = (CFG.lsf_step,)
 LSF_REC = (CFG.lsf_step, CFG.lsf_min_gap)
 CLPC_Q = (CFG.clpc_mag_step_db, CFG.clpc_mag_floor_db, CFG.clpc_mag_ceil_db,
@@ -304,3 +305,101 @@ def test_complex_lpc_stability_guard(poles, radius):
         assert abs(got - 0.7) < 0.05
     else:
         assert abs(got - radius) < 1e-9
+
+
+# relative distances of the largest root from the stability thresholds, on both
+# sides: the step-down screen clears a row only below threshold * (1 - 1e-6), so
+# the rows at 1e-6 and closer are decided by their roots
+DELTAS = (1e-2, 1e-4, 1e-6, 1e-8, 1e-10)
+
+
+def np_roots_radius(coeffs):
+    return np.max(np.abs(np.roots(np.concatenate([[1.0], coeffs]))))
+
+
+def real_model_with_root(rng, radius):
+    """A real model whose largest conjugate root pair lies at ``radius``, the rest well inside."""
+    r = np.concatenate([[radius], rng.uniform(0.2, 0.9, ORDER // 2 - 1)])
+    roots = r * np.exp(1j * rng.uniform(0.1, np.pi - 0.1, ORDER // 2))
+    return np.poly(np.concatenate([roots, roots.conj()])).real[1:]
+
+
+@pytest.fixture
+def radius_rows(monkeypatch):
+    """Counts the rows that reach the root-finding radius check."""
+    seen = []
+    radius = lp._max_root_radius
+    monkeypatch.setattr(lp, "_max_root_radius", lambda rows: seen.append(len(rows)) or radius(rows))
+    return seen
+
+
+@pytest.mark.parametrize("delta", DELTAS)
+def test_minimum_phase_check_decides_as_np_roots_at_the_unit_circle(delta, radius_rows):
+    rng = np.random.default_rng(int(-np.log10(delta)))
+    for sign in (-1.0, 1.0):
+        for _ in range(4):
+            m = real_model_with_root(rng, 1.0 + sign * delta)
+            if np_roots_radius(m) >= 1.0:
+                with pytest.raises(ValueError, match="not minimum phase"):
+                    lp.lpc_to_lsf(m)
+                with pytest.raises(ValueError, match="not minimum phase"):
+                    lp.lpc_to_lsf(np.stack([np.zeros(ORDER), m]))
+            else:
+                assert lp.lpc_to_lsf(np.stack([np.zeros(ORDER), m]))[1].tobytes() == \
+                    lp.lpc_to_lsf(m).tobytes()
+        if sign < 0 and delta >= 1e-4:  # the screen clears every row well inside
+            assert sum(radius_rows) == 0
+
+
+def clpc_cells_with_root(rng, target):
+    """CLPC cells and the magnitude floor (dB) that puts their cell centers' largest root at
+    ``target``: a floor moves every magnitude by one factor, and bisection finds it."""
+    step, cells = CFG.clpc_mag_step_db, CFG.clpc_phase_cells
+    idx = np.stack([rng.integers(0, 161, ORDER), rng.integers(0, cells, ORDER)], axis=-1)
+    idx[rng.random(ORDER) < 0.25] = (-1, 0)
+
+    def radius(floor_db):
+        theta = -np.pi + (idx[:, 1] + 0.5) * 2.0 * np.pi / cells
+        return np_roots_radius(np.where(idx[:, 0] < 0, 0.0, 10.0 ** (
+            (floor_db + idx[:, 0] * step) / 20.0) * np.exp(1j * theta)))
+
+    lo, hi = -400.0, 0.0
+    while radius(hi) <= target:
+        hi += 20.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if radius(mid) <= target else (lo, mid)
+    return idx, hi
+
+
+@pytest.mark.parametrize("delta", DELTAS)
+def test_clpc_stability_guard_equals_the_root_radius_guard_at_its_threshold(delta, radius_rows):
+    rng = np.random.default_rng(100 + int(-np.log10(delta)))
+    for sign in (-1.0, 1.0):
+        for _ in range(4):
+            idx, floor_db = clpc_cells_with_root(rng, 0.96 * (1.0 + sign * delta))
+            inside = np.stack([idx[:, 0] - 40, idx[:, 1]], axis=-1)  # every magnitude -20 dB
+            stack = np.stack([idx, np.tile((-1, 0), (ORDER, 1)), np.maximum(inside, -1)])
+            args = (CFG.clpc_mag_step_db, floor_db, CFG.clpc_phase_cells)
+            got = lp.dequantize_complex_lpc(stack, *args)
+            for row, cells in enumerate(stack):
+                want = ref_dequantize_clpc(cells, *args, ORDER)
+                assert got[row].tobytes() == want.tobytes(), (sign, row)
+        if sign < 0 and delta >= 1e-4:  # the screen clears every row well inside
+            assert sum(radius_rows) == 0
+
+
+def test_clpc_stability_guard_on_overflowing_cells():
+    # a +20 dB floor puts the top of a 12,288-cell table at 1.5e308, so
+    # magnitudes reach the largest finite ones: the scaling and the step-down
+    # recursion overflow, their rows fall through to the root radius, and
+    # nothing warns
+    args = (CFG.clpc_mag_step_db, 20.0, CFG.clpc_phase_cells)
+    rng = np.random.default_rng(21)
+    idx = np.stack([rng.integers(-1, 12288, (6, ORDER)), rng.integers(0, 64, (6, ORDER))], -1)
+    idx[0, :, 0] = -1
+    idx[1, 1:, 0] = -1
+    idx[2, -1, 0] = 12287
+    got = lp.dequantize_complex_lpc(idx, *args)
+    for row, cells in enumerate(idx):
+        assert got[row].tobytes() == ref_dequantize_clpc(cells, *args, ORDER).tobytes(), row
