@@ -33,7 +33,6 @@ class TnsComparisonReport:
     frame_energy_mdct_db: np.ndarray
     frame_energy_dft_db: np.ndarray
     hop: int
-    signal_name: str = ""
 
     def to_csv(self) -> str:
         buf = io.StringIO()
@@ -72,9 +71,8 @@ def _frame_energies_db(x: np.ndarray, hop: int) -> np.ndarray:
     return np.where(loud, 10.0 * np.log10(np.where(loud, e, 1.0)), ENERGY_FLOOR_DB)
 
 
-def tns_domain_experiment(signal: np.ndarray, cfg: CodecConfig | None = None,
-                          order: int | None = None, start_bin: int | None = None,
-                          signal_name: str = "") -> TnsComparisonReport:
+def tns_domain_experiment(signal: np.ndarray,
+                          cfg: CodecConfig | None = None) -> TnsComparisonReport:
     """Temporal prediction residuals of the same signal in two transform domains.
 
     Both tracks use sine-windowed frames at 50% overlap (analysis and
@@ -84,8 +82,6 @@ def tns_domain_experiment(signal: np.ndarray, cfg: CodecConfig | None = None,
     Reported per frame is the energy of each reconstructed residual signal.
     """
     cfg = cfg or CodecConfig()
-    order = cfg.lpc_order if order is None else order
-    start_bin = cfg.ctns_start_bin if start_bin is None else start_bin
     signal = np.asarray(signal, dtype=float)
     n = cfg.frame_len
     hop = n // 2
@@ -95,22 +91,22 @@ def tns_domain_experiment(signal: np.ndarray, cfg: CodecConfig | None = None,
     frames = sliding_window_view(signal, n)[::hop] * win
 
     coeffs = mdct(frames)
-    res_mdct = imdct(_freq_lp_filter(coeffs, order, start_bin, coeffs.shape[-1] - 1), win)
+    res_mdct = imdct(_freq_lp_filter(coeffs, cfg, coeffs.shape[-1] - 1)) * win
     bins = np.fft.rfft(frames)
-    res_dft = np.fft.irfft(_freq_lp_filter(bins, order, start_bin, bins.shape[-1] - 2), n=n) * win
+    res_dft = np.fft.irfft(_freq_lp_filter(bins, cfg, bins.shape[-1] - 2), n=n) * win
 
     # the frames' overlap-add ends at the signal's last whole hop: one energy per hop
     spec = WindowSpec(n, n // 2, 0.0)
     e_mdct = _frame_energies_db(overlap_add(res_mdct, spec), hop)
     e_dft = _frame_energies_db(overlap_add(res_dft, spec), hop)
-    return TnsComparisonReport(frame_energy_mdct_db=e_mdct, frame_energy_dft_db=e_dft,
-                               hop=hop, signal_name=signal_name)
+    return TnsComparisonReport(frame_energy_mdct_db=e_mdct, frame_energy_dft_db=e_dft, hop=hop)
 
 
-def _freq_lp_filter(coeffs: np.ndarray, order: int, start: int, stop: int) -> np.ndarray:
-    """Prediction-error filtering along the frequency axis of each row with the
-    row's own LP model; silent rows and order zero pass the input through."""
-    return ns.prediction_error_filter(coeffs, lp.fit(coeffs, order), start, stop)
+def _freq_lp_filter(coeffs: np.ndarray, cfg: CodecConfig, stop: int) -> np.ndarray:
+    """Prediction-error filtering along the frequency axis of each row with the row's
+    own LP model, at the codec's CTNS order and start bin; silent rows pass through."""
+    return ns.prediction_error_filter(coeffs, lp.fit(coeffs, cfg.lpc_order),
+                                      cfg.ctns_start_bin, stop)
 
 
 def transient_region_means(report: TnsComparisonReport, attacks, rate: int):

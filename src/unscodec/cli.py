@@ -12,7 +12,7 @@ from . import analysis_metrics as am
 from . import codec, signals
 from .config import CodecConfig, load_config, save_config
 from .polar_quant import design_ecupq_table
-from .resample import CORE_RATE, resample_to_core
+from .resample import resample_to_core
 from .wavio import read_wav, write_wav
 
 EXIT_OK = 0
@@ -35,10 +35,7 @@ def _load_cfg(args, mode=None) -> CodecConfig:
 
 
 def _read_core_audio(path: str) -> np.ndarray:
-    pcm, rate = read_wav(path)
-    if rate != CORE_RATE:
-        pcm = resample_to_core(pcm, rate)
-    return np.clip(pcm, -1.0, 1.0)
+    return np.clip(resample_to_core(*read_wav(path)), -1.0, 1.0)
 
 
 def _cmd_encode(args) -> int:
@@ -75,9 +72,7 @@ def _cmd_decode(args) -> int:
 
 def _cmd_analyze(args) -> int:
     ref = _read_core_audio(args.reference)
-    dec, rate = read_wav(args.decoded)
-    if rate != CORE_RATE:
-        dec = resample_to_core(dec, rate)
+    dec = resample_to_core(*read_wav(args.decoded))
     n = min(ref.size, dec.size)
     report = am.seg_snr(ref[:n], dec[:n])
     print(f"segSNR mean: {report.mean_db:.2f} dB over {report.per_segment_db.size} segments")
@@ -94,14 +89,8 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_tns_compare(args) -> int:
     cfg = _load_cfg(args)
-    if args.input:
-        pcm = _read_core_audio(args.input)
-        name = os.path.basename(args.input)
-        attacks = None
-    else:
-        pcm, attacks = signals.click_train(2.5)
-        name = "synthetic-castanet"
-    report = am.tns_domain_experiment(pcm, cfg, signal_name=name)
+    pcm, attacks = (_read_core_audio(args.input), None) if args.input else signals.click_train(2.5)
+    report = am.tns_domain_experiment(pcm, cfg)
     os.makedirs(args.report_dir, exist_ok=True)
     path = os.path.join(args.report_dir, "tns_compare.csv")
     with open(path, "w") as f:

@@ -197,10 +197,11 @@ def chunks(pcm: np.ndarray, spec):
         yield first, frame_signal(pcm[first * spec.hop:][:span], spec)
 
 
-def add_chunk(out: np.ndarray, first: int, frames: np.ndarray, spec):
-    """Overlap-add the time-domain frames of a chunk from stream frame ``first`` into ``out``."""
-    seg = overlap_add(frames, spec, length=out.size - first * spec.hop)
-    out[first * spec.hop:][:seg.size] += seg
+def add_chunk(out: list, frames: np.ndarray, spec):
+    """Overlap-add a chunk's time-domain frames onto ``out``: finished pieces, then the overlap."""
+    seg = overlap_add(frames, spec)
+    seg[:spec.overlap_len] += out.pop()
+    out += [seg[:-spec.overlap_len], seg[-spec.overlap_len:]]
 
 
 def finite_pcm(pcm: np.ndarray) -> np.ndarray:
@@ -242,9 +243,9 @@ def decode_stream(data: bytes, cfg: CodecConfig | None = None):
         raise StreamError("stream header does not match configuration: " + ", ".join(differ))
 
     ctx, spec = make_pack_context(cfg), cfg.window_spec
-    # a cut, short or overlong stream is refused before the output is allocated
+    # a cut, short or overlong stream is refused before any frame is parsed
     starts = frame_starts(data, frame_count(header.original_length, spec), header.original_length)
-    pcm, flags = np.zeros(header.original_length), []
+    pcm, flags = [np.zeros(spec.overlap_len)], []
     for first in range(0, len(starts), CHUNK_FRAMES):
         chunk = FramePayload.zeros(min(CHUNK_FRAMES, len(starts) - first), ctx)
         for row, frame in enumerate(range(first, first + len(chunk.ctns_flag))):
@@ -252,9 +253,9 @@ def decode_stream(data: bytes, cfg: CodecConfig | None = None):
                 unpack_frame(data, starts[frame], ctx, chunk, row)
             except StreamError as e:
                 raise StreamError(str(e), frame) from None
-        add_chunk(pcm, first, decode_frame_payload(chunk, cfg, ctx), spec)
+        add_chunk(pcm, decode_frame_payload(chunk, cfg, ctx), spec)
         flags += chunk.ctns_flag.tolist()
-    return pcm, header, flags
+    return np.concatenate(pcm)[:header.original_length], header, flags
 
 
 def shaping_roundtrip(pcm: np.ndarray, cfg: CodecConfig) -> np.ndarray:
@@ -267,8 +268,8 @@ def shaping_roundtrip(pcm: np.ndarray, cfg: CodecConfig) -> np.ndarray:
     matches the input to numerical precision.
     """
     pcm, spec = finite_pcm(pcm), cfg.window_spec
-    out = np.zeros(pcm.size)
-    for first, frames in chunks(pcm, spec):  # chunks bound the memory, as in encoding
+    out = [np.zeros(spec.overlap_len)]
+    for _, frames in chunks(pcm, spec):  # chunks bound the memory, as in encoding
         s = analyze_frames(frames, cfg)  # then its rows take their synthesis
-        add_chunk(out, first, synthesize(s.coded, s.env, s.coeffs[s.active], cfg, s.active), spec)
-    return out
+        add_chunk(out, synthesize(s.coded, s.env, s.coeffs[s.active], cfg, s.active), spec)
+    return np.concatenate(out)[:pcm.size]

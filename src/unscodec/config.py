@@ -8,6 +8,7 @@ from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
+from . import lp
 from .polar_quant import DEFAULT_ECUPQ_TABLE, EcupqTable
 from .rate_control import DEFAULT_UPPER_EDGES, MODE_BUDGETS
 from .resample import CORE_RATE
@@ -69,9 +70,9 @@ class CodecConfig:
                 raise ConfigError(f"{name} must be in (0, {top}], not {getattr(self, name)}")
         if not 0.0 <= self.fer_threshold < 1.0:  # a band's FER share lies in [0, 1]
             raise ConfigError(f"fer_threshold must be in [0, 1), not {self.fer_threshold}")
-        if not self.clpc_mag_floor_db < self.clpc_mag_ceil_db:  # else CTNS never engages
+        if not -np.inf < self.clpc_mag_floor_db < self.clpc_mag_ceil_db < np.inf:  # else no grid
             raise ConfigError(f"clpc_mag_floor_db {self.clpc_mag_floor_db} must be below "
-                              f"clpc_mag_ceil_db {self.clpc_mag_ceil_db}")
+                              f"clpc_mag_ceil_db {self.clpc_mag_ceil_db}, both finite")
         if not 0 <= self.ctns_start_bin < self.frame_len // 2:  # else CTNS filters no bin
             raise ConfigError(f"ctns_start_bin must be in 0..{self.frame_len // 2 - 1}, "
                               f"not {self.ctns_start_bin}")
@@ -86,6 +87,12 @@ class CodecConfig:
         for cells in (*self.phase_cells_high, *self.phase_cells_low, self.clpc_phase_cells):
             if cells < 1 or cells & (cells - 1):  # a phase field is log2(cells) bits
                 raise ConfigError(f"phase-cell counts must be powers of two, not {cells}")
+        grid = self.clpc_mag_step_db, self.clpc_mag_floor_db
+        top = lp.clpc_table_size(max(lp.clpc_mag_index_max(*grid, self.clpc_mag_ceil_db),
+                                     self.clpc_phase_cells - 1)) - 1
+        with np.errstate(over="ignore"):  # the last cell of the largest table a stream can ask for
+            if not np.isfinite(lp.clpc_magnitude(*grid, np.float64(top))):
+                raise ConfigError(f"CLPC magnitude cell {top} of the grid's table is not finite")
 
     @property
     def window_spec(self) -> WindowSpec:

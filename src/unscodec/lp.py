@@ -238,11 +238,21 @@ def quantize_complex_lpc(coeffs: np.ndarray, mag_step_db: float, mag_floor_db: f
     return np.stack([np.where(zero, -1, mi), np.where(zero, 0, pi_)], axis=-1)
 
 
+def clpc_table_size(largest_index: int) -> int:
+    """Cells in the CLPC table for indices up to ``largest_index``, padded to share caches."""
+    return 256 * (largest_index // 256 + 1)
+
+
+def clpc_magnitude(mag_step_db: float, mag_floor_db: float, cell: np.number):
+    """CLPC cell ``cell``'s magnitude by numpy scalar power; inf past the float range."""
+    return 10.0 ** ((mag_floor_db + cell * mag_step_db) / 20.0)
+
+
 @functools.lru_cache(maxsize=8)
 def _clpc_cells(mag_step_db: float, mag_floor_db: float, phase_cells: int, size: int):
     """Magnitudes and phasors of CLPC cells 0..size-1 by scalar power and exp (arrays differ)."""
     cells = np.arange(size)
-    mags = np.array([10.0 ** ((mag_floor_db + mi * mag_step_db) / 20.0) for mi in cells])
+    mags = np.array([clpc_magnitude(mag_step_db, mag_floor_db, mi) for mi in cells])
     phasors = np.array([np.exp(1j * t) for t in dequantize_phase(cells, phase_cells)])
     mags.flags.writeable = phasors.flags.writeable = False
     return mags, phasors
@@ -262,7 +272,7 @@ def dequantize_complex_lpc(indices: np.ndarray, mag_step_db: float, mag_floor_db
     mi, pi_ = idx[..., 0], idx[..., 1]
     zero = mi < 0
     mags, phasors = _clpc_cells(mag_step_db, mag_floor_db, phase_cells,
-                                256 * (int(idx.max(initial=0)) // 256 + 1))
+                                clpc_table_size(int(idx.max(initial=0))))
     coeffs = np.where(zero, 0.0, mags[np.where(zero, 0, mi)] * phasors[np.where(zero, 0, pi_)])
     # quantization scatter can push poles of a marginal model toward or over
     # the unit circle, and the decoder-side inverse filter would resonate on

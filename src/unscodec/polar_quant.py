@@ -252,18 +252,6 @@ def design_ecupq_table(rate_target: float = ECUPQ_RATE) -> EcupqTable:
     raise ConvergenceError(f"entropy {entropy:.4f} did not reach {rate_target} +/- {DESIGN_BAND}")
 
 
-def table_entropy_and_mse(table: EcupqTable):
-    """Cell entropy and in-region MSE of a table on the design density."""
-    edges = np.concatenate([[0.0], np.asarray(table.thresholds)])
-    return _cell_stats(edges, np.asarray(table.levels))[2:]
-
-
-def uniform_quantizer_mse() -> float:
-    """MSE of the midpoint-reconstruction uniform 8-cell quantizer on [0, ECUPQ_R7]."""
-    edges = np.linspace(0.0, ECUPQ_R7, 9)
-    return _cell_stats(edges, 0.5 * (edges[:-1] + edges[1:]))[3]
-
-
 # Frozen output of design_ecupq_table() at the default settings; regenerate
 # with the design-ecupq CLI command if the design parameters change.
 DEFAULT_ECUPQ_TABLE = EcupqTable(

@@ -17,7 +17,7 @@ def tone(freq_hz: float, seconds: float, amp: float = 0.5) -> np.ndarray:
 
 
 def harmonic_tone(f0_hz: float, seconds: float, n_partials: int = 8,
-                  amp: float = 0.6, vibrato_hz: float = 5.0) -> np.ndarray:
+                  vibrato_hz: float = 5.0) -> np.ndarray:
     """Sustained harmonic note with mild vibrato; music-like sustained content."""
     n = int(seconds * CORE_RATE)
     t = np.arange(n) / CORE_RATE
@@ -27,11 +27,11 @@ def harmonic_tone(f0_hz: float, seconds: float, n_partials: int = 8,
         if k * f0_hz >= CORE_RATE / 2:
             break
         x += np.sin(k * phase + 0.7 * k) / k
-    return amp * x / np.abs(x).max()
+    return 0.6 * x / np.abs(x).max()
 
 
-def click_train(seconds: float, period_s: float = 0.25, burst_len: int = 1200,
-                amp: float = 0.9, seed: int = 11, start_s: float = 0.1):
+def click_train(seconds: float, period_s: float = 0.25, amp: float = 0.9, seed: int = 11,
+                start_s: float = 0.1):
     """Castanet-style percussive bursts.
 
     Each burst mixes noise with two randomly placed resonant rings under a
@@ -44,14 +44,14 @@ def click_train(seconds: float, period_s: float = 0.25, burst_len: int = 1200,
     x = np.zeros(n)
     attacks = []
     s = int(start_s * CORE_RATE)
-    while s + burst_len < n:
-        t = np.arange(burst_len) / CORE_RATE
-        env = np.exp(-t / 0.002) + 0.5 * np.exp(-t / 0.015) + 0.25 * np.exp(-t / 0.08)
+    t = np.arange(1200) / CORE_RATE  # one burst
+    env = np.exp(-t / 0.002) + 0.5 * np.exp(-t / 0.015) + 0.25 * np.exp(-t / 0.08)
+    while s + t.size < n:
         f1 = rng.uniform(1200.0, 2800.0)
         f2 = rng.uniform(3200.0, 5600.0)
         ring = (0.7 * np.sin(2.0 * np.pi * f1 * t + rng.uniform(0, 6))
                 + 0.4 * np.sin(2.0 * np.pi * f2 * t + rng.uniform(0, 6)))
-        x[s:s + burst_len] += env * (0.6 * rng.standard_normal(burst_len) + ring)
+        x[s:s + t.size] += env * (0.6 * rng.standard_normal(t.size) + ring)
         attacks.append(s)
         s += int(period_s * CORE_RATE)
     peak = np.abs(x).max()
@@ -60,7 +60,7 @@ def click_train(seconds: float, period_s: float = 0.25, burst_len: int = 1200,
     return x, attacks
 
 
-def speechish(seconds: float, amp: float = 0.55, seed: int = 5) -> np.ndarray:
+def speechish(seconds: float, seed: int = 5) -> np.ndarray:
     """Amplitude-modulated low-passed noise plus a wandering buzz; rough vocal
     texture with syllabic energy bursts."""
     rng = np.random.default_rng(seed)
@@ -76,29 +76,10 @@ def speechish(seconds: float, amp: float = 0.55, seed: int = 5) -> np.ndarray:
     syllables = np.clip(np.sin(2.0 * np.pi * 3.1 * t) + 0.4 * np.sin(2.0 * np.pi * 0.7 * t), 0.0, None)
     buzz = 0.35 * np.sin(2.0 * np.pi * (120.0 + 25.0 * np.sin(2.0 * np.pi * 0.5 * t)) * t)
     x = (lp + buzz) * syllables
-    return amp * x / np.abs(x).max()
+    return 0.55 * x / np.abs(x).max()
 
 
-def attack_then_sustain(seconds: float = 2.0, attack_s: float = 0.8, amp: float = 0.9,
-                        seed: int = 23):
-    """A quiet sustained tone interrupted by one sharp, fast-decaying attack.
-
-    The attack dies within a few milliseconds, so the surrounding signal is
-    quiet; spread-out quantization noise from coding the attack frame is then
-    directly visible next to it.  Returns (signal, attack_sample_index).
-    """
-    rng = np.random.default_rng(seed)
-    n = int(seconds * CORE_RATE)
-    attack = int(attack_s * CORE_RATE)
-    t = np.arange(n) / CORE_RATE
-    x = 0.04 * np.sin(2.0 * np.pi * 523.0 * t)
-    burst = int(0.01 * CORE_RATE)
-    decay = np.exp(-np.arange(burst) / (0.0025 * CORE_RATE))
-    x[attack:attack + burst] += decay * rng.standard_normal(burst)
-    return amp * x / np.abs(x).max(), attack
-
-
-def organ_chord(seconds: float, amp: float = 0.6) -> np.ndarray:
+def organ_chord(seconds: float) -> np.ndarray:
     """Three-voice sustained chord with slow tremolo and a soft breath floor."""
     n = int(seconds * CORE_RATE)
     t = np.arange(n) / CORE_RATE
@@ -109,7 +90,7 @@ def organ_chord(seconds: float, amp: float = 0.6) -> np.ndarray:
             x += w * trem * np.sin(2.0 * np.pi * k * f0 * t + 1.3 * k) / (k * k)
     rng = np.random.default_rng(17)
     x += 0.004 * rng.standard_normal(n)
-    return amp * x / np.abs(x).max()
+    return 0.6 * x / np.abs(x).max()
 
 
 def mixed_corpus(seconds_total: float = 30.0):

@@ -110,21 +110,16 @@ def _mdct_basis(half: int) -> np.ndarray:
     return basis
 
 
-def mdct(x: np.ndarray, window: np.ndarray | None = None) -> np.ndarray:
+def mdct(x: np.ndarray) -> np.ndarray:
     """MDCT of a 2N-sample block to N real coefficients, along the last axis."""
     x = np.asarray(x, dtype=float)
     if x.shape[-1] % 2 != 0:
         raise ValueError("MDCT input length must be even")
-    if window is not None:
-        x = x * window
     return x @ _mdct_basis(x.shape[-1] // 2)
 
 
-def imdct(coeffs: np.ndarray, window: np.ndarray | None = None) -> np.ndarray:
+def imdct(coeffs: np.ndarray) -> np.ndarray:
     """Inverse MDCT to a 2N-sample block, aliased until overlap-added, along the last axis."""
     coeffs = np.asarray(coeffs, dtype=float)
     half = coeffs.shape[-1]
-    y = (2.0 / half) * (coeffs @ _mdct_basis(half).T)
-    if window is not None:
-        y = y * window
-    return y
+    return (2.0 / half) * (coeffs @ _mdct_basis(half).T)

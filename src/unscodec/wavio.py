@@ -36,6 +36,8 @@ def read_wav(path: str):
                 raise WavFormatError("fmt chunk too short")
             fmt = struct.unpack("<HHIIHH", body[:16])
         elif cid == b"data":
+            if len(body) < size:  # cut short by the end of the file
+                raise WavFormatError(f"data chunk declares {size} bytes but holds {len(body)}")
             payload = body
         pos += 8 + size + (size & 1)
 

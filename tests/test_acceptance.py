@@ -16,7 +16,9 @@ from unscodec.config import CodecConfig
 from unscodec.entropy_bitstream import StreamHeader
 from unscodec.transforms import frame_signal, overlap_add
 
+from test_codec import attack_then_sustain
 from test_entropy_bitstream import unpack_one
+from test_polar_quant import table_entropy_and_mse, uniform_quantizer_mse
 
 CFG12 = CodecConfig(mode="12k")
 CFG16 = CodecConfig(mode="16k")
@@ -100,8 +102,8 @@ def test_criterion_2_quantizer_contracts():
 
 
 def test_criterion_3_table_design():
-    entropy, mse = pq.table_entropy_and_mse(pq.DEFAULT_ECUPQ_TABLE)
-    uniform = pq.uniform_quantizer_mse()
+    entropy, mse = table_entropy_and_mse(pq.DEFAULT_ECUPQ_TABLE)
+    uniform = uniform_quantizer_mse()
     ok = abs(entropy - 2.495) <= 0.05 and mse <= uniform
     assert report("criterion 3 (table design)", ok,
                   f"entropy {entropy:.4f} (2.495 +/- 0.05), "
@@ -109,7 +111,7 @@ def test_criterion_3_table_design():
 
 
 def test_criterion_4_ctns_switching_and_noise():
-    pcm, attack = signals.attack_then_sustain()
+    pcm, attack = attack_then_sustain()
     cfg_fdns = replace(CFG12, ctns_enabled=False)
     blob_u, stats_u = codec.encode_stream(pcm, CFG12)
     out_u, _, flags = codec.decode_stream(blob_u, CFG12)
@@ -134,7 +136,7 @@ def test_criterion_4_ctns_switching_and_noise():
 
 def test_criterion_5_transform_domain_comparison():
     pcm, attacks = signals.click_train(2.5)
-    rep = am.tns_domain_experiment(pcm, CFG12, signal_name="synthetic-castanet")
+    rep = am.tns_domain_experiment(pcm, CFG12)
     mdct_db, dft_db = am.transient_region_means(rep, attacks, CFG12.sample_rate)
     margin = mdct_db - dft_db
     ok = margin >= 3.0

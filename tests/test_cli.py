@@ -97,7 +97,12 @@ def riff(chunks, form=b"WAVE"):
     (riff([(b"fmt ", struct.pack("<HHIIHH", 1, 1, 8000, 16000, 2, 16))]), "missing data chunk"),
     (riff([(b"fmt ", struct.pack("<HHIIHH", 1, 3, 8000, 48000, 6, 16)), (b"data", b"\0" * 6)]),
      "unsupported channel count 3"),
-], ids=["short", "not-wave", "short-fmt", "cut-fmt", "no-data", "3-channel"])
+    (riff([(b"fmt ", struct.pack("<HHIIHH", 1, 1, 8000, 16000, 2, 16)), (b"data", b"\0" * 1000)])
+     [:-994], "data chunk declares 1000 bytes but holds 6"),  # was read as 3 samples
+    (riff([(b"fmt ", struct.pack("<HHIIHH", 1, 1, 8000, 16000, 2, 16)), (b"data", b"\0" * 1000)])
+     [:-995], "data chunk declares 1000 bytes but holds 5"),
+], ids=["short", "not-wave", "short-fmt", "cut-fmt", "no-data", "3-channel", "cut-data",
+        "cut-data-odd"])
 def test_wav_rejects_malformed_files(tmp_path, data, message):
     path = str(tmp_path / "m.wav")
     with open(path, "wb") as f:
@@ -251,6 +256,25 @@ def test_config_rejects_bad_values_at_construction(tmp_path):
         f.write("clpc_phase_cells = 48\n")
     with pytest.raises(ConfigError, match=f"{path}: .*powers of two"):
         load_config(path)
+
+
+def test_config_rejects_a_clpc_grid_whose_table_overflows():
+    # the dequantizer's cell table covers the largest magnitude and phase index,
+    # padded to 256 cells; an infinite cell in it made the stability guard raise
+    # LinAlgError, so the last grid that keeps it finite must decode its top cell
+    from unscodec import lp
+    from unscodec.config import ConfigError
+    for kwargs in (dict(clpc_mag_ceil_db=6084.0), dict(clpc_mag_ceil_db=7000.0),
+                   dict(clpc_phase_cells=16384), dict(clpc_mag_step_db=float("inf")),
+                   dict(clpc_mag_floor_db=-float("inf")), dict(clpc_mag_ceil_db=float("inf"))):
+        with pytest.raises(ConfigError):
+            CodecConfig(**kwargs)
+    for cfg in (CodecConfig(clpc_mag_ceil_db=6083.5), CodecConfig(clpc_phase_cells=8192)):
+        top = lp.clpc_mag_index_max(cfg.clpc_mag_step_db, cfg.clpc_mag_floor_db,
+                                    cfg.clpc_mag_ceil_db)
+        idx = np.zeros((2, cfg.lpc_order, 2), dtype=int)
+        idx[0, 0], idx[1, :, 1] = (top, 0), cfg.clpc_phase_cells - 1
+        assert np.isfinite(codec.derive_clpc(idx, cfg)).all()
 
 
 # save_config(CodecConfig()) as written before the frame layout and the wire

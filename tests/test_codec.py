@@ -11,6 +11,7 @@ from hypothesis import example, given, strategies as st
 from unscodec import codec, polar_quant as pq, signals
 from unscodec.config import CodecConfig
 from unscodec.entropy_bitstream import StreamError, StreamHeader, pack_frame
+from unscodec.resample import CORE_RATE
 from unscodec.transforms import frame_count, frame_signal, overlap_add
 
 from test_entropy_bitstream import unpack_one
@@ -20,6 +21,24 @@ from test_frame_reference import ref_decode_frame
 CFG12 = CodecConfig(mode="12k")
 CFG16 = CodecConfig(mode="16k")
 CTX12 = codec.make_pack_context(CFG12)
+
+
+def attack_then_sustain(seconds=2.0, attack_s=0.8, amp=0.9, seed=23):
+    """A quiet sustained tone interrupted by one sharp, fast-decaying attack.
+
+    The attack dies within a few milliseconds, so the surrounding signal is
+    quiet; spread-out quantization noise from coding the attack frame is then
+    directly visible next to it.  Returns (signal, attack_sample_index).
+    """
+    rng = np.random.default_rng(seed)
+    n = int(seconds * CORE_RATE)
+    attack = int(attack_s * CORE_RATE)
+    t = np.arange(n) / CORE_RATE
+    x = 0.04 * np.sin(2.0 * np.pi * 523.0 * t)
+    burst = int(0.01 * CORE_RATE)
+    decay = np.exp(-np.arange(burst) / (0.0025 * CORE_RATE))
+    x[attack:attack + burst] += decay * rng.standard_normal(burst)
+    return amp * x / np.abs(x).max(), attack
 
 
 def test_silence_frame_payload_is_minimal():
@@ -212,6 +231,15 @@ def test_output_is_sized_by_the_frames_present():
     assert decode_peak_bytes(longest) <= 1.1 * decode_peak_bytes(cut)
 
 
+def test_forged_empty_frames_are_refused_before_their_output_is_allocated():
+    # 200,000 four-byte frames pass the length-prefix walk under a header that
+    # matches them and claim 154 M samples (1.2 GB); the output grows only by
+    # the chunks decoded, so frame 0's refusal costs the walk's offsets and one chunk
+    spec, n = CFG12.window_spec, 200_000
+    data = codec.stream_header(CFG12, (n - 1) * spec.hop + spec.frame_len).pack() + bytes(4 * n)
+    assert decode_peak_bytes(data) <= 16e6
+
+
 def test_decode_rejects_truncated_stream():
     pcm = signals.tone(500.0, 0.5)
     blob, _ = codec.encode_stream(pcm, CFG12)
@@ -396,7 +424,7 @@ def test_ctns_disabled_config_never_flags():
 
 
 def test_post_attack_noise_lower_with_ctns():
-    pcm, attack = signals.attack_then_sustain()
+    pcm, attack = attack_then_sustain()
     cfg_fdns = replace(CFG12, ctns_enabled=False)
     out_uns, _, _ = codec.decode_stream(codec.encode_stream(pcm, CFG12)[0], CFG12)
     out_fdns, _, _ = codec.decode_stream(codec.encode_stream(pcm, cfg_fdns)[0], cfg_fdns)

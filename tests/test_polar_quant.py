@@ -11,6 +11,18 @@ EDGES = CFG.band_edges
 BAND_RANGES = list(zip((0,) + EDGES[:-1], EDGES))
 
 
+def table_entropy_and_mse(table):
+    """Cell entropy and in-region MSE of a table on the design density."""
+    edges = np.concatenate([[0.0], np.asarray(table.thresholds)])
+    return pq._cell_stats(edges, np.asarray(table.levels))[2:]
+
+
+def uniform_quantizer_mse():
+    """MSE of the midpoint-reconstruction uniform 8-cell quantizer on [0, ECUPQ_R7]."""
+    edges = np.linspace(0.0, pq.ECUPQ_R7, 9)
+    return pq._cell_stats(edges, 0.5 * (edges[:-1] + edges[1:]))[3]
+
+
 def fer_of(values_db):
     return pq.compute_fer(values_db, EDGES)
 
@@ -222,6 +234,6 @@ def test_design_refuses_an_unreachable_rate():
 
 
 def test_design_entropy_band_and_mse():
-    entropy, mse = pq.table_entropy_and_mse(TABLE)
+    entropy, mse = table_entropy_and_mse(TABLE)
     assert abs(entropy - 2.495) <= 0.05
-    assert mse <= pq.uniform_quantizer_mse()
+    assert mse <= uniform_quantizer_mse()
