@@ -16,7 +16,7 @@ import numpy as np
 from . import lp, noise_shaping as ns, polar_quant as pq, rate_control as rc
 from .config import CodecConfig
 from .entropy_bitstream import (FramePayload, PackContext, StreamError, StreamHeader,
-                                frame_starts, pack_frame, unpack_frame)
+                                frame_bounds, pack_frame, unpack_fields, unpack_frame)
 from .transforms import frame_count, frame_signal, overlap_add
 
 # the divisor of each integer gain SF_MIN_DB..SF_MAX_DB, by Python's float
@@ -91,7 +91,6 @@ def make_pack_context(cfg: CodecConfig) -> PackContext:
         clpc_mag_alphabet=lp.clpc_mag_index_max(
             cfg.clpc_mag_step_db, cfg.clpc_mag_floor_db, cfg.clpc_mag_ceil_db) + 2,
         clpc_phase_bits=cfg.clpc_phase_cells.bit_length() - 1,
-        resolve_contrast=lambda lsf: derive_shaping(lsf, cfg)[1],
     )
 
 
@@ -182,8 +181,8 @@ def encode_frames(frames: np.ndarray, cfg: CodecConfig, ctx: PackContext, first:
 
 
 def decode_frame_payload(chunk: FramePayload, cfg: CodecConfig, ctx: PackContext) -> np.ndarray:
-    """A chunk record's time-domain frames, one row each: each frame's envelope, as unpack derives
-    the contrast flags, then one stacked dequantization, CTNS inverse and synthesis."""
+    """A chunk record's time-domain frames, one row each: each frame's envelope, as decode_stream
+    derives the contrast flags, then one stacked dequantization, CTNS inverse and synthesis."""
     env = np.array([derive_shaping(lsf, cfg)[0] for lsf in chunk.lsf_indices])
     active = chunk.ctns_flag
     coeffs = derive_clpc(chunk.clpc_indices[active], cfg) if active.any() else None
@@ -244,15 +243,25 @@ def decode_stream(data: bytes, cfg: CodecConfig | None = None):
 
     ctx, spec = make_pack_context(cfg), cfg.window_spec
     # a cut, short or overlong stream is refused before any frame is parsed
-    starts = frame_starts(data, frame_count(header.original_length, spec), header.original_length)
+    bounds = frame_bounds(data, frame_count(header.original_length, spec), header.original_length)
     pcm, flags = [np.zeros(spec.overlap_len)], []
-    for first in range(0, len(starts), CHUNK_FRAMES):
-        chunk = FramePayload.zeros(min(CHUNK_FRAMES, len(starts) - first), ctx)
-        for row, frame in enumerate(range(first, first + len(chunk.ctns_flag))):
-            try:
-                unpack_frame(data, starts[frame], ctx, chunk, row)
-            except StreamError as e:
-                raise StreamError(str(e), frame) from None
+    for first in range(0, len(bounds) - 1, CHUNK_FRAMES):
+        chunk = FramePayload.zeros(min(CHUNK_FRAMES, len(bounds) - 1 - first), ctx)
+        at, fault = [], None  # pass 1 per frame, up to the first that fails
+        try:
+            for row, start in enumerate(bounds[first:first + len(chunk.ctns_flag)]):
+                at.append(unpack_frame(data, start, ctx, chunk, row))
+        except StreamError as e:
+            fault = e
+        # the flags set pass 2's field widths; its rows precede a pass-1 fault, so theirs come first
+        for row, lsf in enumerate(chunk.lsf_indices[:len(at)]):
+            chunk.contrast[row] = derive_shaping(lsf, cfg)[1]
+        bad = unpack_fields(data, at, bounds[first + 1:first + 1 + len(at)], ctx, chunk)
+        if bad.any():
+            raise StreamError("raw section length does not match its fields",
+                              first + int(np.argmax(bad)))
+        if fault:
+            raise StreamError(str(fault), first + len(at)) from None
         add_chunk(pcm, decode_frame_payload(chunk, cfg, ctx), spec)
         flags += chunk.ctns_flag.tolist()
     return np.concatenate(pcm)[:header.original_length], header, flags

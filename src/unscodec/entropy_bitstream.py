@@ -63,17 +63,27 @@ def _raw_bytes(values, widths) -> bytes:
     return np.packbits(bits.astype(np.uint8)).tobytes()
 
 
-def _read_fields(bits: np.ndarray, pos: int, widths):
-    """One field per width (0 reads nothing and gives 0), MSB first, read from the bit
-    array ``bits`` at bit offset ``pos``; bits past its end read as zero.  Returns
+def _read_fields(raw: int, end: int, pos: int, widths):
+    """One field per width (0 reads nothing and gives 0), MSB first, read from the ``end``-bit
+    integer ``raw`` at bit offset ``pos``; bits past its end read as zero.  Returns
     (values, offset past the fields)."""
-    widths = np.asarray(widths, dtype=np.int64)
-    total = int(widths.sum())
-    shifts = widths[:, None] - 1 - np.arange(int(widths.max(initial=0)))
-    grid = np.zeros(shifts.shape, dtype=np.int64)
-    read = bits[pos:pos + total]
-    grid[shifts >= 0] = np.concatenate([read, np.zeros(total - read.size, dtype=read.dtype)])
-    return (grid << np.maximum(shifts, 0)).sum(axis=1), pos + total
+    stops = list(accumulate(widths, initial=pos))  # the offset past each field
+    return [(raw << stop >> end) & ((1 << w) - 1) for stop, w in zip(stops[1:], widths)], stops[-1]
+
+
+def _read_rows(data: bytes, starts, ends, widths: np.ndarray) -> np.ndarray:
+    """Each row of ``widths`` as fields (0 reads nothing and gives 0), MSB first and in order,
+    read from ``data`` at bit offset ``starts[r]``; bits at or past bit offset ``ends[r]`` (at
+    most ``8 * len(data)``) read as zero.  Returns one row of values per row of widths."""
+    lo, hi = min(starts, default=0) // 8, -(-max(ends, default=0) // 8)  # the bytes read
+    bits = np.unpackbits(np.frombuffer(data[lo:hi], np.uint8))
+    first = np.cumsum(widths, axis=1) - widths + (np.asarray(starts, np.int64) - 8 * lo)[:, None]
+    ends = np.asarray(ends, np.int64)[:, None] - 8 * lo
+    values = np.zeros(widths.shape, dtype=np.int64)
+    for k in range(int(widths.max(initial=0))):  # the k-th bit of every field at once
+        take = (k < widths) & (first + k < ends)
+        values[take] |= bits[first[take] + k].astype(np.int64) << (widths[take] - 1 - k)
+    return values
 
 
 def flat_model(n_symbols: int) -> tuple:
@@ -254,15 +264,15 @@ class RangeDecoder:
         return out
 
 
-def exp_golomb_decode(bits: np.ndarray, pos: int):
-    """Read one Exp-Golomb (k = 2) codeword, as pack writes each escape, from the bit
-    array ``bits`` at bit offset ``pos``; returns (value, offset past it)."""
-    ones = np.flatnonzero(bits[pos:pos + 61])
-    if not ones.size:  # longer prefixes give values beyond a 64-bit index
+def exp_golomb_decode(raw: int, end: int, pos: int):
+    """Read one Exp-Golomb (k = 2) codeword, as pack writes each escape, from the ``end``-bit
+    integer ``raw`` at bit offset ``pos``; returns (value, offset past it)."""
+    (window,), _ = _read_fields(raw, end, pos, [61])
+    if not window:  # longer prefixes give values beyond a 64-bit index
         raise StreamError("runaway Exp-Golomb prefix")
-    zeros = int(ones[0])
-    (tail,), pos = _read_fields(bits, pos + zeros + 1, [zeros + 2])
-    return (1 << (zeros + 2)) + int(tail) - 4, pos
+    zeros = 61 - window.bit_length()
+    (tail,), pos = _read_fields(raw, end, pos + zeros + 1, [zeros + 2])
+    return (1 << (zeros + 2)) + tail - 4, pos
 
 
 @dataclass
@@ -347,9 +357,6 @@ class PackContext:
     """The frame layout and wire alphabets shared by pack, unpack and the
     codec's two ends (``codec.make_pack_context`` derives them from a config).
 
-    ``resolve_contrast`` maps decoded LSF indices to the per-band
-    high-contrast flags unpack needs to parse the phases, from the same
-    quantized model as the encoder's flags, which pack reads off the payload.
     The first and last coded bins (DC and Nyquist) are real-valued.  The
     per-bin tables, phase-field widths and the LSF and CLPC-magnitude
     (cums, bank_of) models are derived once, at construction.
@@ -361,7 +368,6 @@ class PackContext:
     lsf_alphabet: int          # LSF indices and their deltas
     clpc_mag_alphabet: int     # the zero cell, then the dB grid
     clpc_phase_bits: int
-    resolve_contrast: "callable"
     lsf_model: tuple = field(init=False, repr=False, compare=False)
     clpc_mag_model: tuple = field(init=False, repr=False, compare=False)
     band_slices: list = field(init=False, repr=False, compare=False)
@@ -426,76 +432,76 @@ def pack_frame(payload: FramePayload, row: int, ctx: PackContext, stats_out: dic
     return struct.pack("<HH", len(arith_bytes), len(raw_bytes)) + arith_bytes + raw_bytes
 
 
-def frame_starts(data: bytes, count: int, length: int) -> list:
-    """The byte offset of each of the ``count`` frames after the header, walked by their
-    u16 length prefixes alone.  A prefix or payload cut short raises ``StreamError`` with
-    the frame's number, as do data that hold fewer or more frames than ``count``, the
-    frames the header's ``length`` samples need."""
+def frame_bounds(data: bytes, count: int, length: int) -> list:
+    """The byte offset of each of the ``count`` frames after the header, then of the end of the
+    last, walked by their u16 length prefixes alone.  A prefix or payload cut short raises
+    ``StreamError`` with the frame's number, as do data that hold fewer or more frames than
+    ``count``, the frames the header's ``length`` samples need."""
     need = f"the {count} frames the header's {length} samples need"
-    starts, pos = [], StreamHeader.size()
-    while len(starts) < count and pos < len(data):
+    bounds, pos = [StreamHeader.size()], StreamHeader.size()
+    while len(bounds) <= count and pos < len(data):
         if len(data) - pos < 4:
-            raise StreamError("truncated frame prefix", len(starts))
-        starts.append(pos)
+            raise StreamError("truncated frame prefix", len(bounds) - 1)
         pos += 4 + sum(struct.unpack_from("<HH", data, pos))
         if pos > len(data):
-            raise StreamError("truncated frame payload", len(starts) - 1)
-    if len(starts) < count:
-        raise StreamError(f"stream ends after {len(starts)} of {need}")
+            raise StreamError("truncated frame payload", len(bounds) - 1)
+        bounds.append(pos)
+    if len(bounds) <= count:
+        raise StreamError(f"stream ends after {len(bounds) - 1} of {need}")
     if pos < len(data):
         raise StreamError(f"bytes follow {need}")
-    return starts
+    return bounds
 
 
 def unpack_frame(data: bytes, pos: int, ctx: PackContext, chunk: FramePayload, row: int) -> int:
-    """Parse the frame at byte offset ``pos`` into row ``row`` of ``chunk``; returns the
-    offset past it.  A malformed frame raises ``StreamError`` (which ``codec.decode_stream``
-    tags with the frame's number) before anything is written to the row."""
-    if len(data) - pos < 4:
-        raise StreamError("truncated frame prefix")
+    """Pass 1 of a frame's parse: range-decode the frame at byte offset ``pos``, whose bounds
+    ``frame_bounds`` has checked, and read its raw fields before the phases (flag, CLPC phases,
+    escapes) into row ``row`` of ``chunk``; returns the bit offset in ``data`` where its phase
+    fields start.  A malformed frame raises ``StreamError`` before anything is written to it."""
     arith_len, raw_len = struct.unpack_from("<HH", data, pos)
-    split, end = pos + 4 + arith_len, pos + 4 + arith_len + raw_len
-    if len(data) < end:
-        raise StreamError("truncated frame payload")
+    split = pos + 4 + arith_len
     dec = RangeDecoder(data[pos + 4:split])
-    bits = np.unpackbits(np.frombuffer(data, np.uint8, raw_len, split))  # the raw section
+    raw, end = int.from_bytes(data[split:split + raw_len], "big"), 8 * raw_len
 
-    lsf = np.cumsum(dec.decode(ctx.lpc_order, *ctx.lsf_model), dtype=int)
-    if np.any(lsf >= ctx.lsf_alphabet):
+    lsf = list(accumulate(dec.decode(ctx.lpc_order, *ctx.lsf_model)))
+    if lsf[-1] >= ctx.lsf_alphabet:  # the deltas are never negative
         raise StreamError("LSF index out of range")
 
-    (flag,), at = _read_fields(bits, 0, [1])
-    flag, clpc = bool(flag), 0  # a row without the flag holds no CLPC indices
+    (flag,), at = _read_fields(raw, end, 0, [1])
+    clpc = 0  # a row without the flag holds no CLPC indices
     if flag:
-        mags = np.array(dec.decode(ctx.lpc_order, *ctx.clpc_mag_model), dtype=int) - 1
-        phases, at = _read_fields(bits, at, np.where(mags >= 0, ctx.clpc_phase_bits, 0))
-        clpc = np.stack([mags, phases], axis=1)
+        mags = [m - 1 for m in dec.decode(ctx.lpc_order, *ctx.clpc_mag_model)]
+        phases, at = _read_fields(raw, end, at, [ctx.clpc_phase_bits * (m >= 0) for m in mags])
+        clpc = list(zip(mags, phases))
 
-    deltas = dec.decode(len(ctx.band_sizes), *SF_DELTA_MODEL)
-    sf = np.cumsum(np.array(deltas, dtype=int) - _SF_OFFSET)
-    if np.any((sf < SF_MIN_DB) | (sf > SF_MAX_DB)):
+    sf = list(accumulate(d - _SF_OFFSET for d in dec.decode(len(ctx.band_sizes), *SF_DELTA_MODEL)))
+    if min(sf) < SF_MIN_DB or max(sf) > SF_MAX_DB:
         raise StreamError("scale factor index out of range")
 
-    index1 = np.array(dec.decode(ctx.real_mask.size, *INDEX1_MODEL), dtype=int)
-    escapes = index1 == ESCAPE_INDEX
+    index1 = dec.decode(ctx.real_mask.size, *INDEX1_MODEL)
     values = []
-    for _ in range(np.count_nonzero(escapes)):
-        value, at = exp_golomb_decode(bits, at)
+    for _ in range(index1.count(ESCAPE_INDEX)):
+        value, at = exp_golomb_decode(raw, end, at)
         values.append(value + OUTLIER_MIN)
     if max(values, default=0) > OUTLIER_MAX:  # the encoder clips index 2 to it
         raise StreamError(f"escape index 2 above {OUTLIER_MAX}")
-
-    contrast = ctx.resolve_contrast(lsf)
-    widths = ctx.field_widths(index1, contrast)
-    fields, at = _read_fields(bits, at, widths)
-    # each section is consumed exactly, to within its last byte's padding
+    # the range section is consumed exactly, to within its last byte's padding
     if not 8 * arith_len - 7 <= dec.consumed_bits <= 8 * arith_len:
         raise StreamError("range section length does not match its symbols")
-    if not 8 * raw_len - 8 < at <= 8 * raw_len:
-        raise StreamError("raw section length does not match its fields")
     chunk.lsf_indices[row], chunk.ctns_flag[row], chunk.clpc_indices[row] = lsf, flag, clpc
     chunk.sf_indices[row], chunk.index1[row], chunk.index2[row] = sf, index1, 0
-    chunk.index2[row, escapes] = values
-    chunk.phase[row] = np.where(ctx.real_mask | (widths == 0), -1, fields)
-    chunk.sign[row], chunk.contrast[row] = np.where(ctx.real_mask, fields, -1), contrast
-    return end
+    chunk.index2[row, chunk.index1[row] == ESCAPE_INDEX] = values
+    return 8 * split + at
+
+
+def unpack_fields(data: bytes, at, ends, ctx: PackContext, chunk: FramePayload) -> np.ndarray:
+    """Pass 2 of a chunk's parse, once its contrast flags are set: read the phase and sign fields
+    of its first ``len(at)`` rows as one stack, each from ``unpack_frame``'s bit offset ``at`` to
+    its frame's end (byte offset ``ends``); returns which rows' fields miss their last byte."""
+    widths = ctx.field_widths(chunk.index1[:len(at)], chunk.contrast[:len(at)])
+    ends = 8 * np.asarray(ends, dtype=np.int64)
+    fields = _read_rows(data, at, ends, widths)
+    chunk.phase[:len(at)] = np.where(ctx.real_mask | (widths == 0), -1, fields)
+    chunk.sign[:len(at)] = np.where(ctx.real_mask, fields, -1)
+    stop = np.asarray(at, dtype=np.int64) + widths.sum(axis=1)
+    return (stop <= ends - 8) | (stop > ends)

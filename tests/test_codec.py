@@ -1,7 +1,7 @@
 import hashlib
 import struct
 import tracemalloc
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +10,8 @@ from hypothesis import example, given, strategies as st
 
 from unscodec import codec, polar_quant as pq, signals
 from unscodec.config import CodecConfig
-from unscodec.entropy_bitstream import StreamError, StreamHeader, pack_frame
+from unscodec.entropy_bitstream import (FramePayload, StreamError, StreamHeader, frame_bounds,
+                                        pack_frame)
 from unscodec.resample import CORE_RATE
 from unscodec.transforms import frame_count, frame_signal, overlap_add
 
@@ -82,7 +83,7 @@ def test_2048_sample_frames_code_indices_after_a_halving():
         "d23d092b00d1a4ea804cc4a55b176e5aa6b73cba3bf98090ca4b36c8798ca434")
     ctx, pos = codec.make_pack_context(cfg), StreamHeader.size()
     for _ in stats:
-        payload, pos = unpack_one(blob, pos, ctx)
+        payload, pos = unpack_one(blob, pos, ctx, cfg)
         assert np.flatnonzero(payload.index1[0]).min(initial=1023) >= 1023
         assert payload.index1[0, 1023:].any()
     out, _, _ = codec.decode_stream(blob, cfg)
@@ -307,26 +308,54 @@ def broken_frame(payload, kind):
         payload.index1[0, 5], payload.index2[0, 5] = pq.ESCAPE_INDEX, pq.OUTLIER_MAX + 1
     if kind == "lsf":  # LSF deltas in range that add up beyond the largest index
         payload.lsf_indices[0] = CTX12.lsf_alphabet // 2 * np.arange(1, CFG12.lpc_order + 1)
-    return pack_frame(payload, 0, CTX12, {})
+    frame = pack_frame(payload, 0, CTX12, {})
+    if kind == "raw":  # a raw section one byte longer than its fields
+        arith_len, raw_len = struct.unpack_from("<HH", frame)
+        frame = struct.pack("<HH", arith_len, raw_len + 1) + frame[4:] + b"\0"
+    return frame
+
+
+def broken_stream(blob, faults):
+    """``blob`` with frame k rebuilt by ``broken_frame`` for each (k, kind) in ``faults``."""
+    ends = frame_ends(blob)
+    starts = [StreamHeader.size()] + ends[:-1]
+    return blob[:starts[0]] + b"".join(
+        broken_frame(unpack_one(blob, start, CTX12)[0], faults[k]) if k in faults
+        else blob[start:end] for k, (start, end) in enumerate(zip(starts, ends)))
+
+
+RAW_FAULT = "raw section length does not match its fields"
 
 
 @pytest.mark.parametrize("kind, message", [
     ("truncated", "truncated frame payload"),
     ("escape", f"escape index 2 above {pq.OUTLIER_MAX}"),
     ("lsf", "LSF index out of range"),
-], ids=["truncated", "escape", "lsf"])
+    ("raw", RAW_FAULT),
+], ids=["truncated", "escape", "lsf", "raw"])
 def test_decode_names_the_failing_frame(kind, message):
-    # unpack_frame reports what is wrong; decode_stream adds which frame it is
+    # unpack reports what is wrong; decode_stream adds which frame it is
     blob, _ = codec.encode_stream(signals.speechish(1.0), CFG12)
-    ends = frame_ends(blob)
-    start, end = ends[2], ends[3]
     if kind == "truncated":
-        broken = blob[:start + 10]
+        broken = blob[:frame_ends(blob)[2] + 10]
     else:
-        payload, _ = unpack_one(blob, start, CTX12)
-        broken = blob[:start] + broken_frame(payload, kind) + blob[end:]
+        broken = broken_stream(blob, {3: kind})
     with pytest.raises(StreamError, match=f"^frame 3: {message}$") as exc:
         codec.decode_stream(broken, CFG12)
+    assert exc.value.frame_index == 3
+
+
+@pytest.mark.parametrize("faults, message", [
+    ({3: "raw", 5: "lsf"}, RAW_FAULT),
+    ({3: "lsf", 5: "raw"}, "LSF index out of range"),
+], ids=["raw-then-lsf", "lsf-then-raw"])
+def test_decode_names_the_first_failing_frame_of_a_chunk(faults, message):
+    # frame 3's raw length is checked in the chunk's second pass, after frame 5
+    # failed the first; the error is still the first faulty frame's, in stream order
+    blob, _ = codec.encode_stream(signals.speechish(1.0), CFG12)
+    assert len(frame_ends(blob)) <= codec.CHUNK_FRAMES
+    with pytest.raises(StreamError, match=f"^frame 3: {message}$") as exc:
+        codec.decode_stream(broken_stream(blob, faults), CFG12)
     assert exc.value.frame_index == 3
 
 
@@ -500,6 +529,57 @@ def test_bit_flips_are_refused_or_decode_near_full_scale(cfg, seed):
         assert out.size == pcm.size
         assert np.all(np.isfinite(out))
         assert np.max(np.abs(out)) <= 10.0
+
+
+def decode_frame_by_frame(data, cfg):
+    """``decode_stream`` with each frame parsed on its own, through both passes on a 1-row
+    chunk, and the parsed rows then synthesized in chunks; returns (pcm, header, flags)."""
+    header, ctx, spec = StreamHeader.unpack(data), codec.make_pack_context(cfg), cfg.window_spec
+    bounds = frame_bounds(data, frame_count(header.original_length, spec), header.original_length)
+    rows = []
+    for frame, start in enumerate(bounds[:-1]):
+        try:
+            rows.append(unpack_one(data, start, ctx, cfg)[0])
+        except StreamError as e:
+            raise StreamError(str(e), frame) from None
+    pcm = [np.zeros(spec.overlap_len)]
+    for first in range(0, len(rows), codec.CHUNK_FRAMES):
+        group = rows[first:first + codec.CHUNK_FRAMES]
+        chunk = FramePayload(**{f.name: np.concatenate([getattr(r, f.name) for r in group])
+                                for f in fields(FramePayload)})
+        codec.add_chunk(pcm, codec.decode_frame_payload(chunk, cfg, ctx), spec)
+    return np.concatenate(pcm)[:header.original_length], header, [r.ctns_flag[0] for r in rows]
+
+
+def outcome(decode, data, cfg):
+    """The (PCM bytes, flags) of a decode, or the (message, frame) of its ``StreamError``."""
+    try:
+        pcm, _, flags = decode(data, cfg)
+    except StreamError as e:
+        return str(e), e.frame_index
+    return pcm.tobytes(), list(map(bool, flags))
+
+
+@pytest.mark.parametrize("cfg, seed", [(CFG12, 2), (CFG16, 3)], ids=["12k", "16k"])
+def test_chunk_parse_matches_frame_by_frame_parse_on_flipped_bytes(cfg, seed):
+    # 1-3 flipped frame bytes of a 3 s stream: the two-pass chunk parse gives
+    # the same PCM and flags, or the same error for the same frame, as parsing
+    # every frame on its own
+    pcm = signals.tone(440.0, 3.0)
+    if cfg.mode == "16k":
+        pcm = pcm + signals.click_train(3.0)[0]
+    blob, _ = codec.encode_stream(pcm, cfg)
+    rng = np.random.default_rng(seed)
+    seen = set()
+    for _ in range(150):
+        data = bytearray(blob)
+        for pos in rng.choice(np.arange(StreamHeader.size(), len(blob)), int(rng.integers(1, 4)),
+                              replace=False).tolist():
+            data[pos] ^= int(rng.integers(1, 256))
+        want = outcome(decode_frame_by_frame, bytes(data), cfg)
+        assert outcome(codec.decode_stream, bytes(data), cfg) == want
+        seen.add("decoded" if isinstance(want[0], bytes) else want[0].split(": ")[-1])
+    assert "decoded" in seen and len(seen) >= 4  # decoded streams and three kinds of fault
 
 
 def test_traced_layer_names_exist_and_are_called(monkeypatch):

@@ -1,3 +1,4 @@
+import struct
 from dataclasses import replace
 
 import numpy as np
@@ -83,14 +84,13 @@ def test_stream_header_rejects_short_input():
         eb.StreamHeader.unpack(b"UNS1")
 
 
-def make_ctx(contrast=None):
+def make_ctx():
     # the default config's context with a 514-bin layout of its own
     sizes = (41, 50, 50, 60, 60, 70, 80, 103)
-    return replace(
-        codec.make_pack_context(CodecConfig()),
-        band_sizes=sizes,
-        resolve_contrast=lambda lsf: contrast if contrast is not None else [True] * 8,
-    )
+    return replace(codec.make_pack_context(CodecConfig()), band_sizes=sizes)
+
+
+ALL_HIGH = [True] * 8  # the contrast flags of a make_ctx frame unless a test sets its own
 
 
 def one_row(**fields):
@@ -98,14 +98,25 @@ def one_row(**fields):
     return eb.FramePayload(**{name: np.asarray(value)[None] for name, value in fields.items()})
 
 
-def unpack_one(data, pos, ctx):
-    """Parse the frame at byte offset ``pos`` into a 1-row record; returns
-    (record, offset past the frame)."""
+def unpack_one(data, pos, ctx, cfg=CodecConfig(), contrast=None):
+    """Parse the frame at byte offset ``pos`` into a 1-row record through both passes, its
+    contrast flags between them derived from its LSF indices with ``cfg`` as decode_stream
+    does, or the given ``contrast``; returns (record, offset past the frame).  Like
+    ``frame_bounds``, it refuses a frame that runs past the end of ``data``."""
+    end = pos + 4 + sum(struct.unpack_from("<HH", data, pos)) if len(data) - pos >= 4 else None
+    if end is None or end > len(data):
+        raise eb.StreamError("truncated frame payload")
     record = eb.FramePayload.zeros(1, ctx)
-    return record, eb.unpack_frame(data, pos, ctx, record, 0)
+    at = eb.unpack_frame(data, pos, ctx, record, 0)
+    if contrast is None:
+        _, contrast = codec.derive_shaping(record.lsf_indices[0], cfg)
+    record.contrast[0] = contrast
+    if eb.unpack_fields(data, [at], [end], ctx, record)[0]:
+        raise eb.StreamError("raw section length does not match its fields")
+    return record, end
 
 
-def random_payload(rng, ctx, flag=True, with_escapes=True, zero_frac=0.0):
+def random_payload(rng, ctx, flag=True, with_escapes=True, zero_frac=0.0, contrast=ALL_HIGH):
     lsf = np.sort(rng.integers(0, 100, ctx.lpc_order))
     clpc = np.zeros((ctx.lpc_order, 2), dtype=int)
     if flag:
@@ -119,7 +130,6 @@ def random_payload(rng, ctx, flag=True, with_escapes=True, zero_frac=0.0):
         index1[rng.random(n) < zero_frac] = 0
     index2 = np.zeros(n, dtype=int)
     index2[index1 == 8] = rng.integers(18, 65536, int(np.sum(index1 == 8)))
-    contrast = ctx.resolve_contrast(lsf)
     high = np.asarray(contrast, dtype=int)[ctx.band_of]
     cells = ctx.phase_cells[high, np.minimum(index1, 7)]
     phase = np.where(cells > 1, (rng.random(n) * cells).astype(int), -1)
@@ -143,7 +153,7 @@ def test_pack_unpack_field_for_field():
     for flag in (True, False):
         payload = random_payload(rng, ctx, flag=flag)
         blob = eb.pack_frame(payload, 0, ctx, {})
-        out, consumed = unpack_one(blob, 0, ctx)
+        out, consumed = unpack_one(blob, 0, ctx, contrast=ALL_HIGH)
         assert consumed == len(blob)
         assert_payload_equal(payload, out)
 
@@ -152,11 +162,11 @@ def test_pack_unpack_field_for_field():
        zero_frac=st.sampled_from([0.0, 0.5, 0.9, 1.0]),
        contrast=st.lists(st.booleans(), min_size=8, max_size=8))
 def test_drawn_payloads_survive_pack_unpack(seed, flag, escapes, zero_frac, contrast):
-    ctx = make_ctx(contrast)
+    ctx = make_ctx()
     payload = random_payload(np.random.default_rng(seed), ctx, flag=flag,
-                             with_escapes=escapes, zero_frac=zero_frac)
+                             with_escapes=escapes, zero_frac=zero_frac, contrast=contrast)
     blob = eb.pack_frame(payload, 0, ctx, {})
-    out, consumed = unpack_one(blob + b"next frame", 0, ctx)
+    out, consumed = unpack_one(blob + b"next frame", 0, ctx, contrast=contrast)
     assert consumed == len(blob)
     assert_payload_equal(payload, out)
 
@@ -164,9 +174,9 @@ def test_drawn_payloads_survive_pack_unpack(seed, flag, escapes, zero_frac, cont
 def test_pack_unpack_with_mixed_contrast():
     rng = np.random.default_rng(43)
     contrast = [True, False, True, False, False, True, False, True]
-    ctx = make_ctx(contrast)
-    payload = random_payload(rng, ctx)
-    out, _ = unpack_one(eb.pack_frame(payload, 0, ctx, {}), 0, ctx)
+    ctx = make_ctx()
+    payload = random_payload(rng, ctx, contrast=contrast)
+    out, _ = unpack_one(eb.pack_frame(payload, 0, ctx, {}), 0, ctx, contrast=contrast)
     assert_payload_equal(payload, out)
 
 
@@ -177,19 +187,9 @@ def test_frames_concatenate_without_lookahead():
     blob = b"".join(eb.pack_frame(p, 0, ctx, {}) for p in payloads)
     pos = 0
     for p in payloads:
-        out, pos = unpack_one(blob, pos, ctx)
+        out, pos = unpack_one(blob, pos, ctx, contrast=ALL_HIGH)
         assert_payload_equal(p, out)
     assert pos == len(blob)
-
-
-def test_truncated_frame_raises_stream_error():
-    # a frame knows no frame number: decode_stream names it (test_codec.py)
-    rng = np.random.default_rng(45)
-    ctx = make_ctx()
-    blob = eb.pack_frame(random_payload(rng, ctx), 0, ctx, {})
-    with pytest.raises(eb.StreamError, match="^truncated frame payload$") as exc:
-        unpack_one(blob[:10], 0, ctx)
-    assert exc.value.frame_index is None
 
 
 def zero_payload(ctx, flag=False):

@@ -121,7 +121,7 @@ def ref_decode_stream(blob, cfg):
     header = StreamHeader.unpack(blob)
     pos, frames = StreamHeader.size(), []
     while pos < len(blob):
-        payload, pos = unpack_one(blob, pos, ctx)
+        payload, pos = unpack_one(blob, pos, ctx, cfg)
         frames.append(ref_decode_frame(payload, 0, cfg))
     return overlap_add(frames, cfg.window_spec, length=header.original_length)
 

@@ -426,6 +426,11 @@ def bit_array(data):
     return np.unpackbits(np.frombuffer(data, dtype=np.uint8))
 
 
+def raw_int(data):
+    """The bytes as the (integer, bit count) pair pass 1 reads its raw fields from."""
+    return int.from_bytes(data, "big"), 8 * len(data)
+
+
 @given(data=st.binary(max_size=16), pos=st.integers(0, 160),
        widths=st.lists(st.integers(0, 62), max_size=12))
 @example(data=b"\xff", pos=0, widths=[8, 5])  # past the end reads zero
@@ -434,9 +439,42 @@ def test_read_fields_agree_with_bit_serial_reader(data, pos, widths):
     ref = RefBitReader(data)
     ref.pos = pos
     expected = [ref.read_bits(w) for w in widths]
-    values, end = eb._read_fields(bit_array(data), pos, widths)
-    assert values.tolist() == expected
+    values, end = eb._read_fields(*raw_int(data), pos, widths)
+    assert values == expected
     assert end == ref.pos
+
+
+def cut_at_bit(data, end):
+    """``data`` up to bit offset ``end``, the rest of its last byte zeroed."""
+    value = int.from_bytes(data, "big") >> (8 * len(data) - end) << (-end % 8)
+    return value.to_bytes(-(-end // 8), "big")
+
+
+PHASE_WIDTH = int(codec.make_pack_context(CodecConfig()).phase_bits.max())
+
+
+@st.composite
+def field_rows(draw):
+    """Bytes, and rows of fields to read from them: each row's start bit offset, the bit
+    offset its reads stop at (within the bytes) and its field widths."""
+    data = draw(st.binary(max_size=16))
+    widths = st.lists(st.integers(0, PHASE_WIDTH), min_size=(n := draw(st.integers(0, 10))),
+                      max_size=n)
+    rows = st.tuples(st.integers(0, 8 * len(data) + 8), st.integers(0, 8 * len(data)), widths)
+    return data, draw(st.lists(rows, min_size=1, max_size=6))
+
+
+@given(field_rows())
+# the first row's fields end exactly at its end, the second's one bit past it
+@example((b"\xa5\x5a", [(3, 13, [4, 6]), (3, 13, [5, 6]), (14, 9, [2, 0])]))
+def test_stacked_row_reader_agrees_with_bit_serial_reader(drawn):
+    data, rows = drawn
+    starts, ends, widths = zip(*rows)
+    values = eb._read_rows(data, starts, ends, np.array(widths, np.int64).reshape(len(rows), -1))
+    for (start, end, row_widths), row_values in zip(rows, values):
+        ref = RefBitReader(cut_at_bit(data, end))
+        ref.pos = start
+        assert row_values.tolist() == [ref.read_bits(w) for w in row_widths]
 
 
 @given(data=st.binary(max_size=24), pos=st.integers(0, 200))
@@ -448,7 +486,7 @@ def test_exp_golomb_decode_agrees_with_bit_serial_reader(data, pos):
     ref = RefBitReader(data)
     ref.pos = pos
     expected = decode_or_error(lambda: (ref_exp_golomb_decode(ref), ref.pos))
-    assert decode_or_error(lambda: eb.exp_golomb_decode(bit_array(data), pos)) == expected
+    assert decode_or_error(lambda: eb.exp_golomb_decode(*raw_int(data), pos)) == expected
 
 
 @given(st.lists(st.integers(0, 199) | st.integers(0, 2 ** 63 - 5), max_size=30))
@@ -456,9 +494,9 @@ def test_exp_golomb_codewords_roundtrip(values):
     writer = RefBitWriter()
     for v in values:
         exp_golomb_encode(writer, v)
-    bits, pos = bit_array(writer.getvalue()), 0
+    raw, pos = raw_int(writer.getvalue()), 0
     for v in values:
-        value, pos = eb.exp_golomb_decode(bits, pos)
+        value, pos = eb.exp_golomb_decode(*raw, pos)
         assert value == v
     assert pos == len(writer.bits)
 
@@ -524,7 +562,7 @@ def one_escape_frame(write_escape):
     raw = RefBitWriter()
     raw.write_bit(0)                     # CTNS flag off
     write_escape(raw)
-    contrast = CTX.resolve_contrast(np.zeros(CTX.lpc_order, dtype=int))
+    _, contrast = codec.derive_shaping(np.zeros(CTX.lpc_order, dtype=int), CFG)
     raw.write_bits(0, int(CTX.field_widths(index1, contrast).sum()))  # the phase fields
     raw_bytes = raw.getvalue()
     return struct.pack("<HH", len(arith), len(raw_bytes)) + arith + raw_bytes
