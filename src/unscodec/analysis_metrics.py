@@ -22,10 +22,23 @@ ENERGY_FLOOR_DB = -120.0
 TRANSIENT_SPAN_S = 0.12  # how long after an attack its frames count as transient
 
 
+def csv_text(header, rows) -> str:
+    """Every CSV report: a header row, then ``rows``, in the csv module's default dialect."""
+    buf = io.StringIO()
+    w = csv.writer(buf)
+    w.writerow(header)
+    w.writerows(rows)
+    return buf.getvalue()
+
+
 @dataclass
 class SegSnrReport:
     per_segment_db: np.ndarray
     mean_db: float
+
+    def to_csv(self) -> str:
+        return csv_text(["segment", "snr_db"],
+                        ([i, f"{v:.4f}"] for i, v in enumerate(self.per_segment_db)))
 
 
 @dataclass
@@ -35,12 +48,9 @@ class TnsComparisonReport:
     hop: int
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        w = csv.writer(buf)
-        w.writerow(["frame", "energy_mdct_db", "energy_dft_db"])
-        for i, (a, b) in enumerate(zip(self.frame_energy_mdct_db, self.frame_energy_dft_db)):
-            w.writerow([i, f"{a:.4f}", f"{b:.4f}"])
-        return buf.getvalue()
+        return csv_text(["frame", "energy_mdct_db", "energy_dft_db"],
+                        ([i, f"{a:.4f}", f"{b:.4f}"] for i, (a, b)
+                         in enumerate(zip(self.frame_energy_mdct_db, self.frame_energy_dft_db))))
 
 
 def seg_snr(reference: np.ndarray, decoded: np.ndarray) -> SegSnrReport:
@@ -125,16 +135,10 @@ def transient_region_means(report: TnsComparisonReport, attacks, rate: int):
 
 def frame_diagnostics(stats) -> str:
     """CSV rows of the encoder's per-frame introspection records."""
-    buf = io.StringIO()
-    w = csv.writer(buf)
-    header = ["frame", "gain_db", "ctns_flag", "total_bits",
-              "est_spectral_bits", "real_spectral_bits"]
     bands = range(len(stats[0].band_gains)) if stats else ()
-    header += [f"band_gain_{b}" for b in bands] + [f"overflow_{b}" for b in bands]
-    w.writerow(header)
-    for s in stats:
-        row = [s.index, f"{s.gain_db:.3f}", int(s.ctns_active), s.total_bits,
-               f"{s.est_spectral_bits:.2f}", f"{s.real_spectral_bits:.2f}"]
-        row += [int(g) for g in s.band_gains] + [int(o) for o in s.overflow]
-        w.writerow(row)
-    return buf.getvalue()
+    header = ["frame", "gain_db", "ctns_flag", "total_bits", "est_spectral_bits",
+              "real_spectral_bits", *(f"band_gain_{b}" for b in bands),
+              *(f"overflow_{b}" for b in bands)]
+    return csv_text(header, ([s.index, f"{s.gain_db:.3f}", int(s.ctns_active), s.total_bits,
+                              f"{s.est_spectral_bits:.2f}", f"{s.real_spectral_bits:.2f}",
+                              *map(int, s.band_gains), *map(int, s.overflow)] for s in stats))

@@ -28,14 +28,25 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _load_cfg(args, mode=None) -> CodecConfig:
-    cfg = load_config(args.config) if getattr(args, "config", None) else CodecConfig()
-    if mode:
-        cfg = cfg.with_mode(mode)
-    return cfg
+    cfg = load_config(args.config) if args.config else CodecConfig()
+    return cfg.with_mode(mode) if mode else cfg
 
 
 def _read_core_audio(path: str) -> np.ndarray:
     return np.clip(resample_to_core(*read_wav(path)), -1.0, 1.0)
+
+
+def _kbps(nbytes: int, samples: int, rate: int) -> float:
+    return 8.0 * nbytes * rate / max(1, samples) / 1000.0
+
+
+def _write_report(report_dir: str, name: str, text: str, label: str):
+    """Write one report file into ``report_dir``, made if missing, and say where."""
+    os.makedirs(report_dir, exist_ok=True)
+    path = os.path.join(report_dir, name)
+    with open(path, "w", newline="") as f:
+        f.write(text)
+    print(f"{label} -> {path}")
 
 
 def _cmd_encode(args) -> int:
@@ -49,24 +60,22 @@ def _cmd_encode(args) -> int:
     blob, stats = codec.encode_stream(pcm, cfg)
     with open(args.output, "wb") as f:
         f.write(blob)
-    kbps = 8.0 * len(blob) * cfg.sample_rate / max(1, pcm.size) / 1000.0
-    print(f"encoded {len(stats)} frames, {len(blob)} bytes ({kbps:.2f} kbit/s) -> {args.output}")
+    print(f"encoded {len(stats)} frames in {cfg.mode} mode, {len(blob)} bytes "
+          f"({_kbps(len(blob), pcm.size, cfg.sample_rate):.2f} kbit/s) -> {args.output}")
     if args.report_dir:
-        os.makedirs(args.report_dir, exist_ok=True)
-        path = os.path.join(args.report_dir, "frame_diagnostics.csv")
-        with open(path, "w") as f:
-            f.write(am.frame_diagnostics(stats))
-        print(f"diagnostics -> {path}")
+        _write_report(args.report_dir, "frame_diagnostics.csv", am.frame_diagnostics(stats),
+                      "diagnostics")
     return EXIT_OK
 
 
 def _cmd_decode(args) -> int:
-    cfg = load_config(args.config) if args.config else None
+    cfg = _load_cfg(args)
     with open(args.input, "rb") as f:
         blob = f.read()
     pcm, header, _flags = codec.decode_stream(blob, cfg)
     write_wav(args.output, pcm, header.sample_rate_hz)
-    print(f"decoded {pcm.size} samples at {header.sample_rate_hz} Hz -> {args.output}")
+    print(f"decoded {pcm.size} samples at {header.sample_rate_hz} Hz in {header.mode} mode "
+          f"({_kbps(len(blob), pcm.size, header.sample_rate_hz):.2f} kbit/s) -> {args.output}")
     return EXIT_OK
 
 
@@ -77,13 +86,7 @@ def _cmd_analyze(args) -> int:
     report = am.seg_snr(ref[:n], dec[:n])
     print(f"segSNR mean: {report.mean_db:.2f} dB over {report.per_segment_db.size} segments")
     if args.report_dir:
-        os.makedirs(args.report_dir, exist_ok=True)
-        path = os.path.join(args.report_dir, "segsnr.csv")
-        with open(path, "w") as f:
-            f.write("segment,snr_db\n")
-            for i, v in enumerate(report.per_segment_db):
-                f.write(f"{i},{v:.4f}\n")
-        print(f"report -> {path}")
+        _write_report(args.report_dir, "segsnr.csv", report.to_csv(), "report")
     return EXIT_OK
 
 
@@ -91,11 +94,8 @@ def _cmd_tns_compare(args) -> int:
     cfg = _load_cfg(args)
     pcm, attacks = (_read_core_audio(args.input), None) if args.input else signals.click_train(2.5)
     report = am.tns_domain_experiment(pcm, cfg)
-    os.makedirs(args.report_dir, exist_ok=True)
-    path = os.path.join(args.report_dir, "tns_compare.csv")
-    with open(path, "w") as f:
-        f.write(report.to_csv())
-    print(f"per-frame residual energies -> {path}")
+    _write_report(args.report_dir, "tns_compare.csv", report.to_csv(),
+                  "per-frame residual energies")
     if attacks:
         m, d = am.transient_region_means(report, attacks, cfg.sample_rate)
         print(f"transient-region mean energy: MDCT {m:.2f} dB, DFT {d:.2f} dB")

@@ -10,7 +10,6 @@ import numpy as np
 
 from . import lp
 from .polar_quant import DEFAULT_ECUPQ_TABLE, EcupqTable
-from .rate_control import DEFAULT_UPPER_EDGES, MODE_BUDGETS
 from .resample import CORE_RATE
 from .transforms import WindowSpec
 
@@ -25,9 +24,9 @@ class CodecConfig:
     frame_len: int = 1024               # analysis frame length
     overlap_len: int = 256              # taper length of the window
     window_edge: float = 0.15           # window height at the frame ends
-    band_edges: tuple = DEFAULT_UPPER_EDGES      # sub-band upper bin edges
-    bits_12k: tuple = MODE_BUDGETS["12k"]        # per-band bit targets, 12 kbps
-    bits_16k: tuple = MODE_BUDGETS["16k"]        # per-band bit targets, 16 kbps
+    band_edges: tuple = (40, 90, 140, 200, 260, 330, 410, 512)  # sub-band upper bin edges
+    bits_12k: tuple = (45, 34, 30, 23, 19, 16, 16, 16)  # per-band bit targets, 12 kbps
+    bits_16k: tuple = (67, 50, 45, 34, 29, 23, 23, 23)  # per-band bit targets, 16 kbps
     lpc_order: int = 16                 # prediction order, both analyses
     fdns_weight: float = 0.98           # bandwidth expansion, spectral model
     ctns_weight: float = 0.9            # bandwidth expansion, temporal model

@@ -1,5 +1,6 @@
-"""Band bit budgets, bit estimation, and per-band scale-factor search.
+"""Bit estimation and per-band scale-factor search.
 
+The band edges and each mode's band bit budgets are ``CodecConfig`` fields.
 Each band's gain is a divisor expressed in integer dB; the search picks the
 smallest (finest) gain whose estimated coding cost still fits the band's bit
 budget, so more allocated bits always buy finer effective resolution.
@@ -19,11 +20,6 @@ import numpy as np
 from . import polar_quant
 from .util import round_half_up
 
-DEFAULT_UPPER_EDGES = (40, 90, 140, 200, 260, 330, 410, 512)
-MODE_BUDGETS = {
-    "12k": (45, 34, 30, 23, 19, 16, 16, 16),
-    "16k": (67, 50, 45, 34, 29, 23, 23, 23),
-}
 SF_MIN_DB = -60
 SF_MAX_DB = 60
 SF_SEARCH_ITERS = 24   # bisection depth cap

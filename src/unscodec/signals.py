@@ -6,6 +6,8 @@ here from fixed seeds at the core rate, so no recorded material ships with the r
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
 from .resample import CORE_RATE
@@ -66,13 +68,9 @@ def speechish(seconds: float, seed: int = 5) -> np.ndarray:
     rng = np.random.default_rng(seed)
     n = int(seconds * CORE_RATE)
     t = np.arange(n) / CORE_RATE
-    noise = rng.standard_normal(n)
-    # crude one-pole lowpass, voicy tilt
-    lp = np.empty(n)
-    acc = 0.0
-    for i in range(n):
-        acc = 0.82 * acc + 0.18 * noise[i]
-        lp[i] = acc
+    # crude one-pole lowpass, voicy tilt; the scan runs over a view, not n float objects
+    lp = np.fromiter(accumulate(memoryview(0.18 * rng.standard_normal(n)),
+                                lambda acc, x: 0.82 * acc + x), float, n)
     syllables = np.clip(np.sin(2.0 * np.pi * 3.1 * t) + 0.4 * np.sin(2.0 * np.pi * 0.7 * t), 0.0, None)
     buzz = 0.35 * np.sin(2.0 * np.pi * (120.0 + 25.0 * np.sin(2.0 * np.pi * 0.5 * t)) * t)
     x = (lp + buzz) * syllables

@@ -81,7 +81,7 @@ def frame_signal(pcm: np.ndarray, spec: WindowSpec) -> np.ndarray:
     return sliding_window_view(padded, n)[::spec.hop][:count] * make_window(spec)
 
 
-def overlap_add(frames: np.ndarray, spec: WindowSpec, length: int | None = None) -> np.ndarray:
+def overlap_add(frames: np.ndarray, spec: WindowSpec) -> np.ndarray:
     """Plain overlap-add of the rows of a (frames, frame_len) stack at the frame hop.
 
     Each sample adds at most two rows, the earlier row's tail before the later
@@ -93,7 +93,7 @@ def overlap_add(frames: np.ndarray, spec: WindowSpec, length: int | None = None)
     out[1:, :spec.overlap_len] += frames[:, hop:]
     out[:-1] += frames[:, :hop]
     total = count * hop + spec.overlap_len if count else 0
-    return out.ravel()[:total][:length]
+    return out.ravel()[:total]
 
 
 def sine_window(n: int) -> np.ndarray:

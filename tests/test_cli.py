@@ -1,3 +1,4 @@
+import csv
 import os
 import re
 import struct
@@ -418,6 +419,38 @@ def test_cli_encode_report_has_one_row_per_frame(tmp_path):
     assert rows[0].startswith("frame,gain_db,ctns_flag")
     frames = frame_count(12800, CodecConfig().window_spec)  # 17 frames at 768-sample hops
     assert [int(r.split(",")[0]) for r in rows[1:]] == list(range(frames))
+
+
+def test_cli_reports_share_one_csv_dialect(tmp_path):
+    wav_in, stream, wav_out = (str(tmp_path / n) for n in ("in.wav", "a.uns", "out.wav"))
+    write_wav(wav_in, signals.click_train(1.2)[0], 12800)
+    rep = str(tmp_path / "rep")
+    assert cli.main(["encode", wav_in, stream, "--mode", "12k", "--report-dir", rep]) == 0
+    assert cli.main(["decode", stream, wav_out]) == 0
+    assert cli.main(["analyze", wav_in, wav_out, "--report-dir", rep]) == 0
+    assert cli.main(["tns-compare", wav_in, "--report-dir", rep]) == 0
+    endings = set()
+    for name in ("frame_diagnostics.csv", "segsnr.csv", "tns_compare.csv"):
+        with open(os.path.join(rep, name), "rb") as f:
+            lines = f.read().splitlines(keepends=True)
+        endings |= {line[len(line.rstrip(b"\r\n")):] for line in lines}
+        with open(os.path.join(rep, name), newline="") as f:
+            rows = list(csv.reader(f))
+        assert len(rows) > 1 and {len(r) for r in rows} == {len(rows[0])}, name
+    assert endings == {b"\r\n"}
+
+
+def test_cli_summary_lines_show_mode_and_rate(tmp_path, capsys):
+    wav_in, stream, wav_out = (str(tmp_path / n) for n in ("in.wav", "a.uns", "out.wav"))
+    write_wav(wav_in, signals.speechish(1.0), 12800)
+    assert cli.main(["encode", wav_in, stream, "--mode", "16k"]) == 0
+    assert cli.main(["decode", stream, wav_out]) == 0
+    kbps = 8.0 * os.path.getsize(stream) / 1000.0  # one second of audio
+    enc, dec = capsys.readouterr().out.splitlines()
+    assert enc == (f"encoded 17 frames in 16k mode, {os.path.getsize(stream)} bytes "
+                   f"({kbps:.2f} kbit/s) -> {stream}")
+    # decode takes no mode: the header's is shown
+    assert dec == f"decoded 12800 samples at 12800 Hz in 16k mode ({kbps:.2f} kbit/s) -> {wav_out}"
 
 
 def test_cli_analyze_resamples_a_16k_decoded_file(tmp_path, capsys):

@@ -72,10 +72,11 @@ def test_split_bands_edges():
 
 
 def test_budget_tables():
-    assert rc.MODE_BUDGETS["12k"] == (45, 34, 30, 23, 19, 16, 16, 16)
-    assert rc.MODE_BUDGETS["16k"] == (67, 50, 45, 34, 29, 23, 23, 23)
-    assert sum(rc.MODE_BUDGETS["12k"]) == 199
-    assert sum(rc.MODE_BUDGETS["16k"]) == 294
+    cfg = CodecConfig()
+    assert cfg.bits_12k == (45, 34, 30, 23, 19, 16, 16, 16)
+    assert cfg.bits_16k == (67, 50, 45, 34, 29, 23, 23, 23)
+    assert sum(cfg.bits_12k) == 199
+    assert sum(cfg.bits_16k) == 294
 
 
 def test_entropy_of_constant_block():

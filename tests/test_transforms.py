@@ -90,7 +90,7 @@ def test_stacked_framing_equals_the_frame_loop_bit_for_bit(spec):
         frames, want = frame_signal(pcm, spec), loop_frames(pcm, spec)
         assert frames.shape == (len(want), spec.frame_len)
         assert [row.tobytes() for row in frames] == [row.tobytes() for row in want]
-        rec = overlap_add(frames, spec, length=n)
+        rec = overlap_add(frames, spec)[:n]
         assert rec.tobytes() == loop_overlap_add(want, spec, n).tobytes()
 
 
@@ -99,7 +99,7 @@ def test_frame_ola_roundtrip_white_noise():
     x = rng.standard_normal(10000)
     spec = SPEC
     frames = frame_signal(x, spec)
-    rec = overlap_add(frames, spec, length=x.size)
+    rec = overlap_add(frames, spec)[:x.size]
     seg = slice(spec.frame_len // 2, -(spec.frame_len // 2))
     rel = np.sqrt(np.sum((x[seg] - rec[seg]) ** 2) / np.sum(x[seg] ** 2))
     assert rel < 1e-10
