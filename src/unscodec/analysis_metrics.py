@@ -59,17 +59,15 @@ def seg_snr(reference: np.ndarray, decoded: np.ndarray) -> SegSnrReport:
     decoded = np.asarray(decoded, dtype=float)
     if reference.size != decoded.size:
         raise ValueError("reference and decoded lengths must match")
-    values = []
-    for s in range(0, reference.size - SEG_LEN + 1, SEG_LEN):
-        ref = reference[s:s + SEG_LEN]
-        err = ref - decoded[s:s + SEG_LEN]
-        ref_e = float(np.sum(ref ** 2))
-        if ref_e < 1e-12:
-            continue
-        err_e = float(np.sum(err ** 2))
-        snr = SNR_CEIL_DB if err_e <= 0.0 else 10.0 * np.log10(ref_e / err_e)
-        values.append(float(np.clip(snr, SNR_FLOOR_DB, SNR_CEIL_DB)))
-    arr = np.asarray(values)
+    whole = reference.size // SEG_LEN * SEG_LEN  # a trailing partial segment is not scored
+    ref = reference[:whole].reshape(-1, SEG_LEN)
+    ref_e = np.sum(ref ** 2, axis=1)
+    err_e = np.sum((ref - decoded[:whole].reshape(-1, SEG_LEN)) ** 2, axis=1)
+    loud = ~(ref_e < 1e-12)  # a NaN segment is scored, not skipped
+    ref_e, err_e = ref_e[loud], err_e[loud]
+    exact = err_e <= 0.0
+    snr = np.where(exact, SNR_CEIL_DB, 10.0 * np.log10(ref_e / np.where(exact, 1.0, err_e)))
+    arr = np.clip(snr, SNR_FLOOR_DB, SNR_CEIL_DB)
     mean = float(arr.mean()) if arr.size else SNR_CEIL_DB
     return SegSnrReport(per_segment_db=arr, mean_db=mean)
 
@@ -122,13 +120,9 @@ def _freq_lp_filter(coeffs: np.ndarray, cfg: CodecConfig, stop: int) -> np.ndarr
 def transient_region_means(report: TnsComparisonReport, attacks, rate: int):
     """Mean per-frame residual energies over frames that overlap an attack
     or the TRANSIENT_SPAN_S seconds after it."""
-    frames = set()
-    for a in attacks:
-        lo = a // report.hop
-        hi = int((a + TRANSIENT_SPAN_S * rate) // report.hop)
-        frames.update(range(lo, hi + 1))
-    idx = sorted(f for f in frames if f < report.frame_energy_mdct_db.size)
-    sel = np.asarray(idx, dtype=int)
+    a = np.asarray(attacks)[:, None]
+    f = np.arange(report.frame_energy_mdct_db.size)
+    sel = ((f >= a // report.hop) & (f <= (a + TRANSIENT_SPAN_S * rate) // report.hop)).any(axis=0)
     return (float(report.frame_energy_mdct_db[sel].mean()),
             float(report.frame_energy_dft_db[sel].mean()))
 

@@ -18,8 +18,11 @@ class ConfigError(ValueError):
     pass
 
 
-@dataclass
+@dataclass(frozen=True)
 class CodecConfig:
+    """Every codec constant. Frozen, so a config in use has passed the checks in
+    ``__post_init__``; derive others with ``with_mode`` or ``dataclasses.replace``."""
+
     sample_rate: int = CORE_RATE        # core-band rate in Hz; input is resampled to it
     frame_len: int = 1024               # analysis frame length
     overlap_len: int = 256              # taper length of the window

@@ -275,7 +275,7 @@ def exp_golomb_decode(raw: int, end: int, pos: int):
     return (1 << (zeros + 2)) + tail - 4, pos
 
 
-@dataclass
+@dataclass(frozen=True)
 class StreamHeader:
     """The stream's fixed header; ``codec.stream_header`` derives it from a config."""
 

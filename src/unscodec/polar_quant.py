@@ -107,17 +107,12 @@ def dequantize_magnitudes(idx1: np.ndarray, idx2: np.ndarray, table: EcupqTable)
     i1 = np.asarray(idx1, dtype=int)
     if np.shape(idx2) != i1.shape:
         raise ValueError("index2 must align with index1 (escape codes need it)")
-    levels = np.asarray(table.levels)
-    out = levels[np.clip(i1, 0, 7)]
+    out = np.asarray(table.levels, dtype=float)[np.clip(i1, 0, 7)]
     nonlinear = i1 > ESCAPE_INDEX
-    if np.any(nonlinear):
-        out = out.astype(float)
-        out[nonlinear] = np.maximum((i1[nonlinear] - NONLINEAR_SHIFT) ** (4.0 / 3.0), table.r7)
+    out[nonlinear] = np.maximum((i1[nonlinear] - NONLINEAR_SHIFT) ** (4.0 / 3.0), table.r7)
     escape = i1 == ESCAPE_INDEX
-    if np.any(escape):
-        out = out.astype(float)
-        out[escape] = np.asarray(idx2, dtype=float)[escape]
-    return np.asarray(out, dtype=float)
+    out[escape] = np.asarray(idx2, dtype=float)[escape]
+    return out
 
 
 def phase_cells_array(idx1: np.ndarray, high_contrast, cells: np.ndarray) -> np.ndarray:

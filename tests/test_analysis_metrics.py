@@ -58,6 +58,39 @@ def test_seg_snr_clamps_floor():
     assert np.all(rep.per_segment_db == -10.0)
 
 
+def seg_snr_loop(reference, decoded):
+    """The per-segment loop seg_snr replaced, kept as its reference."""
+    values = []
+    for s in range(0, reference.size - am.SEG_LEN + 1, am.SEG_LEN):
+        ref = reference[s:s + am.SEG_LEN]
+        err = ref - decoded[s:s + am.SEG_LEN]
+        ref_e = float(np.sum(ref ** 2))
+        if ref_e < 1e-12:
+            continue
+        err_e = float(np.sum(err ** 2))
+        snr = am.SNR_CEIL_DB if err_e <= 0.0 else 10.0 * np.log10(ref_e / err_e)
+        values.append(float(np.clip(snr, am.SNR_FLOOR_DB, am.SNR_CEIL_DB)))
+    return values
+
+
+def test_seg_snr_matches_the_segment_loop():
+    # silent, exact, clamped and trailing-partial segments, and a codec decode
+    rng = np.random.default_rng(62)
+    x = rng.standard_normal(10 * am.SEG_LEN + 100)
+    y = x + 0.05 * rng.standard_normal(x.size)
+    x[am.SEG_LEN:2 * am.SEG_LEN] = 0.0                  # silent
+    y[3 * am.SEG_LEN:4 * am.SEG_LEN] = x[3 * am.SEG_LEN:4 * am.SEG_LEN]  # exact
+    y[5 * am.SEG_LEN:6 * am.SEG_LEN] *= -4.0            # below the floor
+    pcm, _ = signals.click_train(1.0)
+    blob, _ = codec.encode_stream(pcm, CodecConfig())
+    decoded = codec.decode_stream(blob, CodecConfig())[0]
+    for ref, dec in ((x, y), (x[:am.SEG_LEN - 1], y[:am.SEG_LEN - 1]), (pcm, decoded)):
+        rep = am.seg_snr(ref, dec)
+        assert rep.per_segment_db.tolist() == seg_snr_loop(ref, dec)
+    assert am.seg_snr(x, y).per_segment_db.size == 9
+    assert am.seg_snr(x[:am.SEG_LEN - 1], y[:am.SEG_LEN - 1]).mean_db == am.SNR_CEIL_DB
+
+
 def test_tns_experiment_zero_signal():
     rep = am.tns_domain_experiment(np.zeros(8192))
     assert np.all(rep.frame_energy_mdct_db == -120.0)
@@ -96,6 +129,13 @@ def test_tns_experiment_castanet_direction():
     rep = am.tns_domain_experiment(pcm)
     m, d = am.transient_region_means(rep, attacks, 12800)
     assert m > d
+    # an attack whose span runs past the last frame counts the frames it has,
+    # once each even where spans overlap
+    last = rep.frame_energy_mdct_db.size - 1
+    sel = [2, 3, 4, last - 1, last]
+    late = [2 * rep.hop, 2 * rep.hop + 10, (last - 1) * rep.hop]
+    assert am.transient_region_means(rep, late, 2.5 * rep.hop / am.TRANSIENT_SPAN_S) == (
+        float(rep.frame_energy_mdct_db[sel].mean()), float(rep.frame_energy_dft_db[sel].mean()))
 
 
 def test_tns_report_csv_shape():

@@ -2,7 +2,7 @@ import csv
 import os
 import re
 import struct
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -276,6 +276,26 @@ def test_config_rejects_a_clpc_grid_whose_table_overflows():
         idx = np.zeros((2, cfg.lpc_order, 2), dtype=int)
         idx[0, 0], idx[1, :, 1] = (top, 0), cfg.clpc_phase_cells - 1
         assert np.isfinite(codec.derive_clpc(idx, cfg)).all()
+
+
+def test_built_configs_and_headers_are_frozen():
+    # each assignment let encode_stream write a stream that decode_stream then
+    # refused, or failed partway through encoding; a config comes only from its
+    # constructor, dataclasses.replace or with_mode, and each runs every check
+    from unscodec.config import ConfigError
+    cfg = CodecConfig()
+    for name, value in (("phase_cells_high", (1, 3, 16, 16, 32, 32, 64, 64)),
+                        ("lsf_min_gap", 0.5), ("fer_threshold", float("nan")),
+                        ("mode", "24k"), ("bits_12k", (45, 34, 30)), ("lpc_order", 15)):
+        with pytest.raises(FrozenInstanceError):
+            setattr(cfg, name, value)
+        with pytest.raises(ConfigError):
+            replace(cfg, **{name: value})
+    assert cfg == CodecConfig()
+    header = codec.stream_header(cfg, 12800)
+    with pytest.raises(FrozenInstanceError):
+        header.original_length = 1
+    assert cfg.with_mode("16k").budget == cfg.bits_16k
 
 
 # save_config(CodecConfig()) as written before the frame layout and the wire

@@ -49,14 +49,14 @@ def fer_bands(cfg):
 
 
 def test_config_band_layout_follows_its_edges():
-    # equal configs give equal layouts, and a config whose edges are
-    # reassigned gets the FER bands and pack-context slices of its new edges
+    # equal configs give equal layouts, and a config built with other edges
+    # (and one budget per band) gets the FER bands and pack-context slices of its edges
     cfg = CodecConfig()
     assert codec.make_pack_context(cfg).band_sizes == CTX.band_sizes
-    cfg.band_edges = (64, 128, 256, 512)
+    cfg = CodecConfig(band_edges=(64, 128, 256, 512), bits_12k=(40,) * 4, bits_16k=(60,) * 4)
     assert band_widths(codec.make_pack_context(cfg)) == (64, 64, 128, 256)
     assert fer_bands(cfg) == (64, 64, 128, 256)
-    cfg.band_edges = [100, 512]
+    cfg = CodecConfig(band_edges=[100, 512], bits_12k=(80, 80), bits_16k=(120, 120))
     assert band_widths(codec.make_pack_context(cfg)) == (100, 412)
     assert fer_bands(cfg) == (100, 412)
 
