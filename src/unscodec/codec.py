@@ -164,9 +164,9 @@ def encode_frames(frames: np.ndarray, cfg: CodecConfig, ctx: PackContext, first:
     coded, active, gain_db = shaped.coded, shaped.active, shaped.gain_db
     lsf, clpc, contrast = shaped.lsf_indices, shaped.clpc_indices, shaped.contrast
     del shaped  # the residuals and envelopes are not needed past the analysis
-    gains, overflow, bits = zip(*(  # one array per band each
-        rc.search_scale_factors(coded[:, band], cfg.budget[b], contrast[:, b], rc.BandQuantContext(
-            table=cfg.ecupq, phase_bits=ctx.phase_bits, real_mask=ctx.real_mask[band]))
+    gains, overflow, bits = zip(*(  # one array per band each, searched on its magnitudes
+        rc.search_scale_factors(np.abs(coded[:, band]), cfg.budget[b], contrast[:, b],
+                                rc.BandQuantContext(cfg.ecupq, ctx.phase_bits, ctx.real_mask[band]))
         for b, band in enumerate(ctx.band_slices)))
     gains, overflow = np.stack(gains, axis=1), np.stack(overflow, axis=1)
     est_bits = sum(bits)  # summed in band order, as the stats report it

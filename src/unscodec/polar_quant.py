@@ -49,12 +49,10 @@ class EcupqTable:
             raise ValueError("deadzone level must be zero")
         if np.any(np.diff(self.thresholds) <= 0):
             raise ValueError("thresholds must be strictly increasing")
+        if not self.thresholds[-1] < R7_TILDE:  # else escapes would depend on other magnitudes
+            raise ValueError(f"the sentinel must lie below the escape region's {R7_TILDE:.4f}")
         if not self.version.isascii() or len(self.version) > 24:  # the stream header's field
             raise ValueError(f"version must be at most 24 ASCII characters, not {self.version!r}")
-
-    @property
-    def interior(self) -> np.ndarray:
-        return np.asarray(self.thresholds[:7])
 
     @property
     def r7(self) -> float:
@@ -85,17 +83,26 @@ def quantize_magnitudes(mags: np.ndarray, table: EcupqTable):
     a = np.asarray(mags, dtype=float)
     if (a < 0).any() or not np.isfinite(a).all():
         raise ValueError("magnitudes must be finite and non-negative")
-    idx1 = np.searchsorted(table.interior, a, side="right")
     idx2 = np.zeros(a.shape, dtype=int)
+    outlier = a >= R7_TILDE
+    if outlier.any():
+        idx2[outlier] = np.clip(round_half_up(a[outlier]), OUTLIER_MIN, OUTLIER_MAX)
+    return magnitude_index(a, table).astype(int), idx2
+
+
+def magnitude_index(a: np.ndarray, table: EcupqTable) -> np.ndarray:
+    """Index 1 of each magnitude, unchecked, as int8: the number of interior
+    thresholds at or below it, the companded index from r7 on, or the escape
+    from R7_TILDE on.  Every value fits in 4 bits (0..15) for any table."""
+    idx1 = (a >= table.thresholds[0]).view(np.int8)
+    for threshold in table.thresholds[1:7]:
+        idx1 += (a >= threshold).view(np.int8)
     nonlinear = a >= table.r7
     if nonlinear.any():
-        raw = np.floor(a[nonlinear] ** 0.75 + 0.5)
-        idx1[nonlinear] = (raw + NONLINEAR_SHIFT).astype(int)
-        outlier = a >= R7_TILDE  # a subset of the companded region
-        if outlier.any():
-            idx1[outlier] = ESCAPE_INDEX
-            idx2[outlier] = np.clip(round_half_up(a[outlier]), OUTLIER_MIN, OUTLIER_MAX)
-    return idx1, idx2
+        companded = nonlinear & (a < R7_TILDE)
+        idx1[companded] = np.floor(a[companded] ** 0.75 + 0.5) + NONLINEAR_SHIFT
+        idx1[nonlinear & ~companded] = ESCAPE_INDEX
+    return idx1
 
 
 def dequantize_magnitudes(idx1: np.ndarray, idx2: np.ndarray, table: EcupqTable) -> np.ndarray:

@@ -299,6 +299,23 @@ def test_corpus_bitstreams_pinned(corpus_runs):
                   f"{len(CORPUS_SHA256)} pinned, changed or missing: {changed}")
 
 
+# SHA-256 of the gain search's per-frame outputs on the corpus fixture, which
+# never reach the stream bytes: each frame's est_spectral_bits, band gains and
+# overflow flags as float.hex, one line a frame, "12k" then "16k", in corpus order
+CORPUS_SEARCH_SHA256 = "5e41668b3b8bf5d9c1347d28962e3519a5c8c1f7636c44aeb9046797222a7eeb"
+
+
+def test_corpus_search_outputs_pinned(corpus_runs):
+    digest = hashlib.sha256()
+    for items in corpus_runs.values():
+        for item in items.values():
+            for s in item["stats"]:
+                values = [s.est_spectral_bits, *s.band_gains.tolist(), *s.overflow.tolist()]
+                digest.update(" ".join(float(v).hex() for v in values).encode() + b"\n")
+    assert report("corpus gain-search outputs pinned",
+                  digest.hexdigest() == CORPUS_SEARCH_SHA256, f"sha256 {digest.hexdigest()[:16]}...")
+
+
 def test_config_defaults_snapshot():
     """Every numeric default the codec relies on, pinned in one place."""
     cfg = CodecConfig()

@@ -379,6 +379,109 @@ def test_sample_entropy_matches_bincount_formula():
     assert rc.sample_entropy_bits(np.zeros(0, dtype=int)) == 0.0
 
 
+# --- the table-driven band cost against the formula it replaces
+
+# a core table whose companded region starts at 0.4, where it gives the
+# indices 7 and 8 that also name a core cell and the escape; the default
+# table's companded indices start at 9
+SMALL_R7_TABLE = pq.EcupqTable(thresholds=(0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4),
+                               levels=(0.0, 0.07, 0.12, 0.17, 0.22, 0.27, 0.32, 0.37),
+                               version="small-r7")
+
+
+def test_table_refuses_a_sentinel_in_the_escape_region():
+    # a sentinel at or above R7_TILDE leaves no companded region, and index 1
+    # of a magnitude in [R7_TILDE, r7) would depend on whether another
+    # magnitude of the same call reached r7 (searchsorted_index1 below)
+    for r7 in (pq.R7_TILDE, 20.0):
+        with pytest.raises(ValueError, match="escape region"):
+            pq.EcupqTable(thresholds=(0.1, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0, r7),
+                          levels=(0.0, 0.3, 0.7, 1.2, 1.7, 2.2, 2.7, 3.2))
+
+
+def searchsorted_index1(a, table):
+    """Index 1 as quantize_magnitudes first computed it: a binary search over
+    the interior thresholds, then the companded and escape regions."""
+    idx1 = np.searchsorted(np.asarray(table.thresholds[:7]), a, side="right")
+    nonlinear = a >= table.r7
+    if nonlinear.any():
+        idx1[nonlinear] = (np.floor(a[nonlinear] ** 0.75 + 0.5) + pq.NONLINEAR_SHIFT).astype(int)
+        idx1[a >= pq.R7_TILDE] = pq.ESCAPE_INDEX
+    return idx1
+
+
+PAIRS = {size: np.triu_indices(size, 1) for size in (2, 3, 4)}
+BLOCK_BITS = np.array([8.0, 6.0, 4.0, 2.0 + 3.0 * np.log2(4.0 / 3.0), 0.0, 0.0, 0.0])
+TAIL_BITS = {2: np.array([2.0, 0.0]),
+             3: np.array([3.0 * np.log2(3.0), 2.0 * np.log2(1.5) + np.log2(3.0), 0.0, 0.0])}
+
+
+def pair_count_entropy_bits(indices):
+    """sample_entropy_bits as it counted each block's equal pairs on every call."""
+    def equal_pairs(blocks):
+        return sum(blocks[..., i] == blocks[..., j] for i, j in zip(*PAIRS[blocks.shape[-1]]))
+
+    idx = np.asarray(indices, dtype=int)
+    n = idx.shape[-1]
+    nfull = n // 4
+    blocks = idx[..., :nfull * 4].reshape(idx.shape[:-1] + (nfull, 4))
+    bits = BLOCK_BITS[equal_pairs(blocks)].sum(axis=-1)
+    if n % 4 > 1:
+        bits = bits + TAIL_BITS[n % 4][equal_pairs(idx[..., nfull * 4:])]
+    return bits
+
+
+def test_sample_entropy_equals_pair_count():
+    # every block of four indices of 0..15 once, then rows of every width
+    # with index runs, where the full-block sum and the tail's addition round
+    blocks = np.indices((16,) * 4).reshape(4, -1).T
+    assert rc.sample_entropy_bits(blocks).tolist() == pair_count_entropy_bits(blocks).tolist()
+    rng = np.random.default_rng(27)
+    for n in range(0, 104):
+        rows = np.repeat(rng.integers(0, 16, size=(30, n)), rng.integers(1, 4), axis=1)[:, :n]
+        assert rc.sample_entropy_bits(rows).tolist() == pair_count_entropy_bits(rows).tolist()
+
+
+def reference_cost(band, gain, high, ctx):
+    """One band's cost at one gain by the formula the tables replace: index 1,
+    then its pair-counted block entropy plus the sum of its raw bits."""
+    mags = np.abs(band) / 10.0 ** (gain / 20.0)
+    idx1 = searchsorted_index1(mags, ctx.table)
+    assert pq.quantize_magnitudes(mags, ctx.table)[0].tolist() == idx1.tolist()
+    raw = pq.raw_bits(idx1, high, ctx.phase_bits, ctx.real_mask)
+    return float(pair_count_entropy_bits(idx1) + raw.sum())
+
+
+def edge_magnitudes(table):
+    """Every threshold, the companded region's rounding steps, R7_TILDE and
+    one ulp either side of each."""
+    edges = np.array([*table.thresholds, *(np.arange(1, 9) - 0.5) ** (4 / 3), pq.R7_TILDE])
+    return np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
+
+
+@given(stack=stacks(), data=st.data(), real=st.booleans(), as_mags=st.booleans(),
+       table=st.sampled_from([pq.DEFAULT_ECUPQ_TABLE, SMALL_R7_TABLE]),
+       gains=st.lists(st.just(0) | st.floats(rc.SF_MIN_DB, rc.SF_MAX_DB) | st.integers(-60, 60),
+                      min_size=1, max_size=5))
+def test_band_cost_equals_reference_formula(stack, data, real, as_mags, table, gains):
+    # gain 0 divides by exactly 1, so edge magnitudes are priced as drawn;
+    # scales of 3e3 and up escape at every gain up to 0 dB
+    rows, width = stack.shape
+    if data.draw(st.booleans()):
+        edges = edge_magnitudes(table)
+        picks = data.draw(st.lists(st.integers(0, edges.size - 1), min_size=width,
+                                   max_size=width))
+        stack[0] = edges[picks]
+    highs = data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
+    ctx = stack_ctx(stack, real)
+    ctx = rc.BandQuantContext(table=table, phase_bits=ctx.phase_bits, real_mask=ctx.real_mask)
+    bands = np.abs(stack) if as_mags else stack
+    want = [[reference_cost(stack[r], g, highs[r], ctx) for g in gains] for r in range(rows)]
+    assert rc.band_cost_bits(bands, np.tile(gains, (rows, 1)), np.array(highs), ctx).tolist() == want
+    assert rc.band_cost_bits(bands[0], np.array(gains), highs[0], ctx).tolist() == want[0]
+    assert [rc.band_cost_bits(bands[0], g, highs[0], ctx) for g in gains] == want[0]
+
+
 def test_search_needs_few_cost_calls(monkeypatch):
     rng = np.random.default_rng(26)
     scales = rng.uniform(1, 50, size=(50, 1))
