@@ -99,7 +99,7 @@ def analyze_frames(samples: np.ndarray, cfg: CodecConfig) -> FrameAnalysis:
     division (FDNS), then the quantized complex LP model along frequency and
     the CTNS switch.  Each row is what the frame alone would give."""
     coeffs = lp.fit(samples, cfg.lpc_order, cfg.fdns_weight)
-    lsf_idx = lp.quantize_lsf(lp.lpc_to_lsf(coeffs), cfg.lsf_step)
+    lsf_idx = lp.lsf_indices(coeffs, cfg.lsf_step)
     env, contrast = derive_shaping(lsf_idx, cfg)
     res = ns.fdns_forward(np.fft.rfft(samples), env)
 

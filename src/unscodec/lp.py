@@ -132,35 +132,71 @@ def _undecided(rows: np.ndarray, rho: float) -> np.ndarray:
     return np.flatnonzero(~cleared)
 
 
-def lpc_to_lsf(coeffs: np.ndarray) -> np.ndarray:
+LSF_GRID, LSF_NEWTON_STEPS, LSF_MARGIN = 128, 4, 1e-12  # see lpc_to_lsf
+
+
+@functools.lru_cache(maxsize=8)
+def _cosine_table(m: int) -> np.ndarray:
+    """2 cos kw for k = m..1, then 1, on the grid w = 0..pi: d_0..d_m times it is lpc_to_lsf's F."""
+    table = np.cos(np.outer(np.arange(m, -1, -1), np.linspace(0.0, np.pi, LSF_GRID + 1)))
+    table[:-1] *= 2.0
+    table.flags.writeable = False
+    return table
+
+
+def lpc_to_lsf(coeffs: np.ndarray, step: float) -> np.ndarray:
     """Convert an even-order minimum-phase model to line spectral frequencies.
 
-    The symmetric/antisymmetric polynomials P and Q are deflated by their
-    trivial roots at z = -1 and z = +1; the remaining unit-circle root angles,
-    merged and sorted, are the LSFs (strictly increasing in (0, pi)).
-    """
+    P and Q, deflated by their trivial roots at z = -1 and +1, are palindromic: on the unit circle
+    each is F(w) = d_m + 2 sum_k d_(m-k) cos kw, m = order / 2, and their roots in (0, pi), merged
+    and sorted, are the LSFs.  F's sign changes on LSF_GRID intervals of [0, pi] bracket the roots;
+    LSF_NEWTON_STEPS Newton steps in x = cos w refine them from the brackets' secant roots (Kabal
+    and Ramachandran, 1986).  A row takes ``eigvals`` roots instead unless each F changes sign m
+    times and every root converges (last step below 1e-12) inside its bracket and (1e-9, pi - 1e-9),
+    LSF_MARGIN * (1 + its condition number) radians or more from every rounding boundary
+    (k + 1/2) * ``step``; the two root finders part by some eps times that condition number."""
     coeffs = np.asarray(coeffs, dtype=float)
-    p = coeffs.shape[-1]
+    p, m = coeffs.shape[-1], coeffs.shape[-1] // 2
     if p % 2 != 0:
         raise ValueError("LSF conversion requires an even order")
     rows = coeffs.reshape(-1, p)
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("model coefficients must be finite")
     if np.any(_max_root_radius(rows[_undecided(rows, 1.0)]) >= 1.0):
         raise ValueError("model is not minimum phase")
     ext = np.concatenate([np.ones((len(rows), 1)), rows, np.zeros((len(rows), 1))], axis=1)
-    angles = []
-    for poly, sign in ((ext + ext[:, ::-1], 1.0), (ext - ext[:, ::-1], -1.0)):
-        # divide by (1 + sign * z^-1) via synthetic division
-        deflated = np.empty((len(rows), p + 1))
-        acc = 0.0
-        for i in range(p + 1):
-            acc = deflated[:, i] = poly[:, i] - sign * acc
-        angles.append(np.angle(_roots(deflated)))
-    ang = np.concatenate(angles, axis=1)
+    sign = np.array([[1.0], [-1.0]])
+    alt = (-sign) ** np.arange(p + 1)  # P, Q over (1 + sign z^-1): d_i = p_i - sign d_(i-1)
+    d = alt * np.cumsum(alt * (ext[:, None, :-1] + sign * ext[:, None, :0:-1]), axis=-1)
+    table = _cosine_table(m)
+    f = np.einsum("rsk,kg->rsg", d[..., :m + 1], table)  # gemm would keep 0.3 MB of buffer
+    change = np.diff(f < 0.0, axis=-1)
+    fast = np.all(np.count_nonzero(change, axis=-1) == m, axis=1)
+    j = np.nonzero(change[fast])[-1].reshape(-1, 2, m)  # each polynomial's brackets, in order
+    lo, hi, d2 = table[-2, j + 1] / 2, table[-2, j] / 2, 2.0 * d[fast, :, :m + 1, None]
+    f_lo, f_hi = np.take_along_axis(f[fast], j + 1, -1), np.take_along_axis(f[fast], j, -1)
+    with np.errstate(all="ignore"):  # a degenerate row's non-finite values only fail the checks
+        x = hi - f_hi * (hi - lo) / (f_hi - f_lo)
+        for _ in range(LSF_NEWTON_STEPS):  # Clenshaw sums: b for F, h for dF/dx halved
+            x2, b1, b2, h1, h2 = 2.0 * x, 0.0, 0.0, 0.0, 0.0
+            for k in range(m):
+                b1, b2, h1, h2 = x2 * b1 - b2 + d2[:, :, k], b1, x2 * h1 - h2 + b1, h1
+            slope = b1 + x2 * h1 - 2.0 * h2
+            dx = (0.5 * d2[:, :, m] + x * b1 - b2) / slope
+            x = x - dx
+        w = np.arccos(x)  # each root's condition number: sum |d_i| / |dF/dw|
+        cond = np.abs(d[fast]).sum(axis=-1, keepdims=True) / np.abs(slope * np.sin(w))
+        near = np.abs(w / step % 1.0 - 0.5) * step < LSF_MARGIN * (1.0 + cond)
+        lsf = np.full((len(rows), p), np.nan)
+        lsf[fast] = np.sort(w.reshape(-1, p), axis=1)
+        fast[fast] = np.all((lo <= x) & (x <= hi) & (np.abs(dx) < 1e-12) & ~near, axis=(1, 2))
+        fast &= np.all((lsf > 1e-9) & (lsf < np.pi - 1e-9), axis=1)
+    ang = np.angle(_roots(d[~fast].reshape(-1, p + 1))).reshape(-1, 2 * p)
     inside = (ang > 1e-9) & (ang < np.pi - 1e-9)
     found = np.count_nonzero(inside, axis=1)
     if np.any(found != p):
         raise ValueError(f"expected {p} line spectral frequencies, found {found[found != p][0]}")
-    lsf = np.sort(np.where(inside, ang, np.inf), axis=1)[:, :p]
+    lsf[~fast] = np.sort(np.where(inside, ang, np.inf), axis=1)[:, :p]
     return lsf.reshape(coeffs.shape)
 
 
@@ -195,6 +231,11 @@ def quantize_lsf(lsf: np.ndarray, step: float) -> np.ndarray:
     the integer indices."""
     idx = round_half_up(np.asarray(lsf) / step)
     return np.clip(idx, 0, lsf_index_max(step))
+
+
+def lsf_indices(coeffs: np.ndarray, step: float) -> np.ndarray:
+    """A model's coded LSF indices, one ``step`` for the quantizer and lpc_to_lsf's margin."""
+    return quantize_lsf(lpc_to_lsf(coeffs, step), step)
 
 
 def dequantize_lsf(indices: np.ndarray, step: float, min_gap: float) -> np.ndarray:

@@ -293,9 +293,14 @@ def test_stacked_analysis_rows_equal_per_frame_reference(specs, order_seed, ctns
         for row, seq in enumerate(seqs):
             assert_same_bits(stacked[row], ref_levinson(seq, p)[0], "levinson")
     expanded = lp.bandwidth_expand(lp.levinson(r[r[:, 0] > 1e-30], p), cfg.fdns_weight)
-    lsf = lp.lpc_to_lsf(expanded)
+    # the grid search's LSFs are each row's own, within 1e-12 of np.roots and on its indices
+    lsf = lp.lpc_to_lsf(expanded, cfg.lsf_step)
     for row, coeffs in enumerate(expanded):
-        assert_same_bits(lsf[row], ref_lpc_to_lsf(coeffs), "lpc_to_lsf")
+        assert_same_bits(lsf[row], lp.lpc_to_lsf(coeffs, cfg.lsf_step), "lpc_to_lsf")
+        want = ref_lpc_to_lsf(coeffs)
+        assert np.max(np.abs(lsf[row] - want)) <= 1e-12
+        assert np.array_equal(lp.quantize_lsf(lsf[row], cfg.lsf_step),
+                              lp.quantize_lsf(want, cfg.lsf_step))
 
     # permuting the rows permutes every output
     perm = np.random.default_rng(order_seed).permutation(len(frames))

@@ -1,11 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, reject, strategies as st
 
-from unscodec import lp
+from unscodec import codec, lp, signals
 from unscodec.config import CodecConfig
 
-from test_analysis_stack import ref_autocorr, ref_dequantize_clpc
+from test_analysis_stack import ref_autocorr, ref_dequantize_clpc, ref_lpc_to_lsf
 
 CFG = CodecConfig()
 ORDER = CFG.lpc_order
@@ -166,7 +168,7 @@ def test_bandwidth_expand_scales_pole_radii():
 
 
 def test_lsf_of_flat_order2_model():
-    lsf = lp.lpc_to_lsf(np.zeros(2))
+    lsf = lp.lpc_to_lsf(np.zeros(2), *LSF)
     assert np.allclose(lsf, [np.pi / 3.0, 2.0 * np.pi / 3.0], atol=1e-9)
 
 
@@ -174,7 +176,7 @@ def test_lsf_monotone_and_roundtrip():
     rng = np.random.default_rng(14)
     for _ in range(20):
         m = random_stable_model(rng)
-        lsf = lp.lpc_to_lsf(m)
+        lsf = lp.lpc_to_lsf(m, *LSF)
         assert np.all(np.diff(lsf) > 0)
         assert lsf[0] > 0 and lsf[-1] < np.pi
         rec = lp.lsf_to_lpc(lsf)
@@ -183,7 +185,7 @@ def test_lsf_monotone_and_roundtrip():
 
 def test_lsf_rejects_unstable_model():
     with pytest.raises(ValueError):
-        lp.lpc_to_lsf(np.array([-2.5, 1.4]))
+        lp.lpc_to_lsf(np.array([-2.5, 1.4]), *LSF)
 
 
 def test_quantize_lsf_example():
@@ -197,7 +199,7 @@ def test_lsf_quantization_idempotent():
     rng = np.random.default_rng(15)
     for _ in range(20):
         m = random_stable_model(rng)
-        q1 = lp.quantize_lsf(lp.lpc_to_lsf(m), *LSF)
+        q1 = lp.lsf_indices(m, *LSF)
         rec = lp.dequantize_lsf(q1, *LSF_REC)
         q2 = lp.quantize_lsf(rec, *LSF)
         assert np.array_equal(q1, q2)
@@ -207,7 +209,7 @@ def test_decoded_lsf_model_always_minimum_phase():
     rng = np.random.default_rng(16)
     for _ in range(30):
         m = random_stable_model(rng, max_k=0.97)
-        rec = lp.lsf_to_lpc(lp.dequantize_lsf(lp.quantize_lsf(lp.lpc_to_lsf(m), *LSF), *LSF_REC))
+        rec = lp.lsf_to_lpc(lp.dequantize_lsf(lp.lsf_indices(m, *LSF), *LSF_REC))
         radius = np.max(np.abs(np.roots(np.concatenate([[1.0], rec]))))
         assert radius < 1.0
 
@@ -215,10 +217,10 @@ def test_decoded_lsf_model_always_minimum_phase():
 def test_all_zero_lsf_roundtrip():
     # the flat model's frequencies are not on the quantizer grid, so the
     # reconstruction is near-flat and the index fixpoint is exact
-    q1 = lp.quantize_lsf(lp.lpc_to_lsf(np.zeros(16)), *LSF)
+    q1 = lp.lsf_indices(np.zeros(16), *LSF)
     rec = lp.lsf_to_lpc(lp.dequantize_lsf(q1, *LSF_REC))
     assert np.max(np.abs(rec)) < 0.1
-    q2 = lp.quantize_lsf(lp.lpc_to_lsf(rec), *LSF)
+    q2 = lp.lsf_indices(rec, *LSF)
     assert np.array_equal(q1, q2)
 
 
@@ -341,12 +343,12 @@ def test_minimum_phase_check_decides_as_np_roots_at_the_unit_circle(delta, radiu
             m = real_model_with_root(rng, 1.0 + sign * delta)
             if np_roots_radius(m) >= 1.0:
                 with pytest.raises(ValueError, match="not minimum phase"):
-                    lp.lpc_to_lsf(m)
+                    lp.lpc_to_lsf(m, *LSF)
                 with pytest.raises(ValueError, match="not minimum phase"):
-                    lp.lpc_to_lsf(np.stack([np.zeros(ORDER), m]))
+                    lp.lpc_to_lsf(np.stack([np.zeros(ORDER), m]), *LSF)
             else:
-                assert lp.lpc_to_lsf(np.stack([np.zeros(ORDER), m]))[1].tobytes() == \
-                    lp.lpc_to_lsf(m).tobytes()
+                assert lp.lpc_to_lsf(np.stack([np.zeros(ORDER), m]), *LSF)[1].tobytes() == \
+                    lp.lpc_to_lsf(m, *LSF).tobytes()
         if sign < 0 and delta >= 1e-4:  # the screen clears every row well inside
             assert sum(radius_rows) == 0
 
@@ -403,3 +405,152 @@ def test_clpc_stability_guard_on_overflowing_cells():
     got = lp.dequantize_complex_lpc(idx, *args)
     for row, cells in enumerate(idx):
         assert got[row].tobytes() == ref_dequantize_clpc(cells, *args, ORDER).tobytes(), row
+
+
+# ---- LSFs by the Chebyshev grid search, against the eigvals path -------------
+
+STEP = CFG.lsf_step
+
+
+@pytest.fixture
+def eigvals_rows(monkeypatch, radius_rows):
+    """Counts the rows lpc_to_lsf hands to eigvals: each sends its two deflated polynomials to
+    ``_roots``, beside the one polynomial per row the minimum-phase screen sends there."""
+    polys = []
+    roots = lp._roots
+    monkeypatch.setattr(lp, "_roots", lambda p: polys.append(len(p)) or roots(p))
+    return lambda: (sum(polys) - sum(radius_rows)) // 2
+
+
+def eigvals_lsf(coeffs, step=STEP):
+    """lpc_to_lsf's eigvals path alone: with an infinite margin every row falls back."""
+    with mock.patch.object(lp, "LSF_MARGIN", np.inf):
+        return lp.lpc_to_lsf(coeffs, step)
+
+
+def lsf_condition(coeffs, lsf):
+    """Each LSF's root condition number in its deflated polynomial d: sum |d_i| / |d'(z)| at
+    z = exp(j lsf), so eps times it bounds how far a backward-stable root finder may stray."""
+    ext = np.concatenate([[1.0], coeffs, [0.0]])
+    polys = []
+    for sign in (1.0, -1.0):
+        d, acc = [], 0.0
+        for c in ext + sign * ext[::-1]:
+            acc = c - sign * acc
+            d.append(acc)
+        polys.append(np.array(d[:-1]))
+    z = np.exp(1j * lsf)
+    owner = np.argmin([np.abs(np.polyval(d, z)) for d in polys], axis=0)
+    return np.array([np.sum(np.abs(polys[o])) / np.abs(np.polyval(np.polyder(polys[o]), zk))
+                     for o, zk in zip(owner, z)])
+
+
+@pytest.mark.parametrize("step, order", [(STEP, ORDER), (1e-4, 20)])
+@pytest.mark.parametrize("factor", (0.1, 0.5, 0.8, 1.25, 2.0, 10.0, 1e3))
+def test_lsf_near_a_rounding_boundary_takes_eigvals(step, order, factor, eigvals_rows):
+    # models whose LSFs sit at (k + 0.3) steps, off the grid points, but one at (k + 1/2) steps
+    # +- gap radians, gap = factor times that root's margin LSF_MARGIN * (1 + condition number):
+    # a factor below 1 sends the row to eigvals, one above keeps the grid search's LSFs; the
+    # margin is in radians, so a fine step does not shrink it below the root finders' parting
+    rng = np.random.default_rng(round(100 * factor))
+    spread = 0.1 + 2.8 * (np.arange(order) + rng.uniform(0.0, 0.4, (6, order))) / order
+    cells = np.floor(spread / step).astype(int)
+    lsf = (cells + 0.3) * step
+    at, rows = rng.integers(0, order, 6), np.arange(6)
+    lsf[rows, at] = (cells[rows, at] + 0.5) * step
+    cond = [lsf_condition(lp.lsf_to_lpc(row), row)[k] for row, k in zip(lsf, at)]
+    sign = np.repeat([-1.0, 1.0], 3)
+    lsf[rows, at] += sign * factor * lp.LSF_MARGIN * (1.0 + np.array(cond))
+    models = lp.lsf_to_lpc(lsf)
+    got = lp.lsf_indices(models, step)
+    assert eigvals_rows() == (6 if factor < 1.0 else 0)
+    assert np.array_equal(got, lp.quantize_lsf(eigvals_lsf(models, step), step))
+    assert np.array_equal(got[rows, at], cells[rows, at] + (sign > 0))
+
+
+def test_a_root_outside_its_bracket_takes_eigvals(monkeypatch, request, eigvals_rows):
+    # on a coarse grid and with Newton run to convergence, some roots settle outside their
+    # bracket, on a neighbouring root of the same polynomial, which would give one LSF twice and
+    # lose another: those rows take eigvals, and every row keeps the eigvals path's indices
+    monkeypatch.setattr(lp, "LSF_GRID", 8)
+    monkeypatch.setattr(lp, "LSF_NEWTON_STEPS", 40)
+    lp._cosine_table.cache_clear()
+    request.addfinalizer(lp._cosine_table.cache_clear)
+    rng = np.random.default_rng(22)
+    models = np.array([random_stable_model(rng, order=8, max_k=0.95) for _ in range(200)])
+    got = lp.lpc_to_lsf(models, STEP)
+    assert 0 < eigvals_rows() < len(models)
+    assert np.all(np.diff(got, axis=1) > 0)
+    assert np.array_equal(lp.quantize_lsf(got, STEP), lp.quantize_lsf(eigvals_lsf(models), STEP))
+
+
+@st.composite
+def stable_models(draw):
+    """(models of one order 2..20 built from conjugate pole pairs): one pole per model near the
+    unit circle, so a P root and a Q root nearly coincide, and often near angle 0 or pi."""
+    m = draw(st.integers(1, 10))
+    models = []
+    for _ in range(draw(st.integers(1, 3))):
+        radii = draw(st.lists(st.floats(0.0, 0.95), min_size=m, max_size=m))
+        angles = draw(st.lists(st.floats(0.0, np.pi), min_size=m, max_size=m))
+        radii[0] = 1.0 - 10.0 ** draw(st.floats(-4.0, -0.5))
+        edge = 10.0 ** draw(st.floats(-4.0, -1.0))
+        angles[0] = draw(st.sampled_from([angles[0], edge, np.pi - edge]))
+        poles = np.array(radii) * np.exp(1j * np.array(angles))
+        models.append(np.poly(np.concatenate([poles, poles.conj()])).real[1:])
+    return np.array(models)
+
+
+@example(models=np.zeros((1, 2)), step=STEP)
+@example(models=np.zeros((2, ORDER)), step=STEP)
+@example(models=np.zeros((1, 20)), step=1e-4)
+@given(models=stable_models(), step=st.sampled_from([STEP, 1e-4]))
+def test_drawn_models_give_the_eigvals_path_indices(models, step):
+    wants = []
+    for model in models:
+        try:
+            wants.append(ref_lpc_to_lsf(model))
+        except AssertionError:  # np.poly rounded a root past the unit circle or an LSF to 0 or pi
+            reject()
+    got = lp.lpc_to_lsf(models, step)
+    want_idx = lp.quantize_lsf(eigvals_lsf(models, step), step)
+    assert np.array_equal(lp.quantize_lsf(got, step), want_idx)
+    stacked = lp.lpc_to_lsf(np.concatenate([np.zeros((1, models.shape[1])), models]), step)
+    for row, (model, want) in enumerate(zip(models, wants)):
+        assert lp.lpc_to_lsf(model, step).tobytes() == got[row].tobytes() == \
+            stacked[row + 1].tobytes()
+        # within 1e-12 of np.roots, or of np.roots's own reach where a root is ill-conditioned
+        slack = 16 * len(model) * np.finfo(float).eps * lsf_condition(model, want)
+        assert np.all(np.abs(got[row] - want) <= 1e-12 + slack)
+
+
+def lsf_test_signals():
+    """perfbench's corpus at seeds 0-3 (seed 0 is ``mixed_corpus``; later seeds re-draw its
+    seeded items) and 100 half-second speechish clips."""
+    for seed in range(4):
+        items = signals.mixed_corpus(30.0)
+        if seed:
+            s_speech, s_click = np.random.SeedSequence(seed).generate_state(2)
+            items["speechish"] = signals.speechish(6.0, seed=int(s_speech))
+            items["castanet"] = signals.click_train(6.0, seed=int(s_click))[0]
+        yield from items.values()
+    for seed in range(100):
+        yield signals.speechish(0.5, seed=seed)
+
+
+def test_lsf_indices_equal_the_eigvals_path_on_the_corpus(eigvals_rows):
+    for mode in ("12k", "16k"):
+        cfg = CodecConfig(mode=mode)
+        models = np.concatenate([lp.fit(frames, cfg.lpc_order, cfg.fdns_weight)
+                                 for pcm in lsf_test_signals()
+                                 for _, frames in codec.chunks(pcm, cfg.window_spec)])
+        before = eigvals_rows()
+        got = lp.lsf_indices(models, cfg.lsf_step)
+        fell_back = eigvals_rows() - before
+        want = eigvals_lsf(models, cfg.lsf_step)
+        assert np.array_equal(got, lp.quantize_lsf(want, cfg.lsf_step))
+        # only the rows with an LSF within its margin of a rounding boundary take eigvals
+        apart = np.abs(want / cfg.lsf_step % 1.0 - 0.5) * cfg.lsf_step
+        near = [np.any(apart[row] < lp.LSF_MARGIN * (1.0 + lsf_condition(models[row], want[row])))
+                for row in np.flatnonzero(apart.min(axis=1) < 1e-6)]  # farther needs cond > 1e6
+        assert fell_back == sum(near)
