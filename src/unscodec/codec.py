@@ -15,8 +15,8 @@ import numpy as np
 
 from . import lp, noise_shaping as ns, polar_quant as pq, rate_control as rc
 from .config import CodecConfig
-from .entropy_bitstream import (FramePayload, PackContext, StreamError, StreamHeader,
-                                frame_bounds, pack_frame, unpack_fields, unpack_frame)
+from .entropy_bitstream import (FramePayload, StreamError, StreamHeader, frame_bounds, pack_frame,
+                                unpack_fields, unpack_frame)
 from .transforms import frame_count, frame_signal, overlap_add
 
 # the divisor of each integer gain SF_MIN_DB..SF_MAX_DB, by Python's float
@@ -80,20 +80,6 @@ def derive_clpc(clpc_indices: np.ndarray, cfg: CodecConfig) -> np.ndarray:
                                      cfg.clpc_phase_cells)
 
 
-def make_pack_context(cfg: CodecConfig) -> PackContext:
-    """A config's frame layout and wire alphabets: the one place both are derived."""
-    sizes = np.diff([0, *cfg.band_edges[:-1], cfg.n_bins])  # the Nyquist bin ends the last band
-    return PackContext(
-        lpc_order=cfg.lpc_order,
-        band_sizes=tuple(sizes.tolist()),
-        phase_cells=np.array([cfg.phase_cells_low, cfg.phase_cells_high]),
-        lsf_alphabet=lp.lsf_index_max(cfg.lsf_step) + 1,
-        clpc_mag_alphabet=lp.clpc_mag_index_max(
-            cfg.clpc_mag_step_db, cfg.clpc_mag_floor_db, cfg.clpc_mag_ceil_db) + 2,
-        clpc_phase_bits=cfg.clpc_phase_cells.bit_length() - 1,
-    )
-
-
 def analyze_frames(samples: np.ndarray, cfg: CodecConfig) -> FrameAnalysis:
     """Shape a stack of windowed frames (frames, frame_len): LSF envelope
     division (FDNS), then the quantized complex LP model along frequency and
@@ -126,12 +112,12 @@ def synthesize(coded: np.ndarray, env_values: np.ndarray, coeffs: np.ndarray | N
 
 
 def quantize_spectrum(coded: np.ndarray, gains: np.ndarray, contrast: np.ndarray,
-                      cfg: CodecConfig, ctx: PackContext):
+                      cfg: CodecConfig):
     """Polar-quantize the coded bins, each band divided by its gain; returns
     the payload's whole-frame (index1, index2, phase, sign) arrays; a (frames,
     bins) stack with (frames, bands) gains and flags gives each frame's as a row."""
+    ctx, real = cfg.layout, cfg.layout.real_mask
     scaled = coded / GAIN_DIVISORS[gains - rc.SF_MIN_DB][..., ctx.band_of]
-    real = ctx.real_mask
     index1, index2 = pq.quantize_magnitudes(
         np.where(real, np.abs(scaled.real), np.abs(scaled)), cfg.ecupq)
     cells = pq.phase_cells_array(index1, contrast[..., ctx.band_of], ctx.phase_cells)
@@ -142,10 +128,10 @@ def quantize_spectrum(coded: np.ndarray, gains: np.ndarray, contrast: np.ndarray
     return index1, index2, phase, sign
 
 
-def dequantize_spectrum(payload: FramePayload, cfg: CodecConfig, ctx: PackContext):
+def dequantize_spectrum(payload: FramePayload, cfg: CodecConfig):
     """The coded bins a chunk record's spectral fields and band gains
     describe, one row per frame."""
-    mags = pq.dequantize_magnitudes(payload.index1, payload.index2, cfg.ecupq)
+    mags, ctx = pq.dequantize_magnitudes(payload.index1, payload.index2, cfg.ecupq), cfg.layout
     cells = pq.phase_cells_array(payload.index1, payload.contrast[..., ctx.band_of],
                                  ctx.phase_cells)
     theta = np.zeros(mags.shape)
@@ -156,11 +142,11 @@ def dequantize_spectrum(payload: FramePayload, cfg: CodecConfig, ctx: PackContex
     return vals * GAIN_DIVISORS[payload.sf_indices - rc.SF_MIN_DB][..., ctx.band_of]
 
 
-def encode_frames(frames: np.ndarray, cfg: CodecConfig, ctx: PackContext, first: int):
+def encode_frames(frames: np.ndarray, cfg: CodecConfig, first: int):
     """Encode a chunk of windowed frames, the rows of a (frames, frame_len) stack whose first
     is stream frame ``first``; returns the chunk's record and each frame's bytes and stats.
     The chunk is analyzed, each band's gains searched and the chunk quantized as stacks."""
-    shaped = analyze_frames(frames, cfg)
+    shaped, ctx = analyze_frames(frames, cfg), cfg.layout
     coded, active, gain_db = shaped.coded, shaped.active, shaped.gain_db
     lsf, clpc, contrast = shaped.lsf_indices, shaped.clpc_indices, shaped.contrast
     del shaped  # the residuals and envelopes are not needed past the analysis
@@ -171,7 +157,7 @@ def encode_frames(frames: np.ndarray, cfg: CodecConfig, ctx: PackContext, first:
     gains, overflow = np.stack(gains, axis=1), np.stack(overflow, axis=1)
     est_bits = sum(bits)  # summed in band order, as the stats report it
     payload = FramePayload(lsf, active, clpc, gains,  # then index1, index2, phase, sign
-                           *quantize_spectrum(coded, gains, contrast, cfg, ctx), contrast)
+                           *quantize_spectrum(coded, gains, contrast, cfg), contrast)
     sections = [{} for _ in frames]
     blobs = [pack_frame(payload, f, ctx, stats_out=sections[f]) for f in range(len(frames))]
     return payload, blobs, [FrameStats(
@@ -180,13 +166,13 @@ def encode_frames(frames: np.ndarray, cfg: CodecConfig, ctx: PackContext, first:
         total_bits=8 * len(blobs[f]), section_bits=sections[f]) for f in range(len(frames))]
 
 
-def decode_frame_payload(chunk: FramePayload, cfg: CodecConfig, ctx: PackContext) -> np.ndarray:
+def decode_frame_payload(chunk: FramePayload, cfg: CodecConfig) -> np.ndarray:
     """A chunk record's time-domain frames, one row each: each frame's envelope, as decode_stream
     derives the contrast flags, then one stacked dequantization, CTNS inverse and synthesis."""
     env = np.array([derive_shaping(lsf, cfg)[0] for lsf in chunk.lsf_indices])
     active = chunk.ctns_flag
     coeffs = derive_clpc(chunk.clpc_indices[active], cfg) if active.any() else None
-    return synthesize(dequantize_spectrum(chunk, cfg, ctx), env, coeffs, cfg, active)
+    return synthesize(dequantize_spectrum(chunk, cfg), env, coeffs, cfg, active)
 
 
 def chunks(pcm: np.ndarray, spec):
@@ -222,10 +208,9 @@ def stream_header(cfg: CodecConfig, original_length: int) -> StreamHeader:
 def encode_stream(pcm: np.ndarray, cfg: CodecConfig):
     """Encode mono core-band PCM to a bitstream; returns (bytes, stats)."""
     pcm = finite_pcm(pcm)
-    ctx = make_pack_context(cfg)
     blobs, stats = [stream_header(cfg, pcm.size).pack()], []
     for first, frames in chunks(pcm, cfg.window_spec):
-        _, chunk_blobs, chunk_stats = encode_frames(frames, cfg, ctx, first)
+        _, chunk_blobs, chunk_stats = encode_frames(frames, cfg, first)
         blobs += chunk_blobs
         stats += chunk_stats
     return b"".join(blobs), stats
@@ -241,7 +226,7 @@ def decode_stream(data: bytes, cfg: CodecConfig | None = None):
     if differ:
         raise StreamError("stream header does not match configuration: " + ", ".join(differ))
 
-    ctx, spec = make_pack_context(cfg), cfg.window_spec
+    ctx, spec = cfg.layout, cfg.window_spec
     # a cut, short or overlong stream is refused before any frame is parsed
     bounds = frame_bounds(data, frame_count(header.original_length, spec), header.original_length)
     pcm, flags = [np.zeros(spec.overlap_len)], []
@@ -262,7 +247,7 @@ def decode_stream(data: bytes, cfg: CodecConfig | None = None):
                               first + int(np.argmax(bad)))
         if fault:
             raise StreamError(str(fault), first + len(at)) from None
-        add_chunk(pcm, decode_frame_payload(chunk, cfg, ctx), spec)
+        add_chunk(pcm, decode_frame_payload(chunk, cfg), spec)
         flags += chunk.ctns_flag.tolist()
     return np.concatenate(pcm)[:header.original_length], header, flags
 

@@ -5,10 +5,12 @@ key-value config file format with an embedded quantizer table section.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields, is_dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from . import lp
+from .entropy_bitstream import PackContext
 from .polar_quant import DEFAULT_ECUPQ_TABLE, EcupqTable
 from .resample import CORE_RATE
 from .transforms import WindowSpec
@@ -96,9 +98,14 @@ class CodecConfig:
             if not np.isfinite(lp.clpc_magnitude(*grid, np.float64(top))):
                 raise ConfigError(f"CLPC magnitude cell {top} of the grid's table is not finite")
 
-    @property
+    @cached_property
     def window_spec(self) -> WindowSpec:
         return WindowSpec(self.frame_len, self.overlap_len, self.window_edge)
+
+    @cached_property
+    def layout(self) -> PackContext:
+        """The config's frame layout and wire alphabets, derived once and shared by both ends."""
+        return PackContext(self)
 
     @property
     def budget(self) -> tuple:
@@ -109,7 +116,7 @@ class CodecConfig:
         return self.frame_len // 2 + 1
 
     def with_mode(self, mode: str) -> "CodecConfig":
-        return replace(self, mode=mode)
+        return self if mode == self.mode else replace(self, mode=mode)
 
 
 # The file format follows the dataclasses: one ``key = value`` line per field

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import struct
 from bisect import bisect_right, insort
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import accumulate
 from math import log2
 
 import numpy as np
 
+from .lp import clpc_mag_index_max, lsf_index_max
 from .polar_quant import ESCAPE_INDEX, OUTLIER_MAX, OUTLIER_MIN, raw_bits
 from .rate_control import SF_MAX_DB, SF_MIN_DB
 
@@ -352,39 +353,36 @@ class FramePayload:
                                      else int) for name, shape in row.items()})
 
 
-@dataclass
 class PackContext:
-    """The frame layout and wire alphabets shared by pack, unpack and the
-    codec's two ends (``codec.make_pack_context`` derives them from a config).
+    """A config's frame layout and wire alphabets, derived from the config alone and shared by
+    pack, unpack and the codec's two ends (``CodecConfig.layout`` holds a config's one).  The
+    first and last coded bins (DC and Nyquist) are real-valued.  Nothing is settable and the
+    arrays are read-only: one layout serves every user of its config."""
 
-    The first and last coded bins (DC and Nyquist) are real-valued.  The
-    per-bin tables, phase-field widths and the LSF and CLPC-magnitude
-    (cums, bank_of) models are derived once, at construction.
-    """
+    def __init__(self, cfg):
+        sizes = np.diff([0, *cfg.band_edges[:-1], cfg.n_bins])  # the Nyquist bin ends the last band
+        starts = np.cumsum([0, *sizes]).tolist()
+        real_mask = np.zeros(cfg.n_bins, dtype=bool)
+        real_mask[[0, -1]] = True
+        phase_cells = np.array([cfg.phase_cells_low, cfg.phase_cells_high])
+        lsf_alphabet = lsf_index_max(cfg.lsf_step) + 1  # LSF indices and their deltas
+        clpc_mag_alphabet = clpc_mag_index_max(  # the zero cell, then the dB grid
+            cfg.clpc_mag_step_db, cfg.clpc_mag_floor_db, cfg.clpc_mag_ceil_db) + 2
+        for name, value in dict(
+                lpc_order=cfg.lpc_order,  # LSF indices and CLPC coefficients per frame
+                band_sizes=tuple(sizes.tolist()), band_of=np.repeat(np.arange(sizes.size), sizes),
+                band_slices=tuple(map(slice, starts[:-1], starts[1:])), real_mask=real_mask,
+                phase_cells=phase_cells,  # [low, high contrast][min(index1, 7)] -> cells
+                phase_bits=np.frexp(phase_cells)[1] - 1,  # log2 of each cell count
+                lsf_alphabet=lsf_alphabet, lsf_model=flat_model(lsf_alphabet),
+                clpc_mag_model=flat_model(clpc_mag_alphabet),
+                clpc_phase_bits=cfg.clpc_phase_cells.bit_length() - 1).items():
+            if isinstance(value, np.ndarray):
+                value.flags.writeable = False
+            object.__setattr__(self, name, value)
 
-    lpc_order: int             # LSF indices and CLPC coefficients per frame
-    band_sizes: tuple
-    phase_cells: np.ndarray    # [low, high contrast][min(index1, 7)] -> cells, powers of two
-    lsf_alphabet: int          # LSF indices and their deltas
-    clpc_mag_alphabet: int     # the zero cell, then the dB grid
-    clpc_phase_bits: int
-    lsf_model: tuple = field(init=False, repr=False, compare=False)
-    clpc_mag_model: tuple = field(init=False, repr=False, compare=False)
-    band_slices: list = field(init=False, repr=False, compare=False)
-    band_of: np.ndarray = field(init=False, repr=False, compare=False)
-    real_mask: np.ndarray = field(init=False, repr=False, compare=False)
-    phase_bits: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        sizes = self.band_sizes
-        self.band_of = np.repeat(np.arange(len(sizes)), sizes)
-        starts = np.cumsum((0,) + tuple(sizes))
-        self.band_slices = [slice(a, b) for a, b in zip(starts[:-1], starts[1:])]
-        self.real_mask = np.zeros(starts[-1], dtype=bool)
-        self.real_mask[[0, -1]] = True
-        self.phase_bits = np.frexp(self.phase_cells)[1] - 1  # log2 of each cell count
-        self.lsf_model = flat_model(self.lsf_alphabet)
-        self.clpc_mag_model = flat_model(self.clpc_mag_alphabet)
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PackContext.{name} is derived from the config and cannot be set")
 
     def field_widths(self, index1: np.ndarray, contrast) -> np.ndarray:
         """Raw bits per position, each band's by its contrast flag; a stack of

@@ -164,7 +164,7 @@ def coded_band_reference(blob, stats, cfg):
     which are recounted from the decoded fields and checked against the
     encoder's section accounting.
     """
-    ctx = codec.make_pack_context(cfg)
+    ctx = cfg.layout
     refs = []
     pos = StreamHeader.size()
     for s in stats:
@@ -297,6 +297,41 @@ def test_corpus_bitstreams_pinned(corpus_runs):
                      if digests.get(key) != CORPUS_SHA256.get(key))
     assert report("corpus bitstreams pinned", not changed,
                   f"{len(CORPUS_SHA256)} pinned, changed or missing: {changed}")
+
+
+# SHA-256 of the PCM the corpus fixture decodes from each stream (``out.tobytes()``):
+# the decoder may get faster, but must not change a sample of it silently
+CORPUS_PCM_SHA256 = {
+    ("12k", "harmonic_low"):
+        "5ce7d04acc09891b779070b69b62f9e31e067960031594c18355fd02eeee8cb6",
+    ("12k", "harmonic_high"):
+        "be8b6e65decba4de4641a80a6250b2a973255ce9870bee364ff4d0fbb684dc34",
+    ("12k", "speechish"):
+        "90b7d990141202e5705cceeae5e6e123a4a0f97bd695aa7eaba768467b54b843",
+    ("12k", "castanet"):
+        "ebf3ec3e56f230a44b8b2f5d79bc5927fc2033b66a375f32d4be3c0679f973ca",
+    ("12k", "organ_chord"):
+        "f3eacf1620e55ff97c68815a0fa314cfd1fa1de7534b9eadc20b5533cbfb29be",
+    ("16k", "harmonic_low"):
+        "bab8cf9327875f5bedadb1eac5d75d1dad8b84e6257522c224b6a8045a28ce59",
+    ("16k", "harmonic_high"):
+        "c556188a66cf4553901f71f60c2fc720dfb1087d5e76f22598cbd39cf1aaf530",
+    ("16k", "speechish"):
+        "8bc2eccf590e605795b788b19355424679596068c709863f54b94d3fe7a203aa",
+    ("16k", "castanet"):
+        "4a76572b2c09ad2ff8d7e6eabeb1988deba85f2f75cd9bb5cb130391acf29843",
+    ("16k", "organ_chord"):
+        "144ffa2a6e22bd5692c99e714d1a9a39e10626514448907ae48335ba179a6444",
+}
+
+
+def test_corpus_decoded_pcm_pinned(corpus_runs):
+    digests = {(mode, name): hashlib.sha256(item["out"].tobytes()).hexdigest()
+               for mode, items in corpus_runs.items() for name, item in items.items()}
+    changed = sorted(key for key in CORPUS_PCM_SHA256 | digests
+                     if digests.get(key) != CORPUS_PCM_SHA256.get(key))
+    assert report("corpus decoded PCM pinned", not changed,
+                  f"{len(CORPUS_PCM_SHA256)} pinned, changed or missing: {changed}")
 
 
 # SHA-256 of the gain search's per-frame outputs on the corpus fixture, which

@@ -10,8 +10,8 @@ from hypothesis import example, given, strategies as st
 
 from unscodec import codec, polar_quant as pq, signals
 from unscodec.config import CodecConfig
-from unscodec.entropy_bitstream import (FramePayload, StreamError, StreamHeader, frame_bounds,
-                                        pack_frame)
+from unscodec.entropy_bitstream import (FramePayload, PackContext, StreamError, StreamHeader,
+                                        frame_bounds, pack_frame)
 from unscodec.resample import CORE_RATE
 from unscodec.transforms import frame_count, frame_signal, overlap_add
 
@@ -21,7 +21,7 @@ from test_frame_reference import ref_decode_frame
 
 CFG12 = CodecConfig(mode="12k")
 CFG16 = CodecConfig(mode="16k")
-CTX12 = codec.make_pack_context(CFG12)
+CTX12 = CFG12.layout
 
 
 def attack_then_sustain(seconds=2.0, attack_s=0.8, amp=0.9, seed=23):
@@ -44,7 +44,7 @@ def attack_then_sustain(seconds=2.0, attack_s=0.8, amp=0.9, seed=23):
 
 def test_silence_frame_payload_is_minimal():
     payload, _, (stats,) = codec.encode_frames(
-        frame_signal(np.zeros(1024), CFG12.window_spec)[:1], CFG12, CTX12, 0)
+        frame_signal(np.zeros(1024), CFG12.window_spec)[:1], CFG12, 0)
     assert not payload.ctns_flag[0]
     assert stats.section_bits["clpc"] == 0  # no CLPC row is sent
     assert payload.index1.shape == (1, CFG12.n_bins)
@@ -81,7 +81,7 @@ def test_2048_sample_frames_code_indices_after_a_halving():
     blob, stats = codec.encode_stream(pcm, cfg)
     assert hashlib.sha256(blob).hexdigest() == (
         "d23d092b00d1a4ea804cc4a55b176e5aa6b73cba3bf98090ca4b36c8798ca434")
-    ctx, pos = codec.make_pack_context(cfg), StreamHeader.size()
+    ctx, pos = cfg.layout, StreamHeader.size()
     for _ in stats:
         payload, pos = unpack_one(blob, pos, ctx, cfg)
         assert np.flatnonzero(payload.index1[0]).min(initial=1023) >= 1023
@@ -91,6 +91,33 @@ def test_2048_sample_frames_code_indices_after_a_halving():
     assert np.dot(out, pcm) > 0.9 * np.linalg.norm(out) * np.linalg.norm(pcm)
 
 
+def test_layout_is_derived_once_and_read_only(monkeypatch):
+    # a config has one frame layout: the same object on every access, kept by with_mode
+    # of its own mode, and the only one a whole round trip builds; nothing in it is settable
+    built, init = [], PackContext.__init__
+
+    def counted_init(layout, cfg):
+        built.append(cfg)
+        init(layout, cfg)
+
+    monkeypatch.setattr(PackContext, "__init__", counted_init)
+    cfg = CodecConfig()  # a new config, whose layout is not built yet
+    assert cfg.layout is cfg.layout and built == [cfg]
+    assert cfg.with_mode(cfg.mode) is cfg
+    assert cfg.window_spec is cfg.window_spec
+    pcm = signals.speechish(0.5, seed=3)
+    out, _, _ = codec.decode_stream(codec.encode_stream(pcm, cfg)[0], cfg)
+    assert out.size == pcm.size and built == [cfg]
+    layout = cfg.layout
+    for name in ("band_of", "real_mask", "phase_cells", "phase_bits"):
+        with pytest.raises(ValueError, match="read-only"):
+            getattr(layout, name)[0] = 1
+    with pytest.raises(AttributeError):
+        layout.real_mask = np.zeros(cfg.n_bins, dtype=bool)
+    with pytest.raises(AttributeError):
+        layout.lpc_order = 2
+
+
 def test_sinusoid_concentrates_in_its_band():
     # 1 kHz = bin 80, inside the band spanning bins 40..89.  The window's
     # nonzero edges leave a faint sidelobe floor that other bands may code at
@@ -98,7 +125,7 @@ def test_sinusoid_concentrates_in_its_band():
     # index and all of the decoded energy.
     pcm = signals.tone(1000.0, 1.0, amp=0.9)
     frames = frame_signal(pcm, CFG12.window_spec)
-    payload, _, _ = codec.encode_frames(frames[4:5], CFG12, CTX12, 4)
+    payload, _, _ = codec.encode_frames(frames[4:5], CFG12, 4)
     bands = [payload.index1[0, s] for s in CTX12.band_slices]
     assert np.max(bands[1]) >= 2
     for b in set(range(8)) - {1}:
@@ -426,7 +453,7 @@ def test_shaping_roundtrip_spans_analysis_chunks():
 def test_encoder_decoder_derive_identical_shaping():
     pcm = signals.speechish(1.0)
     frames = frame_signal(pcm, CFG12.window_spec)
-    payload, _, _ = codec.encode_frames(frames[3:4], CFG12, CTX12, 3)
+    payload, _, _ = codec.encode_frames(frames[3:4], CFG12, 3)
     env_a, contrast_a = codec.derive_shaping(payload.lsf_indices[0], CFG12)
     env_b, contrast_b = codec.derive_shaping(payload.lsf_indices[0].copy(), CFG12)
     assert np.array_equal(env_a, env_b)
@@ -545,7 +572,7 @@ def test_bit_flips_are_refused_or_decode_near_full_scale(cfg, seed):
 def decode_frame_by_frame(data, cfg):
     """``decode_stream`` with each frame parsed on its own, through both passes on a 1-row
     chunk, and the parsed rows then synthesized in chunks; returns (pcm, header, flags)."""
-    header, ctx, spec = StreamHeader.unpack(data), codec.make_pack_context(cfg), cfg.window_spec
+    header, ctx, spec = StreamHeader.unpack(data), cfg.layout, cfg.window_spec
     bounds = frame_bounds(data, frame_count(header.original_length, spec), header.original_length)
     rows = []
     for frame, start in enumerate(bounds[:-1]):
@@ -558,7 +585,7 @@ def decode_frame_by_frame(data, cfg):
         group = rows[first:first + codec.CHUNK_FRAMES]
         chunk = FramePayload(**{f.name: np.concatenate([getattr(r, f.name) for r in group])
                                 for f in fields(FramePayload)})
-        codec.add_chunk(pcm, codec.decode_frame_payload(chunk, cfg, ctx), spec)
+        codec.add_chunk(pcm, codec.decode_frame_payload(chunk, cfg), spec)
     return np.concatenate(pcm)[:header.original_length], header, [r.ctns_flag[0] for r in rows]
 
 
@@ -626,9 +653,9 @@ def test_chunk_quantization_equals_per_frame_calls(seed, silent):
     gains = rng.integers(-60, 61, (frames, bands))
     contrast = rng.random((frames, bands)) < 0.5
     contrast[0, :2] = True, False
-    chunk = codec.quantize_spectrum(coded, gains, contrast, CFG12, CTX12)
+    chunk = codec.quantize_spectrum(coded, gains, contrast, CFG12)
     for f in range(frames):
-        alone = codec.quantize_spectrum(coded[f], gains[f], contrast[f], CFG12, CTX12)
+        alone = codec.quantize_spectrum(coded[f], gains[f], contrast[f], CFG12)
         for got, want in zip(chunk, alone):
             assert got[f].dtype == want.dtype and np.array_equal(got[f], want)
     index1, index2, _, sign = chunk
@@ -648,9 +675,9 @@ def test_config_derived_alphabets_round_trip():
     pcm = signals.click_train(1.0)[0] + 0.3 * signals.harmonic_tone(220.0, 1.0)
     blob, _ = codec.encode_stream(pcm, cfg)
     out, _, flags = codec.decode_stream(blob, cfg)
-    ctx = codec.make_pack_context(cfg)
+    ctx = cfg.layout
     frames = frame_signal(pcm, cfg.window_spec)
-    records = [codec.encode_frames(frames[i:i + codec.CHUNK_FRAMES], cfg, ctx, i)[0]
+    records = [codec.encode_frames(frames[i:i + codec.CHUNK_FRAMES], cfg, i)[0]
                for i in range(0, len(frames), codec.CHUNK_FRAMES)]
     rows = [(r, f) for r in records for f in range(len(r.ctns_flag))]
     ref = overlap_add([ref_decode_frame(r, f, cfg) for r, f in rows], cfg.window_spec)[:pcm.size]

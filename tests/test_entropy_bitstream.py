@@ -1,5 +1,4 @@
 import struct
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -85,9 +84,8 @@ def test_stream_header_rejects_short_input():
 
 
 def make_ctx():
-    # the default config's context with a 514-bin layout of its own
-    sizes = (41, 50, 50, 60, 60, 70, 80, 103)
-    return replace(codec.make_pack_context(CodecConfig()), band_sizes=sizes)
+    # a 514-bin layout, band sizes (41, 50, 50, 60, 60, 70, 80, 103), from a config that has it
+    return CodecConfig(frame_len=1026, band_edges=(41, 91, 141, 201, 261, 331, 411, 513)).layout
 
 
 ALL_HIGH = [True] * 8  # the contrast flags of a make_ctx frame unless a test sets its own

@@ -21,7 +21,7 @@ from unscodec.transforms import frame_signal, overlap_add
 from test_entropy_bitstream import one_row, unpack_one
 
 CFG = CodecConfig()
-CTX = codec.make_pack_context(CFG)
+CTX = CFG.layout
 N_BANDS = len(CFG.band_edges)
 # the five gains whose divisor numpy's array power rounds apart from Python's
 # float power, then both ends of the range and zero
@@ -117,7 +117,7 @@ def ref_decode_frame(payload, row, cfg):
 
 def ref_decode_stream(blob, cfg):
     """A stream's PCM, every frame decoded on its own, then overlap-added."""
-    ctx = codec.make_pack_context(cfg)
+    ctx = cfg.layout
     header = StreamHeader.unpack(blob)
     pos, frames = StreamHeader.size(), []
     while pos < len(blob):
@@ -164,7 +164,7 @@ contrast_st = st.lists(st.booleans(), min_size=N_BANDS, max_size=N_BANDS)
 def test_quantize_spectrum_equals_band_loop(seed, gains, contrast):
     coded = drawn_spectrum(np.random.default_rng(seed))
     gains, contrast = np.array(gains), np.array(contrast)
-    assert_fields_equal(codec.quantize_spectrum(coded, gains, contrast, CFG, CTX),
+    assert_fields_equal(codec.quantize_spectrum(coded, gains, contrast, CFG),
                         ref_quantize_bands(coded, gains, contrast, CFG))
 
 
@@ -172,7 +172,7 @@ def test_quantize_spectrum_equals_band_loop(seed, gains, contrast):
 @example(seed=0, gains=ODD_GAINS, contrast=[False, True] * 4)
 def test_dequantize_spectrum_equals_band_loop(seed, gains, contrast):
     payload = drawn_payload(np.random.default_rng(seed), gains, contrast)
-    assert np.array_equal(codec.dequantize_spectrum(payload, CFG, CTX)[0],
+    assert np.array_equal(codec.dequantize_spectrum(payload, CFG)[0],
                           ref_dequantize_bands(payload, 0, CFG))
 
 
@@ -182,10 +182,10 @@ def test_every_gain_matches_band_loop():
     for start in range(-60, 61, N_BANDS):
         gains = np.minimum(np.arange(start, start + N_BANDS), 60)
         coded = drawn_spectrum(rng)
-        assert_fields_equal(codec.quantize_spectrum(coded, gains, contrast, CFG, CTX),
+        assert_fields_equal(codec.quantize_spectrum(coded, gains, contrast, CFG),
                             ref_quantize_bands(coded, gains, contrast, CFG))
         payload = drawn_payload(rng, gains, contrast)
-        assert np.array_equal(codec.dequantize_spectrum(payload, CFG, CTX)[0],
+        assert np.array_equal(codec.dequantize_spectrum(payload, CFG)[0],
                               ref_dequantize_bands(payload, 0, CFG))
 
 
@@ -199,12 +199,12 @@ def test_corpus_frames_equal_band_loop(corpus_runs):
             for analyzed, contrast, stats in zip(shaped.coded, shaped.contrast, item["stats"]):
                 want = ref_quantize_bands(analyzed, stats.band_gains, contrast, cfg)
                 assert_fields_equal(codec.quantize_spectrum(
-                    analyzed, stats.band_gains, contrast, cfg, CTX), want)
-                payload, pos = unpack_one(item["blob"], pos, CTX)
+                    analyzed, stats.band_gains, contrast, cfg), want)
+                payload, pos = unpack_one(item["blob"], pos, cfg.layout)
                 assert_fields_equal((payload.index1[0], payload.index2[0], payload.phase[0],
                                      payload.sign[0]), want)
                 coded = ref_dequantize_bands(payload, 0, cfg)
-                assert np.array_equal(codec.dequantize_spectrum(payload, cfg, CTX)[0], coded)
+                assert np.array_equal(codec.dequantize_spectrum(payload, cfg)[0], coded)
                 coeffs = (codec.derive_clpc(payload.clpc_indices[0], cfg)
                           if payload.ctns_flag[0] else None)
                 env, _ = codec.derive_shaping(payload.lsf_indices[0], cfg)
@@ -271,5 +271,5 @@ def test_short_streams_equal_frame_by_frame_decode(samples, frames):
     rows, chunk = frame_signal(pcm, CFG.window_spec), codec.CHUNK_FRAMES
     ref = [codec.stream_header(CFG, samples).pack()]
     for i in range(0, len(rows), chunk):
-        ref += codec.encode_frames(rows[i:i + chunk], CFG, CTX, i)[1]
+        ref += codec.encode_frames(rows[i:i + chunk], CFG, i)[1]
     assert blob == b"".join(ref)

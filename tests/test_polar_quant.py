@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from unscodec import codec, polar_quant as pq
+from unscodec import polar_quant as pq
 from unscodec.config import CodecConfig
 
 TABLE = pq.DEFAULT_ECUPQ_TABLE
 CFG = CodecConfig()
-CELLS = codec.make_pack_context(CFG).phase_cells
+CELLS = CFG.layout.phase_cells
 EDGES = CFG.band_edges
 BAND_RANGES = list(zip((0,) + EDGES[:-1], EDGES))
 

@@ -450,7 +450,7 @@ def cut_at_bit(data, end):
     return value.to_bytes(-(-end // 8), "big")
 
 
-PHASE_WIDTH = int(codec.make_pack_context(CodecConfig()).phase_bits.max())
+PHASE_WIDTH = int(CodecConfig().layout.phase_bits.max())
 
 
 @st.composite
@@ -504,7 +504,7 @@ def test_exp_golomb_codewords_roundtrip(values):
 # --- unpack_frame on bytes that no encoder wrote
 
 CFG = CodecConfig()
-CTX = codec.make_pack_context(CFG)
+CTX = CFG.layout
 
 
 def unpack_or_stream_error(blob):

@@ -7,7 +7,7 @@ from unscodec import rate_control as rc
 from unscodec.config import CodecConfig
 from unscodec.util import round_half_up
 
-CTX = codec.make_pack_context(CodecConfig())
+CTX = CodecConfig().layout
 
 
 def make_ctx(real_mask=False):
@@ -33,7 +33,7 @@ def band_widths(ctx):
 
 
 def test_band_layout_widths():
-    layout = codec.make_pack_context(CodecConfig())
+    layout = CodecConfig().layout
     assert band_widths(layout) == (40, 50, 50, 60, 60, 70, 80, 102)
     assert len(layout.band_slices) == 8
 
@@ -52,17 +52,17 @@ def test_config_band_layout_follows_its_edges():
     # equal configs give equal layouts, and a config built with other edges
     # (and one budget per band) gets the FER bands and pack-context slices of its edges
     cfg = CodecConfig()
-    assert codec.make_pack_context(cfg).band_sizes == CTX.band_sizes
+    assert cfg.layout.band_sizes == CTX.band_sizes
     cfg = CodecConfig(band_edges=(64, 128, 256, 512), bits_12k=(40,) * 4, bits_16k=(60,) * 4)
-    assert band_widths(codec.make_pack_context(cfg)) == (64, 64, 128, 256)
+    assert band_widths(cfg.layout) == (64, 64, 128, 256)
     assert fer_bands(cfg) == (64, 64, 128, 256)
     cfg = CodecConfig(band_edges=[100, 512], bits_12k=(80, 80), bits_16k=(120, 120))
-    assert band_widths(codec.make_pack_context(cfg)) == (100, 412)
+    assert band_widths(cfg.layout) == (100, 412)
     assert fer_bands(cfg) == (100, 412)
 
 
 def test_split_bands_edges():
-    ctx = codec.make_pack_context(CodecConfig())
+    ctx = CodecConfig().layout
     x = np.arange(513, dtype=complex)
     bands = [x[s] for s in ctx.band_slices]
     assert bands[0][0] == 0 and bands[0][-1] == 39
