@@ -100,21 +100,20 @@ def analyze_frames(samples: np.ndarray, cfg: CodecConfig) -> FrameAnalysis:
                          gain_db=gain_db, active=switch & cfg.ctns_enabled)
 
 
-def synthesize(coded: np.ndarray, env_values: np.ndarray, coeffs: np.ndarray | None,
-               cfg: CodecConfig, active=...) -> np.ndarray:
-    """Undo CTNS (when ``coeffs`` is given) and FDNS, then return to time.  A
-    (frames, bins) stack gives each frame's as a row; CTNS is then undone on
-    the rows ``active`` selects, with one row of ``coeffs`` each."""
+def synthesize(coded: np.ndarray, env_values: np.ndarray, coeffs: np.ndarray,
+               active: np.ndarray, cfg: CodecConfig) -> np.ndarray:
+    """The time-domain frames of a (frames, bins) stack, one row each: CTNS undone on
+    the rows ``active`` selects, with one row of ``coeffs`` each, then FDNS."""
     res = coded.copy()
-    if coeffs is not None and len(coeffs):  # a stack with no active row has nothing to undo
+    if len(coeffs):  # a stack with no active row has nothing to undo
         res[active] = ns.ctns_unfilter(coded[active], coeffs, cfg.ctns_start_bin)
     return np.fft.irfft(ns.fdns_inverse(res, env_values), n=cfg.frame_len)
 
 
 def quantize_spectrum(coded: np.ndarray, gains: np.ndarray, contrast: np.ndarray,
                       cfg: CodecConfig):
-    """Polar-quantize the coded bins, each band divided by its gain; returns
-    the payload's whole-frame (index1, index2, phase, sign) arrays; a (frames,
+    """Polar-quantize the coded bins, each band divided by its gain; returns the
+    record's whole-frame (index1, index2, raw) arrays (see ``FramePayload``); a (frames,
     bins) stack with (frames, bands) gains and flags gives each frame's as a row."""
     ctx, real = cfg.layout, cfg.layout.real_mask
     scaled = coded / GAIN_DIVISORS[gains - rc.SF_MIN_DB][..., ctx.band_of]
@@ -122,10 +121,9 @@ def quantize_spectrum(coded: np.ndarray, gains: np.ndarray, contrast: np.ndarray
         np.where(real, np.abs(scaled.real), np.abs(scaled)), cfg.ecupq)
     cells = pq.phase_cells_array(index1, contrast[..., ctx.band_of], ctx.phase_cells)
     sendable = ~real & (cells > 1)  # a phase field is log2(cells) bits
-    phase = np.full(index1.shape, -1)
-    phase[sendable] = pq.quantize_phase(np.angle(scaled[sendable]), cells[sendable])
-    sign = np.where(real, (scaled.real < 0) & (index1 > 0), -1)
-    return index1, index2, phase, sign
+    raw = (real & (scaled.real < 0) & (index1 > 0)).astype(int)  # the sign bits
+    raw[sendable] = pq.quantize_phase(np.angle(scaled[sendable]), cells[sendable])
+    return index1, index2, raw
 
 
 def dequantize_spectrum(payload: FramePayload, cfg: CodecConfig):
@@ -134,11 +132,10 @@ def dequantize_spectrum(payload: FramePayload, cfg: CodecConfig):
     mags, ctx = pq.dequantize_magnitudes(payload.index1, payload.index2, cfg.ecupq), cfg.layout
     cells = pq.phase_cells_array(payload.index1, payload.contrast[..., ctx.band_of],
                                  ctx.phase_cells)
-    theta = np.zeros(mags.shape)
-    has_phase = payload.phase >= 0
-    theta[has_phase] = pq.dequantize_phase(payload.phase[has_phase], cells[has_phase])
-    vals = np.where(ctx.real_mask, np.where(payload.sign == 1, -mags, mags),
-                    mags * np.exp(1j * theta))
+    theta, raw = np.zeros(mags.shape), payload.raw
+    has_phase = ~ctx.real_mask & (cells > 1)  # as quantize_spectrum sends them
+    theta[has_phase] = pq.dequantize_phase(raw[has_phase], cells[has_phase])
+    vals = np.where(ctx.real_mask, np.where(raw == 1, -mags, mags), mags * np.exp(1j * theta))
     return vals * GAIN_DIVISORS[payload.sf_indices - rc.SF_MIN_DB][..., ctx.band_of]
 
 
@@ -156,7 +153,7 @@ def encode_frames(frames: np.ndarray, cfg: CodecConfig, first: int):
         for b, band in enumerate(ctx.band_slices)))
     gains, overflow = np.stack(gains, axis=1), np.stack(overflow, axis=1)
     est_bits = sum(bits)  # summed in band order, as the stats report it
-    payload = FramePayload(lsf, active, clpc, gains,  # then index1, index2, phase, sign
+    payload = FramePayload(lsf, active, clpc, gains,  # then index1, index2, raw
                            *quantize_spectrum(coded, gains, contrast, cfg), contrast)
     sections = [{} for _ in frames]
     blobs = [pack_frame(payload, f, ctx, stats_out=sections[f]) for f in range(len(frames))]
@@ -170,9 +167,8 @@ def decode_frame_payload(chunk: FramePayload, cfg: CodecConfig) -> np.ndarray:
     """A chunk record's time-domain frames, one row each: each frame's envelope, as decode_stream
     derives the contrast flags, then one stacked dequantization, CTNS inverse and synthesis."""
     env = np.array([derive_shaping(lsf, cfg)[0] for lsf in chunk.lsf_indices])
-    active = chunk.ctns_flag
-    coeffs = derive_clpc(chunk.clpc_indices[active], cfg) if active.any() else None
-    return synthesize(dequantize_spectrum(chunk, cfg), env, coeffs, cfg, active)
+    coeffs = derive_clpc(chunk.clpc_indices[chunk.ctns_flag], cfg)
+    return synthesize(dequantize_spectrum(chunk, cfg), env, coeffs, chunk.ctns_flag, cfg)
 
 
 def chunks(pcm: np.ndarray, spec):
@@ -216,10 +212,10 @@ def encode_stream(pcm: np.ndarray, cfg: CodecConfig):
     return b"".join(blobs), stats
 
 
-def decode_stream(data: bytes, cfg: CodecConfig | None = None):
+def decode_stream(data: bytes, cfg: CodecConfig = CodecConfig()):
     """Decode a bitstream; returns (pcm, header, per-frame CTNS flags)."""
     header = StreamHeader.unpack(data)
-    cfg = (CodecConfig() if cfg is None else cfg).with_mode(header.mode)
+    cfg = cfg.with_mode(header.mode)
     want = stream_header(cfg, header.original_length)
     differ = [f"{f.name} {getattr(header, f.name)!r} (configuration: {getattr(want, f.name)!r})"
               for f in fields(StreamHeader) if getattr(header, f.name) != getattr(want, f.name)]
@@ -265,5 +261,5 @@ def shaping_roundtrip(pcm: np.ndarray, cfg: CodecConfig) -> np.ndarray:
     out = [np.zeros(spec.overlap_len)]
     for _, frames in chunks(pcm, spec):  # chunks bound the memory, as in encoding
         s = analyze_frames(frames, cfg)  # then its rows take their synthesis
-        add_chunk(out, synthesize(s.coded, s.env, s.coeffs[s.active], cfg, s.active), spec)
+        add_chunk(out, synthesize(s.coded, s.env, s.coeffs[s.active], s.active, cfg), spec)
     return np.concatenate(out)[:pcm.size]

@@ -98,6 +98,9 @@ class CodecConfig:
             if not np.isfinite(lp.clpc_magnitude(*grid, np.float64(top))):
                 raise ConfigError(f"CLPC magnitude cell {top} of the grid's table is not finite")
 
+    def __getstate__(self):  # the fields alone: a copy rebuilds its read-only layout on first use
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
     @cached_property
     def window_spec(self) -> WindowSpec:
         return WindowSpec(self.frame_len, self.overlap_len, self.window_edge)

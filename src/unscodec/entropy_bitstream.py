@@ -329,18 +329,17 @@ class FramePayload:
 
     The spectral fields have one entry per coded bin, band after band (the
     Nyquist bin last): ``index2`` holds the escape value where index1 escapes
-    (0 elsewhere), ``phase`` the phase index (-1 where no phase is sent),
-    ``sign`` 0/1 at the real-valued DC and Nyquist bins (-1 elsewhere).
+    (0 elsewhere), ``raw`` each bin's raw field as sent: its sign bit at the
+    real-valued DC and Nyquist bins, else its phase index; 0 where 0 bits wide.
     """
 
     lsf_indices: np.ndarray       # (frames, order)
     ctns_flag: np.ndarray         # (frames,) bool
     clpc_indices: np.ndarray      # (frames, order, 2); a row is sent only where the flag is set
     sf_indices: np.ndarray        # (frames, bands)
-    index1: np.ndarray            # (frames, bins), as are index2, phase and sign
+    index1: np.ndarray            # (frames, bins), as are index2 and raw
     index2: np.ndarray
-    phase: np.ndarray
-    sign: np.ndarray
+    raw: np.ndarray
     contrast: np.ndarray          # (frames, bands) high-contrast flags: phase-cell layout
 
     @classmethod
@@ -348,7 +347,7 @@ class FramePayload:
         """A record of ``frames`` zero rows in ``ctx``'s layout, for unpack to fill."""
         order, bands, bins = (ctx.lpc_order,), (len(ctx.band_sizes),), (ctx.real_mask.size,)
         row = dict(lsf_indices=order, ctns_flag=(), clpc_indices=order + (2,), sf_indices=bands,
-                   index1=bins, index2=bins, phase=bins, sign=bins, contrast=bands)
+                   index1=bins, index2=bins, raw=bins, contrast=bands)
         return cls(**{name: np.zeros((frames, *shape), bool if name in ("ctns_flag", "contrast")
                                      else int) for name, shape in row.items()})
 
@@ -424,7 +423,7 @@ def pack_frame(payload: FramePayload, row: int, ctx: PackContext, stats_out: dic
     widths = ctx.field_widths(index1, payload.contrast[row])
     stats["sign"] = int(widths[ctx.real_mask].sum())
     stats["phase"] = int(widths.sum()) - stats["sign"]
-    fields.append((np.where(ctx.real_mask, payload.sign[row], payload.phase[row]), widths))
+    fields.append((payload.raw[row], widths))
 
     arith_bytes, raw_bytes = enc.finish(), _raw_bytes(*map(np.concatenate, zip(*fields)))
     return struct.pack("<HH", len(arith_bytes), len(raw_bytes)) + arith_bytes + raw_bytes
@@ -493,13 +492,11 @@ def unpack_frame(data: bytes, pos: int, ctx: PackContext, chunk: FramePayload, r
 
 
 def unpack_fields(data: bytes, at, ends, ctx: PackContext, chunk: FramePayload) -> np.ndarray:
-    """Pass 2 of a chunk's parse, once its contrast flags are set: read the phase and sign fields
-    of its first ``len(at)`` rows as one stack, each from ``unpack_frame``'s bit offset ``at`` to
-    its frame's end (byte offset ``ends``); returns which rows' fields miss their last byte."""
+    """Pass 2 of a chunk's parse, once its contrast flags are set: read the phases and signs of
+    its first ``len(at)`` rows into ``chunk.raw`` as one stack, each from ``unpack_frame``'s bit
+    offset ``at`` to its frame's end (byte ``ends``); returns which rows' fields miss their end."""
     widths = ctx.field_widths(chunk.index1[:len(at)], chunk.contrast[:len(at)])
     ends = 8 * np.asarray(ends, dtype=np.int64)
-    fields = _read_rows(data, at, ends, widths)
-    chunk.phase[:len(at)] = np.where(ctx.real_mask | (widths == 0), -1, fields)
-    chunk.sign[:len(at)] = np.where(ctx.real_mask, fields, -1)
+    chunk.raw[:len(at)] = _read_rows(data, at, ends, widths)
     stop = np.asarray(at, dtype=np.int64) + widths.sum(axis=1)
     return (stop <= ends - 8) | (stop > ends)

@@ -1,4 +1,6 @@
+import copy
 import hashlib
+import pickle
 import struct
 import tracemalloc
 from dataclasses import fields, replace
@@ -116,6 +118,39 @@ def test_layout_is_derived_once_and_read_only(monkeypatch):
         layout.real_mask = np.zeros(cfg.n_bins, dtype=bool)
     with pytest.raises(AttributeError):
         layout.lpc_order = 2
+
+
+def test_pickled_and_copied_configs_rebuild_a_read_only_layout():
+    # a copy carries the config's fields, not its cached layout, whose arrays
+    # would come back writeable: each copy builds its own read-only one
+    pcm = signals.speechish(0.25, seed=5)
+    cfg = CodecConfig()
+    layout = cfg.layout  # cached before the copies are made
+    blob, _ = codec.encode_stream(pcm, cfg)
+    for copied in (pickle.loads(pickle.dumps(cfg)), copy.deepcopy(cfg)):
+        assert copied == cfg
+        assert not copied.layout.real_mask.flags.writeable
+        assert copied.layout is not layout
+        assert codec.encode_stream(pcm, copied)[0] == blob
+
+
+def test_decode_without_a_config_builds_no_layout_per_stream(monkeypatch):
+    # the default config is built once; a second config-less decode of a 12k
+    # stream reuses its layout (a 16k stream takes a with_mode copy per call)
+    blob, _ = codec.encode_stream(signals.speechish(0.5, seed=4), CFG12)
+    want, _, _ = codec.decode_stream(blob, CFG12)
+    built, init = [], PackContext.__init__
+
+    def counted_init(layout, cfg):
+        built.append(cfg)
+        init(layout, cfg)
+
+    monkeypatch.setattr(PackContext, "__init__", counted_init)
+    first, _, _ = codec.decode_stream(blob)
+    built.clear()
+    second, _, _ = codec.decode_stream(blob)
+    assert built == []
+    assert np.array_equal(first, want) and np.array_equal(second, want)
 
 
 def test_sinusoid_concentrates_in_its_band():
@@ -295,6 +330,26 @@ def test_records_follow_their_frames_across_chunks(corpus_runs):
             assert [s.index for s in stats] == list(range(len(stats)))
             frame_bytes = np.diff([StreamHeader.size()] + frame_ends(item["blob"]))
             assert [s.total_bits for s in stats] == (8 * frame_bytes).tolist()
+
+
+def test_parsed_records_pack_back_to_the_encoders_bytes(corpus_runs):
+    # a record parsed as decode_stream parses it holds everything the wire
+    # does: packing each parsed row gives the frame's own bytes and the
+    # encoder's section costs, float for float
+    def exact(bits):
+        return [(k, type(v), float(v).hex()) for k, v in bits.items()]
+
+    for mode, items in corpus_runs.items():
+        cfg = CFG12.with_mode(mode)
+        for name, item in items.items():
+            pos = StreamHeader.size()
+            for stats in item["stats"]:
+                record, end = unpack_one(item["blob"], pos, cfg.layout, cfg)
+                section_bits = {}
+                assert pack_frame(record, 0, cfg.layout, section_bits) == item["blob"][pos:end]
+                assert exact(section_bits) == exact(stats.section_bits), (mode, name, stats.index)
+                pos = end
+            assert pos == len(item["blob"])
 
 
 def test_decode_rejects_stream_cut_at_a_frame_boundary():
@@ -658,12 +713,12 @@ def test_chunk_quantization_equals_per_frame_calls(seed, silent):
         alone = codec.quantize_spectrum(coded[f], gains[f], contrast[f], CFG12)
         for got, want in zip(chunk, alone):
             assert got[f].dtype == want.dtype and np.array_equal(got[f], want)
-    index1, index2, _, sign = chunk
+    index1, index2, raw = chunk
     loud = ~np.array(silent)
     assert not index1[~loud].any()
     assert (index1[loud] == pq.ESCAPE_INDEX).any(axis=1).all()
     assert (index2[loud] == pq.OUTLIER_MAX).any(axis=1).all()
-    assert (sign[loud][:, [0, -1]] == 1).all()
+    assert (raw[loud][:, [0, -1]] == 1).all()  # the sign bits
 
 
 def test_config_derived_alphabets_round_trip():
@@ -687,5 +742,5 @@ def test_config_derived_alphabets_round_trip():
     clpc = np.concatenate([r.clpc_indices[r.ctns_flag] for r in records])
     assert max(int(r.lsf_indices.max()) for r in records) > 100
     assert clpc[..., 0].max() > 160 and clpc[..., 1].max() >= 64
-    assert max(int(r.phase.max()) for r in records) >= 64
+    assert max(int(r.raw.max()) for r in records) >= 64  # a phase index
 

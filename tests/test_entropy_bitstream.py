@@ -130,18 +130,17 @@ def random_payload(rng, ctx, flag=True, with_escapes=True, zero_frac=0.0, contra
     index2[index1 == 8] = rng.integers(18, 65536, int(np.sum(index1 == 8)))
     high = np.asarray(contrast, dtype=int)[ctx.band_of]
     cells = ctx.phase_cells[high, np.minimum(index1, 7)]
-    phase = np.where(cells > 1, (rng.random(n) * cells).astype(int), -1)
-    phase[ctx.real_mask] = -1
-    sign = np.where(ctx.real_mask, rng.integers(0, 2, n) * (index1 > 0), -1)
+    phase = (rng.random(n) * cells).astype(int)  # 0 where cells is 1
+    raw = np.where(ctx.real_mask, rng.integers(0, 2, n) * (index1 > 0), phase)
     return one_row(lsf_indices=lsf, ctns_flag=flag, clpc_indices=clpc, sf_indices=sf,
-                   index1=index1, index2=index2, phase=phase, sign=sign, contrast=contrast)
+                   index1=index1, index2=index2, raw=raw, contrast=contrast)
 
 
 def assert_payload_equal(a, b):
     assert np.array_equal(a.lsf_indices, b.lsf_indices)
     assert np.array_equal(a.ctns_flag, b.ctns_flag)
     assert np.array_equal(a.clpc_indices[a.ctns_flag], b.clpc_indices[b.ctns_flag])
-    for name in ("sf_indices", "index1", "index2", "phase", "sign", "contrast"):
+    for name in ("sf_indices", "index1", "index2", "raw", "contrast"):
         assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
@@ -197,7 +196,7 @@ def zero_payload(ctx, flag=False):
         clpc_indices=np.zeros((ctx.lpc_order, 2), dtype=int),
         sf_indices=np.zeros(len(ctx.band_sizes), dtype=int),
         index1=np.zeros(n, dtype=int), index2=np.zeros(n, dtype=int),
-        phase=np.full(n, -1), sign=np.where(ctx.real_mask, 0, -1),
+        raw=np.zeros(n, dtype=int),
         contrast=[True] * len(ctx.band_sizes),
     )
 

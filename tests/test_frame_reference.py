@@ -59,14 +59,13 @@ def ref_quantize_bands(coded, gains, contrast, cfg):
         mags[mask] = np.abs(scaled[mask].real)
         i1, i2 = pq.quantize_magnitudes(mags, cfg.ecupq)
         cells = ref_phase_cells(i1, bool(contrast[b]), cfg)
-        ph = np.full(size, -1, dtype=int)
+        raw = np.zeros(size, dtype=int)
         sendable = (~mask) & (cells > 1)
         if np.any(sendable):
-            ph[sendable] = pq.quantize_phase(np.angle(scaled[sendable]), cells[sendable])
-        sg = np.full(size, -1, dtype=int)
-        sg[mask] = (scaled[mask].real < 0).astype(int)
-        sg[mask & (i1 == 0)] = 0
-        fields.append((i1, i2, ph, sg))
+            raw[sendable] = pq.quantize_phase(np.angle(scaled[sendable]), cells[sendable])
+        raw[mask] = (scaled[mask].real < 0).astype(int)
+        raw[mask & (i1 == 0)] = 0
+        fields.append((i1, i2, raw))
     return tuple(np.concatenate(f) for f in zip(*fields))
 
 
@@ -77,16 +76,17 @@ def ref_dequantize_bands(payload, row, cfg):
     offset = 0
     for b, size in enumerate(sizes):
         seg = slice(offset, offset + size)
-        i1, phase, sign = payload.index1[row, seg], payload.phase[row, seg], payload.sign[row, seg]
+        i1, raw = payload.index1[row, seg], payload.raw[row, seg]
         mags = pq.dequantize_magnitudes(i1, payload.index2[row, seg], cfg.ecupq)
         cells = ref_phase_cells(i1, bool(payload.contrast[row, b]), cfg)
         theta = np.zeros(size)
-        has_phase = phase >= 0
+        has_phase = cells > 1
+        has_phase[list(reals.get(b, ()))] = False
         if np.any(has_phase):
-            theta[has_phase] = pq.dequantize_phase(phase[has_phase], cells[has_phase])
+            theta[has_phase] = pq.dequantize_phase(raw[has_phase], cells[has_phase])
         vals = mags * np.exp(1j * theta)
         for posn in reals.get(b, ()):
-            s = -1.0 if sign[posn] == 1 else 1.0
+            s = -1.0 if raw[posn] == 1 else 1.0
             vals[posn] = s * mags[posn]
         coded[seg] = vals * ref_db_to_lin(payload.sf_indices[row, b])
         offset += size
@@ -127,7 +127,7 @@ def ref_decode_stream(blob, cfg):
 
 
 def assert_fields_equal(got, want):
-    for name, a, b in zip(("index1", "index2", "phase", "sign"), got, want):
+    for name, a, b in zip(("index1", "index2", "raw"), got, want):
         assert a.dtype == b.dtype and np.array_equal(a, b), name
 
 
@@ -148,11 +148,11 @@ def drawn_payload(rng, gains, contrast):
                       rng.integers(pq.OUTLIER_MIN, pq.OUTLIER_MAX + 1, n), 0)
     cells = np.array([CFG.phase_cells_low, CFG.phase_cells_high])[
         np.asarray(contrast, dtype=int)[CTX.band_of], np.minimum(index1, 7)]
-    phase = np.where(~CTX.real_mask & (cells > 1), (rng.random(n) * cells).astype(int), -1)
-    sign = np.where(CTX.real_mask, rng.integers(0, 2, n) * (index1 > 0), -1)
+    phase = (rng.random(n) * cells).astype(int)  # 0 where cells is 1
+    raw = np.where(CTX.real_mask, rng.integers(0, 2, n) * (index1 > 0), phase)
     return one_row(lsf_indices=np.arange(3, 3 + CFG.lpc_order), ctns_flag=False,
                    clpc_indices=np.zeros((CFG.lpc_order, 2), dtype=int), sf_indices=gains,
-                   index1=index1, index2=index2, phase=phase, sign=sign, contrast=contrast)
+                   index1=index1, index2=index2, raw=raw, contrast=contrast)
 
 
 gains_st = st.lists(st.integers(-60, 60), min_size=N_BANDS, max_size=N_BANDS)
@@ -201,14 +201,13 @@ def test_corpus_frames_equal_band_loop(corpus_runs):
                 assert_fields_equal(codec.quantize_spectrum(
                     analyzed, stats.band_gains, contrast, cfg), want)
                 payload, pos = unpack_one(item["blob"], pos, cfg.layout)
-                assert_fields_equal((payload.index1[0], payload.index2[0], payload.phase[0],
-                                     payload.sign[0]), want)
+                assert_fields_equal((payload.index1[0], payload.index2[0], payload.raw[0]), want)
                 coded = ref_dequantize_bands(payload, 0, cfg)
                 assert np.array_equal(codec.dequantize_spectrum(payload, cfg)[0], coded)
-                coeffs = (codec.derive_clpc(payload.clpc_indices[0], cfg)
-                          if payload.ctns_flag[0] else None)
+                active = payload.ctns_flag  # a 1-row stack
+                coeffs = codec.derive_clpc(payload.clpc_indices[active], cfg)
                 env, _ = codec.derive_shaping(payload.lsf_indices[0], cfg)
-                recon.append(codec.synthesize(coded, env, coeffs, cfg))
+                recon.append(codec.synthesize(coded[None], env[None], coeffs, active, cfg)[0])
             assert pos == len(item["blob"]), (mode, name)
             ref_pcm = overlap_add(recon, cfg.window_spec)[:item["pcm"].size]
             assert np.array_equal(item["out"], ref_pcm), (mode, name)
