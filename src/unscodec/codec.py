@@ -19,9 +19,6 @@ from .entropy_bitstream import (FramePayload, StreamError, StreamHeader, frame_b
                                 unpack_fields, unpack_frame)
 from .transforms import frame_count, frame_signal, overlap_add
 
-# the divisor of each integer gain SF_MIN_DB..SF_MAX_DB, by Python's float
-# power as band_cost_bits prices it (numpy's array power rounds a few apart)
-GAIN_DIVISORS = np.array([10.0 ** (g / 20.0) for g in range(rc.SF_MIN_DB, rc.SF_MAX_DB + 1)])
 CHUNK_FRAMES = 64  # frames coded or decoded together; one chunk bounds either end's memory
 
 
@@ -116,7 +113,7 @@ def quantize_spectrum(coded: np.ndarray, gains: np.ndarray, contrast: np.ndarray
     record's whole-frame (index1, index2, raw) arrays (see ``FramePayload``); a (frames,
     bins) stack with (frames, bands) gains and flags gives each frame's as a row."""
     ctx, real = cfg.layout, cfg.layout.real_mask
-    scaled = coded / GAIN_DIVISORS[gains - rc.SF_MIN_DB][..., ctx.band_of]
+    scaled = coded / rc.GAIN_DIVISORS[gains - rc.SF_MIN_DB][..., ctx.band_of]
     index1, index2 = pq.quantize_magnitudes(
         np.where(real, np.abs(scaled.real), np.abs(scaled)), cfg.ecupq)
     cells = pq.phase_cells_array(index1, contrast[..., ctx.band_of], ctx.phase_cells)
@@ -136,7 +133,7 @@ def dequantize_spectrum(payload: FramePayload, cfg: CodecConfig):
     has_phase = ~ctx.real_mask & (cells > 1)  # as quantize_spectrum sends them
     theta[has_phase] = pq.dequantize_phase(raw[has_phase], cells[has_phase])
     vals = np.where(ctx.real_mask, np.where(raw == 1, -mags, mags), mags * np.exp(1j * theta))
-    return vals * GAIN_DIVISORS[payload.sf_indices - rc.SF_MIN_DB][..., ctx.band_of]
+    return vals * rc.GAIN_DIVISORS[payload.sf_indices - rc.SF_MIN_DB][..., ctx.band_of]
 
 
 def encode_frames(frames: np.ndarray, cfg: CodecConfig, first: int):
@@ -147,9 +144,9 @@ def encode_frames(frames: np.ndarray, cfg: CodecConfig, first: int):
     coded, active, gain_db = shaped.coded, shaped.active, shaped.gain_db
     lsf, clpc, contrast = shaped.lsf_indices, shaped.clpc_indices, shaped.contrast
     del shaped  # the residuals and envelopes are not needed past the analysis
+    offsets = ctx.raw_offsets(contrast)  # each bin's raw-width row, as pack prices its field
     gains, overflow, bits = zip(*(  # one array per band each, searched on its magnitudes
-        rc.search_scale_factors(np.abs(coded[:, band]), cfg.budget[b], contrast[:, b],
-                                rc.BandQuantContext(cfg.ecupq, ctx.phase_bits, ctx.real_mask[band]))
+        rc.search_scale_factors(np.abs(coded[:, band]), cfg.budget[b], offsets[:, band], ctx)
         for b, band in enumerate(ctx.band_slices)))
     gains, overflow = np.stack(gains, axis=1), np.stack(overflow, axis=1)
     est_bits = sum(bits)  # summed in band order, as the stats report it

@@ -118,8 +118,12 @@ class CodecConfig:
     def n_bins(self) -> int:
         return self.frame_len // 2 + 1
 
+    @cached_property
+    def _modes(self) -> dict:  # with_mode's configs of the other mode, each built once
+        return {m: replace(self, mode=m) for m in ("12k", "16k") if m != self.mode}
+
     def with_mode(self, mode: str) -> "CodecConfig":
-        return self if mode == self.mode else replace(self, mode=mode)
+        return self if mode == self.mode else self._modes.get(mode) or replace(self, mode=mode)
 
 
 # The file format follows the dataclasses: one ``key = value`` line per field

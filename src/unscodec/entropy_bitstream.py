@@ -19,7 +19,7 @@ from math import log2
 import numpy as np
 
 from .lp import clpc_mag_index_max, lsf_index_max
-from .polar_quant import ESCAPE_INDEX, OUTLIER_MAX, OUTLIER_MIN, raw_bits
+from .polar_quant import ESCAPE_INDEX, OUTLIER_MAX, OUTLIER_MIN
 from .rate_control import SF_MAX_DB, SF_MIN_DB
 
 STREAM_MAGIC = b"UNS1"
@@ -354,9 +354,9 @@ class FramePayload:
 
 class PackContext:
     """A config's frame layout and wire alphabets, derived from the config alone and shared by
-    pack, unpack and the codec's two ends (``CodecConfig.layout`` holds a config's one).  The
-    first and last coded bins (DC and Nyquist) are real-valued.  Nothing is settable and the
-    arrays are read-only: one layout serves every user of its config."""
+    pack, unpack, the gain search and the codec's two ends (``CodecConfig.layout`` holds a
+    config's one).  The first and last coded bins (DC and Nyquist) are real-valued.  Nothing is
+    settable and the arrays are read-only: one layout serves every user of its config."""
 
     def __init__(self, cfg):
         sizes = np.diff([0, *cfg.band_edges[:-1], cfg.n_bins])  # the Nyquist bin ends the last band
@@ -364,6 +364,7 @@ class PackContext:
         real_mask = np.zeros(cfg.n_bins, dtype=bool)
         real_mask[[0, -1]] = True
         phase_cells = np.array([cfg.phase_cells_low, cfg.phase_cells_high])
+        phase_bits = np.frexp(phase_cells[:, np.minimum(np.arange(16), 7)])[1] - 1  # log2(cells)
         lsf_alphabet = lsf_index_max(cfg.lsf_step) + 1  # LSF indices and their deltas
         clpc_mag_alphabet = clpc_mag_index_max(  # the zero cell, then the dB grid
             cfg.clpc_mag_step_db, cfg.clpc_mag_floor_db, cfg.clpc_mag_ceil_db) + 2
@@ -372,7 +373,8 @@ class PackContext:
                 band_sizes=tuple(sizes.tolist()), band_of=np.repeat(np.arange(sizes.size), sizes),
                 band_slices=tuple(map(slice, starts[:-1], starts[1:])), real_mask=real_mask,
                 phase_cells=phase_cells,  # [low, high contrast][min(index1, 7)] -> cells
-                phase_bits=np.frexp(phase_cells)[1] - 1,  # log2 of each cell count
+                # raw-field width by index 1 (0..15); rows low, high contrast, real bin (sign)
+                raw_widths=np.concatenate([*phase_bits, np.arange(16) > 0]), table=cfg.ecupq,
                 lsf_alphabet=lsf_alphabet, lsf_model=flat_model(lsf_alphabet),
                 clpc_mag_model=flat_model(clpc_mag_alphabet),
                 clpc_phase_bits=cfg.clpc_phase_cells.bit_length() - 1).items():
@@ -383,11 +385,15 @@ class PackContext:
     def __setattr__(self, name, value):
         raise AttributeError(f"PackContext.{name} is derived from the config and cannot be set")
 
+    def raw_offsets(self, contrast) -> np.ndarray:
+        """Each bin's row start in ``raw_widths``, int8 to keep a chunk's small: the real row at
+        DC and Nyquist, else its band's contrast row; a stack takes a row of flags per frame."""
+        return np.where(self.real_mask, 32, np.int8(16) * np.asarray(contrast)[..., self.band_of])
+
     def field_widths(self, index1: np.ndarray, contrast) -> np.ndarray:
         """Raw bits per position, each band's by its contrast flag; a stack of
         frames (rows of index1) takes one row of flags per frame."""
-        return raw_bits(index1, np.asarray(contrast, dtype=int)[..., self.band_of],
-                        self.phase_bits, self.real_mask)
+        return self.raw_widths.take(self.raw_offsets(contrast) + index1)
 
 
 def pack_frame(payload: FramePayload, row: int, ctx: PackContext, stats_out: dict) -> bytes:

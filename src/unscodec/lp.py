@@ -121,6 +121,8 @@ def _undecided(rows: np.ndarray, rho: float) -> np.ndarray:
     coefficient |k_m| < 1, so every root inside (Markel and Gray, 1976); NaN or inf clears none."""
     p = rows.shape[1]
     cleared = np.ones(len(rows), dtype=bool)
+    if not cleared.size:  # no rows: nothing to step down
+        return np.flatnonzero(cleared)
     with np.errstate(all="ignore"):
         a = rows / (rho * (1.0 - 1e-6)) ** np.arange(1, p + 1)
         for m in range(p, 0, -1):

@@ -129,15 +129,6 @@ def phase_cells_array(idx1: np.ndarray, high_contrast, cells: np.ndarray) -> np.
     return cells[np.asarray(high_contrast, dtype=int), np.minimum(np.asarray(idx1, dtype=int), 7)]
 
 
-def raw_bits(idx1: np.ndarray, high_contrast, phase_bits: np.ndarray, real_mask):
-    """Raw bits per coefficient, the rule every raw field is priced by: a real-valued
-    one (``real_mask``) sends a sign bit when its index is nonzero, any other the
-    phase field of the [low, high contrast][min(index1, 7)] width table."""
-    i1 = np.asarray(idx1, dtype=int)
-    return np.where(real_mask, i1 > 0,
-                    phase_bits[np.asarray(high_contrast, dtype=int), np.minimum(i1, 7)])
-
-
 def quantize_phase(theta, n_cells):
     """Uniform phase quantization to one of n_cells (a power of two)."""
     n = np.asarray(n_cells, dtype=int)

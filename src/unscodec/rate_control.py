@@ -11,13 +11,12 @@ for four equal indices and sits about 2.4x below the magnitude bits the range
 coder actually spends.
 
 A cost call looks each full block of four indices up by its 16-bit code in a
-table of equal-pair counts, and each raw field up in a table of
-:func:`polar_quant.raw_bits` integers, so it counts no pair and builds no field.
+table of equal-pair counts, and each raw field up in the frame layout's
+``raw_widths``, the table pack and unpack read too, at its bin's given row
+start: it counts no pair, builds no field and knows no contrast flag.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -27,6 +26,9 @@ from .util import round_half_up
 SF_MIN_DB = -60
 SF_MAX_DB = 60
 SF_SEARCH_ITERS = 24   # bisection depth cap
+# the divisor of each integer gain SF_MIN_DB..SF_MAX_DB, by Python's float
+# power as band_cost_bits prices it (numpy's array power rounds a few apart)
+GAIN_DIVISORS = np.array([10.0 ** (g / 20.0) for g in range(SF_MIN_DB, SF_MAX_DB + 1)])
 
 
 # Cost of a block by its number of equal index pairs: a block of four with
@@ -73,50 +75,34 @@ def sample_entropy_bits(indices: np.ndarray):
     return bits
 
 
-@dataclass
-class BandQuantContext:
-    """What the bit estimator needs, besides the contrast flags, to cost a band."""
-
-    table: polar_quant.EcupqTable
-    phase_bits: np.ndarray          # the pack context's phase-field width table
-    real_mask: np.ndarray | bool = False  # coefficients carried as magnitude+sign
-    raw_widths: np.ndarray = field(init=False, repr=False)  # [low, high, real][index 1], flat
-    raw_offsets: np.ndarray = field(init=False, repr=False)  # [contrast][0][bin]: its row's start
-
-    def __post_init__(self):
-        self.raw_widths = polar_quant.raw_bits(np.arange(16), np.array([[0], [1], [0]]),
-                                               self.phase_bits, np.array([[0], [0], [1]])).ravel()
-        self.raw_offsets = np.where(self.real_mask, 32, np.array([[0], [16]]))[:, None, :]
-
-
-def band_cost_bits(band: np.ndarray, gain_db, high_contrast, ctx: BandQuantContext):
+def band_cost_bits(band: np.ndarray, gain_db, offsets: np.ndarray, layout):
     """Estimated bits to code the band after division by the gain: the
-    block-entropy magnitude proxy plus the exact raw (phase and sign) bits.
+    block-entropy magnitude proxy plus the exact raw (phase and sign) bits, read
+    from ``layout.raw_widths`` at each bin's row start: ``offsets``, of the
+    bands' shape, is the band's slice of its frame's ``layout.raw_offsets``.
 
     A 1-D band and a 1-D array of gains give one cost per gain; a stack of
     bands of shape (rows, w) and gains of shape (rows, G) give costs of shape
-    (rows, G), with ``high_contrast`` one flag for every row or one per row.
-    Each entry equals its row's scalar call exactly: the divisors come from
-    Python's float power and no sum runs across rows or gains.  A band of
-    magnitudes costs what its complex values do; neither is checked.
+    (rows, G).  Each entry equals its row's scalar call exactly: the divisors
+    come from Python's float power and no sum runs across rows or gains.  A
+    band of magnitudes costs what its complex values do; neither is checked.
     """
     gains = np.atleast_1d(np.asarray(gain_db, dtype=float))
     div = np.array([10.0 ** (g / 20.0) for g in gains.ravel().tolist()]).reshape(gains.shape)
-    idx1 = polar_quant.magnitude_index(np.abs(band)[..., None, :] / div[..., None], ctx.table)
-    raw = ctx.raw_widths.take(idx1 + ctx.raw_offsets.take(high_contrast, axis=0)).sum(axis=-1)
+    idx1 = polar_quant.magnitude_index(np.abs(band)[..., None, :] / div[..., None], layout.table)
+    raw = layout.raw_widths.take(idx1 + offsets[..., None, :]).sum(axis=-1)
     bits = sample_entropy_bits(idx1) + raw
     return float(bits[0]) if np.ndim(gain_db) == 0 else bits
 
 
-def bracket_scale_factors(bands: np.ndarray, target_bits, high_contrast,
-                          ctx: BandQuantContext) -> np.ndarray:
+def bracket_scale_factors(bands: np.ndarray, target_bits, offsets: np.ndarray, layout):
     """Bisect the gain of every row of a (rows, w) stack of bands at once;
     returns each row's bracket upper end for :func:`snap_window`.
 
-    The budgets and contrast flags are one per row, or one for all.  A row
-    whose finest gain fits ends at SF_MIN_DB, and one that busts its budget
-    even at the coarsest gain ends at SF_MAX_DB.  Every other row is halved
-    over the continuous dB range, SF_SEARCH_ITERS times at most, each cost
+    The budgets are one per row, or one for all, and the offsets one row per
+    band.  A row whose finest gain fits ends at SF_MIN_DB, and one that busts
+    its budget even at the coarsest gain ends at SF_MAX_DB.  Every other row
+    is halved over the continuous dB range, SF_SEARCH_ITERS times at most, each cost
     call pricing one midpoint per open row; a row leaves once its rounded
     upper end is settled (later upper ends stay in (lo, hi] and rounding is
     monotone).  Rows are independent, so each row ends where a search of that
@@ -124,10 +110,9 @@ def bracket_scale_factors(bands: np.ndarray, target_bits, high_contrast,
     """
     rows = len(bands)
     targets = np.broadcast_to(target_bits, (rows,))
-    contrast = np.broadcast_to(high_contrast, (rows,))
     lo, hi = np.full(rows, float(SF_MIN_DB)), np.full(rows, float(SF_MAX_DB))
     ends = band_cost_bits(bands, np.tile([float(SF_MIN_DB), float(SF_MAX_DB)], (rows, 1)),
-                          contrast, ctx)
+                          offsets, layout)
     hi[ends[:, 0] <= targets] = SF_MIN_DB
     open_ = (ends[:, 0] > targets) & (ends[:, 1] <= targets)
     for _ in range(SF_SEARCH_ITERS):
@@ -136,7 +121,8 @@ def bracket_scale_factors(bands: np.ndarray, target_bits, high_contrast,
         if not live.size:
             break
         mid = 0.5 * (lo[live] + hi[live])
-        fit = band_cost_bits(bands[live], mid[:, None], contrast[live], ctx)[:, 0] <= targets[live]
+        costs = band_cost_bits(bands[live], mid[:, None], offsets[live], layout)[:, 0]
+        fit = costs <= targets[live]
         hi[live[fit]] = mid[fit]
         lo[live[~fit]] = mid[~fit]
     return hi
@@ -149,8 +135,8 @@ def snap_window(upper) -> np.ndarray:
     return np.minimum(np.maximum(window, SF_MIN_DB), SF_MAX_DB)  # np.clip's call costs more
 
 
-def find_scale_factor(band: np.ndarray, target_bits: int, high_contrast: bool,
-                      ctx: BandQuantContext, window, window_costs):
+def find_scale_factor(band: np.ndarray, target_bits: int, offsets: np.ndarray, layout,
+                      window, window_costs):
     """Snap one band to the integer grid; returns (gain_db, overflow, bits).
 
     ``window`` is the band's :func:`snap_window` row and ``window_costs`` its
@@ -166,7 +152,7 @@ def find_scale_factor(band: np.ndarray, target_bits: int, high_contrast: bool,
 
     def cost(gain):
         if gain not in known:
-            known[gain] = band_cost_bits(band, gain, high_contrast, ctx)
+            known[gain] = band_cost_bits(band, gain, offsets, layout)
         return known[gain]
 
     g = window[2]  # the rounded upper end itself
@@ -177,18 +163,16 @@ def find_scale_factor(band: np.ndarray, target_bits: int, high_contrast: bool,
     return g, False, cost(g)
 
 
-def search_scale_factors(bands: np.ndarray, target_bits, high_contrast, ctx: BandQuantContext):
-    """The gain search of every row of a (rows, w) stack of bands, with a
-    budget and contrast flag per row or one for all: one stacked bracket, one
-    stacked call pricing every row's snap window, then each row's snap.
+def search_scale_factors(bands: np.ndarray, target_bits, offsets: np.ndarray, layout):
+    """The gain search of every row of a (rows, w) stack of bands, with a budget
+    per row or one for all and a row of offsets per band: one stacked bracket,
+    one stacked call pricing every row's snap window, then each row's snap.
     Returns the rows' (gain_db, overflow, bits) as three arrays."""
     rows = len(bands)
     targets = np.broadcast_to(target_bits, (rows,))
-    contrast = np.broadcast_to(high_contrast, (rows,))
-    windows = snap_window(bracket_scale_factors(bands, targets, contrast, ctx))
-    window_costs = band_cost_bits(bands, windows, contrast, ctx)
-    found = [find_scale_factor(band, target, high, ctx, window, costs) for band, target, high,
-             window, costs in zip(bands, targets.tolist(), contrast.tolist(), windows.tolist(),
-                                  window_costs.tolist())]
+    windows = snap_window(bracket_scale_factors(bands, targets, offsets, layout))
+    window_costs = band_cost_bits(bands, windows, offsets, layout)
+    found = list(map(find_scale_factor, bands, targets.tolist(), offsets, [layout] * rows,
+                     windows.tolist(), window_costs.tolist()))
     gains, overflow, bits = np.array(found, dtype=float).reshape(rows, 3).T
     return gains.astype(int), overflow.astype(bool), bits

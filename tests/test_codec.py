@@ -111,7 +111,7 @@ def test_layout_is_derived_once_and_read_only(monkeypatch):
     out, _, _ = codec.decode_stream(codec.encode_stream(pcm, cfg)[0], cfg)
     assert out.size == pcm.size and built == [cfg]
     layout = cfg.layout
-    for name in ("band_of", "real_mask", "phase_cells", "phase_bits"):
+    for name in ("band_of", "real_mask", "phase_cells", "raw_widths"):
         with pytest.raises(ValueError, match="read-only"):
             getattr(layout, name)[0] = 1
     with pytest.raises(AttributeError):
@@ -135,22 +135,26 @@ def test_pickled_and_copied_configs_rebuild_a_read_only_layout():
 
 
 def test_decode_without_a_config_builds_no_layout_per_stream(monkeypatch):
-    # the default config is built once; a second config-less decode of a 12k
-    # stream reuses its layout (a 16k stream takes a with_mode copy per call)
-    blob, _ = codec.encode_stream(signals.speechish(0.5, seed=4), CFG12)
-    want, _, _ = codec.decode_stream(blob, CFG12)
+    # the default config is built once, and so is its with_mode config of the
+    # other mode: a second config-less decode of a 12k or a 16k stream reuses
+    # the layout the first built
     built, init = [], PackContext.__init__
 
     def counted_init(layout, cfg):
         built.append(cfg)
         init(layout, cfg)
 
-    monkeypatch.setattr(PackContext, "__init__", counted_init)
-    first, _, _ = codec.decode_stream(blob)
-    built.clear()
-    second, _, _ = codec.decode_stream(blob)
-    assert built == []
-    assert np.array_equal(first, want) and np.array_equal(second, want)
+    for mode in ("12k", "16k"):
+        cfg = CFG12.with_mode(mode)
+        blob, _ = codec.encode_stream(signals.speechish(0.5, seed=4), cfg)
+        want, _, _ = codec.decode_stream(blob, cfg)
+        with monkeypatch.context() as m:
+            m.setattr(PackContext, "__init__", counted_init)
+            first, _, _ = codec.decode_stream(blob)
+            built.clear()
+            second, _, _ = codec.decode_stream(blob)
+        assert built == []
+        assert np.array_equal(first, want) and np.array_equal(second, want)
 
 
 def test_sinusoid_concentrates_in_its_band():

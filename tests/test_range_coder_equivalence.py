@@ -450,7 +450,7 @@ def cut_at_bit(data, end):
     return value.to_bytes(-(-end // 8), "big")
 
 
-PHASE_WIDTH = int(CodecConfig().layout.phase_bits.max())
+PHASE_WIDTH = int(CodecConfig().layout.raw_widths.max())
 
 
 @st.composite

@@ -2,28 +2,41 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from unscodec import codec, polar_quant as pq
+from unscodec import polar_quant as pq
 from unscodec import rate_control as rc
 from unscodec.config import CodecConfig
+from unscodec.entropy_bitstream import FramePayload, pack_frame
 from unscodec.util import round_half_up
 
 CTX = CodecConfig().layout
 
 
-def make_ctx(real_mask=False):
-    return rc.BandQuantContext(table=pq.DEFAULT_ECUPQ_TABLE, phase_bits=CTX.phase_bits,
-                               real_mask=real_mask)
+def offsets(high, width, real=(), layout=CTX):
+    """Each bin's row start in ``layout.raw_widths`` for bands of ``width`` bins, with one
+    contrast flag for every row or one per row and real-valued bins at the positions ``real``:
+    read off the layout's own offsets of a frame, whose bin 0 is real and bin 1 is not."""
+    frame = layout.raw_offsets(np.repeat([[False], [True]], len(layout.band_sizes), axis=1))
+    rows = np.where(np.asarray(high)[..., None], frame[1, 1], frame[0, 1]).repeat(width, axis=-1)
+    rows[..., list(real)] = frame[0, 0]
+    return rows
 
 
-def search_band(band, target_bits, ctx, high=True):
-    """One band's (gain, overflow, bits), searched as a stack of one row."""
-    gains, overflow, bits = rc.search_scale_factors(band[None, :], target_bits, high, ctx)
+def stack_offsets(stack, highs, real):
+    """The offsets of a stack of bands, one contrast flag per row; ``real`` makes the first and
+    last bin of every row real-valued, as DC and Nyquist are."""
+    return offsets(np.array(highs), stack.shape[1], [0, -1] if real else ())
+
+
+def search_band(band, target_bits):
+    """One high-contrast band's (gain, overflow, bits), searched as a stack of one row."""
+    gains, overflow, bits = rc.search_scale_factors(band[None, :], target_bits,
+                                                    offsets([True], band.size), CTX)
     return gains[0], overflow[0], bits[0]
 
 
-def search_rows(stack, targets, highs, ctx):
+def search_rows(stack, targets, offs):
     """Every row's (gain, overflow, bits) from one search of the stack."""
-    return zip(*rc.search_scale_factors(stack, targets, highs, ctx))
+    return zip(*rc.search_scale_factors(stack, targets, offs, CTX))
 
 
 def band_widths(ctx):
@@ -98,57 +111,54 @@ def test_estimate_adds_exact_phase_bits():
     band = np.full(4, 3.0, dtype=complex)
     i1 = pq.quantize_magnitudes(np.abs(band), pq.DEFAULT_ECUPQ_TABLE)[0]
     phase_bits = np.log2(pq.phase_cells_array(i1, True, CTX.phase_cells)).sum()
-    assert rc.band_cost_bits(band, 0, True, make_ctx()) == phase_bits == 4 * 6.0
+    assert rc.band_cost_bits(band, 0, offsets(True, 4), CTX) == phase_bits == 4 * 6.0
 
 
 def test_scale_factor_all_zero_band():
-    g, over, _ = search_band(np.zeros(50, dtype=complex), 30, make_ctx())
+    g, over, _ = search_band(np.zeros(50, dtype=complex), 30)
     assert g == rc.SF_MIN_DB
     assert not over
 
 
 def test_scale_factor_matches_grid_sweep_oracle():
     rng = np.random.default_rng(20)
-    ctx = make_ctx()
+    offs = offsets(True, 50)
     for _ in range(12):
         band = (rng.standard_normal(50) + 1j * rng.standard_normal(50)) * rng.uniform(0.5, 30)
         target = int(rng.integers(15, 60))
-        g, over, bits = search_band(band, target, ctx)
+        g, over, bits = search_band(band, target)
         assert not over
-        assert bits == rc.band_cost_bits(band, g, True, ctx)
+        assert bits == rc.band_cost_bits(band, g, offs, CTX)
         # oracle: exhaustive integer-dB sweep for the smallest feasible gain
         feasible = [gg for gg in range(rc.SF_MIN_DB, rc.SF_MAX_DB + 1)
-                    if rc.band_cost_bits(band, gg, True, ctx) <= target]
+                    if rc.band_cost_bits(band, gg, offs, CTX) <= target]
         assert g == min(feasible)
-        assert rc.band_cost_bits(band, g, True, ctx) <= target
+        assert rc.band_cost_bits(band, g, offs, CTX) <= target
         if g > rc.SF_MIN_DB:
-            assert rc.band_cost_bits(band, g - 1, True, ctx) > target
+            assert rc.band_cost_bits(band, g - 1, offs, CTX) > target
 
 
 def test_scale_factor_shift_equivariance():
     rng = np.random.default_rng(21)
-    ctx = make_ctx()
     band = (rng.standard_normal(60) + 1j * rng.standard_normal(60)) * 4.0
-    g1 = search_band(band, 30, ctx)[0]
-    g2 = search_band(2.0 * band, 30, ctx)[0]
+    g1 = search_band(band, 30)[0]
+    g2 = search_band(2.0 * band, 30)[0]
     assert abs((g2 - g1) - 6.0) <= 1.0
 
 
 def test_scale_factor_fixpoint():
     rng = np.random.default_rng(22)
-    ctx = make_ctx()
     band = (rng.standard_normal(60) + 1j * rng.standard_normal(60)) * 8.0
-    g = search_band(band, 25, ctx)[0]
-    g2 = search_band(band / 10.0 ** (g / 20.0), 25, ctx)[0]
+    g = search_band(band, 25)[0]
+    g2 = search_band(band / 10.0 ** (g / 20.0), 25)[0]
     assert abs(g2) <= 1
 
 
 def test_scale_factor_monotone_in_budget():
     rng = np.random.default_rng(23)
-    ctx = make_ctx()
     for _ in range(6):
         band = (rng.standard_normal(70) + 1j * rng.standard_normal(70)) * rng.uniform(1, 20)
-        gains = [search_band(band, t, ctx)[0] for t in (12, 20, 32, 48, 64)]
+        gains = [search_band(band, t)[0] for t in (12, 20, 32, 48, 64)]
         assert all(b <= a for a, b in zip(gains, gains[1:]))
 
 
@@ -156,7 +166,7 @@ def test_scale_factor_overflow_flag():
     # budget of 1 bit cannot absorb a hot band even at max attenuation
     rng = np.random.default_rng(24)
     band = (rng.standard_normal(80) + 1j * rng.standard_normal(80)) * 1e6
-    g, over, _ = search_band(band, 1, make_ctx())
+    g, over, _ = search_band(band, 1)
     assert over
     assert g == rc.SF_MAX_DB
 
@@ -165,19 +175,15 @@ def test_scale_factors_dequantize_exactly():
     # a gain index is exactly that many dB: the decoder's divisor for it is
     # the one the gain search costs the band with
     indices = np.arange(rc.SF_MIN_DB, rc.SF_MAX_DB + 1)
-    assert codec.GAIN_DIVISORS.tolist() == [10.0 ** (g / 20.0) for g in indices.tolist()]
-    assert np.allclose(20.0 * np.log10(codec.GAIN_DIVISORS), indices, rtol=0.0, atol=1e-12)
+    assert rc.GAIN_DIVISORS.tolist() == [10.0 ** (g / 20.0) for g in indices.tolist()]
+    assert np.allclose(20.0 * np.log10(rc.GAIN_DIVISORS), indices, rtol=0.0, atol=1e-12)
 
 
 def test_real_mask_costs_sign_bit():
-    ctx_plain = make_ctx()
-    mask = np.zeros(4, dtype=bool)
-    mask[0] = True
-    ctx_masked = make_ctx(real_mask=mask)
     band = np.array([3.0, 3.0, 3.0, 3.0], dtype=complex)
     # same magnitudes: masked variant replaces one phase cost with one sign bit
-    cost_plain = rc.band_cost_bits(band, 0, True, ctx_plain)
-    cost_masked = rc.band_cost_bits(band, 0, True, ctx_masked)
+    cost_plain = rc.band_cost_bits(band, 0, offsets(True, 4), CTX)
+    cost_masked = rc.band_cost_bits(band, 0, offsets(True, 4, real=[0]), CTX)
     i1, _ = pq.quantize_magnitudes(np.abs(band), pq.DEFAULT_ECUPQ_TABLE)
     cells = pq.phase_cells_array(i1, True, CTX.phase_cells)
     assert abs((cost_plain - cost_masked) - (np.log2(cells[0]) - 1.0)) < 1e-12
@@ -185,11 +191,11 @@ def test_real_mask_costs_sign_bit():
 
 # --- the batched gain search against the sequential one it replaces
 
-def sequential_search(band, target_bits, high, ctx):
+def sequential_search(band, target_bits, offs):
     """Oracle: 24 sequential bisection steps, one cost call each, then the
     two snap loops; the decision the pinned streams were encoded with."""
     def cost(gain):
-        return rc.band_cost_bits(band, gain, high, ctx)
+        return rc.band_cost_bits(band, gain, offs, CTX)
 
     lo, hi = float(rc.SF_MIN_DB), float(rc.SF_MAX_DB)
     if cost(lo) <= target_bits:
@@ -247,14 +253,6 @@ def stacks(draw):
     return stack
 
 
-def stack_ctx(stack, real):
-    mask = False
-    if real:
-        mask = np.zeros(stack.shape[1], dtype=bool)
-        mask[[0, -1]] = True
-    return make_ctx(real_mask=mask)
-
-
 def row_stack(rows):
     """Bands that carry their row number, for costs drawn per row."""
     return np.repeat(np.arange(rows, dtype=complex)[:, None], 4, axis=1)
@@ -270,10 +268,10 @@ def test_batched_search_matches_sequential_search(data, stack, real):
     rows = len(stack)
     targets = data.draw(st.lists(st.integers(1, 70), min_size=rows, max_size=rows))
     highs = data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
-    ctx = stack_ctx(stack, real)
-    for r, (g, over, bits) in enumerate(search_rows(stack, targets, highs, ctx)):
-        assert (g, over) == sequential_search(stack[r], targets[r], highs[r], ctx)
-        assert bits == rc.band_cost_bits(stack[r], g, highs[r], ctx)
+    offs = stack_offsets(stack, highs, real)
+    for r, (g, over, bits) in enumerate(search_rows(stack, targets, offs)):
+        assert (g, over) == sequential_search(stack[r], targets[r], offs[r])
+        assert bits == rc.band_cost_bits(stack[r], g, offs[r], CTX)
 
 
 @given(seeds=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=9),
@@ -289,7 +287,7 @@ def test_batched_search_matches_sequential_search_on_non_monotone_costs(seeds, d
     steps = np.linspace(90.0, 0.0, 401) + roughness * np.array(
         [np.random.default_rng(s + 1).random(401) for s in seeds])
 
-    def staircase_cost(band, gain_db, high_contrast, ctx):
+    def staircase_cost(band, gain_db, offs, layout):
         r, g = row_of(band), np.atleast_1d(np.asarray(gain_db, dtype=float))
         # searchsorted per row: the number of the row's edges below each gain
         cost = np.take_along_axis(steps[r], (edges[r][..., None, :] < g[..., None]).sum(-1),
@@ -298,10 +296,10 @@ def test_batched_search_matches_sequential_search_on_non_monotone_costs(seeds, d
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(rc, "band_cost_bits", staircase_cost)
-        stack, ctx = row_stack(rows), make_ctx()
-        for r, (g, over, bits) in enumerate(search_rows(stack, targets, True, ctx)):
-            assert (g, over) == sequential_search(stack[r], targets[r], True, ctx)
-            assert bits == staircase_cost(stack[r], g, True, ctx)
+        stack, offs = row_stack(rows), offsets(np.ones(rows, dtype=bool), 4)
+        for r, (g, over, bits) in enumerate(search_rows(stack, targets, offs)):
+            assert (g, over) == sequential_search(stack[r], targets[r], offs[r])
+            assert bits == staircase_cost(stack[r], g, offs[r], CTX)
 
 
 @given(wholes=st.lists(st.integers(-58, 58), min_size=1, max_size=9), data=st.data())
@@ -318,7 +316,7 @@ def test_batched_search_matches_sequential_search_near_rounding_edges(wholes, da
     near = np.array(wholes)[:, None] + np.arange(-3.0, 5.0)
     near_fits = rng.random(near.shape) < 0.5
 
-    def bumpy_cost(band, gain_db, high_contrast, ctx):
+    def bumpy_cost(band, gain_db, offs, layout):
         r, g = row_of(band), np.atleast_1d(np.asarray(gain_db, dtype=float))
         hit = g[..., None] == near[r][..., None, :]
         fits = np.where(hit.any(-1), (hit & near_fits[r][..., None, :]).any(-1),
@@ -328,25 +326,25 @@ def test_batched_search_matches_sequential_search_near_rounding_edges(wholes, da
 
     with pytest.MonkeyPatch.context() as m:
         m.setattr(rc, "band_cost_bits", bumpy_cost)
-        stack, ctx = row_stack(rows), make_ctx()
-        for r, (g, over, bits) in enumerate(search_rows(stack, targets, True, ctx)):
-            assert (g, over) == sequential_search(stack[r], targets[r], True, ctx)
-            assert bits == bumpy_cost(stack[r], g, True, ctx)
+        stack, offs = row_stack(rows), offsets(np.ones(rows, dtype=bool), 4)
+        for r, (g, over, bits) in enumerate(search_rows(stack, targets, offs)):
+            assert (g, over) == sequential_search(stack[r], targets[r], offs[r])
+            assert bits == bumpy_cost(stack[r], g, offs[r], CTX)
 
 
 def test_snap_walks_up_to_the_coarsest_gain(monkeypatch):
     # every gain from 10 dB up fits except the integers below 60, so the
     # bisection ends near 10 and the snap walks up to 60, the one integer
     # its window did not price
-    def cost(band, gain_db, high_contrast, ctx):
+    def cost(band, gain_db, offs, layout):
         g = np.asarray(gain_db, dtype=float)
         bits = np.where((g >= 10.0) & ((g != np.round(g)) | (g == 60.0)), 10.0, 50.0)
         return float(bits) if bits.ndim == 0 else bits
 
     monkeypatch.setattr(rc, "band_cost_bits", cost)
     band = np.zeros(4, dtype=complex)
-    assert search_band(band, 30, make_ctx()) == (rc.SF_MAX_DB, False, 10.0)
-    assert sequential_search(band, 30, True, make_ctx()) == (rc.SF_MAX_DB, False)
+    assert search_band(band, 30) == (rc.SF_MAX_DB, False, 10.0)
+    assert sequential_search(band, 30, offsets(True, 4)) == (rc.SF_MAX_DB, False)
 
 
 @given(stack=stacks(), data=st.data(), real=st.booleans(),
@@ -355,15 +353,15 @@ def test_snap_walks_up_to_the_coarsest_gain(monkeypatch):
 def test_vectorized_cost_equals_scalar_cost(stack, data, real, gains):
     rows = len(stack)
     highs = data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
-    ctx = stack_ctx(stack, real)
+    offs = stack_offsets(stack, highs, real)
     # each row prices the drawn gains in its own order
     grid = np.array([np.roll(gains, r) for r in range(rows)], dtype=float)
-    costs = rc.band_cost_bits(stack, grid, np.array(highs), ctx)
+    costs = rc.band_cost_bits(stack, grid, offs, CTX)
     assert costs.shape == grid.shape
     for r in range(rows):
-        scalar = [rc.band_cost_bits(stack[r], g, highs[r], ctx) for g in grid[r].tolist()]
+        scalar = [rc.band_cost_bits(stack[r], g, offs[r], CTX) for g in grid[r].tolist()]
         assert costs[r].tolist() == scalar
-        assert rc.band_cost_bits(stack[r], grid[r], highs[r], ctx).tolist() == scalar
+        assert rc.band_cost_bits(stack[r], grid[r], offs[r], CTX).tolist() == scalar
 
 
 def test_sample_entropy_matches_bincount_formula():
@@ -387,6 +385,7 @@ def test_sample_entropy_matches_bincount_formula():
 SMALL_R7_TABLE = pq.EcupqTable(thresholds=(0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4),
                                levels=(0.0, 0.07, 0.12, 0.17, 0.22, 0.27, 0.32, 0.37),
                                version="small-r7")
+SMALL_R7_LAYOUT = CodecConfig(ecupq=SMALL_R7_TABLE).layout
 
 
 def test_table_refuses_a_sentinel_in_the_escape_region():
@@ -442,13 +441,18 @@ def test_sample_entropy_equals_pair_count():
         assert rc.sample_entropy_bits(rows).tolist() == pair_count_entropy_bits(rows).tolist()
 
 
-def reference_cost(band, gain, high, ctx):
+def reference_cost(band, gain, high, real, layout):
     """One band's cost at one gain by the formula the tables replace: index 1,
-    then its pair-counted block entropy plus the sum of its raw bits."""
+    then its pair-counted block entropy plus the sum of its raw bits: a sign
+    bit where index 1 is nonzero at the first and last bin of a ``real`` band,
+    else log2 of the [contrast][min(index1, 7)] phase cells."""
     mags = np.abs(band) / 10.0 ** (gain / 20.0)
-    idx1 = searchsorted_index1(mags, ctx.table)
-    assert pq.quantize_magnitudes(mags, ctx.table)[0].tolist() == idx1.tolist()
-    raw = pq.raw_bits(idx1, high, ctx.phase_bits, ctx.real_mask)
+    idx1 = searchsorted_index1(mags, layout.table)
+    assert pq.quantize_magnitudes(mags, layout.table)[0].tolist() == idx1.tolist()
+    real_mask = np.zeros(idx1.size, dtype=bool)
+    real_mask[[0, -1]] = real
+    raw = np.where(real_mask, idx1 > 0,
+                   np.log2(layout.phase_cells[int(high), np.minimum(idx1, 7)]).astype(int))
     return float(pair_count_entropy_bits(idx1) + raw.sum())
 
 
@@ -460,26 +464,26 @@ def edge_magnitudes(table):
 
 
 @given(stack=stacks(), data=st.data(), real=st.booleans(), as_mags=st.booleans(),
-       table=st.sampled_from([pq.DEFAULT_ECUPQ_TABLE, SMALL_R7_TABLE]),
+       layout=st.sampled_from([CTX, SMALL_R7_LAYOUT]),
        gains=st.lists(st.just(0) | st.floats(rc.SF_MIN_DB, rc.SF_MAX_DB) | st.integers(-60, 60),
                       min_size=1, max_size=5))
-def test_band_cost_equals_reference_formula(stack, data, real, as_mags, table, gains):
+def test_band_cost_equals_reference_formula(stack, data, real, as_mags, layout, gains):
     # gain 0 divides by exactly 1, so edge magnitudes are priced as drawn;
     # scales of 3e3 and up escape at every gain up to 0 dB
     rows, width = stack.shape
     if data.draw(st.booleans()):
-        edges = edge_magnitudes(table)
+        edges = edge_magnitudes(layout.table)
         picks = data.draw(st.lists(st.integers(0, edges.size - 1), min_size=width,
                                    max_size=width))
         stack[0] = edges[picks]
     highs = data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
-    ctx = stack_ctx(stack, real)
-    ctx = rc.BandQuantContext(table=table, phase_bits=ctx.phase_bits, real_mask=ctx.real_mask)
+    offs = offsets(np.array(highs), width, [0, -1] if real else (), layout)
     bands = np.abs(stack) if as_mags else stack
-    want = [[reference_cost(stack[r], g, highs[r], ctx) for g in gains] for r in range(rows)]
-    assert rc.band_cost_bits(bands, np.tile(gains, (rows, 1)), np.array(highs), ctx).tolist() == want
-    assert rc.band_cost_bits(bands[0], np.array(gains), highs[0], ctx).tolist() == want[0]
-    assert [rc.band_cost_bits(bands[0], g, highs[0], ctx) for g in gains] == want[0]
+    want = [[reference_cost(stack[r], g, highs[r], real, layout) for g in gains]
+            for r in range(rows)]
+    assert rc.band_cost_bits(bands, np.tile(gains, (rows, 1)), offs, layout).tolist() == want
+    assert rc.band_cost_bits(bands[0], np.array(gains), offs[0], layout).tolist() == want[0]
+    assert [rc.band_cost_bits(bands[0], g, offs[0], layout) for g in gains] == want[0]
 
 
 def test_search_needs_few_cost_calls(monkeypatch):
@@ -489,12 +493,12 @@ def test_search_needs_few_cost_calls(monkeypatch):
     targets = rng.integers(15, 60, size=50)
     cost, calls = rc.band_cost_bits, []
 
-    def counted(band, gain_db, high_contrast, ctx):
+    def counted(band, gain_db, offs, layout):
         calls.append(gain_db)
-        return cost(band, gain_db, high_contrast, ctx)
+        return cost(band, gain_db, offs, layout)
 
     monkeypatch.setattr(rc, "band_cost_bits", counted)
-    rc.search_scale_factors(stack, targets, True, make_ctx())
+    rc.search_scale_factors(stack, targets, offsets(np.ones(50, dtype=bool), 60), CTX)
     # the bracket's ends call, one midpoint per open row per halving, then
     # one call for every row's snap window; the snap read only gains its
     # window priced, so it made no call of its own
@@ -515,16 +519,48 @@ def test_stacked_snap_windows_equal_each_rows_call(stack, data, real):
     targets = data.draw(st.lists(st.integers(1, 70), min_size=rows, max_size=rows))
     targets[-1] = 1
     highs = data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
-    ctx = stack_ctx(stack, real and n > 1)  # a lone real bin costs at most 1 bit
-    uppers = rc.bracket_scale_factors(stack, targets, highs, ctx)
+    offs = stack_offsets(stack, highs, real and n > 1)  # a lone real bin costs at most 1 bit
+    uppers = rc.bracket_scale_factors(stack, targets, offs, CTX)
     assert uppers[-2] == rc.SF_MIN_DB and uppers[-1] == rc.SF_MAX_DB
     windows = rc.snap_window(uppers)
-    costs = rc.band_cost_bits(stack, windows, np.array(highs), ctx)
+    costs = rc.band_cost_bits(stack, windows, offs, CTX)
     assert costs.shape == windows.shape == (rows, 5)
     for r in range(rows):
         g = int(round_half_up(uppers[r]))
         gains = [x for x in range(g - 2, g + 3) if rc.SF_MIN_DB <= x <= rc.SF_MAX_DB]
         assert sorted(set(windows[r].tolist())) == gains
         scalar = dict(zip(gains, rc.band_cost_bits(stack[r], np.array(gains, dtype=float),
-                                                   highs[r], ctx).tolist()))
+                                                   offs[r], CTX).tolist()))
         assert costs[r].tolist() == [scalar[x] for x in windows[r].tolist()]
+
+
+# --- the gain search prices the raw fields pack writes
+
+WIDE_PHASE_LAYOUT = CodecConfig(phase_cells_high=(1, 8, 16, 16, 32, 32, 64, 128)).layout
+
+
+@given(data=st.data(), layout=st.sampled_from([CTX, WIDE_PHASE_LAYOUT]),
+       scale=st.sampled_from([0.0, 1e-3, 1.0, 30.0, 3e3, 3e5]),
+       gains=st.lists(st.integers(rc.SF_MIN_DB, rc.SF_MAX_DB), min_size=1, max_size=5))
+def test_search_prices_exactly_the_widths_pack_writes(data, layout, scale, gains):
+    # a band's cost is the block entropy of its index 1 plus exactly the raw bits pack writes
+    # for that index 1, under either contrast flag and in the first and last band, which hold
+    # the real-valued DC and Nyquist bins; the band's offsets are its slice of the frame's
+    last = len(layout.band_sizes) - 1
+    b = data.draw(st.sampled_from([0, last]) | st.integers(0, last))
+    contrast = np.array(data.draw(st.lists(st.booleans(), min_size=last + 1, max_size=last + 1)))
+    bins, width = layout.band_slices[b], layout.band_sizes[b]
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    band = (rng.standard_normal(width) + 1j * rng.standard_normal(width)) * scale
+    offs = layout.raw_offsets(contrast)[bins]
+    for g in gains:
+        idx1 = pq.magnitude_index(np.abs(band) / 10.0 ** (g / 20.0), layout.table)
+        record = FramePayload.zeros(1, layout)  # the band's index 1 in an otherwise zero frame
+        record.index1[0, bins], record.contrast[0] = idx1, contrast
+        record.index2[0] = np.where(record.index1[0] == pq.ESCAPE_INDEX, pq.OUTLIER_MIN, 0)
+        widths = layout.field_widths(record.index1[0], contrast)
+        stats = {}
+        pack_frame(record, 0, layout, stats)
+        assert stats["phase"] + stats["sign"] == widths.sum() == widths[bins].sum()
+        cost = rc.band_cost_bits(band, g, offs, layout)
+        assert cost == rc.sample_entropy_bits(idx1) + int(widths.sum())

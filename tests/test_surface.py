@@ -1,9 +1,11 @@
-"""Every public src name is reached by src or the benchmark, not by the tests alone.
+"""Every public src name is reached by src or the benchmark, not by the tests alone, and every
+src import is used.
 
 A module-level function, class or assignment of ``src/unscodec/*.py`` whose
 name does not start with an underscore must be exported in ``unscodec.__all__``
 or appear as a word somewhere in src or ``perfbench/*.py`` outside its own
-definition.  A helper only the tests call belongs in ``tests/``.
+definition.  A helper only the tests call belongs in ``tests/``.  A name a
+src module imports must be read in that module or listed in its ``__all__``.
 """
 
 import ast
@@ -46,3 +48,29 @@ def test_every_public_src_name_is_reached_outside_the_tests():
             if not found:
                 unreached.append(f"{path.stem}.{name}")
     assert not unreached, f"public names only the tests reach: {unreached}"
+
+
+def imported_names(tree):
+    """(name, line) of each name a module's imports bind, ``from __future__`` aside."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.asname or alias.name.split(".")[0], node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield alias.asname or alias.name, node.lineno
+
+
+def test_every_src_import_is_used():
+    # an import that nothing in its module reads, and that the module does not
+    # export in __all__, is left over from deleted code
+    unused = []
+    for path in SRC:
+        tree = ast.parse(path.read_text())
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used.update(*(ast.literal_eval(node.value) for node in tree.body
+                      if isinstance(node, ast.Assign) and "__all__" in
+                      [getattr(target, "id", None) for target in node.targets]))
+        unused += [f"{path.stem}:{line} {name}" for name, line in imported_names(tree)
+                   if name not in used]
+    assert not unused, f"imports nothing uses: {unused}"
