@@ -139,17 +139,15 @@ def dequantize_spectrum(payload: FramePayload, cfg: CodecConfig):
 def encode_frames(frames: np.ndarray, cfg: CodecConfig, first: int):
     """Encode a chunk of windowed frames, the rows of a (frames, frame_len) stack whose first
     is stream frame ``first``; returns the chunk's record and each frame's bytes and stats.
-    The chunk is analyzed, each band's gains searched and the chunk quantized as stacks."""
+    The chunk is analyzed, the gains of its every band searched at once and the chunk
+    quantized, each as one stack."""
     shaped, ctx = analyze_frames(frames, cfg), cfg.layout
     coded, active, gain_db = shaped.coded, shaped.active, shaped.gain_db
     lsf, clpc, contrast = shaped.lsf_indices, shaped.clpc_indices, shaped.contrast
     del shaped  # the residuals and envelopes are not needed past the analysis
     offsets = ctx.raw_offsets(contrast)  # each bin's raw-width row, as pack prices its field
-    gains, overflow, bits = zip(*(  # one array per band each, searched on its magnitudes
-        rc.search_scale_factors(np.abs(coded[:, band]), cfg.budget[b], offsets[:, band], ctx)
-        for b, band in enumerate(ctx.band_slices)))
-    gains, overflow = np.stack(gains, axis=1), np.stack(overflow, axis=1)
-    est_bits = sum(bits)  # summed in band order, as the stats report it
+    gains, overflow, bits = rc.search_scale_factors(np.abs(coded), cfg.budget, offsets, ctx)
+    est_bits = sum(bits.T)  # summed band by band from the left, as the stats report it
     payload = FramePayload(lsf, active, clpc, gains,  # then index1, index2, raw
                            *quantize_spectrum(coded, gains, contrast, cfg), contrast)
     sections = [{} for _ in frames]

@@ -97,11 +97,11 @@ def magnitude_index(a: np.ndarray, table: EcupqTable) -> np.ndarray:
     idx1 = (a >= table.thresholds[0]).view(np.int8)
     for threshold in table.thresholds[1:7]:
         idx1 += (a >= threshold).view(np.int8)
-    nonlinear = a >= table.r7
-    if nonlinear.any():
-        companded = nonlinear & (a < R7_TILDE)
+    companded = a >= table.r7
+    if companded.any():  # one full-size mask at a time keeps a chunk's gain search small
+        companded &= a < R7_TILDE
         idx1[companded] = np.floor(a[companded] ** 0.75 + 0.5) + NONLINEAR_SHIFT
-        idx1[nonlinear & ~companded] = ESCAPE_INDEX
+        idx1[a >= R7_TILDE] = ESCAPE_INDEX  # r7 < R7_TILDE, so these are nonlinear too
     return idx1
 
 

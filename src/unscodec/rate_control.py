@@ -10,13 +10,21 @@ budgets, not a prediction of the coded rate: its magnitude term counts 0 bits
 for four equal indices and sits about 2.4x below the magnitude bits the range
 coder actually spends.
 
-A cost call looks each full block of four indices up by its 16-bit code in a
-table of equal-pair counts, and each raw field up in the frame layout's
-``raw_widths``, the table pack and unpack read too, at its bin's given row
-start: it counts no pair, builds no field and knows no contrast flag.
+The search runs on a chunk's every band at once: each bisection level is priced
+by one cost call for every band of the frames with a band still open, and one
+more call prices every band's snap window, so a chunk's search makes at most
+2 + SF_SEARCH_ITERS cost calls, plus the rare snap that walks past its window.
+
+A cost call looks each full block of four indices, counted from its band's
+first bin, up by its 16-bit code in a table of equal-pair counts, and each raw
+field up in the frame layout's ``raw_widths``, the table pack and unpack read
+too, at its bin's given row start: it counts no pair, builds no field and knows
+no contrast flag.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -26,8 +34,8 @@ from .util import round_half_up
 SF_MIN_DB = -60
 SF_MAX_DB = 60
 SF_SEARCH_ITERS = 24   # bisection depth cap
-# the divisor of each integer gain SF_MIN_DB..SF_MAX_DB, by Python's float
-# power as band_cost_bits prices it (numpy's array power rounds a few apart)
+# the divisor of each integer gain SF_MIN_DB..SF_MAX_DB, by Python's float power, which
+# band_cost_bits takes for a fractional gain (numpy's array power rounds a few apart)
 GAIN_DIVISORS = np.array([10.0 ** (g / 20.0) for g in range(SF_MIN_DB, SF_MAX_DB + 1)])
 
 
@@ -55,76 +63,90 @@ _CODE_PAIRS = np.concatenate([
     for k in range(0, 1 << 16, 4096)])
 
 
-def sample_entropy_bits(indices: np.ndarray):
-    """Empirical-entropy bit count over consecutive blocks of four indices of
-    0..15, the range of index 1.
+@functools.lru_cache(maxsize=16)
+def _band_blocks(sizes: tuple):
+    """The blocks of bands of ``sizes`` bins: the bins of every band's full blocks of four,
+    counted from the band's own start, in band order; each band's (first, end) block; each
+    band's first bin; and (band, bins) of each band's trailing block of 2 or 3 bins."""
+    starts = np.cumsum([0, *sizes]).tolist()
+    bins = np.concatenate([np.arange(s, s + n - n % 4) for s, n in zip(starts, sizes)])
+    blocks = np.cumsum([0, *(n // 4 for n in sizes)]).tolist()
+    tails = [(b, np.arange(s + n - n % 4, s + n)) for b, (s, n) in enumerate(zip(starts, sizes))
+             if n % 4 > 1]
+    return bins, list(zip(blocks, blocks[1:])), starts[:-1], tails
 
-    Each block is costed with its own empirical symbol distribution; a short
-    trailing block uses its actual length.  Nothing is paid for telling the
-    decoder which indices a block holds, so ``[3, 3, 3, 3]`` costs 0 bits:
-    this is a relative cost for the gain search, not an achievable rate.
-    A 2-D array is costed row by row.
+
+def band_cost_bits(mags: np.ndarray, gains, offsets: np.ndarray, layout):
+    """Estimated bits to code each band of a chunk after division by each of its gains: the
+    block-entropy magnitude proxy plus the exact raw (phase and sign) bits, read from
+    ``layout.raw_widths`` at each bin's row start.
+
+    ``mags`` holds a chunk's coded magnitudes (rows, bins), ``offsets`` its
+    ``layout.raw_offsets`` (rows, bins) and ``gains`` dB gains in [SF_MIN_DB, SF_MAX_DB]
+    (rows, bands, G); returns the costs (rows, bands, G).  Each cost is the float a call on
+    its band alone gave: a whole gain's divisor is read from ``GAIN_DIVISORS`` and a
+    fractional one is Python's float power, each band's block costs are summed by a ``.sum``
+    of their own (numpy's pairwise order) before its trailing block is added, and its raw
+    bits are summed as integers.  No sum runs across rows or gains.
     """
-    idx = np.asarray(indices, dtype=np.int8)
-    n = idx.shape[-1]
+    bins, blocks, starts, tails = _band_blocks(layout.band_sizes)
+    gains = np.asarray(gains, dtype=float)
+    whole = np.floor(gains)
+    div = GAIN_DIVISORS[whole.astype(int) - SF_MIN_DB]
+    fractional = gains != whole
+    div[fractional] = [10.0 ** (g / 20.0) for g in gains[fractional].tolist()]
+    rows, count = gains.shape[:-2], gains.shape[-1]
+    idx1 = np.empty(rows + (count, mags.shape[-1]), dtype=np.int8)
+    raw = np.empty(rows + (count, len(starts)), dtype=np.int64)
+    # a gain at a time: freeing a (rows, G, bins) stack of floats, or reduceat's int64 copy
+    # of one, raised peak RSS by about 1 MB under glibc
+    for k in range(count):
+        scaled = div[..., k][..., layout.band_of]
+        idx1[..., k, :] = polar_quant.magnitude_index(np.divide(mags, scaled, out=scaled),
+                                                      layout.table)
+        widths = layout.raw_widths.take(idx1[..., k, :] + offsets)
+        raw[..., k, :] = np.add.reduceat(widths, starts, axis=-1)
     # two indices to each uint16, so a block's two pairs, one shifted, fill four nibbles
-    pairs = np.ascontiguousarray(idx[..., :n - n % 4]).view(np.uint16)
-    bits = _BLOCK_BITS.take(_CODE_PAIRS.take(pairs[..., ::2] | pairs[..., 1::2] << 4)).sum(axis=-1)
-    if n % 4 > 1:
-        bits = bits + _TAIL_BITS[n % 4][_equal_pairs(idx[..., n - n % 4:])]
-    return bits
+    pairs = idx1.take(bins, axis=-1).view(np.uint16)
+    block_bits = _BLOCK_BITS.take(_CODE_PAIRS.take(pairs[..., ::2] | pairs[..., 1::2] << 4))
+    bits = np.empty(raw.shape)
+    for b, (first, end) in enumerate(blocks):  # np.add.reduceat would sum them in sequence
+        bits[..., b] = block_bits[..., first:end].sum(axis=-1)
+    for b, tail in tails:
+        bits[..., b] += _TAIL_BITS[tail.size][_equal_pairs(idx1[..., tail])]
+    return (bits + raw).swapaxes(-1, -2)
 
 
-def band_cost_bits(band: np.ndarray, gain_db, offsets: np.ndarray, layout):
-    """Estimated bits to code the band after division by the gain: the
-    block-entropy magnitude proxy plus the exact raw (phase and sign) bits, read
-    from ``layout.raw_widths`` at each bin's row start: ``offsets``, of the
-    bands' shape, is the band's slice of its frame's ``layout.raw_offsets``.
+def bracket_scale_factors(mags: np.ndarray, target_bits, offsets: np.ndarray, layout):
+    """Bisect the gain of every band of every row of a chunk at once; returns each (row, band)
+    pair's bracket upper end (rows, bands) for :func:`snap_window`.
 
-    A 1-D band and a 1-D array of gains give one cost per gain; a stack of
-    bands of shape (rows, w) and gains of shape (rows, G) give costs of shape
-    (rows, G).  Each entry equals its row's scalar call exactly: the divisors
-    come from Python's float power and no sum runs across rows or gains.  A
-    band of magnitudes costs what its complex values do; neither is checked.
+    The budgets are one per band, or one per pair.  A pair whose finest gain fits ends at
+    SF_MIN_DB, and one that busts its budget even at the coarsest gain ends at SF_MAX_DB.
+    Every other pair is halved over the continuous dB range, SF_SEARCH_ITERS times at most,
+    each cost call pricing one midpoint for each band of every row with a pair still open;
+    a pair leaves once its rounded upper end is settled (later upper ends stay in (lo, hi]
+    and rounding is monotone), and only open pairs move.  Pairs are independent, so each
+    ends where a search of that band alone would.
     """
-    gains = np.atleast_1d(np.asarray(gain_db, dtype=float))
-    div = np.array([10.0 ** (g / 20.0) for g in gains.ravel().tolist()]).reshape(gains.shape)
-    idx1 = polar_quant.magnitude_index(np.abs(band)[..., None, :] / div[..., None], layout.table)
-    raw = layout.raw_widths.take(idx1 + offsets[..., None, :]).sum(axis=-1)
-    bits = sample_entropy_bits(idx1) + raw
-    return float(bits[0]) if np.ndim(gain_db) == 0 else bits
-
-
-def bracket_scale_factors(bands: np.ndarray, target_bits, offsets: np.ndarray, layout):
-    """Bisect the gain of every row of a (rows, w) stack of bands at once;
-    returns each row's bracket upper end for :func:`snap_window`.
-
-    The budgets are one per row, or one for all, and the offsets one row per
-    band.  A row whose finest gain fits ends at SF_MIN_DB, and one that busts
-    its budget even at the coarsest gain ends at SF_MAX_DB.  Every other row
-    is halved over the continuous dB range, SF_SEARCH_ITERS times at most, each cost
-    call pricing one midpoint per open row; a row leaves once its rounded
-    upper end is settled (later upper ends stay in (lo, hi] and rounding is
-    monotone).  Rows are independent, so each row ends where a search of that
-    row alone would.
-    """
-    rows = len(bands)
-    targets = np.broadcast_to(target_bits, (rows,))
-    lo, hi = np.full(rows, float(SF_MIN_DB)), np.full(rows, float(SF_MAX_DB))
-    ends = band_cost_bits(bands, np.tile([float(SF_MIN_DB), float(SF_MAX_DB)], (rows, 1)),
-                          offsets, layout)
-    hi[ends[:, 0] <= targets] = SF_MIN_DB
-    open_ = (ends[:, 0] > targets) & (ends[:, 1] <= targets)
+    rows, bands = len(mags), len(layout.band_sizes)
+    targets = np.broadcast_to(target_bits, (rows, bands))
+    lo, hi = np.full((rows, bands), float(SF_MIN_DB)), np.full((rows, bands), float(SF_MAX_DB))
+    ends = band_cost_bits(mags, np.tile([SF_MIN_DB, SF_MAX_DB], (rows, bands, 1)), offsets,
+                          layout)
+    hi[ends[..., 0] <= targets] = SF_MIN_DB
+    open_ = (ends[..., 0] > targets) & (ends[..., 1] <= targets)
     for _ in range(SF_SEARCH_ITERS):
         open_ &= round_half_up(np.nextafter(lo, np.inf)) != round_half_up(hi)
-        live = np.flatnonzero(open_)
+        live = np.flatnonzero(open_.any(axis=1))
         if not live.size:
             break
-        mid = 0.5 * (lo[live] + hi[live])
-        costs = band_cost_bits(bands[live], mid[:, None], offsets[live], layout)[:, 0]
-        fit = costs <= targets[live]
-        hi[live[fit]] = mid[fit]
-        lo[live[~fit]] = mid[~fit]
+        moving = open_[live]
+        mid = np.where(moving, 0.5 * (lo[live] + hi[live]), 0.0)  # 0 dB, a whole gain, if closed
+        costs = band_cost_bits(mags[live], mid[..., None], offsets[live], layout)[..., 0]
+        fit = moving & (costs <= targets[live])
+        hi[live] = np.where(fit, mid, hi[live])
+        lo[live] = np.where(moving & ~fit, mid, lo[live])
     return hi
 
 
@@ -135,9 +157,10 @@ def snap_window(upper) -> np.ndarray:
     return np.minimum(np.maximum(window, SF_MIN_DB), SF_MAX_DB)  # np.clip's call costs more
 
 
-def find_scale_factor(band: np.ndarray, target_bits: int, offsets: np.ndarray, layout,
-                      window, window_costs):
-    """Snap one band to the integer grid; returns (gain_db, overflow, bits).
+def find_scale_factor(mags: np.ndarray, band: int, target_bits: int, offsets: np.ndarray,
+                      layout, window, window_costs):
+    """Snap band ``band`` of one row, its chunk row's ``mags`` and ``offsets``, to the integer
+    grid; returns (gain_db, overflow, bits).
 
     ``window`` is the band's :func:`snap_window` row and ``window_costs`` its
     costs there; a gain outside it is priced on demand.  Overflow marks a band
@@ -152,7 +175,9 @@ def find_scale_factor(band: np.ndarray, target_bits: int, offsets: np.ndarray, l
 
     def cost(gain):
         if gain not in known:
-            known[gain] = band_cost_bits(band, gain, offsets, layout)
+            gains = np.full((1, len(layout.band_sizes), 1), gain)  # the row's every band
+            costs = band_cost_bits(mags[None], gains, offsets[None], layout)
+            known[gain] = float(costs[0, band, 0])
         return known[gain]
 
     g = window[2]  # the rounded upper end itself
@@ -163,16 +188,18 @@ def find_scale_factor(band: np.ndarray, target_bits: int, offsets: np.ndarray, l
     return g, False, cost(g)
 
 
-def search_scale_factors(bands: np.ndarray, target_bits, offsets: np.ndarray, layout):
-    """The gain search of every row of a (rows, w) stack of bands, with a budget
-    per row or one for all and a row of offsets per band: one stacked bracket,
-    one stacked call pricing every row's snap window, then each row's snap.
-    Returns the rows' (gain_db, overflow, bits) as three arrays."""
-    rows = len(bands)
-    targets = np.broadcast_to(target_bits, (rows,))
-    windows = snap_window(bracket_scale_factors(bands, targets, offsets, layout))
-    window_costs = band_cost_bits(bands, windows, offsets, layout)
-    found = list(map(find_scale_factor, bands, targets.tolist(), offsets, [layout] * rows,
-                     windows.tolist(), window_costs.tolist()))
-    gains, overflow, bits = np.array(found, dtype=float).reshape(rows, 3).T
+def search_scale_factors(mags: np.ndarray, target_bits, offsets: np.ndarray, layout):
+    """The gain search of every band of every row of a chunk, its magnitudes and raw offsets
+    (rows, bins), with a budget per band or per (row, band): one bracket of every band at
+    once, one call pricing every pair's snap window, then each pair's snap.  Returns the
+    pairs' (gain_db, overflow, bits) as three (rows, bands) arrays."""
+    rows, bands = len(mags), len(layout.band_sizes)
+    targets = np.broadcast_to(target_bits, (rows, bands))
+    windows = snap_window(bracket_scale_factors(mags, targets, offsets, layout))
+    window_costs = band_cost_bits(mags, windows, offsets, layout)
+    found = [find_scale_factor(m, b, t, o, layout, w, c)
+             for m, o, *row in zip(mags, offsets, targets.tolist(), windows.tolist(),
+                                   window_costs.tolist())
+             for b, (t, w, c) in enumerate(zip(*row))]
+    gains, overflow, bits = np.array(found, dtype=float).reshape(rows, bands, 3).transpose(2, 0, 1)
     return gains.astype(int), overflow.astype(bool), bits

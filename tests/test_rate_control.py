@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -9,34 +11,67 @@ from unscodec.entropy_bitstream import FramePayload, pack_frame
 from unscodec.util import round_half_up
 
 CTX = CodecConfig().layout
+BANDS, N_BINS = len(CTX.band_sizes), CTX.real_mask.size
+HIGH = np.ones((1, BANDS), dtype=bool)  # a frame whose bands are all high-contrast
+WIDE_PHASE_LAYOUT = CodecConfig(phase_cells_high=(1, 8, 16, 16, 32, 32, 64, 128)).layout
+# band starts at odd bins, and bands of 1, 2 and 3 bins past their last full block
+ODD_EDGES_LAYOUT = CodecConfig(band_edges=(37, 91, 140, 203, 260, 331, 409, 512)).layout
 
 
-def offsets(high, width, real=(), layout=CTX):
-    """Each bin's row start in ``layout.raw_widths`` for bands of ``width`` bins, with one
-    contrast flag for every row or one per row and real-valued bins at the positions ``real``:
-    read off the layout's own offsets of a frame, whose bin 0 is real and bin 1 is not."""
-    frame = layout.raw_offsets(np.repeat([[False], [True]], len(layout.band_sizes), axis=1))
-    rows = np.where(np.asarray(high)[..., None], frame[1, 1], frame[0, 1]).repeat(width, axis=-1)
-    rows[..., list(real)] = frame[0, 0]
-    return rows
+def sample_entropy_bits(indices: np.ndarray):
+    """Empirical-entropy bit count over consecutive blocks of four indices of 0..15, the band
+    cost's magnitude term for one band alone, from the gain search's tables.
+
+    Each block is costed with its own empirical symbol distribution; a short trailing block
+    uses its actual length.  Nothing is paid for telling the decoder which indices a block
+    holds, so ``[3, 3, 3, 3]`` costs 0 bits.  A 2-D array is costed row by row.
+    """
+    idx = np.asarray(indices, dtype=np.int8)
+    n = idx.shape[-1]
+    # two indices to each uint16, so a block's two pairs, one shifted, fill four nibbles
+    pairs = np.ascontiguousarray(idx[..., :n - n % 4]).view(np.uint16)
+    bits = rc._BLOCK_BITS.take(rc._CODE_PAIRS.take(pairs[..., ::2] | pairs[..., 1::2] << 4))
+    bits = bits.sum(axis=-1)
+    if n % 4 > 1:
+        bits = bits + rc._TAIL_BITS[n % 4][rc._equal_pairs(idx[..., n - n % 4:])]
+    return bits
 
 
-def stack_offsets(stack, highs, real):
-    """The offsets of a stack of bands, one contrast flag per row; ``real`` makes the first and
-    last bin of every row real-valued, as DC and Nyquist are."""
-    return offsets(np.array(highs), stack.shape[1], [0, -1] if real else ())
+def band_cost(band, gain_db, offsets, layout=CTX):
+    """The cost of one band alone, as the gain search priced it one band at a time: ``band``
+    holds its magnitudes (or a stack of bands, one a row), ``offsets`` its bins' slice of
+    ``layout.raw_offsets`` and ``gain_db`` a gain (or one row of gains per band); every
+    divisor is Python's float power."""
+    gains = np.atleast_1d(np.asarray(gain_db, dtype=float))
+    div = np.array([10.0 ** (g / 20.0) for g in gains.ravel().tolist()]).reshape(gains.shape)
+    idx1 = pq.magnitude_index(np.abs(band)[..., None, :] / div[..., None], layout.table)
+    raw = layout.raw_widths.take(idx1 + offsets[..., None, :]).sum(axis=-1)
+    bits = sample_entropy_bits(idx1) + raw
+    return float(bits[0]) if np.ndim(gain_db) == 0 else bits
+
+
+def frame_with(band):
+    """One frame's magnitudes (1, bins) holding ``band`` as the band of its width, zero
+    elsewhere, and that band's number: the default layout's bands 1-6 hold no real bin."""
+    b = CTX.band_sizes.index(band.size, 1)
+    mags = np.zeros((1, N_BINS))
+    mags[0, CTX.band_slices[b]] = np.abs(band)
+    return mags, b
 
 
 def search_band(band, target_bits):
-    """One high-contrast band's (gain, overflow, bits), searched as a stack of one row."""
-    gains, overflow, bits = rc.search_scale_factors(band[None, :], target_bits,
-                                                    offsets([True], band.size), CTX)
-    return gains[0], overflow[0], bits[0]
+    """One high-contrast band's (gain, overflow, bits), searched as the band of its width in
+    a frame whose other bands are silent; every band has the budget ``target_bits``."""
+    mags, b = frame_with(band)
+    gains, overflow, bits = rc.search_scale_factors(mags, target_bits, CTX.raw_offsets(HIGH), CTX)
+    return gains[0, b], overflow[0, b], bits[0, b]
 
 
-def search_rows(stack, targets, offs):
-    """Every row's (gain, overflow, bits) from one search of the stack."""
-    return zip(*rc.search_scale_factors(stack, targets, offs, CTX))
+def frame_cost(band, gain_db):
+    """The cost ``search_band`` prices the band with at one gain, from one chunk cost call."""
+    mags, b = frame_with(band)
+    gains = np.full((1, BANDS, 1), gain_db)
+    return rc.band_cost_bits(mags, gains, CTX.raw_offsets(HIGH), CTX)[0, b, 0]
 
 
 def band_widths(ctx):
@@ -93,25 +128,34 @@ def test_budget_tables():
 
 
 def test_entropy_of_constant_block():
-    assert rc.sample_entropy_bits(np.array([3, 3, 3, 3])) == 0.0
+    assert sample_entropy_bits(np.array([3, 3, 3, 3])) == 0.0
 
 
 def test_entropy_of_half_half_block():
-    assert abs(rc.sample_entropy_bits(np.array([0, 0, 1, 1])) - 4.0) < 1e-12
+    assert abs(sample_entropy_bits(np.array([0, 0, 1, 1])) - 4.0) < 1e-12
 
 
 def test_entropy_short_trailing_block():
     # blocks [1,1,2,2] -> 4 bits, then [5] alone -> 0 bits
-    bits = rc.sample_entropy_bits(np.array([1, 1, 2, 2, 5]))
+    bits = sample_entropy_bits(np.array([1, 1, 2, 2, 5]))
     assert abs(bits - 4.0) < 1e-12
 
 
+def frame_at_gain_0(bins, value):
+    """Band 0's cost at gain 0 in a high-contrast frame that holds ``value`` at ``bins``."""
+    mags = np.zeros((1, N_BINS))
+    mags[0, bins] = value
+    gains = np.zeros((1, BANDS, 1), dtype=int)
+    return rc.band_cost_bits(mags, gains, CTX.raw_offsets(HIGH), CTX)[0, 0, 0]
+
+
 def test_estimate_adds_exact_phase_bits():
-    # four equal indices cost 0 magnitude bits: the cost is the exact raw bits
+    # four equal indices cost 0 magnitude bits, as do the silent bins' blocks around them:
+    # the cost is the exact raw bits
     band = np.full(4, 3.0, dtype=complex)
     i1 = pq.quantize_magnitudes(np.abs(band), pq.DEFAULT_ECUPQ_TABLE)[0]
     phase_bits = np.log2(pq.phase_cells_array(i1, True, CTX.phase_cells)).sum()
-    assert rc.band_cost_bits(band, 0, offsets(True, 4), CTX) == phase_bits == 4 * 6.0
+    assert frame_at_gain_0(slice(4, 8), 3.0) == phase_bits == 4 * 6.0
 
 
 def test_scale_factor_all_zero_band():
@@ -122,20 +166,19 @@ def test_scale_factor_all_zero_band():
 
 def test_scale_factor_matches_grid_sweep_oracle():
     rng = np.random.default_rng(20)
-    offs = offsets(True, 50)
     for _ in range(12):
         band = (rng.standard_normal(50) + 1j * rng.standard_normal(50)) * rng.uniform(0.5, 30)
         target = int(rng.integers(15, 60))
         g, over, bits = search_band(band, target)
         assert not over
-        assert bits == rc.band_cost_bits(band, g, offs, CTX)
+        assert bits == frame_cost(band, g)
         # oracle: exhaustive integer-dB sweep for the smallest feasible gain
         feasible = [gg for gg in range(rc.SF_MIN_DB, rc.SF_MAX_DB + 1)
-                    if rc.band_cost_bits(band, gg, offs, CTX) <= target]
+                    if frame_cost(band, gg) <= target]
         assert g == min(feasible)
-        assert rc.band_cost_bits(band, g, offs, CTX) <= target
+        assert frame_cost(band, g) <= target
         if g > rc.SF_MIN_DB:
-            assert rc.band_cost_bits(band, g - 1, offs, CTX) > target
+            assert frame_cost(band, g - 1) > target
 
 
 def test_scale_factor_shift_equivariance():
@@ -173,30 +216,29 @@ def test_scale_factor_overflow_flag():
 
 def test_scale_factors_dequantize_exactly():
     # a gain index is exactly that many dB: the decoder's divisor for it is
-    # the one the gain search costs the band with
+    # the one the gain search costs the band with, whole gains read from the table and
+    # fractional ones by Python's float power, which gives the table's entry at a whole gain
     indices = np.arange(rc.SF_MIN_DB, rc.SF_MAX_DB + 1)
     assert rc.GAIN_DIVISORS.tolist() == [10.0 ** (g / 20.0) for g in indices.tolist()]
+    assert rc.GAIN_DIVISORS.tolist() == [10.0 ** (float(g) / 20.0) for g in indices.tolist()]
     assert np.allclose(20.0 * np.log10(rc.GAIN_DIVISORS), indices, rtol=0.0, atol=1e-12)
 
 
 def test_real_mask_costs_sign_bit():
     band = np.array([3.0, 3.0, 3.0, 3.0], dtype=complex)
-    # same magnitudes: masked variant replaces one phase cost with one sign bit
-    cost_plain = rc.band_cost_bits(band, 0, offsets(True, 4), CTX)
-    cost_masked = rc.band_cost_bits(band, 0, offsets(True, 4, real=[0]), CTX)
+    # same magnitudes: the block at the real DC bin replaces one phase cost with one sign bit
+    cost_plain = frame_at_gain_0(slice(4, 8), np.abs(band))
+    cost_masked = frame_at_gain_0(slice(0, 4), np.abs(band))
     i1, _ = pq.quantize_magnitudes(np.abs(band), pq.DEFAULT_ECUPQ_TABLE)
     cells = pq.phase_cells_array(i1, True, CTX.phase_cells)
     assert abs((cost_plain - cost_masked) - (np.log2(cells[0]) - 1.0)) < 1e-12
 
 
-# --- the batched gain search against the sequential one it replaces
+# --- the chunk's gain search against the sequential search of each band alone
 
-def sequential_search(band, target_bits, offs):
-    """Oracle: 24 sequential bisection steps, one cost call each, then the
-    two snap loops; the decision the pinned streams were encoded with."""
-    def cost(gain):
-        return rc.band_cost_bits(band, gain, offs, CTX)
-
+def sequential_search(cost, target_bits):
+    """Oracle: 24 sequential bisection steps of one band, one ``cost(gain)`` call each, then
+    the two snap loops; the decision the pinned streams were encoded with."""
     lo, hi = float(rc.SF_MIN_DB), float(rc.SF_MAX_DB)
     if cost(lo) <= target_bits:
         return rc.SF_MIN_DB, False
@@ -234,134 +276,199 @@ def bincount_entropy_bits(indices):
     return bits
 
 
+SCALES = [0.0, 1e-12, 1e-3, 1.0, 30.0, 3e3, 3e5]
+
+
 @st.composite
-def stacks(draw):
-    """1-9 bands of one width, 1-103 coefficients: each row silent, tiny,
-    ordinary or huge enough to overflow every gain, sometimes with runs of
-    equal magnitudes (equal index blocks make the block cost jump as the gain
-    moves)."""
+def drawn_chunks(draw, layout=CTX):
+    """The coded values (rows, bins) and contrast flags (rows, bands) of a chunk of 1-3
+    frames.  Each frame is silent, tiny, ordinary, loud or huge enough to overflow every gain
+    (3e3 and up escape at every gain up to 0 dB) as a whole, or band by band; the values
+    sometimes run in equal magnitudes (equal index blocks make the block cost jump as the
+    gain moves); the real DC and Nyquist bins take either sign."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
-    n, rows = draw(st.integers(1, 103)), draw(st.integers(1, 9))
-    scales = draw(st.lists(st.sampled_from([0.0, 1e-12, 1e-3, 1.0, 30.0, 3e3, 3e5]),
-                           min_size=rows, max_size=rows))
-    stack = (rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n)))
-    stack *= np.array(scales)[:, None]
+    rows, bands, n = draw(st.integers(1, 3)), len(layout.band_sizes), layout.real_mask.size
+    scales = np.reshape(draw(st.lists(st.sampled_from(SCALES), min_size=rows * bands,
+                                      max_size=rows * bands)), (rows, bands))
+    for r, scale in enumerate(draw(st.lists(st.sampled_from([None, *SCALES]), min_size=rows,
+                                            max_size=rows))):
+        if scale is not None:
+            scales[r] = scale
+    coded = (rng.standard_normal((rows, n)) + 1j * rng.standard_normal((rows, n)))
+    coded *= scales[:, layout.band_of]
     if draw(st.booleans()):
-        stack = np.repeat(stack[:, ::4], 4, axis=1)[:, :n]
-    if draw(st.booleans()):
-        stack[:, 0] = stack[:, 0].real  # a real coefficient, like DC and Nyquist
-    return stack
+        coded = np.repeat(coded[:, ::4], 4, axis=1)[:, :n]
+    coded[:, layout.real_mask] = coded[:, layout.real_mask].real
+    contrast = draw(st.lists(st.booleans(), min_size=rows * bands, max_size=rows * bands))
+    return coded, np.reshape(contrast, (rows, bands))
 
 
-def row_stack(rows):
-    """Bands that carry their row number, for costs drawn per row."""
-    return np.repeat(np.arange(rows, dtype=complex)[:, None], 4, axis=1)
+def drawn_targets(data, rows, bands=BANDS):
+    """A budget of 1-70 bits for each (row, band) pair."""
+    targets = data.draw(st.lists(st.integers(1, 70), min_size=rows * bands,
+                                 max_size=rows * bands))
+    return np.reshape(targets, (rows, bands))
 
 
-def row_of(band):
-    """The row number a band of ``row_stack`` carries; one per row of a stack."""
-    return np.asarray(band)[..., 0].real.astype(int)
+def band_alone(mags, offs, r, b, layout=CTX):
+    """Band ``b`` of row ``r``'s cost as a function of its gain, priced alone."""
+    bins = layout.band_slices[b]
+    return functools.partial(band_cost, mags[r, bins], offsets=offs[r, bins], layout=layout)
 
 
-@given(data=st.data(), stack=stacks(), real=st.booleans())
-def test_batched_search_matches_sequential_search(data, stack, real):
-    rows = len(stack)
-    targets = data.draw(st.lists(st.integers(1, 70), min_size=rows, max_size=rows))
-    highs = data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
-    offs = stack_offsets(stack, highs, real)
-    for r, (g, over, bits) in enumerate(search_rows(stack, targets, offs)):
-        assert (g, over) == sequential_search(stack[r], targets[r], offs[r])
-        assert bits == rc.band_cost_bits(stack[r], g, offs[r], CTX)
+@given(data=st.data(), layout=st.sampled_from([CTX, ODD_EDGES_LAYOUT]))
+def test_batched_search_matches_sequential_search(data, layout):
+    # a silent row fits at the finest gain and a loud one busts a 1-bit budget at every gain
+    coded, contrast = data.draw(drawn_chunks(layout))
+    coded = np.vstack([coded, np.zeros(coded.shape[1]), np.full(coded.shape[1], 3e5 + 3e5j)])
+    contrast = np.vstack([contrast, contrast[:1], ~contrast[:1]])
+    rows, bands = contrast.shape
+    targets = drawn_targets(data, rows, bands)
+    targets[-1] = 1
+    mags, offs = np.abs(coded), layout.raw_offsets(contrast)
+    gains, overflow, bits = rc.search_scale_factors(mags, targets, offs, layout)
+    assert (gains[-2] == rc.SF_MIN_DB).all() and not overflow[-2].any() and overflow[-1].all()
+    for r, b in np.ndindex(rows, bands):
+        cost = band_alone(mags, offs, r, b, layout)
+        assert (gains[r, b], overflow[r, b]) == sequential_search(cost, targets[r, b])
+        assert bits[r, b] == cost(gains[r, b])
 
 
-@given(seeds=st.lists(st.integers(0, 2 ** 32 - 1), min_size=1, max_size=9),
-       data=st.data(), roughness=st.sampled_from([0.0, 2.0, 20.0, 200.0]))
-def test_batched_search_matches_sequential_search_on_non_monotone_costs(seeds, data, roughness):
-    # a falling staircase per row with steps at random gains and random
-    # bumps: the cost rises again with the gain in places, so the snap loops
-    # must walk; low budgets overflow and high ones fit at the finest gain
-    rows = len(seeds)
-    targets = data.draw(st.lists(st.integers(1, 70), min_size=rows, max_size=rows))
-    edges = np.array([np.sort(np.random.default_rng(s).uniform(rc.SF_MIN_DB, rc.SF_MAX_DB, 400))
-                      for s in seeds])
-    steps = np.linspace(90.0, 0.0, 401) + roughness * np.array(
-        [np.random.default_rng(s + 1).random(401) for s in seeds])
+def pair_search(cost, targets):
+    """Search a chunk under a stand-in for ``rc.band_cost_bits``: ``cost(pairs, gains)`` prices
+    each gain of (rows, bands, G) by its (row, band) pair's number, row * BANDS + band.  Checks
+    every pair's (gain, overflow) against its sequential search and its bits against its cost;
+    returns the shapes of the gains the search priced, one per call."""
+    rows, calls = len(targets), []
 
-    def staircase_cost(band, gain_db, offs, layout):
-        r, g = row_of(band), np.atleast_1d(np.asarray(gain_db, dtype=float))
-        # searchsorted per row: the number of the row's edges below each gain
-        cost = np.take_along_axis(steps[r], (edges[r][..., None, :] < g[..., None]).sum(-1),
-                                  axis=-1)
-        return float(cost[0]) if np.ndim(gain_db) == 0 else cost
+    def chunk_cost(mags, gains, offs, layout):
+        calls.append(np.shape(gains))
+        pairs = mags[..., :1].astype(int) * BANDS + np.arange(BANDS)  # each row holds its number
+        return cost(pairs, np.asarray(gains, dtype=float))
 
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(rc, "band_cost_bits", staircase_cost)
-        stack, offs = row_stack(rows), offsets(np.ones(rows, dtype=bool), 4)
-        for r, (g, over, bits) in enumerate(search_rows(stack, targets, offs)):
-            assert (g, over) == sequential_search(stack[r], targets[r], offs[r])
-            assert bits == staircase_cost(stack[r], g, offs[r], CTX)
+        m.setattr(rc, "band_cost_bits", chunk_cost)
+        mags = np.repeat(np.arange(rows, dtype=float)[:, None], N_BINS, axis=1)
+        gains, overflow, bits = rc.search_scale_factors(
+            mags, targets, CTX.raw_offsets(np.ones((rows, BANDS), dtype=bool)), CTX)
+    for r, b in np.ndindex(rows, BANDS):
+        def alone(g, pair=r * BANDS + b):
+            return float(cost(np.array([[pair]]), np.array([[[g]]], dtype=float))[0, 0, 0])
+
+        assert (gains[r, b], overflow[r, b]) == sequential_search(alone, targets[r, b])
+        assert bits[r, b] == alone(gains[r, b])
+    return calls
 
 
-@given(wholes=st.lists(st.integers(-58, 58), min_size=1, max_size=9), data=st.data())
-def test_batched_search_matches_sequential_search_near_rounding_edges(wholes, data):
-    # each row's cost fits from a crossing gain near a rounding edge on,
+@given(rows=st.integers(1, 2), seed=st.integers(0, 2 ** 32 - 1), data=st.data(),
+       roughness=st.sampled_from([0.0, 2.0, 20.0, 200.0]))
+def test_batched_search_matches_sequential_search_on_non_monotone_costs(rows, seed, data,
+                                                                        roughness):
+    # a falling staircase per pair with steps at random gains and random
+    # bumps: the cost rises again with the gain in places, so the snap loops
+    # must walk; low budgets overflow and high ones fit at the finest gain
+    rng = np.random.default_rng(seed)
+    edges = np.sort(rng.uniform(rc.SF_MIN_DB, rc.SF_MAX_DB, (rows * BANDS, 400)), axis=-1)
+    steps = np.linspace(90.0, 0.0, 401) + roughness * rng.random((rows * BANDS, 401))
+
+    def staircase_cost(pairs, g):
+        # searchsorted per pair: the number of the pair's edges below each gain
+        return np.take_along_axis(steps[pairs], (edges[pairs][..., None, :] < g[..., None]).sum(-1),
+                                  axis=-1)
+
+    pair_search(staircase_cost, drawn_targets(data, rows))
+
+
+@given(rows=st.integers(1, 2), data=st.data())
+def test_batched_search_matches_sequential_search_near_rounding_edges(rows, data):
+    # each pair's cost fits from a crossing gain near a rounding edge on,
     # except at the integer gains around it, which fit or miss at random:
     # where the bisection ends relative to the edge decides where the snap
     # loops start
-    rows = len(wholes)
-    fracs = data.draw(st.lists(st.floats(-0.5, 0.5), min_size=rows, max_size=rows))
-    targets = data.draw(st.lists(st.sampled_from([5, 30, 70]), min_size=rows, max_size=rows))
+    pairs = rows * BANDS
+    wholes = np.array(data.draw(st.lists(st.integers(-58, 58), min_size=pairs, max_size=pairs)))
+    fracs = data.draw(st.lists(st.floats(-0.5, 0.5), min_size=pairs, max_size=pairs))
+    targets = data.draw(st.lists(st.sampled_from([5, 30, 70]), min_size=pairs, max_size=pairs))
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
-    crossing = np.array(wholes) + 0.5 + np.array(fracs)
-    near = np.array(wholes)[:, None] + np.arange(-3.0, 5.0)
+    crossing = wholes + 0.5 + np.array(fracs)
+    near = wholes[:, None] + np.arange(-3.0, 5.0)
     near_fits = rng.random(near.shape) < 0.5
 
-    def bumpy_cost(band, gain_db, offs, layout):
-        r, g = row_of(band), np.atleast_1d(np.asarray(gain_db, dtype=float))
-        hit = g[..., None] == near[r][..., None, :]
-        fits = np.where(hit.any(-1), (hit & near_fits[r][..., None, :]).any(-1),
-                        g >= crossing[r][..., None])
-        cost = np.where(fits, 10.0, 50.0)
-        return float(cost[0]) if np.ndim(gain_db) == 0 else cost
+    def bumpy_cost(pairs, g):
+        hit = g[..., None] == near[pairs][..., None, :]
+        fits = np.where(hit.any(-1), (hit & near_fits[pairs][..., None, :]).any(-1),
+                        g >= crossing[pairs][..., None])
+        return np.where(fits, 10.0, 50.0)
 
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(rc, "band_cost_bits", bumpy_cost)
-        stack, offs = row_stack(rows), offsets(np.ones(rows, dtype=bool), 4)
-        for r, (g, over, bits) in enumerate(search_rows(stack, targets, offs)):
-            assert (g, over) == sequential_search(stack[r], targets[r], offs[r])
-            assert bits == bumpy_cost(stack[r], g, offs[r], CTX)
+    pair_search(bumpy_cost, np.reshape(targets, (rows, BANDS)))
+
+
+def test_chunk_search_with_one_pair_open_at_the_last_level():
+    # every pair's crossing gain lies 0.2 dB from a rounding edge, so its rounded upper end
+    # settles in a few levels, except one pair's, 1e-9 dB past 12.5 dB: its row alone is
+    # priced at the later levels, and that pair alone is open at the last
+    rows = 3
+    crossing = np.tile(np.arange(BANDS) * 7.0 - 20.3, (rows, 1)).ravel()
+    crossing[1 * BANDS + 5] = 12.5 + 1e-9
+
+    def cost(pairs, g):
+        return np.where(g >= crossing[pairs][..., None], 10.0, 50.0)
+
+    calls = pair_search(cost, np.full((rows, BANDS), 30))
+    assert len(calls) == 2 + rc.SF_SEARCH_ITERS  # the ends, every level, the snap windows
+    assert calls[0] == (rows, BANDS, 2) and calls[-1] == (rows, BANDS, 5)
+    assert calls[-2] == (1, BANDS, 1)
 
 
 def test_snap_walks_up_to_the_coarsest_gain(monkeypatch):
     # every gain from 10 dB up fits except the integers below 60, so the
     # bisection ends near 10 and the snap walks up to 60, the one integer
     # its window did not price
-    def cost(band, gain_db, offs, layout):
+    def cost(mags, gain_db, offs, layout):
         g = np.asarray(gain_db, dtype=float)
-        bits = np.where((g >= 10.0) & ((g != np.round(g)) | (g == 60.0)), 10.0, 50.0)
-        return float(bits) if bits.ndim == 0 else bits
+        return np.where((g >= 10.0) & ((g != np.round(g)) | (g == 60.0)), 10.0, 50.0)
 
     monkeypatch.setattr(rc, "band_cost_bits", cost)
-    band = np.zeros(4, dtype=complex)
-    assert search_band(band, 30) == (rc.SF_MAX_DB, False, 10.0)
-    assert sequential_search(band, 30, offsets(True, 4)) == (rc.SF_MAX_DB, False)
+    assert search_band(np.zeros(50, dtype=complex), 30) == (rc.SF_MAX_DB, False, 10.0)
+    assert sequential_search(lambda g: float(cost(None, g, None, CTX)), 30) == (rc.SF_MAX_DB,
+                                                                               False)
 
 
-@given(stack=stacks(), data=st.data(), real=st.booleans(),
+@given(chunk=drawn_chunks(),
        gains=st.lists(st.floats(rc.SF_MIN_DB, rc.SF_MAX_DB) | st.integers(-60, 60),
                       min_size=1, max_size=9))
-def test_vectorized_cost_equals_scalar_cost(stack, data, real, gains):
-    rows = len(stack)
-    highs = data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
-    offs = stack_offsets(stack, highs, real)
-    # each row prices the drawn gains in its own order
-    grid = np.array([np.roll(gains, r) for r in range(rows)], dtype=float)
-    costs = rc.band_cost_bits(stack, grid, offs, CTX)
+def test_vectorized_cost_equals_scalar_cost(chunk, gains):
+    coded, contrast = chunk
+    rows, mags, offs = len(coded), np.abs(coded), CTX.raw_offsets(contrast)
+    # each (row, band) pair prices the drawn gains in its own order
+    grid = np.array([[np.roll(gains, r * BANDS + b) for b in range(BANDS)] for r in range(rows)],
+                    dtype=float)
+    costs = rc.band_cost_bits(mags, grid, offs, CTX)
     assert costs.shape == grid.shape
     for r in range(rows):
-        scalar = [rc.band_cost_bits(stack[r], g, offs[r], CTX) for g in grid[r].tolist()]
-        assert costs[r].tolist() == scalar
-        assert rc.band_cost_bits(stack[r], grid[r], offs[r], CTX).tolist() == scalar
+        # and each gain of the row in a call of its own
+        alone = [rc.band_cost_bits(mags[r:r + 1], grid[r:r + 1, :, k:k + 1], offs[r:r + 1],
+                                   CTX)[0, :, 0] for k in range(len(gains))]
+        for b in range(BANDS):
+            cost = band_alone(mags, offs, r, b)
+            scalar = [cost(g) for g in grid[r, b].tolist()]
+            assert costs[r, b].tolist() == scalar
+            assert cost(grid[r, b]).tolist() == scalar
+            assert [float(bits[b]) for bits in alone] == scalar
+
+
+@given(chunk=drawn_chunks(), gains=st.lists(st.integers(rc.SF_MIN_DB, rc.SF_MAX_DB),
+                                            min_size=1, max_size=5))
+def test_whole_gains_cost_the_same_as_ints_or_floats(chunk, gains):
+    # whole gains read GAIN_DIVISORS, whether the array holds ints or floats, and cost what
+    # a band alone costs with Python's float power for its divisor
+    coded, contrast = chunk
+    rows, mags, offs = len(coded), np.abs(coded), CTX.raw_offsets(contrast)
+    grid = np.tile(gains, (rows, BANDS, 1))
+    costs = rc.band_cost_bits(mags, grid, offs, CTX)
+    assert costs.tolist() == rc.band_cost_bits(mags, grid.astype(float), offs, CTX).tolist()
+    for r, b in np.ndindex(rows, BANDS):
+        assert costs[r, b].tolist() == band_alone(mags, offs, r, b)(np.array(gains)).tolist()
 
 
 def test_sample_entropy_matches_bincount_formula():
@@ -370,11 +477,11 @@ def test_sample_entropy_matches_bincount_formula():
     rng = np.random.default_rng(25)
     for n in range(1, 104):
         rows = rng.integers(0, rng.integers(1, 15, size=(40, 1)), size=(40, n))
-        batched = rc.sample_entropy_bits(rows)
+        batched = sample_entropy_bits(rows)
         for row, bits in zip(rows, batched):
-            assert abs(rc.sample_entropy_bits(row) - bincount_entropy_bits(row)) < 1e-9
-            assert bits == rc.sample_entropy_bits(row)
-    assert rc.sample_entropy_bits(np.zeros(0, dtype=int)) == 0.0
+            assert abs(sample_entropy_bits(row) - bincount_entropy_bits(row)) < 1e-9
+            assert bits == sample_entropy_bits(row)
+    assert sample_entropy_bits(np.zeros(0, dtype=int)) == 0.0
 
 
 # --- the table-driven band cost against the formula it replaces
@@ -434,24 +541,22 @@ def test_sample_entropy_equals_pair_count():
     # every block of four indices of 0..15 once, then rows of every width
     # with index runs, where the full-block sum and the tail's addition round
     blocks = np.indices((16,) * 4).reshape(4, -1).T
-    assert rc.sample_entropy_bits(blocks).tolist() == pair_count_entropy_bits(blocks).tolist()
+    assert sample_entropy_bits(blocks).tolist() == pair_count_entropy_bits(blocks).tolist()
     rng = np.random.default_rng(27)
     for n in range(0, 104):
         rows = np.repeat(rng.integers(0, 16, size=(30, n)), rng.integers(1, 4), axis=1)[:, :n]
-        assert rc.sample_entropy_bits(rows).tolist() == pair_count_entropy_bits(rows).tolist()
+        assert sample_entropy_bits(rows).tolist() == pair_count_entropy_bits(rows).tolist()
 
 
 def reference_cost(band, gain, high, real, layout):
     """One band's cost at one gain by the formula the tables replace: index 1,
     then its pair-counted block entropy plus the sum of its raw bits: a sign
-    bit where index 1 is nonzero at the first and last bin of a ``real`` band,
+    bit where index 1 is nonzero at the bins ``real`` marks (DC and Nyquist),
     else log2 of the [contrast][min(index1, 7)] phase cells."""
     mags = np.abs(band) / 10.0 ** (gain / 20.0)
     idx1 = searchsorted_index1(mags, layout.table)
     assert pq.quantize_magnitudes(mags, layout.table)[0].tolist() == idx1.tolist()
-    real_mask = np.zeros(idx1.size, dtype=bool)
-    real_mask[[0, -1]] = real
-    raw = np.where(real_mask, idx1 > 0,
+    raw = np.where(real, idx1 > 0,
                    np.log2(layout.phase_cells[int(high), np.minimum(idx1, 7)]).astype(int))
     return float(pair_count_entropy_bits(idx1) + raw.sum())
 
@@ -463,80 +568,99 @@ def edge_magnitudes(table):
     return np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, np.inf)])
 
 
-@given(stack=stacks(), data=st.data(), real=st.booleans(), as_mags=st.booleans(),
-       layout=st.sampled_from([CTX, SMALL_R7_LAYOUT]),
+@given(chunk=drawn_chunks(), data=st.data(), layout=st.sampled_from([CTX, SMALL_R7_LAYOUT]),
        gains=st.lists(st.just(0) | st.floats(rc.SF_MIN_DB, rc.SF_MAX_DB) | st.integers(-60, 60),
                       min_size=1, max_size=5))
-def test_band_cost_equals_reference_formula(stack, data, real, as_mags, layout, gains):
+def test_band_cost_equals_reference_formula(chunk, data, layout, gains):
     # gain 0 divides by exactly 1, so edge magnitudes are priced as drawn;
     # scales of 3e3 and up escape at every gain up to 0 dB
-    rows, width = stack.shape
+    coded, contrast = chunk
     if data.draw(st.booleans()):
         edges = edge_magnitudes(layout.table)
-        picks = data.draw(st.lists(st.integers(0, edges.size - 1), min_size=width,
-                                   max_size=width))
-        stack[0] = edges[picks]
-    highs = data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
-    offs = offsets(np.array(highs), width, [0, -1] if real else (), layout)
-    bands = np.abs(stack) if as_mags else stack
-    want = [[reference_cost(stack[r], g, highs[r], real, layout) for g in gains]
-            for r in range(rows)]
-    assert rc.band_cost_bits(bands, np.tile(gains, (rows, 1)), offs, layout).tolist() == want
-    assert rc.band_cost_bits(bands[0], np.array(gains), offs[0], layout).tolist() == want[0]
-    assert [rc.band_cost_bits(bands[0], g, offs[0], layout) for g in gains] == want[0]
+        coded[0] = edges[np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1))).integers(
+            0, edges.size, N_BINS)]
+    rows = len(coded)
+    want = [[[reference_cost(coded[r, bins], g, contrast[r, b], layout.real_mask[bins], layout)
+              for g in gains] for b, bins in enumerate(layout.band_slices)] for r in range(rows)]
+    costs = rc.band_cost_bits(np.abs(coded), np.tile(gains, (rows, BANDS, 1)),
+                              layout.raw_offsets(contrast), layout)
+    assert costs.tolist() == want
+
+
+@given(data=st.data(), width=st.sampled_from([1, 2, 5]), whole=st.booleans(),
+       layout=st.sampled_from([CTX, WIDE_PHASE_LAYOUT, SMALL_R7_LAYOUT, ODD_EDGES_LAYOUT]))
+def test_chunk_cost_equals_each_bands_reference(data, width, whole, layout):
+    # every (row, band, gain) cost is, to the last bit, what the band costs priced alone:
+    # silent, loud and escape-heavy rows, either contrast flag, real DC and Nyquist bins of
+    # either sign, one, two or five gains a band, whole or fractional
+    coded, contrast = data.draw(drawn_chunks(layout))
+    shape = contrast.shape + (width,)
+    gain = st.integers(rc.SF_MIN_DB, rc.SF_MAX_DB) if whole else st.floats(rc.SF_MIN_DB,
+                                                                             rc.SF_MAX_DB)
+    size = int(np.prod(shape))
+    gains = np.reshape(data.draw(st.lists(gain, min_size=size, max_size=size)),
+                       shape)
+    mags, offs = np.abs(coded), layout.raw_offsets(contrast)
+    costs = rc.band_cost_bits(mags, gains, offs, layout)
+    assert costs.shape == shape
+    for r, b in np.ndindex(contrast.shape):
+        want = band_alone(mags, offs, r, b, layout)(gains[r, b])
+        assert [c.hex() for c in costs[r, b].tolist()] == [c.hex() for c in want.tolist()]
 
 
 def test_search_needs_few_cost_calls(monkeypatch):
     rng = np.random.default_rng(26)
-    scales = rng.uniform(1, 50, size=(50, 1))
-    stack = (rng.standard_normal((50, 60)) + 1j * rng.standard_normal((50, 60))) * scales
-    targets = rng.integers(15, 60, size=50)
+    rows = 50
+    scales = rng.uniform(1, 50, size=(rows, BANDS))[:, CTX.band_of]
+    mags = np.abs((rng.standard_normal((rows, N_BINS)) + 1j * rng.standard_normal((rows, N_BINS)))
+                  * scales)
+    targets = rng.integers(15, 60, size=(rows, BANDS))
     cost, calls = rc.band_cost_bits, []
 
-    def counted(band, gain_db, offs, layout):
-        calls.append(gain_db)
-        return cost(band, gain_db, offs, layout)
+    def counted(mags, gains, offs, layout):
+        calls.append(np.shape(gains))
+        return cost(mags, gains, offs, layout)
 
     monkeypatch.setattr(rc, "band_cost_bits", counted)
-    rc.search_scale_factors(stack, targets, offsets(np.ones(50, dtype=bool), 60), CTX)
-    # the bracket's ends call, one midpoint per open row per halving, then
-    # one call for every row's snap window; the snap read only gains its
-    # window priced, so it made no call of its own
+    rc.search_scale_factors(mags, targets, CTX.raw_offsets(np.ones((rows, BANDS), dtype=bool)),
+                            CTX)
+    # for the whole chunk, not per band: the bracket's ends call, one call per halving
+    # pricing every band of each row with a pair still open, then one call for every pair's
+    # snap window; the last call is the windows', so no snap priced a gain on demand
     assert len(calls) <= 2 + rc.SF_SEARCH_ITERS
-    assert all(np.shape(gains)[1:] == (1,) for gains in calls[1:-1])
-    assert np.shape(calls[-1]) == (len(stack), 5)
-    assert all(np.ndim(gains) == 2 for gains in calls)  # none priced one gain on demand
-    assert sum(np.size(gains) for gains in calls) / len(stack) <= 20
+    assert calls[0] == (rows, BANDS, 2)
+    assert all(shape[1:] == (BANDS, 1) for shape in calls[1:-1])
+    assert calls[-1] == (rows, BANDS, 5)
+    assert sum(np.prod(shape) for shape in calls) / (rows * BANDS) <= 20
 
 
-@given(stack=stacks(), data=st.data(), real=st.booleans())
-def test_stacked_snap_windows_equal_each_rows_call(stack, data, real):
+@given(chunk=drawn_chunks(), data=st.data())
+def test_stacked_snap_windows_equal_each_rows_call(chunk, data):
     # a silent row fits at the finest gain and a loud one at a budget of 1
     # busts even the coarsest, so their windows are clipped at either end
-    n = stack.shape[1]
-    stack = np.vstack([stack, np.zeros(n), np.full(n, 3e5 + 3e5j)])
-    rows = len(stack)
-    targets = data.draw(st.lists(st.integers(1, 70), min_size=rows, max_size=rows))
+    coded, contrast = chunk
+    coded = np.vstack([coded, np.zeros(N_BINS), np.full(N_BINS, 3e5 + 3e5j)])
+    contrast = np.vstack([contrast, ~contrast[:1], contrast[:1]])
+    rows = len(coded)
+    targets = drawn_targets(data, rows)
     targets[-1] = 1
-    highs = data.draw(st.lists(st.booleans(), min_size=rows, max_size=rows))
-    offs = stack_offsets(stack, highs, real and n > 1)  # a lone real bin costs at most 1 bit
-    uppers = rc.bracket_scale_factors(stack, targets, offs, CTX)
-    assert uppers[-2] == rc.SF_MIN_DB and uppers[-1] == rc.SF_MAX_DB
+    mags, offs = np.abs(coded), CTX.raw_offsets(contrast)
+    uppers = rc.bracket_scale_factors(mags, targets, offs, CTX)
+    assert (uppers[-2] == rc.SF_MIN_DB).all() and (uppers[-1] == rc.SF_MAX_DB).all()
     windows = rc.snap_window(uppers)
-    costs = rc.band_cost_bits(stack, windows, offs, CTX)
-    assert costs.shape == windows.shape == (rows, 5)
-    for r in range(rows):
-        g = int(round_half_up(uppers[r]))
+    costs = rc.band_cost_bits(mags, windows, offs, CTX)
+    assert costs.shape == windows.shape == (rows, BANDS, 5)
+    for r, b in np.ndindex(rows, BANDS):
+        g = int(round_half_up(uppers[r, b]))
         gains = [x for x in range(g - 2, g + 3) if rc.SF_MIN_DB <= x <= rc.SF_MAX_DB]
-        assert sorted(set(windows[r].tolist())) == gains
-        scalar = dict(zip(gains, rc.band_cost_bits(stack[r], np.array(gains, dtype=float),
-                                                   offs[r], CTX).tolist()))
-        assert costs[r].tolist() == [scalar[x] for x in windows[r].tolist()]
+        assert sorted(set(windows[r, b].tolist())) == gains
+        scalar = dict(zip(gains, band_alone(mags, offs, r, b)(np.array(gains, dtype=float))
+                          .tolist()))
+        assert costs[r, b].tolist() == [scalar[x] for x in windows[r, b].tolist()]
 
 
 # --- the gain search prices the raw fields pack writes
 
-WIDE_PHASE_LAYOUT = CodecConfig(phase_cells_high=(1, 8, 16, 16, 32, 32, 64, 128)).layout
 
 
 @given(data=st.data(), layout=st.sampled_from([CTX, WIDE_PHASE_LAYOUT]),
@@ -552,7 +676,8 @@ def test_search_prices_exactly_the_widths_pack_writes(data, layout, scale, gains
     bins, width = layout.band_slices[b], layout.band_sizes[b]
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     band = (rng.standard_normal(width) + 1j * rng.standard_normal(width)) * scale
-    offs = layout.raw_offsets(contrast)[bins]
+    mags = np.zeros((1, layout.real_mask.size))
+    mags[0, bins] = np.abs(band)
     for g in gains:
         idx1 = pq.magnitude_index(np.abs(band) / 10.0 ** (g / 20.0), layout.table)
         record = FramePayload.zeros(1, layout)  # the band's index 1 in an otherwise zero frame
@@ -562,5 +687,6 @@ def test_search_prices_exactly_the_widths_pack_writes(data, layout, scale, gains
         stats = {}
         pack_frame(record, 0, layout, stats)
         assert stats["phase"] + stats["sign"] == widths.sum() == widths[bins].sum()
-        cost = rc.band_cost_bits(band, g, offs, layout)
-        assert cost == rc.sample_entropy_bits(idx1) + int(widths.sum())
+        cost = rc.band_cost_bits(mags, np.full((1, last + 1, 1), g),
+                                 layout.raw_offsets(contrast[None]), layout)[0, b, 0]
+        assert cost == sample_entropy_bits(idx1) + int(widths.sum())
