@@ -16,7 +16,7 @@ import numpy as np
 from . import lp, noise_shaping as ns, polar_quant as pq, rate_control as rc
 from .config import CodecConfig
 from .entropy_bitstream import (FramePayload, StreamError, StreamHeader, frame_bounds, pack_frame,
-                                unpack_fields, unpack_frame)
+                                unpack_fields, unpack_frame, wire_fields)
 from .transforms import frame_count, frame_signal, overlap_add
 
 CHUNK_FRAMES = 64  # frames coded or decoded together; one chunk bounds either end's memory
@@ -139,8 +139,8 @@ def dequantize_spectrum(payload: FramePayload, cfg: CodecConfig):
 def encode_frames(frames: np.ndarray, cfg: CodecConfig, first: int):
     """Encode a chunk of windowed frames, the rows of a (frames, frame_len) stack whose first
     is stream frame ``first``; returns the chunk's record and each frame's bytes and stats.
-    The chunk is analyzed, the gains of its every band searched at once and the chunk
-    quantized, each as one stack."""
+    The chunk is analyzed, its every band's gain searched, quantized and its wire fields
+    built, each as one stack; then ``pack_frame`` codes each frame."""
     shaped, ctx = analyze_frames(frames, cfg), cfg.layout
     coded, active, gain_db = shaped.coded, shaped.active, shaped.gain_db
     lsf, clpc, contrast = shaped.lsf_indices, shaped.clpc_indices, shaped.contrast
@@ -151,7 +151,7 @@ def encode_frames(frames: np.ndarray, cfg: CodecConfig, first: int):
     payload = FramePayload(lsf, active, clpc, gains,  # then index1, index2, raw
                            *quantize_spectrum(coded, gains, contrast, cfg), contrast)
     sections = [{} for _ in frames]
-    blobs = [pack_frame(payload, f, ctx, stats_out=sections[f]) for f in range(len(frames))]
+    blobs = [pack_frame(row, ctx, sections[f]) for f, row in enumerate(wire_fields(payload, ctx))]
     return payload, blobs, [FrameStats(
         index=first + f, gain_db=float(gain_db[f]), ctns_active=bool(active[f]),
         band_gains=gains[f], overflow=overflow[f], est_spectral_bits=float(est_bits[f]),

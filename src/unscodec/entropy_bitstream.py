@@ -1,11 +1,11 @@
 """Adaptive range coding, raw bit fields, and the on-disk stream format.
 
-Each frame is wire-coded as two sections behind a pair of u16 byte lengths:
-an adaptively range-coded section (LSF indices, complex-LPC magnitudes, scale
-factor deltas, magnitude indices) and a raw section (the CTNS flag, complex-LPC
-phases, Exp-Golomb escape values, then phases and signs).  The split keeps the
-range decoder's look-ahead from bleeding into the next frame while phases stay
-plain log2(N)-bit fields.
+Each frame is wire-coded as two sections behind a pair of u16 byte lengths: a
+range-coded one (LSF indices, complex-LPC magnitudes, scale-factor deltas,
+magnitude indices) and a raw one (the CTNS flag, complex-LPC phases, Exp-Golomb
+escapes, then phases and signs), so the range decoder's look-ahead stays in its
+frame and phases stay plain log2(N)-bit fields.  Pack builds a chunk's fields at
+once (``wire_fields``) and range-codes one frame per ``pack_frame`` call.
 """
 
 from __future__ import annotations
@@ -396,43 +396,47 @@ class PackContext:
         return self.raw_widths.take(self.raw_offsets(contrast) + index1)
 
 
-def pack_frame(payload: FramePayload, row: int, ctx: PackContext, stats_out: dict) -> bytes:
-    """Serialize row ``row`` of a chunk record, one frame, to the two-section wire format;
-    ``stats_out`` receives per-section bit costs (range-coded sections by information
-    content, raw sections by exact field width)."""
-    enc, stats = RangeEncoder(), stats_out
-    lsf = np.asarray(payload.lsf_indices[row], dtype=int)
-    stats.update(lsf=enc.encode(np.diff(lsf, prepend=0).tolist(), *ctx.lsf_model), flag=1)
-
-    fields = [([int(payload.ctns_flag[row])], [1])]  # the raw section as (values, widths)
-    stats["clpc"] = 0.0
-    if payload.ctns_flag[row]:
-        mags, phases = np.asarray(payload.clpc_indices[row], dtype=int).T
-        widths = np.where(mags >= 0, ctx.clpc_phase_bits, 0)
-        stats["clpc"] = enc.encode((mags + 1).tolist(), *ctx.clpc_mag_model) + int(widths.sum())
-        fields.append((phases, widths))
-
-    sf = np.asarray(payload.sf_indices[row], dtype=int)
-    stats["sf"] = enc.encode((np.diff(sf, prepend=0) + _SF_OFFSET).tolist(), *SF_DELTA_MODEL)
-
-    index1 = np.asarray(payload.index1[row], dtype=int)
-    stats["index1"] = enc.encode(index1.tolist(), *INDEX1_MODEL)
-    # each escape's Exp-Golomb (k = 2) codeword: m = index2 - OUTLIER_MIN + 4
-    # after bit_length(m) - 3 zeros, one field of 2 bit_length(m) - 3 bits
-    m = np.asarray(payload.index2[row])[index1 == ESCAPE_INDEX] - (OUTLIER_MIN - 4)
-    if np.any(m < 4):
+def wire_fields(payload: FramePayload, ctx: PackContext) -> list:
+    """Each row of a chunk record as :func:`pack_frame` takes it, built for the chunk at once:
+    its range-coded symbol lists (LSF deltas, CLPC magnitudes or ``[]`` without the flag,
+    scale-factor deltas, index 1), CLPC-phase, escape, sign and phase bits, and raw section."""
+    flag, index1 = np.asarray(payload.ctns_flag, bool), payload.index1
+    mags, phases = np.moveaxis(payload.clpc_indices, -1, 0)
+    # each escape codes m = index2 - OUTLIER_MIN + 4 in Exp-Golomb (k = 2): 2 bit_length(m) - 3 bits
+    escapes, m = index1 == ESCAPE_INDEX, np.subtract(payload.index2, OUTLIER_MIN - 4, dtype="int32")
+    if np.any(m[escapes] < 4):
         raise ValueError(f"escape index 2 below {OUTLIER_MIN}")
-    widths = 2 * np.frexp(m)[1] - 3
-    stats["escape"] = int(widths.sum())
-    fields.append((m, widths))
+    clpc_widths = np.where(flag[:, None] & (mags >= 0), np.int8(ctx.clpc_phase_bits), 0)
+    escape_widths = np.zeros(index1.shape, np.int8)
+    escape_widths[escapes] = 2 * np.frexp(m[escapes])[1] - 3
+    raw_widths = ctx.field_widths(index1, payload.contrast)
+    sign = raw_widths[:, ctx.real_mask].sum(axis=1)
+    bits = [clpc_widths.sum(axis=1), escape_widths.sum(axis=1), sign, raw_widths.sum(axis=1) - sign]
+    pad = -(1 + sum(bits))[:, None] % 8  # a zero field fills each raw section's last byte
+    # the chunk's fields row by row, each in wire order: the flag, CLPC phases, escapes, phases
+    # and signs, then the pad; all frames' raw sections come from one _raw_bytes call
+    widths = np.concatenate([np.ones_like(pad, np.int8), clpc_widths, escape_widths, raw_widths,
+                             pad], axis=1, dtype=np.int8)
+    values = np.concatenate([flag[:, None], phases, m, payload.raw, 0 * pad], axis=1, dtype="int32")
+    data = _raw_bytes(values[widths > 0], widths[widths > 0])
+    starts = [0, *np.cumsum(widths.sum(axis=1) // 8).tolist()]
+    return list(zip(np.diff(payload.lsf_indices, axis=1, prepend=0).tolist(),
+                    [row if f else [] for row, f in zip((mags + 1).tolist(), flag.tolist())],
+                    (np.diff(payload.sf_indices, axis=1, prepend=0) + _SF_OFFSET).tolist(),
+                    index1.tolist(), *(b.tolist() for b in bits),
+                    map(data.__getitem__, map(slice, starts, starts[1:]))))
 
-    widths = ctx.field_widths(index1, payload.contrast[row])
-    stats["sign"] = int(widths[ctx.real_mask].sum())
-    stats["phase"] = int(widths.sum()) - stats["sign"]
-    fields.append((payload.raw[row], widths))
 
-    arith_bytes, raw_bytes = enc.finish(), _raw_bytes(*map(np.concatenate, zip(*fields)))
-    return struct.pack("<HH", len(arith_bytes), len(raw_bytes)) + arith_bytes + raw_bytes
+def pack_frame(fields: tuple, ctx: PackContext, stats_out: dict) -> bytes:
+    """One frame's bytes from its row of :func:`wire_fields`, its symbol lists range-coded;
+    ``stats_out`` receives its section costs (information content, or exact raw bits)."""
+    (lsf, clpc, sf, index1, clpc_bits, escape, sign, phase, raw), enc = fields, RangeEncoder()
+    stats_out.update(lsf=enc.encode(lsf, *ctx.lsf_model), flag=1,
+                     clpc=enc.encode(clpc, *ctx.clpc_mag_model) + clpc_bits if clpc else 0.0,
+                     sf=enc.encode(sf, *SF_DELTA_MODEL), index1=enc.encode(index1, *INDEX1_MODEL),
+                     escape=escape, sign=sign, phase=phase)
+    arith = enc.finish()
+    return struct.pack("<HH", len(arith), len(raw)) + arith + raw
 
 
 def frame_bounds(data: bytes, count: int, length: int) -> list:

@@ -12,8 +12,8 @@ coder actually spends.
 
 The search runs on a chunk's every band at once: each bisection level is priced
 by one cost call for every band of the frames with a band still open, and one
-more call prices every band's snap window, so a chunk's search makes at most
-2 + SF_SEARCH_ITERS cost calls, plus the rare snap that walks past its window.
+more prices the windows of the frames with a band the ends call left open, so a
+chunk makes at most 2 + SF_SEARCH_ITERS cost calls, plus a rare walk past one.
 
 A cost call looks each full block of four indices, counted from its band's
 first bin, up by its 16-bit code in a table of equal-pair counts, and each raw
@@ -119,7 +119,7 @@ def band_cost_bits(mags: np.ndarray, gains, offsets: np.ndarray, layout):
 
 def bracket_scale_factors(mags: np.ndarray, target_bits, offsets: np.ndarray, layout):
     """Bisect the gain of every band of every row of a chunk at once; returns each (row, band)
-    pair's bracket upper end (rows, bands) for :func:`snap_window`.
+    pair's bracket upper end (rows, bands) for :func:`snap_window`, and the ends call's costs.
 
     The budgets are one per band, or one per pair.  A pair whose finest gain fits ends at
     SF_MIN_DB, and one that busts its budget even at the coarsest gain ends at SF_MAX_DB.
@@ -147,7 +147,7 @@ def bracket_scale_factors(mags: np.ndarray, target_bits, offsets: np.ndarray, la
         fit = moving & (costs <= targets[live])
         hi[live] = np.where(fit, mid, hi[live])
         lo[live] = np.where(moving & ~fit, mid, lo[live])
-    return hi
+    return hi, ends
 
 
 def snap_window(upper) -> np.ndarray:
@@ -162,9 +162,9 @@ def find_scale_factor(mags: np.ndarray, band: int, target_bits: int, offsets: np
     """Snap band ``band`` of one row, its chunk row's ``mags`` and ``offsets``, to the integer
     grid; returns (gain_db, overflow, bits).
 
-    ``window`` is the band's :func:`snap_window` row and ``window_costs`` its
-    costs there; a gain outside it is priced on demand.  Overflow marks a band
-    that busts the budget even at the maximum divisor (its upper end is
+    ``window`` is the band's :func:`snap_window` row, or the end it closed at, and
+    ``window_costs`` its costs there; a gain outside it is priced on demand.  Overflow
+    marks a band that busts the budget even at the maximum divisor (its upper end is
     SF_MAX_DB); bits is the band's cost at the returned gain.
     """
     if target_bits <= 0:
@@ -190,13 +190,19 @@ def find_scale_factor(mags: np.ndarray, band: int, target_bits: int, offsets: np
 
 def search_scale_factors(mags: np.ndarray, target_bits, offsets: np.ndarray, layout):
     """The gain search of every band of every row of a chunk, its magnitudes and raw offsets
-    (rows, bins), with a budget per band or per (row, band): one bracket of every band at
-    once, one call pricing every pair's snap window, then each pair's snap.  Returns the
-    pairs' (gain_db, overflow, bits) as three (rows, bands) arrays."""
+    (rows, bins), with a budget per band or per (row, band): one bracket of every band, one
+    call pricing the snap windows of the rows the ends call left a pair open in, then each
+    pair's snap.  Returns (gain_db, overflow, bits) as three (rows, bands) arrays."""
     rows, bands = len(mags), len(layout.band_sizes)
     targets = np.broadcast_to(target_bits, (rows, bands))
-    windows = snap_window(bracket_scale_factors(mags, targets, offsets, layout))
-    window_costs = band_cost_bits(mags, windows, offsets, layout)
+    upper, ends = bracket_scale_factors(mags, targets, offsets, layout)
+    closed = (ends[..., 0] <= targets) | (ends[..., 1] > targets)  # upper is the end it closed at
+    windows = np.where(closed[..., None], round_half_up(upper)[..., None], snap_window(upper))
+    window_costs = np.where(upper == SF_MIN_DB, ends[..., 0], ends[..., 1])[..., None].repeat(5, -1)
+    live = ~closed.all(axis=1)
+    if live.any():
+        live = slice(None) if live.all() else live  # no copy of a chunk's magnitudes
+        window_costs[live] = band_cost_bits(mags[live], windows[live], offsets[live], layout)
     found = [find_scale_factor(m, b, t, o, layout, w, c)
              for m, o, *row in zip(mags, offsets, targets.tolist(), windows.tolist(),
                                    window_costs.tolist())

@@ -351,6 +351,25 @@ def test_corpus_search_outputs_pinned(corpus_runs):
                   digest.hexdigest() == CORPUS_SEARCH_SHA256, f"sha256 {digest.hexdigest()[:16]}...")
 
 
+# SHA-256 of every frame's section costs and coded totals on the corpus fixture: its
+# section_bits as "key:type:float.hex" in key order, then total_bits, gain_db as float.hex
+# and ctns_active, one line a frame, "12k" then "16k", in corpus order
+CORPUS_STATS_SHA256 = "ba29ab8445413fbbcf848a17d4d6ae380b4a1bdd33b7ab1b70c1eb39353cc783"
+
+
+def test_corpus_frame_stats_pinned(corpus_runs):
+    digest = hashlib.sha256()
+    for items in corpus_runs.values():
+        for item in items.values():
+            for s in item["stats"]:
+                sections = " ".join(f"{k}:{type(v).__name__}:{float(v).hex()}"
+                                    for k, v in s.section_bits.items())
+                line = f"{sections} {s.total_bits} {float(s.gain_db).hex()} {s.ctns_active}"
+                digest.update(line.encode() + b"\n")
+    assert report("corpus frame stats pinned",
+                  digest.hexdigest() == CORPUS_STATS_SHA256, f"sha256 {digest.hexdigest()[:16]}...")
+
+
 def test_config_defaults_snapshot():
     """Every numeric default the codec relies on, pinned in one place."""
     cfg = CodecConfig()

@@ -13,11 +13,11 @@ from hypothesis import example, given, strategies as st
 from unscodec import codec, polar_quant as pq, signals
 from unscodec.config import CodecConfig
 from unscodec.entropy_bitstream import (FramePayload, PackContext, StreamError, StreamHeader,
-                                        frame_bounds, pack_frame)
+                                        frame_bounds)
 from unscodec.resample import CORE_RATE
 from unscodec.transforms import frame_count, frame_signal, overlap_add
 
-from test_entropy_bitstream import unpack_one
+from test_entropy_bitstream import exact, pack, unpack_one
 from test_frame_reference import ref_decode_frame
 
 
@@ -340,9 +340,6 @@ def test_parsed_records_pack_back_to_the_encoders_bytes(corpus_runs):
     # a record parsed as decode_stream parses it holds everything the wire
     # does: packing each parsed row gives the frame's own bytes and the
     # encoder's section costs, float for float
-    def exact(bits):
-        return [(k, type(v), float(v).hex()) for k, v in bits.items()]
-
     for mode, items in corpus_runs.items():
         cfg = CFG12.with_mode(mode)
         for name, item in items.items():
@@ -350,7 +347,7 @@ def test_parsed_records_pack_back_to_the_encoders_bytes(corpus_runs):
             for stats in item["stats"]:
                 record, end = unpack_one(item["blob"], pos, cfg.layout, cfg)
                 section_bits = {}
-                assert pack_frame(record, 0, cfg.layout, section_bits) == item["blob"][pos:end]
+                assert pack(record, cfg.layout, section_bits) == item["blob"][pos:end]
                 assert exact(section_bits) == exact(stats.section_bits), (mode, name, stats.index)
                 pos = end
             assert pos == len(item["blob"])
@@ -394,7 +391,7 @@ def broken_frame(payload, kind):
         payload.index1[0, 5], payload.index2[0, 5] = pq.ESCAPE_INDEX, pq.OUTLIER_MAX + 1
     if kind == "lsf":  # LSF deltas in range that add up beyond the largest index
         payload.lsf_indices[0] = CTX12.lsf_alphabet // 2 * np.arange(1, CFG12.lpc_order + 1)
-    frame = pack_frame(payload, 0, CTX12, {})
+    frame = pack(payload, CTX12)
     if kind == "raw":  # a raw section one byte longer than its fields
         arith_len, raw_len = struct.unpack_from("<HH", frame)
         frame = struct.pack("<HH", arith_len, raw_len + 1) + frame[4:] + b"\0"

@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 from unscodec import polar_quant as pq
 from unscodec import rate_control as rc
 from unscodec.config import CodecConfig
-from unscodec.entropy_bitstream import FramePayload, pack_frame
+from unscodec.entropy_bitstream import FramePayload, pack_frame, wire_fields
 from unscodec.util import round_half_up
 
 CTX = CodecConfig().layout
@@ -634,6 +634,68 @@ def test_search_needs_few_cost_calls(monkeypatch):
     assert sum(np.prod(shape) for shape in calls) / (rows * BANDS) <= 20
 
 
+def window_search(mags, targets, contrast):
+    """Search a chunk, recording the magnitudes of each call that priced snap windows (five
+    gains a pair); returns the search's (gains, overflow, bits) and those magnitudes."""
+    cost, priced = rc.band_cost_bits, []
+
+    def counted(mags, gains, offs, layout):
+        if np.shape(gains)[-1] == 5:
+            priced.append(mags)
+        return cost(mags, gains, offs, layout)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(rc, "band_cost_bits", counted)
+        return rc.search_scale_factors(mags, targets, CTX.raw_offsets(contrast), CTX), priced
+
+
+@given(data=st.data(), kinds=st.lists(st.sampled_from(["silent", "loud", "drawn"]), min_size=1,
+                                      max_size=5))
+def test_snap_windows_are_priced_only_for_rows_left_open(data, kinds):
+    # a silent row fits at SF_MIN_DB in every band and a loud one busts its 1-bit budgets at
+    # SF_MAX_DB, so their snaps read only the ends call's costs: the window call prices the
+    # rows with a pair the ends call left open, and every pair is still its sequential search
+    coded, contrast = data.draw(drawn_chunks())
+    rows = len(kinds)
+    pick = np.arange(rows) % len(coded)
+    mags, contrast, targets = np.abs(coded[pick]), contrast[pick], drawn_targets(data, rows)
+    for r, kind in enumerate(kinds):
+        if kind == "silent":
+            mags[r] = 0.0
+        elif kind == "loud":
+            mags[r], targets[r] = 3e5, 1
+    offs = CTX.raw_offsets(contrast)
+    ends = rc.band_cost_bits(mags, np.tile([rc.SF_MIN_DB, rc.SF_MAX_DB], (rows, BANDS, 1)), offs,
+                             CTX)
+    left_open = ((ends[..., 0] > targets) & (ends[..., 1] <= targets)).any(axis=1)
+    (gains, overflow, bits), priced = window_search(mags, targets, contrast)
+    assert len(priced) == int(left_open.any())
+    assert all(np.array_equal(m, mags[left_open]) for m in priced)
+    for r, b in np.ndindex(rows, BANDS):
+        cost = band_alone(mags, offs, r, b)
+        assert (gains[r, b], overflow[r, b]) == sequential_search(cost, targets[r, b])
+        assert bits[r, b] == cost(gains[r, b])
+
+
+def test_a_silent_chunk_prices_no_snap_window():
+    rows = 3
+    (gains, overflow, bits), priced = window_search(
+        np.zeros((rows, N_BINS)), np.ones((rows, BANDS), dtype=int), np.ones((rows, BANDS), bool))
+    assert priced == []
+    assert (gains == rc.SF_MIN_DB).all() and not overflow.any() and (bits == 0.0).all()
+
+
+def test_a_pair_bisected_up_to_the_coarsest_gain_keeps_its_window():
+    # band 0 fits only at SF_MAX_DB itself, so its bisection ends with its upper end there,
+    # as a pair that busts would, and its snap still needs the cost at SF_MAX_DB - 1: the
+    # ends call left it open, so the window call prices its row and no snap prices on demand
+    def cost(pairs, gains):
+        return np.where((pairs[..., None] == 0) & (gains < rc.SF_MAX_DB), 100.0, 0.0)
+
+    calls = pair_search(cost, np.full((1, BANDS), 10))
+    assert calls[-1] == (1, BANDS, 5)
+
+
 @given(chunk=drawn_chunks(), data=st.data())
 def test_stacked_snap_windows_equal_each_rows_call(chunk, data):
     # a silent row fits at the finest gain and a loud one at a budget of 1
@@ -645,8 +707,10 @@ def test_stacked_snap_windows_equal_each_rows_call(chunk, data):
     targets = drawn_targets(data, rows)
     targets[-1] = 1
     mags, offs = np.abs(coded), CTX.raw_offsets(contrast)
-    uppers = rc.bracket_scale_factors(mags, targets, offs, CTX)
+    uppers, ends = rc.bracket_scale_factors(mags, targets, offs, CTX)
     assert (uppers[-2] == rc.SF_MIN_DB).all() and (uppers[-1] == rc.SF_MAX_DB).all()
+    assert ends.tolist() == rc.band_cost_bits(
+        mags, np.tile([rc.SF_MIN_DB, rc.SF_MAX_DB], (rows, BANDS, 1)), offs, CTX).tolist()
     windows = rc.snap_window(uppers)
     costs = rc.band_cost_bits(mags, windows, offs, CTX)
     assert costs.shape == windows.shape == (rows, BANDS, 5)
@@ -685,7 +749,7 @@ def test_search_prices_exactly_the_widths_pack_writes(data, layout, scale, gains
         record.index2[0] = np.where(record.index1[0] == pq.ESCAPE_INDEX, pq.OUTLIER_MIN, 0)
         widths = layout.field_widths(record.index1[0], contrast)
         stats = {}
-        pack_frame(record, 0, layout, stats)
+        pack_frame(wire_fields(record, layout)[0], layout, stats)
         assert stats["phase"] + stats["sign"] == widths.sum() == widths[bins].sum()
         cost = rc.band_cost_bits(mags, np.full((1, last + 1, 1), g),
                                  layout.raw_offsets(contrast[None]), layout)[0, b, 0]
