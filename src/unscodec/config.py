@@ -56,6 +56,9 @@ class CodecConfig:
         if self.sample_rate != CORE_RATE:
             raise ConfigError(f"sample_rate must be the {CORE_RATE} Hz core rate, "
                               f"not {self.sample_rate}")
+        for name in ("frame_len", "overlap_len"):  # each is a u16 field of the stream header
+            if getattr(self, name) > 0xFFFF:
+                raise ConfigError(f"{name} must be at most 65535, not {getattr(self, name)}")
         if self.band_edges[0] <= 0 or np.any(np.diff(self.band_edges) <= 0):
             raise ConfigError("band edges must be strictly increasing and positive")
         if self.band_edges[-1] != self.frame_len // 2:

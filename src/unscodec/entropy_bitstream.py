@@ -360,7 +360,6 @@ class PackContext:
 
     def __init__(self, cfg):
         sizes = np.diff([0, *cfg.band_edges[:-1], cfg.n_bins])  # the Nyquist bin ends the last band
-        starts = np.cumsum([0, *sizes]).tolist()
         real_mask = np.zeros(cfg.n_bins, dtype=bool)
         real_mask[[0, -1]] = True
         phase_cells = np.array([cfg.phase_cells_low, cfg.phase_cells_high])
@@ -371,7 +370,7 @@ class PackContext:
         for name, value in dict(
                 lpc_order=cfg.lpc_order,  # LSF indices and CLPC coefficients per frame
                 band_sizes=tuple(sizes.tolist()), band_of=np.repeat(np.arange(sizes.size), sizes),
-                band_slices=tuple(map(slice, starts[:-1], starts[1:])), real_mask=real_mask,
+                real_mask=real_mask,
                 phase_cells=phase_cells,  # [low, high contrast][min(index1, 7)] -> cells
                 # raw-field width by index 1 (0..15); rows low, high contrast, real bin (sign)
                 raw_widths=np.concatenate([*phase_bits, np.arange(16) > 0]), table=cfg.ecupq,
@@ -436,6 +435,10 @@ def pack_frame(fields: tuple, ctx: PackContext, stats_out: dict) -> bytes:
                      sf=enc.encode(sf, *SF_DELTA_MODEL), index1=enc.encode(index1, *INDEX1_MODEL),
                      escape=escape, sign=sign, phase=phase)
     arith = enc.finish()
+    for name, section in (("range-coded", arith), ("raw", raw)):
+        if len(section) > 0xFFFF:  # the length prefix is a u16
+            raise ValueError(f"frame's {name} section of {len(section)} bytes exceeds the "
+                             f"65535 its u16 length prefix can hold")
     return struct.pack("<HH", len(arith), len(raw)) + arith + raw
 
 

@@ -17,7 +17,7 @@ from unscodec.entropy_bitstream import StreamHeader
 from unscodec.transforms import frame_signal, overlap_add
 
 from test_codec import attack_then_sustain
-from test_entropy_bitstream import unpack_one
+from test_entropy_bitstream import band_slices, unpack_one
 from test_polar_quant import table_entropy_and_mse, uniform_quantizer_mse
 
 CFG12 = CodecConfig(mode="12k")
@@ -172,7 +172,7 @@ def coded_band_reference(blob, stats, cfg):
         contrast = payload.contrast[0]
         entropy = 0.0
         raw = dict(escape=0, phase=0, sign=0)
-        for b, band in enumerate(ctx.band_slices):
+        for b, band in enumerate(band_slices(ctx)):
             i1 = payload.index1[0, band]
             real = ctx.real_mask[band]
             entropy += band_sample_entropy_bits(i1)

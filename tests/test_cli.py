@@ -9,6 +9,7 @@ import pytest
 
 from unscodec import cli, codec, signals
 from unscodec.config import CodecConfig, load_config, save_config
+from unscodec.entropy_bitstream import StreamHeader
 from unscodec.polar_quant import EcupqTable
 from unscodec.resample import resample_to_core
 from unscodec.transforms import frame_count
@@ -257,6 +258,19 @@ def test_config_rejects_bad_values_at_construction(tmp_path):
         f.write("clpc_phase_cells = 48\n")
     with pytest.raises(ConfigError, match=f"{path}: .*powers of two"):
         load_config(path)
+
+
+def test_config_refuses_frame_geometry_the_header_cannot_hold():
+    # frame_len and overlap_len are u16 header fields: a larger one was accepted and then
+    # failed encode_stream with a bare struct.error from StreamHeader.pack
+    from unscodec.config import ConfigError
+    edges = (40, 90, 140, 200, 260, 330, 410)
+    for overlap in (256, 65536):
+        with pytest.raises(ConfigError, match="frame_len must be at most 65535, not 131072"):
+            CodecConfig(frame_len=131072, overlap_len=overlap, band_edges=edges + (65536,))
+    cfg = CodecConfig(frame_len=65534, overlap_len=32767, band_edges=edges + (32767,))
+    header = codec.stream_header(cfg, 1)
+    assert StreamHeader.unpack(header.pack()) == header
 
 
 def test_config_rejects_a_clpc_grid_whose_table_overflows():

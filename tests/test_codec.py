@@ -17,7 +17,7 @@ from unscodec.entropy_bitstream import (FramePayload, PackContext, StreamError, 
 from unscodec.resample import CORE_RATE
 from unscodec.transforms import frame_count, frame_signal, overlap_add
 
-from test_entropy_bitstream import exact, pack, unpack_one
+from test_entropy_bitstream import band_slices, exact, pack, unpack_one
 from test_frame_reference import ref_decode_frame
 
 
@@ -165,7 +165,7 @@ def test_sinusoid_concentrates_in_its_band():
     pcm = signals.tone(1000.0, 1.0, amp=0.9)
     frames = frame_signal(pcm, CFG12.window_spec)
     payload, _, _ = codec.encode_frames(frames[4:5], CFG12, 4)
-    bands = [payload.index1[0, s] for s in CTX12.band_slices]
+    bands = [payload.index1[0, s] for s in band_slices(CTX12)]
     assert np.max(bands[1]) >= 2
     for b in set(range(8)) - {1}:
         assert np.max(bands[b], initial=0) <= 1
@@ -486,6 +486,17 @@ def test_encode_refuses_a_non_finite_model_with_its_own_value_error():
     with pytest.raises(ValueError, match="model coefficients must be finite") as refused:
         codec.encode_stream(signals.speechish(0.5) * 1e300, CFG12)
     assert not isinstance(refused.value, np.linalg.LinAlgError)
+
+
+def test_a_frame_section_past_its_u16_length_prefix_is_refused_by_name():
+    # 32768-sample frames of loud noise: a frame's raw section outgrows its u16 length prefix,
+    # which pack_frame refuses by section and byte count; it raised a bare struct.error
+    cfg = CodecConfig(frame_len=32768, band_edges=(40, 90, 140, 200, 260, 330, 410, 16384))
+    noise = np.random.default_rng(0).uniform(-1.0, 1.0, 65536)
+    _, stats = codec.encode_stream(noise, cfg)
+    assert max(s.total_bits for s in stats) // 8 < 0xFFFF  # 4,425 bytes at full scale
+    with pytest.raises(ValueError, match=r"frame's raw section of \d+ bytes exceeds the 65535"):
+        codec.encode_stream(noise * 1e6, cfg)
 
 
 def test_shaping_roundtrip_precision():

@@ -90,6 +90,13 @@ def pack(payload, ctx, stats_out=None, row=0):
                          {} if stats_out is None else stats_out)
 
 
+def band_slices(ctx):
+    """Each band's bins of a frame in ``ctx``'s layout, as a slice: the bands run back to
+    back from bin 0, and the last one holds the Nyquist bin."""
+    ends = np.cumsum(ctx.band_sizes).tolist()
+    return [slice(end - size, end) for end, size in zip(ends, ctx.band_sizes)]
+
+
 def make_ctx():
     # a 514-bin layout, band sizes (41, 50, 50, 60, 60, 70, 80, 103), from a config that has it
     return CodecConfig(frame_len=1026, band_edges=(41, 91, 141, 201, 261, 331, 411, 513)).layout

@@ -8,7 +8,8 @@ from unscodec import polar_quant as pq
 from unscodec import rate_control as rc
 from unscodec.config import CodecConfig
 from unscodec.entropy_bitstream import FramePayload, pack_frame, wire_fields
-from unscodec.util import round_half_up
+
+from test_entropy_bitstream import band_slices
 
 CTX = CodecConfig().layout
 BANDS, N_BINS = len(CTX.band_sizes), CTX.real_mask.size
@@ -55,7 +56,7 @@ def frame_with(band):
     elsewhere, and that band's number: the default layout's bands 1-6 hold no real bin."""
     b = CTX.band_sizes.index(band.size, 1)
     mags = np.zeros((1, N_BINS))
-    mags[0, CTX.band_slices[b]] = np.abs(band)
+    mags[0, band_slices(CTX)[b]] = np.abs(band)
     return mags, b
 
 
@@ -76,14 +77,13 @@ def frame_cost(band, gain_db):
 
 def band_widths(ctx):
     """Band widths of a pack context without the Nyquist bin the last band carries."""
-    sizes = [s.stop - s.start for s in ctx.band_slices]
-    return tuple(sizes[:-1] + [sizes[-1] - 1])
+    return (*ctx.band_sizes[:-1], ctx.band_sizes[-1] - 1)
 
 
 def test_band_layout_widths():
     layout = CodecConfig().layout
     assert band_widths(layout) == (40, 50, 50, 60, 60, 70, 80, 102)
-    assert len(layout.band_slices) == 8
+    assert len(band_slices(layout)) == 8
 
 
 def fer_bands(cfg):
@@ -112,7 +112,7 @@ def test_config_band_layout_follows_its_edges():
 def test_split_bands_edges():
     ctx = CodecConfig().layout
     x = np.arange(513, dtype=complex)
-    bands = [x[s] for s in ctx.band_slices]
+    bands = [x[s] for s in band_slices(ctx)]
     assert bands[0][0] == 0 and bands[0][-1] == 39
     assert bands[7][0] == 410 and bands[7][-1] == 512  # the Nyquist bin ends the last band
     assert np.array_equal(np.concatenate(bands), x)
@@ -215,9 +215,8 @@ def test_scale_factor_overflow_flag():
 
 
 def test_scale_factors_dequantize_exactly():
-    # a gain index is exactly that many dB: the decoder's divisor for it is
-    # the one the gain search costs the band with, whole gains read from the table and
-    # fractional ones by Python's float power, which gives the table's entry at a whole gain
+    # a gain index is exactly that many dB: the decoder's divisor for it is the one the gain
+    # search costs the band with, read from one table of Python's float power
     indices = np.arange(rc.SF_MIN_DB, rc.SF_MAX_DB + 1)
     assert rc.GAIN_DIVISORS.tolist() == [10.0 ** (g / 20.0) for g in indices.tolist()]
     assert rc.GAIN_DIVISORS.tolist() == [10.0 ** (float(g) / 20.0) for g in indices.tolist()]
@@ -237,25 +236,20 @@ def test_real_mask_costs_sign_bit():
 # --- the chunk's gain search against the sequential search of each band alone
 
 def sequential_search(cost, target_bits):
-    """Oracle: 24 sequential bisection steps of one band, one ``cost(gain)`` call each, then
-    the two snap loops; the decision the pinned streams were encoded with."""
-    lo, hi = float(rc.SF_MIN_DB), float(rc.SF_MAX_DB)
+    """Oracle: the integer bisection of one band alone, one ``cost(gain)`` call a step; the
+    decision the streams are encoded with."""
+    lo, hi = rc.SF_MIN_DB, rc.SF_MAX_DB
     if cost(lo) <= target_bits:
         return rc.SF_MIN_DB, False
     if cost(hi) > target_bits:
         return rc.SF_MAX_DB, True
-    for _ in range(24):
-        mid = 0.5 * (lo + hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
         if cost(mid) <= target_bits:
             hi = mid
         else:
             lo = mid
-    g = int(round_half_up(hi))
-    while g < rc.SF_MAX_DB and cost(g) > target_bits:
-        g += 1
-    while g > rc.SF_MIN_DB and cost(g - 1) <= target_bits:
-        g -= 1
-    return g, False
+    return hi, False
 
 
 def bincount_entropy_bits(indices):
@@ -312,26 +306,49 @@ def drawn_targets(data, rows, bands=BANDS):
 
 def band_alone(mags, offs, r, b, layout=CTX):
     """Band ``b`` of row ``r``'s cost as a function of its gain, priced alone."""
-    bins = layout.band_slices[b]
+    bins = band_slices(layout)[b]
     return functools.partial(band_cost, mags[r, bins], offsets=offs[r, bins], layout=layout)
+
+
+def chunk_with_silent_and_loud_rows(data, layout):
+    """A drawn chunk's magnitudes, raw offsets and budgets, with two rows appended: a silent
+    one, which fits at the finest gain, and a loud one, which busts 1-bit budgets at every
+    gain."""
+    coded, contrast = data.draw(drawn_chunks(layout))
+    coded = np.vstack([coded, np.zeros(coded.shape[1]), np.full(coded.shape[1], 3e5 + 3e5j)])
+    contrast = np.vstack([contrast, contrast[:1], ~contrast[:1]])
+    targets = drawn_targets(data, *contrast.shape)
+    targets[-1] = 1
+    return np.abs(coded), layout.raw_offsets(contrast), targets
 
 
 @given(data=st.data(), layout=st.sampled_from([CTX, ODD_EDGES_LAYOUT]))
 def test_batched_search_matches_sequential_search(data, layout):
-    # a silent row fits at the finest gain and a loud one busts a 1-bit budget at every gain
-    coded, contrast = data.draw(drawn_chunks(layout))
-    coded = np.vstack([coded, np.zeros(coded.shape[1]), np.full(coded.shape[1], 3e5 + 3e5j)])
-    contrast = np.vstack([contrast, contrast[:1], ~contrast[:1]])
-    rows, bands = contrast.shape
-    targets = drawn_targets(data, rows, bands)
-    targets[-1] = 1
-    mags, offs = np.abs(coded), layout.raw_offsets(contrast)
+    mags, offs, targets = chunk_with_silent_and_loud_rows(data, layout)
     gains, overflow, bits = rc.search_scale_factors(mags, targets, offs, layout)
     assert (gains[-2] == rc.SF_MIN_DB).all() and not overflow[-2].any() and overflow[-1].all()
-    for r, b in np.ndindex(rows, bands):
+    for r, b in np.ndindex(targets.shape):
         cost = band_alone(mags, offs, r, b, layout)
         assert (gains[r, b], overflow[r, b]) == sequential_search(cost, targets[r, b])
         assert bits[r, b] == cost(gains[r, b])
+
+
+@given(data=st.data(), layout=st.sampled_from([CTX, ODD_EDGES_LAYOUT]))
+def test_every_gain_is_a_crossing_of_its_pairs_cost(data, layout):
+    # whatever the search, each pair's gain fits its budget where the next finer gain does not,
+    # or is the finest gain, or is the coarsest gain and overflows: silent rows fit at the
+    # finest gain, loud rows bust at every gain, and drawn bands, some in runs of equal
+    # magnitudes, cost more at some coarser gains than at finer ones
+    mags, offs, targets = chunk_with_silent_and_loud_rows(data, layout)
+    gains, overflow, bits = rc.search_scale_factors(mags, targets, offs, layout)
+    for r, b in np.ndindex(targets.shape):
+        cost, g, budget = band_alone(mags, offs, r, b, layout), int(gains[r, b]), targets[r, b]
+        assert bits[r, b] == cost(g)
+        if overflow[r, b]:
+            assert g == rc.SF_MAX_DB and cost(g) > budget
+        else:
+            assert cost(g) <= budget and (g == rc.SF_MIN_DB or cost(g - 1) > budget)
+    assert overflow[-1].all() and (gains[-2] == rc.SF_MIN_DB).all()
 
 
 def pair_search(cost, targets):
@@ -365,8 +382,9 @@ def pair_search(cost, targets):
 def test_batched_search_matches_sequential_search_on_non_monotone_costs(rows, seed, data,
                                                                         roughness):
     # a falling staircase per pair with steps at random gains and random
-    # bumps: the cost rises again with the gain in places, so the snap loops
-    # must walk; low budgets overflow and high ones fit at the finest gain
+    # bumps: the cost rises again with the gain in places, so a pair may fit
+    # at more than one crossing; low budgets overflow and high ones fit at the
+    # finest gain
     rng = np.random.default_rng(seed)
     edges = np.sort(rng.uniform(rc.SF_MIN_DB, rc.SF_MAX_DB, (rows * BANDS, 400)), axis=-1)
     steps = np.linspace(90.0, 0.0, 401) + roughness * rng.random((rows * BANDS, 401))
@@ -381,10 +399,9 @@ def test_batched_search_matches_sequential_search_on_non_monotone_costs(rows, se
 
 @given(rows=st.integers(1, 2), data=st.data())
 def test_batched_search_matches_sequential_search_near_rounding_edges(rows, data):
-    # each pair's cost fits from a crossing gain near a rounding edge on,
-    # except at the integer gains around it, which fit or miss at random:
-    # where the bisection ends relative to the edge decides where the snap
-    # loops start
+    # each pair's cost fits from a crossing gain halfway between two integers
+    # on, except at the integer gains around it, which fit or miss at random:
+    # the last levels land on either side of the crossing
     pairs = rows * BANDS
     wholes = np.array(data.draw(st.lists(st.integers(-58, 58), min_size=pairs, max_size=pairs)))
     fracs = data.draw(st.lists(st.floats(-0.5, 0.5), min_size=pairs, max_size=pairs))
@@ -404,45 +421,52 @@ def test_batched_search_matches_sequential_search_near_rounding_edges(rows, data
 
 
 def test_chunk_search_with_one_pair_open_at_the_last_level():
-    # every pair's crossing gain lies 0.2 dB from a rounding edge, so its rounded upper end
-    # settles in a few levels, except one pair's, 1e-9 dB past 12.5 dB: its row alone is
-    # priced at the later levels, and that pair alone is open at the last
+    # every pair fits from 1 dB on, which the bisection reaches in 6 levels (0, 30, 15, 7, 3,
+    # 1 dB), except one pair, which fits from 13 dB on and takes a seventh (0, 30, 15, 7, 11,
+    # 13, 12 dB): its row alone is priced at the last level
     rows = 3
-    crossing = np.tile(np.arange(BANDS) * 7.0 - 20.3, (rows, 1)).ravel()
-    crossing[1 * BANDS + 5] = 12.5 + 1e-9
+    crossing = np.full(rows * BANDS, 0.5)
+    crossing[1 * BANDS + 5] = 12.5
 
     def cost(pairs, g):
         return np.where(g >= crossing[pairs][..., None], 10.0, 50.0)
 
     calls = pair_search(cost, np.full((rows, BANDS), 30))
-    assert len(calls) == 2 + rc.SF_SEARCH_ITERS  # the ends, every level, the snap windows
-    assert calls[0] == (rows, BANDS, 2) and calls[-1] == (rows, BANDS, 5)
-    assert calls[-2] == (1, BANDS, 1)
+    assert calls == [(rows, BANDS, 2)] + [(rows, BANDS, 1)] * 6 + [(1, BANDS, 1)]
 
 
 def test_snap_walks_up_to_the_coarsest_gain(monkeypatch):
-    # every gain from 10 dB up fits except the integers below 60, so the
-    # bisection ends near 10 and the snap walks up to 60, the one integer
-    # its window did not price
+    # every gain but SF_MAX_DB busts: the ends call leaves the pair open, since it fits there,
+    # and every level moves its lower end up, so it ends at SF_MAX_DB with no overflow, where
+    # a budget it busts even there ends it at SF_MAX_DB with overflow
     def cost(mags, gain_db, offs, layout):
-        g = np.asarray(gain_db, dtype=float)
-        return np.where((g >= 10.0) & ((g != np.round(g)) | (g == 60.0)), 10.0, 50.0)
+        return np.where(np.asarray(gain_db) == rc.SF_MAX_DB, 10.0, 50.0)
 
     monkeypatch.setattr(rc, "band_cost_bits", cost)
     assert search_band(np.zeros(50, dtype=complex), 30) == (rc.SF_MAX_DB, False, 10.0)
+    assert search_band(np.zeros(50, dtype=complex), 5) == (rc.SF_MAX_DB, True, 10.0)
     assert sequential_search(lambda g: float(cost(None, g, None, CTX)), 30) == (rc.SF_MAX_DB,
                                                                                False)
 
 
+def test_a_pair_bisected_up_to_the_coarsest_gain_keeps_its_window():
+    # band 0 fits only at SF_MAX_DB itself and every other band at SF_MIN_DB: the ends call
+    # leaves band 0 open, so its row is priced at each of the 7 levels that close the window
+    # (SF_MIN_DB, SF_MAX_DB] down to SF_MAX_DB, with no overflow
+    def cost(pairs, gains):
+        return np.where((pairs[..., None] == 0) & (gains < rc.SF_MAX_DB), 100.0, 0.0)
+
+    calls = pair_search(cost, np.full((1, BANDS), 10))
+    assert calls == [(1, BANDS, 2)] + [(1, BANDS, 1)] * 7
+
+
 @given(chunk=drawn_chunks(),
-       gains=st.lists(st.floats(rc.SF_MIN_DB, rc.SF_MAX_DB) | st.integers(-60, 60),
-                      min_size=1, max_size=9))
+       gains=st.lists(st.integers(rc.SF_MIN_DB, rc.SF_MAX_DB), min_size=1, max_size=9))
 def test_vectorized_cost_equals_scalar_cost(chunk, gains):
     coded, contrast = chunk
     rows, mags, offs = len(coded), np.abs(coded), CTX.raw_offsets(contrast)
     # each (row, band) pair prices the drawn gains in its own order
-    grid = np.array([[np.roll(gains, r * BANDS + b) for b in range(BANDS)] for r in range(rows)],
-                    dtype=float)
+    grid = np.array([[np.roll(gains, r * BANDS + b) for b in range(BANDS)] for r in range(rows)])
     costs = rc.band_cost_bits(mags, grid, offs, CTX)
     assert costs.shape == grid.shape
     for r in range(rows):
@@ -455,20 +479,6 @@ def test_vectorized_cost_equals_scalar_cost(chunk, gains):
             assert costs[r, b].tolist() == scalar
             assert cost(grid[r, b]).tolist() == scalar
             assert [float(bits[b]) for bits in alone] == scalar
-
-
-@given(chunk=drawn_chunks(), gains=st.lists(st.integers(rc.SF_MIN_DB, rc.SF_MAX_DB),
-                                            min_size=1, max_size=5))
-def test_whole_gains_cost_the_same_as_ints_or_floats(chunk, gains):
-    # whole gains read GAIN_DIVISORS, whether the array holds ints or floats, and cost what
-    # a band alone costs with Python's float power for its divisor
-    coded, contrast = chunk
-    rows, mags, offs = len(coded), np.abs(coded), CTX.raw_offsets(contrast)
-    grid = np.tile(gains, (rows, BANDS, 1))
-    costs = rc.band_cost_bits(mags, grid, offs, CTX)
-    assert costs.tolist() == rc.band_cost_bits(mags, grid.astype(float), offs, CTX).tolist()
-    for r, b in np.ndindex(rows, BANDS):
-        assert costs[r, b].tolist() == band_alone(mags, offs, r, b)(np.array(gains)).tolist()
 
 
 def test_sample_entropy_matches_bincount_formula():
@@ -569,8 +579,8 @@ def edge_magnitudes(table):
 
 
 @given(chunk=drawn_chunks(), data=st.data(), layout=st.sampled_from([CTX, SMALL_R7_LAYOUT]),
-       gains=st.lists(st.just(0) | st.floats(rc.SF_MIN_DB, rc.SF_MAX_DB) | st.integers(-60, 60),
-                      min_size=1, max_size=5))
+       gains=st.lists(st.just(0) | st.integers(rc.SF_MIN_DB, rc.SF_MAX_DB), min_size=1,
+                      max_size=5))
 def test_band_cost_equals_reference_formula(chunk, data, layout, gains):
     # gain 0 divides by exactly 1, so edge magnitudes are priced as drawn;
     # scales of 3e3 and up escape at every gain up to 0 dB
@@ -581,25 +591,23 @@ def test_band_cost_equals_reference_formula(chunk, data, layout, gains):
             0, edges.size, N_BINS)]
     rows = len(coded)
     want = [[[reference_cost(coded[r, bins], g, contrast[r, b], layout.real_mask[bins], layout)
-              for g in gains] for b, bins in enumerate(layout.band_slices)] for r in range(rows)]
+              for g in gains] for b, bins in enumerate(band_slices(layout))] for r in range(rows)]
     costs = rc.band_cost_bits(np.abs(coded), np.tile(gains, (rows, BANDS, 1)),
                               layout.raw_offsets(contrast), layout)
     assert costs.tolist() == want
 
 
-@given(data=st.data(), width=st.sampled_from([1, 2, 5]), whole=st.booleans(),
+@given(data=st.data(), width=st.sampled_from([1, 2, 5]),
        layout=st.sampled_from([CTX, WIDE_PHASE_LAYOUT, SMALL_R7_LAYOUT, ODD_EDGES_LAYOUT]))
-def test_chunk_cost_equals_each_bands_reference(data, width, whole, layout):
+def test_chunk_cost_equals_each_bands_reference(data, width, layout):
     # every (row, band, gain) cost is, to the last bit, what the band costs priced alone:
     # silent, loud and escape-heavy rows, either contrast flag, real DC and Nyquist bins of
-    # either sign, one, two or five gains a band, whole or fractional
+    # either sign, one, two or five gains a band
     coded, contrast = data.draw(drawn_chunks(layout))
     shape = contrast.shape + (width,)
-    gain = st.integers(rc.SF_MIN_DB, rc.SF_MAX_DB) if whole else st.floats(rc.SF_MIN_DB,
-                                                                             rc.SF_MAX_DB)
     size = int(np.prod(shape))
-    gains = np.reshape(data.draw(st.lists(gain, min_size=size, max_size=size)),
-                       shape)
+    gains = np.reshape(data.draw(st.lists(st.integers(rc.SF_MIN_DB, rc.SF_MAX_DB),
+                                          min_size=size, max_size=size)), shape)
     mags, offs = np.abs(coded), layout.raw_offsets(contrast)
     costs = rc.band_cost_bits(mags, gains, offs, layout)
     assert costs.shape == shape
@@ -624,37 +632,44 @@ def test_search_needs_few_cost_calls(monkeypatch):
     monkeypatch.setattr(rc, "band_cost_bits", counted)
     rc.search_scale_factors(mags, targets, CTX.raw_offsets(np.ones((rows, BANDS), dtype=bool)),
                             CTX)
-    # for the whole chunk, not per band: the bracket's ends call, one call per halving
-    # pricing every band of each row with a pair still open, then one call for every pair's
-    # snap window; the last call is the windows', so no snap priced a gain on demand
-    assert len(calls) <= 2 + rc.SF_SEARCH_ITERS
+    # for the whole chunk, not per band: the ends call, then one call per level pricing one
+    # midpoint for every band of each row with a pair still open; 120 gains take 7 levels
+    assert 1 < len(calls) <= 1 + 7
     assert calls[0] == (rows, BANDS, 2)
-    assert all(shape[1:] == (BANDS, 1) for shape in calls[1:-1])
-    assert calls[-1] == (rows, BANDS, 5)
-    assert sum(np.prod(shape) for shape in calls) / (rows * BANDS) <= 20
+    assert all(shape[0] <= rows and shape[1:] == (BANDS, 1) for shape in calls[1:])
 
 
-def window_search(mags, targets, contrast):
-    """Search a chunk, recording the magnitudes of each call that priced snap windows (five
-    gains a pair); returns the search's (gains, overflow, bits) and those magnitudes."""
-    cost, priced = rc.band_cost_bits, []
+def test_each_pair_gets_one_verdict_with_a_bool_overflow(monkeypatch):
+    # the search hands each (row, band) pair to find_scale_factor once, through the module, so
+    # a wrapper of it sees every pair; its result[1] is the pair's overflow as a Python bool
+    verdict, seen = rc.find_scale_factor, []
 
-    def counted(mags, gains, offs, layout):
-        if np.shape(gains)[-1] == 5:
-            priced.append(mags)
-        return cost(mags, gains, offs, layout)
+    def counted(*pair):
+        seen.append(verdict(*pair))
+        return seen[-1]
 
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(rc, "band_cost_bits", counted)
-        return rc.search_scale_factors(mags, targets, CTX.raw_offsets(contrast), CTX), priced
+    monkeypatch.setattr(rc, "find_scale_factor", counted)
+    mags = np.vstack([np.zeros(N_BINS), np.full(N_BINS, 3e5),
+                      np.abs(np.random.default_rng(28).standard_normal(N_BINS)) * 10.0])
+    targets, offs = np.full((3, BANDS), 30), CTX.raw_offsets(np.ones((3, BANDS), dtype=bool))
+    targets[1] = 1
+    gains, overflow, bits = rc.search_scale_factors(mags, targets, offs, CTX)
+    assert [type(v[1]) for v in seen] == [bool] * (3 * BANDS)
+    assert [v[1] for v in seen] == overflow.ravel().tolist()
+    assert overflow.tolist() == [[False] * BANDS, [True] * BANDS, [False] * BANDS]
+    assert [v[0] for v in seen] == gains.ravel().tolist()
+    assert [v[2] for v in seen] == bits.ravel().tolist()
+    with pytest.raises(ValueError, match="target_bits must be positive"):
+        rc.search_scale_factors(mags, 0, offs, CTX)
 
 
 @given(data=st.data(), kinds=st.lists(st.sampled_from(["silent", "loud", "drawn"]), min_size=1,
                                       max_size=5))
 def test_snap_windows_are_priced_only_for_rows_left_open(data, kinds):
     # a silent row fits at SF_MIN_DB in every band and a loud one busts its 1-bit budgets at
-    # SF_MAX_DB, so their snaps read only the ends call's costs: the window call prices the
-    # rows with a pair the ends call left open, and every pair is still its sequential search
+    # SF_MAX_DB, so the ends call closes their every pair: a chunk of only such rows makes
+    # that call alone, and each level prices only rows with a pair still open, every pair
+    # still its sequential search
     coded, contrast = data.draw(drawn_chunks())
     rows = len(kinds)
     pick = np.arange(rows) % len(coded)
@@ -665,66 +680,49 @@ def test_snap_windows_are_priced_only_for_rows_left_open(data, kinds):
         elif kind == "loud":
             mags[r], targets[r] = 3e5, 1
     offs = CTX.raw_offsets(contrast)
-    ends = rc.band_cost_bits(mags, np.tile([rc.SF_MIN_DB, rc.SF_MAX_DB], (rows, BANDS, 1)), offs,
-                             CTX)
+    cost, priced = rc.band_cost_bits, []
+
+    def counted(mags, gains, offs, layout):
+        priced.append(mags)
+        return cost(mags, gains, offs, layout)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(rc, "band_cost_bits", counted)
+        gains, overflow, bits = rc.search_scale_factors(mags, targets, offs, CTX)
+    ends = cost(mags, np.tile([rc.SF_MIN_DB, rc.SF_MAX_DB], (rows, BANDS, 1)), offs, CTX)
     left_open = ((ends[..., 0] > targets) & (ends[..., 1] <= targets)).any(axis=1)
-    (gains, overflow, bits), priced = window_search(mags, targets, contrast)
-    assert len(priced) == int(left_open.any())
-    assert all(np.array_equal(m, mags[left_open]) for m in priced)
+    assert np.array_equal(priced[0], mags) and len(priced) <= 1 + 7
+    if "drawn" not in kinds:
+        assert len(priced) == 1
+    if len(priced) > 1:
+        assert np.array_equal(priced[1], mags[left_open])
+    assert all(any(np.array_equal(row, open_row) for open_row in mags[left_open])
+               for level in priced[1:] for row in level)
     for r, b in np.ndindex(rows, BANDS):
-        cost = band_alone(mags, offs, r, b)
-        assert (gains[r, b], overflow[r, b]) == sequential_search(cost, targets[r, b])
-        assert bits[r, b] == cost(gains[r, b])
+        cost_rb = band_alone(mags, offs, r, b)
+        assert (gains[r, b], overflow[r, b]) == sequential_search(cost_rb, targets[r, b])
+        assert bits[r, b] == cost_rb(gains[r, b])
 
 
 def test_a_silent_chunk_prices_no_snap_window():
-    rows = 3
-    (gains, overflow, bits), priced = window_search(
-        np.zeros((rows, N_BINS)), np.ones((rows, BANDS), dtype=int), np.ones((rows, BANDS), bool))
-    assert priced == []
+    # every pair of a silent chunk fits at SF_MIN_DB, so the ends call closes them all and no
+    # level is priced
+    rows, cost, priced = 3, rc.band_cost_bits, []
+
+    def counted(mags, gains, offs, layout):
+        priced.append(np.shape(gains))
+        return cost(mags, gains, offs, layout)
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(rc, "band_cost_bits", counted)
+        gains, overflow, bits = rc.search_scale_factors(
+            np.zeros((rows, N_BINS)), np.ones((rows, BANDS), dtype=int),
+            CTX.raw_offsets(np.ones((rows, BANDS), dtype=bool)), CTX)
+    assert priced == [(rows, BANDS, 2)]
     assert (gains == rc.SF_MIN_DB).all() and not overflow.any() and (bits == 0.0).all()
 
 
-def test_a_pair_bisected_up_to_the_coarsest_gain_keeps_its_window():
-    # band 0 fits only at SF_MAX_DB itself, so its bisection ends with its upper end there,
-    # as a pair that busts would, and its snap still needs the cost at SF_MAX_DB - 1: the
-    # ends call left it open, so the window call prices its row and no snap prices on demand
-    def cost(pairs, gains):
-        return np.where((pairs[..., None] == 0) & (gains < rc.SF_MAX_DB), 100.0, 0.0)
-
-    calls = pair_search(cost, np.full((1, BANDS), 10))
-    assert calls[-1] == (1, BANDS, 5)
-
-
-@given(chunk=drawn_chunks(), data=st.data())
-def test_stacked_snap_windows_equal_each_rows_call(chunk, data):
-    # a silent row fits at the finest gain and a loud one at a budget of 1
-    # busts even the coarsest, so their windows are clipped at either end
-    coded, contrast = chunk
-    coded = np.vstack([coded, np.zeros(N_BINS), np.full(N_BINS, 3e5 + 3e5j)])
-    contrast = np.vstack([contrast, ~contrast[:1], contrast[:1]])
-    rows = len(coded)
-    targets = drawn_targets(data, rows)
-    targets[-1] = 1
-    mags, offs = np.abs(coded), CTX.raw_offsets(contrast)
-    uppers, ends = rc.bracket_scale_factors(mags, targets, offs, CTX)
-    assert (uppers[-2] == rc.SF_MIN_DB).all() and (uppers[-1] == rc.SF_MAX_DB).all()
-    assert ends.tolist() == rc.band_cost_bits(
-        mags, np.tile([rc.SF_MIN_DB, rc.SF_MAX_DB], (rows, BANDS, 1)), offs, CTX).tolist()
-    windows = rc.snap_window(uppers)
-    costs = rc.band_cost_bits(mags, windows, offs, CTX)
-    assert costs.shape == windows.shape == (rows, BANDS, 5)
-    for r, b in np.ndindex(rows, BANDS):
-        g = int(round_half_up(uppers[r, b]))
-        gains = [x for x in range(g - 2, g + 3) if rc.SF_MIN_DB <= x <= rc.SF_MAX_DB]
-        assert sorted(set(windows[r, b].tolist())) == gains
-        scalar = dict(zip(gains, band_alone(mags, offs, r, b)(np.array(gains, dtype=float))
-                          .tolist()))
-        assert costs[r, b].tolist() == [scalar[x] for x in windows[r, b].tolist()]
-
-
 # --- the gain search prices the raw fields pack writes
-
 
 
 @given(data=st.data(), layout=st.sampled_from([CTX, WIDE_PHASE_LAYOUT]),
@@ -737,7 +735,7 @@ def test_search_prices_exactly_the_widths_pack_writes(data, layout, scale, gains
     last = len(layout.band_sizes) - 1
     b = data.draw(st.sampled_from([0, last]) | st.integers(0, last))
     contrast = np.array(data.draw(st.lists(st.booleans(), min_size=last + 1, max_size=last + 1)))
-    bins, width = layout.band_slices[b], layout.band_sizes[b]
+    bins, width = band_slices(layout)[b], layout.band_sizes[b]
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     band = (rng.standard_normal(width) + 1j * rng.standard_normal(width)) * scale
     mags = np.zeros((1, layout.real_mask.size))
