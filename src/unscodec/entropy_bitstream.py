@@ -5,7 +5,8 @@ range-coded one (LSF indices, complex-LPC magnitudes, scale-factor deltas,
 magnitude indices) and a raw one (the CTNS flag, complex-LPC phases, Exp-Golomb
 escapes, then phases and signs), so the range decoder's look-ahead stays in its
 frame and phases stay plain log2(N)-bit fields.  Pack builds a chunk's fields at
-once (``wire_fields``) and range-codes one frame per ``pack_frame`` call.
+once (``wire_fields``) and range-codes one frame per ``pack_frame`` call; both ends
+take the raw sections' field widths from one function (``raw_field_widths``).
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ STREAM_VERSION = 1
 # the scale-factor delta alphabet; the LSF and CLPC ones follow the config (PackContext)
 _SF_OFFSET = SF_MAX_DB - SF_MIN_DB
 ALPHABET_SF_DELTA = 2 * _SF_OFFSET + 1   # scale-factor deltas, offset to 0..240
+# the longest escape codeword, OUTLIER_MAX's: 2 bit_length(m) - 3 bits, m = index2 - OUTLIER_MIN + 4
+_ESCAPE_BITS = 2 * (OUTLIER_MAX - OUTLIER_MIN + 4).bit_length() - 3
 
 # a coded symbol's count grows by MODEL_INCREMENT; a bank's counts are halved
 # when their total reaches MODEL_LIMIT
@@ -64,27 +67,23 @@ def _raw_bytes(values, widths) -> bytes:
     return np.packbits(bits.astype(np.uint8)).tobytes()
 
 
-def _read_fields(raw: int, end: int, pos: int, widths):
-    """One field per width (0 reads nothing and gives 0), MSB first, read from the ``end``-bit
-    integer ``raw`` at bit offset ``pos``; bits past its end read as zero.  Returns
-    (values, offset past the fields)."""
-    stops = list(accumulate(widths, initial=pos))  # the offset past each field
-    return [(raw << stop >> end) & ((1 << w) - 1) for stop, w in zip(stops[1:], widths)], stops[-1]
-
-
 def _read_rows(data: bytes, starts, ends, widths: np.ndarray) -> np.ndarray:
     """Each row of ``widths`` as fields (0 reads nothing and gives 0), MSB first and in order,
     read from ``data`` at bit offset ``starts[r]``; bits at or past bit offset ``ends[r]`` (at
     most ``8 * len(data)``) read as zero.  Returns one row of values per row of widths."""
     lo, hi = min(starts, default=0) // 8, -(-max(ends, default=0) // 8)  # the bytes read
     bits = np.unpackbits(np.frombuffer(data[lo:hi], np.uint8))
-    first = np.cumsum(widths, axis=1) - widths + (np.asarray(starts, np.int64) - 8 * lo)[:, None]
-    ends = np.asarray(ends, np.int64)[:, None] - 8 * lo
-    values = np.zeros(widths.shape, dtype=np.int64)
-    for k in range(int(widths.max(initial=0))):  # the k-th bit of every field at once
-        take = (k < widths) & (first + k < ends)
-        values[take] |= bits[first[take] + k].astype(np.int64) << (widths[take] - 1 - k)
-    return values
+    live = np.flatnonzero(widths > 0)  # only these are read, as _raw_bytes writes only these
+    row, w = live // widths.shape[1], widths.ravel()[live].astype(np.int64)
+    row_bits = widths.sum(axis=1)  # then each field's first bit, from its row's start
+    first = np.cumsum(w) - w + (np.asarray(starts, np.int64) - 8 * lo - np.cumsum(row_bits)
+                                + row_bits)[row]
+    stop = (np.asarray(ends, np.int64) - 8 * lo)[row]
+    values = np.zeros(widths.size, dtype=np.int64)
+    for k in range(int(w.max(initial=0))):  # the k-th bit of every field at once
+        take = (k < w) & (first + k < stop)
+        values[live[take]] |= bits[first[take] + k].astype(np.int64) << (w[take] - 1 - k)
+    return values.reshape(widths.shape)
 
 
 def flat_model(n_symbols: int) -> tuple:
@@ -265,17 +264,6 @@ class RangeDecoder:
         return out
 
 
-def exp_golomb_decode(raw: int, end: int, pos: int):
-    """Read one Exp-Golomb (k = 2) codeword, as pack writes each escape, from the ``end``-bit
-    integer ``raw`` at bit offset ``pos``; returns (value, offset past it)."""
-    (window,), _ = _read_fields(raw, end, pos, [61])
-    if not window:  # longer prefixes give values beyond a 64-bit index
-        raise StreamError("runaway Exp-Golomb prefix")
-    zeros = 61 - window.bit_length()
-    (tail,), pos = _read_fields(raw, end, pos + zeros + 1, [zeros + 2])
-    return (1 << (zeros + 2)) + tail - 4, pos
-
-
 @dataclass(frozen=True)
 class StreamHeader:
     """The stream's fixed header; ``codec.stream_header`` derives it from a config."""
@@ -335,7 +323,7 @@ class FramePayload:
 
     lsf_indices: np.ndarray       # (frames, order)
     ctns_flag: np.ndarray         # (frames,) bool
-    clpc_indices: np.ndarray      # (frames, order, 2); a row is sent only where the flag is set
+    clpc_indices: np.ndarray      # (frames, order, 2) (magnitude, phase); 0 without the flag
     sf_indices: np.ndarray        # (frames, bands)
     index1: np.ndarray            # (frames, bins), as are index2 and raw
     index2: np.ndarray
@@ -395,34 +383,41 @@ class PackContext:
         return self.raw_widths.take(self.raw_offsets(contrast) + index1)
 
 
+def raw_field_widths(chunk: FramePayload, ctx: PackContext) -> np.ndarray:
+    """Each raw-section field's width in bits, one row per row of a chunk record, in wire order:
+    the CTNS flag, the CLPC phases (where the flag is set and the magnitude is not the zero
+    cell), each escape's Exp-Golomb (k = 2) code of m = index2 - OUTLIER_MIN + 4 in
+    2 bit_length(m) - 3 bits, then each bin's phase or sign (``field_widths``)."""
+    flag, index1 = chunk.ctns_flag[:, None], chunk.index1
+    escape, escapes = np.zeros(index1.shape, np.int8), index1 == ESCAPE_INDEX
+    escape[escapes] = 2 * np.frexp(chunk.index2[escapes] - (OUTLIER_MIN - 4))[1] - 3
+    clpc = np.where(flag & (chunk.clpc_indices[..., 0] >= 0), np.int8(ctx.clpc_phase_bits), 0)
+    return np.concatenate([np.ones_like(flag, np.int8), clpc, escape,
+                           ctx.field_widths(index1, chunk.contrast)], axis=1, dtype=np.int8)
+
+
 def wire_fields(payload: FramePayload, ctx: PackContext) -> list:
     """Each row of a chunk record as :func:`pack_frame` takes it, built for the chunk at once:
     its range-coded symbol lists (LSF deltas, CLPC magnitudes or ``[]`` without the flag,
     scale-factor deltas, index 1), CLPC-phase, escape, sign and phase bits, and raw section."""
-    flag, index1 = np.asarray(payload.ctns_flag, bool), payload.index1
-    mags, phases = np.moveaxis(payload.clpc_indices, -1, 0)
-    # each escape codes m = index2 - OUTLIER_MIN + 4 in Exp-Golomb (k = 2): 2 bit_length(m) - 3 bits
-    escapes, m = index1 == ESCAPE_INDEX, np.subtract(payload.index2, OUTLIER_MIN - 4, dtype="int32")
-    if np.any(m[escapes] < 4):
+    flag, (mags, phases) = payload.ctns_flag, np.moveaxis(payload.clpc_indices, -1, 0)
+    m = np.subtract(payload.index2, OUTLIER_MIN - 4, dtype="int32")  # each escape's code value
+    if np.any(m[payload.index1 == ESCAPE_INDEX] < 4):
         raise ValueError(f"escape index 2 below {OUTLIER_MIN}")
-    clpc_widths = np.where(flag[:, None] & (mags >= 0), np.int8(ctx.clpc_phase_bits), 0)
-    escape_widths = np.zeros(index1.shape, np.int8)
-    escape_widths[escapes] = 2 * np.frexp(m[escapes])[1] - 3
-    raw_widths = ctx.field_widths(index1, payload.contrast)
-    sign = raw_widths[:, ctx.real_mask].sum(axis=1)
-    bits = [clpc_widths.sum(axis=1), escape_widths.sum(axis=1), sign, raw_widths.sum(axis=1) - sign]
+    widths = raw_field_widths(payload, ctx)
+    clpc, escape, raw = np.split(widths, np.cumsum([1, ctx.lpc_order, ctx.real_mask.size]), 1)[1:]
+    sign = raw[:, ctx.real_mask].sum(axis=1)
+    bits = [clpc.sum(axis=1), escape.sum(axis=1), sign, raw.sum(axis=1) - sign]
     pad = -(1 + sum(bits))[:, None] % 8  # a zero field fills each raw section's last byte
-    # the chunk's fields row by row, each in wire order: the flag, CLPC phases, escapes, phases
-    # and signs, then the pad; all frames' raw sections come from one _raw_bytes call
-    widths = np.concatenate([np.ones_like(pad, np.int8), clpc_widths, escape_widths, raw_widths,
-                             pad], axis=1, dtype=np.int8)
+    # the chunk's fields row by row, then the pad; all raw sections come from one _raw_bytes call
+    widths = np.concatenate([widths, pad], axis=1, dtype=np.int8)
     values = np.concatenate([flag[:, None], phases, m, payload.raw, 0 * pad], axis=1, dtype="int32")
     data = _raw_bytes(values[widths > 0], widths[widths > 0])
     starts = [0, *np.cumsum(widths.sum(axis=1) // 8).tolist()]
     return list(zip(np.diff(payload.lsf_indices, axis=1, prepend=0).tolist(),
                     [row if f else [] for row, f in zip((mags + 1).tolist(), flag.tolist())],
                     (np.diff(payload.sf_indices, axis=1, prepend=0) + _SF_OFFSET).tolist(),
-                    index1.tolist(), *(b.tolist() for b in bits),
+                    payload.index1.tolist(), *(b.tolist() for b in bits),
                     map(data.__getitem__, map(slice, starts, starts[1:]))))
 
 
@@ -465,9 +460,9 @@ def frame_bounds(data: bytes, count: int, length: int) -> list:
 
 def unpack_frame(data: bytes, pos: int, ctx: PackContext, chunk: FramePayload, row: int) -> int:
     """Pass 1 of a frame's parse: range-decode the frame at byte offset ``pos``, whose bounds
-    ``frame_bounds`` has checked, and read its raw fields before the phases (flag, CLPC phases,
-    escapes) into row ``row`` of ``chunk``; returns the bit offset in ``data`` where its phase
-    fields start.  A malformed frame raises ``StreamError`` before anything is written to it."""
+    ``frame_bounds`` has checked, and read the CTNS flag and the escapes from its raw section
+    into row ``row`` of ``chunk``; returns the bit offset in ``data`` where its raw section
+    starts.  A malformed frame raises ``StreamError`` before anything is written to it."""
     arith_len, raw_len = struct.unpack_from("<HH", data, pos)
     split = pos + 4 + arith_len
     dec = RangeDecoder(data[pos + 4:split])
@@ -477,12 +472,9 @@ def unpack_frame(data: bytes, pos: int, ctx: PackContext, chunk: FramePayload, r
     if lsf[-1] >= ctx.lsf_alphabet:  # the deltas are never negative
         raise StreamError("LSF index out of range")
 
-    (flag,), at = _read_fields(raw, end, 0, [1])
-    clpc = 0  # a row without the flag holds no CLPC indices
-    if flag:
-        mags = [m - 1 for m in dec.decode(ctx.lpc_order, *ctx.clpc_mag_model)]
-        phases, at = _read_fields(raw, end, at, [ctx.clpc_phase_bits * (m >= 0) for m in mags])
-        clpc = list(zip(mags, phases))
+    flag = (raw << 1 >> end) & 1  # bits past the section's end read as zero
+    mags = [m - 1 for m in dec.decode(ctx.lpc_order, *ctx.clpc_mag_model)] if flag else []
+    at = 1 + ctx.clpc_phase_bits * sum(m >= 0 for m in mags)  # the escapes follow the CLPC phases
 
     sf = list(accumulate(d - _SF_OFFSET for d in dec.decode(len(ctx.band_sizes), *SF_DELTA_MODEL)))
     if min(sf) < SF_MIN_DB or max(sf) > SF_MAX_DB:
@@ -490,26 +482,32 @@ def unpack_frame(data: bytes, pos: int, ctx: PackContext, chunk: FramePayload, r
 
     index1 = dec.decode(ctx.real_mask.size, *INDEX1_MODEL)
     values = []
-    for _ in range(index1.count(ESCAPE_INDEX)):
-        value, at = exp_golomb_decode(raw, end, at)
-        values.append(value + OUTLIER_MIN)
-    if max(values, default=0) > OUTLIER_MAX:  # the encoder clips index 2 to it
-        raise StreamError(f"escape index 2 above {OUTLIER_MAX}")
+    for _ in range(index1.count(ESCAPE_INDEX)):  # each from one window of the longest codeword
+        window = (raw << at + _ESCAPE_BITS >> end) & ((1 << _ESCAPE_BITS) - 1)
+        n = 2 * (_ESCAPE_BITS - window.bit_length()) + 3  # its zero prefix, then m
+        if n > _ESCAPE_BITS or (window >> _ESCAPE_BITS - n) + OUTLIER_MIN - 4 > OUTLIER_MAX:
+            raise StreamError(f"escape index 2 above {OUTLIER_MAX}")  # the encoder clips to it
+        values.append((window >> _ESCAPE_BITS - n) + OUTLIER_MIN - 4)
+        at += n
     # the range section is consumed exactly, to within its last byte's padding
     if not 8 * arith_len - 7 <= dec.consumed_bits <= 8 * arith_len:
         raise StreamError("range section length does not match its symbols")
-    chunk.lsf_indices[row], chunk.ctns_flag[row], chunk.clpc_indices[row] = lsf, flag, clpc
+    chunk.lsf_indices[row], chunk.ctns_flag[row] = lsf, flag
+    chunk.clpc_indices[row, :, 0] = mags or 0  # a row without the flag holds no CLPC indices
     chunk.sf_indices[row], chunk.index1[row], chunk.index2[row] = sf, index1, 0
     chunk.index2[row, chunk.index1[row] == ESCAPE_INDEX] = values
-    return 8 * split + at
+    return 8 * split
 
 
 def unpack_fields(data: bytes, at, ends, ctx: PackContext, chunk: FramePayload) -> np.ndarray:
-    """Pass 2 of a chunk's parse, once its contrast flags are set: read the phases and signs of
-    its first ``len(at)`` rows into ``chunk.raw`` as one stack, each from ``unpack_frame``'s bit
-    offset ``at`` to its frame's end (byte ``ends``); returns which rows' fields miss their end."""
-    widths = ctx.field_widths(chunk.index1[:len(at)], chunk.contrast[:len(at)])
-    ends = 8 * np.asarray(ends, dtype=np.int64)
-    chunk.raw[:len(at)] = _read_rows(data, at, ends, widths)
+    """Pass 2 of a chunk's parse, once its contrast flags are set: read the raw sections of its
+    first ``len(at)`` rows as one stack, each from ``unpack_frame``'s bit offset ``at`` to its
+    frame's end (byte ``ends``), into its CLPC phases and ``raw``; returns which rows' fields
+    miss their end."""
+    rows, ends = len(at), 8 * np.asarray(ends, dtype=np.int64)
+    widths = raw_field_widths(chunk, ctx)[:rows]
+    values = _read_rows(data, at, ends, widths)  # flag, CLPC phases, escapes, phases and signs
+    chunk.clpc_indices[:rows, :, 1] = values[:, 1:1 + ctx.lpc_order]
+    chunk.raw[:rows] = values[:, -ctx.real_mask.size:]
     stop = np.asarray(at, dtype=np.int64) + widths.sum(axis=1)
     return (stop <= ends - 8) | (stop > ends)

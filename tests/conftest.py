@@ -1,3 +1,5 @@
+import os
+
 import pytest
 from hypothesis import settings
 
@@ -6,8 +8,10 @@ from unscodec.config import CodecConfig
 
 # Timings on a shared virtual machine drift too far for a per-example
 # deadline to mean anything; every property test inherits this profile.
+# HYPOTHESIS_PROFILE=fuzz draws 2,000 examples per property instead of 100.
 settings.register_profile("unscodec", deadline=None)
-settings.load_profile("unscodec")
+settings.register_profile("fuzz", deadline=None, max_examples=2000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "unscodec"))
 
 
 @pytest.fixture(scope="session")

@@ -6,8 +6,8 @@ renormalization step per output bit, one model method call per symbol, and a
 reader and writer that move one bit at a time.  Every stream they write must
 come out of the current coder byte for byte, with the same information count,
 and both decoders must read the same symbols from any bytes.  The raw
-section's fields and Exp-Golomb escapes are held to the same reader and
-writer.
+section's fields are held to the same reader and writer, and unpack reads
+each Exp-Golomb escape as the bit-serial reader does.
 """
 
 import math
@@ -399,16 +399,6 @@ def exp_golomb_encode(writer, value, k=2):
     writer.write_bits(m, n)
 
 
-def ref_exp_golomb_decode(reader):
-    """Bit-serial Exp-Golomb (k = 2) reader, as unpack first read each escape."""
-    zeros = 0
-    while reader.read_bit() == 0:
-        zeros += 1
-        if zeros > 60:
-            raise eb.StreamError("runaway Exp-Golomb prefix")
-    return ((1 << (zeros + 2)) | reader.read_bits(zeros + 2)) - 4
-
-
 FIELDS = st.lists(st.tuples(st.integers(-1, 2 ** 62 - 1), st.integers(0, 62)), max_size=40)
 
 
@@ -426,31 +416,13 @@ def bit_array(data):
     return np.unpackbits(np.frombuffer(data, dtype=np.uint8))
 
 
-def raw_int(data):
-    """The bytes as the (integer, bit count) pair pass 1 reads its raw fields from."""
-    return int.from_bytes(data, "big"), 8 * len(data)
-
-
-@given(data=st.binary(max_size=16), pos=st.integers(0, 160),
-       widths=st.lists(st.integers(0, 62), max_size=12))
-@example(data=b"\xff", pos=0, widths=[8, 5])  # past the end reads zero
-@example(data=b"\xff" * 8, pos=1, widths=[0, 62, 0])
-def test_read_fields_agree_with_bit_serial_reader(data, pos, widths):
-    ref = RefBitReader(data)
-    ref.pos = pos
-    expected = [ref.read_bits(w) for w in widths]
-    values, end = eb._read_fields(*raw_int(data), pos, widths)
-    assert values == expected
-    assert end == ref.pos
-
-
 def cut_at_bit(data, end):
     """``data`` up to bit offset ``end``, the rest of its last byte zeroed."""
     value = int.from_bytes(data, "big") >> (8 * len(data) - end) << (-end % 8)
     return value.to_bytes(-(-end // 8), "big")
 
 
-PHASE_WIDTH = int(CodecConfig().layout.raw_widths.max())
+WIDEST_FIELD = 29  # OUTLIER_MAX's escape codeword, the widest field pass 2 reads
 
 
 @st.composite
@@ -458,7 +430,7 @@ def field_rows(draw):
     """Bytes, and rows of fields to read from them: each row's start bit offset, the bit
     offset its reads stop at (within the bytes) and its field widths."""
     data = draw(st.binary(max_size=16))
-    widths = st.lists(st.integers(0, PHASE_WIDTH), min_size=(n := draw(st.integers(0, 10))),
+    widths = st.lists(st.integers(0, WIDEST_FIELD), min_size=(n := draw(st.integers(0, 10))),
                       max_size=n)
     rows = st.tuples(st.integers(0, 8 * len(data) + 8), st.integers(0, 8 * len(data)), widths)
     return data, draw(st.lists(rows, min_size=1, max_size=6))
@@ -475,30 +447,6 @@ def test_stacked_row_reader_agrees_with_bit_serial_reader(drawn):
         ref = RefBitReader(cut_at_bit(data, end))
         ref.pos = start
         assert row_values.tolist() == [ref.read_bits(w) for w in row_widths]
-
-
-@given(data=st.binary(max_size=24), pos=st.integers(0, 200))
-@example(data=bytes(8) + b"\x80", pos=0)           # 64 zeros: a runaway prefix
-@example(data=bytes(7) + b"\x04\xff", pos=0)       # 61 zeros: the shortest runaway
-@example(data=bytes(7) + b"\x08" + b"\xff" * 8, pos=0)  # 60 zeros: the longest codeword
-@example(data=b"\x01", pos=0)                      # a codeword running past the end
-def test_exp_golomb_decode_agrees_with_bit_serial_reader(data, pos):
-    ref = RefBitReader(data)
-    ref.pos = pos
-    expected = decode_or_error(lambda: (ref_exp_golomb_decode(ref), ref.pos))
-    assert decode_or_error(lambda: eb.exp_golomb_decode(*raw_int(data), pos)) == expected
-
-
-@given(st.lists(st.integers(0, 199) | st.integers(0, 2 ** 63 - 5), max_size=30))
-def test_exp_golomb_codewords_roundtrip(values):
-    writer = RefBitWriter()
-    for v in values:
-        exp_golomb_encode(writer, v)
-    raw, pos = raw_int(writer.getvalue()), 0
-    for v in values:
-        value, pos = eb.exp_golomb_decode(*raw, pos)
-        assert value == v
-    assert pos == len(writer.bits)
 
 
 # --- unpack_frame on bytes that no encoder wrote
@@ -548,11 +496,11 @@ def test_unpack_bit_flipped_corpus_frames_raises_only_stream_error(corpus_frames
     unpack_or_stream_error(bytes(frame))
 
 
-def one_escape_frame(write_escape):
-    """A silent frame whose one escape, at bin 5, has the raw value that
-    ``write_escape`` writes."""
+def escape_frame(write_escapes, bins=(5,)):
+    """A silent frame with an escape at each of ``bins``, whose raw values are
+    what ``write_escapes`` writes."""
     index1 = np.zeros(CTX.real_mask.size, dtype=int)
-    index1[5] = pq.ESCAPE_INDEX
+    index1[list(bins)] = pq.ESCAPE_INDEX
     enc = eb.RangeEncoder()
     enc.encode([0] * CTX.lpc_order, *CTX.lsf_model)
     enc.encode([eb.ALPHABET_SF_DELTA // 2] * len(CTX.band_sizes),  # zero deltas
@@ -561,7 +509,7 @@ def one_escape_frame(write_escape):
     arith = enc.finish()
     raw = RefBitWriter()
     raw.write_bit(0)                     # CTNS flag off
-    write_escape(raw)
+    write_escapes(raw)
     _, contrast = codec.derive_shaping(np.zeros(CTX.lpc_order, dtype=int), CFG)
     raw.write_bits(0, int(CTX.field_widths(index1, contrast).sum()))  # the phase fields
     raw_bytes = raw.getvalue()
@@ -575,8 +523,8 @@ def test_oversized_escape_is_a_stream_error():
         raw.write_bits(0, 61)
         raw.write_bit(1)
         raw.write_bits(0, 63)            # 2 ** 63 - 4 + 18 as index 2
-    with pytest.raises(eb.StreamError, match="Exp-Golomb"):
-        unpack_one(one_escape_frame(runaway), 0, CTX)
+    with pytest.raises(eb.StreamError, match=f"^escape index 2 above {pq.OUTLIER_MAX}$"):
+        unpack_one(escape_frame(runaway), 0, CTX)
 
 
 @pytest.mark.parametrize("index2", [pq.OUTLIER_MAX + 1, 2 ** 40, 2 ** 63 + 13])
@@ -587,7 +535,90 @@ def test_escape_above_outlier_max_is_a_stream_error(index2):
     # the check runs before unpack writes any field of the row
     chunk = eb.FramePayload.zeros(1, CTX)
     with pytest.raises(eb.StreamError, match=f"^escape index 2 above {pq.OUTLIER_MAX}$"):
-        eb.unpack_frame(one_escape_frame(escape(index2)), 0, CTX, chunk, 0)
+        eb.unpack_frame(escape_frame(escape(index2)), 0, CTX, chunk, 0)
     assert not any(getattr(chunk, f.name).any() for f in fields(eb.FramePayload))
-    payload, _ = unpack_one(one_escape_frame(escape(pq.OUTLIER_MAX)), 0, CTX)
+    payload, _ = unpack_one(escape_frame(escape(pq.OUTLIER_MAX)), 0, CTX)
     assert payload.index2[0, 5] == pq.OUTLIER_MAX
+
+
+def escape_steps(test):
+    """``test`` with an example at both ends of index 2 and either side of every step in its
+    codeword's length (m = index2 - OUTLIER_MIN + 4 at 2^k - 1 and 2^k), alone and all in
+    one frame."""
+    steps = [pq.OUTLIER_MIN, pq.OUTLIER_MAX,
+             *[(1 << k) + d + pq.OUTLIER_MIN - 4 for k in range(3, 16) for d in (-1, 0)]]
+    for index2 in [[v] for v in steps] + [steps]:
+        test = example(index2=index2)(test)
+    return test
+
+
+def escape_bins(n):
+    return list(range(5, 5 + n))
+
+
+@given(index2=st.lists(st.integers(pq.OUTLIER_MIN, pq.OUTLIER_MAX), min_size=1, max_size=30))
+@escape_steps
+def test_exp_golomb_codewords_roundtrip(index2):
+    def escapes(raw):
+        for v in index2:
+            exp_golomb_encode(raw, v - pq.OUTLIER_MIN)
+    bins = escape_bins(len(index2))
+    payload, _ = unpack_one(escape_frame(escapes, bins), 0, CTX)
+    assert payload.index2[0, bins].tolist() == index2
+
+
+def ref_exp_golomb_decode(reader):
+    """Bit-serial Exp-Golomb (k = 2) reader, as unpack first read each escape."""
+    zeros = 0
+    while reader.read_bit() == 0:
+        zeros += 1
+        if zeros > 60:
+            raise eb.StreamError("runaway Exp-Golomb prefix")
+    return ((1 << (zeros + 2)) | reader.read_bits(zeros + 2)) - 4
+
+
+def codeword(value):
+    writer = RefBitWriter()
+    exp_golomb_encode(writer, value)
+    return writer.getvalue()
+
+
+@given(data=st.binary(max_size=24), n_escapes=st.integers(1, 4))
+@example(data=bytes(8) + b"\x80", n_escapes=1)           # 64 zeros: a runaway prefix
+@example(data=bytes(7) + b"\x04\xff", n_escapes=1)       # 61 zeros: the shortest runaway
+@example(data=bytes(7) + b"\x08" + b"\xff" * 8, n_escapes=1)  # 60 zeros: the longest codeword
+@example(data=b"\x01", n_escapes=2)                      # a codeword running past the end
+@example(data=codeword(pq.OUTLIER_MAX - pq.OUTLIER_MIN), n_escapes=1)
+@example(data=codeword(pq.OUTLIER_MAX - pq.OUTLIER_MIN + 1), n_escapes=1)
+def test_exp_golomb_decode_agrees_with_bit_serial_reader(data, n_escapes):
+    # the escapes are read from ``data`` and the zero bits after it, as the reader reads
+    # past its end; an index 2 above OUTLIER_MAX is corrupt to both
+    bins = escape_bins(n_escapes)
+    ref = RefBitReader(data)
+
+    def ref_index2():
+        values = [ref_exp_golomb_decode(ref) + pq.OUTLIER_MIN for _ in bins]
+        if max(values) > pq.OUTLIER_MAX:
+            raise eb.StreamError(f"escape index 2 above {pq.OUTLIER_MAX}")
+        return values
+
+    def unpack_index2():
+        chunk = eb.FramePayload.zeros(1, CTX)
+        frame = escape_frame(lambda raw: raw.write_bits(int.from_bytes(data, "big"),
+                                                        8 * len(data)), bins)
+        eb.unpack_frame(frame, 0, CTX, chunk, 0)
+        return chunk.index2[0, bins].tolist()
+
+    assert decode_or_error(unpack_index2) == decode_or_error(ref_index2)
+
+
+@pytest.mark.parametrize("zeros", [14, 60, 61, 64])
+def test_an_escape_prefix_too_long_for_outlier_max_is_refused_before_the_row_is_written(zeros):
+    # 13 zeros lead OUTLIER_MAX's codeword; a longer prefix codes an index 2 above it
+    def escape(raw):
+        raw.write_bits(0, zeros)
+        raw.write_bits((1 << (zeros + 3)) - 1, zeros + 3)
+    chunk = eb.FramePayload.zeros(1, CTX)
+    with pytest.raises(eb.StreamError, match=f"^escape index 2 above {pq.OUTLIER_MAX}$"):
+        eb.unpack_frame(escape_frame(escape), 0, CTX, chunk, 0)
+    assert not any(getattr(chunk, f.name).any() for f in fields(eb.FramePayload))
