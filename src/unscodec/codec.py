@@ -64,11 +64,12 @@ class FrameAnalysis:
 def derive_shaping(lsf_indices: np.ndarray, cfg: CodecConfig):
     """Envelope values and per-band high-contrast flags from quantized LSF indices.
 
-    This is the single code path both codec ends use, so their shaping state
-    is identical by construction.
+    The envelope is 1/|A| of the dequantized LSFs' model, evaluated from the
+    LSFs themselves (``lp.lsf_envelope``).  This is the single code path both
+    codec ends use, so their shaping state is identical by construction.
     """
     lsfs = lp.dequantize_lsf(lsf_indices, cfg.lsf_step, cfg.lsf_min_gap)
-    env = lp.frequency_envelope(lp.lsf_to_lpc(lsfs), cfg.n_bins)
+    env = lp.lsf_envelope(lsfs, cfg.n_bins)
     return env, pq.compute_fer(20.0 * np.log10(env), cfg.band_edges) > cfg.fer_threshold
 
 

@@ -1,6 +1,6 @@
 """Linear prediction: autocorrelation, Levinson-Durbin (real and complex),
-bandwidth expansion, LSF conversion, envelope evaluation, and the scalar
-quantizers for both LPC parameter sets.
+bandwidth expansion, LSF conversion, the envelope taken straight from the
+LSFs, and the scalar quantizers for both LPC parameter sets.
 
 Each function also takes a stack of inputs along the last axis, one per row,
 and gives every row exactly, bit for bit, what a call on that row gives.
@@ -202,27 +202,6 @@ def lpc_to_lsf(coeffs: np.ndarray, step: float) -> np.ndarray:
     return lsf.reshape(coeffs.shape)
 
 
-def lsf_to_lpc(lsf: np.ndarray) -> np.ndarray:
-    """Rebuild the prediction-error filter from strictly increasing LSFs."""
-    lsf = np.asarray(lsf, dtype=float)
-    p = lsf.shape[-1]
-    if p % 2 != 0:
-        raise ValueError("LSF vector length must be even")
-    # sorted LSFs alternate between P-roots (even positions) and Q-roots; P and
-    # Q grow together by 1 - 2cos(w) z^-1 + z^-2 per root, each output summed
-    # as np.convolve sums it: poly[m-2] + c*poly[m-1] + poly[m]
-    c = -2.0 * np.cos(np.stack([lsf[..., 0::2], lsf[..., 1::2]], axis=-2))
-    poly = np.zeros(lsf.shape[:-1] + (2, p + 4))
-    poly[..., 2] = 1.0
-    poly[..., 3] = (1.0, -1.0)
-    for j in range(p // 2):
-        n = 2 * j + 4  # the poly's length after this root
-        poly[..., 2:n + 2] = (poly[..., :n] + c[..., j, None] * poly[..., 1:n + 1]
-                              + poly[..., 2:n + 2])
-    a = 0.5 * (poly[..., 0, 2:] + poly[..., 1, 2:])
-    return a[..., 1:p + 1]
-
-
 def lsf_index_max(step: float) -> int:
     """The largest LSF index, the one pi quantizes to: indices run 0..this."""
     return int(round(np.pi / step))
@@ -331,19 +310,23 @@ def dequantize_complex_lpc(indices: np.ndarray, mag_step_db: float, mag_floor_db
 
 
 @functools.lru_cache(maxsize=8)
-def _steering(n_bins: int, order: int) -> np.ndarray:
-    """exp(-j omega k) for the bins of a 2(n_bins-1) DFT and lags 1..order."""
+def _bin_grid(n_bins: int):
+    """2 cos w, and cos(w/2) above sin(w/2), on the one-sided bin grid of a 2(n_bins-1) DFT."""
     omega = 2.0 * np.pi * np.arange(n_bins) / (2 * (n_bins - 1))
-    steering = np.exp(-1j * np.outer(omega, np.arange(1, order + 1)))
-    steering.flags.writeable = False  # one cached array serves every caller
-    return steering
+    grid = np.stack([2.0 * np.cos(omega), np.cos(0.5 * omega), np.sin(0.5 * omega)])
+    grid.flags.writeable = False  # one cached array serves every caller
+    return grid[0], grid[1:]
 
 
-def frequency_envelope(coeffs: np.ndarray, n_bins: int) -> np.ndarray:
-    """Evaluate 1/|A| on the one-sided bin grid of a 2(n_bins-1) DFT, as one
-    matrix-vector product per row; capped at 1e12 where |A| is near zero."""
-    coeffs = np.ascontiguousarray(coeffs, dtype=complex)  # strided or real: slow matmul
-    a_eval = (_steering(n_bins, coeffs.shape[-1]) @ coeffs[..., None])[..., 0]
-    a_eval += 1.0
-    mag = np.abs(a_eval)
+def lsf_envelope(lsf: np.ndarray, n_bins: int) -> np.ndarray:
+    """1/|A| on the one-sided bin grid of a 2(n_bins-1) DFT, straight from A's sorted LSFs; capped
+    at 1e12 where |A| is near zero.  A = (P + Q) / 2, P = (1 + z^-1) and Q = (1 - z^-1) times the
+    factors 1 - 2 cos w_i z^-1 + z^-2 of the even- and odd-indexed LSFs; on the unit circle each
+    factor is e^-jw 2(cos w - cos w_i), so P and Q are in quadrature and |A| = hypot(cos(w/2)
+    prod_even 2(cos w - cos w_i), sin(w/2) prod_odd 2(cos w - cos w_i)) (Soong and Juang, 1984)."""
+    two_x, pq = _bin_grid(n_bins)
+    two_cos = 2.0 * np.cos(np.asarray(lsf, dtype=float))[..., None]
+    for i in range(0, two_cos.shape[-2], 2):  # a factor of P's and one of Q's, as (..., 2, bins)
+        pq = pq * (two_x - two_cos[..., i:i + 2, :])
+    mag = np.hypot(pq[..., 0, :], pq[..., 1, :])
     return np.divide(1.0, mag, out=np.full(mag.shape, 1e12), where=~(mag < 1e-12))

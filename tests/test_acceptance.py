@@ -303,25 +303,25 @@ def test_corpus_bitstreams_pinned(corpus_runs):
 # the decoder may get faster, but must not change a sample of it silently
 CORPUS_PCM_SHA256 = {
     ("12k", "harmonic_low"):
-        "5ce7d04acc09891b779070b69b62f9e31e067960031594c18355fd02eeee8cb6",
+        "4a271db5c513de06a4ee41dfb229aad1f13028a46ea587f71a953732dad7c36b",
     ("12k", "harmonic_high"):
-        "be8b6e65decba4de4641a80a6250b2a973255ce9870bee364ff4d0fbb684dc34",
+        "7c325c8548ef7cec40430b655820731c4c3d71114089b22f009ee586f7cc3e00",
     ("12k", "speechish"):
-        "90b7d990141202e5705cceeae5e6e123a4a0f97bd695aa7eaba768467b54b843",
+        "975aa070c11d44c3f2f340a0a690b3a8b4bb78ae7a873d5edfe221555d82ff91",
     ("12k", "castanet"):
-        "ebf3ec3e56f230a44b8b2f5d79bc5927fc2033b66a375f32d4be3c0679f973ca",
+        "544d7670caaf6307c0aa2d7110a56c97c7ac1c7e96d67999f6d0f9ac8a5a42c4",
     ("12k", "organ_chord"):
-        "f3eacf1620e55ff97c68815a0fa314cfd1fa1de7534b9eadc20b5533cbfb29be",
+        "b51c029319f48cbeaa61c16329c12c674dbb22f4c2d912a711cc1f5ebd0d0b84",
     ("16k", "harmonic_low"):
-        "bab8cf9327875f5bedadb1eac5d75d1dad8b84e6257522c224b6a8045a28ce59",
+        "6c2dc624c879c2139c49e0ec23a37e23bec78e30397262a66ab4e559555b694b",
     ("16k", "harmonic_high"):
-        "c556188a66cf4553901f71f60c2fc720dfb1087d5e76f22598cbd39cf1aaf530",
+        "66e91b8cf232489f8a8b421f144bfc3408c8d617654584c7aa199bd4e584a246",
     ("16k", "speechish"):
-        "8bc2eccf590e605795b788b19355424679596068c709863f54b94d3fe7a203aa",
+        "dd3b18f9ebe1162d669258edd7b8aa1f73cf9d5bb2046f1c4b95c5765b051354",
     ("16k", "castanet"):
-        "4a76572b2c09ad2ff8d7e6eabeb1988deba85f2f75cd9bb5cb130391acf29843",
+        "bb2df16a2b2b45fde93a2b5f71c41f6b39b0bec1472622f3a9044dd596ae783c",
     ("16k", "organ_chord"):
-        "144ffa2a6e22bd5692c99e714d1a9a39e10626514448907ae48335ba179a6444",
+        "87ab898b4ae2a603127ec2082d131022662e887ebb52989589573dff1a7687dc",
 }
 
 
@@ -354,7 +354,7 @@ def test_corpus_search_outputs_pinned(corpus_runs):
 # SHA-256 of every frame's section costs and coded totals on the corpus fixture: its
 # section_bits as "key:type:float.hex" in key order, then total_bits, gain_db as float.hex
 # and ctns_active, one line a frame, "12k" then "16k", in corpus order
-CORPUS_STATS_SHA256 = "ba29ab8445413fbbcf848a17d4d6ae380b4a1bdd33b7ab1b70c1eb39353cc783"
+CORPUS_STATS_SHA256 = "0f4eed51074b582cfb3604c62bbe81211db9bc1eda6d8e90e000c856bd077008"
 
 
 def test_corpus_frame_stats_pinned(corpus_runs):

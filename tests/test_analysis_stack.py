@@ -1,10 +1,10 @@
 """The stacked frame analysis against the per-frame analysis it replaced.
 
 The ``ref_*`` functions keep the earlier per-frame code: scalar coefficient
-loops, ``np.roots`` and ``np.convolve``, one frame at a time.  Every row of
-``codec.analyze_frames``, and of the stacked layer calls under it, must equal
-the reference run on that row alone, bit for bit, and permuting the rows of a
-stack must permute the outputs.
+loops, ``np.roots`` and the LSF product a factor at a time, one frame at a
+time.  Every row of ``codec.analyze_frames``, and of the stacked layer calls
+under it, must equal the reference run on that row alone, bit for bit, and
+permuting the rows of a stack must permute the outputs.
 """
 
 import numpy as np
@@ -13,6 +13,8 @@ from hypothesis import example, given, strategies as st
 from unscodec import codec, lp, noise_shaping as ns, polar_quant as pq
 from unscodec.config import CodecConfig
 from unscodec.util import round_half_up, wrap_phase
+
+from lsf_reference import ref_lsf_magnitude
 
 CFG = CodecConfig()
 ORDER = CFG.lpc_order
@@ -95,20 +97,8 @@ def ref_dequantize_lsf(indices, step, min_gap):
     return lsf
 
 
-def ref_lsf_to_lpc(lsf):
-    def expand(angles, edge_sign):
-        poly = np.array([1.0, edge_sign])
-        for w in angles:
-            poly = np.convolve(poly, [1.0, -2.0 * np.cos(w), 1.0])
-        return poly
-
-    a = 0.5 * (expand(lsf[0::2], 1.0) + expand(lsf[1::2], -1.0))
-    return a[1:lsf.size + 1]
-
-
-def ref_envelope(coeffs, n_bins):
-    a_eval = 1.0 + lp._steering(n_bins, coeffs.size) @ coeffs
-    mag = np.abs(a_eval)
+def ref_envelope(lsf, n_bins):
+    mag = ref_lsf_magnitude(lsf, n_bins)
     values = np.where(mag < 1e-12, 1e12, 1.0 / np.where(mag < 1e-12, 1.0, mag))
     return values, 20.0 * np.log10(values)
 
@@ -192,8 +182,8 @@ def ref_analyze_frame(samples, cfg, flags=None):
         if clamped:
             flags.add("clamped")
     lsf_idx = lp.quantize_lsf(ref_lpc_to_lsf(coeffs), cfg.lsf_step)
-    model = ref_lsf_to_lpc(ref_dequantize_lsf(lsf_idx, cfg.lsf_step, cfg.lsf_min_gap))
-    values, values_db = ref_envelope(model, cfg.n_bins)
+    lsf = ref_dequantize_lsf(lsf_idx, cfg.lsf_step, cfg.lsf_min_gap)
+    values, values_db = ref_envelope(lsf, cfg.n_bins)
     contrast = ref_fer(values_db, cfg.band_edges) > cfg.fer_threshold
     res = ns.fdns_forward(np.fft.rfft(samples), values)
 
@@ -381,13 +371,13 @@ lsf_rows = st.lists(st.integers(0, 100), min_size=ORDER, max_size=ORDER).map(sor
 
 @given(st.lists(lsf_rows, min_size=1, max_size=9))
 def test_stacked_shaping_rows_equal_reference(rows):
-    # dequantize_lsf, lsf_to_lpc, frequency_envelope and compute_fer, through
+    # dequantize_lsf, lsf_envelope and compute_fer, through
     # derive_shaping, on drawn index rows (collisions and both ends included)
     env, contrast = codec.derive_shaping(np.array(rows), CFG)
     fer = pq.compute_fer(20.0 * np.log10(env), CFG.band_edges)
     for row, idx in enumerate(rows):
         lsf = ref_dequantize_lsf(idx, CFG.lsf_step, CFG.lsf_min_gap)
-        values, values_db = ref_envelope(ref_lsf_to_lpc(lsf), CFG.n_bins)
+        values, values_db = ref_envelope(lsf, CFG.n_bins)
         assert_same_bits(env[row], values, "envelope")
         assert_same_bits(fer[row], ref_fer(values_db, CFG.band_edges), "fer")
         assert_same_bits(contrast[row], fer[row] > CFG.fer_threshold, "contrast")

@@ -7,6 +7,7 @@ from hypothesis import example, given, reject, strategies as st
 from unscodec import codec, lp, signals
 from unscodec.config import CodecConfig
 
+from lsf_reference import ref_lsf_magnitude, ref_lsf_to_lpc
 from test_analysis_stack import ref_autocorr, ref_dequantize_clpc, ref_lpc_to_lsf
 
 CFG = CodecConfig()
@@ -179,7 +180,7 @@ def test_lsf_monotone_and_roundtrip():
         lsf = lp.lpc_to_lsf(m, *LSF)
         assert np.all(np.diff(lsf) > 0)
         assert lsf[0] > 0 and lsf[-1] < np.pi
-        rec = lp.lsf_to_lpc(lsf)
+        rec = ref_lsf_to_lpc(lsf)
         assert np.sqrt(np.mean((rec - m) ** 2)) < 1e-8
 
 
@@ -209,7 +210,7 @@ def test_decoded_lsf_model_always_minimum_phase():
     rng = np.random.default_rng(16)
     for _ in range(30):
         m = random_stable_model(rng, max_k=0.97)
-        rec = lp.lsf_to_lpc(lp.dequantize_lsf(lp.lsf_indices(m, *LSF), *LSF_REC))
+        rec = ref_lsf_to_lpc(lp.dequantize_lsf(lp.lsf_indices(m, *LSF), *LSF_REC))
         radius = np.max(np.abs(np.roots(np.concatenate([[1.0], rec]))))
         assert radius < 1.0
 
@@ -218,7 +219,7 @@ def test_all_zero_lsf_roundtrip():
     # the flat model's frequencies are not on the quantizer grid, so the
     # reconstruction is near-flat and the index fixpoint is exact
     q1 = lp.lsf_indices(np.zeros(16), *LSF)
-    rec = lp.lsf_to_lpc(lp.dequantize_lsf(q1, *LSF_REC))
+    rec = ref_lsf_to_lpc(lp.dequantize_lsf(q1, *LSF_REC))
     assert np.max(np.abs(rec)) < 0.1
     q2 = lp.lsf_indices(rec, *LSF)
     assert np.array_equal(q1, q2)
@@ -258,38 +259,64 @@ def test_complex_lpc_quantization_idempotent():
     assert np.array_equal(q1, q2)
 
 
-def test_frequency_envelope_flat_model():
-    env = lp.frequency_envelope(np.zeros(16), CFG.n_bins)
+def test_lsf_envelope_of_the_flat_model():
+    # the LSFs of A = 1 are equally spaced, k pi / (p + 1)
+    env = lp.lsf_envelope(np.pi * np.arange(1, ORDER + 1) / (ORDER + 1), CFG.n_bins)
     assert env.shape == (513,)
-    assert np.allclose(env, 1.0)
+    assert np.max(np.abs(env - 1.0)) < 1e-12
 
 
-def test_frequency_envelope_one_pole():
-    env = lp.frequency_envelope(np.array([-0.9]), CFG.n_bins)
-    assert abs(env[0] - 10.0) < 1e-9
-    assert abs(env[512] - 1.0 / 1.9) < 1e-9
+def test_lsf_envelope_of_a_two_pole_model():
+    # A = 1 - 0.81 z^-2, poles at +-0.9: |A| is 0.19 at DC and Nyquist and 1.81 at a quarter
+    env = lp.lsf_envelope(lp.lpc_to_lsf(np.array([0.0, -0.81]), *LSF), CFG.n_bins)
+    assert abs(env[0] - 1.0 / 0.19) < 1e-9
+    assert abs(env[256] - 1.0 / 1.81) < 1e-9
+    assert abs(env[512] - 1.0 / 0.19) < 1e-9
 
 
-def test_frequency_envelope_matches_direct_evaluation():
-    # the cached steering matrix must give exactly the values of evaluating
-    # exp(-j omega k) afresh on every call, as the envelope once did
-    rng = np.random.default_rng(20)
-    for n_bins, order in ((513, 16), (513, 16), (257, 8), (513, 4)):
-        m = random_stable_model(rng, order=order, max_k=0.9)
-        omega = 2.0 * np.pi * np.arange(n_bins) / (2 * (n_bins - 1))
-        direct = 1.0 + np.exp(-1j * np.outer(omega, np.arange(1, order + 1))) @ m
-        assert np.array_equal(lp.frequency_envelope(m, n_bins), 1.0 / np.abs(direct))
-
-
-def test_frequency_envelope_smoother_when_expanded():
+def test_lsf_envelope_smoother_when_expanded():
     rng = np.random.default_rng(19)
     for _ in range(10):
         m = random_stable_model(rng, order=8, max_k=0.9)
         ratios = []
         for g in (1.0, 0.95, 0.9, 0.8):
-            env = lp.frequency_envelope(lp.bandwidth_expand(m, g), CFG.n_bins)
+            env = lp.lsf_envelope(lp.lpc_to_lsf(lp.bandwidth_expand(m, g), *LSF), CFG.n_bins)
             ratios.append(env.max() / env.min())
         assert all(b <= a + 1e-9 for a, b in zip(ratios, ratios[1:]))
+
+
+def direct_magnitude(coeffs, n_bins):
+    """|A| = |1 + sum a_k e^-jwk| from the coefficients, in extended precision."""
+    omega = (2.0 * np.pi * np.arange(n_bins) / (2 * (n_bins - 1))).astype(np.longdouble)
+    wk = np.outer(omega, np.arange(1, coeffs.size + 1))
+    a = np.asarray(coeffs, dtype=np.longdouble)
+    return np.hypot(1 + np.cos(wk) @ a, np.sin(wk) @ a)
+
+
+# index rows 0..100 with collisions, often at either end, where the gap repair bunches them
+lsf_index_rows = st.lists(st.integers(0, 100) | st.sampled_from([0, 1, 99, 100]),
+                          min_size=ORDER, max_size=ORDER).map(sorted)
+SHARP_PEAKS = [3, 3, 4, 4, 5, 5, 8, 15, 15, 20, 22, 26, 30, 87, 97, 99]
+
+
+@example(rows=[SHARP_PEAKS], seed=0)  # the coefficient path was 2.8e-4 off here
+@example(rows=[[0] * ORDER, [100] * ORDER], seed=1)
+@given(rows=st.lists(lsf_index_rows, min_size=1, max_size=9), seed=st.integers(0, 2 ** 32 - 1))
+def test_lsf_envelope_matches_extended_precision_on_drawn_lsf_rows(rows, seed):
+    # the product in float64 against the same product in longdouble (80-bit on x86-64), within
+    # 1e-10 wherever |A| >= 1e-11 and at the cap wherever |A| < 1e-13; every row is its own
+    lsf = lp.dequantize_lsf(np.array(rows), *LSF_REC)
+    env = lp.lsf_envelope(lsf, CFG.n_bins)
+    for row, env_row in zip(lsf, env):
+        mag = ref_lsf_magnitude(row, CFG.n_bins, np.longdouble)
+        coded = mag >= 1e-11
+        assert np.max(np.abs(env_row[coded] * mag[coded] - 1.0), initial=0.0) <= 1e-10
+        assert np.all(env_row[mag < 1e-13] == 1e12)
+        assert env_row.tobytes() == lp.lsf_envelope(row, CFG.n_bins).tobytes()
+    # the identity itself: on a smooth stable model the product is 1/|A| of its coefficients
+    model = random_stable_model(np.random.default_rng(seed), max_k=0.5)
+    env = lp.lsf_envelope(lp.lpc_to_lsf(model, *LSF), CFG.n_bins)
+    assert np.max(np.abs(env * direct_magnitude(model, CFG.n_bins) - 1.0)) <= 1e-10
 
 
 @pytest.mark.parametrize("poles, radius", [
@@ -458,10 +485,10 @@ def test_lsf_near_a_rounding_boundary_takes_eigvals(step, order, factor, eigvals
     lsf = (cells + 0.3) * step
     at, rows = rng.integers(0, order, 6), np.arange(6)
     lsf[rows, at] = (cells[rows, at] + 0.5) * step
-    cond = [lsf_condition(lp.lsf_to_lpc(row), row)[k] for row, k in zip(lsf, at)]
+    cond = [lsf_condition(ref_lsf_to_lpc(row), row)[k] for row, k in zip(lsf, at)]
     sign = np.repeat([-1.0, 1.0], 3)
     lsf[rows, at] += sign * factor * lp.LSF_MARGIN * (1.0 + np.array(cond))
-    models = lp.lsf_to_lpc(lsf)
+    models = np.array([ref_lsf_to_lpc(row) for row in lsf])
     got = lp.lsf_indices(models, step)
     assert eigvals_rows() == (6 if factor < 1.0 else 0)
     assert np.array_equal(got, lp.quantize_lsf(eigvals_lsf(models, step), step))
