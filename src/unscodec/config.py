@@ -10,7 +10,7 @@ from functools import cached_property
 import numpy as np
 
 from . import lp
-from .entropy_bitstream import PackContext
+from .entropy_bitstream import MODEL_LIMIT, PackContext
 from .polar_quant import DEFAULT_ECUPQ_TABLE, EcupqTable
 from .resample import CORE_RATE
 from .transforms import WindowSpec
@@ -59,16 +59,19 @@ class CodecConfig:
         for name in ("frame_len", "overlap_len"):  # each is a u16 field of the stream header
             if getattr(self, name) > 0xFFFF:
                 raise ConfigError(f"{name} must be at most 65535, not {getattr(self, name)}")
-        if self.band_edges[0] <= 0 or np.any(np.diff(self.band_edges) <= 0):
-            raise ConfigError("band edges must be strictly increasing and positive")
+        if self.frame_len % 2:  # else the last rfft bin, coded as a real Nyquist bin, is complex
+            raise ConfigError(f"frame_len must be even, not {self.frame_len}")
+        if not self.band_edges or self.band_edges[0] <= 0 or np.any(np.diff(self.band_edges) <= 0):
+            raise ConfigError("band_edges must be non-empty, strictly increasing and positive")
         if self.band_edges[-1] != self.frame_len // 2:
             raise ConfigError("last band edge must equal frame_len / 2")
         try:
             WindowSpec(self.frame_len, self.overlap_len, self.window_edge)  # validates geometry
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-        if self.lpc_order % 2 or not 2 <= self.lpc_order <= 255:  # the header field is a u8
-            raise ConfigError(f"lpc_order must be even (LSFs come in pairs) and in 2..255, "
+        top = min(255, self.frame_len // 2 - 1)  # a u8 header field, below the CTNS fit's bins
+        if self.lpc_order % 2 or not 2 <= self.lpc_order <= top:
+            raise ConfigError(f"lpc_order must be even (LSFs come in pairs) and in 2..{top}, "
                               f"not {self.lpc_order}")
         for name, top in (("lsf_step", np.inf), ("clpc_mag_step_db", np.inf),
                           ("fdns_weight", 1.0), ("ctns_weight", 1.0),
@@ -100,6 +103,12 @@ class CodecConfig:
         with np.errstate(over="ignore"):  # the last cell of the largest table a stream can ask for
             if not np.isfinite(lp.clpc_magnitude(*grid, np.float64(top))):
                 raise ConfigError(f"CLPC magnitude cell {top} of the grid's table is not finite")
+        mag_cells = lp.clpc_mag_index_max(*grid, self.clpc_mag_ceil_db) + 2  # as PackContext counts
+        for name, symbols in (("lsf_step", lp.lsf_index_max(self.lsf_step) + 1),
+                              ("clpc_mag_step_db", mag_cells)):
+            if symbols >= MODEL_LIMIT:  # a flat prior that fills its bank halves it at every symbol
+                raise ConfigError(f"{name} makes a {symbols}-symbol alphabet; the range coder's "
+                                  f"flat models take at most {MODEL_LIMIT - 1}")
 
     def __getstate__(self):  # the fields alone: a copy rebuilds its read-only layout on first use
         return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -148,30 +148,24 @@ def dequantize_phase(index, n_cells):
 
 
 # --- entropy-constrained table design on the unit-variance-component
-# --- complex-Gaussian magnitude density (Rayleigh, sigma = 1)
+# --- complex-Gaussian magnitude density (Rayleigh, sigma = 1), by the Lloyd iteration of
+# --- Chou, Lookabaugh and Gray (1989) on all cells at once; libm's exp and erf fix the bits
 
-def _m0(a, b):
-    return math.exp(-a * a / 2.0) - math.exp(-b * b / 2.0)
-
-
-def _m1(a, b):
-    g = math.sqrt(math.pi / 2.0)
-    return (a * math.exp(-a * a / 2.0) - b * math.exp(-b * b / 2.0)
-            + g * (math.erf(b / math.sqrt(2.0)) - math.erf(a / math.sqrt(2.0))))
-
-
-def _m2(a, b):
-    return (a * a + 2.0) * math.exp(-a * a / 2.0) - (b * b + 2.0) * math.exp(-b * b / 2.0)
+_exp, _erf = (np.frompyfunc(f, 1, 1) for f in (math.exp, math.erf))
 
 
 def _cell_stats(edges, levels=None):
     """Cell probabilities, entropy and MSE of the 8 cells between ``edges``
     on the design density; the levels default to the cell centroids, with the
-    deadzone level at zero.  Returns (levels, p, entropy, mse)."""
-    m0, m1, m2 = (np.array([m(edges[j], edges[j + 1]) for j in range(8)]) for m in (_m0, _m1, _m2))
+    deadzone level at zero.  Returns (levels, p, entropy, mse).  The cells' moments of order 0,
+    1 and 2 are differences of exp(-x^2/2), x exp(-x^2/2) - sqrt(pi/2) erf(x/sqrt(2)) and
+    (x^2 + 2) exp(-x^2/2) at their edges."""
+    x = np.asarray(edges, dtype=float)
+    e = _exp(-x * x / 2.0).astype(float)
+    m0, m1, m2 = (f[:-1] - f[1:] for f in (e, x * e, (x * x + 2.0) * e))
+    m1 = m1 + math.sqrt(math.pi / 2.0) * np.diff(_erf(x / math.sqrt(2.0)).astype(float))
     if levels is None:
-        levels = np.where(m0 > 1e-300, m1 / np.maximum(m0, 1e-300),
-                          0.5 * (edges[:-1] + edges[1:]))
+        levels = np.where(m0 > 1e-300, m1 / np.maximum(m0, 1e-300), 0.5 * (x[:-1] + x[1:]))
         levels[0] = 0.0
     mass = m0.sum()
     p = m0 / mass
@@ -180,37 +174,27 @@ def _cell_stats(edges, levels=None):
     return levels, p, entropy, mse
 
 
-def _lloyd_pass(bounds, lam, r7):
-    """One centroid + penalized-threshold update; returns (bounds, levels, p, H, mse)."""
-    levels, p, entropy, mse = _cell_stats(np.concatenate([[0.0], bounds, [r7]]))
-    # floor the penalty probabilities so a temporarily starved cell is not
-    # squeezed out of existence by its own code length
-    codelen = -np.log2(np.maximum(p, 1e-3))
-    new_bounds = np.empty(7)
-    for j in range(7):
-        dy = levels[j + 1] - levels[j]
-        t = 0.5 * (levels[j] + levels[j + 1])
-        if dy > 1e-12:
-            t += lam * (codelen[j + 1] - codelen[j]) / (2.0 * dy)
-        new_bounds[j] = t
+def _lloyd(lam, r7):
+    """Lloyd passes at multiplier ``lam`` from evenly spread thresholds below ``r7``, each
+    moving all 7 to their levels' midpoints plus ``lam`` times the code-length step over twice
+    the level step.  Returns (thresholds, the last pass's centroid levels, their entropy)."""
     eps = 1e-6
-    new_bounds = np.clip(new_bounds, eps, r7 - 8 * eps)
-    new_bounds = np.maximum.accumulate(new_bounds)
-    for j in range(1, 7):
-        if new_bounds[j] <= new_bounds[j - 1]:
-            new_bounds[j] = min(new_bounds[j - 1] + eps, r7 - (7 - j) * eps)
-    return new_bounds, levels, p, entropy, mse
-
-
-def _lloyd_converge(lam, bounds, r7):
-    levels, entropy, mse = None, None, None
+    bounds = np.linspace(r7 / 8.0, r7 * 7.0 / 8.0, 7)
     for _ in range(LLOYD_ITERS):
-        new_bounds, levels, _, entropy, mse = _lloyd_pass(bounds, lam, r7)
-        if np.max(np.abs(new_bounds - bounds)) < 1e-12:
-            bounds = new_bounds
+        levels, p, entropy, _ = _cell_stats(np.concatenate([[0.0], bounds, [r7]]))
+        # floor the penalty probabilities so a temporarily starved cell is not
+        # squeezed out of existence by its own code length
+        codelen, dy = -np.log2(np.maximum(p, 1e-3)), np.diff(levels)
+        penalty = np.divide(lam * np.diff(codelen), 2.0 * dy, out=np.zeros(7), where=dy > 1e-12)
+        new = np.clip(0.5 * (levels[:-1] + levels[1:]) + penalty, eps, r7 - 8 * eps)
+        new = np.maximum.accumulate(new)
+        for j in range(1, 7):
+            if new[j] <= new[j - 1]:
+                new[j] = min(new[j - 1] + eps, r7 - (7 - j) * eps)
+        bounds, moved = new, np.max(np.abs(new - bounds))
+        if moved < 1e-12:
             break
-        bounds = new_bounds
-    return bounds, levels, entropy, mse
+    return bounds, levels, entropy
 
 
 def design_ecupq_table(rate_target: float = ECUPQ_RATE) -> EcupqTable:
@@ -220,7 +204,6 @@ def design_ecupq_table(rate_target: float = ECUPQ_RATE) -> EcupqTable:
     lands inside rate_target +/- DESIGN_BAND; the top boundary is pinned at
     ECUPQ_R7 and the deadzone level is held at zero throughout.
     """
-    init = np.linspace(ECUPQ_R7 / 8.0, ECUPQ_R7 * 7.0 / 8.0, 7)
     upper = rate_target + DESIGN_BAND
     # bisect for the smallest multiplier whose entropy enters the target band;
     # approaching from below keeps the deadzone as wide as the rate allows
@@ -228,7 +211,7 @@ def design_ecupq_table(rate_target: float = ECUPQ_RATE) -> EcupqTable:
     entropy = float("nan")
     for _ in range(DESIGN_MAX_OUTER):
         lam = 0.5 * (lam_lo + lam_hi)
-        bounds, levels, entropy, _ = _lloyd_converge(lam, init.copy(), ECUPQ_R7)
+        bounds, levels, entropy = _lloyd(lam, ECUPQ_R7)
         if entropy > upper:
             lam_lo = lam
         else:

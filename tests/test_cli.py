@@ -6,6 +6,7 @@ from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from unscodec import cli, codec, signals
 from unscodec.config import CodecConfig, load_config, save_config
@@ -251,6 +252,22 @@ def test_config_rejects_bad_values_at_construction(tmp_path):
                    dict(fer_threshold=-1.0)):
         with pytest.raises(ConfigError):
             CodecConfig(**kwargs)
+    for name, kwargs in (
+            # an empty band list raised a bare IndexError
+            ("band_edges", dict(band_edges=(), bits_12k=(), bits_16k=())),
+            # the last rfft bin of an odd frame is complex, yet it is coded as a real
+            # Nyquist bin and its imaginary part dropped
+            ("frame_len", dict(frame_len=1025)),
+            # the CTNS fit runs over frame_len / 2 bins, so the first encode raised
+            # "max_lag 16 must be below signal length 16"
+            ("lpc_order", dict(frame_len=32, overlap_len=8, band_edges=(16,), bits_12k=(9,),
+                               bits_16k=(9,), lpc_order=16, ctns_start_bin=2)),
+            # a flat prior of MODEL_LIMIT symbols or more fills its bank, so every coded
+            # symbol halves the bank: 1e-5 made a 0.5 s encode take over 5 s
+            ("lsf_step", dict(lsf_step=1e-5)),
+            ("clpc_mag_step_db", dict(clpc_mag_step_db=1e-3))):
+        with pytest.raises(ConfigError, match=name):
+            CodecConfig(**kwargs)
     CodecConfig(lsf_min_gap=np.pi / 3, lpc_order=2)  # the largest gap that fits
     CodecConfig(fer_threshold=0.0)
     path = str(tmp_path / "cells.cfg")
@@ -290,6 +307,42 @@ def test_config_rejects_a_clpc_grid_whose_table_overflows():
         idx = np.zeros((2, cfg.lpc_order, 2), dtype=int)
         idx[0, 0], idx[1, :, 1] = (top, 0), cfg.clpc_phase_cells - 1
         assert np.isfinite(codec.derive_clpc(idx, cfg)).all()
+
+
+@st.composite
+def drawn_configs(draw):
+    """Keyword arguments of a CodecConfig over the frame, band, LP and quantizer-grid settings,
+    legal or not."""
+    frame_len = draw(st.integers(16, 64) | st.integers(16, 4096))  # short frames bound lpc_order
+    half = frame_len // 2
+    edges = sorted(draw(st.sets(st.integers(1, half - 1), max_size=6)))  # then 0 or 1 more
+    last = ((half,), (half,), (half,), (), (draw(st.integers(1, half)),))
+    edges = (*edges, *draw(st.sampled_from(last)))
+    bits = tuple(draw(st.integers(1, 60)) for _ in edges)
+    return dict(frame_len=frame_len, overlap_len=draw(st.integers(1, half)),
+                band_edges=edges, bits_12k=bits, bits_16k=bits,
+                lpc_order=draw(st.integers(2, 16)),
+                lsf_step=draw(st.floats(1e-7, 2.0)),
+                clpc_mag_step_db=draw(st.floats(1e-3, 10.0)),
+                clpc_phase_cells=draw(st.sampled_from((1, 2, 64, 1024))),
+                ctns_start_bin=draw(st.integers(-1, half + 1)))
+
+
+@given(kwargs=drawn_configs())
+def test_drawn_configs_are_refused_or_code(kwargs):
+    # a config is refused when built, or it codes: a flat prior below the range coder's
+    # bank limit, and a noise round trip of three frames that comes back whole and finite
+    from unscodec.config import ConfigError
+    from unscodec.entropy_bitstream import MODEL_LIMIT
+    try:
+        cfg = CodecConfig(**kwargs)
+    except ConfigError:
+        return
+    assert cfg.layout.lsf_alphabet < MODEL_LIMIT
+    assert len(cfg.layout.clpc_mag_model[1]) < MODEL_LIMIT
+    pcm = 0.3 * np.random.default_rng(1).standard_normal(cfg.frame_len + 2 * cfg.window_spec.hop)
+    decoded = codec.decode_stream(codec.encode_stream(pcm, cfg)[0], cfg)[0]
+    assert decoded.shape == pcm.shape and np.isfinite(decoded).all()
 
 
 def test_built_configs_and_headers_are_frozen():
@@ -579,6 +632,20 @@ def test_cli_design_ecupq(tmp_path):
     assert cli.main(["design-ecupq", out]) == 0
     cfg = load_config(out)
     assert abs(cfg.ecupq.thresholds[-1] - 5.056) < 1e-12
+
+
+def test_cli_designed_table_codes_and_is_named_in_the_header(tmp_path):
+    from unscodec.entropy_bitstream import StreamError
+    out = str(tmp_path / "rate2.cfg")
+    assert cli.main(["design-ecupq", out, "--rate", "2.0"]) == 0
+    cfg = load_config(out)
+    pcm = signals.speechish(0.5)
+    blob, _ = codec.encode_stream(pcm, cfg)
+    decoded, header, _ = codec.decode_stream(blob, cfg)
+    assert header.table_version == "rayleigh-2-v1"
+    assert decoded.shape == pcm.shape and np.isfinite(decoded).all()
+    with pytest.raises(StreamError, match="table_version"):
+        codec.decode_stream(blob, CodecConfig())
 
 
 def test_cli_usage_error_exit_code():

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -222,15 +224,25 @@ def test_fer_permutation_equivariance():
 
 
 def test_design_regenerates_frozen_table():
-    table = pq.design_ecupq_table()
-    assert np.allclose(table.thresholds, TABLE.thresholds, atol=1e-9)
-    assert np.allclose(table.levels, TABLE.levels, atol=1e-9)
+    assert pq.design_ecupq_table() == TABLE
+
+
+@pytest.mark.parametrize("rate, digest", [
+    (1.5, "bccb848c17eb8d55f16bc61c687144e838a0c879149d3c2e6e6587d38032faea"),
+    (2.0, "d5fa7fe506bf6f0b8235994fb59f21fa64f6cdff75c1a176fca68e2e1fa50ad7"),
+])
+def test_design_is_pinned_at_other_rates(rate, digest):
+    # the tables away from the default rate, bit for bit
+    table = pq.design_ecupq_table(rate)
+    assert hashlib.sha256(repr((table.thresholds, table.levels)).encode()).hexdigest() == digest
 
 
 def test_design_refuses_an_unreachable_rate():
-    # 8 cells carry at most 3 bits, so no multiplier reaches 3.5
-    with pytest.raises(pq.ConvergenceError, match="did not reach 3.5"):
-        pq.design_ecupq_table(3.5)
+    # 8 cells carry at most 3 bits, and the multiplier's lower end, the plain
+    # Lloyd quantizer, reaches only 2.7486 of them
+    for rate in ("3.0", "3.5"):
+        with pytest.raises(pq.ConvergenceError, match=rf"^entropy 2\.7486 did not reach {rate} "):
+            pq.design_ecupq_table(float(rate))
 
 
 def test_design_entropy_band_and_mse():
