@@ -146,13 +146,14 @@ def encode_frames(frames: np.ndarray, cfg: CodecConfig, first: int):
     coded, active, gain_db = shaped.coded, shaped.active, shaped.gain_db
     lsf, clpc, contrast = shaped.lsf_indices, shaped.clpc_indices, shaped.contrast
     del shaped  # the residuals and envelopes are not needed past the analysis
-    offsets = ctx.raw_offsets(contrast)  # each bin's raw-width row, as pack prices its field
+    offsets = ctx.raw_offsets(contrast)  # each bin's raw-width row, for the search and the pack
     gains, overflow, bits = rc.search_scale_factors(np.abs(coded), cfg.budget, offsets, ctx)
     est_bits = sum(bits.T)  # summed band by band from the left, as the stats report it
     payload = FramePayload(lsf, active, clpc, gains,  # then index1, index2, raw
                            *quantize_spectrum(coded, gains, contrast, cfg), contrast)
     sections = [{} for _ in frames]
-    blobs = [pack_frame(row, ctx, sections[f]) for f, row in enumerate(wire_fields(payload, ctx))]
+    blobs = [pack_frame(row, ctx, sections[f])
+             for f, row in enumerate(wire_fields(payload, offsets, ctx))]
     return payload, blobs, [FrameStats(
         index=first + f, gain_db=float(gain_db[f]), ctns_active=bool(active[f]),
         band_gains=gains[f], overflow=overflow[f], est_spectral_bits=float(est_bits[f]),

@@ -123,19 +123,23 @@ class RangeEncoder:
     def __init__(self):
         self._acc, self.bit_count = 0, 0
         self.low, self.range, self.pending = 0, _FULL, 0
-        # information content of the symbols coded so far; tracks the actual
-        # emitted length to within the final flush
-        self.info_bits = 0.0
+
+    @property
+    def cost_bits(self) -> float:
+        """The code length so far, from the coder's state: the settled bits, the pending
+        underflow bits and 32 - log2(range).  A renormalization step leaves it unchanged."""
+        return self.bit_count + self.pending + _STATE_BITS - log2(self.range)
 
     def encode(self, symbols, cums, bank_of) -> float:
-        """Code a symbol sequence and return its information content in bits.
+        """Code a symbol sequence and return its code length in bits from the coder's
+        state: ``cost_bits`` after the call less ``cost_bits`` before it.
 
         Each symbol is coded with bank ``bank_of[prev]`` (``prev`` is the symbol before
         it, 0 for the first).  A bank's cumulative count below s is its base, ``cums[bank][s]``
         until the bank halves, plus the growth of the distinct symbols below s coded since."""
         bases, f0s, totals, seens, grows = map(list, zip(*map(_bank, cums)))
         low, r, pending = self.low, self.range, self.pending
-        acc, count, info = self._acc, self.bit_count, self.info_bits
+        acc, count, before = self._acc, self.bit_count, self.cost_bits
         t = _STRADDLE[low >> 30] - low  # no bit settles while r > t
         b = bank_of[0]
         for s in symbols:
@@ -151,14 +155,12 @@ class RangeEncoder:
                 if not g:
                     insort(seens[b], s)
                 grow[s] = g + MODEL_INCREMENT
-                f = base[s + 1] - base[s] + g
                 a = lo * r // total
-                low, r = low + a, (lo + f) * r // total - a
+                low, r = low + a, (lo + base[s + 1] - base[s] + g) * r // total - a
                 t = _STRADDLE[low >> 30] - low
             else:  # low, and so t, stay
                 f = f0s[b]
                 r, f0s[b] = r * f // total, f + MODEL_INCREMENT
-            info += log2(total / f)
             totals[b] = total = total + MODEL_INCREMENT
             if total >= MODEL_LIMIT:
                 bases[b], f0s[b], totals[b], seens[b], grows[b] = _bank(bases[b], f0s[b], grows[b])
@@ -184,8 +186,7 @@ class RangeEncoder:
             t = _STRADDLE[low >> 30] - low
         self.low, self.range, self.pending = low, r, pending
         self._acc, self.bit_count = acc, count
-        before, self.info_bits = self.info_bits, info
-        return info - before
+        return self.cost_bits - before
 
     def finish(self) -> bytes:
         # the final bit, then pending + 1 underflow bits as its inverse
@@ -377,34 +378,31 @@ class PackContext:
         DC and Nyquist, else its band's contrast row; a stack takes a row of flags per frame."""
         return np.where(self.real_mask, 32, np.int8(16) * np.asarray(contrast)[..., self.band_of])
 
-    def field_widths(self, index1: np.ndarray, contrast) -> np.ndarray:
-        """Raw bits per position, each band's by its contrast flag; a stack of
-        frames (rows of index1) takes one row of flags per frame."""
-        return self.raw_widths.take(self.raw_offsets(contrast) + index1)
 
-
-def raw_field_widths(chunk: FramePayload, ctx: PackContext) -> np.ndarray:
+def raw_field_widths(chunk: FramePayload, offsets: np.ndarray, ctx: PackContext) -> np.ndarray:
     """Each raw-section field's width in bits, one row per row of a chunk record, in wire order:
     the CTNS flag, the CLPC phases (where the flag is set and the magnitude is not the zero
     cell), each escape's Exp-Golomb (k = 2) code of m = index2 - OUTLIER_MIN + 4 in
-    2 bit_length(m) - 3 bits, then each bin's phase or sign (``field_widths``)."""
+    2 bit_length(m) - 3 bits, then each bin's phase or sign, read from ``ctx.raw_widths`` at
+    the bin's row start in ``offsets``, the chunk's ``ctx.raw_offsets(chunk.contrast)``."""
     flag, index1 = chunk.ctns_flag[:, None], chunk.index1
     escape, escapes = np.zeros(index1.shape, np.int8), index1 == ESCAPE_INDEX
     escape[escapes] = 2 * np.frexp(chunk.index2[escapes] - (OUTLIER_MIN - 4))[1] - 3
     clpc = np.where(flag & (chunk.clpc_indices[..., 0] >= 0), np.int8(ctx.clpc_phase_bits), 0)
     return np.concatenate([np.ones_like(flag, np.int8), clpc, escape,
-                           ctx.field_widths(index1, chunk.contrast)], axis=1, dtype=np.int8)
+                           ctx.raw_widths.take(offsets + index1)], axis=1, dtype=np.int8)
 
 
-def wire_fields(payload: FramePayload, ctx: PackContext) -> list:
+def wire_fields(payload: FramePayload, offsets: np.ndarray, ctx: PackContext) -> list:
     """Each row of a chunk record as :func:`pack_frame` takes it, built for the chunk at once:
     its range-coded symbol lists (LSF deltas, CLPC magnitudes or ``[]`` without the flag,
-    scale-factor deltas, index 1), CLPC-phase, escape, sign and phase bits, and raw section."""
+    scale-factor deltas, index 1), CLPC-phase, escape, sign and phase bits, and raw section.
+    ``offsets`` are the chunk's raw offsets (``ctx.raw_offsets`` of its contrast flags)."""
     flag, (mags, phases) = payload.ctns_flag, np.moveaxis(payload.clpc_indices, -1, 0)
     m = np.subtract(payload.index2, OUTLIER_MIN - 4, dtype="int32")  # each escape's code value
     if np.any(m[payload.index1 == ESCAPE_INDEX] < 4):
         raise ValueError(f"escape index 2 below {OUTLIER_MIN}")
-    widths = raw_field_widths(payload, ctx)
+    widths = raw_field_widths(payload, offsets, ctx)
     clpc, escape, raw = np.split(widths, np.cumsum([1, ctx.lpc_order, ctx.real_mask.size]), 1)[1:]
     sign = raw[:, ctx.real_mask].sum(axis=1)
     bits = [clpc.sum(axis=1), escape.sum(axis=1), sign, raw.sum(axis=1) - sign]
@@ -423,7 +421,8 @@ def wire_fields(payload: FramePayload, ctx: PackContext) -> list:
 
 def pack_frame(fields: tuple, ctx: PackContext, stats_out: dict) -> bytes:
     """One frame's bytes from its row of :func:`wire_fields`, its symbol lists range-coded;
-    ``stats_out`` receives its section costs (information content, or exact raw bits)."""
+    ``stats_out`` receives its section costs: each range-coded section's code length from
+    the coder's state (``RangeEncoder.encode``), each raw one's exact bits."""
     (lsf, clpc, sf, index1, clpc_bits, escape, sign, phase, raw), enc = fields, RangeEncoder()
     stats_out.update(lsf=enc.encode(lsf, *ctx.lsf_model), flag=1,
                      clpc=enc.encode(clpc, *ctx.clpc_mag_model) + clpc_bits if clpc else 0.0,
@@ -505,7 +504,7 @@ def unpack_fields(data: bytes, at, ends, ctx: PackContext, chunk: FramePayload) 
     frame's end (byte ``ends``), into its CLPC phases and ``raw``; returns which rows' fields
     miss their end."""
     rows, ends = len(at), 8 * np.asarray(ends, dtype=np.int64)
-    widths = raw_field_widths(chunk, ctx)[:rows]
+    widths = raw_field_widths(chunk, ctx.raw_offsets(chunk.contrast), ctx)[:rows]
     values = _read_rows(data, at, ends, widths)  # flag, CLPC phases, escapes, phases and signs
     chunk.clpc_indices[:rows, :, 1] = values[:, 1:1 + ctx.lpc_order]
     chunk.raw[:rows] = values[:, -ctx.real_mask.size:]

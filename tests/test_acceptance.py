@@ -352,9 +352,10 @@ def test_corpus_search_outputs_pinned(corpus_runs):
 
 
 # SHA-256 of every frame's section costs and coded totals on the corpus fixture: its
-# section_bits as "key:type:float.hex" in key order, then total_bits, gain_db as float.hex
+# section_bits (a range-coded section's code length from the coder's state, a raw one's
+# exact bits) as "key:type:float.hex" in key order, then total_bits, gain_db as float.hex
 # and ctns_active, one line a frame, "12k" then "16k", in corpus order
-CORPUS_STATS_SHA256 = "0f4eed51074b582cfb3604c62bbe81211db9bc1eda6d8e90e000c856bd077008"
+CORPUS_STATS_SHA256 = "46420bccdc2dcaae1a4b8e2bf68525940ddc6f6964ef49f3c31e5f29853c1b75"
 
 
 def test_corpus_frame_stats_pinned(corpus_runs):

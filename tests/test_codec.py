@@ -353,6 +353,25 @@ def test_parsed_records_pack_back_to_the_encoders_bytes(corpus_runs):
             assert pos == len(item["blob"])
 
 
+def test_range_coded_section_costs_fall_short_of_their_bytes_by_the_flush_and_pad(corpus_runs):
+    # the coder's state cost after the last section is its bits less log2(range) - 30, which
+    # finish adds (more than 0, at most 2, as range > 2^30) before the byte pad (0 to 7); the
+    # CLPC section's cost also holds its raw phase bits, taken out here
+    for mode, items in corpus_runs.items():
+        cfg = CFG12.with_mode(mode)
+        for item in items.values():
+            pos = StreamHeader.size()
+            for stats in item["stats"]:
+                record, end = unpack_one(item["blob"], pos, cfg.layout, cfg)
+                phases = cfg.layout.clpc_phase_bits * int((record.clpc_indices[0, :, 0] >= 0).sum())
+                bits = stats.section_bits
+                cost = (bits["lsf"] + bits["clpc"] - phases * bool(record.ctns_flag[0])
+                        + bits["sf"] + bits["index1"])
+                arith_len = struct.unpack_from("<H", item["blob"], pos)[0]
+                assert 0 < 8 * arith_len - cost <= 9, (mode, stats.index, arith_len, cost)
+                pos = end
+
+
 def test_decode_rejects_stream_cut_at_a_frame_boundary():
     blob, stats = codec.encode_stream(signals.speechish(2.0), CFG12)
     ends = frame_ends(blob)

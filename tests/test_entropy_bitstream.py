@@ -86,8 +86,8 @@ def test_stream_header_rejects_short_input():
 def pack(payload, ctx, stats_out=None, row=0):
     """Row ``row`` of a chunk record packed as the encoder packs it: the chunk's wire fields,
     then that row's frame; ``stats_out``, if given, receives its section costs."""
-    return eb.pack_frame(eb.wire_fields(payload, ctx)[row], ctx,
-                         {} if stats_out is None else stats_out)
+    fields = eb.wire_fields(payload, ctx.raw_offsets(payload.contrast), ctx)[row]
+    return eb.pack_frame(fields, ctx, {} if stats_out is None else stats_out)
 
 
 def band_slices(ctx):
@@ -242,8 +242,8 @@ def test_all_zero_magnitudes_emit_zero_phase_bits():
 def reference_pack_frame(payload, row, ctx, stats_out):
     """Serialize row ``row`` of a chunk record, one frame, to the two-section wire format from
     that row alone: the reference the chunk pack is checked against.  ``stats_out`` receives
-    per-section bit costs (range-coded sections by information content, raw sections by
-    exact field width)."""
+    per-section bit costs (range-coded sections by their code length from the coder's state,
+    raw sections by exact field width)."""
     enc, stats = eb.RangeEncoder(), stats_out
     lsf = np.asarray(payload.lsf_indices[row], dtype=int)
     stats.update(lsf=enc.encode(np.diff(lsf, prepend=0).tolist(), *ctx.lsf_model), flag=1)
@@ -271,7 +271,7 @@ def reference_pack_frame(payload, row, ctx, stats_out):
     stats["escape"] = int(widths.sum())
     fields.append((m, widths))
 
-    widths = ctx.field_widths(index1, payload.contrast[row])
+    widths = ctx.raw_widths.take(ctx.raw_offsets(payload.contrast[row]) + index1)
     stats["sign"] = int(widths[ctx.real_mask].sum())
     stats["phase"] = int(widths.sum()) - stats["sign"]
     fields.append((payload.raw[row], widths))
@@ -285,7 +285,8 @@ def raw_section_bits(record, row, ctx):
     clpc = ctx.clpc_phase_bits * int((record.clpc_indices[row, :, 0] >= 0).sum())
     m = record.index2[row][record.index1[row] == pq.ESCAPE_INDEX] - (pq.OUTLIER_MIN - 4)
     return (1 + clpc * bool(record.ctns_flag[row]) + int((2 * np.frexp(m)[1] - 3).sum())
-            + int(ctx.field_widths(record.index1[row], record.contrast[row]).sum()))
+            + int(ctx.raw_widths.take(ctx.raw_offsets(record.contrast[row])
+                                      + record.index1[row]).sum()))
 
 
 def align_raw_section(record, row, ctx):
@@ -343,7 +344,7 @@ def test_chunk_pack_equals_the_one_row_reference(chunk):
     calls, raw_bytes = [], eb._raw_bytes
     with pytest.MonkeyPatch.context() as m:
         m.setattr(eb, "_raw_bytes", lambda *args: calls.append(args) or raw_bytes(*args))
-        rows = eb.wire_fields(record, ctx)
+        rows = eb.wire_fields(record, ctx.raw_offsets(record.contrast), ctx)
     assert len(calls) == 1 and len(rows) == len(record.index1)
     for r, fields in enumerate(rows):
         want, got = {}, {}
@@ -359,4 +360,4 @@ def test_an_escape_below_outlier_min_in_any_row_is_refused(chunk, data):
     record.index1[r, b] = pq.ESCAPE_INDEX
     record.index2[r, b] = data.draw(st.integers(0, pq.OUTLIER_MIN - 1))
     with pytest.raises(ValueError, match=f"^escape index 2 below {pq.OUTLIER_MIN}$"):
-        eb.wire_fields(record, ctx)
+        eb.wire_fields(record, ctx.raw_offsets(record.contrast), ctx)

@@ -4,10 +4,10 @@ coder they replaced.
 The ``Ref*`` classes below keep the earlier coder's behaviour: one
 renormalization step per output bit, one model method call per symbol, and a
 reader and writer that move one bit at a time.  Every stream they write must
-come out of the current coder byte for byte, with the same information count,
-and both decoders must read the same symbols from any bytes.  The raw
-section's fields are held to the same reader and writer, and unpack reads
-each Exp-Golomb escape as the bit-serial reader does.
+come out of the current coder byte for byte, with the same code length from
+the coder's state, and both decoders must read the same symbols from any
+bytes.  The raw section's fields are held to the same reader and writer, and
+unpack reads each Exp-Golomb escape as the bit-serial reader does.
 """
 
 import math
@@ -106,8 +106,12 @@ class RefEncoder:
     def __init__(self):
         self.writer = RefBitWriter()
         self.low, self.high, self.pending = 0, _MASK, 0
-        self.info_bits = 0.0
         self.max_pending = 0
+
+    @property
+    def cost_bits(self):
+        """The code length so far from the state: bits written, pending bits, 32 - log2(range)."""
+        return len(self.writer.bits) + self.pending + 32 - math.log2(self.high - self.low + 1)
 
     def _emit(self, bit):
         self.writer.write_bit(bit)
@@ -123,7 +127,6 @@ class RefEncoder:
 
     def encode(self, model, symbol):
         sym_lo, sym_hi, total = model.cumulative(symbol)
-        self.info_bits += math.log2(total / (sym_hi - sym_lo))
         span = self.high - self.low + 1
         self.high = self.low + sym_hi * span // total - 1
         self.low = self.low + sym_lo * span // total
@@ -202,10 +205,12 @@ def ref_code(enc, symbols, n_alphabet, banked=False):
 
 
 def ref_encode(symbols, n_alphabet, banked=False):
-    """(bytes, encoder, models) of one sequence through the bit-serial coder."""
+    """(bytes, code length before the flush, encoder, models) of one sequence through the
+    bit-serial coder."""
     enc = RefEncoder()
     models = ref_code(enc, symbols, n_alphabet, banked)
-    return enc.finish(), enc, models
+    cost = enc.cost_bits
+    return enc.finish(), cost, enc, models
 
 
 def ref_decode(data, n_alphabet, count, banked=False):
@@ -221,12 +226,25 @@ def new_models(n_alphabet, banked):
     return eb.INDEX1_MODEL if banked else eb.flat_model(n_alphabet)
 
 
+def information_bits(symbols, n_alphabet, banked=False):
+    """The information content of one sequence coded with fresh models: the sum over its
+    symbols of log2(total / f), f the symbol's count and total its bank's, as coded."""
+    models, bank = ref_models(n_alphabet, banked)
+    bits = 0.0
+    for prev, s in zip([0] + symbols, symbols):
+        sym_lo, sym_hi, total = models[bank(prev)].cumulative(s)
+        bits += math.log2(total / (sym_hi - sym_lo))
+        models[bank(prev)].update(s)
+    return bits
+
+
 def new_encode(symbols, n_alphabet, banked=False):
-    """(bytes, information bits) of one sequence through the range coder."""
+    """(bytes, code length in bits from the coder's state) of one sequence through the range
+    coder."""
     enc = eb.RangeEncoder()
-    info_bits = enc.encode(symbols, *new_models(n_alphabet, banked))
-    assert info_bits == enc.info_bits
-    return enc.finish(), info_bits
+    cost = enc.encode(symbols, *new_models(n_alphabet, banked))
+    assert cost == enc.cost_bits
+    return enc.finish(), cost
 
 
 def steered(n_alphabet, length, rng, p_middle, skew):
@@ -273,10 +291,10 @@ def sequences(draw):
 @given(sequences())
 def test_encoder_matches_bit_serial_encoder(case):
     symbols, n_alphabet, banked = case
-    ref_bytes, ref, _ = ref_encode(symbols, n_alphabet, banked)
-    data, info_bits = new_encode(symbols, n_alphabet, banked)
+    ref_bytes, ref_cost, _, _ = ref_encode(symbols, n_alphabet, banked)
+    data, cost = new_encode(symbols, n_alphabet, banked)
     assert data == ref_bytes
-    assert info_bits == ref.info_bits
+    assert cost == ref_cost
     assert eb.RangeDecoder(data).decode(len(symbols), *new_models(n_alphabet, banked)) == symbols
 
 
@@ -289,25 +307,45 @@ def test_encoding_in_pieces_continues_the_same_stream(case, cuts):
     pieces = [symbols[a:b] for a, b in zip(edges, edges[1:])]
     enc, ref = eb.RangeEncoder(), RefEncoder()
     for piece in pieces:
-        before = ref.info_bits
+        before = ref.cost_bits
         ref_code(ref, piece, n_alphabet, banked)
-        assert enc.encode(piece, *new_models(n_alphabet, banked)) == ref.info_bits - before
+        assert enc.encode(piece, *new_models(n_alphabet, banked)) == ref.cost_bits - before
     data = enc.finish()
     assert data == ref.finish()
     dec = eb.RangeDecoder(data)
     assert [dec.decode(len(p), *new_models(n_alphabet, banked)) for p in pieces] == pieces
 
 
+# Each symbol is coded at r > 2^30 with total < 2^15, so floor rounding sets the new range
+# within 1 of r * f / total and moves the cost from log2(total / f) by less than
+# -log2(1 - 2^-15), about 4.4028e-5 bits
+ROUNDING_BITS = 4.41e-5
+
+
+@given(sequences(), st.lists(st.integers(0, 400), max_size=4))
+def test_state_cost_is_within_rounding_of_information_content(case, cuts):
+    # a section's code length from the coder's state against its symbols' information
+    # content, for sections that start from the fresh state or from where others left it
+    assert -math.log2(1 - 2 ** -15) < ROUNDING_BITS
+    symbols, n_alphabet, banked = case
+    edges = [0] + sorted(min(c, len(symbols)) for c in cuts) + [len(symbols)]
+    enc = eb.RangeEncoder()
+    for piece in (symbols[a:b] for a, b in zip(edges, edges[1:])):
+        cost = enc.encode(piece, *new_models(n_alphabet, banked))
+        info = information_bits(piece, n_alphabet, banked)
+        assert abs(cost - info) <= len(piece) * ROUNDING_BITS
+
+
 def test_long_pending_runs_and_model_halving_match():
     rng = np.random.default_rng(7)
     for n_alphabet, p_middle in ((2, 0.97), (15, 0.9), (241, 0.97)):
         symbols = steered(n_alphabet, 1500, rng, p_middle, 0.95)
-        ref_bytes, ref, models = ref_encode(symbols, n_alphabet)
+        ref_bytes, ref_cost, ref, models = ref_encode(symbols, n_alphabet)
         assert ref.max_pending >= 40
         assert models[0].halvings >= 1
-        data, info_bits = new_encode(symbols, n_alphabet)
+        data, cost = new_encode(symbols, n_alphabet)
         assert data == ref_bytes
-        assert info_bits == ref.info_bits
+        assert cost == ref_cost
         assert eb.RangeDecoder(data).decode(len(symbols), *eb.flat_model(n_alphabet)) == symbols
 
 
@@ -315,11 +353,11 @@ def test_index1_bank_halving_matches():
     # a silent 2048-sample frame's 1,025 zero indices: bank 0's counts reach
     # MODEL_LIMIT at symbol 1,023 (55 + 1,023 * 32 >= 32,768) and are halved
     symbols = [0] * 1025
-    ref_bytes, ref, models = ref_encode(symbols, 15, banked=True)
+    ref_bytes, ref_cost, _, models = ref_encode(symbols, 15, banked=True)
     assert [m.halvings for m in models] == [1, 0, 0]
-    data, info_bits = new_encode(symbols, 15, banked=True)
+    data, cost = new_encode(symbols, 15, banked=True)
     assert data == ref_bytes
-    assert info_bits == ref.info_bits
+    assert cost == ref_cost
     assert eb.RangeDecoder(data).decode(len(symbols), *eb.INDEX1_MODEL) == symbols
 
 
@@ -357,9 +395,9 @@ def test_a_bank_halving_twice_in_one_section_matches(n_alphabet, banked):
     pieces = [twice_halved(n_alphabet, banked, rng), rng.integers(0, n_alphabet, 37).tolist()]
     enc, ref = eb.RangeEncoder(), RefEncoder()
     for piece in pieces:
-        before = ref.info_bits
+        before = ref.cost_bits
         ref_code(ref, piece, n_alphabet, banked)
-        assert enc.encode(piece, *new_models(n_alphabet, banked)) == ref.info_bits - before
+        assert enc.encode(piece, *new_models(n_alphabet, banked)) == ref.cost_bits - before
         assert (enc.low, enc.low + enc.range - 1, enc.pending) == (ref.low, ref.high, ref.pending)
     data = enc.finish()
     assert data == ref.finish()
@@ -511,7 +549,7 @@ def escape_frame(write_escapes, bins=(5,)):
     raw.write_bit(0)                     # CTNS flag off
     write_escapes(raw)
     _, contrast = codec.derive_shaping(np.zeros(CTX.lpc_order, dtype=int), CFG)
-    raw.write_bits(0, int(CTX.field_widths(index1, contrast).sum()))  # the phase fields
+    raw.write_bits(0, int(CTX.raw_widths.take(CTX.raw_offsets(contrast) + index1).sum()))  # phases
     raw_bytes = raw.getvalue()
     return struct.pack("<HH", len(arith), len(raw_bytes)) + arith + raw_bytes
 

@@ -754,9 +754,10 @@ def test_search_prices_exactly_the_widths_pack_writes(data, layout, scale, gains
         record = FramePayload.zeros(1, layout)  # the band's index 1 in an otherwise zero frame
         record.index1[0, bins], record.contrast[0] = idx1, contrast
         record.index2[0] = np.where(record.index1[0] == pq.ESCAPE_INDEX, pq.OUTLIER_MIN, 0)
-        widths = layout.field_widths(record.index1[0], contrast)
+        offsets = layout.raw_offsets(record.contrast)
+        widths = layout.raw_widths.take(offsets[0] + record.index1[0])
         stats = {}
-        pack_frame(wire_fields(record, layout)[0], layout, stats)
+        pack_frame(wire_fields(record, offsets, layout)[0], layout, stats)
         assert stats["phase"] + stats["sign"] == widths.sum() == widths[bins].sum()
         cost = rc.band_cost_bits(mags, np.full((1, last + 1, 1), g),
                                  layout.raw_offsets(contrast[None]), layout)[0, b, 0]
