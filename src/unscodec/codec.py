@@ -141,7 +141,8 @@ def encode_frames(frames: np.ndarray, cfg: CodecConfig, first: int):
     """Encode a chunk of windowed frames, the rows of a (frames, frame_len) stack whose first
     is stream frame ``first``; returns the chunk's record and each frame's bytes and stats.
     The chunk is analyzed, its every band's gain searched, quantized and its wire fields
-    built, each as one stack; then ``pack_frame`` codes each frame."""
+    built, each as one stack; then ``pack_frame`` codes each distinct record row once, and a
+    repeated row (digital silence) takes its bytes and a copy of its section costs."""
     shaped, ctx = analyze_frames(frames, cfg), cfg.layout
     coded, active, gain_db = shaped.coded, shaped.active, shaped.gain_db
     lsf, clpc, contrast = shaped.lsf_indices, shaped.clpc_indices, shaped.contrast
@@ -151,9 +152,13 @@ def encode_frames(frames: np.ndarray, cfg: CodecConfig, first: int):
     est_bits = sum(bits.T)  # summed band by band from the left, as the stats report it
     payload = FramePayload(lsf, active, clpc, gains,  # then index1, index2, raw
                            *quantize_spectrum(coded, gains, contrast, cfg), contrast)
-    sections = [{} for _ in frames]
-    blobs = [pack_frame(row, ctx, sections[f])
-             for f, row in enumerate(wire_fields(payload, offsets, ctx))]
+    keys = list(map(bytes, np.concatenate([getattr(payload, f.name).reshape(len(frames), -1)
+                                           for f in fields(FramePayload)], 1, dtype=np.int32)))
+    packed = {}  # every value pack_frame reads is in its row's key
+    for key, row in zip(keys, wire_fields(payload, offsets, ctx)):
+        if key not in packed:
+            packed[key] = pack_frame(row, ctx, costs := {}), costs
+    blobs, sections = [packed[k][0] for k in keys], [dict(packed[k][1]) for k in keys]
     return payload, blobs, [FrameStats(
         index=first + f, gain_db=float(gain_db[f]), ctns_active=bool(active[f]),
         band_gains=gains[f], overflow=overflow[f], est_spectral_bits=float(est_bits[f]),
@@ -225,10 +230,18 @@ def decode_stream(data: bytes, cfg: CodecConfig = CodecConfig()):
     pcm, flags = [np.zeros(spec.overlap_len)], []
     for first in range(0, len(bounds) - 1, CHUNK_FRAMES):
         chunk = FramePayload.zeros(min(CHUNK_FRAMES, len(bounds) - 1 - first), ctx)
-        at, fault = [], None  # pass 1 per frame, up to the first that fails
+        at, fault, parsed = [], None, {}  # pass 1 per frame, up to the first that fails
         try:
             for row, start in enumerate(bounds[first:first + len(chunk.ctns_flag)]):
-                at.append(unpack_frame(data, start, ctx, chunk, row))
+                frame = data[start:bounds[first + row + 1]]
+                if frame in parsed:  # a repeat of a parsed frame takes its row, and its raw
+                    src = parsed[frame]  # section starts as many bytes further on as it does
+                    for f in fields(FramePayload):
+                        getattr(chunk, f.name)[row] = getattr(chunk, f.name)[src]
+                    at.append(at[src] + 8 * (start - bounds[first + src]))
+                else:
+                    at.append(unpack_frame(data, start, ctx, chunk, row))
+                    parsed[frame] = row
         except StreamError as e:
             fault = e
         # the flags set pass 2's field widths; its rows precede a pass-1 fault, so theirs come first

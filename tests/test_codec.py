@@ -13,7 +13,7 @@ from hypothesis import example, given, strategies as st
 from unscodec import codec, polar_quant as pq, signals
 from unscodec.config import CodecConfig
 from unscodec.entropy_bitstream import (FramePayload, PackContext, StreamError, StreamHeader,
-                                        frame_bounds)
+                                        frame_bounds, pack_frame, wire_fields)
 from unscodec.resample import CORE_RATE
 from unscodec.transforms import frame_count, frame_signal, overlap_add
 
@@ -684,26 +684,121 @@ def outcome(decode, data, cfg):
     return pcm.tobytes(), list(map(bool, flags))
 
 
-@pytest.mark.parametrize("cfg, seed", [(CFG12, 2), (CFG16, 3)], ids=["12k", "16k"])
-def test_chunk_parse_matches_frame_by_frame_parse_on_flipped_bytes(cfg, seed):
-    # 1-3 flipped frame bytes of a 3 s stream: the two-pass chunk parse gives
-    # the same PCM and flags, or the same error for the same frame, as parsing
-    # every frame on its own
+def repeated_frames(blob):
+    """The (start, end) byte offsets of each frame whose bytes repeat an earlier frame of its
+    chunk, and the number of frames."""
+    ends = frame_ends(blob)
+    seen, repeats = set(), []
+    for f, (start, end) in enumerate(zip([StreamHeader.size(), *ends], ends)):
+        seen = set() if f % codec.CHUNK_FRAMES == 0 else seen
+        if blob[start:end] in seen:
+            repeats.append((start, end))
+        seen.add(blob[start:end])
+    return repeats, len(ends)
+
+
+def silence_between(*parts, seconds=0.9):
+    """The PCM ``parts`` with a run of digital silence before, between and after them."""
+    gap = np.zeros(int(seconds * CORE_RATE))
+    return np.concatenate([gap, *(x for part in parts for x in (part, gap))])
+
+
+def packed_without_reuse(pcm, cfg):
+    """The stream of ``pcm`` with ``pack_frame`` run on every row of each chunk's record."""
+    blobs, ctx = [codec.stream_header(cfg, pcm.size).pack()], cfg.layout
+    for first, frames in codec.chunks(pcm, cfg.window_spec):
+        payload = codec.encode_frames(frames, cfg, first)[0]
+        blobs += [pack_frame(row, ctx, {})
+                  for row in wire_fields(payload, ctx.raw_offsets(payload.contrast), ctx)]
+    return b"".join(blobs)
+
+
+def test_each_distinct_record_row_of_a_chunk_is_packed_once(monkeypatch):
+    # digital silence and a 165 Hz tone, which advances 99 cycles in 10 hops, repeat frames
+    # within a chunk; each chunk range-codes its distinct rows once, and every frame still
+    # gets the bytes and its own copy of the section costs its row packs to alone
+    pcm = silence_between(signals.harmonic_tone(165.0, 3.0))
+    calls = []
+    monkeypatch.setattr(codec, "pack_frame", lambda row, *a: calls.append(row) or
+                        pack_frame(row, *a))
+    stats, repeats = [], 0
+    for first, frames in codec.chunks(pcm, CFG12.window_spec):
+        calls.clear()
+        payload, blobs, chunk_stats = codec.encode_frames(frames, CFG12, first)
+        rows = wire_fields(payload, CTX12.raw_offsets(payload.contrast), CTX12)
+        assert len(calls) == len(set(map(repr, rows))) == len(set(map(repr, calls)))
+        repeats += len(rows) - len(calls)
+        for row, blob, frame_stats in zip(rows, blobs, chunk_stats):
+            costs = {}
+            assert blob == pack_frame(row, CTX12, costs)
+            assert exact(frame_stats.section_bits) == exact(costs)
+        stats += chunk_stats
+    assert len(stats) > codec.CHUNK_FRAMES and repeats > len(stats) // 2
+    assert len({id(s.section_bits) for s in stats}) == len(stats)  # no frame shares its dict
+    assert codec.encode_stream(pcm, CFG12)[0] == packed_without_reuse(pcm, CFG12)
+
+
+@pytest.mark.parametrize("cfg, seed, silent", [(CFG12, 2, False), (CFG16, 3, False),
+                                               (CFG12, 4, True)], ids=["12k", "16k", "12k-silence"])
+def test_chunk_parse_matches_frame_by_frame_parse_on_flipped_bytes(cfg, seed, silent):
+    # 1-3 flipped frame bytes of a 3 s stream, or of speech between runs of digital silence
+    # over two chunks, where every other draw hits a frame that repeats an earlier one of its
+    # chunk: the two-pass chunk parse gives the same PCM and flags, or the same error for the
+    # same frame, as parsing every frame on its own
     pcm = signals.tone(440.0, 3.0)
     if cfg.mode == "16k":
         pcm = pcm + signals.click_train(3.0)[0]
+    if silent:
+        pcm = silence_between(signals.speechish(1.2, seed=7), signals.speechish(0.8, seed=8))
     blob, _ = codec.encode_stream(pcm, cfg)
+    repeats, frames = repeated_frames(blob)
+    later_copies = [pos for start, end in repeats for pos in range(start, end)]
+    if silent:
+        assert frames > codec.CHUNK_FRAMES and len(repeats) >= frames / 4
+        calls, unpack_frame = [], codec.unpack_frame
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(codec, "unpack_frame", lambda *a: calls.append(a) or unpack_frame(*a))
+            got = outcome(codec.decode_stream, blob, cfg)
+        assert got == outcome(decode_frame_by_frame, blob, cfg)
+        assert len(calls) == frames - len(repeats)  # once per distinct frame of each chunk
     rng = np.random.default_rng(seed)
     seen = set()
-    for _ in range(150):
+    for i in range(150):
         data = bytearray(blob)
-        for pos in rng.choice(np.arange(StreamHeader.size(), len(blob)), int(rng.integers(1, 4)),
-                              replace=False).tolist():
+        pool = later_copies if silent and i % 2 else np.arange(StreamHeader.size(), len(blob))
+        for pos in rng.choice(pool, int(rng.integers(1, 4)), replace=False).tolist():
             data[pos] ^= int(rng.integers(1, 256))
         want = outcome(decode_frame_by_frame, bytes(data), cfg)
         assert outcome(codec.decode_stream, bytes(data), cfg) == want
         seen.add("decoded" if isinstance(want[0], bytes) else want[0].split(": ")[-1])
     assert "decoded" in seen and len(seen) >= 4  # decoded streams and three kinds of fault
+
+
+@st.composite
+def pcm_with_repeated_frames(draw):
+    """(PCM, config) in a drawn mode: runs of digital silence and of noise at a drawn level, and
+    one segment of noise a whole number of hops long played 3-4 times back to back, so frames
+    that lie within its copies repeat."""
+    cfg = draw(st.sampled_from([CFG12, CFG16]))
+    rng, spec = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))), cfg.window_spec
+    noise = lambda n: 10 ** draw(st.floats(-6, 0)) * rng.standard_normal(n)
+    segment = noise(draw(st.integers(1, 2)) * (spec.frame_len - spec.overlap_len))
+    parts = [np.tile(segment, draw(st.integers(3, 4)))]
+    for run in draw(st.lists(st.sampled_from(["silence", "noise"]), max_size=4)):
+        n = draw(st.integers(0, 3000))
+        run = np.zeros(n) if run == "silence" else noise(n)
+        parts.insert(draw(st.integers(0, len(parts))), run)
+    return np.concatenate(parts), cfg
+
+
+@given(pcm_with_repeated_frames())
+def test_repeated_frames_code_and_decode_as_without_reuse(drawn):
+    # frames are coded independently, so reusing a repeated frame's bytes at the encoder and
+    # its parse at the decoder changes neither the stream nor the decode
+    pcm, cfg = drawn
+    blob, _ = codec.encode_stream(pcm, cfg)
+    assert blob == packed_without_reuse(pcm, cfg)
+    assert outcome(codec.decode_stream, blob, cfg) == outcome(decode_frame_by_frame, blob, cfg)
 
 
 def test_traced_layer_names_exist_and_are_called(monkeypatch):
