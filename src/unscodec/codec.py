@@ -125,15 +125,15 @@ def quantize_spectrum(coded: np.ndarray, gains: np.ndarray, contrast: np.ndarray
 
 
 def dequantize_spectrum(payload: FramePayload, cfg: CodecConfig):
-    """The coded bins a chunk record's spectral fields and band gains
-    describe, one row per frame."""
+    """The coded bins a chunk record's spectral fields and band gains describe, one row per
+    frame: the magnitudes, signed at DC and Nyquist, as complex values, then each bin that
+    carries a phase rotated by it (a bin without one is m + 0j, as m·exp(0j) gives)."""
     mags, ctx = pq.dequantize_magnitudes(payload.index1, payload.index2, cfg.ecupq), cfg.layout
-    cells = pq.phase_cells_array(payload.index1, payload.contrast[..., ctx.band_of],
-                                 ctx.phase_cells)
-    theta, raw = np.zeros(mags.shape), payload.raw
+    cells, raw = pq.phase_cells_array(payload.index1, payload.contrast[..., ctx.band_of],
+                                      ctx.phase_cells), payload.raw
     has_phase = ~ctx.real_mask & (cells > 1)  # as quantize_spectrum sends them
-    theta[has_phase] = pq.dequantize_phase(raw[has_phase], cells[has_phase])
-    vals = np.where(ctx.real_mask, np.where(raw == 1, -mags, mags), mags * np.exp(1j * theta))
+    vals = np.where(ctx.real_mask & (raw == 1), -mags, mags).astype(complex)
+    vals[has_phase] *= np.exp(1j * pq.dequantize_phase(raw[has_phase], cells[has_phase]))
     return vals * rc.GAIN_DIVISORS[payload.sf_indices - rc.SF_MIN_DB][..., ctx.band_of]
 
 
@@ -166,8 +166,9 @@ def encode_frames(frames: np.ndarray, cfg: CodecConfig, first: int):
 
 
 def decode_frame_payload(chunk: FramePayload, cfg: CodecConfig) -> np.ndarray:
-    """A chunk record's time-domain frames, one row each: each frame's envelope, as decode_stream
-    derives the contrast flags, then one stacked dequantization, CTNS inverse and synthesis."""
+    """A chunk record's time-domain frames, one row each: each row's envelope, as decode_stream
+    derives the contrast flags, then one stacked dequantization, CTNS inverse and synthesis.
+    decode_stream hands it a chunk's distinct frames only; a repeat takes its row's frame."""
     env = np.array([derive_shaping(lsf, cfg)[0] for lsf in chunk.lsf_indices])
     coeffs = derive_clpc(chunk.clpc_indices[chunk.ctns_flag], cfg)
     return synthesize(dequantize_spectrum(chunk, cfg), env, coeffs, chunk.ctns_flag, cfg)
@@ -229,32 +230,30 @@ def decode_stream(data: bytes, cfg: CodecConfig = CodecConfig()):
     bounds = frame_bounds(data, frame_count(header.original_length, spec), header.original_length)
     pcm, flags = [np.zeros(spec.overlap_len)], []
     for first in range(0, len(bounds) - 1, CHUNK_FRAMES):
-        chunk = FramePayload.zeros(min(CHUNK_FRAMES, len(bounds) - 1 - first), ctx)
-        at, fault, parsed = [], None, {}  # pass 1 per frame, up to the first that fails
-        try:
-            for row, start in enumerate(bounds[first:first + len(chunk.ctns_flag)]):
-                frame = data[start:bounds[first + row + 1]]
-                if frame in parsed:  # a repeat of a parsed frame takes its row, and its raw
-                    src = parsed[frame]  # section starts as many bytes further on as it does
-                    for f in fields(FramePayload):
-                        getattr(chunk, f.name)[row] = getattr(chunk, f.name)[src]
-                    at.append(at[src] + 8 * (start - bounds[first + src]))
-                else:
-                    at.append(unpack_frame(data, start, ctx, chunk, row))
-                    parsed[frame] = row
+        chunk_bounds = bounds[first:first + CHUNK_FRAMES + 1]
+        chunk = FramePayload.zeros(len(chunk_bounds) - 1, ctx)
+        at, src, fault, parsed = [], [], None, {}  # pass 1 up to the first frame that fails
+        try:  # each distinct frame (its bytes, prefix included) into the next row, once
+            for start, end in zip(chunk_bounds, chunk_bounds[1:]):
+                if (frame := data[start:end]) not in parsed:
+                    at.append(unpack_frame(data, start, ctx, chunk, len(parsed)))
+                    parsed[frame] = len(parsed)
+                src.append(parsed[frame])  # each frame's row; a repeat takes its row's PCM
         except StreamError as e:
             fault = e
+        chunk = FramePayload(*(getattr(chunk, f.name)[:len(at)] for f in fields(FramePayload)))
+        firsts = [src.index(row) for row in range(len(at))]  # the first frame of each row
         # the flags set pass 2's field widths; its rows precede a pass-1 fault, so theirs come first
-        for row, lsf in enumerate(chunk.lsf_indices[:len(at)]):
+        for row, lsf in enumerate(chunk.lsf_indices):
             chunk.contrast[row] = derive_shaping(lsf, cfg)[1]
-        bad = unpack_fields(data, at, bounds[first + 1:first + 1 + len(at)], ctx, chunk)
+        bad = unpack_fields(data, at, [chunk_bounds[f + 1] for f in firsts], ctx, chunk)
         if bad.any():
             raise StreamError("raw section length does not match its fields",
-                              first + int(np.argmax(bad)))
+                              first + firsts[int(np.argmax(bad))])
         if fault:
-            raise StreamError(str(fault), first + len(at)) from None
-        add_chunk(pcm, decode_frame_payload(chunk, cfg), spec)
-        flags += chunk.ctns_flag.tolist()
+            raise StreamError(str(fault), first + len(src)) from None
+        add_chunk(pcm, decode_frame_payload(chunk, cfg)[src], spec)
+        flags += chunk.ctns_flag[src].tolist()
     return np.concatenate(pcm)[:header.original_length], header, flags
 
 

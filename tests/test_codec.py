@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from unscodec import codec, polar_quant as pq, signals
+from unscodec import codec, polar_quant as pq, rate_control as rc, signals
 from unscodec.config import CodecConfig
 from unscodec.entropy_bitstream import (FramePayload, PackContext, StreamError, StreamHeader,
                                         frame_bounds, pack_frame, wire_fields)
@@ -799,6 +799,126 @@ def test_repeated_frames_code_and_decode_as_without_reuse(drawn):
     blob, _ = codec.encode_stream(pcm, cfg)
     assert blob == packed_without_reuse(pcm, cfg)
     assert outcome(codec.decode_stream, blob, cfg) == outcome(decode_frame_by_frame, blob, cfg)
+
+
+def speech_between_silence():
+    """Two speech items between runs of digital silence: 78 frames in two chunks, the second
+    all silence and one distinct frame."""
+    return silence_between(signals.speechish(1.2, seed=7), signals.speechish(0.8, seed=8))
+
+
+@pytest.mark.parametrize("cfg", [CFG12, CFG16], ids=["12k", "16k"])
+def test_decoder_works_on_the_distinct_frames_of_each_chunk(monkeypatch, cfg):
+    # equal frame bytes give equal rows and equal time-domain frames, so a chunk derives the
+    # shaping of, reads the raw sections of and synthesizes each distinct frame once (its
+    # first copy), and every repeat takes that frame's PCM and flag
+    blob, _ = codec.encode_stream(speech_between_silence(), cfg)
+    ends = frame_ends(blob)
+    starts = [StreamHeader.size(), *ends[:-1]]
+    distinct = []  # each chunk's distinct frames, as (start, end) of their first copies
+    for first in range(0, len(ends), codec.CHUNK_FRAMES):
+        seen = {}
+        for start, end in list(zip(starts, ends))[first:first + codec.CHUNK_FRAMES]:
+            seen.setdefault(blob[start:end], (start, end))
+        distinct.append(list(seen.values()))
+    assert [len(d) for d in distinct] == [30, 1] and len(ends) == 78
+    want = outcome(decode_frame_by_frame, blob, cfg)
+    rows = [[unpack_one(blob, start, cfg.layout, cfg)[0] for start, _ in d] for d in distinct]
+
+    lsfs, reads, records = [], [], []
+    derive, read, synthesize = codec.derive_shaping, codec.unpack_fields, codec.decode_frame_payload
+    monkeypatch.setattr(codec, "derive_shaping", lambda lsf, c: lsfs.append(lsf.tolist())
+                        or derive(lsf, c))
+    monkeypatch.setattr(codec, "unpack_fields", lambda data, at, ends, ctx, chunk: reads.append(
+        (list(at), list(ends), len(chunk.ctns_flag))) or read(data, at, ends, ctx, chunk))
+    monkeypatch.setattr(codec, "decode_frame_payload", lambda chunk, c: records.append(chunk)
+                        or synthesize(chunk, c))
+    assert outcome(codec.decode_stream, blob, cfg) == want
+
+    # twice per distinct frame: its contrast flags before pass 2, its envelope in synthesis
+    assert lsfs == [r.lsf_indices[0].tolist() for chunk in rows for r in chunk * 2]
+    assert reads == [([8 * (start + 4 + struct.unpack_from("<H", blob, start)[0])
+                       for start, _ in d], [end for _, end in d], len(d)) for d in distinct]
+    assert len(records) == len(rows)
+    for record, chunk in zip(records, rows):
+        for f in fields(FramePayload):
+            assert np.array_equal(getattr(record, f.name),
+                                  np.concatenate([getattr(r, f.name) for r in chunk]))
+
+
+def test_a_fault_in_two_equal_frames_of_a_chunk_is_named_at_the_first():
+    # two silent frames of the second chunk, equal to each other after the same fault and to
+    # no other frame, are parsed once; either pass's fault is named at the first of the two
+    blob, _ = codec.encode_stream(speech_between_silence(), CFG12)
+    ends = frame_ends(blob)
+    starts = [StreamHeader.size(), *ends[:-1]]
+    a, b = codec.CHUNK_FRAMES + 3, codec.CHUNK_FRAMES + 8  # after 3 copies of a parsed frame
+    assert blob[starts[a]:ends[a]] == blob[starts[b]:ends[b]] == blob[starts[a - 3]:ends[a - 3]]
+    broken = [broken_stream(blob, {a: "raw", b: "raw"})]  # a pass-2 fault
+    for pos in range(4, ends[a] - starts[a]):  # a flip of each byte after the prefix
+        data = bytearray(blob)
+        data[starts[a] + pos] ^= 0xFF
+        data[starts[b] + pos] ^= 0xFF
+        broken.append(bytes(data))
+    for data in broken:
+        want = outcome(decode_frame_by_frame, data, CFG12)
+        assert want[1] == a
+        assert outcome(codec.decode_stream, data, CFG12) == want
+
+
+def rotated_everywhere(payload, cfg):
+    """The reference dequantization: ``exp(1j·θ)`` multiplied into every bin that is not
+    real-valued, with θ = 0 where a bin carries no phase."""
+    mags, ctx = pq.dequantize_magnitudes(payload.index1, payload.index2, cfg.ecupq), cfg.layout
+    cells = pq.phase_cells_array(payload.index1, payload.contrast[..., ctx.band_of],
+                                 ctx.phase_cells)
+    theta, raw = np.zeros(mags.shape), payload.raw
+    has_phase = ~ctx.real_mask & (cells > 1)
+    theta[has_phase] = pq.dequantize_phase(raw[has_phase], cells[has_phase])
+    vals = np.where(ctx.real_mask, np.where(raw == 1, -mags, mags), mags * np.exp(1j * theta))
+    return vals * rc.GAIN_DIVISORS[payload.sf_indices - rc.SF_MIN_DB][..., ctx.band_of]
+
+
+def assert_same_bits(got, want):
+    """Equal complex arrays bit for bit, so that +0 and -0 differ."""
+    assert got.dtype == want.dtype == complex and got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_dequantization_equals_the_full_array_rotation_on_corpus_records(corpus_runs):
+    for mode, items in corpus_runs.items():
+        cfg = CFG12.with_mode(mode)
+        for item in items.values():
+            for first, frames in codec.chunks(item["pcm"], cfg.window_spec):
+                record = codec.encode_frames(frames, cfg, first)[0]
+                assert_same_bits(codec.dequantize_spectrum(record, cfg),
+                                 rotated_everywhere(record, cfg))
+
+
+@st.composite
+def drawn_records(draw):
+    """(record, config) in a drawn mode: 1-6 rows of index 1 at 0..15 with escapes and drawn
+    zeros, raw fields within their cells (sign bits at DC and Nyquist) and drawn contrast
+    flags and gains."""
+    cfg = draw(st.sampled_from([CFG12, CFG16]))
+    rng, ctx = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1))), cfg.layout
+    record = FramePayload.zeros(draw(st.integers(1, 6)), ctx)
+    shape, bands = record.index1.shape, record.sf_indices.shape
+    record.index1[:] = rng.integers(0, 16, shape) * (rng.random(shape) >= rng.random())
+    escapes = record.index1 == pq.ESCAPE_INDEX
+    record.index2[escapes] = rng.integers(pq.OUTLIER_MIN, pq.OUTLIER_MAX + 1, escapes.sum())
+    record.contrast[:] = rng.random(bands) < 0.5
+    record.sf_indices[:] = rng.integers(rc.SF_MIN_DB, rc.SF_MAX_DB + 1, bands)
+    cells = pq.phase_cells_array(record.index1, record.contrast[:, ctx.band_of], ctx.phase_cells)
+    record.raw[:] = np.where(ctx.real_mask, rng.integers(0, 2, shape) * (record.index1 > 0),
+                             (rng.random(shape) * cells).astype(int))  # 0 where cells is 1
+    return record, cfg
+
+
+@given(drawn_records())
+def test_dequantization_equals_the_full_array_rotation_on_drawn_records(drawn):
+    record, cfg = drawn
+    assert_same_bits(codec.dequantize_spectrum(record, cfg), rotated_everywhere(record, cfg))
 
 
 def test_traced_layer_names_exist_and_are_called(monkeypatch):
